@@ -9,7 +9,6 @@ from pwsum.engine import (
     SummationContext,
     build_lagrange_sum,
     compactwise_error,
-    eval_pw,
     l2_error,
     operator_norm_probe,
     partial_sum,
@@ -53,7 +52,6 @@ __all__ = [
     "carleson_sup",
     "check_factorization",
     "compactwise_error",
-    "eval_pw",
     "grid_template",
     "hayman_scan",
     "hilbert_transform",

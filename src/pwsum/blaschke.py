@@ -31,7 +31,7 @@ class BlaschkeEvaluator:
     evaluation argument are conjugated internally, outputs conjugated back.
     """
 
-    def __init__(self, spectrum: Spectrum, orientation: str = "upper", tail_policy: str | None = None):
+    def __init__(self, spectrum: Spectrum, orientation: str = "upper"):
         if orientation not in ("upper", "lower"):
             raise BlaschkeError("orientation must be 'upper' or 'lower'")
         pts = spectrum.points
@@ -49,13 +49,7 @@ class BlaschkeEvaluator:
             self.src_index = order
         self.spectrum = spectrum
         self.orientation = orientation
-        if tail_policy is None:
-            tail_policy = (
-                "lattice-analytic"
-                if spectrum.family_tag in ("shifted_integers", "kadec_perturbed", "clustered_pairs")
-                else "none"
-            )
-        self.tail_policy = tail_policy
+        self._tail = spectrum.lattice_tail()
 
     def __len__(self) -> int:
         return int(self._pts.size)
@@ -177,22 +171,14 @@ class BlaschkeEvaluator:
         through their base lattice; the correction is asymptotically the
         same).  Custom lists get no correction.
         """
-        if self.tail_policy != "lattice-analytic":
+        if self._tail is None:
             return np.zeros(t.shape)
-        params = self.spectrum.family_params
-        delta = float(params["delta"])
-        tag = self.spectrum.family_tag
-        if tag == "clustered_pairs":
-            n_win = int(round(params.get("count", (len(self) - 1) // 4)))
-            mult = 2.0
-        else:
-            n_win = int(round(params.get("count", (len(self) - 1) // 2)))
-            mult = 1.0
-        edge = n_win + 0.5
+        delta = self._tail.delta
+        edge = self._tail.first_site - 0.5
         corr = 2.0 * (
             np.pi - np.arctan((edge - t) / delta) - np.arctan((edge + t) / delta)
         )
-        return mult * corr
+        return self._tail.density * corr
 
 
 def upper_lower_evaluators(spectrum: Spectrum) -> tuple[BlaschkeEvaluator | None, BlaschkeEvaluator | None]:

@@ -32,7 +32,7 @@ from pwsum.engine import (
 )
 from pwsum.genfun import GenFunError, GeneratingFunctionEvaluator, OuterEvaluator, check_factorization
 from pwsum.grids import GridError, grid_template
-from pwsum.spectrum import Spectrum, SpectrumError, load_spectrum, make_family
+from pwsum.spectrum import Spectrum, SpectrumError, load_spectrum, make_family, split_halfplanes
 from pwsum.weights import NaiveWeights, ProjectionWeights, UniversalWeights, WeightError, save_weights_csv
 
 EXIT_OK = 0
@@ -92,6 +92,9 @@ _REQUIRED = ("subcommand", "output.dir")
 
 _SUBCOMMANDS = ("diagnose", "weights", "converge", "compare-norms", "contours", "factorize-check")
 
+# integer keys with a lower bound (a disk needs a sample, the atom span an atom)
+_INT_MINIMA = {"K.samples": 1, "atoms.halfwidth": 0}
+
 
 def parse_config(path) -> dict:
     p = Path(path)
@@ -117,6 +120,9 @@ def parse_config(path) -> dict:
             raise ConfigError(f"missing required key {key!r}")
     if cfg["subcommand"] not in _SUBCOMMANDS:
         raise ConfigError(f"unknown subcommand {cfg['subcommand']!r}")
+    for key, lo in _INT_MINIMA.items():
+        if _i(cfg, key) < lo:
+            raise ConfigError(f"key {key!r}: must be >= {lo}, got {cfg[key]!r}")
     return cfg
 
 
@@ -135,6 +141,7 @@ def _i(cfg, key) -> int:
 
 
 def _build_spectrum(cfg) -> Spectrum:
+    """Raises SpectrumError for invalid points; run() reports it as a config error."""
     family = cfg["family"]
     if family == "custom_list":
         if not cfg["points.file"]:
@@ -146,10 +153,7 @@ def _build_spectrum(cfg) -> Spectrum:
     params = {"delta": _f(cfg, "delta")}
     if family in ("kadec_perturbed", "clustered_pairs"):
         params["eps"] = _f(cfg, "eps")
-    try:
-        return make_family(family, params, _i(cfg, "count"))
-    except SpectrumError as e:
-        raise ConfigError(str(e)) from e
+    return make_family(family, params, _i(cfg, "count"))
 
 
 def _parse_schedule(cfg) -> np.ndarray:
@@ -197,6 +201,19 @@ def _parse_points(text: str) -> np.ndarray:
     return np.array(pts)
 
 
+def _schedule_kwargs(cfg) -> dict:
+    """The contour-selection keywords of build_schedule."""
+    return dict(
+        count=_i(cfg, "l.count"),
+        ratio=_f(cfg, "l.ratio"),
+        arg_threshold=_f(cfg, "l.arg_threshold"),
+        zero_margin=_f(cfg, "l.zero_margin"),
+        c_grid=_i(cfg, "c.grid"),
+        samples_per_side=_i(cfg, "side.samples"),
+        safety=_f(cfg, "alpha.safety"),
+    )
+
+
 def _build_scheme(name: str, cfg, spectrum, gen):
     schedule = _parse_schedule(cfg)
     if name == "naive":
@@ -204,24 +221,13 @@ def _build_scheme(name: str, cfg, spectrum, gen):
     if name == "projection":
         return ProjectionWeights(spectrum, schedule)
     if name == "universal":
-        up_pts = spectrum.points[spectrum.points.imag > 0]
-        lo_pts = spectrum.points[spectrum.points.imag < 0]
+        up, lo = split_halfplanes(spectrum)
         sched_p = sched_m = None
-        kw = dict(
-            count=_i(cfg, "l.count"),
-            ratio=_f(cfg, "l.ratio"),
-            arg_threshold=_f(cfg, "l.arg_threshold"),
-            zero_margin=_f(cfg, "l.zero_margin"),
-            c_grid=_i(cfg, "c.grid"),
-            samples_per_side=_i(cfg, "side.samples"),
-            safety=_f(cfg, "alpha.safety"),
-        )
-        if up_pts.size:
-            up = Spectrum(up_pts, family_tag=spectrum.family_tag,
-                          family_params=dict(spectrum.family_params))
+        kw = _schedule_kwargs(cfg)
+        if len(up):
             sched_p = build_schedule(up, BlaschkeEvaluator(up), **kw)
-        if lo_pts.size:
-            refl = Spectrum(np.conj(lo_pts))
+        if len(lo):
+            refl = Spectrum(np.conj(lo.points))
             sched_m = build_schedule(refl, BlaschkeEvaluator(refl), **kw)
         return UniversalWeights(spectrum, sched_p, sched_m)
     raise ConfigError(f"unknown scheme {name!r}")
@@ -315,22 +321,10 @@ def _cmd_compare_norms(cfg, outdir: Path) -> None:
 
 
 def _cmd_contours(cfg, outdir: Path) -> None:
-    s = _build_spectrum(cfg)
-    up_pts = s.points[s.points.imag > 0]
-    if not up_pts.size:
+    up, _ = split_halfplanes(_build_spectrum(cfg))
+    if not len(up):
         raise ConfigError("contours need upper half-plane points")
-    up = Spectrum(up_pts, family_tag=s.family_tag, family_params=dict(s.family_params))
-    sched = build_schedule(
-        up,
-        BlaschkeEvaluator(up),
-        count=_i(cfg, "l.count"),
-        ratio=_f(cfg, "l.ratio"),
-        arg_threshold=_f(cfg, "l.arg_threshold"),
-        zero_margin=_f(cfg, "l.zero_margin"),
-        c_grid=_i(cfg, "c.grid"),
-        samples_per_side=_i(cfg, "side.samples"),
-        safety=_f(cfg, "alpha.safety"),
-    )
+    sched = build_schedule(up, BlaschkeEvaluator(up), **_schedule_kwargs(cfg))
     save_schedule_csv(sched, outdir / "contours.csv")
 
 
@@ -371,7 +365,7 @@ def run(config_path) -> int:
             _cmd_contours(cfg, outdir)
         elif cmd == "factorize-check":
             _cmd_factorize_check(cfg, outdir)
-    except ConfigError as e:
+    except (ConfigError, SpectrumError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except _NUMERICAL_ERRORS as e:

@@ -59,12 +59,12 @@ def a2_estimate(gen, X: float, a: float = 0.0, h: float = 0.01) -> float:
     return float(max(best, p))
 
 
-def carleson_sup(s, tail_correction: bool = True) -> float:
+def carleson_sup(s) -> float:
     """sup over lambda of sum_{mu != lambda} (1+|Im lambda|)(1+|Im mu|)/|lambda-mu|^2.
 
     Exact over the stored window; for the built-in lattice-type families a
     trigamma tail adds the contribution of the family points beyond the
-    window (the clustered family counts two points per tail site).
+    window, scaled by the tail's site density.
     """
     pts = s.points
     if pts.size < 2:
@@ -76,24 +76,14 @@ def carleson_sup(s, tail_correction: bool = True) -> float:
         d2 = np.abs(blk) ** 2
         np.fill_diagonal(d2[:, i : i + 512], np.inf)
         sums[i : i + 512] = ((w[i : i + 512, None] * w[None, :]) / d2).sum(axis=1)
-    if tail_correction and s.family_tag in (
-        "shifted_integers",
-        "kadec_perturbed",
-        "clustered_pairs",
-    ):
-        delta = float(s.family_params["delta"])
-        if s.family_tag == "clustered_pairs":
-            n_win = int(round(s.family_params.get("count", (pts.size - 1) // 4)))
-            mult = 2.0
-        else:
-            n_win = int(round(s.family_params.get("count", (pts.size - 1) // 2)))
-            mult = 1.0
-        # tail sites sit near +-m + i*delta, m > n_win; trigamma sums the
-        # inverse-square distances along the real direction
+    tail = s.lattice_tail()
+    if tail is not None:
+        # tail sites sit near +-m + i*delta, m >= first_site; trigamma sums
+        # the inverse-square distances along the real direction
         re = pts.real
-        wt = (1.0 + np.abs(pts.imag)) * (1.0 + delta)
-        tail = polygamma(1, n_win + 1 - re) + polygamma(1, n_win + 1 + re)
-        sums += mult * wt * tail
+        wt = (1.0 + np.abs(pts.imag)) * (1.0 + tail.delta)
+        psi1 = polygamma(1, tail.first_site - re) + polygamma(1, tail.first_site + re)
+        sums += tail.density * wt * psi1
     return float(np.max(sums))
 
 

@@ -54,14 +54,6 @@ class PWFunction:
     def __call__(self, z):
         return self.eval(z)
 
-    def norm_sq_estimate(self, X: float, h: float) -> float:
-        g = sample_pw(self, X, h)
-        return g.norm() ** 2
-
-
-def eval_pw(f: PWFunction, z):
-    return f.eval(z)
-
 
 def sample_pw(f: PWFunction, X: float, h: float) -> GridFunction:
     g = grid_template(X, h)
@@ -197,22 +189,10 @@ def l2_error(a: GridFunction, b: GridFunction) -> float:
 # ---------------------------------------------------------------------------
 
 
-def riesz_project(
-    g: GridFunction,
-    sign: str,
-    weight_log_modulus: GridFunction | None = None,
-    tail_fit: bool = True,
-) -> GridFunction:
-    """Discrete Riesz projection P+/P- = (I +- iH)/2.
-
-    `weight_log_modulus` is accepted for interface compatibility with the
-    weighted experiments (alignment is validated, nothing else changes:
-    the weighting enters only through the surrounding harness).
-    """
+def riesz_project(g: GridFunction, sign: str, tail_fit: bool = True) -> GridFunction:
+    """Discrete Riesz projection P+/P- = (I +- iH)/2."""
     if sign not in ("+", "-"):
         raise EngineError("sign must be '+' or '-'")
-    if weight_log_modulus is not None and not g.same_grid(weight_log_modulus):
-        raise GridError("weight grid misaligned")
     H = hilbert_transform(g, tail_fit=tail_fit)
     s = 1.0 if sign == "+" else -1.0
     return g.copy_with(0.5 * (g.values + s * 1j * H.values))

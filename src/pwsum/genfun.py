@@ -4,9 +4,9 @@ G(z) = G(0) * prod (1 - z/lambda), factors multiplied in |lambda|-ascending
 order.  For the built-in lattice-type families the product over the stored
 window is completed by an analytic tail: beyond the window the family
 formula pairs points symmetrically, (1 - z/(c+q))(1 - z/(c-q)) =
-1 + (2cz - z^2)/(q^2 - c^2), and the summed logs of those pairs are
-evaluated through cached moment series.  Custom point lists carry an
-uncontrolled-tail warning instead.
+(q^2 - (c-z)^2)/(q^2 - c^2), and the product of those pairs over a
+sublattice is a ratio of Gamma functions, evaluated through log-Gamma.
+Custom point lists carry an uncontrolled-tail warning instead.
 
 The outer factor is recovered from |G| on the line by the Schwarz-Poisson
 integral; only its modulus is contractual (the unimodular constant is
@@ -19,13 +19,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import loggamma
 
 from pwsum.grids import GridFunction, grid_template, hilbert_transform
-from pwsum.spectrum import Spectrum
+from pwsum.spectrum import LatticeTail, Spectrum
 
 _CHUNK = 4096
-_J_SERIES = 36
-_M_DIRECT = 100_000
 _COLLISION_RTOL = 1e-12
 
 
@@ -38,122 +37,25 @@ class CollisionError(GenFunError):
 
 
 # ---------------------------------------------------------------------------
-# Analytic tails
+# Analytic tail
 # ---------------------------------------------------------------------------
 
 
-class _SymmetricTail:
-    """Product over pairs (c + q_m, c - q_m), q_m = s*m + r, m >= m_start.
+def _tail_log(tail: LatticeTail, z: np.ndarray) -> np.ndarray:
+    """log of the product of (1 - z/mu) over the family points mu beyond the window.
 
-    log prod = sum_m log(1 + A/(q_m^2 - c^2)) with A = 2cz - z^2.  Terms
-    with q_m^2 < 4|A| are peeled off directly; the rest is summed through
-    the expansion sum_j (-1)^(j+1) (A/b0)^j sigma_j / j with normalized
-    moment sums sigma_j = b0^j * sum_m (q_m^2 - c^2)^(-j).
+    Each sublattice pairs c + q_m with c - q_m, q_m = s(m + r/s), and
+    prod_{m >= M} (q_m^2 - (c-z)^2)/(q_m^2 - c^2) is a ratio of Gamma
+    functions (DLMF 5.8) with rho = M + r/s.
     """
-
-    def __init__(self, c: complex, spacing: int, offset: int, m_start: int, weight: int = 1):
-        self.c = complex(c)
-        self.spacing = int(spacing)
-        self.offset = int(offset)
-        self.m_start = int(m_start)
-        self.weight = int(weight)
-        if self.m_start < 1:
-            raise GenFunError("tail start index must be >= 1")
-        self._moment_cache: dict[int, tuple[complex, np.ndarray]] = {}
-
-    def _q(self, m):
-        return self.spacing * np.asarray(m, dtype=float) + self.offset
-
-    def _bucket(self, m_hot: int) -> int:
-        b = self.m_start
-        while b < m_hot:
-            b *= 2
-        return b
-
-    def _moments(self, m0: int) -> tuple[complex, np.ndarray]:
-        cached = self._moment_cache.get(m0)
-        if cached is not None:
-            return cached
-        s, c = self.spacing, self.c
-        ms = m0 + np.arange(_M_DIRECT)
-        b = self._q(ms) ** 2 - c * c
-        b0 = complex(b[0])
-        inv = b0 / b
-        sigma = np.zeros(_J_SERIES + 1, dtype=complex)
-        p = inv.copy()
-        sigma[1] = p.sum()
-        for j in range(2, _J_SERIES + 1):
-            p *= inv
-            sigma[j] = p.sum()
-        # midpoint-rule remainders beyond the direct range; only low j matter
-        T = m0 + _M_DIRECT - 0.5
-        U = s * T + self.offset
-        rem1 = (1.0 / (2.0 * c * s)) * np.log((U + c) / (U - c))
-        f1p = -2.0 * U * s / (U * U - c * c) ** 2
-        sigma[1] += (rem1 + f1p / 24.0) * b0
-        for j in range(2, 8):
-            rem = (U ** (1 - 2 * j) / (2 * j - 1) + j * c * c * U ** (-1 - 2 * j) / (2 * j + 1)) / s
-            sigma[j] += rem * b0**j
-        self._moment_cache[m0] = (b0, sigma)
-        return b0, sigma
-
-    def log_sum(self, z: np.ndarray) -> np.ndarray:
-        """sum over tail pairs of log(pair factor) at each z."""
-        z = np.asarray(z, dtype=complex)
-        A = 2.0 * self.c * z - z * z
-        amax = float(np.max(np.abs(A))) if A.size else 0.0
-        q_need = math.sqrt(4.0 * amax + abs(self.c) ** 2)
-        m_hot_raw = max(self.m_start, int(math.ceil((q_need - self.offset) / self.spacing)) + 1)
-        m0 = self._bucket(m_hot_raw)
-        out = np.zeros_like(z)
-        if m0 > self.m_start:
-            ms = np.arange(self.m_start, m0)
-            b = self._q(ms) ** 2 - self.c * self.c
-            for i in range(0, z.size, _CHUNK):
-                out[i : i + _CHUNK] += np.log(
-                    1.0 + A[i : i + _CHUNK, None] / b[None, :]
-                ).sum(axis=-1)
-        b0, sigma = self._moments(m0)
-        y = A / b0
-        p = y * sigma[1]
-        acc = p.copy()
-        p = y.copy()
-        for j in range(2, _J_SERIES + 1):
-            p = p * y
-            term = p * (sigma[j] / j)
-            acc += term if (j % 2 == 1) else -term
-        out += acc
-        return self.weight * out
-
-
-def _family_tails(spectrum: Spectrum) -> tuple[list[_SymmetricTail], float]:
-    """Tail sublattices beyond the stored window and an uncertainty slope.
-
-    The uncertainty slope u means: |tail log error| <= u * |z| (used for
-    the clustered family whose second copy is approximated by the base
-    lattice).
-    """
-    tag = spectrum.family_tag
-    p = spectrum.family_params
-    if tag == "shifted_integers":
-        n = int(round(p.get("count", (len(spectrum) - 1) // 2)))
-        return [_SymmetricTail(1j * p["delta"], 1, 0, n + 1)], 0.0
-    if tag == "kadec_perturbed":
-        n = int(round(p.get("count", (len(spectrum) - 1) // 2)))
-        delta = p["delta"]
-        eps = p.get("eps", 0.0)
-        even = _SymmetricTail(eps + 1j * delta, 2, 0, (n + 2) // 2)
-        odd = _SymmetricTail(-eps + 1j * delta, 2, 1, (n + 1) // 2)
-        return [even, odd], 0.0
-    if tag == "clustered_pairs":
-        n = int(round(p.get("count", (len(spectrum) - 1) // 4)))
-        delta = p["delta"]
-        eps = p["eps"]
-        # second copy sits at eps/|k| from the base lattice; approximating
-        # it by the base lattice leaves a reported O(|z| eps / n^2) slack
-        tail = _SymmetricTail(1j * delta, 1, 0, n + 1, weight=2)
-        return [tail], 2.0 * abs(eps) / n**2
-    return [], 0.0
+    out = np.zeros(z.shape, dtype=complex)
+    for sl in tail.sublattices:
+        rho = sl.start + sl.offset / sl.spacing
+        a, b = sl.c / sl.spacing, (sl.c - z) / sl.spacing
+        out += sl.weight * (
+            loggamma(rho - a) + loggamma(rho + a) - loggamma(rho - b) - loggamma(rho + b)
+        )
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -175,34 +77,18 @@ class GeneratingFunctionEvaluator:
         spectrum: Spectrum,
         radius: float = math.inf,
         normalization: complex = 1.0 + 0j,
-        tail_model: str | None = None,
-        exp_type: float | None = None,
     ):
         if normalization == 0:
             raise GenFunError("normalization G(0) must be nonzero")
-        if tail_model is None:
-            tail_model = (
-                "lattice-analytic"
-                if spectrum.family_tag in ("shifted_integers", "kadec_perturbed", "clustered_pairs")
-                else "none"
-            )
-        if tail_model not in ("lattice-analytic", "none"):
-            raise GenFunError(f"unknown tail model {tail_model!r}")
         self.spectrum = spectrum
         self.radius = float(radius)
         self.normalization = complex(normalization)
-        self.tail_model = tail_model
+        self._tail = spectrum.lattice_tail()
         stop = int(np.searchsorted(spectrum.moduli, self.radius, side="left"))
         self._lam_in = spectrum.points[:stop]
         self._lam_out = spectrum.points[stop:]
-        if tail_model == "lattice-analytic":
-            self._tails, self._unc_slope = _family_tails(spectrum)
-        else:
-            self._tails, self._unc_slope = [], 0.0
-        self.tail_warning = tail_model == "none" and self._lam_out.size > 0
-        if exp_type is None:
-            exp_type = math.pi if self._tails else 0.0
-        self.exp_type = float(exp_type)
+        self.tail_warning = self._tail is None and self._lam_out.size > 0
+        self.exp_type = math.pi if self._tail is not None else 0.0
         self._prime_cache: dict[int, complex] = {}
         self._grid_cache: dict[tuple, np.ndarray] = {}
 
@@ -252,15 +138,15 @@ class GeneratingFunctionEvaluator:
         )
         out = np.full(z.shape, np.log(self.normalization), dtype=complex)
         out += self._window_log(z, self._lam_in, skip_in)
-        if self.tail_model == "lattice-analytic" and self._lam_out.size:
-            # stored points beyond the truncation radius belong to the
-            # family formula; their factors are part of the tail correction
+        if self._tail is None:
+            if skip_out is not None:
+                raise GenFunError("index outside the truncated product")
+            return out
+        # stored points beyond the truncation radius belong to the family
+        # formula; their factors are part of the tail correction
+        if self._lam_out.size:
             out += self._window_log(z, self._lam_out, skip_out)
-        elif skip_out is not None:
-            raise GenFunError("index outside the truncated product")
-        for tail in self._tails:
-            out += tail.log_sum(z)
-        return out
+        return out + _tail_log(self._tail, z)
 
     # -- public API ----------------------------------------------------------
 
@@ -277,12 +163,9 @@ class GeneratingFunctionEvaluator:
         x_arr = np.atleast_1d(np.asarray(x, dtype=float))
         out = np.full(x_arr.shape, np.log(abs(self.normalization)))
         out += self._window_log_abs(x_arr, a, self._lam_in)
-        if self.tail_model == "lattice-analytic" and self._lam_out.size:
+        if self._tail is not None:
             out += self._window_log_abs(x_arr, a, self._lam_out)
-        if self._tails:
-            z = x_arr + 1j * a
-            for tail in self._tails:
-                out += tail.log_sum(z).real
+            out += _tail_log(self._tail, x_arr + 1j * a).real
         return out[0] if np.isscalar(x) or np.asarray(x).ndim == 0 else out
 
     def eval_G_prime_at_lambda(self, k: int) -> complex:
@@ -293,7 +176,7 @@ class GeneratingFunctionEvaluator:
         if cached is not None:
             return cached
         lam = self.spectrum.points[k]
-        if self.tail_model == "none" and k >= self._lam_in.size:
+        if self._tail is None and k >= self._lam_in.size:
             raise GenFunError("point excluded by the truncation radius; no tail model")
         z = np.array([lam], dtype=complex)
         val = (-1.0 / lam) * np.exp(self._log_G(z, skip_index=k)[0])
@@ -314,8 +197,8 @@ class GeneratingFunctionEvaluator:
     def tail_uncertainty(self, z) -> np.ndarray:
         """Upper estimate for the relative error left by the tail handling."""
         z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
-        if self.tail_model == "lattice-analytic":
-            return self._unc_slope * np.abs(z_arr)
+        if self._tail is not None:
+            return self._tail.slope_slack * np.abs(z_arr)
         if not self._lam_out.size:
             return np.zeros(z_arr.shape)
         w = np.abs(z_arr[:, None] / self._lam_out[None, :])

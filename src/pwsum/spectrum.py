@@ -1,9 +1,10 @@
 """Spectra of complex frequencies: construction, validation, indexing.
 
 A spectrum is a finite window of a (conceptually infinite) set of
-non-real frequencies.  Built-in families carry enough structure for the
-product evaluators to attach analytic tail models; custom point lists
-get an uncontrolled-tail flag instead.
+non-real frequencies.  Built-in families describe the points beyond the
+window through `Spectrum.lattice_tail`, from which the product, Blaschke
+and Carleson evaluators derive their analytic tails; custom point lists
+have no descriptor and get an uncontrolled-tail flag instead.
 """
 
 from __future__ import annotations
@@ -16,11 +17,53 @@ import numpy as np
 # factors and the 1 - z/lambda products degenerate there.
 MIN_IMAG = 1e-12
 
-FAMILY_NAMES = ("shifted_integers", "kadec_perturbed", "clustered_pairs", "custom_list")
+# families with a formula for the points beyond the window
+LATTICE_FAMILIES = ("shifted_integers", "kadec_perturbed", "clustered_pairs")
+FAMILY_NAMES = LATTICE_FAMILIES + ("custom_list",)
 
 
 class SpectrumError(ValueError):
     """A point set violates the spectrum invariants."""
+
+
+@dataclass(frozen=True)
+class Sublattice:
+    """The points c + q_m and c - q_m, q_m = spacing*m + offset, m >= start,
+    each counted `weight` times."""
+
+    c: complex
+    spacing: int
+    offset: int
+    start: int
+    weight: int = 1
+
+
+@dataclass(frozen=True)
+class LatticeTail:
+    """Family points beyond the stored window, as symmetric sublattices.
+
+    slope_slack u bounds the error of the description itself:
+    |tail log error| <= u |z| (the clustered family's second copy is
+    folded into its base lattice).
+    """
+
+    sublattices: tuple[Sublattice, ...]
+    slope_slack: float = 0.0
+
+    @property
+    def delta(self) -> float:
+        """Common height Im c of the tail sites."""
+        return self.sublattices[0].c.imag
+
+    @property
+    def first_site(self) -> int:
+        """Smallest |Re| offset q_m of a tail site from Re c."""
+        return min(sl.spacing * sl.start + sl.offset for sl in self.sublattices)
+
+    @property
+    def density(self) -> float:
+        """Tail sites per unit length on each side."""
+        return sum(sl.weight / sl.spacing for sl in self.sublattices)
 
 
 def _sort_points(pts: np.ndarray) -> np.ndarray:
@@ -43,6 +86,8 @@ class Spectrum:
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=complex).ravel()
         pts = _sort_points(pts)
+        if not np.all(np.isfinite(pts)):
+            raise SpectrumError("non-finite spectrum point")
         if pts.size and np.min(np.abs(pts.imag)) < MIN_IMAG:
             raise SpectrumError("spectrum touching the real axis: |Im lambda| < 1e-12")
         if pts.size > 1:
@@ -72,6 +117,27 @@ class Spectrum:
         if not len(self):
             return 0.0
         return float(np.abs(self.points[-1]))
+
+    def lattice_tail(self) -> LatticeTail | None:
+        """The family points beyond the stored window; None without a family
+        formula.  When the params do not record `count` (a spectrum loaded
+        from a file header), it is inferred from the number of stored points."""
+        tag, p = self.family_tag, self.family_params
+        if tag not in LATTICE_FAMILIES:
+            return None
+        sites_per_k = 4 if tag == "clustered_pairs" else 2
+        n = int(round(p.get("count", (len(self) - 1) // sites_per_k)))
+        if tag == "shifted_integers":
+            return LatticeTail((Sublattice(1j * float(p["delta"]), 1, 0, n + 1),))
+        if tag == "kadec_perturbed":
+            delta, eps = float(p["delta"]), float(p.get("eps", 0.0))
+            even = Sublattice(eps + 1j * delta, 2, 0, (n + 2) // 2)
+            odd = Sublattice(-eps + 1j * delta, 2, 1, (n + 1) // 2)
+            return LatticeTail((even, odd))
+        # clustered_pairs
+        eps = float(p["eps"])
+        base = Sublattice(1j * float(p["delta"]), 1, 0, n + 1, weight=2)
+        return LatticeTail((base,), slope_slack=2.0 * abs(eps) / n**2)
 
 
 @dataclass(frozen=True)
@@ -170,7 +236,7 @@ def load_spectrum(path) -> Spectrum:
     params: dict = {}
     pts = []
     with open(path) as fh:
-        for line in fh:
+        for ln, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
@@ -188,6 +254,9 @@ def load_spectrum(path) -> Spectrum:
                         except ValueError:
                             params[key] = val
                 continue
-            re_s, im_s = line.split()
-            pts.append(complex(float(re_s), float(im_s)))
+            try:
+                re_s, im_s = line.split()
+                pts.append(complex(float(re_s), float(im_s)))
+            except ValueError as e:
+                raise SpectrumError(f"{path}, line {ln}: expected 're im', got {line!r}") from e
     return Spectrum(np.array(pts, dtype=complex), family_tag=tag, family_params=params)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pwsum.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, parse_config, run
+from pwsum.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main, parse_config, run
 from pwsum.cli import ConfigError
 
 
@@ -229,3 +229,29 @@ output.dir={out}
     cond, X, val, trend = lines[1].split(",")
     assert cond == "factorization_max_rel_mismatch"
     assert float(val) < 5e-3
+
+
+@pytest.mark.parametrize(
+    "body, points",
+    [
+        ("subcommand=diagnose\ndelta=nan\n", None),
+        ("subcommand=weights\nfamily=kadec_perturbed\neps=inf\n", None),
+        ("subcommand=diagnose\nfamily=custom_list\n", "0.5 1.0\n2.0 0.0\n"),
+        ("subcommand=diagnose\nfamily=custom_list\n", "0.5 1.0\n2.0\n"),
+        ("subcommand=converge\nK.samples=0\n", None),
+        ("subcommand=compare-norms\natoms.halfwidth=-3\n", None),
+    ],
+    ids=["delta-nan", "eps-inf", "real-axis-point", "malformed-points-line",
+         "K-samples-0", "atoms-halfwidth-negative"],
+)
+def test_bad_input_exits_2_with_one_line(tmp_path, capsys, body, points):
+    if points is not None:
+        (tmp_path / "pts.txt").write_text(points)
+        body += f"points.file={tmp_path / 'pts.txt'}\n"
+    cfg = write_cfg(tmp_path, "bad.cfg", body + f"count=5\noutput.dir={tmp_path / 'out'}\n")
+    with pytest.raises(SystemExit) as exc:
+        main([str(cfg)])  # an uncaught exception (a traceback) fails the test
+    assert exc.value.code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("config error: ")

@@ -11,7 +11,6 @@ from pwsum.engine import (
     compactwise_error,
     disk_samples,
     eval_lagrange_sum,
-    eval_pw,
     l2_error,
     load_pw_csv,
     operator_norm_probe,
@@ -34,19 +33,19 @@ def lattice():
 
 def test_eval_pw_examples():
     f = PWFunction([0.0], [1.0])
-    assert eval_pw(f, 0.0) == pytest.approx(1.0)
-    assert abs(eval_pw(f, 1.0)) < 1e-15
+    assert f.eval(0.0) == pytest.approx(1.0)
+    assert abs(f.eval(1.0)) < 1e-15
     f2 = PWFunction([1j], [2.0])
     z = 3 + 0.5j
     d = z - np.conj(1j)
-    assert eval_pw(f2, z) == pytest.approx(2 * np.sin(np.pi * d) / (np.pi * d))
+    assert f2.eval(z) == pytest.approx(2 * np.sin(np.pi * d) / (np.pi * d))
 
 
 def test_pw_removable_singularity():
     f = PWFunction([2 - 1j], [3.0])
-    assert eval_pw(f, np.conj(2 - 1j)) == pytest.approx(3.0)
+    assert f.eval(np.conj(2 - 1j)) == pytest.approx(3.0)
     near = np.conj(2 - 1j) + 1e-12
-    assert eval_pw(f, near) == pytest.approx(3.0, rel=1e-9)
+    assert f.eval(near) == pytest.approx(3.0, rel=1e-9)
 
 
 def test_pw_distinct_centers():

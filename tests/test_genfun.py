@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -7,6 +8,7 @@ from pwsum.genfun import (
     GenFunError,
     GeneratingFunctionEvaluator,
     OuterEvaluator,
+    _tail_log,
     check_factorization,
 )
 from pwsum.grids import grid_template
@@ -55,7 +57,7 @@ def test_lattice_matches_sine_form_on_line(lattice200):
 
 
 def test_lattice_matches_sine_form_large_window_edge(lattice200):
-    # close to the stored window the tail peeling path is exercised
+    # near the window edge the analytic tail carries much of log G
     for z in (150.3 + 2j, -170.0 + 0.4j, 60.0 + 0j):
         got = lattice200.eval_G(z)
         want = sine_type_G(z, 0.3)
@@ -128,6 +130,41 @@ def test_kadec_tail_against_direct_product():
     brute = np.exp(np.sum(logs[order]))
     got = g.eval_G(z)
     assert abs(got - brute) / abs(brute) < 2e-5
+
+
+def _mp_tail_log_abs(tail, z, head=200):
+    """Re log of the tail product, summed pair factor by pair factor in mpmath:
+    the first `head` indices directly, the smooth remainder by Euler-Maclaurin.
+
+    The pair factor (1 - z/(c+q))(1 - z/(c-q)) is written 1 + A/(q^2 - c^2),
+    A = 2cz - z^2, and logged by log1p so that far terms keep their digits.
+    """
+    z = mpmath.mpc(z)
+
+    def term(sl, m):
+        c, q = mpmath.mpc(sl.c), sl.spacing * m + sl.offset
+        return sl.weight * mpmath.re(mpmath.log1p((2 * c * z - z * z) / (q * q - c * c)))
+
+    stop = max(sl.start for sl in tail.sublattices) + head
+    direct = mpmath.fsum(term(sl, m) for sl in tail.sublattices for m in range(sl.start, stop))
+    rest = mpmath.nsum(
+        lambda m: mpmath.fsum(term(sl, m) for sl in tail.sublattices),
+        [stop, mpmath.inf],
+        method="euler-maclaurin",
+    )
+    return direct + rest
+
+
+def test_kadec_tail_matches_mpmath_pair_series():
+    # oracle independent of the Gamma identity: the pair-factor log series
+    # itself at 30 digits, including a point past the window edge |Re z| = 100
+    s = make_family("kadec_perturbed", {"delta": 0.4, "eps": 0.2}, 100)
+    tail = s.lattice_tail()
+    zs = np.array([0.5 + 0j, -37.3 + 1.1j, 143.7 + 0.2j])
+    got = _tail_log(tail, zs).real
+    with mpmath.workdps(30):
+        want = [float(_mp_tail_log_abs(tail, z)) for z in zs]
+    assert np.max(np.abs(got - np.array(want))) < 1e-11
 
 
 def test_clustered_tail_uncertainty_reported():

@@ -122,12 +122,7 @@ def test_riesz_idempotent_on_smooth_decaying():
     assert l2_error(p2, p1) < 5e-5 * max(p1.norm(), 1.0)
 
 
-def test_riesz_weight_parameter_interface():
+def test_riesz_rejects_unknown_sign():
     g = sample_on_grid(cauchy_upper, 50.0, 0.05)
-    w = grid_template(50.0, 0.05)
-    out = riesz_project(g, "+", weight_log_modulus=w)
-    assert l2_error(out, riesz_project(g, "+")) == 0.0
-    with pytest.raises(GridError):
-        riesz_project(g, "+", weight_log_modulus=grid_template(25.0, 0.05))
     with pytest.raises(EngineError):
         riesz_project(g, "x")

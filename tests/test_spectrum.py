@@ -58,6 +58,62 @@ def test_kadec_pattern():
     }
 
 
+@pytest.mark.parametrize(
+    "name, params, count, first_site, density",
+    [
+        ("shifted_integers", {"delta": 0.3}, 10, 11, 1.0),
+        ("kadec_perturbed", {"delta": 0.3, "eps": 0.2}, 10, 11, 1.0),
+        ("kadec_perturbed", {"delta": 0.3, "eps": 0.2}, 11, 12, 1.0),
+        ("clustered_pairs", {"delta": 0.3, "eps": 0.5}, 10, 11, 2.0),
+    ],
+)
+def test_lattice_tail_descriptor(name, params, count, first_site, density):
+    tail = make_family(name, params, count).lattice_tail()
+    assert tail.first_site == first_site
+    assert tail.density == density
+    assert tail.delta == 0.3
+    if name == "clustered_pairs":
+        assert tail.slope_slack == pytest.approx(2 * 0.5 / count**2)
+        return
+    assert tail.slope_slack == 0.0
+    # the sublattice sites are the points a wider window adds, up to |q| <= count + 30
+    sites = []
+    for sl in tail.sublattices:
+        for m in range(sl.start, count + 31):
+            q = sl.spacing * m + sl.offset
+            if q <= count + 30:
+                sites += [sl.c + q, sl.c - q] * sl.weight
+    small = set(np.round(make_family(name, params, count).points, 12).tolist())
+    big = set(np.round(make_family(name, params, count + 30).points, 12).tolist())
+    assert sorted(np.round(sites, 12).tolist(), key=abs) == sorted(big - small, key=abs)
+
+
+def test_lattice_tail_none_without_family_formula(tmp_path):
+    assert make_family("custom_list", {"points": [1j, 2 - 1j]}, 2).lattice_tail() is None
+    assert Spectrum(np.array([1j])).lattice_tail() is None
+    # a family header without `count` infers the window from the stored points
+    s = make_family("shifted_integers", {"delta": 0.3}, 7)
+    path = tmp_path / "spec.txt"
+    path.write_text("# family=shifted_integers delta=0.3\n" + "".join(
+        f"{p.real} {p.imag}\n" for p in s.points))
+    assert load_spectrum(path).lattice_tail() == s.lattice_tail()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_point_rejected(bad):
+    with pytest.raises(SpectrumError):
+        Spectrum(np.array([1j, complex(bad, 1.0)]))
+    with pytest.raises(SpectrumError):
+        Spectrum(np.array([1j, complex(1.0, bad)]))
+
+
+def test_load_spectrum_names_malformed_line(tmp_path):
+    path = tmp_path / "pts.txt"
+    path.write_text("1.0 0.5\n\n2.0\n")
+    with pytest.raises(SpectrumError, match="line 3"):
+        load_spectrum(path)
+
+
 def test_unknown_family_rejected():
     with pytest.raises(SpectrumError):
         make_family("hexagonal", {}, 3)
