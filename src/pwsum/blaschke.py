@@ -17,6 +17,25 @@ import numpy as np
 from pwsum.spectrum import Spectrum
 
 _POLE_RTOL = 1e-12
+_CHUNK = 4096  # evaluation points per block of the (points x zeros) kernels
+
+
+def _log_factors(z, mu):
+    """Complex kernel: sum over mu of log[(conj mu / mu)(z - mu)/(z - conj mu)]
+    along the last axis; z is a scalar or a column (n, 1)."""
+    return (np.log(np.conj(mu) / mu) + np.log(z - mu) - np.log(z - np.conj(mu))).sum(axis=-1)
+
+
+def _log_abs_factors(zc, lam, dx2, far):
+    """Modulus kernel: 1/2 sum over lam of log(near/far) = log1p(-4 Im z Im lam/far),
+    near = |z - lam|^2, far = |z - conj lam|^2, dx2 = (Re z - Re lam)^2, per z of
+    the column zc.  The ratio keeps its digits next to a zero; log1p's argument
+    rounds to -1 there (or below it: NaN)."""
+    near = zc.imag - lam.imag
+    near *= near
+    near += dx2
+    near /= far
+    return 0.5 * np.log(near, out=near).sum(axis=1)
 
 
 class BlaschkeError(ValueError):
@@ -71,29 +90,35 @@ class BlaschkeEvaluator:
             return self._pts
         return self._pts[np.abs(self._pts) < cutoff]
 
-    def eval_B(self, z, cutoff: float | None = None):
-        """Product of normalized factors over |lambda| < cutoff, |lambda|-ascending."""
+    def _factor_sum(self, z, cutoff: float | None, modulus: bool) -> np.ndarray:
+        """Per z, the log-factor sum over |lambda| < cutoff in the normalized frame
+        (its real part if modulus), chunked over z; raises at a pole conj(lambda)."""
         z_in = np.atleast_1d(self._map_in(z))
         lam = self._select(cutoff)
-        out = np.zeros(z_in.shape, dtype=complex)
-        if lam.size:
-            for i in range(0, z_in.size, 4096):
-                zc = z_in[i : i + 4096, None]
-                pole = np.abs(zc - np.conj(lam)[None, :]) <= _POLE_RTOL * np.maximum(
-                    1.0, np.abs(lam)
-                )
-                if np.any(pole):
-                    raise BlaschkeError("evaluation at a pole conj(lambda)")
-                with np.errstate(divide="ignore"):
-                    # z at a zero gives log(0) = -inf, exp(-inf) = 0: exact
-                    logs = (
-                        np.log(np.conj(lam) / lam)[None, :]
-                        + np.log(zc - lam[None, :])
-                        - np.log(zc - np.conj(lam)[None, :])
-                    )
-                out[i : i + 4096] = logs.sum(axis=1)
-        res = self._map_out(np.exp(out))
-        return res[0] if np.isscalar(z) or np.asarray(z).ndim == 0 else res
+        out = np.zeros(z_in.shape, dtype=float if modulus else complex)
+        tol2 = (_POLE_RTOL * np.maximum(1.0, np.abs(lam))) ** 2
+        for i in range(0, z_in.size if lam.size else 0, _CHUNK):
+            zc = z_in[i : i + _CHUNK, None]
+            dx2 = zc.real - lam.real
+            dx2 *= dx2
+            far = zc.imag + lam.imag
+            far *= far
+            far += dx2  # |z - conj(lambda)|^2
+            if np.any(far <= tol2):
+                raise BlaschkeError("evaluation at a pole conj(lambda)")
+            with np.errstate(divide="ignore"):  # z at a zero: log 0 = -inf, exact
+                out[i : i + _CHUNK] = _log_abs_factors(zc, lam, dx2, far) if modulus else _log_factors(zc, lam)
+        return out
+
+    def eval_B(self, z, cutoff: float | None = None):
+        """Product of normalized factors over |lambda| < cutoff, |lambda|-ascending."""
+        res = self._map_out(np.exp(self._factor_sum(z, cutoff, modulus=False)))
+        return res[0] if np.ndim(z) == 0 else res
+
+    def log_abs_B(self, z, cutoff: float | None = None):
+        """log|B(z)| over |lambda| < cutoff in real arithmetic (-inf at a zero)."""
+        res = self._factor_sum(z, cutoff, modulus=True)
+        return res[0] if np.ndim(z) == 0 else res
 
     def eval_beta(self, k: int, n: float):
         """Tail product prod_{|mu| >= n} factor(lambda_k); 0 when |lambda_k| >= n."""
@@ -106,25 +131,13 @@ class BlaschkeEvaluator:
         mu = lam_all[np.abs(lam_all) >= n]
         if not mu.size:
             return self._map_out(np.asarray(1.0 + 0j)).item()
-        val = np.exp(
-            np.sum(np.log(np.conj(mu) / mu) + np.log(lam_k - mu) - np.log(lam_k - np.conj(mu)))
-        )
-        return complex(self._map_out(np.asarray(val)).item())
+        return complex(self._map_out(np.exp(_log_factors(lam_k, mu))))
 
     def tail_factor(self, z, n: float):
         """Same tail product as eval_beta, at an arbitrary point z."""
-        z_in = self._map_in(z)
         mu = self._pts[np.abs(self._pts) >= n]
-        if not mu.size:
-            return 1.0 + 0j if np.asarray(z).ndim == 0 else np.ones(np.asarray(z).shape, complex)
-        z_arr = np.atleast_1d(z_in)
-        logs = (
-            np.log(np.conj(mu) / mu)[None, :]
-            + np.log(z_arr[:, None] - mu[None, :])
-            - np.log(z_arr[:, None] - np.conj(mu)[None, :])
-        ).sum(axis=1)
-        res = self._map_out(np.exp(logs))
-        return res[0] if np.asarray(z).ndim == 0 else res
+        res = self._map_out(np.exp(_log_factors(np.atleast_1d(self._map_in(z))[:, None], mu)))
+        return res[0] if np.ndim(z) == 0 else res
 
     def eval_B_prime_at(self, k: int, cutoff: float | None = None) -> complex:
         """d/dz of the cutoff product at its own zero lambda_k.
@@ -138,14 +151,7 @@ class BlaschkeEvaluator:
             raise BlaschkeError("lambda_k not inside the cutoff product")
         own = (np.conj(lam_k) / lam_k) / (lam_k - np.conj(lam_k))
         rest = lam_all[lam_all != lam_k]
-        if rest.size:
-            own *= np.exp(
-                np.sum(
-                    np.log(np.conj(rest) / rest)
-                    + np.log(lam_k - rest)
-                    - np.log(lam_k - np.conj(rest))
-                )
-            )
+        own *= np.exp(_log_factors(lam_k, rest))
         if self.orientation == "lower":
             # value of (B^-)'(conj lam_k) = conj of the reflected derivative
             own = np.conj(own)
@@ -156,11 +162,9 @@ class BlaschkeEvaluator:
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
         out = np.zeros(t_arr.shape)
         lam = self._pts
-        for i in range(0, t_arr.size, 4096):
-            tc = t_arr[i : i + 4096, None]
-            out[i : i + 4096] = (2.0 * lam.imag[None, :] / np.abs(tc - lam[None, :]) ** 2).sum(
-                axis=1
-            )
+        for i in range(0, t_arr.size, _CHUNK):
+            tc = t_arr[i : i + _CHUNK, None]
+            out[i : i + _CHUNK] = (2.0 * lam.imag / np.abs(tc - lam) ** 2).sum(axis=1)
         out += self._lattice_tail_argder(t_arr)
         return out[0] if np.asarray(t).ndim == 0 else out
 
@@ -253,7 +257,7 @@ def hayman_scan(
         raise BlaschkeError("epsilon profile must be positive and nonincreasing")
 
     zs = _verification_points(region_radius, n_verify)
-    neg_log = -np.log(np.abs(b.eval_B(zs)) + 1e-300)
+    neg_log = -np.logaddexp(b.log_abs_B(zs), math.log(1e-300))  # -log(|B| + 1e-300)
     eps_at = np.interp(np.abs(zs), prof_r, prof_v)
     allowed = eps_at * np.abs(zs)
 

@@ -157,8 +157,7 @@ def select_c(
             dmin = np.min(np.abs(zeta[:, None] - zeros[None, :]))
             if dmin < 1e-9:
                 continue
-        neg_log = -np.log(np.abs(b.eval_B(zeta)))
-        eps_hat = float(np.max(neg_log / np.abs(zeta)))
+        eps_hat = float(np.max(-b.log_abs_B(zeta) / np.abs(zeta)))
         if eps_hat < best_eps - 1e-15:
             best_c, best_eps = float(c), eps_hat
     if best_c is None:
@@ -204,8 +203,7 @@ class ContourSchedule:
 def domination_margin(b: BlaschkeEvaluator, tri: TriangleContour, alpha: float) -> float:
     """min over side samples of alpha*l/5 + log|B(zeta)| (>= 0 is the certificate)."""
     zeta = tri.slanted_samples()
-    logB = np.log(np.abs(b.eval_B(zeta)))
-    return float(np.min(alpha * tri.l / 5.0 + logB))
+    return float(np.min(alpha * tri.l / 5.0 + b.log_abs_B(zeta)))
 
 
 def build_schedule(

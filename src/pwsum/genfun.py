@@ -325,11 +325,11 @@ def check_factorization(
         lhs = abs(gen.eval_G(z))
         if z.imag > 0:
             mod = abs(outer.eval_outer(z))
-            bmod = abs(b_plus.eval_B(z)) if b_plus is not None else 1.0
+            bmod = math.exp(b_plus.log_abs_B(z)) if b_plus is not None else 1.0
             rhs = mod * bmod * abs(np.exp(-1j * tau * z))
         else:
             mod = abs(outer.eval_outer(np.conj(z)))  # |omega#(z)| = |omega(conj z)|
-            bmod = abs(b_minus.eval_B(z)) if b_minus is not None else 1.0
+            bmod = math.exp(b_minus.log_abs_B(z)) if b_minus is not None else 1.0
             rhs = mod * bmod * abs(np.exp(1j * tau * z))
         mism[i] = abs(lhs - rhs) / max(lhs, 1e-300)
     return FactorizationReport(points=pts, mismatches=mism)

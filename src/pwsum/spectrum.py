@@ -125,19 +125,27 @@ class Spectrum:
         tag, p = self.family_tag, self.family_params
         if tag not in LATTICE_FAMILIES:
             return None
+
+        def param(key: str, default: float | None = None) -> float:
+            val = p.get(key, default)
+            if val is None or isinstance(val, str) or not np.isfinite(val):
+                raise SpectrumError(f"{tag} tail needs a finite parameter {key!r}, got {val!r}")
+            return float(val)
+
         sites_per_k = 4 if tag == "clustered_pairs" else 2
-        n = int(round(p.get("count", (len(self) - 1) // sites_per_k)))
+        n = int(round(param("count", (len(self) - 1) // sites_per_k)))
+        if n < 1:
+            raise SpectrumError(f"{tag} window of {len(self)} points is too small for a tail")
         if tag == "shifted_integers":
-            return LatticeTail((Sublattice(1j * float(p["delta"]), 1, 0, n + 1),))
+            return LatticeTail((Sublattice(1j * param("delta"), 1, 0, n + 1),))
         if tag == "kadec_perturbed":
-            delta, eps = float(p["delta"]), float(p.get("eps", 0.0))
+            delta, eps = param("delta"), param("eps", 0.0)
             even = Sublattice(eps + 1j * delta, 2, 0, (n + 2) // 2)
             odd = Sublattice(-eps + 1j * delta, 2, 1, (n + 1) // 2)
             return LatticeTail((even, odd))
         # clustered_pairs
-        eps = float(p["eps"])
-        base = Sublattice(1j * float(p["delta"]), 1, 0, n + 1, weight=2)
-        return LatticeTail((base,), slope_slack=2.0 * abs(eps) / n**2)
+        base = Sublattice(1j * param("delta"), 1, 0, n + 1, weight=2)
+        return LatticeTail((base,), slope_slack=2.0 * abs(param("eps")) / n**2)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -58,6 +59,63 @@ def test_pole_rejected():
     b = BlaschkeEvaluator(Spectrum(np.array([1j])))
     with pytest.raises(BlaschkeError):
         b.eval_B(-1j)
+
+
+# -- log|B| in real arithmetic ---------------------------------------------
+
+LOG_ABS_ATOL = 1e-12  # absolute, against a 30-digit sum
+
+
+def _mp_log_abs_B(z, lam):
+    """sum over lam of log|z - lam| - log|z - conj lam| (the points as stored
+    in the spectrum, either half-plane), summed in mpmath at 30 digits."""
+    with mpmath.workdps(30):
+        zz = mpmath.mpc(z)
+        return float(mpmath.fsum(
+            mpmath.log(abs(zz - mpmath.mpc(l))) - mpmath.log(abs(zz - mpmath.conj(mpmath.mpc(l))))
+            for l in lam
+        ))
+
+
+def _oracle_points(lam):
+    """Points 1e-3 .. 1e-10 away from zeros, and far-field points with |z| = 1e3."""
+    th = np.array([0.3, 1.7, 2.9, 4.4])
+    near = np.concatenate([lam[k] + r * np.exp(1j * th) for k in (0, 7, 40) for r in (1e-3, 1e-7, 1e-10)])
+    far = 1e3 * np.exp(1j * np.array([0.05, 0.8, 1.6, 3.1, -0.4, -2.0]))
+    return np.concatenate([near, far, [0.3 + 0.2j, -5.1 + 2.5j]])
+
+
+@pytest.mark.parametrize("orientation", ["upper", "lower"])
+def test_log_abs_B_matches_mpmath(orientation):
+    s = make_family("kadec_perturbed", {"delta": 0.3, "eps": 0.2}, 40)
+    if orientation == "lower":
+        s = Spectrum(np.conj(s.points))
+    b = BlaschkeEvaluator(s, orientation=orientation)
+    zs = _oracle_points(s.points)
+    got = b.log_abs_B(zs)
+    want = np.array([_mp_log_abs_B(z, s.points) for z in zs])
+    np.testing.assert_allclose(got, want, rtol=0, atol=LOG_ABS_ATOL)
+    # cutoff: only the zeros with |lambda| < 12.5 take part
+    inner = s.points[np.abs(s.points) < 12.5]
+    got = b.log_abs_B(zs, cutoff=12.5)
+    want = np.array([_mp_log_abs_B(z, inner) for z in zs])
+    np.testing.assert_allclose(got, want, rtol=0, atol=LOG_ABS_ATOL)
+    assert isinstance(b.log_abs_B(zs[0]), float)
+
+
+def test_log_abs_B_zero_and_pole():
+    s = make_family("kadec_perturbed", {"delta": 0.3, "eps": 0.2}, 10)
+    b = BlaschkeEvaluator(s)
+    lam = b.points[3]
+    vals = b.log_abs_B(np.array([lam, lam + 0.5]))  # no RuntimeWarning either
+    assert vals[0] == -np.inf and np.isfinite(vals[1])
+    assert b.log_abs_B(lam) == -np.inf
+    with pytest.raises(BlaschkeError):
+        b.log_abs_B(np.conj(lam))
+    lo = BlaschkeEvaluator(Spectrum(np.conj(s.points)), orientation="lower")
+    assert lo.log_abs_B(np.conj(lam)) == -np.inf
+    with pytest.raises(BlaschkeError):
+        lo.log_abs_B(lam)
 
 
 def test_beta_trivial_full_inclusion():

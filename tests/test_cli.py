@@ -240,9 +240,16 @@ output.dir={out}
         ("subcommand=diagnose\nfamily=custom_list\n", "0.5 1.0\n2.0\n"),
         ("subcommand=converge\nK.samples=0\n", None),
         ("subcommand=compare-norms\natoms.halfwidth=-3\n", None),
+        # lattice headers the tail cannot be built from: a missing key, a
+        # window too small to infer count >= 1
+        ("subcommand=diagnose\nfamily=custom_list\n",
+         "# family=shifted_integers\n0.5 1.0\n1.5 1.0\n2.5 1.0\n"),
+        ("subcommand=diagnose\nfamily=custom_list\n",
+         "# family=clustered_pairs delta=1.0 eps=0.5\n0.0 1.0\n1.0 1.0\n1.5 1.0\n"),
     ],
     ids=["delta-nan", "eps-inf", "real-axis-point", "malformed-points-line",
-         "K-samples-0", "atoms-halfwidth-negative"],
+         "K-samples-0", "atoms-halfwidth-negative", "header-without-delta",
+         "header-window-too-small"],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, body, points):
     if points is not None:

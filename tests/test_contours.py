@@ -142,6 +142,21 @@ def test_build_schedule_nesting_and_certificates(lattice):
     assert sets[-1] == set(range(len(s)))
 
 
+def test_schedule_matches_complex_modulus_reference(monkeypatch):
+    # the reference takes log|B| as log of |B| from the complex product
+    s = make_family("kadec_perturbed", {"delta": 0.3, "eps": 0.2}, 100)
+    b = BlaschkeEvaluator(s)
+    got = build_schedule(s, b, count=4)
+    with monkeypatch.context() as m:
+        m.setattr(BlaschkeEvaluator, "log_abs_B",
+                  lambda self, z, cutoff=None: np.log(np.abs(self.eval_B(z, cutoff))))
+        ref = build_schedule(s, b, count=4)
+    assert [t.l for t in got.contours] == [t.l for t in ref.contours]
+    assert [t.c for t in got.contours] == [t.c for t in ref.contours]
+    for name in ("eps_hats", "alphas", "margins"):
+        np.testing.assert_allclose(getattr(got, name), getattr(ref, name), rtol=1e-10, atol=0)
+
+
 def test_schedule_csv(tmp_path, lattice):
     s, b = lattice
     sched = build_schedule(s, b, count=3)

@@ -99,6 +99,22 @@ def test_lattice_tail_none_without_family_formula(tmp_path):
     assert load_spectrum(path).lattice_tail() == s.lattice_tail()
 
 
+@pytest.mark.parametrize(
+    "tag, params, n_points, match",
+    [
+        ("shifted_integers", {}, 3, "'delta'"),
+        ("clustered_pairs", {"delta": 1.0}, 9, "'eps'"),
+        ("kadec_perturbed", {"delta": "abc"}, 5, "'delta'"),
+        ("shifted_integers", {"delta": np.nan}, 5, "'delta'"),
+        ("clustered_pairs", {"delta": 1.0, "eps": 0.5}, 3, "3 points is too small"),
+    ],
+)
+def test_lattice_tail_rejects_unusable_header(tag, params, n_points, match):
+    pts = np.arange(n_points) + 1j
+    with pytest.raises(SpectrumError, match=match):
+        Spectrum(pts, family_tag=tag, family_params=params).lattice_tail()
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_point_rejected(bad):
     with pytest.raises(SpectrumError):
