@@ -115,9 +115,9 @@ class BlaschkeEvaluator:
         res = self._map_out(np.exp(self._factor_sum(z, cutoff, modulus=False)))
         return res[0] if np.ndim(z) == 0 else res
 
-    def log_abs_B(self, z, cutoff: float | None = None):
-        """log|B(z)| over |lambda| < cutoff in real arithmetic (-inf at a zero)."""
-        res = self._factor_sum(z, cutoff, modulus=True)
+    def log_abs_B(self, z):
+        """log|B(z)| in real arithmetic (-inf at a zero)."""
+        res = self._factor_sum(z, None, modulus=True)
         return res[0] if np.ndim(z) == 0 else res
 
     def eval_beta(self, k: int, n: float):

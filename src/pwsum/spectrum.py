@@ -134,7 +134,7 @@ class Spectrum:
 
         sites_per_k = 4 if tag == "clustered_pairs" else 2
         n = int(round(param("count", (len(self) - 1) // sites_per_k)))
-        if n < 1:
+        if n < (1 if tag == "clustered_pairs" else 0):  # its slack divides by n**2
             raise SpectrumError(f"{tag} window of {len(self)} points is too small for a tail")
         if tag == "shifted_integers":
             return LatticeTail((Sublattice(1j * param("delta"), 1, 0, n + 1),))

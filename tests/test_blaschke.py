@@ -95,11 +95,6 @@ def test_log_abs_B_matches_mpmath(orientation):
     got = b.log_abs_B(zs)
     want = np.array([_mp_log_abs_B(z, s.points) for z in zs])
     np.testing.assert_allclose(got, want, rtol=0, atol=LOG_ABS_ATOL)
-    # cutoff: only the zeros with |lambda| < 12.5 take part
-    inner = s.points[np.abs(s.points) < 12.5]
-    got = b.log_abs_B(zs, cutoff=12.5)
-    want = np.array([_mp_log_abs_B(z, inner) for z in zs])
-    np.testing.assert_allclose(got, want, rtol=0, atol=LOG_ABS_ATOL)
     assert isinstance(b.log_abs_B(zs[0]), float)
 
 

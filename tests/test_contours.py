@@ -149,7 +149,7 @@ def test_schedule_matches_complex_modulus_reference(monkeypatch):
     got = build_schedule(s, b, count=4)
     with monkeypatch.context() as m:
         m.setattr(BlaschkeEvaluator, "log_abs_B",
-                  lambda self, z, cutoff=None: np.log(np.abs(self.eval_B(z, cutoff))))
+                  lambda self, z: np.log(np.abs(self.eval_B(z))))
         ref = build_schedule(s, b, count=4)
     assert [t.l for t in got.contours] == [t.l for t in ref.contours]
     assert [t.c for t in got.contours] == [t.c for t in ref.contours]

@@ -115,6 +115,21 @@ def test_lattice_tail_rejects_unusable_header(tag, params, n_points, match):
         Spectrum(pts, family_tag=tag, family_params=params).lattice_tail()
 
 
+@pytest.mark.parametrize(
+    "tag, params, n_points",
+    [
+        ("shifted_integers", {"delta": 0.3}, 1),
+        ("shifted_integers", {"delta": 0.3}, 2),
+        ("kadec_perturbed", {"delta": 0.3, "eps": 0.2}, 1),
+    ],
+)
+def test_lattice_tail_from_one_or_two_point_header(tag, params, n_points):
+    # the inferred count is 0: the tail is every family site beyond the origin
+    pts = np.arange(n_points) + 0.3j
+    tail = Spectrum(pts, family_tag=tag, family_params=params).lattice_tail()
+    assert (tail.first_site, tail.density, tail.delta) == (1, 1.0, 0.3)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_point_rejected(bad):
     with pytest.raises(SpectrumError):
