@@ -58,14 +58,11 @@ class BlaschkeEvaluator:
             if np.any(pts.imag <= 0):
                 raise BlaschkeError("upper evaluator requires Im lambda > 0")
             self._pts = pts
-            self.src_index = np.arange(pts.size)
         else:
             if np.any(pts.imag >= 0):
                 raise BlaschkeError("lower evaluator requires Im lambda < 0")
             cpts = np.conj(pts)
-            order = np.lexsort((np.angle(cpts), np.abs(cpts)))
-            self._pts = cpts[order]
-            self.src_index = order
+            self._pts = cpts[np.lexsort((np.angle(cpts), np.abs(cpts)))]
         self.spectrum = spectrum
         self.orientation = orientation
         self._tail = spectrum.lattice_tail()
@@ -120,21 +117,9 @@ class BlaschkeEvaluator:
         res = self._factor_sum(z, None, modulus=True)
         return res[0] if np.ndim(z) == 0 else res
 
-    def eval_beta(self, k: int, n: float):
-        """Tail product prod_{|mu| >= n} factor(lambda_k); 0 when |lambda_k| >= n."""
-        lam_all = self._pts
-        if k < 0 or k >= lam_all.size:
-            raise BlaschkeError("invalid point index")
-        lam_k = lam_all[k]
-        if abs(lam_k) >= n:
-            return 0j
-        mu = lam_all[np.abs(lam_all) >= n]
-        if not mu.size:
-            return self._map_out(np.asarray(1.0 + 0j)).item()
-        return complex(self._map_out(np.exp(_log_factors(lam_k, mu))))
-
     def tail_factor(self, z, n: float):
-        """Same tail product as eval_beta, at an arbitrary point z."""
+        """Tail product prod_{|mu| >= n} factor(z): beta_n(lambda) at a zero
+        lambda with |lambda| < n."""
         mu = self._pts[np.abs(self._pts) >= n]
         res = self._map_out(np.exp(_log_factors(np.atleast_1d(self._map_in(z))[:, None], mu)))
         return res[0] if np.ndim(z) == 0 else res

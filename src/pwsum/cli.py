@@ -214,7 +214,7 @@ def _schedule_kwargs(cfg) -> dict:
     )
 
 
-def _build_scheme(name: str, cfg, spectrum, gen):
+def _build_scheme(name: str, cfg, spectrum):
     schedule = _parse_schedule(cfg)
     if name == "naive":
         return NaiveWeights(spectrum, schedule)
@@ -233,11 +233,11 @@ def _build_scheme(name: str, cfg, spectrum, gen):
     raise ConfigError(f"unknown scheme {name!r}")
 
 
-def _schemes(cfg, spectrum, gen) -> list:
+def _schemes(cfg, spectrum) -> list:
     names = [t.strip() for t in cfg["scheme"].split(",") if t.strip()]
     if not names:
         raise ConfigError("no scheme given")
-    return [_build_scheme(n, cfg, spectrum, gen) for n in names]
+    return [_build_scheme(n, cfg, spectrum) for n in names]
 
 
 # ---------------------------------------------------------------------------
@@ -265,9 +265,7 @@ def _cmd_diagnose(cfg, outdir: Path) -> None:
 
 
 def _cmd_weights(cfg, outdir: Path) -> None:
-    s = _build_spectrum(cfg)
-    gen = GeneratingFunctionEvaluator(s)
-    schemes = _schemes(cfg, s, gen)
+    schemes = _schemes(cfg, _build_spectrum(cfg))
     if len(schemes) == 1:
         save_weights_csv(schemes[0], outdir / "weights.csv")
     else:
@@ -290,14 +288,12 @@ def _cmd_converge(cfg, outdir: Path) -> None:
     f_tail = pw_tail_bound(f, X)
     with open(outdir / "errors.csv", "w") as fh:
         fh.write("n,scheme,l2_error,sup_error_K,tail_bound\n")
-        for scheme in _schemes(cfg, s, gen):
+        for scheme in _schemes(cfg, s):
             for step in range(len(scheme)):
                 ls = build_lagrange_sum(f, gen, scheme, step)
                 sn = ctx.sample_sum(ls)
                 rel = l2_error(sn, ref) / ref_norm if ref_norm else np.inf
-                sup = compactwise_error(
-                    f, gen, scheme, step, center=center, radius=radius, samples=ksamp
-                )
+                sup = compactwise_error(f, gen, ls, center=center, radius=radius, samples=ksamp)
                 bound = f_tail + lagrange_tail_bound(ls, gen, X)
                 fh.write(
                     f"{scheme.step_label(step):.12e},{scheme.kind},"
@@ -314,7 +310,7 @@ def _cmd_compare_norms(cfg, outdir: Path) -> None:
     trials = _i(cfg, "trials")
     with open(outdir / "norms.csv", "w") as fh:
         fh.write("n,scheme,norm_lower_bound\n")
-        for scheme in _schemes(cfg, s, gen):
+        for scheme in _schemes(cfg, s):
             for step in range(len(scheme)):
                 val = probe.lower_bound(scheme, step, trials=trials, seed=seed)
                 fh.write(f"{scheme.step_label(step):.12e},{scheme.kind},{val:.12e}\n")

@@ -102,13 +102,9 @@ class LagrangeSum:
 def build_lagrange_sum_from_values(values, gen, scheme, step: int) -> LagrangeSum:
     """values: F(lambda_k) for every spectrum index k (array)."""
     row = scheme.weight_row(step)
-    ks = np.array([k for k, _ in row], dtype=int)
-    ws = np.array([w for _, w in row], dtype=complex)
-    vals = np.asarray(values, dtype=complex)
-    coeffs = np.array(
-        [w * vals[k] / gen.eval_G_prime_at_lambda(k) for k, w in zip(ks, ws)], dtype=complex
-    )
-    return LagrangeSum(indices=ks, coefficients=coeffs, step_label=scheme.step_label(step))
+    gprime = np.array([gen.eval_G_prime_at_lambda(k) for k in row.indices], dtype=complex)
+    coeffs = row.weights * np.asarray(values, dtype=complex)[row.indices] / gprime
+    return LagrangeSum(indices=row.indices, coefficients=coeffs, step_label=scheme.step_label(step))
 
 
 def build_lagrange_sum(f: PWFunction, gen, scheme, step: int) -> LagrangeSum:
@@ -319,11 +315,10 @@ class NormProbe:
 
     def lower_bound(self, scheme, step: int, trials: int = 4, seed: int = 0, iters: int = 60) -> float:
         row = scheme.weight_row(step)
-        if not row:
+        if not len(row):
             return 0.0
-        ks = np.array([k for k, _ in row], dtype=int)
-        ws = np.array([w for _, w in row], dtype=complex)
-        Kt = (ws / self._gprime[ks])[:, None] * self._K[ks, :]
+        ks = row.indices
+        Kt = (row.weights / self._gprime[ks])[:, None] * self._K[ks, :]
         M = Kt.conj().T @ (self._P[np.ix_(ks, ks)] @ Kt)
         rng = np.random.default_rng(seed)
         best = 0.0
@@ -383,19 +378,18 @@ def disk_samples(center: complex, radius: float, count: int) -> np.ndarray:
 def compactwise_error(
     f: PWFunction,
     gen: GeneratingFunctionEvaluator,
-    scheme,
-    step: int,
+    ls: LagrangeSum,
     center: complex = 0j,
     radius: float = 3.0,
     samples: int = 256,
 ) -> float:
-    """sup |S_n - F| over sample points of the disk K (complex arguments)."""
+    """sup |S_n - F| over sample points of the disk K (complex arguments), for
+    the step's sum S_n = ls."""
     zs = disk_samples(center, radius, samples)
     lam = gen.spectrum.points
     if lam.size:
         d = np.abs(zs[:, None] - lam[None, :])
         bad = d.min(axis=1) < 1e-8
         zs[bad] += 3e-8 + 2e-8j
-    ls = build_lagrange_sum(f, gen, scheme, step)
     sn = eval_lagrange_sum(ls, gen, zs)
     return float(np.max(np.abs(sn - f.eval(zs))))

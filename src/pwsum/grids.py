@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy import fft
 
 
 class GridError(ValueError):
@@ -143,8 +143,9 @@ def fit_rational_tail(g: GridFunction, frac: float = 0.15) -> tuple[complex, com
 def hilbert_transform(g: GridFunction, tail_fit: bool = True) -> GridFunction:
     n = len(g)
     kern = _hilbert_kernel(n)
-    full = fftconvolve(g.values, kern, mode="full")
-    out = full[n - 1 : 2 * n - 1].copy()
+    # linear convolution with the kernel, zero-padded to a fast FFT length
+    m = fft.next_fast_len(n + kern.size - 1)
+    out = fft.ifft(fft.fft(g.values, m) * fft.fft(kern, m))[n - 1 : 2 * n - 1].copy()
     if tail_fit:
         a, b = fit_rational_tail(g)
         if a != 0 or b != 0:

@@ -1,16 +1,19 @@
 """Summation matrices w(lambda, n): naive, projection and universal schemes.
 
-All three present one interface: weight(k, step) for a spectrum index k
-and schedule step, and weight_row(step) enumerating the finite support.
-Weights tend to 1 in the step for every fixed point and vanish outside a
-finite support for every fixed step.
+All three present one interface: weight_row(step) returns the step's row
+of the matrix as a WeightRow, the ascending spectrum indices of its finite
+support and the weights there, built in one vectorized pass.  Weights tend
+to 1 in the step for every fixed point; indices absent from a row have
+weight 0.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from pwsum.blaschke import BlaschkeEvaluator, upper_lower_evaluators
+from pwsum.blaschke import upper_lower_evaluators
 from pwsum.contours import ContourSchedule
 from pwsum.spectrum import Spectrum
 
@@ -72,6 +75,17 @@ def outer_weight_deviation_bound(l: float, alpha: float, z) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class WeightRow:
+    """One row of w(lambda, n): ascending int spectrum indices, complex weights."""
+
+    indices: np.ndarray
+    weights: np.ndarray
+
+    def __len__(self):
+        return int(self.indices.size)
+
+
 class NaiveWeights:
     """w(lambda, n) = 1 if |lambda| < n else 0, over a radius schedule."""
 
@@ -89,13 +103,9 @@ class NaiveWeights:
     def step_label(self, step: int) -> float:
         return float(self.radii[step])
 
-    def weight(self, k: int, step: int) -> complex:
-        return 1.0 + 0j if abs(self.spectrum.points[k]) < self.radii[step] else 0j
-
-    def weight_row(self, step: int) -> list[tuple[int, complex]]:
-        n = self.radii[step]
-        mods = self.spectrum.moduli
-        return [(k, 1.0 + 0j) for k in range(len(self.spectrum)) if mods[k] < n]
+    def weight_row(self, step: int) -> WeightRow:
+        ks = np.flatnonzero(self.spectrum.moduli < self.radii[step])
+        return WeightRow(ks, np.ones(ks.size, dtype=complex))
 
 
 class ProjectionWeights:
@@ -109,16 +119,6 @@ class ProjectionWeights:
         if np.any(np.diff(self.radii) <= 0) or np.any(self.radii <= 0):
             raise WeightError("radius schedule must be positive and increasing")
         self.b_plus, self.b_minus = upper_lower_evaluators(spectrum)
-        # global index -> (evaluator, local index)
-        self._local: dict[int, tuple[BlaschkeEvaluator, int]] = {}
-        pts = spectrum.points
-        for b in (self.b_plus, self.b_minus):
-            if b is None:
-                continue
-            src_pts = b.spectrum.points[b.src_index] if b.orientation == "lower" else b.spectrum.points
-            for j, p in enumerate(src_pts):
-                gk = int(np.flatnonzero(pts == p)[0])
-                self._local[gk] = (b, j)
 
     def __len__(self):
         return int(self.radii.size)
@@ -126,17 +126,16 @@ class ProjectionWeights:
     def step_label(self, step: int) -> float:
         return float(self.radii[step])
 
-    def weight(self, k: int, step: int) -> complex:
+    def weight_row(self, step: int) -> WeightRow:
         n = self.radii[step]
-        if abs(self.spectrum.points[k]) >= n:
-            return 0j
-        b, j = self._local[k]
-        return b.eval_beta(j, n)
-
-    def weight_row(self, step: int) -> list[tuple[int, complex]]:
-        n = self.radii[step]
-        mods = self.spectrum.moduli
-        return [(k, self.weight(k, step)) for k in range(len(self.spectrum)) if mods[k] < n]
+        ks = np.flatnonzero(self.spectrum.moduli < n)
+        lam = self.spectrum.points[ks]
+        w = np.empty(ks.size, dtype=complex)
+        up = lam.imag > 0
+        for b, half in ((self.b_plus, up), (self.b_minus, ~up)):
+            if np.any(half):
+                w[half] = b.tail_factor(lam[half], n)
+        return WeightRow(ks, w)
 
 
 class UniversalWeights:
@@ -178,45 +177,23 @@ class UniversalWeights:
         sched = self.schedule_plus if self.schedule_plus is not None else self.schedule_minus
         return float(sched.contours[step].l)
 
-    def _weight_point(self, lam: complex, step: int) -> complex:
-        if lam.imag > 0:
-            tri = self.schedule_plus.contours[step]
-            if not tri.contains(lam):
-                return 0j
-            return complex(outer_weight(tri.l, float(self.schedule_plus.alphas[step]), lam))
-        tri = self.schedule_minus.contours[step]
-        lam_r = np.conj(lam)
-        if not tri.contains(lam_r):
-            return 0j
-        return complex(
-            np.conj(outer_weight(tri.l, float(self.schedule_minus.alphas[step]), lam_r))
-        )
-
-    def weight(self, k: int, step: int) -> complex:
-        return self._weight_point(complex(self.spectrum.points[k]), step)
-
-    def weight_row(self, step: int) -> list[tuple[int, complex]]:
-        out = []
-        for k in range(len(self.spectrum)):
-            w = self.weight(k, step)
-            if w != 0:
-                out.append((k, w))
-        return out
-
-    def support_index(self, step: int) -> np.ndarray:
-        """Indices inside the step's contours.
-
-        weight_row's support is this set minus any points whose weight
-        underflowed to exactly zero (possible past l/2 at large alpha).
-        """
-        ks = []
-        for k, lam in enumerate(self.spectrum.points):
-            if lam.imag > 0:
-                if self.schedule_plus.contours[step].contains(lam):
-                    ks.append(k)
-            elif self.schedule_minus.contours[step].contains(np.conj(lam)):
-                ks.append(k)
-        return np.array(ks, dtype=int)
+    def weight_row(self, step: int) -> WeightRow:
+        """Outer weights at the points inside the step's contours; a weight that
+        underflows to exactly zero (past l/2 at large alpha) leaves the row."""
+        pts = self.spectrum.points
+        w = np.zeros(pts.size, dtype=complex)
+        up = pts.imag > 0
+        for sched, ks, lower in ((self.schedule_plus, np.flatnonzero(up), False),
+                                 (self.schedule_minus, np.flatnonzero(~up), True)):
+            if not ks.size:
+                continue
+            tri = sched.contours[step]
+            z = np.conj(pts[ks]) if lower else pts[ks]
+            inside = tri.contains(z)
+            vals = outer_weight(tri.l, float(sched.alphas[step]), z[inside])
+            w[ks[inside]] = np.conj(vals) if lower else vals
+        ks = np.flatnonzero(w)
+        return WeightRow(ks, w[ks])
 
 
 def save_weights_csv(scheme, path) -> None:
@@ -225,8 +202,8 @@ def save_weights_csv(scheme, path) -> None:
         fh.write("n,k,lambda_re,lambda_im,w_re,w_im\n")
         for step in range(len(scheme)):
             label = scheme.step_label(step)
-            for k, w in scheme.weight_row(step):
-                lam = pts[k]
+            row = scheme.weight_row(step)
+            for k, lam, w in zip(row.indices, pts[row.indices], row.weights):
                 fh.write(
                     f"{label:.12e},{k},{lam.real:.12e},{lam.imag:.12e},"
                     f"{w.real:.12e},{w.imag:.12e}\n"

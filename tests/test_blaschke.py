@@ -14,6 +14,7 @@ from pwsum.blaschke import (
     upper_lower_evaluators,
 )
 from pwsum.spectrum import Spectrum, make_family
+from pwsum.weights import ProjectionWeights
 
 
 def B_i(z):
@@ -117,19 +118,20 @@ def test_beta_trivial_full_inclusion():
     s = Spectrum(np.array([1j, 5j, 2 + 1j]))
     b = BlaschkeEvaluator(s)
     for k in range(3):
-        assert b.eval_beta(k, 10.0) == pytest.approx(1.0)
+        assert b.tail_factor(b.points[k], 10.0) == pytest.approx(1.0)
 
 
 def test_beta_single_tail_factor():
     b = BlaschkeEvaluator(Spectrum(np.array([1j, 5j])))
     # tail factor of lambda=i against mu=5i: (-1)(i-5i)/(i+5i) = 2/3
-    assert b.eval_beta(0, 2.0) == pytest.approx(2.0 / 3.0)
+    assert b.tail_factor(b.points[0], 2.0) == pytest.approx(2.0 / 3.0)
 
 
 def test_beta_zero_outside():
-    b = BlaschkeEvaluator(Spectrum(np.array([1j, 5j])))
-    assert b.eval_beta(1, 2.0) == 0j
-    assert b.eval_beta(0, 1.0) == 0j
+    # beta_n vanishes at |lambda| >= n: such points are absent from the row
+    proj = ProjectionWeights(Spectrum(np.array([1j, 5j])), [1.0, 2.0])
+    assert proj.weight_row(0).indices.tolist() == []
+    assert proj.weight_row(1).indices.tolist() == [0]
 
 
 def test_beta_modulus_bound_and_monotone_trend():
@@ -139,7 +141,7 @@ def test_beta_modulus_bound_and_monotone_trend():
     radii = [5.0, 10.0, 20.0, 40.0, 61.0]
     devs = []
     for n in radii:
-        beta = b.eval_beta(k, n)
+        beta = b.tail_factor(b.points[k], n)
         assert abs(beta) <= 1.0 + 1e-12
         devs.append(abs(beta - 1.0))
     assert all(devs[i + 1] <= devs[i] + 1e-12 for i in range(len(devs) - 1))

@@ -168,7 +168,8 @@ def test_compactwise_empty_support(lattice):
     s, g = lattice
     f = PWFunction([0.3j], [1.0])
     naive = NaiveWeights(s, [0.2, 121.0])
-    err = compactwise_error(f, g, naive, 0, center=0j, radius=2.0, samples=128)
+    ls = build_lagrange_sum(f, g, naive, 0)
+    err = compactwise_error(f, g, ls, center=0j, radius=2.0, samples=128)
     zs = disk_samples(0j, 2.0, 128)
     assert err == pytest.approx(float(np.max(np.abs(f.eval(zs)))))
 
@@ -192,7 +193,9 @@ def test_compactwise_decreases(lattice):
     s, g = lattice
     f = PWFunction([0.3j], [1.0])
     naive = NaiveWeights(s, [20.0, 60.0, 121.0])
-    errs = [compactwise_error(f, g, naive, j, radius=3.0) for j in range(3)]
+    errs = [
+        compactwise_error(f, g, build_lagrange_sum(f, g, naive, j), radius=3.0) for j in range(3)
+    ]
     assert errs[2] < errs[0]
 
 

@@ -77,6 +77,18 @@ def test_hilbert_of_cauchy_kernel():
     assert err < 5e-4
 
 
+def test_hilbert_matches_direct_odd_offset_sum():
+    # the FFT convolution equals Hf(x_j) = (2/pi) sum_{m odd} f(x_{j-m})/m
+    g = sample_on_grid(lambda x: np.exp(-x**2 / 8) * (1 + 0.5j * x), 6.0, 0.1)
+    n = len(g)
+    j, i = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    m = j - i
+    kern = np.where(m % 2 == 1, 2.0 / (np.pi * np.where(m == 0, 1, m)), 0.0)
+    direct = kern @ g.values
+    H = hilbert_transform(g, tail_fit=False)
+    assert np.max(np.abs(H.values - direct)) <= 1e-13 * np.max(np.abs(direct))
+
+
 def test_riesz_reproduces_upper():
     g = sample_on_grid(cauchy_upper, 100.0, 0.01)
     plus = riesz_project(g, "+")

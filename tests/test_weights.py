@@ -19,6 +19,11 @@ from pwsum.weights import (
 )
 
 
+def row_dict(row) -> dict:
+    """Spectrum index -> weight for the entries of a WeightRow."""
+    return dict(zip(row.indices.tolist(), row.weights))
+
+
 def quad_phase_oracle(zeta: complex) -> complex:
     """Adaptive quadrature of int_{|u|>1/2} [1/(zeta-u) + 1/u] du.
 
@@ -112,63 +117,86 @@ def lattice_weights():
 
 def test_naive_weights(lattice_weights):
     s, naive, _, _ = lattice_weights
-    assert naive.weight(0, 0) == 1.0
+    assert row_dict(naive.weight_row(0))[0] == 1.0
     k_far = len(s) - 1
-    assert naive.weight(k_far, 0) == 0j
-    assert naive.weight(k_far, 3) == 1.0
+    assert k_far not in row_dict(naive.weight_row(0))
+    assert row_dict(naive.weight_row(3))[k_far] == 1.0
     row0 = naive.weight_row(0)
-    assert all(abs(s.points[k]) < 5.0 and w == 1.0 for k, w in row0)
+    assert all(abs(s.points[k]) < 5.0 and w == 1.0 for k, w in row_dict(row0).items())
 
 
 def test_naive_empty_row():
     s = Spectrum(np.array([3j, 4j]))
-    naive = NaiveWeights(s, [1.0, 2.0, 5.0])
-    assert naive.weight_row(0) == []
+    for scheme in (NaiveWeights(s, [1.0, 2.0, 5.0]), ProjectionWeights(s, [1.0, 2.0, 5.0])):
+        row = scheme.weight_row(0)
+        assert len(row) == 0
+        assert row.indices.shape == row.weights.shape == (0,)
+        assert row.indices.dtype.kind == "i" and row.weights.dtype == complex
 
 
 def test_projection_matches_blaschke_example():
     s = Spectrum(np.array([1j, 5j]))
     proj = ProjectionWeights(s, [2.0, 6.0])
     k_i = int(np.flatnonzero(s.points == 1j)[0])
-    assert proj.weight(k_i, 0) == pytest.approx(2.0 / 3.0)
-    assert proj.weight(k_i, 1) == pytest.approx(1.0)
+    assert row_dict(proj.weight_row(0))[k_i] == pytest.approx(2.0 / 3.0)
+    assert row_dict(proj.weight_row(1))[k_i] == pytest.approx(1.0)
 
 
 def test_projection_final_step_all_one(lattice_weights):
     s, _, proj, _ = lattice_weights
     row = proj.weight_row(3)
     assert len(row) == len(s)
-    assert all(abs(w - 1.0) < 1e-12 for _, w in row)
+    assert all(abs(w - 1.0) < 1e-12 for w in row.weights)
 
 
 def test_projection_split_halfplanes():
     s = Spectrum(np.array([1j, -1j, 2 + 2j, -3 - 0.5j]))
     proj = ProjectionWeights(s, [10.0])
+    row = row_dict(proj.weight_row(0))
     for k in range(len(s)):
-        assert proj.weight(k, 0) == pytest.approx(1.0)
+        assert row[k] == pytest.approx(1.0)
     proj2 = ProjectionWeights(s, [2.0, 10.0])
+    row2 = row_dict(proj2.weight_row(0))
     # point i: its half-plane partner 2+2i is outside radius 2: tail factor
     k_i = int(np.flatnonzero(s.points == 1j)[0])
     mu = 2 + 2j
     expect = (np.conj(mu) / mu) * (1j - mu) / (1j - np.conj(mu))
-    assert proj2.weight(k_i, 0) == pytest.approx(expect)
+    assert row2[k_i] == pytest.approx(expect)
     # conjugate side mirrors through conjugation
     k_mi = int(np.flatnonzero(s.points == -1j)[0])
     mu2 = -3 - 0.5j
     expect2 = (np.conj(mu2) / mu2) * (-1j - mu2) / (-1j - np.conj(mu2))
-    assert proj2.weight(k_mi, 0) == pytest.approx(expect2)
+    assert row2[k_mi] == pytest.approx(expect2)
+
+
+def test_projection_lower_halfplane_index_mapping():
+    # lower points sharing moduli, so the lower evaluator stores their
+    # reflections in a permuted order
+    lower = np.array([1 - 1j, -1 - 1j, 2 - 2j, -2 - 2j])
+    upper = np.array([0.5 + 1j, -1.5 + 0.7j, 2 + 2j, -3 + 0.4j])
+    s = Spectrum(np.concatenate([lower, upper]))
+    proj = ProjectionWeights(s, [1.5, 3.0, 4.0])
+    assert not np.array_equal(proj.b_minus.points, np.conj(s.points[s.points.imag < 0]))
+    for step, n in enumerate(proj.radii):
+        row = proj.weight_row(step)
+        assert row.indices.tolist() == np.flatnonzero(s.moduli < n).tolist()
+        for k, w in zip(row.indices, row.weights):
+            lam = s.points[k]
+            mu = s.points[(s.moduli >= n) & (np.sign(s.points.imag) == np.sign(lam.imag))]
+            direct = np.prod((np.conj(mu) / mu) * (lam - mu) / (lam - np.conj(mu)))
+            assert w == pytest.approx(direct, rel=1e-12, abs=1e-14)
 
 
 def test_weights_bounded_and_final(lattice_weights):
     s, naive, proj, uni = lattice_weights
     for scheme in (naive, proj, uni):
         for step in range(len(scheme)):
-            for k, w in scheme.weight_row(step):
+            for w in scheme.weight_row(step).weights:
                 assert abs(w) <= 1.0 + 1e-12
     # universal final step: every point inside the last contour, deviation
     # within the certified profile bound
     last = len(uni) - 1
-    row = dict(uni.weight_row(last))
+    row = row_dict(uni.weight_row(last))
     assert set(row.keys()) == set(range(len(s)))
     tri = uni.schedule_plus.contours[last]
     alpha = uni.schedule_plus.alphas[last]
@@ -182,15 +210,15 @@ def test_universal_pointwise_trend(lattice_weights):
     # schedule (alpha*l stays bounded while |Phi(lambda/l)| ~ 4|lambda|/l)
     s, _, _, uni = lattice_weights
     k0 = int(np.argmin(np.abs(s.points - 0.3j)))
-    devs = [abs(uni.weight(k0, j) - 1.0) for j in range(len(uni))]
+    devs = [abs(row_dict(uni.weight_row(j)).get(k0, 0j) - 1.0) for j in range(len(uni))]
     assert devs[-1] < devs[0]
 
 
 def test_universal_support_matches_contour(lattice_weights):
     s, _, _, uni = lattice_weights
     for step in range(len(uni)):
-        row_ks = [k for k, _ in uni.weight_row(step)]
-        assert row_ks == sorted(uni.support_index(step).tolist())
+        row_ks = uni.weight_row(step).indices.tolist()
+        assert row_ks == sorted(row_ks)
         tri = uni.schedule_plus.contours[step]
         for k in range(len(s)):
             inside = bool(tri.contains(s.points[k]))
@@ -220,11 +248,12 @@ def test_universal_lower_halfplane_mirror():
     sched_m = build_schedule(Spectrum(np.conj(lo.points)), b_lo_ref, count=2)
     uni = UniversalWeights(s, sched_p, sched_m)
     for step in range(2):
+        row = row_dict(uni.weight_row(step))
         for k, lam in enumerate(s.points):
-            w = uni.weight(k, step)
+            w = row.get(k, 0j)
             if lam.imag < 0:
                 k_ref = int(np.argmin(np.abs(s.points - np.conj(lam))))
-                assert w == pytest.approx(np.conj(uni.weight(k_ref, step)))
+                assert w == pytest.approx(np.conj(row.get(k_ref, 0j)))
 
 
 @settings(max_examples=30, deadline=None)
@@ -245,13 +274,11 @@ def test_projection_weight_laws_random(pts, frac):
     proj = ProjectionWeights(s, [n_mid, max(s.radius * 1.01, n_mid + 0.05)])
     mods = s.moduli
     for step in range(2):
-        row = dict(proj.weight_row(step))
-        for k in range(len(s)):
-            w = row.get(k, proj.weight(k, step))
-            assert abs(w) <= 1.0 + 1e-12
-            if mods[k] >= proj.radii[step]:
-                assert w == 0j
-    for _, w in proj.weight_row(1):
+        row = proj.weight_row(step)
+        assert np.all(np.abs(row.weights) <= 1.0 + 1e-12)
+        # points at or outside the radius are absent from the row
+        assert row.indices.tolist() == np.flatnonzero(mods < proj.radii[step]).tolist()
+    for w in proj.weight_row(1).weights:
         assert abs(w - 1.0) <= 1e-9
 
 
