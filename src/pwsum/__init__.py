@@ -9,6 +9,7 @@ from pwsum.engine import (
     SummationContext,
     build_lagrange_sum,
     compactwise_error,
+    disk_probe,
     l2_error,
     operator_norm_probe,
     partial_sum,
@@ -52,6 +53,7 @@ __all__ = [
     "carleson_sup",
     "check_factorization",
     "compactwise_error",
+    "disk_probe",
     "grid_template",
     "hayman_scan",
     "hilbert_transform",

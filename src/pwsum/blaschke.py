@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from pwsum.spectrum import Spectrum
+from pwsum.spectrum import Spectrum, block_rows
 
 _POLE_RTOL = 1e-12
-_CHUNK = 4096  # evaluation points per block of the (points x zeros) kernels
 
 
 def _log_factors(z, mu):
@@ -89,13 +88,15 @@ class BlaschkeEvaluator:
 
     def _factor_sum(self, z, cutoff: float | None, modulus: bool) -> np.ndarray:
         """Per z, the log-factor sum over |lambda| < cutoff in the normalized frame
-        (its real part if modulus), chunked over z; raises at a pole conj(lambda)."""
+        (its real part if modulus), in blocks of block_rows(zeros) points;
+        raises at a pole conj(lambda)."""
         z_in = np.atleast_1d(self._map_in(z))
         lam = self._select(cutoff)
         out = np.zeros(z_in.shape, dtype=float if modulus else complex)
         tol2 = (_POLE_RTOL * np.maximum(1.0, np.abs(lam))) ** 2
-        for i in range(0, z_in.size if lam.size else 0, _CHUNK):
-            zc = z_in[i : i + _CHUNK, None]
+        step = block_rows(lam.size)
+        for i in range(0, z_in.size if lam.size else 0, step):
+            zc = z_in[i : i + step, None]
             dx2 = zc.real - lam.real
             dx2 *= dx2
             far = zc.imag + lam.imag
@@ -104,7 +105,7 @@ class BlaschkeEvaluator:
             if np.any(far <= tol2):
                 raise BlaschkeError("evaluation at a pole conj(lambda)")
             with np.errstate(divide="ignore"):  # z at a zero: log 0 = -inf, exact
-                out[i : i + _CHUNK] = _log_abs_factors(zc, lam, dx2, far) if modulus else _log_factors(zc, lam)
+                out[i : i + step] = _log_abs_factors(zc, lam, dx2, far) if modulus else _log_factors(zc, lam)
         return out
 
     def eval_B(self, z, cutoff: float | None = None):
@@ -143,13 +144,15 @@ class BlaschkeEvaluator:
         return complex(own)
 
     def arg_derivative_on_R(self, t):
-        """(arg B)'(t) = 2 sum Im(lambda)/|t - lambda|^2, with a lattice tail term."""
+        """(arg B)'(t) = 2 sum Im(lambda)/|t - lambda|^2, with a lattice tail term
+        (blocks of block_rows(zeros) points)."""
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
         out = np.zeros(t_arr.shape)
         lam = self._pts
-        for i in range(0, t_arr.size, _CHUNK):
-            tc = t_arr[i : i + _CHUNK, None]
-            out[i : i + _CHUNK] = (2.0 * lam.imag / np.abs(tc - lam) ** 2).sum(axis=1)
+        step = block_rows(lam.size)
+        for i in range(0, t_arr.size, step):
+            tc = t_arr[i : i + step, None]
+            out[i : i + step] = (2.0 * lam.imag / np.abs(tc - lam) ** 2).sum(axis=1)
         out += self._lattice_tail_argder(t_arr)
         return out[0] if np.asarray(t).ndim == 0 else out
 
@@ -263,9 +266,10 @@ def hayman_scan(
 
     # z is outside every disk of scale rho iff min_k |z-lam_k|/shape_k >= rho
     margin = np.full(zs.size, np.inf)
-    for i in range(0, zs.size, 2048):
-        d = np.abs(zs[i : i + 2048, None] - lam[None, :]) / shape[None, :]
-        margin[i : i + 2048] = d.min(axis=1)
+    step = block_rows(lam.size)
+    for i in range(0, zs.size, step):
+        d = np.abs(zs[i : i + step, None] - lam[None, :]) / shape[None, :]
+        margin[i : i + step] = d.min(axis=1)
 
     def ok(rho: float) -> bool:
         outside = margin >= rho

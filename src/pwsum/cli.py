@@ -17,7 +17,7 @@ import numpy as np
 
 from pwsum.blaschke import BlaschkeError, BlaschkeEvaluator, upper_lower_evaluators
 from pwsum.contours import ContourError, build_schedule, save_schedule_csv
-from pwsum.diagnostics import DiagnosticsError, a2_estimate, carleson_sup, intG_check, save_report_csv
+from pwsum.diagnostics import DiagnosticsError, carleson_sup, line_diagnostics, save_report_csv
 from pwsum.engine import (
     EngineError,
     NormProbe,
@@ -25,13 +25,14 @@ from pwsum.engine import (
     SummationContext,
     build_lagrange_sum,
     compactwise_error,
+    disk_probe,
     l2_error,
     lagrange_tail_bound,
     pw_tail_bound,
     sample_pw,
 )
 from pwsum.genfun import GenFunError, GeneratingFunctionEvaluator, OuterEvaluator, check_factorization
-from pwsum.grids import GridError, grid_template
+from pwsum.grids import GridError, grid_template, sample_count
 from pwsum.spectrum import Spectrum, SpectrumError, load_spectrum, make_family, split_halfplanes
 from pwsum.weights import NaiveWeights, ProjectionWeights, UniversalWeights, WeightError, save_weights_csv
 
@@ -123,6 +124,11 @@ def parse_config(path) -> dict:
     for key, lo in _INT_MINIMA.items():
         if _i(cfg, key) < lo:
             raise ConfigError(f"key {key!r}: must be >= {lo}, got {cfg[key]!r}")
+    for pair in ("grid", "diag", "outer"):  # (X, h) of a grid on [-X, X]
+        try:
+            sample_count(_f(cfg, f"{pair}.X"), _f(cfg, f"{pair}.h"))
+        except GridError as e:
+            raise ConfigError(f"keys {pair}.X, {pair}.h: {e}") from e
     return cfg
 
 
@@ -195,7 +201,10 @@ def _parse_points(text: str) -> np.ndarray:
         parts = [t.strip() for t in tok.split(",")]
         if len(parts) != 2:
             raise ConfigError(f"sample point needs re,im: {tok!r}")
-        pts.append(complex(float(parts[0]), float(parts[1])))
+        try:
+            pts.append(complex(float(parts[0]), float(parts[1])))
+        except ValueError as e:
+            raise ConfigError(f"bad sample point {tok!r}") from e
     if not pts:
         raise ConfigError("no sample points given")
     return np.array(pts)
@@ -249,11 +258,7 @@ def _cmd_diagnose(cfg, outdir: Path) -> None:
     s = _build_spectrum(cfg)
     gen = GeneratingFunctionEvaluator(s)
     X = _f(cfg, "diag.X")
-    h = _f(cfg, "diag.h")
-    a = _f(cfg, "a2.a")
-    v1 = a2_estimate(gen, X=X, a=a, h=h)
-    v2 = a2_estimate(gen, X=2 * X, a=a, h=h)
-    rep = intG_check(gen, X=X, h=h)
+    v1, v2, rep = line_diagnostics(gen, X, _f(cfg, "diag.h"), a=_f(cfg, "a2.a"))
     car = carleson_sup(s)
     rows = [
         ("a2_lower_bound", X, v1, v2 / v1 if v1 else np.inf),
@@ -283,8 +288,7 @@ def _cmd_converge(cfg, outdir: Path) -> None:
     ref_norm = ref.norm()
     ctx = SummationContext(gen, grid)
     center = complex(_f(cfg, "K.center.re"), _f(cfg, "K.center.im"))
-    radius = _f(cfg, "K.radius")
-    ksamp = _i(cfg, "K.samples")
+    probe = disk_probe(f, gen, center, _f(cfg, "K.radius"), _i(cfg, "K.samples"))
     f_tail = pw_tail_bound(f, X)
     with open(outdir / "errors.csv", "w") as fh:
         fh.write("n,scheme,l2_error,sup_error_K,tail_bound\n")
@@ -293,7 +297,7 @@ def _cmd_converge(cfg, outdir: Path) -> None:
                 ls = build_lagrange_sum(f, gen, scheme, step)
                 sn = ctx.sample_sum(ls)
                 rel = l2_error(sn, ref) / ref_norm if ref_norm else np.inf
-                sup = compactwise_error(f, gen, ls, center=center, radius=radius, samples=ksamp)
+                sup = compactwise_error(probe, gen, ls)
                 bound = f_tail + lagrange_tail_bound(ls, gen, X)
                 fh.write(
                     f"{scheme.step_label(step):.12e},{scheme.kind},"
@@ -325,11 +329,11 @@ def _cmd_contours(cfg, outdir: Path) -> None:
 
 
 def _cmd_factorize_check(cfg, outdir: Path) -> None:
+    pts = _parse_points(cfg["factorize.samples"])
     s = _build_spectrum(cfg)
     gen = GeneratingFunctionEvaluator(s)
     outer = OuterEvaluator.from_generating(gen, X=_f(cfg, "outer.X"), h=_f(cfg, "outer.h"))
     b_up, b_lo = upper_lower_evaluators(s)
-    pts = _parse_points(cfg["factorize.samples"])
     rep = check_factorization(gen, outer, b_up, b_lo, pts)
     save_report_csv(
         [("factorization_max_rel_mismatch", _f(cfg, "outer.X"), rep.max_mismatch, 1.0)],

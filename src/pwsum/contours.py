@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from pwsum.blaschke import BlaschkeEvaluator
-from pwsum.spectrum import Spectrum, TruncationIndex
+from pwsum.spectrum import Spectrum, TruncationIndex, block_rows
 
 
 class ContourError(ValueError):
@@ -134,6 +134,17 @@ def select_l(
     return np.array(out)
 
 
+def _hits_zero(zeta: np.ndarray, zeros: np.ndarray) -> bool:
+    """Whether some sample lies within 1e-9 of a zero: squared distances in
+    real arithmetic, over blocks of block_rows(zeros) samples."""
+    step = block_rows(zeros.size)
+    for i in range(0, zeta.size if zeros.size else 0, step):
+        zc = zeta[i : i + step, None]
+        if np.min((zc.real - zeros.real) ** 2 + (zc.imag - zeros.imag) ** 2) < 1e-18:
+            return True
+    return False
+
+
 def select_c(
     b: BlaschkeEvaluator,
     l: float,
@@ -153,10 +164,8 @@ def select_c(
     for c in np.linspace(1.0, 10.0, grid_size):
         tri = TriangleContour(l=l, c=float(c), samples_per_side=samples_per_side)
         zeta = tri.slanted_samples()
-        if zeros.size:
-            dmin = np.min(np.abs(zeta[:, None] - zeros[None, :]))
-            if dmin < 1e-9:
-                continue
+        if _hits_zero(zeta, zeros):
+            continue
         eps_hat = float(np.max(-b.log_abs_B(zeta) / np.abs(zeta)))
         if eps_hat < best_eps - 1e-15:
             best_c, best_eps = float(c), eps_hat

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import polygamma
 
+from pwsum.spectrum import block_rows
+
 
 class DiagnosticsError(ValueError):
     pass
@@ -25,16 +27,23 @@ def _line_samples(gen, X: float, h: float, a: float) -> tuple[np.ndarray, np.nda
     return x, logs
 
 
+def _check_shift(gen, a: float) -> None:
+    if len(gen.spectrum) and np.min(np.abs(gen.spectrum.points.imag - a)) < 1e-9:
+        raise DiagnosticsError("shift a hits a spectrum height; |G| vanishes on the line")
+
+
 def a2_estimate(gen, X: float, a: float = 0.0, h: float = 0.01) -> float:
     """max over dyadic subintervals of [-X, X] of avg|G(x+ia)|^2 * avg|G(x+ia)|^-2.
 
     Lower bound for the Muckenhoupt supremum; >= 1 by Cauchy-Schwarz.
     Interval lengths are 2^j h for j >= 2 at aligned offsets.
     """
-    ims = np.abs(np.asarray(gen.spectrum.points.imag) - a) if len(gen.spectrum) else np.array([1.0])
-    if ims.size and np.min(ims) < 1e-9:
-        raise DiagnosticsError("shift a hits a spectrum height; |G| vanishes on the line")
-    _, logs = _line_samples(gen, X, h, a)
+    _check_shift(gen, a)
+    return _a2_from_logs(_line_samples(gen, X, h, a)[1])
+
+
+def _a2_from_logs(logs: np.ndarray) -> float:
+    """a2_estimate from the samples log|G(x+ia)| on the window's nodes."""
     u = np.exp(2.0 * logs)
     v = np.exp(-2.0 * logs)
     cu = np.concatenate([[0.0], np.cumsum(u)])
@@ -64,18 +73,20 @@ def carleson_sup(s) -> float:
 
     Exact over the stored window; for the built-in lattice-type families a
     trigamma tail adds the contribution of the family points beyond the
-    window, scaled by the tail's site density.
+    window, scaled by the tail's site density.  The pair sums run over
+    blocks of block_rows(points) rows.
     """
     pts = s.points
     if pts.size < 2:
         return 0.0
     w = 1.0 + np.abs(pts.imag)
     sums = np.zeros(pts.size)
-    for i in range(0, pts.size, 512):
-        blk = pts[i : i + 512, None] - pts[None, :]
+    step = block_rows(pts.size)
+    for i in range(0, pts.size, step):
+        blk = pts[i : i + step, None] - pts[None, :]
         d2 = np.abs(blk) ** 2
-        np.fill_diagonal(d2[:, i : i + 512], np.inf)
-        sums[i : i + 512] = ((w[i : i + 512, None] * w[None, :]) / d2).sum(axis=1)
+        np.fill_diagonal(d2[:, i : i + step], np.inf)
+        sums[i : i + step] = ((w[i : i + step, None] * w[None, :]) / d2).sum(axis=1)
     tail = s.lattice_tail()
     if tail is not None:
         # tail sites sit near +-m + i*delta, m >= first_site; trigamma sums
@@ -114,21 +125,30 @@ class IntegrabilityReport:
 def intG_check(gen, X: float, h: float = 0.01) -> IntegrabilityReport:
     """Trapezoid values of int |G|^2/(1+x^2) and int |G|^-2/(1+x^2) on
     [-X, X] and [-2X, 2X]; the 2X/X ratio reports the growth trend."""
+    return _intG_from_samples(h, _line_samples(gen, X, h, 0.0), _line_samples(gen, 2 * X, h, 0.0))
 
-    def both(Xv):
-        x, logs = _line_samples(gen, Xv, h, 0.0)
+
+def _intG_from_samples(h: float, window_X, window_2X) -> IntegrabilityReport:
+    """intG_check from the (x, log|G(x)|) samples on [-X, X] and [-2X, 2X]."""
+    vals = []
+    for x, logs in (window_X, window_2X):
         wts = np.full(x.size, h)
         wts[0] = wts[-1] = h / 2
         base = 1.0 + x * x
-        pos = float(np.sum(wts * np.exp(2.0 * logs) / base))
-        neg = float(np.sum(wts * np.exp(-2.0 * logs) / base))
-        return pos, neg
+        vals.append(float(np.sum(wts * np.exp(2.0 * logs) / base)))
+        vals.append(float(np.sum(wts * np.exp(-2.0 * logs) / base)))
+    return IntegrabilityReport(*vals)
 
-    p1, n1 = both(X)
-    p2, n2 = both(2 * X)
-    return IntegrabilityReport(
-        pos_integral=p1, neg_integral=n1, pos_integral_2X=p2, neg_integral_2X=n2
-    )
+
+def line_diagnostics(gen, X: float, h: float, a: float = 0.0) -> tuple[float, float, IntegrabilityReport]:
+    """(a2_estimate on [-X, X], a2_estimate on [-2X, 2X], intG_check(gen, X, h)),
+    bit-identical to the three calls, from one log|G| pass per window; the
+    A2 scan takes one more pass per window at a shift a != 0."""
+    _check_shift(gen, a)
+    line = [_line_samples(gen, Xw, h, 0.0) for Xw in (X, 2 * X)]
+    shifted = line if a == 0 else [_line_samples(gen, Xw, h, a) for Xw in (X, 2 * X)]
+    v1, v2 = (_a2_from_logs(logs) for _, logs in shifted)
+    return v1, v2, _intG_from_samples(h, *line)
 
 
 def save_report_csv(rows, path) -> None:

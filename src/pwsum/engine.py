@@ -112,16 +112,19 @@ def build_lagrange_sum(f: PWFunction, gen, scheme, step: int) -> LagrangeSum:
     return build_lagrange_sum_from_values(values, gen, scheme, step)
 
 
+def _cauchy_sum(ls: LagrangeSum, gen, z: np.ndarray) -> np.ndarray:
+    """sum_k a_k/(z - lambda_k) at the points z (1-d)."""
+    lam = gen.spectrum.points[ls.indices]
+    return (ls.coefficients[None, :] / (z[:, None] - lam[None, :])).sum(axis=1)
+
+
 def eval_lagrange_sum(ls: LagrangeSum, gen, z):
     """G(z) * sum_k a_k/(z - lambda_k) at arbitrary complex z."""
     z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
     if not len(ls):
         out = np.zeros(z_arr.shape, dtype=complex)
         return out[0] if np.asarray(z).ndim == 0 else out
-    lam = gen.spectrum.points[ls.indices]
-    gz = gen.eval_G(z_arr)
-    ssum = (ls.coefficients[None, :] / (z_arr[:, None] - lam[None, :])).sum(axis=1)
-    out = gz * ssum
+    out = gen.eval_G(z_arr) * _cauchy_sum(ls, gen, z_arr)
     return out[0] if np.asarray(z).ndim == 0 else out
 
 
@@ -375,21 +378,35 @@ def disk_samples(center: complex, radius: float, count: int) -> np.ndarray:
     return center + r * np.exp(1j * th)
 
 
-def compactwise_error(
+@dataclass
+class DiskProbe:
+    """Sample points of the disk K (nudged off the spectrum) with G and F
+    there, built once per run and shared by every step's compactwise_error."""
+
+    points: np.ndarray
+    G: np.ndarray
+    F: np.ndarray
+
+
+def disk_probe(
     f: PWFunction,
     gen: GeneratingFunctionEvaluator,
-    ls: LagrangeSum,
     center: complex = 0j,
     radius: float = 3.0,
     samples: int = 256,
-) -> float:
-    """sup |S_n - F| over sample points of the disk K (complex arguments), for
-    the step's sum S_n = ls."""
+) -> DiskProbe:
+    """The probe on `samples` sunflower points of |z - center| <= radius."""
     zs = disk_samples(center, radius, samples)
     lam = gen.spectrum.points
     if lam.size:
         d = np.abs(zs[:, None] - lam[None, :])
         bad = d.min(axis=1) < 1e-8
         zs[bad] += 3e-8 + 2e-8j
-    sn = eval_lagrange_sum(ls, gen, zs)
-    return float(np.max(np.abs(sn - f.eval(zs))))
+    return DiskProbe(points=zs, G=gen.eval_G(zs), F=f.eval(zs))
+
+
+def compactwise_error(probe: DiskProbe, gen: GeneratingFunctionEvaluator, ls: LagrangeSum) -> float:
+    """sup |S_n - F| over the probe's sample points of the disk K, for the
+    step's sum S_n = ls."""
+    sn = probe.G * _cauchy_sum(ls, gen, probe.points)
+    return float(np.max(np.abs(sn - probe.F)))

@@ -22,9 +22,8 @@ import numpy as np
 from scipy.special import loggamma
 
 from pwsum.grids import GridFunction, grid_template, hilbert_transform
-from pwsum.spectrum import LatticeTail, Spectrum
+from pwsum.spectrum import LatticeTail, Spectrum, block_rows
 
-_CHUNK = 4096
 _COLLISION_RTOL = 1e-12
 
 
@@ -94,6 +93,7 @@ class GeneratingFunctionEvaluator:
 
     # -- internals ---------------------------------------------------------
 
+    # Both window kernels run over blocks of block_rows(zeros) points.
     def _window_log(self, z: np.ndarray, lam: np.ndarray, skip: int | None = None) -> np.ndarray:
         out = np.zeros(z.shape, dtype=complex)
         if not lam.size:
@@ -102,14 +102,15 @@ class GeneratingFunctionEvaluator:
         if skip is not None:
             keep[skip] = False
         lam_used = lam[keep]
-        for i in range(0, z.size, _CHUNK):
-            zc = z[i : i + _CHUNK, None]
+        step = block_rows(lam_used.size)
+        for i in range(0, z.size, step):
+            zc = z[i : i + step, None]
             dist = np.abs(zc - lam_used[None, :])
             bad = dist <= _COLLISION_RTOL * np.maximum(1.0, np.abs(lam_used))[None, :]
             if np.any(bad):
                 zi = np.argwhere(bad)[0][0]
                 raise CollisionError(f"z={zc[zi, 0]} collides with a spectrum point")
-            out[i : i + _CHUNK] = np.log(1.0 - zc / lam_used[None, :]).sum(axis=1)
+            out[i : i + step] = np.log(1.0 - zc / lam_used[None, :]).sum(axis=1)
         return out
 
     def _window_log_abs(self, x: np.ndarray, a: float, lam: np.ndarray) -> np.ndarray:
@@ -120,12 +121,13 @@ class GeneratingFunctionEvaluator:
         lre, lim = lam.real, lam.imag
         l2 = lre * lre + lim * lim
         tol2 = (_COLLISION_RTOL * np.maximum(1.0, np.abs(lam))) ** 2
-        for i in range(0, x.size, _CHUNK):
-            xc = x[i : i + _CHUNK, None]
+        step = block_rows(lam.size)
+        for i in range(0, x.size, step):
+            xc = x[i : i + step, None]
             d2 = (xc - lre[None, :]) ** 2 + (a - lim[None, :]) ** 2
             if np.any(d2 <= tol2[None, :]):
                 raise CollisionError("line sample collides with a spectrum point")
-            out[i : i + _CHUNK] = 0.5 * (np.log(d2) - np.log(l2)[None, :]).sum(axis=1)
+            out[i : i + step] = 0.5 * (np.log(d2) - np.log(l2)[None, :]).sum(axis=1)
         return out
 
     def _log_G(self, z: np.ndarray, skip_index: int | None = None) -> np.ndarray:
@@ -251,7 +253,7 @@ class OuterEvaluator:
         return self.grid.h
 
     def eval_outer(self, z):
-        """omega(z) for Im z >= h, |Re z| <= X/2."""
+        """omega(z) for Im z >= h, |Re z| <= X/2 (blocks of block_rows(nodes) points)."""
         z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
         if np.any(z_arr.imag < self.grid.h * (1.0 - 1e-12)):
             raise GenFunError("eval_outer needs Im z >= one grid spacing")
@@ -260,10 +262,10 @@ class OuterEvaluator:
         t = self.grid.x
         wphi = self._w * self._phit
         out = np.empty(z_arr.shape, dtype=complex)
-        for i in range(0, z_arr.size, 512):
-            zc = z_arr[i : i + 512]
-            integ = (wphi[None, :] / (t[None, :] - zc[:, None])).sum(axis=1)
-            out[i : i + 512] = integ
+        step = block_rows(t.size)
+        for i in range(0, z_arr.size, step):
+            zc = z_arr[i : i + step]
+            out[i : i + step] = (wphi[None, :] / (t[None, :] - zc[:, None])).sum(axis=1)
         log_omega = self.mean + out / (1j * np.pi) + 1j * self._kappa
         res = np.exp(log_omega)
         return res[0] if np.isscalar(z) or np.asarray(z).ndim == 0 else res

@@ -7,6 +7,7 @@ x_j = -X + j*h with (2X/h) integral, norms are trapezoid sums.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,17 +27,10 @@ class GridFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        if self.X <= 0 or self.h <= 0:
-            raise GridError("X and h must be positive")
-        m = 2.0 * self.X / self.h
-        if abs(m - round(m)) > 1e-8:
-            raise GridError("2X/h must be an integer sample count")
+        n = sample_count(self.X, self.h)
         vals = np.asarray(self.values, dtype=complex).ravel()
-        if vals.size != int(round(m)) + 1:
-            raise GridError(
-                f"expected {int(round(m)) + 1} samples for X={self.X}, h={self.h}, "
-                f"got {vals.size}"
-            )
+        if vals.size != n:
+            raise GridError(f"expected {n} samples for X={self.X}, h={self.h}, got {vals.size}")
         self.values = vals
 
     def __len__(self) -> int:
@@ -66,9 +60,19 @@ class GridFunction:
         return GridFunction(self.X, self.h, values)
 
 
+def sample_count(X: float, h: float) -> int:
+    """Node count 2X/h + 1 of the grid on [-X, X] with spacing h; X and h
+    must be finite and positive, 2X/h an integer."""
+    if not (math.isfinite(X) and math.isfinite(h) and X > 0 and h > 0):
+        raise GridError("X and h must be finite and positive")
+    m = 2.0 * X / h
+    if not math.isfinite(m) or abs(m - round(m)) > 1e-8:
+        raise GridError("2X/h must be an integer sample count")
+    return int(round(m)) + 1
+
+
 def grid_template(X: float, h: float) -> GridFunction:
-    n = int(round(2.0 * X / h)) + 1
-    return GridFunction(X, h, np.zeros(n, dtype=complex))
+    return GridFunction(X, h, np.zeros(sample_count(X, h), dtype=complex))
 
 
 def sample_on_grid(fn, X: float, h: float) -> GridFunction:

@@ -21,6 +21,21 @@ MIN_IMAG = 1e-12
 LATTICE_FAMILIES = ("shifted_integers", "kadec_perturbed", "clustered_pairs")
 FAMILY_NAMES = LATTICE_FAMILIES + ("custom_list",)
 
+# Elements per block of a (points x spectrum) pair kernel.  A float64
+# temporary of a block is then at most 128 KiB: a block's temporaries stay in
+# a core's L2 cache, and they stay under glibc's default mmap threshold, so
+# they are reused from the heap; at 2**17 a contour-side kernel call page-
+# faulted fresh memory for every block.
+BLOCK_BUDGET = 2**14
+
+
+def block_rows(n_cols: int) -> int:
+    """Rows per block of a pair kernel with n_cols columns (at least one).
+
+    Every pair kernel reduces along its columns, one row at a time, so the
+    block size cannot change a single bit of its output."""
+    return max(1, BLOCK_BUDGET // max(n_cols, 1))
+
 
 class SpectrumError(ValueError):
     """A point set violates the spectrum invariants."""

@@ -27,6 +27,7 @@ from pwsum.engine import (
     SummationContext,
     build_lagrange_sum,
     compactwise_error,
+    disk_probe,
     l2_error,
     riesz_project,
     sample_pw,
@@ -334,12 +335,8 @@ def test_criterion_11_compactwise_universal():
     sched = build_schedule(s, b, count=6)
     uni = UniversalWeights(s, sched)
     f = PWFunction([0.3j, 2.7 + 0.3j], [1.0, 0.5])
-    errs = [
-        compactwise_error(
-            f, g, build_lagrange_sum(f, g, uni, j), center=0j, radius=3.0, samples=337
-        )
-        for j in range(len(uni))
-    ]
+    probe = disk_probe(f, g, center=0j, radius=3.0, samples=337)
+    errs = [compactwise_error(probe, g, build_lagrange_sum(f, g, uni, j)) for j in range(len(uni))]
     decreasing = all(b <= a * (1 + 1e-12) for a, b in zip(errs, errs[1:]))
     final_ok = errs[-1] <= 1e-2
     ok = decreasing and final_ok

@@ -1,0 +1,48 @@
+"""The block size of the (points x spectrum) pair kernels changes no bit."""
+
+import numpy as np
+import pytest
+
+from pwsum import spectrum
+from pwsum.blaschke import BlaschkeEvaluator
+from pwsum.contours import select_c
+from pwsum.diagnostics import carleson_sup
+from pwsum.genfun import GeneratingFunctionEvaluator, OuterEvaluator
+from pwsum.spectrum import Spectrum, make_family
+
+
+def _kernel_outputs() -> dict:
+    s = make_family("kadec_perturbed", {"delta": 0.3, "eps": 0.2}, 30)  # 61 points
+    # a radius inside the window puts points on both sides of the truncation
+    gen = GeneratingFunctionEvaluator(s, radius=20.0)
+    up = BlaschkeEvaluator(s)
+    lo = BlaschkeEvaluator(Spectrum(np.conj(s.points)), "lower")
+    x = np.linspace(-40.0, 40.0, 301)
+    z = np.concatenate([x + 0.7j, x - 1.3j])
+    outer = OuterEvaluator.from_generating(gen, X=50.0, h=0.05)
+    return {
+        "log_abs_G": gen.log_abs_G(x, a=0.4),
+        "log_G": gen.log_G(z),
+        "log_abs_B": np.concatenate([up.log_abs_B(z), lo.log_abs_B(z)]),
+        "eval_B": np.concatenate([up.eval_B(z), up.eval_B(z, cutoff=12.0), lo.eval_B(z)]),
+        "arg_derivative_on_R": up.arg_derivative_on_R(x),
+        "carleson_sup": np.array([carleson_sup(s)]),
+        "eval_outer": outer.eval_outer(x[np.abs(x) <= 25.0] + 1.0j),
+        "select_c": np.array(select_c(up, 20.3, samples_per_side=64)),
+    }
+
+
+@pytest.mark.parametrize("budget", [1, 1000, 10**9], ids=["one-row", "ragged", "one-block"])
+def test_block_size_changes_no_bit(monkeypatch, budget):
+    default = _kernel_outputs()
+    monkeypatch.setattr(spectrum, "BLOCK_BUDGET", budget)
+    if budget == 1:
+        assert spectrum.block_rows(61) == 1
+    other = _kernel_outputs()
+    for name, ref in default.items():
+        assert np.array_equal(other[name], ref), name
+
+
+def test_block_rows_rule(monkeypatch):
+    monkeypatch.setattr(spectrum, "BLOCK_BUDGET", 100)
+    assert [spectrum.block_rows(n) for n in (0, 1, 7, 100, 101)] == [100, 100, 14, 1, 1]

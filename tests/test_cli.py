@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from pwsum import cli
 from pwsum.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main, parse_config, run
 from pwsum.cli import ConfigError
+from pwsum.diagnostics import a2_estimate, intG_check
+from pwsum.genfun import GeneratingFunctionEvaluator
 
 
 def write_cfg(tmp_path, name, text):
@@ -246,10 +249,18 @@ output.dir={out}
          "# family=shifted_integers\n0.5 1.0\n1.5 1.0\n2.5 1.0\n"),
         ("subcommand=diagnose\nfamily=custom_list\n",
          "# family=clustered_pairs delta=1.0 eps=0.5\n0.0 1.0\n1.0 1.0\n1.5 1.0\n"),
+        # grid pairs need finite, positive X and h with 2X/h integral
+        ("subcommand=converge\ngrid.h=0\n", None),
+        ("subcommand=converge\ngrid.X=-5\n", None),
+        ("subcommand=diagnose\ndiag.h=0\n", None),
+        ("subcommand=diagnose\ndiag.X=-4\n", None),
+        ("subcommand=diagnose\ndiag.h=0.03\ndiag.X=40\n", None),
+        ("subcommand=factorize-check\nfactorize.samples=a,b\n", None),
     ],
     ids=["delta-nan", "eps-inf", "real-axis-point", "malformed-points-line",
          "K-samples-0", "atoms-halfwidth-negative", "header-without-delta",
-         "header-window-too-small"],
+         "header-window-too-small", "grid-h-0", "grid-X-negative", "diag-h-0",
+         "diag-X-negative", "diag-h-not-dividing-2X", "samples-unparsable"],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, body, points):
     if points is not None:
@@ -262,3 +273,31 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, body, points):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("a", [0.0, 0.15])
+def test_diagnose_samples_each_line_once(tmp_path, monkeypatch, a):
+    calls = []  # (evaluator, nodes, shift) per log|G| pass
+    log_abs_G = GeneratingFunctionEvaluator.log_abs_G
+
+    def counted(self, x, a=0.0):
+        calls.append((self, np.size(x), a))
+        return log_abs_G(self, x, a=a)
+
+    rows = []
+    monkeypatch.setattr(GeneratingFunctionEvaluator, "log_abs_G", counted)
+    monkeypatch.setattr(cli, "save_report_csv", lambda r, path: rows.extend(r))
+    cfg = write_cfg(tmp_path, "d.cfg", f"subcommand=diagnose\na2.a={a}\noutput.dir={tmp_path}\n")
+    assert run(cfg) == EXIT_OK
+    # default X=40, h=0.01: one pass over [-X, X] and one over [-2X, 2X]
+    passes = sorted((n, shift) for _, n, shift in calls)
+    expected = [(8001, 0.0), (16001, 0.0)]
+    if a:
+        expected = sorted(expected + [(8001, a), (16001, a)])
+    assert passes == expected
+    gen = calls[0][0]
+    v1, v2 = a2_estimate(gen, X=40.0, a=a, h=0.01), a2_estimate(gen, X=80.0, a=a, h=0.01)
+    rep = intG_check(gen, X=40.0, h=0.01)
+    assert rows[0][2:] == (v1, v2 / v1)
+    assert rows[2][2:] == (rep.pos_integral, rep.pos_trend)
+    assert rows[3][2:] == (rep.neg_integral, rep.neg_trend)

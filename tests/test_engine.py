@@ -9,6 +9,7 @@ from pwsum.engine import (
     build_lagrange_sum,
     build_lagrange_sum_from_values,
     compactwise_error,
+    disk_probe,
     disk_samples,
     eval_lagrange_sum,
     l2_error,
@@ -169,7 +170,7 @@ def test_compactwise_empty_support(lattice):
     f = PWFunction([0.3j], [1.0])
     naive = NaiveWeights(s, [0.2, 121.0])
     ls = build_lagrange_sum(f, g, naive, 0)
-    err = compactwise_error(f, g, ls, center=0j, radius=2.0, samples=128)
+    err = compactwise_error(disk_probe(f, g, center=0j, radius=2.0, samples=128), g, ls)
     zs = disk_samples(0j, 2.0, 128)
     assert err == pytest.approx(float(np.max(np.abs(f.eval(zs)))))
 
@@ -193,9 +194,8 @@ def test_compactwise_decreases(lattice):
     s, g = lattice
     f = PWFunction([0.3j], [1.0])
     naive = NaiveWeights(s, [20.0, 60.0, 121.0])
-    errs = [
-        compactwise_error(f, g, build_lagrange_sum(f, g, naive, j), radius=3.0) for j in range(3)
-    ]
+    probe = disk_probe(f, g, radius=3.0)
+    errs = [compactwise_error(probe, g, build_lagrange_sum(f, g, naive, j)) for j in range(3)]
     assert errs[2] < errs[0]
 
 
