@@ -11,21 +11,12 @@ from pwsum.engine import (
     compactwise_error,
     disk_probe,
     l2_error,
-    operator_norm_probe,
-    partial_sum,
     riesz_project,
     weighted_projector_check,
 )
 from pwsum.genfun import GeneratingFunctionEvaluator, OuterEvaluator, check_factorization
 from pwsum.grids import GridFunction, grid_template, hilbert_transform, sample_on_grid
-from pwsum.spectrum import (
-    Spectrum,
-    SpectrumError,
-    TruncationIndex,
-    make_family,
-    split_halfplanes,
-    truncation_at,
-)
+from pwsum.spectrum import Spectrum, SpectrumError, make_family, split_halfplanes
 from pwsum.weights import NaiveWeights, ProjectionWeights, UniversalWeights, outer_weight
 
 __version__ = "0.1.0"
@@ -45,7 +36,6 @@ __all__ = [
     "SpectrumError",
     "SummationContext",
     "TriangleContour",
-    "TruncationIndex",
     "UniversalWeights",
     "a2_estimate",
     "build_lagrange_sum",
@@ -61,13 +51,10 @@ __all__ = [
     "l2_error",
     "lambda_inside",
     "make_family",
-    "operator_norm_probe",
     "outer_weight",
-    "partial_sum",
     "riesz_project",
     "sample_on_grid",
     "split_halfplanes",
-    "truncation_at",
     "upper_lower_evaluators",
     "weighted_projector_check",
     "__version__",

@@ -318,9 +318,3 @@ def hayman_scan(
     fam.profile_values = np.array(achieved_v)
     return fam
 
-
-def save_disks_csv(fam: DiskFamily, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("center_re,center_im,radius\n")
-        for c, r in zip(fam.centers, fam.radii):
-            fh.write(f"{c.real:.12e},{c.imag:.12e},{r:.12e}\n")

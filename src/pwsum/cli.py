@@ -10,6 +10,8 @@ a fixed config and seed.
 from __future__ import annotations
 
 import argparse
+import cmath
+import math
 import sys
 from pathlib import Path
 
@@ -93,8 +95,17 @@ _REQUIRED = ("subcommand", "output.dir")
 
 _SUBCOMMANDS = ("diagnose", "weights", "converge", "compare-norms", "contours", "factorize-check")
 
-# integer keys with a lower bound (a disk needs a sample, the atom span an atom)
-_INT_MINIMA = {"K.samples": 1, "atoms.halfwidth": 0}
+# integer keys with a lower bound (a disk needs a sample, the atom span an
+# atom, a schedule a contour, the probe a trial, the apex-slope scan its 16
+# candidates, a contour side two samples)
+_INT_MINIMA = {
+    "K.samples": 1,
+    "atoms.halfwidth": 0,
+    "l.count": 1,
+    "trials": 1,
+    "c.grid": 16,
+    "side.samples": 2,
+}
 
 
 def parse_config(path) -> dict:
@@ -124,6 +135,9 @@ def parse_config(path) -> dict:
     for key, lo in _INT_MINIMA.items():
         if _i(cfg, key) < lo:
             raise ConfigError(f"key {key!r}: must be >= {lo}, got {cfg[key]!r}")
+    ratio = _f(cfg, "l.ratio")
+    if not (math.isfinite(ratio) and ratio >= 1.0):
+        raise ConfigError(f"key 'l.ratio': must be finite and >= 1, got {cfg['l.ratio']!r}")
     for pair in ("grid", "diag", "outer"):  # (X, h) of a grid on [-X, X]
         try:
             sample_count(_f(cfg, f"{pair}.X"), _f(cfg, f"{pair}.h"))
@@ -169,6 +183,8 @@ def _parse_schedule(cfg) -> np.ndarray:
         raise ConfigError(f"bad schedule: {cfg['schedule']!r}") from e
     if not vals.size:
         raise ConfigError("empty schedule")
+    if not np.all(np.isfinite(vals) & (vals > 0)) or np.any(np.diff(vals) <= 0):
+        raise ConfigError(f"schedule must be finite, positive and strictly increasing: {cfg['schedule']!r}")
     return vals
 
 
@@ -189,7 +205,10 @@ def _parse_atoms(cfg) -> PWFunction:
         coeffs.append(complex(c, d))
     if not centers:
         raise ConfigError("no atoms given")
-    return PWFunction(centers, coeffs)
+    try:
+        return PWFunction(centers, coeffs)
+    except EngineError as e:
+        raise ConfigError(f"bad atoms: {e}") from e
 
 
 def _parse_points(text: str) -> np.ndarray:
@@ -207,6 +226,8 @@ def _parse_points(text: str) -> np.ndarray:
             raise ConfigError(f"bad sample point {tok!r}") from e
     if not pts:
         raise ConfigError("no sample points given")
+    if any(p.imag == 0 or not cmath.isfinite(p) for p in pts):
+        raise ConfigError("sample points must be finite and off the real axis")
     return np.array(pts)
 
 

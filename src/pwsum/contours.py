@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from pwsum.blaschke import BlaschkeEvaluator
-from pwsum.spectrum import Spectrum, TruncationIndex, block_rows
+from pwsum.spectrum import Spectrum, block_rows
 
 
 class ContourError(ValueError):
@@ -62,14 +62,14 @@ class TriangleContour:
     def slanted_samples(self) -> np.ndarray:
         return np.concatenate([self.side_samples("right"), self.side_samples("left")])
 
-    def contains(self, z, shrink: float = 1e-9) -> np.ndarray:
-        """Strict interior test after a relative shrink toward the centroid.
+    def contains(self, z) -> np.ndarray:
+        """Strict interior test after a relative shrink of 1e-9 toward the centroid.
 
         The shrink makes boundary points land outside deterministically.
         """
         z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
         centroid = (self.apex - self.l + self.l) / 3.0
-        w = (z_arr - centroid) / (1.0 - shrink) + centroid
+        w = (z_arr - centroid) / (1.0 - 1e-9) + centroid
         x, y = w.real, w.imag
         inside = (y > 0) & (np.abs(x) < self.l)
         # below both slanted sides: y < c*(l - |x|)
@@ -77,12 +77,9 @@ class TriangleContour:
         return inside if np.asarray(z).ndim else inside[0]
 
 
-def lambda_inside(s: Spectrum, t: TriangleContour) -> TruncationIndex:
-    """Indices of the points strictly inside the (shrunk) triangle."""
-    mask = t.contains(s.points) if len(s) else np.zeros(0, dtype=bool)
-    idx = np.where(mask)[0]
-    idx.flags.writeable = False
-    return TruncationIndex(n=t.l, included=idx)
+def lambda_inside(s: Spectrum, t: TriangleContour) -> np.ndarray:
+    """Ascending indices of the points strictly inside the (shrunk) triangle."""
+    return np.flatnonzero(t.contains(s.points))
 
 
 def select_l(
@@ -219,7 +216,6 @@ def build_schedule(
     spectrum: Spectrum,
     b: BlaschkeEvaluator,
     count: int,
-    candidates: np.ndarray | None = None,
     ratio: float = 2.0,
     arg_threshold: float = 1.0,
     zero_margin: float = 1e-3,
@@ -235,26 +231,22 @@ def build_schedule(
     inside [l_next/(ratio*1.6), l_next/ratio], score-optimized per band
     through the same rule as select_l.
     """
-    if candidates is None:
-        top = 1.02 * spectrum.radius if len(spectrum) else 100.0
-        ls_rev = []
-        hi = None
-        for j in range(count):
-            if j == 0:
-                band = np.linspace(top, 1.05 * top, 400)
-            else:
-                band = np.linspace(hi / (ratio * 1.6), hi / ratio, 400)
-            pick = select_l(
-                b, band, 1, ratio=ratio, arg_threshold=arg_threshold, zero_margin=zero_margin
-            )[0]
-            ls_rev.append(pick)
-            hi = pick
-        ls = np.array(ls_rev[::-1])
-        if np.any(np.diff(ls) <= 0) or np.any(ls[1:] < ratio * ls[:-1] - 1e-9):
-            raise InfeasibleSelection("banded half-width selection failed to space out")
-    else:
-        ls = select_l(b, candidates, count, ratio=ratio, arg_threshold=arg_threshold,
-                      zero_margin=zero_margin)
+    top = 1.02 * spectrum.radius if len(spectrum) else 100.0
+    ls_rev = []
+    hi = None
+    for j in range(count):
+        if j == 0:
+            band = np.linspace(top, 1.05 * top, 400)
+        else:
+            band = np.linspace(hi / (ratio * 1.6), hi / ratio, 400)
+        pick = select_l(
+            b, band, 1, ratio=ratio, arg_threshold=arg_threshold, zero_margin=zero_margin
+        )[0]
+        ls_rev.append(pick)
+        hi = pick
+    ls = np.array(ls_rev[::-1])
+    if np.any(np.diff(ls) <= 0) or np.any(ls[1:] < ratio * ls[:-1] - 1e-9):
+        raise InfeasibleSelection("banded half-width selection failed to space out")
     contours, alphas, eps_hats, margins = [], [], [], []
     for l in ls:
         c, eps_hat = select_c(b, l, grid_size=c_grid, samples_per_side=samples_per_side)
@@ -272,7 +264,7 @@ def build_schedule(
     )
     prev: set[int] = set()
     for tri in contours:
-        cur = set(lambda_inside(spectrum, tri).included.tolist())
+        cur = set(lambda_inside(spectrum, tri).tolist())
         if not prev <= cur:
             raise ContourError("included point sets do not nest along the schedule")
         prev = cur

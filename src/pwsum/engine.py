@@ -70,18 +70,6 @@ def pw_tail_bound(f: PWFunction, X: float) -> float:
     return float(out)
 
 
-def save_pw_csv(f: PWFunction, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("mu_re,mu_im,c_re,c_im\n")
-        for mu, c in zip(f.centers, f.coefficients):
-            fh.write(f"{mu.real:.12e},{mu.imag:.12e},{c.real:.12e},{c.imag:.12e}\n")
-
-
-def load_pw_csv(path) -> PWFunction:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    return PWFunction(data[:, 0] + 1j * data[:, 1], data[:, 2] + 1j * data[:, 3])
-
-
 # ---------------------------------------------------------------------------
 # Lagrange partial sums
 # ---------------------------------------------------------------------------
@@ -93,7 +81,6 @@ class LagrangeSum:
 
     indices: np.ndarray
     coefficients: np.ndarray
-    step_label: float
 
     def __len__(self):
         return int(self.indices.size)
@@ -102,9 +89,9 @@ class LagrangeSum:
 def build_lagrange_sum_from_values(values, gen, scheme, step: int) -> LagrangeSum:
     """values: F(lambda_k) for every spectrum index k (array)."""
     row = scheme.weight_row(step)
-    gprime = np.array([gen.eval_G_prime_at_lambda(k) for k in row.indices], dtype=complex)
-    coeffs = row.weights * np.asarray(values, dtype=complex)[row.indices] / gprime
-    return LagrangeSum(indices=row.indices, coefficients=coeffs, step_label=scheme.step_label(step))
+    values = np.asarray(values, dtype=complex)[row.indices]
+    coeffs = row.weights * values / gen.eval_G_prime_at_lambda(row.indices)
+    return LagrangeSum(indices=row.indices, coefficients=coeffs)
 
 
 def build_lagrange_sum(f: PWFunction, gen, scheme, step: int) -> LagrangeSum:
@@ -146,35 +133,15 @@ class SummationContext:
         return self.grid.copy_with(vals)
 
 
-def partial_sum(
-    f: PWFunction,
-    gen: GeneratingFunctionEvaluator,
-    scheme,
-    step: int,
-    grid: GridFunction,
-    context: SummationContext | None = None,
-) -> GridFunction:
-    """Samples of sum_k w(lambda_k, n) F(lambda_k) G(x)/(G'(lambda_k)(x - lambda_k))."""
-    ls = build_lagrange_sum(f, gen, scheme, step)
-    if context is None:
-        context = SummationContext(gen, grid)
-    return context.sample_sum(ls)
-
-
 def lagrange_tail_bound(ls: LagrangeSum, gen, X: float) -> float:
     """Crude upper estimate for the sum's L2 mass beyond [-X, X]."""
     if not len(ls):
         return 0.0
     lam = gen.spectrum.points[ls.indices]
     gmax = float(np.max(np.abs(gen.eval_G_on_grid(grid_template(X, max(X / 200, 0.05))))))
-    out = 0.0
-    for a, l in zip(ls.coefficients, lam):
-        d = X - abs(l.real)
-        if d <= 1.0:
-            out += abs(a) * gmax * np.sqrt(np.pi / abs(l.imag))
-        else:
-            out += abs(a) * gmax * np.sqrt(2.0 / d)
-    return float(out)
+    d = X - np.abs(lam.real)
+    reach = np.where(d <= 1.0, np.sqrt(np.pi / np.abs(lam.imag)), np.sqrt(2.0 / np.maximum(d, 1.0)))
+    return float(np.sum(np.abs(ls.coefficients) * gmax * reach))
 
 
 def l2_error(a: GridFunction, b: GridFunction) -> float:
@@ -188,11 +155,11 @@ def l2_error(a: GridFunction, b: GridFunction) -> float:
 # ---------------------------------------------------------------------------
 
 
-def riesz_project(g: GridFunction, sign: str, tail_fit: bool = True) -> GridFunction:
+def riesz_project(g: GridFunction, sign: str) -> GridFunction:
     """Discrete Riesz projection P+/P- = (I +- iH)/2."""
     if sign not in ("+", "-"):
         raise EngineError("sign must be '+' or '-'")
-    H = hilbert_transform(g, tail_fit=tail_fit)
+    H = hilbert_transform(g)
     s = 1.0 if sign == "+" else -1.0
     return g.copy_with(0.5 * (g.values + s * 1j * H.values))
 
@@ -207,9 +174,6 @@ class ProjectorCheckReport:
     mismatch: float
     error_bar: float
     operator_norm_scale: float
-
-    def __float__(self):
-        return self.mismatch
 
 
 def _projector_sides(f, gen, b_plus, n, grid, outer):
@@ -310,27 +274,29 @@ class NormProbe:
         self.atom_centers = ms
         lam = gen.spectrum.points
         self._K = np.sinc(lam[:, None] - ms[None, :])
-        self._gprime = gen.prime_at_all()
         x = grid.x
         C = 1.0 / (x[:, None] - lam[None, :])
         D = grid.trapezoid_weights() * np.abs(gen.eval_G_on_grid(grid)) ** 2
         self._P = C.conj().T @ (D[:, None] * C)
 
-    def lower_bound(self, scheme, step: int, trials: int = 4, seed: int = 0, iters: int = 60) -> float:
+    def lower_bound(self, scheme, step: int, trials: int = 4, seed: int = 0) -> float:
+        """Best of `trials` seeded power iterations on the step's operator."""
+        if trials < 1:
+            raise EngineError("trials must be >= 1")
         row = scheme.weight_row(step)
         if not len(row):
             return 0.0
         ks = row.indices
-        Kt = (row.weights / self._gprime[ks])[:, None] * self._K[ks, :]
+        Kt = (row.weights / self.gen.eval_G_prime_at_lambda(ks))[:, None] * self._K[ks, :]
         M = Kt.conj().T @ (self._P[np.ix_(ks, ks)] @ Kt)
         rng = np.random.default_rng(seed)
         best = 0.0
         dim = M.shape[0]
-        for _ in range(max(1, trials)):
+        for _ in range(trials):
             v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
             v /= np.linalg.norm(v)
             prev = 0.0
-            for _ in range(iters):
+            for _ in range(60):
                 w_vec = M @ v
                 val = float(np.real(np.vdot(v, w_vec)))
                 nrm = np.linalg.norm(w_vec)
@@ -344,25 +310,6 @@ class NormProbe:
                 prev = val
             best = max(best, prev)
         return float(np.sqrt(max(best, 0.0)))
-
-
-def operator_norm_probe(
-    gen: GeneratingFunctionEvaluator,
-    scheme,
-    step: int,
-    grid: GridFunction,
-    trials: int = 4,
-    seed: int = 0,
-    atom_halfwidth: int | None = None,
-    probe: NormProbe | None = None,
-) -> float:
-    if trials < 1:
-        raise EngineError("trials must be >= 1")
-    if probe is None:
-        if atom_halfwidth is None:
-            atom_halfwidth = int(min(grid.X * 0.75, 40))
-        probe = NormProbe(gen, grid, atom_halfwidth)
-    return probe.lower_bound(scheme, step, trials=trials, seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -88,29 +88,34 @@ class GeneratingFunctionEvaluator:
         self._lam_out = spectrum.points[stop:]
         self.tail_warning = self._tail is None and self._lam_out.size > 0
         self.exp_type = math.pi if self._tail is not None else 0.0
-        self._prime_cache: dict[int, complex] = {}
+        self._prime = np.full(len(spectrum), np.nan, dtype=complex)  # G' memo; nan = unknown
         self._grid_cache: dict[tuple, np.ndarray] = {}
 
     # -- internals ---------------------------------------------------------
 
     # Both window kernels run over blocks of block_rows(zeros) points.
-    def _window_log(self, z: np.ndarray, lam: np.ndarray, skip: int | None = None) -> np.ndarray:
+    def _window_log(self, z: np.ndarray, lam: np.ndarray, skip: np.ndarray | None = None) -> np.ndarray:
+        """sum of log(1 - z/lambda) over lam per point of z.  With skip, point i
+        leaves out the factor of column skip[i] (none when skip[i] is outside
+        lam), through an exact zero ratio in that column."""
         out = np.zeros(z.shape, dtype=complex)
         if not lam.size:
             return out
-        keep = np.ones(lam.size, dtype=bool)
-        if skip is not None:
-            keep[skip] = False
-        lam_used = lam[keep]
-        step = block_rows(lam_used.size)
+        tol = _COLLISION_RTOL * np.maximum(1.0, np.abs(lam))
+        step = block_rows(lam.size)
         for i in range(0, z.size, step):
             zc = z[i : i + step, None]
-            dist = np.abs(zc - lam_used[None, :])
-            bad = dist <= _COLLISION_RTOL * np.maximum(1.0, np.abs(lam_used))[None, :]
+            ratio = zc / lam[None, :]
+            bad = np.abs(zc - lam[None, :]) <= tol[None, :]
+            if skip is not None:
+                cols = skip[i : i + step]
+                rows = np.flatnonzero((cols >= 0) & (cols < lam.size))
+                ratio[rows, cols[rows]] = 0.0
+                bad[rows, cols[rows]] = False
             if np.any(bad):
                 zi = np.argwhere(bad)[0][0]
                 raise CollisionError(f"z={zc[zi, 0]} collides with a spectrum point")
-            out[i : i + step] = np.log(1.0 - zc / lam_used[None, :]).sum(axis=1)
+            out[i : i + step] = np.log(1.0 - ratio).sum(axis=1)
         return out
 
     def _window_log_abs(self, x: np.ndarray, a: float, lam: np.ndarray) -> np.ndarray:
@@ -130,24 +135,17 @@ class GeneratingFunctionEvaluator:
             out[i : i + step] = 0.5 * (np.log(d2) - np.log(l2)[None, :]).sum(axis=1)
         return out
 
-    def _log_G(self, z: np.ndarray, skip_index: int | None = None) -> np.ndarray:
-        """log of the product with the k-th linear factor optionally removed."""
-        pts = self.spectrum.points
-        n_in = self._lam_in.size
-        skip_in = skip_index if (skip_index is not None and skip_index < n_in) else None
-        skip_out = (
-            skip_index - n_in if (skip_index is not None and skip_index >= n_in) else None
-        )
+    def _log_G(self, z: np.ndarray, skip: np.ndarray | None = None) -> np.ndarray:
+        """log of the product; with skip, point i leaves out the linear factor
+        of spectrum index skip[i]."""
         out = np.full(z.shape, np.log(self.normalization), dtype=complex)
-        out += self._window_log(z, self._lam_in, skip_in)
+        out += self._window_log(z, self._lam_in, skip)
         if self._tail is None:
-            if skip_out is not None:
-                raise GenFunError("index outside the truncated product")
             return out
         # stored points beyond the truncation radius belong to the family
         # formula; their factors are part of the tail correction
         if self._lam_out.size:
-            out += self._window_log(z, self._lam_out, skip_out)
+            out += self._window_log(z, self._lam_out, None if skip is None else skip - self._lam_in.size)
         return out + _tail_log(self._tail, z)
 
     # -- public API ----------------------------------------------------------
@@ -170,23 +168,22 @@ class GeneratingFunctionEvaluator:
             out += _tail_log(self._tail, x_arr + 1j * a).real
         return out[0] if np.isscalar(x) or np.asarray(x).ndim == 0 else out
 
-    def eval_G_prime_at_lambda(self, k: int) -> complex:
-        """G'(lambda_k) = normalization * (-1/lambda_k) * prod_{mu != lambda_k} (1 - lambda_k/mu)."""
-        if k < 0 or k >= len(self.spectrum):
-            raise GenFunError("invalid spectrum index")
-        cached = self._prime_cache.get(k)
-        if cached is not None:
-            return cached
-        lam = self.spectrum.points[k]
-        if self._tail is None and k >= self._lam_in.size:
-            raise GenFunError("point excluded by the truncation radius; no tail model")
-        z = np.array([lam], dtype=complex)
-        val = (-1.0 / lam) * np.exp(self._log_G(z, skip_index=k)[0])
-        self._prime_cache[k] = complex(val)
-        return complex(val)
+    def eval_G_prime_at_lambda(self, k: int | np.ndarray) -> complex | np.ndarray:
+        """G'(lambda_k) = normalization * (-1/lambda_k) * prod_{mu != lambda_k} (1 - lambda_k/mu)
+        for an index k (a complex) or an index array (an array).
 
-    def prime_at_all(self) -> np.ndarray:
-        return np.array([self.eval_G_prime_at_lambda(k) for k in range(len(self.spectrum))])
+        Vectorized and memoized once per node: the nodes not yet known are
+        computed in one blocked pass, each leaving out its own factor."""
+        ks = np.asarray(k)
+        if np.any((ks < 0) | (ks >= len(self.spectrum))):
+            raise GenFunError("invalid spectrum index")
+        if self._tail is None and np.any(ks >= self._lam_in.size):
+            raise GenFunError("point excluded by the truncation radius; no tail model")
+        todo = np.unique(ks[np.isnan(self._prime[ks])])
+        if todo.size:
+            lam = self.spectrum.points[todo]
+            self._prime[todo] = (-1.0 / lam) * np.exp(self._log_G(lam, skip=todo))
+        return complex(self._prime[ks]) if ks.ndim == 0 else self._prime[ks]
 
     def eval_G_on_grid(self, grid: GridFunction) -> np.ndarray:
         key = (grid.X, grid.h, len(grid))

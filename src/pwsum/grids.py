@@ -132,10 +132,10 @@ def _tail_kernel_one_over_t2(x: np.ndarray, Xe: float) -> np.ndarray:
     return out
 
 
-def fit_rational_tail(g: GridFunction, frac: float = 0.15) -> tuple[complex, complex]:
-    """Least-squares (a, b) with f(t) ~ a/t + b/t^2 on the outer samples."""
+def fit_rational_tail(g: GridFunction) -> tuple[complex, complex]:
+    """Least-squares (a, b) with f(t) ~ a/t + b/t^2 on the outer 15% of the samples."""
     x = g.x
-    mask = np.abs(x) >= (1.0 - frac) * g.X
+    mask = np.abs(x) >= 0.85 * g.X
     t = x[mask]
     if t.size < 8:
         return 0j, 0j
@@ -158,18 +158,3 @@ def hilbert_transform(g: GridFunction, tail_fit: bool = True) -> GridFunction:
             out += (a * _tail_kernel_one_over_t(x, Xe) + b * _tail_kernel_one_over_t2(x, Xe)) / np.pi
     return g.copy_with(out)
 
-
-def save_grid_csv(g: GridFunction, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("x,re,im\n")
-        for xv, v in zip(g.x, g.values):
-            fh.write(f"{xv:.12e},{v.real:.12e},{v.imag:.12e}\n")
-
-
-def load_grid_csv(path) -> GridFunction:
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    x = data[:, 0]
-    vals = data[:, 1] + 1j * data[:, 2]
-    h = x[1] - x[0]
-    X = -x[0]
-    return GridFunction(X, h, vals)

@@ -163,17 +163,6 @@ class Spectrum:
         return LatticeTail((base,), slope_slack=2.0 * abs(param("eps")) / n**2)
 
 
-@dataclass(frozen=True)
-class TruncationIndex:
-    """Indices of the points with |lambda| < n (a prefix of the sorted order)."""
-
-    n: float
-    included: np.ndarray
-
-    def __len__(self) -> int:
-        return int(self.included.size)
-
-
 def make_family(name: str, params: dict, count: int) -> Spectrum:
     """Build one of the test families.
 
@@ -230,16 +219,6 @@ def split_halfplanes(s: Spectrum) -> tuple[Spectrum, Spectrum]:
         Spectrum(up, family_tag=s.family_tag, family_params=dict(s.family_params)),
         Spectrum(lo, family_tag=s.family_tag, family_params=dict(s.family_params)),
     )
-
-
-def truncation_at(s: Spectrum, n: float) -> TruncationIndex:
-    """Index set {k : |lambda_k| < n}; monotone in n."""
-    if n <= 0:
-        raise SpectrumError("truncation radius must be > 0")
-    stop = int(np.searchsorted(s.moduli, n, side="left"))
-    idx = np.arange(stop)
-    idx.flags.writeable = False
-    return TruncationIndex(n=float(n), included=idx)
 
 
 def save_spectrum(s: Spectrum, path) -> None:

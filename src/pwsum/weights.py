@@ -86,10 +86,8 @@ class WeightRow:
         return int(self.indices.size)
 
 
-class NaiveWeights:
-    """w(lambda, n) = 1 if |lambda| < n else 0, over a radius schedule."""
-
-    kind = "naive"
+class _RadiusSchedule:
+    """Steps at radii n_1 < n_2 < ...; step j keeps the points with |lambda| < n_j."""
 
     def __init__(self, spectrum: Spectrum, radii):
         self.spectrum = spectrum
@@ -103,38 +101,38 @@ class NaiveWeights:
     def step_label(self, step: int) -> float:
         return float(self.radii[step])
 
+    def kept(self, step: int) -> np.ndarray:
+        """Ascending indices of the points with |lambda| < n_step."""
+        return np.flatnonzero(self.spectrum.moduli < self.radii[step])
+
+
+class NaiveWeights(_RadiusSchedule):
+    """w(lambda, n) = 1 if |lambda| < n else 0, over a radius schedule."""
+
+    kind = "naive"
+
     def weight_row(self, step: int) -> WeightRow:
-        ks = np.flatnonzero(self.spectrum.moduli < self.radii[step])
+        ks = self.kept(step)
         return WeightRow(ks, np.ones(ks.size, dtype=complex))
 
 
-class ProjectionWeights:
+class ProjectionWeights(_RadiusSchedule):
     """w(lambda, n) = beta_n^{+-}(lambda): Blaschke tail products per half-plane."""
 
     kind = "projection"
 
     def __init__(self, spectrum: Spectrum, radii):
-        self.spectrum = spectrum
-        self.radii = np.asarray(radii, dtype=float)
-        if np.any(np.diff(self.radii) <= 0) or np.any(self.radii <= 0):
-            raise WeightError("radius schedule must be positive and increasing")
+        super().__init__(spectrum, radii)
         self.b_plus, self.b_minus = upper_lower_evaluators(spectrum)
 
-    def __len__(self):
-        return int(self.radii.size)
-
-    def step_label(self, step: int) -> float:
-        return float(self.radii[step])
-
     def weight_row(self, step: int) -> WeightRow:
-        n = self.radii[step]
-        ks = np.flatnonzero(self.spectrum.moduli < n)
+        ks = self.kept(step)
         lam = self.spectrum.points[ks]
         w = np.empty(ks.size, dtype=complex)
         up = lam.imag > 0
         for b, half in ((self.b_plus, up), (self.b_minus, ~up)):
             if np.any(half):
-                w[half] = b.tail_factor(lam[half], n)
+                w[half] = b.tail_factor(lam[half], self.radii[step])
         return WeightRow(ks, w)
 
 

@@ -8,9 +8,7 @@ from pwsum.blaschke import (
     BlaschkeError,
     BlaschkeEvaluator,
     BudgetError,
-    DiskFamily,
     hayman_scan,
-    save_disks_csv,
     upper_lower_evaluators,
 )
 from pwsum.spectrum import Spectrum, make_family
@@ -269,20 +267,6 @@ def test_hayman_infeasible_budget_reports_smallest():
     with pytest.raises(BudgetError) as exc:
         hayman_scan(b, 10.0, prof, n_verify=4000)
     assert exc.value.smallest_budget > 1e-3
-
-
-def test_disks_csv(tmp_path):
-    fam = DiskFamily(
-        centers=np.array([1j, 1 + 1j]),
-        radii=np.array([0.1, 0.05]),
-        profile_radii=np.array([1.0]),
-        profile_values=np.array([1.0]),
-    )
-    p = tmp_path / "disks.csv"
-    save_disks_csv(fam, p)
-    lines = p.read_text().strip().splitlines()
-    assert lines[0] == "center_re,center_im,radius"
-    assert len(lines) == 3
 
 
 def test_upper_lower_split_helper():

@@ -1,5 +1,12 @@
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pwsum import cli
 from pwsum.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main, parse_config, run
@@ -256,11 +263,27 @@ output.dir={out}
         ("subcommand=diagnose\ndiag.X=-4\n", None),
         ("subcommand=diagnose\ndiag.h=0.03\ndiag.X=40\n", None),
         ("subcommand=factorize-check\nfactorize.samples=a,b\n", None),
+        # no contour, no trial: nothing meaningful to write
+        ("subcommand=contours\nl.count=0\n", None),
+        ("subcommand=compare-norms\ntrials=0\n", None),
+        # config mistakes, caught before the numerical layers run
+        ("subcommand=weights\nscheme=naive\nschedule=3,2\n", None),
+        ("subcommand=weights\nscheme=naive\nschedule=-1,2\n", None),
+        ("subcommand=contours\nc.grid=3\n", None),
+        ("subcommand=contours\nside.samples=1\n", None),
+        ("subcommand=converge\natoms=0,0.3,1,0;0,0.3,2,0\n", None),
+        ("subcommand=factorize-check\nfactorize.samples=1,0\n", None),
+        ("subcommand=factorize-check\nfactorize.samples=inf,1\n", None),
+        ("subcommand=contours\nl.ratio=0\n", None),
+        ("subcommand=contours\nl.ratio=nan\n", None),
     ],
     ids=["delta-nan", "eps-inf", "real-axis-point", "malformed-points-line",
          "K-samples-0", "atoms-halfwidth-negative", "header-without-delta",
          "header-window-too-small", "grid-h-0", "grid-X-negative", "diag-h-0",
-         "diag-X-negative", "diag-h-not-dividing-2X", "samples-unparsable"],
+         "diag-X-negative", "diag-h-not-dividing-2X", "samples-unparsable",
+         "l-count-0", "trials-0", "schedule-decreasing", "schedule-negative",
+         "c-grid-3", "side-samples-1", "atoms-duplicate", "samples-on-real-axis", "samples-inf",
+         "l-ratio-0", "l-ratio-nan"],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, body, points):
     if points is not None:
@@ -301,3 +324,47 @@ def test_diagnose_samples_each_line_once(tmp_path, monkeypatch, a):
     assert rows[0][2:] == (v1, v2 / v1)
     assert rows[2][2:] == (rep.pos_integral, rep.pos_trend)
     assert rows[3][2:] == (rep.neg_integral, rep.neg_trend)
+
+
+def test_converge_computes_G_prime_once_per_step(tmp_path, monkeypatch):
+    calls = []
+    prime = GeneratingFunctionEvaluator.eval_G_prime_at_lambda
+
+    def counted(self, k):
+        calls.append(np.size(k))
+        return prime(self, k)
+
+    monkeypatch.setattr(GeneratingFunctionEvaluator, "eval_G_prime_at_lambda", counted)
+    cfg = write_cfg(tmp_path, "c.cfg", "subcommand=converge\ncount=20\nscheme=naive,projection\n"
+                    f"schedule=5,10,21\ngrid.X=10\ngrid.h=0.1\noutput.dir={tmp_path}\n")
+    assert run(cfg) == EXIT_OK
+    assert 0 < len(calls) <= 6  # two schemes, three steps each
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    sub=st.sampled_from(["contours", "compare-norms", "weights"]),
+    count=st.integers(1, 20),
+    keys=st.fixed_dictionaries({}, optional={
+        "l.count": st.integers(0, 4),
+        "trials": st.integers(0, 3),
+        "c.grid": st.integers(12, 24),
+        "side.samples": st.integers(1, 40),
+        "l.ratio": st.one_of(st.floats(0.5, 6.0), st.sampled_from([float("nan"), float("inf")])),
+    }),
+)
+def test_config_fuzz_exit_contract(sub, count, keys):
+    # a key left out keeps its default
+    body = "".join(f"{k}={v}\n" for k, v in keys.items())
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_cfg(
+            Path(tmp), "f.cfg",
+            f"subcommand={sub}\nfamily=kadec_perturbed\ncount={count}\nscheme=universal\n{body}"
+            f"grid.X=5\ngrid.h=0.1\natoms.halfwidth=3\noutput.dir={tmp}/out\n",
+        )
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run(cfg)
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL)
+    if code != EXIT_OK:
+        assert len(err.getvalue().splitlines()) == 1

@@ -46,9 +46,9 @@ def test_contains_basics():
 def test_lambda_inside_examples():
     t = TriangleContour(l=10.0, c=1.0)
     s1 = Spectrum(np.array([1j]))
-    assert lambda_inside(s1, t).included.tolist() == [0]
+    assert lambda_inside(s1, t).tolist() == [0]
     s2 = Spectrum(np.array([20 + 1j]))
-    assert lambda_inside(s2, t).included.tolist() == []
+    assert lambda_inside(s2, t).tolist() == []
 
 
 def test_select_l_lattice_prefers_half_integers(lattice):
@@ -135,7 +135,7 @@ def test_build_schedule_nesting_and_certificates(lattice):
     sched = build_schedule(s, b, count=4)
     assert len(sched) == 4
     assert np.all(sched.margins >= 0.0)
-    sets = [set(lambda_inside(s, t).included.tolist()) for t in sched.contours]
+    sets = [set(lambda_inside(s, t).tolist()) for t in sched.contours]
     for a_, b_ in zip(sets, sets[1:]):
         assert a_ <= b_
     # the last contour reaches past the window radius: union is everything

@@ -13,12 +13,8 @@ from pwsum.engine import (
     disk_samples,
     eval_lagrange_sum,
     l2_error,
-    load_pw_csv,
-    operator_norm_probe,
-    partial_sum,
     pw_tail_bound,
     sample_pw,
-    save_pw_csv,
 )
 from pwsum.genfun import GeneratingFunctionEvaluator
 from pwsum.grids import grid_template
@@ -54,21 +50,12 @@ def test_pw_distinct_centers():
         PWFunction([1j, 1j], [1.0, 1.0])
 
 
-def test_pw_csv_roundtrip(tmp_path):
-    f = PWFunction([0.3j, 2.7 + 0.3j], [1.0, 0.5 - 0.25j])
-    p = tmp_path / "f.csv"
-    save_pw_csv(f, p)
-    f2 = load_pw_csv(p)
-    assert np.allclose(f.centers, f2.centers)
-    assert np.allclose(f.coefficients, f2.coefficients)
-
-
 def test_empty_support_sum(lattice):
     s, g = lattice
     f = PWFunction([0.3j], [1.0])
     naive = NaiveWeights(s, [0.1, 200.0])
     grid = grid_template(20.0, 0.05)
-    out = partial_sum(f, g, naive, 0, grid)
+    out = SummationContext(g, grid).sample_sum(build_lagrange_sum(f, g, naive, 0))
     assert out.norm() == 0.0
 
 
@@ -144,8 +131,10 @@ def test_conjugation_symmetry():
     f = PWFunction([0.2 + 0.4j], [1.0 - 0.5j])
     f_conj = PWFunction(np.conj(f.centers), np.conj(f.coefficients))
     grid = grid_template(10.0, 0.1)
-    out = partial_sum(f, g, NaiveWeights(s, [5.0]), 0, grid)
-    out_conj = partial_sum(f_conj, g_conj, NaiveWeights(s_conj, [5.0]), 0, grid)
+    out = SummationContext(g, grid).sample_sum(build_lagrange_sum(f, g, NaiveWeights(s, [5.0]), 0))
+    out_conj = SummationContext(g_conj, grid).sample_sum(
+        build_lagrange_sum(f_conj, g_conj, NaiveWeights(s_conj, [5.0]), 0)
+    )
     assert np.allclose(out_conj.values, np.conj(out.values), rtol=1e-12, atol=1e-14)
 
 
@@ -206,7 +195,10 @@ def test_probe_zero_scheme(lattice):
     s, g = lattice
     naive = NaiveWeights(s, [0.2, 121.0])
     grid = grid_template(20.0, 0.05)
-    assert operator_norm_probe(g, naive, 0, grid, trials=2, seed=1) == 0.0
+    probe = NormProbe(g, grid, atom_halfwidth=15)
+    assert probe.lower_bound(naive, 0, trials=2, seed=1) == 0.0
+    with pytest.raises(EngineError):
+        probe.lower_bound(naive, 1, trials=0)
 
 
 def test_probe_identity_configuration(lattice):
@@ -215,7 +207,7 @@ def test_probe_identity_configuration(lattice):
     s, g = lattice
     naive = NaiveWeights(s, [121.0])
     grid = grid_template(40.0, 0.05)
-    val = operator_norm_probe(g, naive, 0, grid, trials=3, seed=7, atom_halfwidth=15)
+    val = NormProbe(g, grid, atom_halfwidth=15).lower_bound(naive, 0, trials=3, seed=7)
     assert val >= 0.9
     assert val <= 1.6
 
@@ -224,8 +216,8 @@ def test_probe_deterministic(lattice):
     s, g = lattice
     naive = NaiveWeights(s, [30.0])
     grid = grid_template(20.0, 0.05)
-    a = operator_norm_probe(g, naive, 0, grid, trials=2, seed=3, atom_halfwidth=10)
-    b = operator_norm_probe(g, naive, 0, grid, trials=2, seed=3, atom_halfwidth=10)
+    a = NormProbe(g, grid, atom_halfwidth=10).lower_bound(naive, 0, trials=2, seed=3)
+    b = NormProbe(g, grid, atom_halfwidth=10).lower_bound(naive, 0, trials=2, seed=3)
     assert a == b
 
 

@@ -86,24 +86,50 @@ def test_prime_lattice_center():
 
 def test_prime_matches_all_closed_form(lattice200):
     s = lattice200.spectrum
-    for k in range(0, len(s), 17):
-        lam = s.points[k]
-        got = lattice200.eval_G_prime_at_lambda(k)
-        want = sine_type_G_prime(lam, 0.3)
-        assert abs(got - want) / abs(want) < 1e-8
+    ks = np.arange(0, len(s), 17)
+    got = lattice200.eval_G_prime_at_lambda(ks)
+    want = sine_type_G_prime(s.points[ks], 0.3)
+    assert np.max(np.abs(got - want) / np.abs(want)) < 1e-8
 
 
 def test_prime_vs_central_difference():
     s = make_family("shifted_integers", {"delta": 0.3}, 50)
     g = GeneratingFunctionEvaluator(s)
-    for k in range(len(s)):
-        lam = s.points[k]
-        if abs(lam) >= 25:
-            continue
-        eps = 1e-5 * (1 + abs(lam))
-        fd = (g.eval_G(lam + eps) - g.eval_G(lam - eps)) / (2 * eps)
-        got = g.eval_G_prime_at_lambda(k)
-        assert abs(fd - got) / abs(got) < 1e-4
+    ks = np.flatnonzero(s.moduli < 25)
+    lam = s.points[ks]
+    eps = 1e-5 * (1 + np.abs(lam))
+    fd = (g.eval_G(lam + eps) - g.eval_G(lam - eps)) / (2 * eps)
+    got = g.eval_G_prime_at_lambda(ks)
+    assert np.max(np.abs(fd - got) / np.abs(got)) < 1e-4
+
+
+@pytest.mark.parametrize("radius", [20.0, np.inf])
+def test_prime_index_array_matches_scalar_and_mpmath(radius):
+    # radius 20 puts own factors both inside the truncation radius and among
+    # the stored points the tail correction carries
+    s = make_family("kadec_perturbed", {"delta": 0.3, "eps": 0.2}, 30)
+    ks = np.arange(len(s))
+    got = GeneratingFunctionEvaluator(s, radius=radius).eval_G_prime_at_lambda(ks)
+    fresh = GeneratingFunctionEvaluator(s, radius=radius)
+    scalar = np.array([fresh.eval_G_prime_at_lambda(int(k)) for k in ks])
+    assert np.max(np.abs(got - scalar) / np.abs(scalar)) < 1e-12
+    # oracle: -1/lambda_k times the product over every other stored point at
+    # 30 digits, times the family tail beyond the window
+    tail = np.exp(_tail_log(s.lattice_tail(), s.points))
+    with mpmath.workdps(30):
+        pts = [mpmath.mpc(p) for p in s.points]
+        want = [
+            complex(-1 / lam * mpmath.fprod(1 - lam / mu for mu in pts if mu != lam)) for lam in pts
+        ]
+    rel = np.abs(got - np.array(want) * tail) / np.abs(got)
+    assert np.max(rel) < 1e-12
+
+
+def test_prime_index_out_of_range(lattice200):
+    n = len(lattice200.spectrum)
+    for bad in (-1, n, np.array([0, n])):
+        with pytest.raises(GenFunError):
+            lattice200.eval_G_prime_at_lambda(bad)
 
 
 def test_collision_rejected(lattice200):

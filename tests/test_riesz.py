@@ -8,9 +8,7 @@ from pwsum.grids import (
     fit_rational_tail,
     grid_template,
     hilbert_transform,
-    load_grid_csv,
     sample_on_grid,
-    save_grid_csv,
 )
 
 
@@ -49,15 +47,6 @@ def test_l2_error_examples():
     assert l2_error(a, c) == pytest.approx(l2_error(a, b))
     with pytest.raises(GridError):
         l2_error(a, grid_template(5.0, 0.25))
-
-
-def test_grid_csv_roundtrip(tmp_path):
-    g = sample_on_grid(lambda x: np.sin(x) + 1j * np.cos(x), 3.0, 0.5)
-    p = tmp_path / "g.csv"
-    save_grid_csv(g, p)
-    g2 = load_grid_csv(p)
-    assert g.same_grid(g2)
-    assert np.allclose(g.values, g2.values)
 
 
 def test_tail_fit_recovers_laurent():

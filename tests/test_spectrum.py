@@ -10,8 +10,8 @@ from pwsum.spectrum import (
     make_family,
     save_spectrum,
     split_halfplanes,
-    truncation_at,
 )
+from pwsum.weights import NaiveWeights
 
 
 def test_shifted_integers_small():
@@ -187,17 +187,22 @@ def test_split_halfplanes_all_upper_and_empty():
     assert len(u2) == 0 and len(l2) == 0
 
 
+def kept(s: Spectrum, n: float) -> np.ndarray:
+    """Indices that a truncation radius n keeps."""
+    return NaiveWeights(s, [n]).weight_row(0).indices
+
+
 def test_truncation_small():
     s = Spectrum(np.array([1j, 3j]))
-    assert len(truncation_at(s, 2.0)) == 1
-    assert len(truncation_at(s, 10.0)) == 2
+    assert len(kept(s, 2.0)) == 1
+    assert len(kept(s, 10.0)) == 2
 
 
 def test_truncation_lattice_brute_force():
     s = make_family("shifted_integers", {"delta": 0.3}, 50)
-    t = truncation_at(s, 10.5)
+    t = kept(s, 10.5)
     brute = {k for k, p in enumerate(s.points) if abs(p) < 10.5}
-    assert set(t.included.tolist()) == brute
+    assert set(t.tolist()) == brute
     assert len(t) == 21
 
 
@@ -217,8 +222,8 @@ def test_truncation_lattice_brute_force():
 def test_truncation_monotone_and_split_partition(pts, n1, n2):
     s = Spectrum(np.array(pts, dtype=complex))
     lo_n, hi_n = min(n1, n2), max(n1, n2)
-    small = set(truncation_at(s, lo_n).included.tolist())
-    big = set(truncation_at(s, hi_n).included.tolist())
+    small = set(kept(s, lo_n).tolist())
+    big = set(kept(s, hi_n).tolist())
     assert small <= big
     up, lo = split_halfplanes(s)
     assert len(up) + len(lo) == len(s)
