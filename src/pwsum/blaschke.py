@@ -14,15 +14,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from pwsum.spectrum import Spectrum, block_rows
+from pwsum.spectrum import Spectrum, block_log_sum, block_rows
 
 _POLE_RTOL = 1e-12
 
 
 def _log_factors(z, mu):
     """Complex kernel: sum over mu of log[(conj mu / mu)(z - mu)/(z - conj mu)]
-    along the last axis; z is a scalar or a column (n, 1)."""
-    return (np.log(np.conj(mu) / mu) + np.log(z - mu) - np.log(z - np.conj(mu))).sum(axis=-1)
+    along the last axis; z is a scalar or a column (n, 1).  One log per block
+    of the factors (z - mu)/(z - conj mu), whose moduli are <= 1 in the closed
+    upper half-plane, so a block product cannot overflow; the unimodular
+    normalizations add log(conj mu / mu) = -2i arg mu."""
+    factor = z - mu
+    factor /= z - np.conj(mu)
+    return block_log_sum(factor) - 2j * np.angle(mu).sum()
 
 
 def _log_abs_factors(zc, lam, dx2, far):

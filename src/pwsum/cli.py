@@ -107,6 +107,18 @@ _INT_MINIMA = {
     "side.samples": 2,
 }
 
+# float keys that must be finite, and the bound each must also meet (the
+# contour ratio l_{j+1}/l_j, the domination safety factor, the disk K)
+_FLOAT_BOUNDS = {
+    "l.ratio": ">= 1",
+    "alpha.safety": "> 0",
+    "K.radius": "> 0",
+    "K.center.re": "",
+    "K.center.im": "",
+    "a2.a": "",
+}
+_BOUND_TESTS = {">= 1": lambda v: v >= 1.0, "> 0": lambda v: v > 0.0, "": lambda v: True}
+
 
 def parse_config(path) -> dict:
     p = Path(path)
@@ -135,9 +147,11 @@ def parse_config(path) -> dict:
     for key, lo in _INT_MINIMA.items():
         if _i(cfg, key) < lo:
             raise ConfigError(f"key {key!r}: must be >= {lo}, got {cfg[key]!r}")
-    ratio = _f(cfg, "l.ratio")
-    if not (math.isfinite(ratio) and ratio >= 1.0):
-        raise ConfigError(f"key 'l.ratio': must be finite and >= 1, got {cfg['l.ratio']!r}")
+    for key, bound in _FLOAT_BOUNDS.items():
+        val = _f(cfg, key)
+        if not (math.isfinite(val) and _BOUND_TESTS[bound](val)):
+            need = f"finite and {bound}" if bound else "finite"
+            raise ConfigError(f"key {key!r}: must be {need}, got {cfg[key]!r}")
     for pair in ("grid", "diag", "outer"):  # (X, h) of a grid on [-X, X]
         try:
             sample_count(_f(cfg, f"{pair}.X"), _f(cfg, f"{pair}.h"))
@@ -201,6 +215,8 @@ def _parse_atoms(cfg) -> PWFunction:
             a, b, c, d = (float(t) for t in parts)
         except ValueError as e:
             raise ConfigError(f"bad atom {tok!r}") from e
+        if not all(math.isfinite(v) for v in (a, b, c, d)):
+            raise ConfigError(f"atom parts must be finite: {tok!r}")
         centers.append(complex(a, b))
         coeffs.append(complex(c, d))
     if not centers:
@@ -311,19 +327,18 @@ def _cmd_converge(cfg, outdir: Path) -> None:
     center = complex(_f(cfg, "K.center.re"), _f(cfg, "K.center.im"))
     probe = disk_probe(f, gen, center, _f(cfg, "K.radius"), _i(cfg, "K.samples"))
     f_tail = pw_tail_bound(f, X)
+    steps = [(scheme, step) for scheme in _schemes(cfg, s) for step in range(len(scheme))]
+    sums = [build_lagrange_sum(f, gen, scheme, step) for scheme, step in steps]
     with open(outdir / "errors.csv", "w") as fh:
         fh.write("n,scheme,l2_error,sup_error_K,tail_bound\n")
-        for scheme in _schemes(cfg, s):
-            for step in range(len(scheme)):
-                ls = build_lagrange_sum(f, gen, scheme, step)
-                sn = ctx.sample_sum(ls)
-                rel = l2_error(sn, ref) / ref_norm if ref_norm else np.inf
-                sup = compactwise_error(probe, gen, ls)
-                bound = f_tail + lagrange_tail_bound(ls, gen, X)
-                fh.write(
-                    f"{scheme.step_label(step):.12e},{scheme.kind},"
-                    f"{rel:.12e},{sup:.12e},{bound:.12e}\n"
-                )
+        for (scheme, step), ls, sn in zip(steps, sums, ctx.sample_sums(sums)):
+            rel = l2_error(sn, ref) / ref_norm if ref_norm else np.inf
+            sup = compactwise_error(probe, gen, ls)
+            bound = f_tail + lagrange_tail_bound(ls, gen, X)
+            fh.write(
+                f"{scheme.step_label(step):.12e},{scheme.kind},"
+                f"{rel:.12e},{sup:.12e},{bound:.12e}\n"
+            )
 
 
 def _cmd_compare_norms(cfg, outdir: Path) -> None:

@@ -17,6 +17,7 @@ import numpy as np
 from pwsum.blaschke import BlaschkeEvaluator
 from pwsum.genfun import GeneratingFunctionEvaluator, OuterEvaluator
 from pwsum.grids import GridFunction, GridError, grid_template, hilbert_transform
+from pwsum.spectrum import block_rows
 
 
 class EngineError(ValueError):
@@ -115,22 +116,39 @@ def eval_lagrange_sum(ls: LagrangeSum, gen, z):
     return out[0] if np.asarray(z).ndim == 0 else out
 
 
+def _cauchy_chunks(x: np.ndarray, lam: np.ndarray):
+    """(rows, 1/(x[rows] - lambda)) over chunks of block_rows(points) grid nodes:
+    the only place this module builds a (grid nodes x points) array, and none
+    outlives its chunk."""
+    step = block_rows(lam.size)
+    for i in range(0, x.size, step):
+        rows = slice(i, i + step)
+        yield rows, 1.0 / (x[rows, None] - lam)
+
+
 class SummationContext:
-    """Caches G on the grid and the Cauchy matrix across schedule steps."""
+    """Caches G on the grid across schedule steps; the Cauchy sums stream over
+    grid chunks."""
 
     def __init__(self, gen: GeneratingFunctionEvaluator, grid: GridFunction):
         self.gen = gen
         self.grid = grid
         self.G_on_grid = gen.eval_G_on_grid(grid)
-        lam = gen.spectrum.points
-        x = grid.x
-        self._cauchy = 1.0 / (x[:, None] - lam[None, :])
+
+    def sample_sums(self, sums: list[LagrangeSum]) -> list[GridFunction]:
+        """G(x) * sum_k a_k/(x - lambda_k) on the grid for every sum, in one
+        pass over the grid: the sums are the columns of one (points x sums)
+        coefficient matrix."""
+        A = np.zeros((len(self.gen.spectrum), len(sums)), dtype=complex)
+        for j, ls in enumerate(sums):
+            A[ls.indices, j] = ls.coefficients
+        out = np.empty((len(sums), len(self.grid)), dtype=complex)
+        for rows, C in _cauchy_chunks(self.grid.x, self.gen.spectrum.points):
+            out[:, rows] = (C @ A).T * self.G_on_grid[rows]
+        return [self.grid.copy_with(v) for v in out]
 
     def sample_sum(self, ls: LagrangeSum) -> GridFunction:
-        if not len(ls):
-            return self.grid.copy_with(np.zeros(len(self.grid), dtype=complex))
-        vals = self.G_on_grid * (self._cauchy[:, ls.indices] @ ls.coefficients)
-        return self.grid.copy_with(vals)
+        return self.sample_sums([ls])[0]
 
 
 def lagrange_tail_bound(ls: LagrangeSum, gen, X: float) -> float:
@@ -263,8 +281,8 @@ class NormProbe:
     Atoms k_m with integer real centers are orthonormal in the
     Paley-Wiener space, so the coefficient Euclidean norm is exactly
     ||F|| and the grid operator matrix A_n gives a true lower bound
-    sigma_max(A_n) <= ||T_n||.  The Gram matrix P = C^H D C is cached
-    across schedule steps.
+    sigma_max(A_n) <= ||T_n||.  The Gram matrix P = C^H D C is summed over
+    grid chunks and cached across schedule steps.
     """
 
     def __init__(self, gen: GeneratingFunctionEvaluator, grid: GridFunction, atom_halfwidth: int):
@@ -274,10 +292,10 @@ class NormProbe:
         self.atom_centers = ms
         lam = gen.spectrum.points
         self._K = np.sinc(lam[:, None] - ms[None, :])
-        x = grid.x
-        C = 1.0 / (x[:, None] - lam[None, :])
         D = grid.trapezoid_weights() * np.abs(gen.eval_G_on_grid(grid)) ** 2
-        self._P = C.conj().T @ (D[:, None] * C)
+        self._P = np.zeros((lam.size, lam.size), dtype=complex)
+        for rows, C in _cauchy_chunks(grid.x, lam):
+            self._P += C.conj().T @ (D[rows, None] * C)
 
     def lower_bound(self, scheme, step: int, trials: int = 4, seed: int = 0) -> float:
         """Best of `trials` seeded power iterations on the step's operator."""

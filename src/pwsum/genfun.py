@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import loggamma
 
 from pwsum.grids import GridFunction, grid_template, hilbert_transform
-from pwsum.spectrum import LatticeTail, Spectrum, block_rows
+from pwsum.spectrum import LatticeTail, Spectrum, block_log_sum, block_rows
 
 _COLLISION_RTOL = 1e-12
 
@@ -95,27 +95,31 @@ class GeneratingFunctionEvaluator:
 
     # Both window kernels run over blocks of block_rows(zeros) points.
     def _window_log(self, z: np.ndarray, lam: np.ndarray, skip: np.ndarray | None = None) -> np.ndarray:
-        """sum of log(1 - z/lambda) over lam per point of z.  With skip, point i
-        leaves out the factor of column skip[i] (none when skip[i] is outside
-        lam), through an exact zero ratio in that column."""
+        """sum of log(1 - z/lambda) over lam per point of z, one log per block of
+        factors (Im modulo 2 pi).  With skip, point i leaves out the factor of
+        column skip[i] (none when skip[i] is outside lam), through an exact
+        factor 1 in that column."""
         out = np.zeros(z.shape, dtype=complex)
         if not lam.size:
             return out
-        tol = _COLLISION_RTOL * np.maximum(1.0, np.abs(lam))
+        lre, lim = lam.real, lam.imag
+        tol2 = (_COLLISION_RTOL * np.maximum(1.0, np.abs(lam))) ** 2
         step = block_rows(lam.size)
         for i in range(0, z.size, step):
             zc = z[i : i + step, None]
-            ratio = zc / lam[None, :]
-            bad = np.abs(zc - lam[None, :]) <= tol[None, :]
+            d2 = (zc.real - lre) ** 2 + (zc.imag - lim) ** 2
+            bad = d2 <= tol2
+            factor = zc / lam
+            np.subtract(1.0, factor, out=factor)
             if skip is not None:
                 cols = skip[i : i + step]
                 rows = np.flatnonzero((cols >= 0) & (cols < lam.size))
-                ratio[rows, cols[rows]] = 0.0
+                factor[rows, cols[rows]] = 1.0
                 bad[rows, cols[rows]] = False
             if np.any(bad):
                 zi = np.argwhere(bad)[0][0]
                 raise CollisionError(f"z={zc[zi, 0]} collides with a spectrum point")
-            out[i : i + step] = np.log(1.0 - ratio).sum(axis=1)
+            out[i : i + step] = block_log_sum(factor)
         return out
 
     def _window_log_abs(self, x: np.ndarray, a: float, lam: np.ndarray) -> np.ndarray:
@@ -151,6 +155,9 @@ class GeneratingFunctionEvaluator:
     # -- public API ----------------------------------------------------------
 
     def log_G(self, z):
+        """A log of G(z): the window takes one log per block of LOG_BLOCK
+        factors, so Im log_G is defined modulo 2 pi.  Only exp(log_G) is
+        ever used (G and G')."""
         z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
         out = self._log_G(z_arr)
         return out[0] if np.isscalar(z) or np.asarray(z).ndim == 0 else out

@@ -112,6 +112,19 @@ def test_log_abs_B_zero_and_pole():
         lo.log_abs_B(lam)
 
 
+def test_eval_B_zero_inside_a_block():
+    # a zero factor sends its row to one log per factor: log 0 = -inf, B = 0
+    # exactly, and the other rows keep their block products
+    s = make_family("kadec_perturbed", {"delta": 0.3, "eps": 0.2}, 20)  # 41 zeros
+    b = BlaschkeEvaluator(s)
+    z = np.array([b.points[17], b.points[17] + 0.25, b.points[40]])
+    vals = b.eval_B(z)  # no RuntimeWarning either
+    assert vals[0] == 0 and vals[2] == 0
+    assert vals[1] == b.eval_B(z[1])
+    direct = np.prod((np.conj(b.points) / b.points) * (z[1] - b.points) / (z[1] - np.conj(b.points)))
+    assert vals[1] == pytest.approx(direct, rel=1e-12)
+
+
 def test_beta_trivial_full_inclusion():
     s = Spectrum(np.array([1j, 5j, 2 + 1j]))
     b = BlaschkeEvaluator(s)

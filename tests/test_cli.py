@@ -276,6 +276,16 @@ output.dir={out}
         ("subcommand=factorize-check\nfactorize.samples=inf,1\n", None),
         ("subcommand=contours\nl.ratio=0\n", None),
         ("subcommand=contours\nl.ratio=nan\n", None),
+        # float keys that used to pass through to nan or negative outputs
+        ("subcommand=contours\nalpha.safety=nan\n", None),
+        ("subcommand=contours\nalpha.safety=-1\n", None),
+        ("subcommand=converge\nK.radius=nan\n", None),
+        ("subcommand=converge\nK.radius=0\n", None),
+        ("subcommand=converge\nK.center.re=inf\n", None),
+        ("subcommand=converge\nK.center.im=nan\n", None),
+        ("subcommand=diagnose\na2.a=nan\n", None),
+        ("subcommand=converge\natoms=nan,0.3,1,0\n", None),
+        ("subcommand=converge\natoms=0,0.3,inf,0\n", None),
     ],
     ids=["delta-nan", "eps-inf", "real-axis-point", "malformed-points-line",
          "K-samples-0", "atoms-halfwidth-negative", "header-without-delta",
@@ -283,7 +293,9 @@ output.dir={out}
          "diag-X-negative", "diag-h-not-dividing-2X", "samples-unparsable",
          "l-count-0", "trials-0", "schedule-decreasing", "schedule-negative",
          "c-grid-3", "side-samples-1", "atoms-duplicate", "samples-on-real-axis", "samples-inf",
-         "l-ratio-0", "l-ratio-nan"],
+         "l-ratio-0", "l-ratio-nan", "alpha-safety-nan", "alpha-safety-negative",
+         "K-radius-nan", "K-radius-0", "K-center-re-inf", "K-center-im-nan", "a2-a-nan",
+         "atom-center-nan", "atom-coefficient-inf"],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, body, points):
     if points is not None:
@@ -341,30 +353,66 @@ def test_converge_computes_G_prime_once_per_step(tmp_path, monkeypatch):
     assert 0 < len(calls) <= 6  # two schemes, three steps each
 
 
-@settings(max_examples=25, deadline=None, derandomize=True)
+def _number(cell):
+    """A CSV cell as a float; None for a text cell (a scheme or condition name)."""
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+_NONFINITE = [float("nan"), float("inf"), -float("inf")]
+# the ranges a run accepts, and edge values for each key (some must be refused)
+_FUZZ_VALID = {
+    "l.count": st.integers(1, 4),
+    "trials": st.integers(1, 3),
+    "c.grid": st.integers(16, 24),
+    "side.samples": st.integers(2, 40),
+    "l.ratio": st.floats(1.0, 6.0),
+    "alpha.safety": st.floats(0.5, 3.0),
+    "K.radius": st.floats(0.5, 4.0),
+    "a2.a": st.floats(-0.5, 0.5),
+    "delta": st.floats(0.1, 1.5),
+    "eps": st.floats(-0.45, 0.45),
+}
+_FUZZ_EDGE = {
+    "l.count": [0, -1],
+    "trials": [0],
+    "c.grid": [3, 15],
+    "side.samples": [0, 1],
+    **{k: _NONFINITE + [-1.0, 0.0, 0.5] for k in
+       ("l.ratio", "alpha.safety", "K.radius", "a2.a", "delta", "eps")},
+}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
 @given(
-    sub=st.sampled_from(["contours", "compare-norms", "weights"]),
+    sub=st.sampled_from(["contours", "compare-norms", "weights", "converge", "diagnose"]),
     count=st.integers(1, 20),
-    keys=st.fixed_dictionaries({}, optional={
-        "l.count": st.integers(0, 4),
-        "trials": st.integers(0, 3),
-        "c.grid": st.integers(12, 24),
-        "side.samples": st.integers(1, 40),
-        "l.ratio": st.one_of(st.floats(0.5, 6.0), st.sampled_from([float("nan"), float("inf")])),
-    }),
+    keys=st.fixed_dictionaries({}, optional=_FUZZ_VALID),
+    # at most one key at an edge value, so that no other key hides it
+    edge=st.one_of(st.none(), st.sampled_from(sorted(_FUZZ_EDGE)).flatmap(
+        lambda k: st.tuples(st.just(k), st.sampled_from(_FUZZ_EDGE[k])))),
 )
-def test_config_fuzz_exit_contract(sub, count, keys):
-    # a key left out keeps its default
+def test_config_fuzz_exit_contract(sub, count, keys, edge):
+    # a key left out keeps its default; an exit 0 writes only finite numbers
+    if edge is not None:
+        keys = {**keys, edge[0]: edge[1]}
     body = "".join(f"{k}={v}\n" for k, v in keys.items())
     with tempfile.TemporaryDirectory() as tmp:
         cfg = write_cfg(
             Path(tmp), "f.cfg",
             f"subcommand={sub}\nfamily=kadec_perturbed\ncount={count}\nscheme=universal\n{body}"
-            f"grid.X=5\ngrid.h=0.1\natoms.halfwidth=3\noutput.dir={tmp}/out\n",
+            f"grid.X=5\ngrid.h=0.1\ndiag.X=5\ndiag.h=0.1\nK.samples=16\natoms.halfwidth=3\n"
+            f"output.dir={tmp}/out\n",
         )
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             code = run(cfg)
+        cells = [c for f in Path(tmp, "out").glob("*.csv") for ln in f.read_text().splitlines()[1:]
+                 for c in ln.split(",")]
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL)
     if code != EXIT_OK:
         assert len(err.getvalue().splitlines()) == 1
+    else:
+        assert all(np.isfinite(v) for v in map(_number, cells) if v is not None), cells

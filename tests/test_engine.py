@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from pwsum.engine import (
 )
 from pwsum.genfun import GeneratingFunctionEvaluator
 from pwsum.grids import grid_template
-from pwsum.spectrum import Spectrum, make_family
+from pwsum.spectrum import Spectrum, block_rows, make_family
 from pwsum.weights import NaiveWeights, ProjectionWeights
 
 
@@ -186,6 +188,57 @@ def test_compactwise_decreases(lattice):
     probe = disk_probe(f, g, radius=3.0)
     errs = [compactwise_error(probe, g, build_lagrange_sum(f, g, naive, j)) for j in range(3)]
     assert errs[2] < errs[0]
+
+
+def _dense_cauchy(grid, g):
+    return 1.0 / (grid.x[:, None] - g.spectrum.points[None, :])
+
+
+def test_sample_sums_match_dense_formula(lattice):
+    # 401 nodes in chunks of block_rows(241) = 67 rows: the last chunk is ragged
+    s, g = lattice
+    grid = grid_template(10.0, 0.05)
+    assert len(grid) % block_rows(len(s)) != 0
+    f = PWFunction([0.3j, 1.5 - 0.2j], [1.0, 0.5 - 0.1j])
+    sums = [build_lagrange_sum(f, g, sc, j)
+            for sc in (NaiveWeights(s, [0.1, 20.0, 121.0]), ProjectionWeights(s, [40.0]))
+            for j in range(len(sc))]
+    ctx = SummationContext(g, grid)
+    C, G = _dense_cauchy(grid, g), g.eval_G_on_grid(grid)
+    for ls, got in zip(sums, ctx.sample_sums(sums)):
+        want = G * (C[:, ls.indices] @ ls.coefficients)
+        assert np.max(np.abs(got.values - want)) <= 1e-12 * max(np.max(np.abs(want)), 1e-300)
+    one = ctx.sample_sum(sums[2]).values
+    assert np.max(np.abs(one - ctx.sample_sums(sums)[2].values)) <= 1e-12 * np.max(np.abs(one))
+
+
+def test_probe_gram_matches_dense_formula(lattice):
+    s, g = lattice
+    grid = grid_template(10.0, 0.05)
+    C = _dense_cauchy(grid, g)
+    D = grid.trapezoid_weights() * np.abs(g.eval_G_on_grid(grid)) ** 2
+    want = C.conj().T @ (D[:, None] * C)
+    got = NormProbe(g, grid, atom_halfwidth=5)._P
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_grid_pass_keeps_no_grid_by_points_matrix():
+    # 8 001 nodes x 201 points: a dense complex Cauchy matrix is 25.7 MB
+    s = make_family("shifted_integers", {"delta": 0.3}, 100)
+    grid = grid_template(40.0, 0.01)
+    dense = len(grid) * len(s) * 16
+    assert dense >= 25e6
+    f = PWFunction([0.3j], [1.0])
+    tracemalloc.start()
+    try:
+        g = GeneratingFunctionEvaluator(s)
+        sums = [build_lagrange_sum(f, g, NaiveWeights(s, [30.0, 101.0]), j) for j in range(2)]
+        SummationContext(g, grid).sample_sums(sums)
+        NormProbe(g, grid, atom_halfwidth=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < dense / 4
 
 
 # -- operator norm probe ------------------------------------------------------

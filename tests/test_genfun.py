@@ -144,6 +144,46 @@ def test_deterministic_bitwise(lattice200):
     assert np.all(a == b)
 
 
+@pytest.fixture(scope="module")
+def lattice400_grid():
+    s = make_family("shifted_integers", {"delta": 0.3}, 400)
+    g = GeneratingFunctionEvaluator(s)
+    grid = grid_template(40.0, 0.02)
+    return s, g, grid, g.eval_G_on_grid(grid)
+
+
+def test_grid_G_matches_sine_form(lattice400_grid):
+    # block log-products on the grid against the closed form of the lattice G
+    _, _, grid, got = lattice400_grid
+    want = sine_type_G(grid.x, 0.3)
+    assert np.max(np.abs(got - want) / np.abs(want)) < 1e-8
+
+
+def test_grid_G_matches_per_factor_log_sum(lattice400_grid):
+    # oracle: one log per factor, summed in the same |lambda|-ascending order
+    s, _, grid, got = lattice400_grid
+    x = grid.x[::10]
+    logs = np.log(1.0 - x[:, None].astype(complex) / s.points[None, :]).sum(axis=1)
+    want = np.exp(logs + _tail_log(s.lattice_tail(), x.astype(complex)))
+    assert np.max(np.abs(got[::10] - want) / np.abs(want)) < 1e-12
+
+
+def test_block_product_overflow_falls_back_per_factor():
+    # 32 points of modulus ~1e-6: at z = 1e15 each factor is ~1e21, so a block
+    # product of 16 overflows and that row takes one log per factor
+    j = np.arange(32)
+    lam = 1e-6 * ((j + 1) + (1.0 + 0.01 * j) * 1j)
+    g = GeneratingFunctionEvaluator(Spectrum(lam))
+    z = np.array([0.5 + 0.2j, 1e15 + 0j])
+    got = g.log_G(z)
+    per_factor = np.log(1.0 - z[:, None] / g.spectrum.points[None, :]).sum(axis=1)
+    assert got[1] == per_factor[1]
+    assert np.isfinite(got[1]) and got[1].real > 700.0  # exp would overflow
+    # the block path keeps log|G|; its Im agrees modulo 2 pi
+    assert abs(got[0].real - per_factor[0].real) < 1e-12 * abs(per_factor[0].real)
+    assert abs(np.exp(1j * (got[0].imag - per_factor[0].imag)) - 1.0) < 1e-12
+
+
 def test_kadec_tail_against_direct_product():
     # oracle: brute-force product over a much larger window
     params = {"delta": 0.4, "eps": 0.2}
