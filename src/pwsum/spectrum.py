@@ -32,8 +32,11 @@ BLOCK_BUDGET = 2**14
 def block_rows(n_cols: int) -> int:
     """Rows per block of a pair kernel with n_cols columns (at least one).
 
-    Every pair kernel reduces along its columns, one row at a time, so the
-    block size cannot change a single bit of its output."""
+    Every pair kernel but the Cauchy sums reduces along its columns, one row
+    at a time, so the block size cannot change a single bit of its output.
+    The Cauchy sums of engine (SummationContext.sample_sums, the NormProbe
+    Gram matrix) multiply whole blocks by BLAS, whose rounding depends on
+    the block shape: they move by ~1e-15 relative."""
     return max(1, BLOCK_BUDGET // max(n_cols, 1))
 
 

@@ -1,4 +1,5 @@
-"""The block size of the (points x spectrum) pair kernels changes no bit."""
+"""The block size of the (points x spectrum) pair kernels changes no bit,
+except in the BLAS-based Cauchy kernels, which stay within a stated tolerance."""
 
 import numpy as np
 import pytest
@@ -7,8 +8,17 @@ from pwsum import spectrum
 from pwsum.blaschke import BlaschkeEvaluator
 from pwsum.contours import select_c
 from pwsum.diagnostics import carleson_sup
+from pwsum.engine import NormProbe, PWFunction, SummationContext, build_lagrange_sum
 from pwsum.genfun import GeneratingFunctionEvaluator, OuterEvaluator
+from pwsum.grids import grid_template
 from pwsum.spectrum import Spectrum, make_family
+from pwsum.weights import ProjectionWeights
+
+# The Cauchy kernels multiply each grid chunk by BLAS: a one-row chunk takes
+# numpy's matrix-vector path, and NormProbe sums its Gram matrix P chunk by
+# chunk, so the block size moves their last bits (measured up to 1.5e-15 of
+# the largest entry).  They are held to this relative tolerance instead.
+_BLAS_KERNELS = {"sample_sums": 1e-13, "NormProbe._P": 1e-13}
 
 
 def _kernel_outputs() -> dict:
@@ -20,6 +30,10 @@ def _kernel_outputs() -> dict:
     x = np.linspace(-40.0, 40.0, 301)
     z = np.concatenate([x + 0.7j, x - 1.3j])
     outer = OuterEvaluator.from_generating(gen, X=50.0, h=0.05)
+    grid = grid_template(10.0, 0.05)
+    f = PWFunction([0.3j, 2.7 - 0.3j], [1.0, 0.5])
+    proj = ProjectionWeights(s, [5.0, 12.0, 31.0])
+    sums = [build_lagrange_sum(f, gen, proj, step) for step in range(len(proj))]
     return {
         "log_abs_G": gen.log_abs_G(x, a=0.4),
         "log_G": gen.log_G(z),
@@ -29,6 +43,8 @@ def _kernel_outputs() -> dict:
         "carleson_sup": np.array([carleson_sup(s)]),
         "eval_outer": outer.eval_outer(x[np.abs(x) <= 25.0] + 1.0j),
         "select_c": np.array(select_c(up, 20.3, samples_per_side=64)),
+        "sample_sums": np.array([g.values for g in SummationContext(gen, grid).sample_sums(sums)]),
+        "NormProbe._P": NormProbe(gen, grid, atom_halfwidth=5)._P,
     }
 
 
@@ -40,7 +56,10 @@ def test_block_size_changes_no_bit(monkeypatch, budget):
         assert spectrum.block_rows(61) == 1
     other = _kernel_outputs()
     for name, ref in default.items():
-        assert np.array_equal(other[name], ref), name
+        if name in _BLAS_KERNELS:
+            assert np.max(np.abs(other[name] - ref)) <= _BLAS_KERNELS[name] * np.max(np.abs(ref)), name
+        else:
+            assert np.array_equal(other[name], ref), name
 
 
 def test_block_rows_rule(monkeypatch):

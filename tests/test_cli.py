@@ -44,8 +44,11 @@ def test_parse_config_defaults(tmp_path):
         "# comment\nsubcommand=diagnose\noutput.dir=o\ncount=12\n",
     )
     parsed = parse_config(cfg)
-    assert parsed["count"] == "12"
+    assert parsed["count"] == 12
     assert parsed["family"] == "shifted_integers"
+    assert parsed["grid.h"] == 0.01 and parsed["scheme"] == ["projection"]
+    assert parsed["schedule"].tolist() == [10.0, 20.0, 30.0, 40.0, 50.0, 51.0]
+    assert parsed["atoms"].centers.tolist() == [0.3j, 2.7 + 0.3j]
     with pytest.raises(ConfigError):
         parse_config(write_cfg(tmp_path, "dup.cfg", "subcommand=diagnose\nsubcommand=weights\noutput.dir=o\n"))
 
@@ -286,6 +289,16 @@ output.dir={out}
         ("subcommand=diagnose\na2.a=nan\n", None),
         ("subcommand=converge\natoms=nan,0.3,1,0\n", None),
         ("subcommand=converge\natoms=0,0.3,inf,0\n", None),
+        ("subcommand=contours\nl.arg_threshold=nan\n", None),
+        ("subcommand=contours\nl.arg_threshold=-1\n", None),
+        ("subcommand=contours\nl.zero_margin=-1\n", None),
+        ("subcommand=compare-norms\nseed=-1\n", None),
+        # values that no subcommand reads still fail their key's parser
+        ("subcommand=converge\nschedule=50,abc\n", None),
+        ("subcommand=diagnose\ndelta=abc\n", None),
+        ("subcommand=diagnose\natoms=garbage\n", None),
+        ("subcommand=diagnose\nfamily=bogus\n", None),
+        ("subcommand=weights\nscheme=naive,bogus\n", None),
     ],
     ids=["delta-nan", "eps-inf", "real-axis-point", "malformed-points-line",
          "K-samples-0", "atoms-halfwidth-negative", "header-without-delta",
@@ -295,7 +308,10 @@ output.dir={out}
          "c-grid-3", "side-samples-1", "atoms-duplicate", "samples-on-real-axis", "samples-inf",
          "l-ratio-0", "l-ratio-nan", "alpha-safety-nan", "alpha-safety-negative",
          "K-radius-nan", "K-radius-0", "K-center-re-inf", "K-center-im-nan", "a2-a-nan",
-         "atom-center-nan", "atom-coefficient-inf"],
+         "atom-center-nan", "atom-coefficient-inf", "l-arg-threshold-nan",
+         "l-arg-threshold-negative", "l-zero-margin-negative", "seed-negative",
+         "schedule-unparsable", "delta-unparsable", "atoms-unparsable", "family-unknown",
+         "scheme-unknown"],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, body, points):
     if points is not None:
@@ -308,6 +324,8 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, body, points):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert err.startswith("config error: ")
+    if points is None:  # caught by parse_config, before the run makes output.dir
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("a", [0.0, 0.15])
@@ -374,6 +392,10 @@ _FUZZ_VALID = {
     "a2.a": st.floats(-0.5, 0.5),
     "delta": st.floats(0.1, 1.5),
     "eps": st.floats(-0.45, 0.45),
+    "K.center.re": st.floats(-3.0, 3.0),
+    "K.center.im": st.floats(-1.0, 1.0),
+    "l.arg_threshold": st.floats(0.5, 2.0),
+    "l.zero_margin": st.floats(0.0, 0.01),
 }
 _FUZZ_EDGE = {
     "l.count": [0, -1],
@@ -381,7 +403,8 @@ _FUZZ_EDGE = {
     "c.grid": [3, 15],
     "side.samples": [0, 1],
     **{k: _NONFINITE + [-1.0, 0.0, 0.5] for k in
-       ("l.ratio", "alpha.safety", "K.radius", "a2.a", "delta", "eps")},
+       ("l.ratio", "alpha.safety", "K.radius", "a2.a", "delta", "eps", "K.center.re",
+        "K.center.im", "l.arg_threshold", "l.zero_margin")},
 }
 
 
