@@ -1,9 +1,10 @@
 """Blaschke products for one half-plane: B, partial products, tail ratios.
 
 B(z) = prod (conj(lam)/lam) (z - lam)/(z - conj(lam)) over the stored
-points.  Lower half-plane evaluators hold the reflected points and act
-through conjugation, so there is a single code path.  The summation
-weight beta_n(lam) = B/B_n is always computed as the tail product over
+points, all in C+.  The lower half-plane is reached by reflection alone:
+upper_lower_evaluators builds the evaluator of the mirror conj(Lambda-),
+and B-(z) = conj(B(conj z)) of that evaluator.  The summation weight
+beta_n(lam) = B/B_n is always computed as the tail product over
 |mu| >= n, never as a 0/0 ratio.
 """
 
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from pwsum.spectrum import Spectrum, block_log_sum, block_rows
+from pwsum.spectrum import Spectrum, block_log_sum, block_rows, split_halfplanes
 
 _POLE_RTOL = 1e-12
 
@@ -47,28 +48,13 @@ class BlaschkeError(ValueError):
 
 
 class BlaschkeEvaluator:
-    """Finite Blaschke product for the points of one half-plane.
+    """Finite Blaschke product for points in C+."""
 
-    orientation="upper": points must lie in C+ and z is used as given.
-    orientation="lower": points must lie in C-; both the points and the
-    evaluation argument are conjugated internally, outputs conjugated back.
-    """
-
-    def __init__(self, spectrum: Spectrum, orientation: str = "upper"):
-        if orientation not in ("upper", "lower"):
-            raise BlaschkeError("orientation must be 'upper' or 'lower'")
-        pts = spectrum.points
-        if orientation == "upper":
-            if np.any(pts.imag <= 0):
-                raise BlaschkeError("upper evaluator requires Im lambda > 0")
-            self._pts = pts
-        else:
-            if np.any(pts.imag >= 0):
-                raise BlaschkeError("lower evaluator requires Im lambda < 0")
-            cpts = np.conj(pts)
-            self._pts = cpts[np.lexsort((np.angle(cpts), np.abs(cpts)))]
+    def __init__(self, spectrum: Spectrum):
+        if np.any(spectrum.points.imag <= 0):
+            raise BlaschkeError("Blaschke evaluator requires Im lambda > 0")
         self.spectrum = spectrum
-        self.orientation = orientation
+        self._pts = spectrum.points
         self._tail = spectrum.lattice_tail()
 
     def __len__(self) -> int:
@@ -76,15 +62,8 @@ class BlaschkeEvaluator:
 
     @property
     def points(self) -> np.ndarray:
-        """Stored points after orientation normalization (always in C+)."""
+        """The zeros, in the spectrum's (|lambda|, arg) order."""
         return self._pts
-
-    def _map_in(self, z):
-        z = np.asarray(z, dtype=complex)
-        return np.conj(z) if self.orientation == "lower" else z
-
-    def _map_out(self, v):
-        return np.conj(v) if self.orientation == "lower" else v
 
     def _select(self, cutoff: float | None) -> np.ndarray:
         if cutoff is None:
@@ -92,10 +71,10 @@ class BlaschkeEvaluator:
         return self._pts[np.abs(self._pts) < cutoff]
 
     def _factor_sum(self, z, cutoff: float | None, modulus: bool) -> np.ndarray:
-        """Per z, the log-factor sum over |lambda| < cutoff in the normalized frame
-        (its real part if modulus), in blocks of block_rows(zeros) points;
-        raises at a pole conj(lambda)."""
-        z_in = np.atleast_1d(self._map_in(z))
+        """Per z, the log-factor sum over |lambda| < cutoff (its real part if
+        modulus), in blocks of block_rows(zeros) points; raises at a pole
+        conj(lambda)."""
+        z_in = np.atleast_1d(np.asarray(z, dtype=complex))
         lam = self._select(cutoff)
         out = np.zeros(z_in.shape, dtype=float if modulus else complex)
         tol2 = (_POLE_RTOL * np.maximum(1.0, np.abs(lam))) ** 2
@@ -115,7 +94,7 @@ class BlaschkeEvaluator:
 
     def eval_B(self, z, cutoff: float | None = None):
         """Product of normalized factors over |lambda| < cutoff, |lambda|-ascending."""
-        res = self._map_out(np.exp(self._factor_sum(z, cutoff, modulus=False)))
+        res = np.exp(self._factor_sum(z, cutoff, modulus=False))
         return res[0] if np.ndim(z) == 0 else res
 
     def log_abs_B(self, z):
@@ -127,7 +106,7 @@ class BlaschkeEvaluator:
         """Tail product prod_{|mu| >= n} factor(z): beta_n(lambda) at a zero
         lambda with |lambda| < n."""
         mu = self._pts[np.abs(self._pts) >= n]
-        res = self._map_out(np.exp(_log_factors(np.atleast_1d(self._map_in(z))[:, None], mu)))
+        res = np.exp(_log_factors(np.atleast_1d(np.asarray(z, dtype=complex))[:, None], mu))
         return res[0] if np.ndim(z) == 0 else res
 
     def eval_B_prime_at(self, k: int, cutoff: float | None = None) -> complex:
@@ -143,9 +122,6 @@ class BlaschkeEvaluator:
         own = (np.conj(lam_k) / lam_k) / (lam_k - np.conj(lam_k))
         rest = lam_all[lam_all != lam_k]
         own *= np.exp(_log_factors(lam_k, rest))
-        if self.orientation == "lower":
-            # value of (B^-)'(conj lam_k) = conj of the reflected derivative
-            own = np.conj(own)
         return complex(own)
 
     def arg_derivative_on_R(self, t):
@@ -179,12 +155,13 @@ class BlaschkeEvaluator:
 
 
 def upper_lower_evaluators(spectrum: Spectrum) -> tuple[BlaschkeEvaluator | None, BlaschkeEvaluator | None]:
-    """Convenience: evaluators for the two half-plane parts (None if empty)."""
-    from pwsum.spectrum import split_halfplanes
+    """Evaluators of Lambda+ and of the mirror conj(Lambda-) (None if empty).
 
+    The only place that reflects: B-(z) = conj(B(conj z)) of the second
+    evaluator.  The mirror carries no family tag, so no lattice tail."""
     up, lo = split_halfplanes(spectrum)
-    b_up = BlaschkeEvaluator(up, "upper") if len(up) else None
-    b_lo = BlaschkeEvaluator(lo, "lower") if len(lo) else None
+    b_up = BlaschkeEvaluator(up) if len(up) else None
+    b_lo = BlaschkeEvaluator(Spectrum(np.conj(lo.points))) if len(lo) else None
     return b_up, b_lo
 
 

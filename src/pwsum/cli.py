@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from pwsum.blaschke import BlaschkeError, BlaschkeEvaluator, upper_lower_evaluators
+from pwsum.blaschke import BlaschkeError, upper_lower_evaluators
 from pwsum.contours import ContourError, build_schedule, save_schedule_csv
 from pwsum.diagnostics import DiagnosticsError, carleson_sup, line_diagnostics, save_report_csv
 from pwsum.engine import (
@@ -35,7 +35,7 @@ from pwsum.engine import (
 )
 from pwsum.genfun import GenFunError, GeneratingFunctionEvaluator, OuterEvaluator, check_factorization
 from pwsum.grids import GridError, grid_template, sample_count
-from pwsum.spectrum import FAMILY_NAMES, Spectrum, SpectrumError, load_spectrum, make_family, split_halfplanes
+from pwsum.spectrum import FAMILY_NAMES, Spectrum, SpectrumError, load_spectrum, make_family
 from pwsum.weights import NaiveWeights, ProjectionWeights, UniversalWeights, WeightError, save_weights_csv
 
 EXIT_OK = 0
@@ -178,14 +178,10 @@ def _build_scheme(name: str, cfg, spectrum):
         return NaiveWeights(spectrum, cfg["schedule"])
     if name == "projection":
         return ProjectionWeights(spectrum, cfg["schedule"])
-    up, lo = split_halfplanes(spectrum)
-    sched_p = sched_m = None
     kw = _schedule_kwargs(cfg)
-    if len(up):
-        sched_p = build_schedule(up, BlaschkeEvaluator(up), **kw)
-    if len(lo):
-        refl = Spectrum(np.conj(lo.points))
-        sched_m = build_schedule(refl, BlaschkeEvaluator(refl), **kw)
+    sched_p, sched_m = [
+        None if b is None else build_schedule(b.spectrum, b, **kw) for b in upper_lower_evaluators(spectrum)
+    ]
     return UniversalWeights(spectrum, sched_p, sched_m)
 
 
@@ -196,6 +192,16 @@ def _schemes(cfg, spectrum) -> list:
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
+
+
+def _output(outdir: Path, name: str) -> Path:
+    """outdir / name, after making outdir.  Subcommands call it when they open
+    their first CSV, so a run that fails before has made no directory."""
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"cannot make output.dir: {e}") from e
+    return outdir / name
 
 
 def _cmd_diagnose(cfg, outdir: Path) -> None:
@@ -210,16 +216,16 @@ def _cmd_diagnose(cfg, outdir: Path) -> None:
         ("intG_pos", X, rep.pos_integral, rep.pos_trend),
         ("intG_neg", X, rep.neg_integral, rep.neg_trend),
     ]
-    save_report_csv(rows, outdir / "report.csv")
+    save_report_csv(rows, _output(outdir, "report.csv"))
 
 
 def _cmd_weights(cfg, outdir: Path) -> None:
     schemes = _schemes(cfg, _build_spectrum(cfg))
     if len(schemes) == 1:
-        save_weights_csv(schemes[0], outdir / "weights.csv")
+        save_weights_csv(schemes[0], _output(outdir, "weights.csv"))
     else:
         for sc in schemes:
-            save_weights_csv(sc, outdir / f"weights_{sc.kind}.csv")
+            save_weights_csv(sc, _output(outdir, f"weights_{sc.kind}.csv"))
 
 
 def _cmd_converge(cfg, outdir: Path) -> None:
@@ -236,7 +242,7 @@ def _cmd_converge(cfg, outdir: Path) -> None:
     f_tail = pw_tail_bound(f, X)
     steps = [(scheme, step) for scheme in _schemes(cfg, s) for step in range(len(scheme))]
     sums = [build_lagrange_sum(f, gen, scheme, step) for scheme, step in steps]
-    with open(outdir / "errors.csv", "w") as fh:
+    with open(_output(outdir, "errors.csv"), "w") as fh:
         fh.write("n,scheme,l2_error,sup_error_K,tail_bound\n")
         for (scheme, step), ls, sn in zip(steps, sums, ctx.sample_sums(sums)):
             rel = l2_error(sn, ref) / ref_norm if ref_norm else np.inf
@@ -253,7 +259,7 @@ def _cmd_compare_norms(cfg, outdir: Path) -> None:
     gen = GeneratingFunctionEvaluator(s)
     grid = grid_template(cfg["grid.X"], cfg["grid.h"])
     probe = NormProbe(gen, grid, atom_halfwidth=cfg["atoms.halfwidth"])
-    with open(outdir / "norms.csv", "w") as fh:
+    with open(_output(outdir, "norms.csv"), "w") as fh:
         fh.write("n,scheme,norm_lower_bound\n")
         for scheme in _schemes(cfg, s):
             for step in range(len(scheme)):
@@ -262,11 +268,11 @@ def _cmd_compare_norms(cfg, outdir: Path) -> None:
 
 
 def _cmd_contours(cfg, outdir: Path) -> None:
-    up, _ = split_halfplanes(_build_spectrum(cfg))
-    if not len(up):
+    b_up, _ = upper_lower_evaluators(_build_spectrum(cfg))
+    if b_up is None:
         raise ConfigError("contours need upper half-plane points")
-    sched = build_schedule(up, BlaschkeEvaluator(up), **_schedule_kwargs(cfg))
-    save_schedule_csv(sched, outdir / "contours.csv")
+    sched = build_schedule(b_up.spectrum, b_up, **_schedule_kwargs(cfg))
+    save_schedule_csv(sched, _output(outdir, "contours.csv"))
 
 
 def _cmd_factorize_check(cfg, outdir: Path) -> None:
@@ -277,7 +283,7 @@ def _cmd_factorize_check(cfg, outdir: Path) -> None:
     rep = check_factorization(gen, outer, b_up, b_lo, cfg["factorize.samples"])
     save_report_csv(
         [("factorization_max_rel_mismatch", cfg["outer.X"], rep.max_mismatch, 1.0)],
-        outdir / "report.csv",
+        _output(outdir, "report.csv"),
     )
 
 
@@ -372,9 +378,7 @@ def run(config_path) -> int:
     output.dir.  Returns the process exit code."""
     try:
         cfg = parse_config(config_path)
-        outdir = Path(cfg["output.dir"])
-        outdir.mkdir(parents=True, exist_ok=True)
-        _COMMANDS[cfg["subcommand"]](cfg, outdir)
+        _COMMANDS[cfg["subcommand"]](cfg, Path(cfg["output.dir"]))
     except (ConfigError, SpectrumError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

@@ -85,12 +85,10 @@ def lambda_inside(s: Spectrum, t: TriangleContour) -> np.ndarray:
 def select_l(
     b: BlaschkeEvaluator,
     candidates: np.ndarray,
-    count: int,
-    ratio: float = 2.0,
     arg_threshold: float = 1.0,
     zero_margin: float = 1e-3,
-) -> np.ndarray:
-    """Increasing half-widths l_1 < ... < l_count with l_{j+1} >= ratio*l_j.
+) -> float:
+    """One half-width l from the candidates.
 
     A candidate within zero_margin of some zero's real part is excluded.
     Among the remaining ones, candidates with
@@ -108,27 +106,13 @@ def select_l(
     if not cand.size:
         raise InfeasibleSelection("no candidates clear of the zeros' real parts")
     score = np.maximum(b.arg_derivative_on_R(cand), b.arg_derivative_on_R(-cand))
-
-    out: list[float] = []
-    lo = 0.0
-    for _ in range(count):
-        mask = cand >= (lo * ratio if out else 0.0)
-        if not np.any(mask):
-            raise InfeasibleSelection("not enough admissible candidates for the spacing")
-        c_ok = cand[mask]
-        s_ok = score[mask]
-        meets = s_ok <= arg_threshold
-        if np.any(meets):
-            pick = int(np.argmax(meets))  # first (smallest l) meeting the threshold
-        else:
-            # smallest l among the near-minimal scores; 0.1% relative slack
-            # treats window-edge jitter between equivalent positions as ties
-            smin = float(np.min(s_ok))
-            near = s_ok <= smin * (1.0 + 1e-3) + 1e-12
-            pick = int(np.argmax(near))
-        out.append(float(c_ok[pick]))
-        lo = out[-1]
-    return np.array(out)
+    meets = score <= arg_threshold
+    if np.any(meets):
+        return float(cand[np.argmax(meets)])  # first (smallest l) meeting the threshold
+    # smallest l among the near-minimal scores; 0.1% relative slack treats
+    # window-edge jitter between equivalent positions as ties
+    near = score <= float(np.min(score)) * (1.0 + 1e-3) + 1e-12
+    return float(cand[np.argmax(near)])
 
 
 def _hits_zero(zeta: np.ndarray, zeros: np.ndarray) -> bool:
@@ -228,22 +212,14 @@ def build_schedule(
     The half-widths are picked top-down in geometric bands: the last one
     just past the window radius (so the final contour covers the whole
     stored spectrum and the weights can reach 1 there), each earlier one
-    inside [l_next/(ratio*1.6), l_next/ratio], score-optimized per band
-    through the same rule as select_l.
+    inside [l_next/(ratio*1.6), l_next/ratio], one select_l pick per band.
     """
     top = 1.02 * spectrum.radius if len(spectrum) else 100.0
+    band = np.linspace(top, 1.05 * top, 400)
     ls_rev = []
-    hi = None
-    for j in range(count):
-        if j == 0:
-            band = np.linspace(top, 1.05 * top, 400)
-        else:
-            band = np.linspace(hi / (ratio * 1.6), hi / ratio, 400)
-        pick = select_l(
-            b, band, 1, ratio=ratio, arg_threshold=arg_threshold, zero_margin=zero_margin
-        )[0]
-        ls_rev.append(pick)
-        hi = pick
+    for _ in range(count):
+        ls_rev.append(select_l(b, band, arg_threshold, zero_margin))
+        band = np.linspace(ls_rev[-1] / (ratio * 1.6), ls_rev[-1] / ratio, 400)
     ls = np.array(ls_rev[::-1])
     if np.any(np.diff(ls) <= 0) or np.any(ls[1:] < ratio * ls[:-1] - 1e-9):
         raise InfeasibleSelection("banded half-width selection failed to space out")

@@ -6,7 +6,8 @@ window is completed by an analytic tail: beyond the window the family
 formula pairs points symmetrically, (1 - z/(c+q))(1 - z/(c-q)) =
 (q^2 - (c-z)^2)/(q^2 - c^2), and the product of those pairs over a
 sublattice is a ratio of Gamma functions, evaluated through log-Gamma.
-Custom point lists carry an uncontrolled-tail warning instead.
+Custom point lists are taken as the whole zero set: G is the finite
+product over the stored points, with no tail.
 
 The outer factor is recovered from |G| on the line by the Schwarz-Poisson
 integral; only its modulus is contractual (the unimodular constant is
@@ -63,7 +64,7 @@ def _tail_log(tail: LatticeTail, z: np.ndarray) -> np.ndarray:
 
 
 class GeneratingFunctionEvaluator:
-    """G and G' from the stored window, radius-truncated, tail-corrected.
+    """G and G' from the stored window, tail-corrected.
 
     Standing assumption (documented, not checked numerically): the full G
     is of exponential type pi in both half-planes when the spectrum is an
@@ -71,22 +72,12 @@ class GeneratingFunctionEvaluator:
     entire of exponential type 0, recorded in `exp_type`.
     """
 
-    def __init__(
-        self,
-        spectrum: Spectrum,
-        radius: float = math.inf,
-        normalization: complex = 1.0 + 0j,
-    ):
+    def __init__(self, spectrum: Spectrum, normalization: complex = 1.0 + 0j):
         if normalization == 0:
             raise GenFunError("normalization G(0) must be nonzero")
         self.spectrum = spectrum
-        self.radius = float(radius)
         self.normalization = complex(normalization)
         self._tail = spectrum.lattice_tail()
-        stop = int(np.searchsorted(spectrum.moduli, self.radius, side="left"))
-        self._lam_in = spectrum.points[:stop]
-        self._lam_out = spectrum.points[stop:]
-        self.tail_warning = self._tail is None and self._lam_out.size > 0
         self.exp_type = math.pi if self._tail is not None else 0.0
         self._prime = np.full(len(spectrum), np.nan, dtype=complex)  # G' memo; nan = unknown
         self._grid_cache: dict[tuple, np.ndarray] = {}
@@ -94,11 +85,11 @@ class GeneratingFunctionEvaluator:
     # -- internals ---------------------------------------------------------
 
     # Both window kernels run over blocks of block_rows(zeros) points.
-    def _window_log(self, z: np.ndarray, lam: np.ndarray, skip: np.ndarray | None = None) -> np.ndarray:
-        """sum of log(1 - z/lambda) over lam per point of z, one log per block of
-        factors (Im modulo 2 pi).  With skip, point i leaves out the factor of
-        column skip[i] (none when skip[i] is outside lam), through an exact
-        factor 1 in that column."""
+    def _window_log(self, z: np.ndarray, skip: np.ndarray | None = None) -> np.ndarray:
+        """sum of log(1 - z/lambda) over the stored points per point of z, one
+        log per block of factors (Im modulo 2 pi).  With skip, point i leaves
+        out the factor of spectrum index skip[i], through an exact factor 1."""
+        lam = self.spectrum.points
         out = np.zeros(z.shape, dtype=complex)
         if not lam.size:
             return out
@@ -112,23 +103,23 @@ class GeneratingFunctionEvaluator:
             factor = zc / lam
             np.subtract(1.0, factor, out=factor)
             if skip is not None:
-                cols = skip[i : i + step]
-                rows = np.flatnonzero((cols >= 0) & (cols < lam.size))
-                factor[rows, cols[rows]] = 1.0
-                bad[rows, cols[rows]] = False
+                rows, cols = np.arange(zc.shape[0]), skip[i : i + step]
+                factor[rows, cols] = 1.0
+                bad[rows, cols] = False
             if np.any(bad):
                 zi = np.argwhere(bad)[0][0]
                 raise CollisionError(f"z={zc[zi, 0]} collides with a spectrum point")
             out[i : i + step] = block_log_sum(factor)
         return out
 
-    def _window_log_abs(self, x: np.ndarray, a: float, lam: np.ndarray) -> np.ndarray:
-        """sum of log|1 - (x+ia)/lambda| using real arithmetic only."""
+    def _window_log_abs(self, x: np.ndarray, a: float) -> np.ndarray:
+        """sum of log|1 - (x+ia)/lambda| over the stored points, in real arithmetic only."""
+        lam = self.spectrum.points
         out = np.zeros(x.shape)
         if not lam.size:
             return out
         lre, lim = lam.real, lam.imag
-        l2 = lre * lre + lim * lim
+        log_l2 = np.log(lre * lre + lim * lim)
         tol2 = (_COLLISION_RTOL * np.maximum(1.0, np.abs(lam))) ** 2
         step = block_rows(lam.size)
         for i in range(0, x.size, step):
@@ -136,20 +127,16 @@ class GeneratingFunctionEvaluator:
             d2 = (xc - lre[None, :]) ** 2 + (a - lim[None, :]) ** 2
             if np.any(d2 <= tol2[None, :]):
                 raise CollisionError("line sample collides with a spectrum point")
-            out[i : i + step] = 0.5 * (np.log(d2) - np.log(l2)[None, :]).sum(axis=1)
+            out[i : i + step] = 0.5 * (np.log(d2) - log_l2).sum(axis=1)
         return out
 
     def _log_G(self, z: np.ndarray, skip: np.ndarray | None = None) -> np.ndarray:
         """log of the product; with skip, point i leaves out the linear factor
         of spectrum index skip[i]."""
         out = np.full(z.shape, np.log(self.normalization), dtype=complex)
-        out += self._window_log(z, self._lam_in, skip)
+        out += self._window_log(z, skip)
         if self._tail is None:
             return out
-        # stored points beyond the truncation radius belong to the family
-        # formula; their factors are part of the tail correction
-        if self._lam_out.size:
-            out += self._window_log(z, self._lam_out, None if skip is None else skip - self._lam_in.size)
         return out + _tail_log(self._tail, z)
 
     # -- public API ----------------------------------------------------------
@@ -169,9 +156,8 @@ class GeneratingFunctionEvaluator:
         """log|G(x + i a)| on real x (vectorized, real arithmetic in the window)."""
         x_arr = np.atleast_1d(np.asarray(x, dtype=float))
         out = np.full(x_arr.shape, np.log(abs(self.normalization)))
-        out += self._window_log_abs(x_arr, a, self._lam_in)
+        out += self._window_log_abs(x_arr, a)
         if self._tail is not None:
-            out += self._window_log_abs(x_arr, a, self._lam_out)
             out += _tail_log(self._tail, x_arr + 1j * a).real
         return out[0] if np.isscalar(x) or np.asarray(x).ndim == 0 else out
 
@@ -184,8 +170,6 @@ class GeneratingFunctionEvaluator:
         ks = np.asarray(k)
         if np.any((ks < 0) | (ks >= len(self.spectrum))):
             raise GenFunError("invalid spectrum index")
-        if self._tail is None and np.any(ks >= self._lam_in.size):
-            raise GenFunError("point excluded by the truncation radius; no tail model")
         todo = np.unique(ks[np.isnan(self._prime[ks])])
         if todo.size:
             lam = self.spectrum.points[todo]
@@ -201,14 +185,10 @@ class GeneratingFunctionEvaluator:
         return vals
 
     def tail_uncertainty(self, z) -> np.ndarray:
-        """Upper estimate for the relative error left by the tail handling."""
-        z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
-        if self._tail is not None:
-            return self._tail.slope_slack * np.abs(z_arr)
-        if not self._lam_out.size:
-            return np.zeros(z_arr.shape)
-        w = np.abs(z_arr[:, None] / self._lam_out[None, :])
-        return (w + w**2).sum(axis=1)
+        """Upper estimate for the relative error left by the tail model:
+        slope_slack |z|, and 0 without one."""
+        slack = self._tail.slope_slack if self._tail is not None else 0.0
+        return slack * np.abs(np.atleast_1d(np.asarray(z, dtype=complex)))
 
 
 # ---------------------------------------------------------------------------
@@ -318,9 +298,12 @@ def check_factorization(
     """Compare |G| against |omega B+ e^{-i tau z}| (upper) and
     |omega# B- e^{+i tau z}| (lower) at the sample points.
 
-    tau is the evaluator's exponential type (pi for lattice-type tails,
-    0 for finite windows).  b_plus / b_minus may be None when the matching
-    half-plane holds no spectrum points (their product is then 1).
+    b_plus and b_minus are the evaluators of upper_lower_evaluators: Lambda+
+    and the mirror conj(Lambda-), or None when that half-plane holds no
+    spectrum points (their product is then 1).  A lower z is read through
+    w = conj z: |omega#(z)| = |omega(w)|, |B-(z)| = |B_mirror(w)| and
+    |e^{i tau z}| = |e^{-i tau w}|.  tau is the evaluator's exponential type
+    (pi for lattice-type tails, 0 for finite windows).
     """
     pts = np.asarray(sample_points, dtype=complex).ravel()
     if np.any(pts.imag == 0):
@@ -329,13 +312,8 @@ def check_factorization(
     mism = np.empty(pts.size)
     for i, z in enumerate(pts):
         lhs = abs(gen.eval_G(z))
-        if z.imag > 0:
-            mod = abs(outer.eval_outer(z))
-            bmod = math.exp(b_plus.log_abs_B(z)) if b_plus is not None else 1.0
-            rhs = mod * bmod * abs(np.exp(-1j * tau * z))
-        else:
-            mod = abs(outer.eval_outer(np.conj(z)))  # |omega#(z)| = |omega(conj z)|
-            bmod = math.exp(b_minus.log_abs_B(z)) if b_minus is not None else 1.0
-            rhs = mod * bmod * abs(np.exp(1j * tau * z))
+        b, w = (b_plus, z) if z.imag > 0 else (b_minus, np.conj(z))
+        bmod = math.exp(b.log_abs_B(w)) if b is not None else 1.0
+        rhs = abs(outer.eval_outer(w)) * bmod * abs(np.exp(-1j * tau * w))
         mism[i] = abs(lhs - rhs) / max(lhs, 1e-300)
     return FactorizationReport(points=pts, mismatches=mism)

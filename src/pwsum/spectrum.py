@@ -4,7 +4,7 @@ A spectrum is a finite window of a (conceptually infinite) set of
 non-real frequencies.  Built-in families describe the points beyond the
 window through `Spectrum.lattice_tail`, from which the product, Blaschke
 and Carleson evaluators derive their analytic tails; custom point lists
-have no descriptor and get an uncontrolled-tail flag instead.
+have no descriptor and are taken as the whole zero set.
 """
 
 from __future__ import annotations

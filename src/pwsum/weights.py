@@ -129,10 +129,12 @@ class ProjectionWeights(_RadiusSchedule):
         ks = self.kept(step)
         lam = self.spectrum.points[ks]
         w = np.empty(ks.size, dtype=complex)
+        n = self.radii[step]
         up = lam.imag > 0
-        for b, half in ((self.b_plus, up), (self.b_minus, ~up)):
-            if np.any(half):
-                w[half] = b.tail_factor(lam[half], self.radii[step])
+        if np.any(up):
+            w[up] = self.b_plus.tail_factor(lam[up], n)
+        if not np.all(up):  # beta_n^-(lambda) = conj(beta_n of the mirror at conj lambda)
+            w[~up] = np.conj(self.b_minus.tail_factor(np.conj(lam[~up]), n))
         return WeightRow(ks, w)
 
 

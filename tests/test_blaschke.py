@@ -84,14 +84,17 @@ def _oracle_points(lam):
     return np.concatenate([near, far, [0.3 + 0.2j, -5.1 + 2.5j]])
 
 
-@pytest.mark.parametrize("orientation", ["upper", "lower"])
-def test_log_abs_B_matches_mpmath(orientation):
+@pytest.mark.parametrize("half", ["upper", "lower"])
+def test_log_abs_B_matches_mpmath(half):
+    # lower: the oracle sums over the original points in C-; the evaluator
+    # is their mirror, read at conj z (|B-(z)| = |B_mirror(conj z)|)
     s = make_family("kadec_perturbed", {"delta": 0.3, "eps": 0.2}, 40)
-    if orientation == "lower":
+    if half == "lower":
         s = Spectrum(np.conj(s.points))
-    b = BlaschkeEvaluator(s, orientation=orientation)
+    b_up, b_lo = upper_lower_evaluators(s)
+    b, flip = (b_up, np.asarray) if half == "upper" else (b_lo, np.conj)
     zs = _oracle_points(s.points)
-    got = b.log_abs_B(zs)
+    got = b.log_abs_B(flip(zs))
     want = np.array([_mp_log_abs_B(z, s.points) for z in zs])
     np.testing.assert_allclose(got, want, rtol=0, atol=LOG_ABS_ATOL)
     assert isinstance(b.log_abs_B(zs[0]), float)
@@ -106,10 +109,12 @@ def test_log_abs_B_zero_and_pole():
     assert b.log_abs_B(lam) == -np.inf
     with pytest.raises(BlaschkeError):
         b.log_abs_B(np.conj(lam))
-    lo = BlaschkeEvaluator(Spectrum(np.conj(s.points)), orientation="lower")
-    assert lo.log_abs_B(np.conj(lam)) == -np.inf
+    # B- of the lower spectrum conj(Lambda), read at z through the mirror at conj z
+    _, lo = upper_lower_evaluators(Spectrum(np.conj(s.points)))
+    zero, pole = np.conj(lam), lam
+    assert lo.log_abs_B(np.conj(zero)) == -np.inf
     with pytest.raises(BlaschkeError):
-        lo.log_abs_B(lam)
+        lo.log_abs_B(np.conj(pole))
 
 
 def test_eval_B_zero_inside_a_block():
@@ -170,12 +175,14 @@ def test_cutoff_tail_consistency():
 
 def test_lower_halfplane_conjugation():
     pts = np.array([-1j, 2 - 0.5j])
-    s = Spectrum(pts)
-    b = BlaschkeEvaluator(s, orientation="lower")
+    b_up, b = upper_lower_evaluators(Spectrum(pts))
     z = 0.4 - 0.8j
     direct = np.prod([(np.conj(l) / l) * (z - l) / (z - np.conj(l)) for l in pts])
-    assert b.eval_B(z) == pytest.approx(direct, rel=1e-12)
+    assert b_up is None
+    assert np.conj(b.eval_B(np.conj(z))) == pytest.approx(direct, rel=1e-12)
     assert np.all(b.points.imag > 0)
+    with pytest.raises(BlaschkeError):
+        BlaschkeEvaluator(Spectrum(pts))  # one evaluator, points in C+ only
 
 
 def test_B_prime_at_zero():

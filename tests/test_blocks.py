@@ -11,7 +11,7 @@ from pwsum.diagnostics import carleson_sup
 from pwsum.engine import NormProbe, PWFunction, SummationContext, build_lagrange_sum
 from pwsum.genfun import GeneratingFunctionEvaluator, OuterEvaluator
 from pwsum.grids import grid_template
-from pwsum.spectrum import Spectrum, make_family
+from pwsum.spectrum import make_family
 from pwsum.weights import ProjectionWeights
 
 # The Cauchy kernels multiply each grid chunk by BLAS: a one-row chunk takes
@@ -23,10 +23,8 @@ _BLAS_KERNELS = {"sample_sums": 1e-13, "NormProbe._P": 1e-13}
 
 def _kernel_outputs() -> dict:
     s = make_family("kadec_perturbed", {"delta": 0.3, "eps": 0.2}, 30)  # 61 points
-    # a radius inside the window puts points on both sides of the truncation
-    gen = GeneratingFunctionEvaluator(s, radius=20.0)
+    gen = GeneratingFunctionEvaluator(s)
     up = BlaschkeEvaluator(s)
-    lo = BlaschkeEvaluator(Spectrum(np.conj(s.points)), "lower")
     x = np.linspace(-40.0, 40.0, 301)
     z = np.concatenate([x + 0.7j, x - 1.3j])
     outer = OuterEvaluator.from_generating(gen, X=50.0, h=0.05)
@@ -37,8 +35,8 @@ def _kernel_outputs() -> dict:
     return {
         "log_abs_G": gen.log_abs_G(x, a=0.4),
         "log_G": gen.log_G(z),
-        "log_abs_B": np.concatenate([up.log_abs_B(z), lo.log_abs_B(z)]),
-        "eval_B": np.concatenate([up.eval_B(z), up.eval_B(z, cutoff=12.0), lo.eval_B(z)]),
+        "log_abs_B": up.log_abs_B(z),
+        "eval_B": np.concatenate([up.eval_B(z), up.eval_B(z, cutoff=12.0)]),
         "arg_derivative_on_R": up.arg_derivative_on_R(x),
         "carleson_sup": np.array([carleson_sup(s)]),
         "eval_outer": outer.eval_outer(x[np.abs(x) <= 25.0] + 1.0j),

@@ -13,6 +13,7 @@ from pwsum.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main, parse_config, 
 from pwsum.cli import ConfigError
 from pwsum.diagnostics import a2_estimate, intG_check
 from pwsum.genfun import GeneratingFunctionEvaluator
+from pwsum.spectrum import Spectrum, save_spectrum
 
 
 def write_cfg(tmp_path, name, text):
@@ -153,6 +154,50 @@ output.dir={out}
     assert len(lines) > 21
 
 
+def test_weights_both_half_planes(tmp_path):
+    # the lower half-plane goes through the mirror conj(Lambda-) in every
+    # scheme; a symmetric point set makes the two universal schedules equal
+    up = np.array([0.5 + 1.0j, -1.5 + 0.7j, 3.1 + 0.4j, -2.5 + 0.6j, 1.2 + 0.3j])
+    s = Spectrum(np.concatenate([up, np.conj(up)]))
+    save_spectrum(s, tmp_path / "pts.txt")
+    pts = s.points
+    out = tmp_path / "out"
+    cfg = write_cfg(
+        tmp_path,
+        "w.cfg",
+        f"""subcommand=weights
+family=custom_list
+count={pts.size}
+points.file={tmp_path / "pts.txt"}
+scheme=naive,projection,universal
+schedule=1,2.5,6
+l.count=3
+output.dir={out}
+""",
+    )
+    assert run(cfg) == EXIT_OK
+    rows = {}  # scheme -> (step label, k, w) columns
+    for kind in ("naive", "projection", "universal"):
+        n, k, _, _, w_re, w_im = np.loadtxt(out / f"weights_{kind}.csv", delimiter=",", skiprows=1).T
+        rows[kind] = n, k.astype(int), w_re + 1j * w_im
+        assert np.all(np.abs(rows[kind][2]) <= 1.0 + 1e-12)
+    n, k, w = rows["projection"]
+    lower = pts[k].imag < 0
+    assert np.any(lower)
+    for label, kk, wk in zip(n[lower], k[lower], w[lower]):
+        lam = pts[kk]
+        mu = pts[(pts.imag < 0) & (np.abs(pts) >= label)]
+        direct = np.prod((np.conj(mu) / mu) * (lam - mu) / (lam - np.conj(mu)))
+        assert wk == pytest.approx(direct, rel=1e-12)
+    n, k, w = rows["universal"]
+    got = {(label, kk): wk for label, kk, wk in zip(n, k, w)}
+    mirror = [int(np.flatnonzero(pts == np.conj(lam))[0]) for lam in pts]
+    assert any(pts[kk].imag < 0 for _, kk in got)
+    for (label, kk), wk in got.items():
+        if pts[kk].imag < 0:
+            assert wk == np.conj(got[label, mirror[kk]])
+
+
 def test_compare_norms_and_determinism(tmp_path):
     out1 = tmp_path / "o1"
     out2 = tmp_path / "o2"
@@ -245,60 +290,64 @@ output.dir={out}
 
 
 @pytest.mark.parametrize(
-    "body, points",
+    "body, files",
     [
-        ("subcommand=diagnose\ndelta=nan\n", None),
-        ("subcommand=weights\nfamily=kadec_perturbed\neps=inf\n", None),
-        ("subcommand=diagnose\nfamily=custom_list\n", "0.5 1.0\n2.0 0.0\n"),
-        ("subcommand=diagnose\nfamily=custom_list\n", "0.5 1.0\n2.0\n"),
-        ("subcommand=converge\nK.samples=0\n", None),
-        ("subcommand=compare-norms\natoms.halfwidth=-3\n", None),
+        ("subcommand=diagnose\ndelta=nan\n", {}),
+        ("subcommand=weights\nfamily=kadec_perturbed\neps=inf\n", {}),
+        ("subcommand=diagnose\nfamily=custom_list\n", {"pts.txt": "0.5 1.0\n2.0 0.0\n"}),
+        ("subcommand=diagnose\nfamily=custom_list\n", {"pts.txt": "0.5 1.0\n2.0\n"}),
+        ("subcommand=converge\nK.samples=0\n", {}),
+        ("subcommand=compare-norms\natoms.halfwidth=-3\n", {}),
         # lattice headers the tail cannot be built from: a missing key, a
         # window too small to infer count >= 1
         ("subcommand=diagnose\nfamily=custom_list\n",
-         "# family=shifted_integers\n0.5 1.0\n1.5 1.0\n2.5 1.0\n"),
+         {"pts.txt": "# family=shifted_integers\n0.5 1.0\n1.5 1.0\n2.5 1.0\n"}),
         ("subcommand=diagnose\nfamily=custom_list\n",
-         "# family=clustered_pairs delta=1.0 eps=0.5\n0.0 1.0\n1.0 1.0\n1.5 1.0\n"),
+         {"pts.txt": "# family=clustered_pairs delta=1.0 eps=0.5\n0.0 1.0\n1.0 1.0\n1.5 1.0\n"}),
         # grid pairs need finite, positive X and h with 2X/h integral
-        ("subcommand=converge\ngrid.h=0\n", None),
-        ("subcommand=converge\ngrid.X=-5\n", None),
-        ("subcommand=diagnose\ndiag.h=0\n", None),
-        ("subcommand=diagnose\ndiag.X=-4\n", None),
-        ("subcommand=diagnose\ndiag.h=0.03\ndiag.X=40\n", None),
-        ("subcommand=factorize-check\nfactorize.samples=a,b\n", None),
+        ("subcommand=converge\ngrid.h=0\n", {}),
+        ("subcommand=converge\ngrid.X=-5\n", {}),
+        ("subcommand=diagnose\ndiag.h=0\n", {}),
+        ("subcommand=diagnose\ndiag.X=-4\n", {}),
+        ("subcommand=diagnose\ndiag.h=0.03\ndiag.X=40\n", {}),
+        ("subcommand=factorize-check\nfactorize.samples=a,b\n", {}),
         # no contour, no trial: nothing meaningful to write
-        ("subcommand=contours\nl.count=0\n", None),
-        ("subcommand=compare-norms\ntrials=0\n", None),
+        ("subcommand=contours\nl.count=0\n", {}),
+        ("subcommand=compare-norms\ntrials=0\n", {}),
         # config mistakes, caught before the numerical layers run
-        ("subcommand=weights\nscheme=naive\nschedule=3,2\n", None),
-        ("subcommand=weights\nscheme=naive\nschedule=-1,2\n", None),
-        ("subcommand=contours\nc.grid=3\n", None),
-        ("subcommand=contours\nside.samples=1\n", None),
-        ("subcommand=converge\natoms=0,0.3,1,0;0,0.3,2,0\n", None),
-        ("subcommand=factorize-check\nfactorize.samples=1,0\n", None),
-        ("subcommand=factorize-check\nfactorize.samples=inf,1\n", None),
-        ("subcommand=contours\nl.ratio=0\n", None),
-        ("subcommand=contours\nl.ratio=nan\n", None),
+        ("subcommand=weights\nscheme=naive\nschedule=3,2\n", {}),
+        ("subcommand=weights\nscheme=naive\nschedule=-1,2\n", {}),
+        ("subcommand=contours\nc.grid=3\n", {}),
+        ("subcommand=contours\nside.samples=1\n", {}),
+        ("subcommand=converge\natoms=0,0.3,1,0;0,0.3,2,0\n", {}),
+        ("subcommand=factorize-check\nfactorize.samples=1,0\n", {}),
+        ("subcommand=factorize-check\nfactorize.samples=inf,1\n", {}),
+        ("subcommand=contours\nl.ratio=0\n", {}),
+        ("subcommand=contours\nl.ratio=nan\n", {}),
         # float keys that used to pass through to nan or negative outputs
-        ("subcommand=contours\nalpha.safety=nan\n", None),
-        ("subcommand=contours\nalpha.safety=-1\n", None),
-        ("subcommand=converge\nK.radius=nan\n", None),
-        ("subcommand=converge\nK.radius=0\n", None),
-        ("subcommand=converge\nK.center.re=inf\n", None),
-        ("subcommand=converge\nK.center.im=nan\n", None),
-        ("subcommand=diagnose\na2.a=nan\n", None),
-        ("subcommand=converge\natoms=nan,0.3,1,0\n", None),
-        ("subcommand=converge\natoms=0,0.3,inf,0\n", None),
-        ("subcommand=contours\nl.arg_threshold=nan\n", None),
-        ("subcommand=contours\nl.arg_threshold=-1\n", None),
-        ("subcommand=contours\nl.zero_margin=-1\n", None),
-        ("subcommand=compare-norms\nseed=-1\n", None),
+        ("subcommand=contours\nalpha.safety=nan\n", {}),
+        ("subcommand=contours\nalpha.safety=-1\n", {}),
+        ("subcommand=converge\nK.radius=nan\n", {}),
+        ("subcommand=converge\nK.radius=0\n", {}),
+        ("subcommand=converge\nK.center.re=inf\n", {}),
+        ("subcommand=converge\nK.center.im=nan\n", {}),
+        ("subcommand=diagnose\na2.a=nan\n", {}),
+        ("subcommand=converge\natoms=nan,0.3,1,0\n", {}),
+        ("subcommand=converge\natoms=0,0.3,inf,0\n", {}),
+        ("subcommand=contours\nl.arg_threshold=nan\n", {}),
+        ("subcommand=contours\nl.arg_threshold=-1\n", {}),
+        ("subcommand=contours\nl.zero_margin=-1\n", {}),
+        ("subcommand=compare-norms\nseed=-1\n", {}),
         # values that no subcommand reads still fail their key's parser
-        ("subcommand=converge\nschedule=50,abc\n", None),
-        ("subcommand=diagnose\ndelta=abc\n", None),
-        ("subcommand=diagnose\natoms=garbage\n", None),
-        ("subcommand=diagnose\nfamily=bogus\n", None),
-        ("subcommand=weights\nscheme=naive,bogus\n", None),
+        ("subcommand=converge\nschedule=50,abc\n", {}),
+        ("subcommand=diagnose\ndelta=abc\n", {}),
+        ("subcommand=diagnose\natoms=garbage\n", {}),
+        ("subcommand=diagnose\nfamily=bogus\n", {}),
+        ("subcommand=weights\nscheme=naive,bogus\n", {}),
+        # family-level and output errors, found when the run builds the
+        # spectrum or opens its first CSV
+        ("subcommand=diagnose\ncount=0\n", {}),
+        ("subcommand=diagnose\n", {"out": "a file, not a directory\n"}),
     ],
     ids=["delta-nan", "eps-inf", "real-axis-point", "malformed-points-line",
          "K-samples-0", "atoms-halfwidth-negative", "header-without-delta",
@@ -311,21 +360,27 @@ output.dir={out}
          "atom-center-nan", "atom-coefficient-inf", "l-arg-threshold-nan",
          "l-arg-threshold-negative", "l-zero-margin-negative", "seed-negative",
          "schedule-unparsable", "delta-unparsable", "atoms-unparsable", "family-unknown",
-         "scheme-unknown"],
+         "scheme-unknown", "count-zero", "output-dir-is-a-file"],
 )
-def test_bad_input_exits_2_with_one_line(tmp_path, capsys, body, points):
-    if points is not None:
-        (tmp_path / "pts.txt").write_text(points)
+def test_bad_input_exits_2_with_one_line(tmp_path, capsys, body, files):
+    for name, text in files.items():  # a points file, or a file where output.dir points
+        (tmp_path / name).write_text(text)
+    if "pts.txt" in files:
         body += f"points.file={tmp_path / 'pts.txt'}\n"
-    cfg = write_cfg(tmp_path, "bad.cfg", body + f"count=5\noutput.dir={tmp_path / 'out'}\n")
+    if "\ncount=" not in body:
+        body += "count=5\n"
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, "bad.cfg", body + f"output.dir={out}\n")
     with pytest.raises(SystemExit) as exc:
         main([str(cfg)])  # an uncaught exception (a traceback) fails the test
     assert exc.value.code == EXIT_CONFIG
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert err.startswith("config error: ")
-    if points is None:  # caught by parse_config, before the run makes output.dir
-        assert not (tmp_path / "out").exists()
+    if "out" in files:
+        assert out.read_text() == files["out"]
+    else:  # no run that fails makes output.dir
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("a", [0.0, 0.15])

@@ -105,12 +105,16 @@ def test_prime_vs_central_difference():
 
 @pytest.mark.parametrize("radius", [20.0, np.inf])
 def test_prime_index_array_matches_scalar_and_mpmath(radius):
-    # radius 20 puts own factors both inside the truncation radius and among
-    # the stored points the tail correction carries
+    # radius 20 memoizes G' at the points of modulus >= 20 first, so the full
+    # array call mixes memoized and fresh entries; radius inf memoizes none
     s = make_family("kadec_perturbed", {"delta": 0.3, "eps": 0.2}, 30)
     ks = np.arange(len(s))
-    got = GeneratingFunctionEvaluator(s, radius=radius).eval_G_prime_at_lambda(ks)
-    fresh = GeneratingFunctionEvaluator(s, radius=radius)
+    g = GeneratingFunctionEvaluator(s)
+    outer = ks[s.moduli >= radius]
+    assert (outer.size > 0) == np.isfinite(radius)
+    g.eval_G_prime_at_lambda(outer)
+    got = g.eval_G_prime_at_lambda(ks)
+    fresh = GeneratingFunctionEvaluator(s)
     scalar = np.array([fresh.eval_G_prime_at_lambda(int(k)) for k in ks])
     assert np.max(np.abs(got - scalar) / np.abs(scalar)) < 1e-12
     # oracle: -1/lambda_k times the product over every other stored point at
@@ -238,7 +242,8 @@ def test_clustered_tail_uncertainty_reported():
     g = GeneratingFunctionEvaluator(s)
     unc = g.tail_uncertainty(np.array([10.0 + 0j]))
     assert 0 < unc[0] < 1e-1
-    assert not g.tail_warning
+    # a custom list is the whole zero set: no tail, nothing uncertain
+    assert GeneratingFunctionEvaluator(Spectrum(np.array([1j, 5j]))).tail_uncertainty(10.0)[0] == 0.0
 
 
 def test_clustered_tail_error_within_reported_uncertainty():
@@ -255,14 +260,6 @@ def test_clustered_tail_error_within_reported_uncertainty():
         want = gbig.eval_G(z)
         rel = abs(got - want) / abs(want)
         assert rel <= g.tail_uncertainty(np.array([z]))[0] + 1e-6
-
-
-def test_truncated_custom_reports_uncertainty():
-    s = Spectrum(np.array([1j, 5j, 10j]))
-    g = GeneratingFunctionEvaluator(s, radius=6.0)
-    assert g.tail_warning
-    unc = g.tail_uncertainty(np.array([2.0 + 0j]))
-    assert unc[0] == pytest.approx(2 / 10 + (2 / 10) ** 2)
 
 
 # -- outer factor -----------------------------------------------------------
