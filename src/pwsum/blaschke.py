@@ -15,20 +15,32 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from pwsum.spectrum import Spectrum, block_log_sum, block_rows, split_halfplanes
+from pwsum.spectrum import LogSumWork, Spectrum, block_log_sum, block_rows, split_halfplanes
 
 _POLE_RTOL = 1e-12
 
 
-def _log_factors(z, mu):
+def _log_factors(z: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """Complex kernel: sum over mu of log[(conj mu / mu)(z - mu)/(z - conj mu)]
-    along the last axis; z is a scalar or a column (n, 1).  One log per block
-    of the factors (z - mu)/(z - conj mu), whose moduli are <= 1 in the closed
-    upper half-plane, so a block product cannot overflow; the unimodular
+    per point of z (1-d), in blocks of block_rows(mu) points with the block
+    buffers made once.  One log per block of the factors
+    (z - mu)/(z - conj mu), whose moduli are <= 1 in the closed upper
+    half-plane, so a block product cannot overflow; the unimodular
     normalizations add log(conj mu / mu) = -2i arg mu."""
-    factor = z - mu
-    factor /= z - np.conj(mu)
-    return block_log_sum(factor) - 2j * np.angle(mu).sum()
+    out = np.empty(z.shape, dtype=complex)
+    step = block_rows(mu.size)
+    rows = min(step, z.size)
+    work = LogSumWork(rows, mu.size)
+    den = np.empty((rows, mu.size), dtype=complex)
+    mu_bar = np.conj(mu)
+    for i in range(0, z.size, step):
+        zc = z[i : i + step, None]
+        r = zc.shape[0]
+        factor = work.f[:r]
+        np.subtract(zc, mu, out=factor)
+        factor /= np.subtract(zc, mu_bar, out=den[:r])
+        out[i : i + step] = block_log_sum(work, r)
+    return out - 2j * np.angle(mu).sum()
 
 
 def _log_abs_factors(zc, lam, dx2, far):
@@ -76,21 +88,22 @@ class BlaschkeEvaluator:
         conj(lambda)."""
         z_in = np.atleast_1d(np.asarray(z, dtype=complex))
         lam = self._select(cutoff)
-        out = np.zeros(z_in.shape, dtype=float if modulus else complex)
+        out = np.zeros(z_in.shape)
         tol2 = (_POLE_RTOL * np.maximum(1.0, np.abs(lam))) ** 2
         step = block_rows(lam.size)
-        for i in range(0, z_in.size if lam.size else 0, step):
-            zc = z_in[i : i + step, None]
-            dx2 = zc.real - lam.real
-            dx2 *= dx2
-            far = zc.imag + lam.imag
-            far *= far
-            far += dx2  # |z - conj(lambda)|^2
-            if np.any(far <= tol2):
-                raise BlaschkeError("evaluation at a pole conj(lambda)")
-            with np.errstate(divide="ignore"):  # z at a zero: log 0 = -inf, exact
-                out[i : i + step] = _log_abs_factors(zc, lam, dx2, far) if modulus else _log_factors(zc, lam)
-        return out
+        with np.errstate(divide="ignore"):  # z at a zero: log 0 = -inf, exact
+            for i in range(0, z_in.size if lam.size else 0, step):
+                zc = z_in[i : i + step, None]
+                dx2 = zc.real - lam.real
+                dx2 *= dx2
+                far = zc.imag + lam.imag
+                far *= far
+                far += dx2  # |z - conj(lambda)|^2
+                if np.any(far <= tol2):
+                    raise BlaschkeError("evaluation at a pole conj(lambda)")
+                if modulus:
+                    out[i : i + step] = _log_abs_factors(zc, lam, dx2, far)
+            return out if modulus else _log_factors(z_in, lam)
 
     def eval_B(self, z, cutoff: float | None = None):
         """Product of normalized factors over |lambda| < cutoff, |lambda|-ascending."""
@@ -106,7 +119,7 @@ class BlaschkeEvaluator:
         """Tail product prod_{|mu| >= n} factor(z): beta_n(lambda) at a zero
         lambda with |lambda| < n."""
         mu = self._pts[np.abs(self._pts) >= n]
-        res = np.exp(_log_factors(np.atleast_1d(np.asarray(z, dtype=complex))[:, None], mu))
+        res = np.exp(_log_factors(np.atleast_1d(np.asarray(z, dtype=complex)), mu))
         return res[0] if np.ndim(z) == 0 else res
 
     def eval_B_prime_at(self, k: int, cutoff: float | None = None) -> complex:
@@ -121,7 +134,7 @@ class BlaschkeEvaluator:
             raise BlaschkeError("lambda_k not inside the cutoff product")
         own = (np.conj(lam_k) / lam_k) / (lam_k - np.conj(lam_k))
         rest = lam_all[lam_all != lam_k]
-        own *= np.exp(_log_factors(lam_k, rest))
+        own *= np.exp(_log_factors(np.array([lam_k]), rest)[0])
         return complex(own)
 
     def arg_derivative_on_R(self, t):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from pwsum.blaschke import BlaschkeEvaluator
-from pwsum.spectrum import Spectrum, block_rows
+from pwsum.spectrum import Spectrum, block_rows, unique_sorted
 
 
 class ContourError(ValueError):
@@ -96,10 +96,10 @@ def select_l(
     smallest is taken; if none meets the threshold the score minimizer is
     taken instead (ties to the smaller l).
     """
-    cand = np.unique(np.asarray(candidates, dtype=float))
+    cand = unique_sorted(np.asarray(candidates, dtype=float))
     if np.any(cand <= 0):
         raise ContourError("candidates must be positive")
-    re_zeros = np.unique(b.points.real) if len(b) else np.array([])
+    re_zeros = unique_sorted(b.points.real)
     if re_zeros.size:
         dist = np.min(np.abs(cand[:, None] - re_zeros[None, :]), axis=1)
         cand = cand[dist >= zero_margin]

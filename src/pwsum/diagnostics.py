@@ -8,10 +8,10 @@ artifact reports values and trends, never membership claims.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import polygamma
 
 from pwsum.spectrum import block_rows
 
@@ -68,6 +68,49 @@ def _a2_from_logs(logs: np.ndarray) -> float:
     return float(max(best, p))
 
 
+# Bernoulli numbers B_2k, k = 1..8 (DLMF 24.2.2): the asymptotic series of trigamma
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510)
+_TRIGAMMA_MIN = 10  # the series is used at x >= 10, where its terms are below 1e-16
+
+
+def _trigamma(x: np.ndarray) -> np.ndarray:
+    """psi'(x) = sum_{m >= 0} 1/(x + m)^2 for real x; inf at x = 0, -1, -2, ...
+
+    Reflection psi'(x) = pi^2/sin^2(pi x) - psi'(1 - x) (DLMF 5.15.6) at
+    x <= 0; then psi'(x) = psi'(x + 10) + sum_{k < 10} 1/(x + k)^2
+    (DLMF 5.15.5) below 10, a fixed number of steps whatever x is; then
+    psi'(x) = 1/x + 1/(2x^2) + sum_k B_2k / x^(2k+1) (DLMF 5.15.8)."""
+    x = np.array(x, dtype=float, ndmin=1)  # a copy: moved in place below
+    refl = x <= 0
+    if np.any(refl):
+        v = x[refl]
+        s = np.sin(math.pi * (v - np.round(v)))  # exact reduction: sin(pi v) = +-sin(pi f)
+        with np.errstate(divide="ignore"):  # a pole: pi^2/0 = inf
+            head = math.pi**2 / (s * s)
+        x[refl] = 1.0 - v
+    low = x < _TRIGAMMA_MIN
+    if np.any(low):
+        u = x[low]
+        acc = np.zeros(u.shape)
+        for _ in range(_TRIGAMMA_MIN):
+            acc += 1.0 / (u * u)
+            u += 1.0
+        x[low] = u
+    r = 1.0 / x
+    r2 = r * r
+    series = np.full(x.shape, _BERNOULLI[-1])
+    for b in _BERNOULLI[-2::-1]:
+        series *= r2
+        series += b
+    series *= r2 * r
+    series += r * (1.0 + 0.5 * r)
+    if np.any(low):
+        series[low] += acc
+    if np.any(refl):
+        series[refl] = head - series[refl]  # pi^2/sin^2(pi x) - psi'(1 - x)
+    return series
+
+
 def carleson_sup(s) -> float:
     """sup over lambda of sum_{mu != lambda} (1+|Im lambda|)(1+|Im mu|)/|lambda-mu|^2.
 
@@ -93,7 +136,7 @@ def carleson_sup(s) -> float:
         # the inverse-square distances along the real direction
         re = pts.real
         wt = (1.0 + np.abs(pts.imag)) * (1.0 + tail.delta)
-        psi1 = polygamma(1, tail.first_site - re) + polygamma(1, tail.first_site + re)
+        psi1 = _trigamma(tail.first_site - re) + _trigamma(tail.first_site + re)
         sums += tail.density * wt * psi1
     return float(np.max(sums))
 

@@ -17,7 +17,7 @@ import numpy as np
 from pwsum.blaschke import BlaschkeEvaluator
 from pwsum.genfun import GeneratingFunctionEvaluator, OuterEvaluator
 from pwsum.grids import GridFunction, GridError, grid_template, hilbert_transform
-from pwsum.spectrum import block_rows
+from pwsum.spectrum import block_rows, unique_sorted
 
 
 class EngineError(ValueError):
@@ -41,7 +41,7 @@ class PWFunction:
         c = np.asarray(self.coefficients, dtype=complex).ravel()
         if mu.size != c.size:
             raise EngineError("centers and coefficients must align")
-        if np.unique(mu).size != mu.size:
+        if unique_sorted(mu).size != mu.size:
             raise EngineError("atom centers must be distinct")
         self.centers = mu
         self.coefficients = c

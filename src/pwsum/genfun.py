@@ -20,10 +20,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import loggamma
 
 from pwsum.grids import GridFunction, grid_template, hilbert_transform
-from pwsum.spectrum import LatticeTail, Spectrum, block_log_sum, block_rows
+from pwsum.spectrum import LatticeTail, LogSumWork, Spectrum, block_log_sum, block_rows, unique_sorted
 
 _COLLISION_RTOL = 1e-12
 
@@ -41,20 +40,98 @@ class CollisionError(GenFunError):
 # ---------------------------------------------------------------------------
 
 
+# B_2k / (2k (2k - 1)), k = 1..8: the Stirling series of log Gamma (DLMF 5.11.1)
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156, -3617 / 122400)
+_STIRLING_MIN = 12  # the series is used at Re w >= 12, where its terms are below 1e-18
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def _log_sin_pi(v: np.ndarray) -> np.ndarray:
+    """log sin(pi v), Im modulo 2 pi, without overflow at large |Im v|.
+
+    With v = n + f + iy, n an integer and |f| <= 1/2 (exact),
+    sin(pi v) = (-1)^n sin(pi u), u = f + i|y| (conjugated back for y < 0), and
+    sin(pi u) = (i/2) e^{-i pi u} (1 - e^{2 i pi u}), where
+    1 - e^{2 i pi u} = 2 sin^2(pi f) - expm1(-2 pi y) cos(2 pi f) - i e^{-2 pi y} sin(2 pi f)
+    keeps its digits next to a zero of sin."""
+    n = np.round(v.real)
+    f, y = v.real - n, np.abs(v.imag)
+    s = np.sin(np.pi * f)
+    one_minus = (2.0 * s * s - np.expm1(-2.0 * np.pi * y) * np.cos(2.0 * np.pi * f)) - 1j * (
+        np.exp(-2.0 * np.pi * y) * np.sin(2.0 * np.pi * f)
+    )
+    with np.errstate(divide="ignore"):  # a zero of sin: log 0 = -inf
+        out = np.log(one_minus)
+    out += np.pi * y - math.log(2.0) + 1j * (0.5 * np.pi - np.pi * f)
+    np.conjugate(out, out=out, where=v.imag < 0)
+    out += 1j * np.pi * n
+    return out
+
+
+def _log_rgamma(w: np.ndarray) -> np.ndarray:
+    """log(1/Gamma(w)), Im modulo 2 pi.  1/Gamma is entire: at a pole of
+    Gamma (w = 0, -1, -2, ...) the real part is -inf.
+
+    Reflection 1/Gamma(w) = Gamma(1 - w) sin(pi w)/pi (DLMF 5.5.3) below
+    Re w = 1/2; then Gamma(w + 12) = w (w + 1) ... (w + 11) Gamma(w)
+    (DLMF 5.5.1) up to Re w >= 12, for the points below it only; then the
+    Stirling series (DLMF 5.11.1), by Horner in place on one buffer."""
+    w = np.array(w, dtype=complex, ndmin=1)  # a copy: moved in place below
+    refl = w.real < 0.5
+    if np.any(refl):
+        v = w[refl]
+        head = _log_sin_pi(v) - math.log(math.pi)
+        w[refl] = 1.0 - v
+    low = w.real < _STIRLING_MIN
+    if np.any(low):
+        u = w[low]
+        prod, t = u.copy(), u.copy()
+        for _ in range(_STIRLING_MIN - 1):
+            t += 1.0
+            prod *= t
+        t += 1.0
+        w[low] = t
+    # lg = log Gamma(w) = (w - 1/2)(log w - 1) - 1/2 + log(2 pi)/2 + sum_k c_k w^(1 - 2k)
+    buf = np.divide(1.0, w)
+    buf *= buf
+    lg = np.full(w.shape, _STIRLING[-1], dtype=complex)
+    for c in _STIRLING[-2::-1]:
+        lg *= buf
+        lg += c
+    lg /= w
+    np.log(w, out=buf)
+    buf -= 1.0
+    w -= 0.5
+    buf *= w
+    lg += buf
+    lg += _HALF_LOG_2PI - 0.5
+    if np.any(low):
+        lg[low] -= np.log(prod)  # log Gamma(w) = log Gamma(w + 12) - log prod
+    # log 1/Gamma(w) = -log Gamma(w), or, reflected, head + log Gamma(1 - w)
+    np.negative(lg, out=lg)
+    if np.any(refl):
+        lg[refl] = head - lg[refl]
+    return lg
+
+
 def _tail_log(tail: LatticeTail, z: np.ndarray) -> np.ndarray:
     """log of the product of (1 - z/mu) over the family points mu beyond the window.
 
     Each sublattice pairs c + q_m with c - q_m, q_m = s(m + r/s), and
     prod_{m >= M} (q_m^2 - (c-z)^2)/(q_m^2 - c^2) is a ratio of Gamma
-    functions (DLMF 5.8) with rho = M + r/s.
+    functions (DLMF 5.8) with rho = M + r/s:
+    Gamma(rho - a) Gamma(rho + a) / (Gamma(rho - b) Gamma(rho + b)), a = c/s,
+    b = (c - z)/s.  In 1/Gamma, which is entire, a family point z gives -inf.
     """
     out = np.zeros(z.shape, dtype=complex)
     for sl in tail.sublattices:
         rho = sl.start + sl.offset / sl.spacing
         a, b = sl.c / sl.spacing, (sl.c - z) / sl.spacing
-        out += sl.weight * (
-            loggamma(rho - a) + loggamma(rho + a) - loggamma(rho - b) - loggamma(rho + b)
-        )
+        lg = _log_rgamma(rho - b)
+        lg += _log_rgamma(rho + b)
+        lg -= _log_rgamma(np.array([rho - a, rho + a])).sum()
+        for _ in range(sl.weight):  # each point counted weight times
+            out += lg
     return out
 
 
@@ -84,7 +161,8 @@ class GeneratingFunctionEvaluator:
 
     # -- internals ---------------------------------------------------------
 
-    # Both window kernels run over blocks of block_rows(zeros) points.
+    # Both window kernels run over blocks of block_rows(zeros) points, with
+    # block buffers made once per call.
     def _window_log(self, z: np.ndarray, skip: np.ndarray | None = None) -> np.ndarray:
         """sum of log(1 - z/lambda) over the stored points per point of z, one
         log per block of factors (Im modulo 2 pi).  With skip, point i leaves
@@ -96,20 +174,30 @@ class GeneratingFunctionEvaluator:
         lre, lim = lam.real, lam.imag
         tol2 = (_COLLISION_RTOL * np.maximum(1.0, np.abs(lam))) ** 2
         step = block_rows(lam.size)
+        rows = min(step, z.size)
+        work = LogSumWork(rows, lam.size)
+        d2, t = np.empty((2, rows, lam.size))
+        bad = np.empty((rows, lam.size), dtype=bool)
         for i in range(0, z.size, step):
             zc = z[i : i + step, None]
-            d2 = (zc.real - lre) ** 2 + (zc.imag - lim) ** 2
-            bad = d2 <= tol2
-            factor = zc / lam
+            r = zc.shape[0]
+            d2r, tr, badr, factor = d2[:r], t[:r], bad[:r], work.f[:r]
+            np.subtract(zc.real, lre, out=d2r)
+            d2r *= d2r
+            np.subtract(zc.imag, lim, out=tr)
+            tr *= tr
+            d2r += tr  # |z - lambda|^2
+            np.less_equal(d2r, tol2, out=badr)
+            np.divide(zc, lam, out=factor)
             np.subtract(1.0, factor, out=factor)
             if skip is not None:
-                rows, cols = np.arange(zc.shape[0]), skip[i : i + step]
-                factor[rows, cols] = 1.0
-                bad[rows, cols] = False
-            if np.any(bad):
-                zi = np.argwhere(bad)[0][0]
+                own = np.arange(r), skip[i : i + step]
+                factor[own] = 1.0
+                badr[own] = False
+            if np.any(badr):
+                zi = np.argwhere(badr)[0][0]
                 raise CollisionError(f"z={zc[zi, 0]} collides with a spectrum point")
-            out[i : i + step] = block_log_sum(factor)
+            out[i : i + step] = block_log_sum(work, r)
         return out
 
     def _window_log_abs(self, x: np.ndarray, a: float) -> np.ndarray:
@@ -120,14 +208,23 @@ class GeneratingFunctionEvaluator:
             return out
         lre, lim = lam.real, lam.imag
         log_l2 = np.log(lre * lre + lim * lim)
+        dy2 = (a - lim) ** 2
         tol2 = (_COLLISION_RTOL * np.maximum(1.0, np.abs(lam))) ** 2
         step = block_rows(lam.size)
+        rows = min(step, x.size)
+        d2 = np.empty((rows, lam.size))
+        bad = np.empty((rows, lam.size), dtype=bool)
         for i in range(0, x.size, step):
             xc = x[i : i + step, None]
-            d2 = (xc - lre[None, :]) ** 2 + (a - lim[None, :]) ** 2
-            if np.any(d2 <= tol2[None, :]):
+            d2r = d2[: xc.shape[0]]
+            np.subtract(xc, lre, out=d2r)
+            d2r *= d2r
+            d2r += dy2  # |x + ia - lambda|^2
+            if np.any(np.less_equal(d2r, tol2, out=bad[: xc.shape[0]])):
                 raise CollisionError("line sample collides with a spectrum point")
-            out[i : i + step] = 0.5 * (np.log(d2) - log_l2).sum(axis=1)
+            np.log(d2r, out=d2r)
+            d2r -= log_l2
+            out[i : i + step] = 0.5 * d2r.sum(axis=1)
         return out
 
     def _log_G(self, z: np.ndarray, skip: np.ndarray | None = None) -> np.ndarray:
@@ -170,7 +267,7 @@ class GeneratingFunctionEvaluator:
         ks = np.asarray(k)
         if np.any((ks < 0) | (ks >= len(self.spectrum))):
             raise GenFunError("invalid spectrum index")
-        todo = np.unique(ks[np.isnan(self._prime[ks])])
+        todo = unique_sorted(ks[np.isnan(self._prime[ks])])
         if todo.size:
             lam = self.spectrum.points[todo]
             self._prime[todo] = (-1.0 / lam) * np.exp(self._log_G(lam, skip=todo))

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft
 
 
 class GridError(ValueError):
@@ -144,12 +143,26 @@ def fit_rational_tail(g: GridFunction) -> tuple[complex, complex]:
     return complex(coef[0]), complex(coef[1])
 
 
+def _fast_len(n: int) -> int:
+    """The smallest 5-smooth length 2^a 3^b 5^c >= n, a fast numpy.fft size."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the smallest power-of-two multiple of p35 that is >= n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def hilbert_transform(g: GridFunction, tail_fit: bool = True) -> GridFunction:
     n = len(g)
     kern = _hilbert_kernel(n)
     # linear convolution with the kernel, zero-padded to a fast FFT length
-    m = fft.next_fast_len(n + kern.size - 1)
-    out = fft.ifft(fft.fft(g.values, m) * fft.fft(kern, m))[n - 1 : 2 * n - 1].copy()
+    m = _fast_len(n + kern.size - 1)
+    out = np.fft.ifft(np.fft.fft(g.values, m) * np.fft.fft(kern, m))[n - 1 : 2 * n - 1].copy()
     if tail_fit:
         a, b = fit_rational_tail(g)
         if a != 0 or b != 0:

@@ -21,11 +21,15 @@ MIN_IMAG = 1e-12
 LATTICE_FAMILIES = ("shifted_integers", "kadec_perturbed", "clustered_pairs")
 FAMILY_NAMES = LATTICE_FAMILIES + ("custom_list",)
 
-# Elements per block of a (points x spectrum) pair kernel.  A float64
-# temporary of a block is then at most 128 KiB: a block's temporaries stay in
-# a core's L2 cache, and they stay under glibc's default mmap threshold, so
-# they are reused from the heap; at 2**17 a contour-side kernel call page-
-# faulted fresh memory for every block.
+# Elements per block of a (points x spectrum) pair kernel: a float64 block
+# is 128 KiB, so a block's temporaries stay in a core's L2 cache.
+#
+# A complex block (256 KiB), and a float one at this size, is at or above
+# glibc's default mmap threshold (128 KiB): a kernel that made its block
+# temporaries afresh per block had them mmapped, and page-faulted afresh,
+# for every block, unless an earlier free had raised the dynamic threshold.
+# So the log-sum kernels (G, log|G|, B) make their block buffers once per
+# call and fill them with ufunc out= writes; no block allocates.
 BLOCK_BUDGET = 2**14
 
 
@@ -40,6 +44,15 @@ def block_rows(n_cols: int) -> int:
     return max(1, BLOCK_BUDGET // max(n_cols, 1))
 
 
+def unique_sorted(a) -> np.ndarray:
+    """The distinct values of a, sorted: np.unique without its lazy import of
+    numpy.ma."""
+    s = np.sort(np.ravel(a))
+    keep = np.ones(s.shape, dtype=bool)
+    np.not_equal(s[1:], s[:-1], out=keep[1:])
+    return s[keep]
+
+
 # Factors per block product of a log-sum.  A product of b factors has a
 # relative rounding error of about b*u (Higham, Accuracy and Stability of
 # Numerical Algorithms, ch. 3), so one log per block keeps the digits that
@@ -49,40 +62,55 @@ LOG_BLOCK = 16
 _LOG_TINY = float(np.log(np.finfo(float).tiny))
 
 
-def block_log_sum(f: np.ndarray) -> np.ndarray:
-    """Sum of log f along the last axis, one log (modulus and argument) per
-    product of a block of LOG_BLOCK consecutive factors, in the given order
-    (the last block is padded with ones); Im is defined modulo 2 pi.  A row
-    with a block product that is 0, inf, NaN or subnormal falls back to one
-    log per factor (log 0 = -inf, exact).
+class LogSumWork:
+    """The buffers of block_log_sum for blocks of up to `rows` rows of `cols`
+    factors.  A kernel makes one per call and writes each block of factors
+    into f[:r] (ufunc out=), so no block allocates."""
+
+    def __init__(self, rows: int, cols: int):
+        nb = -(-cols // LOG_BLOCK)
+        pad = np.ones((rows, nb * LOG_BLOCK), dtype=complex)  # the last block's padding stays 1
+        self.f = pad[:, :cols]
+        self._members = pad.reshape(rows, nb, LOG_BLOCK).transpose(2, 0, 1)  # (member, row, block)
+        self._re = np.empty((LOG_BLOCK, rows, nb))
+        self._im = np.empty((LOG_BLOCK, rows, nb))
+        self._t = np.empty((LOG_BLOCK // 2, rows, nb))
+        self._mod = np.empty((rows, nb))
+
+
+def block_log_sum(work: LogSumWork, r: int) -> np.ndarray:
+    """Sum of log f along each row of f = work.f[:r], one log (modulus and
+    argument) per product of a block of LOG_BLOCK consecutive factors, in the
+    given order (the last block is padded with ones); Im is defined modulo
+    2 pi.  A row with a block product that is 0, inf, NaN or subnormal falls
+    back to one log per factor (log 0 = -inf, exact).
 
     A block multiplies pairwise (member j with j + 8, then j + 4, ...), in
     real arithmetic: numpy's complex multiply may take a fused (FMA) path that
     depends on the memory layout, and so on the row blocking, while separate
     real multiplies and adds round the same way on every path."""
-    n, m = int(np.prod(f.shape[:-1])), f.shape[-1]
-    rows = f.reshape(n, m)
-    nb = -(-m // LOG_BLOCK)
-    pad = np.ones((n, nb * LOG_BLOCK), dtype=complex)
-    pad[:, :m] = rows
-    members = pad.reshape(n, nb, LOG_BLOCK).transpose(2, 0, 1)  # (member, row, block)
-    re, im = np.ascontiguousarray(members.real), np.ascontiguousarray(members.imag)
+    members = work._members[:, :r]
+    re, im, mod = work._re[:, :r], work._im[:, :r], work._mod[:r]
+    np.copyto(re, members.real)
+    np.copyto(im, members.imag)
     h = LOG_BLOCK
     with np.errstate(all="ignore"):  # an overflow or a zero sends its row to the fallback
         while h > 1:
             h //= 2
-            ar, ai, br, bi = re[:h], im[:h], re[h : 2 * h], im[h : 2 * h]
-            t = ai * bi
+            ar, ai, br, bi, t = re[:h], im[:h], re[h : 2 * h], im[h : 2 * h], work._t[:h, :r]
+            np.multiply(ai, bi, out=t)
             ai *= br
-            ai += ar * bi
+            np.multiply(ar, bi, out=bi)  # bi is not read again
+            ai += bi
             ar *= br
             ar -= t
-        mod = np.log(np.hypot(re[0], im[0]))
+        np.hypot(re[0], im[0], out=mod)
+        np.log(mod, out=mod)
     out = mod.sum(axis=1) + 1j * np.arctan2(im[0], re[0]).sum(axis=1)
     bad = ~((mod >= _LOG_TINY) & (mod < np.inf)).all(axis=1)
     if np.any(bad):
-        out[bad] = np.log(rows[bad]).sum(axis=1)
-    return out.reshape(f.shape[:-1])
+        out[bad] = np.log(work.f[:r][bad]).sum(axis=1)
+    return out
 
 
 class SpectrumError(ValueError):

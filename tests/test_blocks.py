@@ -11,7 +11,7 @@ from pwsum.diagnostics import carleson_sup
 from pwsum.engine import NormProbe, PWFunction, SummationContext, build_lagrange_sum
 from pwsum.genfun import GeneratingFunctionEvaluator, OuterEvaluator
 from pwsum.grids import grid_template
-from pwsum.spectrum import make_family
+from pwsum.spectrum import Spectrum, make_family
 from pwsum.weights import ProjectionWeights
 
 # The Cauchy kernels multiply each grid chunk by BLAS: a one-row chunk takes
@@ -63,3 +63,42 @@ def test_block_size_changes_no_bit(monkeypatch, budget):
 def test_block_rows_rule(monkeypatch):
     monkeypatch.setattr(spectrum, "BLOCK_BUDGET", 100)
     assert [spectrum.block_rows(n) for n in (0, 1, 7, 100, 101)] == [100, 100, 14, 1, 1]
+
+
+@pytest.mark.parametrize("shape", [(3, 0), (0, 5)], ids=["no-factors", "no-rows"])
+def test_block_log_sum_empty_shapes(shape):
+    out = spectrum.block_log_sum(spectrum.LogSumWork(*shape), shape[0])
+    assert out.shape == (shape[0],) and np.all(out == 0)
+
+
+def test_tail_factor_with_no_points_beyond_n():
+    # the (r, 0) factor block: every point lies inside |mu| < n
+    s = make_family("kadec_perturbed", {"delta": 0.3, "eps": 0.2}, 30)
+    assert np.array_equal(BlaschkeEvaluator(s).tail_factor(s.points[:5], 100.0), np.ones(5))
+
+
+@pytest.mark.parametrize("ragged", [False, True], ids=["under-one-block", "ragged-last-block"])
+def test_block_buffers_sliced_per_block(ragged):
+    # the kernels fill buffers made for a whole block; a call with fewer points
+    # than one block, or a ragged last block, uses their first rows only and
+    # must match one call per point bit for bit (a tailless window, so only
+    # the block kernels run)
+    pts = make_family("kadec_perturbed", {"delta": 0.3, "eps": 0.2}, 100).points  # 201 points
+    gen = GeneratingFunctionEvaluator(Spectrum(pts))
+    up = BlaschkeEvaluator(Spectrum(pts))
+    step = spectrum.block_rows(pts.size)
+    n = 2 * step + 5 if ragged else 3
+    z = np.linspace(-40.0, 40.0, n) + 0.7j
+    nodes = np.arange(pts.size if ragged else n)  # G' at the nodes: 201 = 2 * 81 + 39
+    kernels = {
+        "log_G": (gen.log_G, z),
+        "log_abs_G": (lambda z: gen.log_abs_G(z.real, a=0.4), z),
+        "eval_B": (up.eval_B, z),
+        "tail_factor": (lambda z: up.tail_factor(z, 12.0), z),
+        "G_prime": (gen.eval_G_prime_at_lambda, nodes),
+    }
+    for name, (kernel, arg) in kernels.items():
+        whole = kernel(arg)
+        gen._prime[:] = np.nan  # forget the G' memo
+        single = np.array([kernel(arg[i : i + 1])[0] for i in range(arg.size)])
+        assert np.array_equal(whole, single), name

@@ -1,5 +1,8 @@
 import contextlib
 import io
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pwsum
 from pwsum import cli
 from pwsum.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main, parse_config, run
 from pwsum.cli import ConfigError
@@ -287,6 +291,30 @@ output.dir={out}
     cond, X, val, trend = lines[1].split(",")
     assert cond == "factorization_max_rel_mismatch"
     assert float(val) < 5e-3
+
+
+def test_runtime_imports_neither_scipy_nor_numpy_ma(tmp_path):
+    # scipy is a test-only dependency, and numpy.ma (10 ms to import, pulled in
+    # lazily by np.unique) stays unloaded: a fresh process runs a factorize-check
+    # (lattice tails: log-Gamma) and a diagnose (Carleson tail: trigamma)
+    cfgs = [
+        write_cfg(tmp_path, "f.cfg", f"subcommand=factorize-check\nfamily=kadec_perturbed\ncount=20\n"
+                  f"outer.X=40\nouter.h=0.05\noutput.dir={tmp_path / 'f'}\n"),
+        write_cfg(tmp_path, "d.cfg", f"subcommand=diagnose\nfamily=clustered_pairs\ncount=20\ndiag.X=10\n"
+                  f"output.dir={tmp_path / 'd'}\n"),
+    ]
+    script = (
+        "import sys\n"
+        "import pwsum.cli as cli\n"
+        "codes = [cli.run(p) for p in sys.argv[1:]]\n"
+        "mods = [m for m in sys.modules if m.split('.')[0] == 'scipy' or m.split('.')[:2] == ['numpy', 'ma']]\n"
+        "print(codes, sorted(mods))\n"
+    )
+    src = str(Path(pwsum.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script, *map(str, cfgs)], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[0, 0] []"
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from scipy.special import polygamma
 
 from pwsum.diagnostics import (
     DiagnosticsError,
+    _trigamma,
     a2_estimate,
     carleson_sup,
     intG_check,
@@ -100,6 +102,20 @@ def test_carleson_lattice_closed_form():
     s = make_family("shifted_integers", {"delta": 1.0}, 10_000)
     v = carleson_sup(s)
     assert abs(v - 4 * np.pi**2 / 3) < 1e-3
+
+
+def test_trigamma_matches_scipy():
+    x = np.concatenate([np.geomspace(1e-3, 1e4, 4001), [0.5, 1.0, 10.0, 10.0 - 1e-12]])
+    assert np.max(np.abs(_trigamma(x) / polygamma(1, x) - 1.0)) <= 1e-12
+
+
+def test_trigamma_bounded_off_the_positive_axis():
+    # non-positive and huge arguments take a fixed number of steps (reflection,
+    # at most 10 recurrence steps, the series), never a loop that runs ~|x| times
+    x = np.array([-1e6 + 0.25, -2.5, -0.5, -1e-3, 1e12, 1e300])
+    assert np.allclose(_trigamma(x), polygamma(1, x), rtol=1e-12, atol=0.0)
+    with np.errstate(all="raise"):
+        assert np.all(_trigamma(np.array([0.0, -1.0, -7.0])) == np.inf)
 
 
 def test_carleson_clustered_blows_up():

@@ -1,6 +1,7 @@
 import mpmath
 import numpy as np
 import pytest
+from scipy.special import loggamma
 
 from pwsum.blaschke import upper_lower_evaluators
 from pwsum.genfun import (
@@ -8,6 +9,8 @@ from pwsum.genfun import (
     GenFunError,
     GeneratingFunctionEvaluator,
     OuterEvaluator,
+    _log_rgamma,
+    _log_sin_pi,
     _tail_log,
     check_factorization,
 )
@@ -378,3 +381,68 @@ def test_factorization_lattice_with_exponential_type():
     b_up, _ = upper_lower_evaluators(s)
     rep = check_factorization(g, o, b_up, None, [1 + 1j])
     assert rep.max_mismatch < 1e-3
+
+
+# ---------------------------------------------------------------------------
+# The numpy log-Gamma of the lattice tails, against scipy.special.loggamma
+# ---------------------------------------------------------------------------
+
+
+def _im_mod_2pi(a, b):
+    """|a - b| modulo 2 pi, in [0, pi]."""
+    return np.abs(np.angle(np.exp(1j * (a - b))))
+
+
+def _assert_loggamma_close(w, want, atol=1e-12):
+    got = -_log_rgamma(w)
+    assert np.max(np.abs(got.real - want.real)) <= atol
+    assert np.max(_im_mod_2pi(got.imag, want.imag)) <= atol
+
+
+def test_log_rgamma_matches_scipy_on_the_tail_range():
+    # Re w in [-60, 260], |Im w| <= 3, the reflection seam Re w = 1/2 and the
+    # Stirling seam Re w = 12 included
+    # (scipy gives NaN at the poles, so the real axis is sampled off the integers)
+    re = np.concatenate([np.linspace(-60.0, 260.0, 3201), [0.5, 0.5 - 1e-12, 12.0, 12.0 - 1e-12]])
+    w = (re[:, None] + 1j * np.linspace(-3.0, 3.0, 12)[None, :]).ravel()
+    w = np.concatenate([w, re + 0.25])
+    _assert_loggamma_close(w, loggamma(w))
+    seam = 0.5 + 1j * np.linspace(-3.0, 3.0, 601)
+    _assert_loggamma_close(seam, loggamma(seam))
+
+
+def test_log_rgamma_next_to_the_poles():
+    near = np.array([p + d for p in (0.0, -1.0, -5.0) for d in (1e-8, -1e-8, 1e-8j, -1e-8j, 1e-8 + 1e-8j)])
+    _assert_loggamma_close(near, loggamma(near))
+
+
+def test_log_rgamma_at_the_largest_workload_arguments():
+    # the extremes the benchmark workloads reach: G' at the outermost node of
+    # a 801-point lattice (1 and 801), the diagnose line (521..681, |Im| 1.13)
+    # and the factorize-check line (-24.6..126.1, |Im| 1.2); mpmath is the
+    # oracle, since scipy itself is off by up to 2 ulp (1.8e-12) at |w| = 801
+    w = np.array([1.0, 801.0, 801.0 - 3.9j, 521.0 + 1.126j, 681.0 - 1.126j, -24.629 + 1.197j, 126.129 - 1.197j])
+    with mpmath.workdps(30):
+        want = np.array([complex(mpmath.loggamma(mpmath.mpc(x.real, x.imag))) for x in w])
+    _assert_loggamma_close(w, want)
+
+
+def test_log_rgamma_pole_is_minus_inf_without_warning():
+    poles = np.array([0.0, -1.0, -5.0, -60.0], dtype=complex)
+    with np.errstate(all="raise"):
+        got = _log_rgamma(poles)
+    assert np.all(got.real == -np.inf) and np.all(np.isfinite(got.imag))
+    # a family point beyond the window is a zero of G: log|G| = -inf, exp(log G) = 0
+    s = make_family("shifted_integers", {"delta": 0.3}, 5)
+    gen = GeneratingFunctionEvaluator(s)
+    assert gen.log_abs_G(7.0, a=0.3) == -np.inf
+    assert gen.eval_G(-9.0 + 0.3j) == 0
+
+
+def test_log_sin_pi_survives_large_imaginary_parts():
+    # sin(pi w) overflows a double beyond |Im w| ~ 226; its log does not
+    w = np.array([-0.3 + 400j, -2.7 - 1000j])
+    want = np.log(0.5) + np.pi * np.abs(w.imag) + 1j * np.sign(w.imag) * (0.5 * np.pi - np.pi * w.real)
+    got = _log_sin_pi(w)
+    assert np.allclose(got.real, want.real, rtol=1e-14)
+    assert np.max(_im_mod_2pi(got.imag, want.imag)) < 1e-12

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from scipy import fft as scipy_fft
 
 from pwsum.engine import EngineError, l2_error, riesz_project
 from pwsum.grids import (
     GridError,
     GridFunction,
+    _fast_len,
+    _hilbert_kernel,
     fit_rational_tail,
     grid_template,
     hilbert_transform,
@@ -76,6 +79,30 @@ def test_hilbert_matches_direct_odd_offset_sum():
     direct = kern @ g.values
     H = hilbert_transform(g, tail_fit=False)
     assert np.max(np.abs(H.values - direct)) <= 1e-13 * np.max(np.abs(direct))
+
+
+def test_fast_len_is_the_next_5_smooth_length():
+    def smooth(m):
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        return m == 1
+
+    for n in range(1, 3000):
+        want = next(m for m in range(n, 2 * n + 1) if smooth(m))
+        assert _fast_len(n) == want, n
+
+
+@pytest.mark.parametrize("n", [101, 8_001, 40_001])
+def test_hilbert_numpy_fft_matches_scipy_fft(n):
+    # the scipy.fft path this transform used before, at scipy's own fast length
+    X = (n - 1) * 0.01 / 2
+    g = sample_on_grid(lambda x: np.exp(-x**2 / 50) * (1 + 0.5j * x) + 1.0 / (x + 1j), X, 0.01)
+    kern = _hilbert_kernel(n)
+    m = scipy_fft.next_fast_len(n + kern.size - 1)
+    want = scipy_fft.ifft(scipy_fft.fft(g.values, m) * scipy_fft.fft(kern, m))[n - 1 : 2 * n - 1]
+    got = hilbert_transform(g, tail_fit=False).values
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_riesz_reproduces_upper():
