@@ -1,6 +1,6 @@
 """Summation methods for non-harmonic Fourier series on the Paley-Wiener side."""
 
-from pwsum.blaschke import BlaschkeEvaluator, DiskFamily, hayman_scan, upper_lower_evaluators
+from pwsum.blaschke import BlaschkeEvaluator, upper_lower_evaluators
 from pwsum.contours import ContourSchedule, TriangleContour, build_schedule, lambda_inside
 from pwsum.diagnostics import a2_estimate, carleson_sup, intG_check
 from pwsum.engine import (
@@ -24,7 +24,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BlaschkeEvaluator",
     "ContourSchedule",
-    "DiskFamily",
     "GeneratingFunctionEvaluator",
     "GridFunction",
     "LagrangeSum",
@@ -45,7 +44,6 @@ __all__ = [
     "compactwise_error",
     "disk_probe",
     "grid_template",
-    "hayman_scan",
     "hilbert_transform",
     "intG_check",
     "l2_error",

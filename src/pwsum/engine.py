@@ -100,30 +100,18 @@ def build_lagrange_sum(f: PWFunction, gen, scheme, step: int) -> LagrangeSum:
     return build_lagrange_sum_from_values(values, gen, scheme, step)
 
 
-def _cauchy_sum(ls: LagrangeSum, gen, z: np.ndarray) -> np.ndarray:
-    """sum_k a_k/(z - lambda_k) at the points z (1-d)."""
-    lam = gen.spectrum.points[ls.indices]
-    return (ls.coefficients[None, :] / (z[:, None] - lam[None, :])).sum(axis=1)
-
-
-def eval_lagrange_sum(ls: LagrangeSum, gen, z):
-    """G(z) * sum_k a_k/(z - lambda_k) at arbitrary complex z."""
-    z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
-    if not len(ls):
-        out = np.zeros(z_arr.shape, dtype=complex)
-        return out[0] if np.asarray(z).ndim == 0 else out
-    out = gen.eval_G(z_arr) * _cauchy_sum(ls, gen, z_arr)
-    return out[0] if np.asarray(z).ndim == 0 else out
-
-
-def _cauchy_chunks(x: np.ndarray, lam: np.ndarray):
-    """(rows, 1/(x[rows] - lambda)) over chunks of block_rows(points) grid nodes:
-    the only place this module builds a (grid nodes x points) array, and none
-    outlives its chunk."""
+def _cauchy_chunks(z: np.ndarray, lam: np.ndarray):
+    """(rows, 1/(z[rows] - lambda)) over chunks of block_rows(points) sample
+    points (grid nodes, disk probe points): the only place this module forms
+    1/(z - lambda).  Every chunk is written into one buffer made per call, so
+    a caller consumes (or overwrites) each chunk before it asks for the next."""
     step = block_rows(lam.size)
-    for i in range(0, x.size, step):
-        rows = slice(i, i + step)
-        yield rows, 1.0 / (x[rows, None] - lam)
+    buf = np.empty((min(step, z.size), lam.size), dtype=complex)
+    for i in range(0, z.size, step):
+        zc = z[i : i + step, None]
+        c = buf[: zc.shape[0]]
+        np.subtract(zc, lam, out=c)
+        yield slice(i, i + step), np.divide(1.0, c, out=c)
 
 
 class SummationContext:
@@ -360,18 +348,19 @@ def disk_probe(
     radius: float = 3.0,
     samples: int = 256,
 ) -> DiskProbe:
-    """The probe on `samples` sunflower points of |z - center| <= radius."""
+    """The probe on `samples` sunflower points of |z - center| <= radius; a
+    point within 1e-8 of the spectrum is moved by 3e-8 + 2e-8i."""
     zs = disk_samples(center, radius, samples)
-    lam = gen.spectrum.points
-    if lam.size:
-        d = np.abs(zs[:, None] - lam[None, :])
-        bad = d.min(axis=1) < 1e-8
-        zs[bad] += 3e-8 + 2e-8j
+    with np.errstate(divide="ignore", invalid="ignore"):  # a point on the spectrum: 1/0
+        for rows, C in _cauchy_chunks(zs, gen.spectrum.points):
+            zs[rows][np.abs(C).max(axis=1, initial=0.0) > 1e8] += 3e-8 + 2e-8j
     return DiskProbe(points=zs, G=gen.eval_G(zs), F=f.eval(zs))
 
 
 def compactwise_error(probe: DiskProbe, gen: GeneratingFunctionEvaluator, ls: LagrangeSum) -> float:
     """sup |S_n - F| over the probe's sample points of the disk K, for the
     step's sum S_n = ls."""
-    sn = probe.G * _cauchy_sum(ls, gen, probe.points)
-    return float(np.max(np.abs(sn - probe.F)))
+    sn = np.empty(probe.points.shape, dtype=complex)
+    for rows, C in _cauchy_chunks(probe.points, gen.spectrum.points[ls.indices]):
+        sn[rows] = np.multiply(C, ls.coefficients, out=C).sum(axis=1)
+    return float(np.max(np.abs(probe.G * sn - probe.F)))

@@ -325,14 +325,6 @@ class OuterEvaluator:
         vals = gen.log_abs_G(grid.x)
         return cls(grid.copy_with(vals.astype(complex)))
 
-    @property
-    def halfwidth(self) -> float:
-        return self.grid.X
-
-    @property
-    def spacing(self) -> float:
-        return self.grid.h
-
     def eval_outer(self, z):
         """omega(z) for Im z >= h, |Re z| <= X/2 (blocks of block_rows(nodes) points)."""
         z_arr = np.atleast_1d(np.asarray(z, dtype=complex))

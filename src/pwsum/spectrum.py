@@ -28,19 +28,20 @@ FAMILY_NAMES = LATTICE_FAMILIES + ("custom_list",)
 # glibc's default mmap threshold (128 KiB): a kernel that made its block
 # temporaries afresh per block had them mmapped, and page-faulted afresh,
 # for every block, unless an earlier free had raised the dynamic threshold.
-# So the log-sum kernels (G, log|G|, B) make their block buffers once per
-# call and fill them with ufunc out= writes; no block allocates.
+# So the log-sum kernels (G, log|G|, B) and engine's Cauchy chunks make
+# their block buffers once per call and fill them with ufunc out= writes;
+# no block allocates.
 BLOCK_BUDGET = 2**14
 
 
 def block_rows(n_cols: int) -> int:
     """Rows per block of a pair kernel with n_cols columns (at least one).
 
-    Every pair kernel but the Cauchy sums reduces along its columns, one row
-    at a time, so the block size cannot change a single bit of its output.
-    The Cauchy sums of engine (SummationContext.sample_sums, the NormProbe
-    Gram matrix) multiply whole blocks by BLAS, whose rounding depends on
-    the block shape: they move by ~1e-15 relative."""
+    Every pair kernel but two reduces along its columns, one row at a time,
+    so the block size cannot change a single bit of its output.  The two
+    BLAS Cauchy sums of engine (SummationContext.sample_sums, the NormProbe
+    Gram matrix) multiply whole blocks, whose rounding depends on the block
+    shape: they move by ~1e-15 relative."""
     return max(1, BLOCK_BUDGET // max(n_cols, 1))
 
 
@@ -194,13 +195,6 @@ class Spectrum:
     @property
     def moduli(self) -> np.ndarray:
         return np.abs(self.points)
-
-    @property
-    def delta_floor(self) -> float:
-        """min_k |Im lambda_k|; 0.0 for an empty window."""
-        if not len(self):
-            return 0.0
-        return float(np.min(np.abs(self.points.imag)))
 
     @property
     def radius(self) -> float:

@@ -4,13 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pwsum.blaschke import (
-    BlaschkeError,
-    BlaschkeEvaluator,
-    BudgetError,
-    hayman_scan,
-    upper_lower_evaluators,
-)
+from pwsum.blaschke import BlaschkeError, BlaschkeEvaluator, upper_lower_evaluators
 from pwsum.spectrum import Spectrum, make_family
 from pwsum.weights import ProjectionWeights
 
@@ -54,10 +48,20 @@ def test_modulus_bound_upper_halfplane():
     assert np.all(np.abs(vals) <= 1.0 + 1e-10)
 
 
-def test_pole_rejected():
-    b = BlaschkeEvaluator(Spectrum(np.array([1j])))
-    with pytest.raises(BlaschkeError):
-        b.eval_B(-1j)
+@pytest.mark.parametrize("kernel", [
+    lambda b, z: b.eval_B(z),
+    lambda b, z: b.eval_B(z, cutoff=3.0),
+    lambda b, z: b.tail_factor(z, 1.5),
+    lambda b, z: b.log_abs_B(z),
+], ids=["eval_B", "eval_B-cutoff", "tail_factor", "log_abs_B"])
+def test_pole_rejected(kernel):
+    # each kernel checks for a pole conj(lambda) itself: -2j is the pole of the
+    # zero 2j, inside the cutoff 3 and in the tail |mu| >= 1.5; 1e-13 away is
+    # within the relative tolerance 1e-12 * |lambda|
+    b = BlaschkeEvaluator(Spectrum(np.array([1j, 2j])))
+    for z in (-2j, np.array([0.5 + 0.5j, -2j + 1e-13])):
+        with pytest.raises(BlaschkeError):
+            kernel(b, z)
 
 
 # -- log|B| in real arithmetic ---------------------------------------------
@@ -242,51 +246,6 @@ def test_arg_derivative_lattice_tail():
 def test_arg_derivative_nonnegative(pts, t):
     b = BlaschkeEvaluator(Spectrum(np.array(pts)))
     assert b.arg_derivative_on_R(t) >= 0.0
-
-
-# -- hayman scan -------------------------------------------------------------
-
-
-def test_hayman_empty():
-    fam = hayman_scan(
-        BlaschkeEvaluator(Spectrum(np.array([], dtype=complex))),
-        10.0,
-        (np.array([0.0, 10.0]), np.array([1.0, 1.0])),
-    )
-    assert fam.view_sum == 0.0
-    assert not fam.contains(np.array([1j]))[0]
-
-
-def test_hayman_single_point():
-    b = BlaschkeEvaluator(Spectrum(np.array([1j])))
-    prof = (np.array([0.0, 10.0]), np.array([50.0, 50.0]))
-    fam = hayman_scan(b, 10.0, prof)
-    assert fam.centers.shape == (1,)
-    assert fam.view_sum <= 1e-3
-    zs = np.array([2j, 5 + 1j, 0.5 + 0.5j])
-    outside = ~fam.contains(zs)
-    neg_log = -np.log(np.abs(b.eval_B(zs[outside])))
-    assert np.all(neg_log <= 50.0 * np.abs(zs[outside]))
-
-
-def test_hayman_lattice_budget():
-    s = make_family("shifted_integers", {"delta": 0.3}, 40)
-    b = BlaschkeEvaluator(s)
-    prof = (np.array([0.0, 40.0]), np.array([30.0, 29.9]))
-    fam = hayman_scan(b, 35.0, prof, n_verify=12000)
-    assert fam.view_sum <= 1e-3
-    # radii proportional to |lambda|/(1+|lambda|)^2 keep the view sum summable
-    assert fam.radii.shape == fam.centers.shape
-    assert fam.profile_values.size >= 5
-
-
-def test_hayman_infeasible_budget_reports_smallest():
-    b = BlaschkeEvaluator(Spectrum(np.array([1j])))
-    # an absurdly demanding profile cannot hold outside tiny disks
-    prof = (np.array([0.0, 10.0]), np.array([1e-9, 1e-9]))
-    with pytest.raises(BudgetError) as exc:
-        hayman_scan(b, 10.0, prof, n_verify=4000)
-    assert exc.value.smallest_budget > 1e-3
 
 
 def test_upper_lower_split_helper():

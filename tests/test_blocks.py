@@ -1,5 +1,6 @@
 """The block size of the (points x spectrum) pair kernels changes no bit,
-except in the BLAS-based Cauchy kernels, which stay within a stated tolerance."""
+except in the BLAS-based Cauchy kernels, which stay within a stated tolerance;
+compactwise_error row-sums its Cauchy chunks, so it is held to every bit."""
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from pwsum import spectrum
 from pwsum.blaschke import BlaschkeEvaluator
 from pwsum.contours import select_c
 from pwsum.diagnostics import carleson_sup
-from pwsum.engine import NormProbe, PWFunction, SummationContext, build_lagrange_sum
+from pwsum.engine import NormProbe, PWFunction, SummationContext, build_lagrange_sum, compactwise_error, disk_probe
 from pwsum.genfun import GeneratingFunctionEvaluator, OuterEvaluator
 from pwsum.grids import grid_template
 from pwsum.spectrum import Spectrum, make_family
@@ -32,6 +33,7 @@ def _kernel_outputs() -> dict:
     f = PWFunction([0.3j, 2.7 - 0.3j], [1.0, 0.5])
     proj = ProjectionWeights(s, [5.0, 12.0, 31.0])
     sums = [build_lagrange_sum(f, gen, proj, step) for step in range(len(proj))]
+    probe = disk_probe(f, gen, center=0.4 + 0.2j, radius=3.0, samples=97)
     return {
         "log_abs_G": gen.log_abs_G(x, a=0.4),
         "log_G": gen.log_G(z),
@@ -43,6 +45,7 @@ def _kernel_outputs() -> dict:
         "select_c": np.array(select_c(up, 20.3, samples_per_side=64)),
         "sample_sums": np.array([g.values for g in SummationContext(gen, grid).sample_sums(sums)]),
         "NormProbe._P": NormProbe(gen, grid, atom_halfwidth=5)._P,
+        "compactwise_error": np.array([compactwise_error(probe, gen, ls) for ls in sums]),
     }
 
 

@@ -10,10 +10,10 @@ from pwsum.engine import (
     SummationContext,
     build_lagrange_sum,
     build_lagrange_sum_from_values,
+    DiskProbe,
     compactwise_error,
     disk_probe,
     disk_samples,
-    eval_lagrange_sum,
     l2_error,
     pw_tail_bound,
     sample_pw,
@@ -175,10 +175,21 @@ def test_compactwise_exact_reproduction(lattice):
     values[k0] = 1.0
     ls = build_lagrange_sum_from_values(values, g, naive, 0)
     zs = disk_samples(0j, 3.0, 128)
-    sn = eval_lagrange_sum(ls, g, zs)
     lam0 = s.points[k0]
     direct = g.eval_G(zs) / (g.eval_G_prime_at_lambda(k0) * (zs - lam0))
-    assert np.max(np.abs(sn - direct)) < 1e-12
+    assert compactwise_error(DiskProbe(zs, g.eval_G(zs), direct), g, ls) < 1e-12
+
+
+def test_disk_probe_nudges_a_sample_on_the_spectrum():
+    # a spectrum point exactly on one sample: only that sample moves, by
+    # 3e-8 + 2e-8i, and no RuntimeWarning escapes the 1/0
+    zs = disk_samples(0j, 3.0, 64)
+    k = int(np.flatnonzero(zs.imag > 0.5)[0])
+    g = GeneratingFunctionEvaluator(Spectrum(np.array([zs[k], -2.2 + 1j, 1.3 - 1j])))
+    probe = disk_probe(PWFunction([0.3j], [1.0]), g, center=0j, radius=3.0, samples=64)
+    assert np.flatnonzero(probe.points != zs).tolist() == [k]
+    assert probe.points[k] == zs[k] + (3e-8 + 2e-8j)
+    assert np.all(np.isfinite(probe.G))
 
 
 def test_compactwise_decreases(lattice):

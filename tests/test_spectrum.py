@@ -19,7 +19,6 @@ def test_shifted_integers_small():
     expected = {-2 + 0.3j, -1 + 0.3j, 0.3j, 1 + 0.3j, 2 + 0.3j}
     assert set(s.points.tolist()) == expected
     assert len(s) == 5
-    assert s.delta_floor == pytest.approx(0.3)
 
 
 def test_custom_single_point():
@@ -227,9 +226,6 @@ def test_truncation_monotone_and_split_partition(pts, n1, n2):
     assert small <= big
     up, lo = split_halfplanes(s)
     assert len(up) + len(lo) == len(s)
-    if len(s):
-        assert s.delta_floor == pytest.approx(min(abs(p.imag) for p in pts))
-        assert s.delta_floor > 0
 
 
 def test_serialization_roundtrip(tmp_path):
