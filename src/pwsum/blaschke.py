@@ -52,27 +52,35 @@ def _log_factors(z: np.ndarray, mu: np.ndarray) -> np.ndarray:
 def _log_abs_factors(z: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """Modulus kernel: per point of z (1-d), 1/2 sum over lam of log(near/far) =
     log1p(-4 Im z Im lam/far), near = |z - lam|^2, far = |z - conj lam|^2, in
-    blocks of block_rows(lam) points; raises at a pole conj(lam).  The ratio
-    keeps its digits next to a zero; log1p's argument rounds to -1 there (or
-    below it: NaN)."""
+    blocks of block_rows(lam) points with the block buffers made once; raises
+    at a pole conj(lam).  The ratio keeps its digits next to a zero; log1p's
+    argument rounds to -1 there (or below it: NaN)."""
     out = np.empty(z.shape)
+    lre, lim = lam.real, lam.imag
     tol2 = (_POLE_RTOL * np.maximum(1.0, np.abs(lam))) ** 2
+    # far >= fl((Im z + Im lam)^2) >= fl(Im lam^2) when Im z >= 0: no pole
+    # can be hit then if every fl(Im lam^2) > tol2
+    poles = not (np.all(z.imag >= 0) and np.all(lim * lim > tol2))
     step = block_rows(lam.size)
+    rows = min(step, z.size)
+    dx2, far, near = np.empty((3, rows, lam.size))
     with np.errstate(divide="ignore"):  # z at a zero: log 0 = -inf, exact
         for i in range(0, z.size, step):
             zc = z[i : i + step, None]
-            dx2 = zc.real - lam.real
-            dx2 *= dx2
-            far = zc.imag + lam.imag
-            far *= far
-            far += dx2
-            if np.any(far <= tol2):
+            r = zc.shape[0]
+            d, f, n = dx2[:r], far[:r], near[:r]
+            np.subtract(zc.real, lre, out=d)
+            d *= d
+            np.add(zc.imag, lim, out=f)
+            f *= f
+            f += d
+            if poles and np.any(f <= tol2):
                 raise BlaschkeError("evaluation at a pole conj(lambda)")
-            near = zc.imag - lam.imag
-            near *= near
-            near += dx2
-            near /= far
-            out[i : i + step] = 0.5 * np.log(near, out=near).sum(axis=1)
+            np.subtract(zc.imag, lim, out=n)
+            n *= n
+            n += d
+            n /= f
+            out[i : i + step] = 0.5 * np.log(n, out=n).sum(axis=1)
     return out
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from pwsum.blaschke import BlaschkeEvaluator
-from pwsum.spectrum import Spectrum, block_rows, unique_sorted
+from pwsum.spectrum import Spectrum, block_rows, squared_distances, unique_sorted
 
 
 class ContourError(ValueError):
@@ -117,11 +117,12 @@ def select_l(
 
 def _hits_zero(zeta: np.ndarray, zeros: np.ndarray) -> bool:
     """Whether some sample lies within 1e-9 of a zero: squared distances in
-    real arithmetic, over blocks of block_rows(zeros) samples."""
+    real arithmetic, over blocks of block_rows(zeros) samples, in two buffers
+    made once per call."""
     step = block_rows(zeros.size)
+    d2, t = np.empty((2, min(step, zeta.size), zeros.size))
     for i in range(0, zeta.size if zeros.size else 0, step):
-        zc = zeta[i : i + step, None]
-        if np.min((zc.real - zeros.real) ** 2 + (zc.imag - zeros.imag) ** 2) < 1e-18:
+        if np.min(squared_distances(zeta[i : i + step], zeros, d2, t)) < 1e-18:
             return True
     return False
 

@@ -13,18 +13,50 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from pwsum.spectrum import block_rows
+from pwsum.spectrum import block_rows, squared_distances
 
 
 class DiagnosticsError(ValueError):
     pass
 
 
-def _line_samples(gen, X: float, h: float, a: float) -> tuple[np.ndarray, np.ndarray]:
-    n = int(round(2 * X / h)) + 1
-    x = np.linspace(-X, X, n)
-    logs = gen.log_abs_G(x, a=a)
-    return x, logs
+@dataclass
+class _Window:
+    """log|G(x + ia)| on the nodes x of one window, spaced `step` apart."""
+
+    step: float
+    x: np.ndarray
+    logs: np.ndarray
+
+
+def _intervals(X: float, h: float) -> int:
+    """m = round(2X/h), at least 1: the intervals of the window [-X, X]."""
+    return max(1, round(2 * X / h))
+
+
+def _line_window(gen, X: float, h: float, a: float) -> _Window:
+    """The window [-X, X] on the nodes (2X/m)(k - m/2), k = 0..m, which are
+    exactly symmetric about 0."""
+    m = _intervals(X, h)
+    step = 2 * X / m
+    x = step * (np.arange(m + 1) - m / 2)
+    return _Window(step, x, gen.log_abs_G(x, a=a))
+
+
+def _line_samples(gen, X: float, h: float, a: float) -> tuple[_Window, _Window]:
+    """The windows [-X, X] and [-2X, 2X] of the line at height a.
+
+    When m = _intervals(X, h) is even and _intervals(2X, h) = 2m, both
+    windows have the spacing 2X/m bit for bit, and the X nodes are the
+    middle m + 1 nodes of the 2X window: then one pass over the 2X window
+    gives both, and the slice is the very array a pass over the X window
+    would give.  Otherwise each window takes its own pass."""
+    m = _intervals(X, h)
+    wide = _line_window(gen, 2 * X, h, a)
+    if m % 2 or _intervals(2 * X, h) != 2 * m:
+        return _line_window(gen, X, h, a), wide
+    mid = slice(m // 2, m // 2 + m + 1)
+    return _Window(wide.step, wide.x[mid], wide.logs[mid]), wide
 
 
 def _check_shift(gen, a: float) -> None:
@@ -39,7 +71,7 @@ def a2_estimate(gen, X: float, a: float = 0.0, h: float = 0.01) -> float:
     Interval lengths are 2^j h for j >= 2 at aligned offsets.
     """
     _check_shift(gen, a)
-    return _a2_from_logs(_line_samples(gen, X, h, a)[1])
+    return _a2_from_logs(_line_window(gen, X, h, a).logs)
 
 
 def _a2_from_logs(logs: np.ndarray) -> float:
@@ -116,27 +148,31 @@ def carleson_sup(s) -> float:
 
     Exact over the stored window; for the built-in lattice-type families a
     trigamma tail adds the contribution of the family points beyond the
-    window, scaled by the tail's site density.  The pair sums run over
-    blocks of block_rows(points) rows.
+    window, scaled by the tail's site density.  The pair sums run in real
+    arithmetic over blocks of block_rows(points) rows, in two buffers made
+    once per call.
     """
     pts = s.points
     if pts.size < 2:
         return 0.0
     w = 1.0 + np.abs(pts.imag)
-    sums = np.zeros(pts.size)
+    sums = np.empty(pts.size)
     step = block_rows(pts.size)
+    d2, t = np.empty((2, min(step, pts.size), pts.size))
     for i in range(0, pts.size, step):
-        blk = pts[i : i + step, None] - pts[None, :]
-        d2 = np.abs(blk) ** 2
-        np.fill_diagonal(d2[:, i : i + step], np.inf)
-        sums[i : i + step] = ((w[i : i + step, None] * w[None, :]) / d2).sum(axis=1)
+        blk = pts[i : i + step]
+        r = blk.size
+        d2r = squared_distances(blk, pts, d2, t)  # |lambda - mu|^2
+        np.fill_diagonal(d2r[:, i : i + r], np.inf)  # mu = lambda adds w/inf = 0
+        np.divide(w, d2r, out=d2r)
+        np.sum(d2r, axis=1, out=sums[i : i + r])
+    sums *= w  # w_lambda sum_mu w_mu/|lambda - mu|^2
     tail = s.lattice_tail()
     if tail is not None:
         # tail sites sit near +-m + i*delta, m >= first_site; trigamma sums
         # the inverse-square distances along the real direction
-        re = pts.real
-        wt = (1.0 + np.abs(pts.imag)) * (1.0 + tail.delta)
-        psi1 = _trigamma(tail.first_site - re) + _trigamma(tail.first_site + re)
+        wt = w * (1.0 + tail.delta)
+        psi1 = _trigamma(tail.first_site - pts.real) + _trigamma(tail.first_site + pts.real)
         sums += tail.density * wt * psi1
     return float(np.max(sums))
 
@@ -168,30 +204,32 @@ class IntegrabilityReport:
 def intG_check(gen, X: float, h: float = 0.01) -> IntegrabilityReport:
     """Trapezoid values of int |G|^2/(1+x^2) and int |G|^-2/(1+x^2) on
     [-X, X] and [-2X, 2X]; the 2X/X ratio reports the growth trend."""
-    return _intG_from_samples(h, _line_samples(gen, X, h, 0.0), _line_samples(gen, 2 * X, h, 0.0))
+    return _intG_from_samples(*_line_samples(gen, X, h, 0.0))
 
 
-def _intG_from_samples(h: float, window_X, window_2X) -> IntegrabilityReport:
-    """intG_check from the (x, log|G(x)|) samples on [-X, X] and [-2X, 2X]."""
+def _intG_from_samples(*windows: _Window) -> IntegrabilityReport:
+    """intG_check from the windows [-X, X] and [-2X, 2X] of the real line,
+    each weighted by its own node spacing."""
     vals = []
-    for x, logs in (window_X, window_2X):
-        wts = np.full(x.size, h)
-        wts[0] = wts[-1] = h / 2
-        base = 1.0 + x * x
-        vals.append(float(np.sum(wts * np.exp(2.0 * logs) / base)))
-        vals.append(float(np.sum(wts * np.exp(-2.0 * logs) / base)))
+    for w in windows:
+        wts = np.full(w.x.size, w.step)
+        wts[0] = wts[-1] = w.step / 2
+        base = 1.0 + w.x * w.x
+        vals.append(float(np.sum(wts * np.exp(2.0 * w.logs) / base)))
+        vals.append(float(np.sum(wts * np.exp(-2.0 * w.logs) / base)))
     return IntegrabilityReport(*vals)
 
 
 def line_diagnostics(gen, X: float, h: float, a: float = 0.0) -> tuple[float, float, IntegrabilityReport]:
     """(a2_estimate on [-X, X], a2_estimate on [-2X, 2X], intG_check(gen, X, h)),
-    bit-identical to the three calls, from one log|G| pass per window; the
-    A2 scan takes one more pass per window at a shift a != 0."""
+    bit-identical to the three calls, from _line_samples: one log|G| pass
+    over [-2X, 2X] when the X nodes are its middle nodes, and one more over
+    [-X, X] otherwise; the A2 scan takes as many again at a shift a != 0."""
     _check_shift(gen, a)
-    line = [_line_samples(gen, Xw, h, 0.0) for Xw in (X, 2 * X)]
-    shifted = line if a == 0 else [_line_samples(gen, Xw, h, a) for Xw in (X, 2 * X)]
-    v1, v2 = (_a2_from_logs(logs) for _, logs in shifted)
-    return v1, v2, _intG_from_samples(h, *line)
+    line = _line_samples(gen, X, h, 0.0)
+    shifted = line if a == 0 else _line_samples(gen, X, h, a)
+    v1, v2 = (_a2_from_logs(w.logs) for w in shifted)
+    return v1, v2, _intG_from_samples(*line)
 
 
 def save_report_csv(rows, path) -> None:

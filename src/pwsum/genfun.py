@@ -22,7 +22,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from pwsum.grids import GridFunction, grid_template, hilbert_transform
-from pwsum.spectrum import LatticeTail, LogSumWork, Spectrum, block_log_sum, block_rows, unique_sorted
+from pwsum.spectrum import (
+    LatticeTail,
+    LogSumWork,
+    Spectrum,
+    block_log_sum,
+    block_rows,
+    squared_distances,
+    unique_sorted,
+)
 
 _COLLISION_RTOL = 1e-12
 
@@ -171,7 +179,6 @@ class GeneratingFunctionEvaluator:
         out = np.zeros(z.shape, dtype=complex)
         if not lam.size:
             return out
-        lre, lim = lam.real, lam.imag
         tol2 = (_COLLISION_RTOL * np.maximum(1.0, np.abs(lam))) ** 2
         step = block_rows(lam.size)
         rows = min(step, z.size)
@@ -179,15 +186,11 @@ class GeneratingFunctionEvaluator:
         d2, t = np.empty((2, rows, lam.size))
         bad = np.empty((rows, lam.size), dtype=bool)
         for i in range(0, z.size, step):
-            zc = z[i : i + step, None]
-            r = zc.shape[0]
-            d2r, tr, badr, factor = d2[:r], t[:r], bad[:r], work.f[:r]
-            np.subtract(zc.real, lre, out=d2r)
-            d2r *= d2r
-            np.subtract(zc.imag, lim, out=tr)
-            tr *= tr
-            d2r += tr  # |z - lambda|^2
-            np.less_equal(d2r, tol2, out=badr)
+            blk = z[i : i + step]
+            zc = blk[:, None]
+            r = blk.size
+            badr, factor = bad[:r], work.f[:r]
+            np.less_equal(squared_distances(blk, lam, d2, t), tol2, out=badr)
             np.divide(zc, lam, out=factor)
             np.subtract(1.0, factor, out=factor)
             if skip is not None:
@@ -210,17 +213,19 @@ class GeneratingFunctionEvaluator:
         log_l2 = np.log(lre * lre + lim * lim)
         dy2 = (a - lim) ** 2
         tol2 = (_COLLISION_RTOL * np.maximum(1.0, np.abs(lam))) ** 2
+        # fl(fl((x - Re lambda)^2) + dy2) >= dy2: only a column with
+        # dy2 <= tol2 can collide, so only those columns are tested
+        near = np.flatnonzero(dy2 <= tol2)
+        tol2_near = tol2[near]
         step = block_rows(lam.size)
-        rows = min(step, x.size)
-        d2 = np.empty((rows, lam.size))
-        bad = np.empty((rows, lam.size), dtype=bool)
+        d2 = np.empty((min(step, x.size), lam.size))
         for i in range(0, x.size, step):
             xc = x[i : i + step, None]
             d2r = d2[: xc.shape[0]]
             np.subtract(xc, lre, out=d2r)
             d2r *= d2r
             d2r += dy2  # |x + ia - lambda|^2
-            if np.any(np.less_equal(d2r, tol2, out=bad[: xc.shape[0]])):
+            if near.size and np.any(d2r[:, near] <= tol2_near):
                 raise CollisionError("line sample collides with a spectrum point")
             np.log(d2r, out=d2r)
             d2r -= log_l2

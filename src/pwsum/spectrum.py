@@ -28,9 +28,9 @@ FAMILY_NAMES = LATTICE_FAMILIES + ("custom_list",)
 # glibc's default mmap threshold (128 KiB): a kernel that made its block
 # temporaries afresh per block had them mmapped, and page-faulted afresh,
 # for every block, unless an earlier free had raised the dynamic threshold.
-# So the log-sum kernels (G, log|G|, B) and engine's Cauchy chunks make
-# their block buffers once per call and fill them with ufunc out= writes;
-# no block allocates.
+# So the log-sum kernels (G, log|G|, B, log|B|), the Carleson sums, the
+# contour zero test and engine's Cauchy chunks make their block buffers once
+# per call and fill them with ufunc out= writes; no block allocates.
 BLOCK_BUDGET = 2**14
 
 
@@ -43,6 +43,19 @@ def block_rows(n_cols: int) -> int:
     Gram matrix) multiply whole blocks, whose rounding depends on the block
     shape: they move by ~1e-15 relative."""
     return max(1, BLOCK_BUDGET // max(n_cols, 1))
+
+
+def squared_distances(z: np.ndarray, lam: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """|z_i - lam_j|^2 = (Re z_i - Re lam_j)^2 + (Im z_i - Im lam_j)^2 for a
+    block of points z (1-d), in real arithmetic: written into out[:z.size],
+    with tmp[:z.size] as scratch (ufunc out= writes), and returned."""
+    d2, t = out[: z.size], tmp[: z.size]
+    np.subtract(z.real[:, None], lam.real, out=d2)
+    d2 *= d2
+    np.subtract(z.imag[:, None], lam.imag, out=t)
+    t *= t
+    d2 += t
+    return d2
 
 
 def unique_sorted(a) -> np.ndarray:

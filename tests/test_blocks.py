@@ -36,6 +36,8 @@ def _kernel_outputs() -> dict:
     probe = disk_probe(f, gen, center=0.4 + 0.2j, radius=3.0, samples=97)
     return {
         "log_abs_G": gen.log_abs_G(x, a=0.4),
+        # on the points' own line, between them: the collision test's columns
+        "log_abs_G@delta": gen.log_abs_G(x + 0.1, a=0.3),
         "log_G": gen.log_G(z),
         "log_abs_B": up.log_abs_B(z),
         "eval_B": np.concatenate([up.eval_B(z), up.eval_B(z, cutoff=12.0)]),

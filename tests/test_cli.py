@@ -411,8 +411,15 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, body, files):
         assert not out.exists()
 
 
-@pytest.mark.parametrize("a", [0.0, 0.15])
-def test_diagnose_samples_each_line_once(tmp_path, monkeypatch, a):
+# (X, h, nodes per pass): with X=40, h=0.01 the [-X, X] nodes (m = 8000
+# intervals, even) are the middle nodes of [-2X, 2X], so one pass gives both;
+# with X=10.05, h=0.1 (m = 201, odd) they are not, and each window takes a pass
+@pytest.mark.parametrize(
+    "a, X, h, nodes",
+    [(a, *window) for window in [(40.0, 0.01, [16001]), (10.05, 0.1, [202, 403])] for a in (0.0, 0.15)],
+    ids=["0.0", "0.15", "0.0-unaligned", "0.15-unaligned"],
+)
+def test_diagnose_samples_each_line_once(tmp_path, monkeypatch, a, X, h, nodes):
     calls = []  # (evaluator, nodes, shift) per log|G| pass
     log_abs_G = GeneratingFunctionEvaluator.log_abs_G
 
@@ -423,17 +430,14 @@ def test_diagnose_samples_each_line_once(tmp_path, monkeypatch, a):
     rows = []
     monkeypatch.setattr(GeneratingFunctionEvaluator, "log_abs_G", counted)
     monkeypatch.setattr(cli, "save_report_csv", lambda r, path: rows.extend(r))
-    cfg = write_cfg(tmp_path, "d.cfg", f"subcommand=diagnose\na2.a={a}\noutput.dir={tmp_path}\n")
+    cfg = write_cfg(tmp_path, "d.cfg", f"subcommand=diagnose\na2.a={a}\ndiag.X={X}\ndiag.h={h}\n"
+                    f"output.dir={tmp_path}\n")
     assert run(cfg) == EXIT_OK
-    # default X=40, h=0.01: one pass over [-X, X] and one over [-2X, 2X]
     passes = sorted((n, shift) for _, n, shift in calls)
-    expected = [(8001, 0.0), (16001, 0.0)]
-    if a:
-        expected = sorted(expected + [(8001, a), (16001, a)])
-    assert passes == expected
+    assert passes == sorted((n, shift) for n in nodes for shift in {0.0, a})
     gen = calls[0][0]
-    v1, v2 = a2_estimate(gen, X=40.0, a=a, h=0.01), a2_estimate(gen, X=80.0, a=a, h=0.01)
-    rep = intG_check(gen, X=40.0, h=0.01)
+    v1, v2 = a2_estimate(gen, X=X, a=a, h=h), a2_estimate(gen, X=2 * X, a=a, h=h)
+    rep = intG_check(gen, X=X, h=h)
     assert rows[0][2:] == (v1, v2 / v1)
     assert rows[2][2:] == (rep.pos_integral, rep.pos_trend)
     assert rows[3][2:] == (rep.neg_integral, rep.neg_trend)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.special import polygamma
@@ -91,6 +93,18 @@ def test_carleson_two_points():
     assert v == pytest.approx(6.0)
 
 
+def test_carleson_matches_pair_loop():
+    # a custom list has no tail: the sup is the pair sum, here summed exactly
+    rng = np.random.default_rng(3)
+    pts = rng.uniform(-6, 6, 40) + 1j * rng.choice([-1, 1], 40) * rng.uniform(0.1, 2.0, 40)
+    w = [1.0 + abs(p.imag) for p in pts]
+    want = max(
+        math.fsum(w[i] * w[j] / abs(pts[i] - pts[j]) ** 2 for j in range(pts.size) if j != i)
+        for i in range(pts.size)
+    )
+    assert carleson_sup(Spectrum(pts)) == pytest.approx(want, rel=1e-13)
+
+
 def test_carleson_translation_invariance_exact():
     pts = np.array([0.25 + 0.5j, 1 + 1j, -2 + 0.75j, 3 - 0.5j])
     a = carleson_sup(Spectrum(pts))
@@ -132,6 +146,15 @@ def test_intG_constant_modulus_tends_to_pi():
     assert rep.pos_integral_2X == pytest.approx(np.pi, rel=2e-3)
     assert rep.neg_integral_2X == pytest.approx(np.pi, rel=2e-3)
     assert not rep.pos_divergent and not rep.neg_divergent
+
+
+def test_intG_weights_are_the_node_spacing():
+    # 2X/h is not an integer: the nodes are 20/667 and 40/1333 apart, not h
+    g = _FakeG(lambda x, a: np.zeros(x.shape))
+    rep = intG_check(g, X=10.0, h=0.03)
+    for got, X in [(rep.pos_integral, 10.0), (rep.neg_integral, 10.0),
+                   (rep.pos_integral_2X, 20.0), (rep.neg_integral_2X, 20.0)]:
+        assert got == pytest.approx(2.0 * math.atan(X), rel=1e-5)
 
 
 def test_intG_lattice_finite():

@@ -144,6 +144,17 @@ def test_collision_rejected(lattice200):
         lattice200.eval_G(0.3j)
 
 
+def test_line_collision_rejected_on_the_points_height(lattice200):
+    # on the line x + i Im lambda_k only the columns at that height are
+    # tested: a sample within the tolerance of lambda_k still collides
+    lam = lattice200.spectrum.points[7]
+    for x in (lam.real, lam.real + 1e-13):
+        with pytest.raises(CollisionError):
+            lattice200.log_abs_G(np.array([lam.real + 0.5, x]), a=lam.imag)
+    x = np.linspace(-20.0, 20.0, 81) + 0.25  # clear of every point
+    assert np.all(np.isfinite(lattice200.log_abs_G(x, a=lam.imag)))
+
+
 def test_deterministic_bitwise(lattice200):
     z = np.linspace(-3, 3, 11) + 0.7j
     a = lattice200.eval_G(z)
