@@ -12,7 +12,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from pwsum.spectrum import LogSumWork, Spectrum, block_log_sum, block_rows, split_halfplanes
+from pwsum.spectrum import (
+    LogSumWork,
+    Spectrum,
+    block_log_sum,
+    collisions,
+    inverse_square_sums,
+    row_blocks,
+    split_halfplanes,
+)
 
 _POLE_RTOL = 1e-12
 
@@ -21,66 +29,56 @@ class BlaschkeError(ValueError):
     pass
 
 
+def _check_poles(z: np.ndarray, mu: np.ndarray) -> None:
+    """Raise if a point of z lies at a pole conj(mu): |z - conj mu| <= 1e-12 max(1, |mu|)."""
+    if np.any(collisions(z, np.conj(mu), (_POLE_RTOL * np.maximum(1.0, np.abs(mu))) ** 2)):
+        raise BlaschkeError("evaluation at a pole conj(lambda)")
+
+
 def _log_factors(z: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """Complex kernel: sum over mu of log[(conj mu / mu)(z - mu)/(z - conj mu)]
-    per point of z (1-d), in blocks of block_rows(mu) points with the block
-    buffers made once; raises at a pole conj(mu).  One log per block of the
+    per point of z (1-d); raises at a pole conj(mu).  One log per block of the
     factors (z - mu)/(z - conj mu), whose moduli are <= 1 in the closed upper
     half-plane, so a block product cannot overflow; the unimodular
     normalizations add log(conj mu / mu) = -2i arg mu."""
+    _check_poles(z, mu)
     out = np.empty(z.shape, dtype=complex)
-    step = block_rows(mu.size)
-    rows = min(step, z.size)
-    work = LogSumWork(rows, mu.size)
-    den = np.empty((rows, mu.size), dtype=complex)
-    dist = np.empty((rows, mu.size))
-    mu_bar, tol = np.conj(mu), _POLE_RTOL * np.maximum(1.0, np.abs(mu))
+    work = LogSumWork(z.size, mu.size)
+    mu_bar = np.conj(mu)
     with np.errstate(divide="ignore"):  # z at a zero: log 0 = -inf, exact
-        for i in range(0, z.size, step):
-            zc = z[i : i + step, None]
+        for rows, den in row_blocks(z.size, mu.size, complex):
+            zc = z[rows, None]
             r = zc.shape[0]
-            factor, d = work.f[:r], den[:r]
-            np.subtract(zc, mu_bar, out=d)
-            if np.any(np.abs(d, out=dist[:r]) <= tol):
-                raise BlaschkeError("evaluation at a pole conj(lambda)")
+            factor = work.f[:r]
+            np.subtract(zc, mu_bar, out=den)
             np.subtract(zc, mu, out=factor)
-            factor /= d
-            out[i : i + step] = block_log_sum(work, r)
+            factor /= den
+            out[rows] = block_log_sum(work, r)
     return out - 2j * np.angle(mu).sum()
 
 
 def _log_abs_factors(z: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """Modulus kernel: per point of z (1-d), 1/2 sum over lam of log(near/far) =
-    log1p(-4 Im z Im lam/far), near = |z - lam|^2, far = |z - conj lam|^2, in
-    blocks of block_rows(lam) points with the block buffers made once; raises
-    at a pole conj(lam).  The ratio keeps its digits next to a zero; log1p's
-    argument rounds to -1 there (or below it: NaN)."""
+    log1p(-4 Im z Im lam/far), near = |z - lam|^2, far = |z - conj lam|^2;
+    raises at a pole conj(lam).  The ratio keeps its digits next to a zero;
+    log1p's argument rounds to -1 there (or below it: NaN)."""
+    _check_poles(z, lam)
     out = np.empty(z.shape)
     lre, lim = lam.real, lam.imag
-    tol2 = (_POLE_RTOL * np.maximum(1.0, np.abs(lam))) ** 2
-    # far >= fl((Im z + Im lam)^2) >= fl(Im lam^2) when Im z >= 0: no pole
-    # can be hit then if every fl(Im lam^2) > tol2
-    poles = not (np.all(z.imag >= 0) and np.all(lim * lim > tol2))
-    step = block_rows(lam.size)
-    rows = min(step, z.size)
-    dx2, far, near = np.empty((3, rows, lam.size))
     with np.errstate(divide="ignore"):  # z at a zero: log 0 = -inf, exact
-        for i in range(0, z.size, step):
-            zc = z[i : i + step, None]
-            r = zc.shape[0]
-            d, f, n = dx2[:r], far[:r], near[:r]
+        for rows, d, f, n in row_blocks(z.size, lam.size, float, float, float):
+            zc = z[rows, None]
             np.subtract(zc.real, lre, out=d)
             d *= d
             np.add(zc.imag, lim, out=f)
             f *= f
             f += d
-            if poles and np.any(f <= tol2):
-                raise BlaschkeError("evaluation at a pole conj(lambda)")
             np.subtract(zc.imag, lim, out=n)
             n *= n
             n += d
             n /= f
-            out[i : i + step] = 0.5 * np.log(n, out=n).sum(axis=1)
+            np.add.reduce(np.log(n, out=n), axis=1, out=out[rows])
+    out *= 0.5
     return out
 
 
@@ -140,15 +138,9 @@ class BlaschkeEvaluator:
         return complex(own)
 
     def arg_derivative_on_R(self, t):
-        """(arg B)'(t) = 2 sum Im(lambda)/|t - lambda|^2, with a lattice tail term
-        (blocks of block_rows(zeros) points)."""
+        """(arg B)'(t) = 2 sum Im(lambda)/|t - lambda|^2, with a lattice tail term."""
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.zeros(t_arr.shape)
-        lam = self._pts
-        step = block_rows(lam.size)
-        for i in range(0, t_arr.size, step):
-            tc = t_arr[i : i + step, None]
-            out[i : i + step] = (2.0 * lam.imag / np.abs(tc - lam) ** 2).sum(axis=1)
+        out = inverse_square_sums(t_arr, self._pts, 2.0 * self._pts.imag)
         out += self._lattice_tail_argder(t_arr)
         return out[0] if np.asarray(t).ndim == 0 else out
 

@@ -12,12 +12,12 @@ bound actually uses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from pwsum.blaschke import BlaschkeEvaluator
-from pwsum.spectrum import Spectrum, block_rows, squared_distances, unique_sorted
+from pwsum.spectrum import Spectrum, collisions, unique_sorted
 
 
 class ContourError(ValueError):
@@ -115,18 +115,6 @@ def select_l(
     return float(cand[np.argmax(near)])
 
 
-def _hits_zero(zeta: np.ndarray, zeros: np.ndarray) -> bool:
-    """Whether some sample lies within 1e-9 of a zero: squared distances in
-    real arithmetic, over blocks of block_rows(zeros) samples, in two buffers
-    made once per call."""
-    step = block_rows(zeros.size)
-    d2, t = np.empty((2, min(step, zeta.size), zeros.size))
-    for i in range(0, zeta.size if zeros.size else 0, step):
-        if np.min(squared_distances(zeta[i : i + step], zeros, d2, t)) < 1e-18:
-            return True
-    return False
-
-
 def select_c(
     b: BlaschkeEvaluator,
     l: float,
@@ -136,21 +124,20 @@ def select_c(
     """Apex slope in [1, 10] minimizing eps_hat(c) = max (-log|B|)/|zeta| on the sides.
 
     Returns (c, eps_hat).  Candidates whose side samples hit a zero of B
-    within 1e-9 are rejected; if every candidate does, raises (the caller
-    perturbs l).
+    (|zeta - lambda|^2 < 1e-18) are rejected; if every candidate does, raises
+    (the caller perturbs l).  Each candidate's samples are one row of a pass.
     """
     if grid_size < 16:
         raise ContourError("grid_size must be >= 16")
-    zeros = b.points
+    cs = np.linspace(1.0, 10.0, grid_size)
+    tris = [TriangleContour(l=l, c=float(c), samples_per_side=samples_per_side) for c in cs]
+    zeta = np.concatenate([tri.slanted_samples() for tri in tris])
+    hits = collisions(zeta, b.points, np.nextafter(1e-18, 0.0)).reshape(grid_size, -1).any(axis=1)
+    eps_hats = np.max((-b.log_abs_B(zeta) / np.abs(zeta)).reshape(grid_size, -1), axis=1)
     best_c, best_eps = None, math.inf
-    for c in np.linspace(1.0, 10.0, grid_size):
-        tri = TriangleContour(l=l, c=float(c), samples_per_side=samples_per_side)
-        zeta = tri.slanted_samples()
-        if _hits_zero(zeta, zeros):
-            continue
-        eps_hat = float(np.max(-b.log_abs_B(zeta) / np.abs(zeta)))
-        if eps_hat < best_eps - 1e-15:
-            best_c, best_eps = float(c), eps_hat
+    for c, hit, eps_hat in zip(cs, hits, eps_hats):
+        if not hit and eps_hat < best_eps - 1e-15:
+            best_c, best_eps = float(c), float(eps_hat)
     if best_c is None:
         raise InfeasibleSelection("every apex-slope candidate hits a zero of B")
     return best_c, best_eps
@@ -176,7 +163,7 @@ class ContourSchedule:
     contours: list[TriangleContour]
     alphas: np.ndarray
     eps_hats: np.ndarray
-    margins: np.ndarray = field(default=None)
+    margins: np.ndarray
 
     def __post_init__(self):
         ls = [t.l for t in self.contours]
@@ -184,8 +171,6 @@ class ContourSchedule:
             raise ContourError("half-widths must be strictly increasing")
         if np.any(np.asarray(self.alphas) <= 0):
             raise ContourError("alphas must be positive")
-        if self.margins is None:
-            self.margins = np.full(len(self.contours), np.nan)
 
     def __len__(self):
         return len(self.contours)

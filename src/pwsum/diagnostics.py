@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from pwsum.spectrum import block_rows, squared_distances
+from pwsum.spectrum import inverse_square_sums
 
 
 class DiagnosticsError(ValueError):
@@ -149,23 +149,13 @@ def carleson_sup(s) -> float:
     Exact over the stored window; for the built-in lattice-type families a
     trigamma tail adds the contribution of the family points beyond the
     window, scaled by the tail's site density.  The pair sums run in real
-    arithmetic over blocks of block_rows(points) rows, in two buffers made
-    once per call.
+    arithmetic.
     """
     pts = s.points
     if pts.size < 2:
         return 0.0
     w = 1.0 + np.abs(pts.imag)
-    sums = np.empty(pts.size)
-    step = block_rows(pts.size)
-    d2, t = np.empty((2, min(step, pts.size), pts.size))
-    for i in range(0, pts.size, step):
-        blk = pts[i : i + step]
-        r = blk.size
-        d2r = squared_distances(blk, pts, d2, t)  # |lambda - mu|^2
-        np.fill_diagonal(d2r[:, i : i + r], np.inf)  # mu = lambda adds w/inf = 0
-        np.divide(w, d2r, out=d2r)
-        np.sum(d2r, axis=1, out=sums[i : i + r])
+    sums = inverse_square_sums(pts, pts, w, skip=np.arange(pts.size))
     sums *= w  # w_lambda sum_mu w_mu/|lambda - mu|^2
     tail = s.lattice_tail()
     if tail is not None:

@@ -17,7 +17,7 @@ import numpy as np
 from pwsum.blaschke import BlaschkeEvaluator
 from pwsum.genfun import GeneratingFunctionEvaluator, OuterEvaluator
 from pwsum.grids import GridFunction, GridError, grid_template, hilbert_transform
-from pwsum.spectrum import block_rows, unique_sorted
+from pwsum.spectrum import collisions, row_blocks, unique_sorted
 
 
 class EngineError(ValueError):
@@ -101,17 +101,13 @@ def build_lagrange_sum(f: PWFunction, gen, scheme, step: int) -> LagrangeSum:
 
 
 def _cauchy_chunks(z: np.ndarray, lam: np.ndarray):
-    """(rows, 1/(z[rows] - lambda)) over chunks of block_rows(points) sample
-    points (grid nodes, disk probe points): the only place this module forms
+    """(rows, 1/(z[rows] - lambda)) over the row_blocks of the sample points
+    (grid nodes, disk probe points): the only place this module forms
     1/(z - lambda).  Every chunk is written into one buffer made per call, so
     a caller consumes (or overwrites) each chunk before it asks for the next."""
-    step = block_rows(lam.size)
-    buf = np.empty((min(step, z.size), lam.size), dtype=complex)
-    for i in range(0, z.size, step):
-        zc = z[i : i + step, None]
-        c = buf[: zc.shape[0]]
-        np.subtract(zc, lam, out=c)
-        yield slice(i, i + step), np.divide(1.0, c, out=c)
+    for rows, c in row_blocks(z.size, lam.size, complex):
+        np.subtract(z[rows, None], lam, out=c)
+        yield rows, np.divide(1.0, c, out=c)
 
 
 class SummationContext:
@@ -349,11 +345,9 @@ def disk_probe(
     samples: int = 256,
 ) -> DiskProbe:
     """The probe on `samples` sunflower points of |z - center| <= radius; a
-    point within 1e-8 of the spectrum is moved by 3e-8 + 2e-8i."""
+    point with |z - lambda|^2 < 1e-16 is moved by 3e-8 + 2e-8i."""
     zs = disk_samples(center, radius, samples)
-    with np.errstate(divide="ignore", invalid="ignore"):  # a point on the spectrum: 1/0
-        for rows, C in _cauchy_chunks(zs, gen.spectrum.points):
-            zs[rows][np.abs(C).max(axis=1, initial=0.0) > 1e8] += 3e-8 + 2e-8j
+    zs[collisions(zs, gen.spectrum.points, np.nextafter(1e-16, 0.0))] += 3e-8 + 2e-8j
     return DiskProbe(points=zs, G=gen.eval_G(zs), F=f.eval(zs))
 
 

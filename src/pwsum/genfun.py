@@ -27,8 +27,8 @@ from pwsum.spectrum import (
     LogSumWork,
     Spectrum,
     block_log_sum,
-    block_rows,
-    squared_distances,
+    collisions,
+    row_blocks,
     unique_sorted,
 )
 
@@ -165,71 +165,52 @@ class GeneratingFunctionEvaluator:
         self._tail = spectrum.lattice_tail()
         self.exp_type = math.pi if self._tail is not None else 0.0
         self._prime = np.full(len(spectrum), np.nan, dtype=complex)  # G' memo; nan = unknown
+        # |z - lambda|^2 at or below which z collides with lambda
+        self._tol2 = (_COLLISION_RTOL * np.maximum(1.0, spectrum.moduli)) ** 2
         self._grid_cache: dict[tuple, np.ndarray] = {}
 
     # -- internals ---------------------------------------------------------
 
-    # Both window kernels run over blocks of block_rows(zeros) points, with
-    # block buffers made once per call.
     def _window_log(self, z: np.ndarray, skip: np.ndarray | None = None) -> np.ndarray:
         """sum of log(1 - z/lambda) over the stored points per point of z, one
         log per block of factors (Im modulo 2 pi).  With skip, point i leaves
         out the factor of spectrum index skip[i], through an exact factor 1."""
         lam = self.spectrum.points
         out = np.zeros(z.shape, dtype=complex)
-        if not lam.size:
-            return out
-        tol2 = (_COLLISION_RTOL * np.maximum(1.0, np.abs(lam))) ** 2
-        step = block_rows(lam.size)
-        rows = min(step, z.size)
-        work = LogSumWork(rows, lam.size)
-        d2, t = np.empty((2, rows, lam.size))
-        bad = np.empty((rows, lam.size), dtype=bool)
-        for i in range(0, z.size, step):
-            blk = z[i : i + step]
-            zc = blk[:, None]
-            r = blk.size
-            badr, factor = bad[:r], work.f[:r]
-            np.less_equal(squared_distances(blk, lam, d2, t), tol2, out=badr)
+        hit = collisions(z, lam, self._tol2, skip)
+        if np.any(hit):
+            raise CollisionError(f"z={z[np.argmax(hit)]} collides with a spectrum point")
+        work = LogSumWork(z.size, lam.size)
+        for (rows,) in row_blocks(z.size, lam.size):
+            zc = z[rows, None]
+            r = zc.shape[0]
+            factor = work.f[:r]
             np.divide(zc, lam, out=factor)
             np.subtract(1.0, factor, out=factor)
             if skip is not None:
-                own = np.arange(r), skip[i : i + step]
-                factor[own] = 1.0
-                badr[own] = False
-            if np.any(badr):
-                zi = np.argwhere(badr)[0][0]
-                raise CollisionError(f"z={zc[zi, 0]} collides with a spectrum point")
-            out[i : i + step] = block_log_sum(work, r)
+                factor[np.arange(r), skip[rows]] = 1.0
+            out[rows] = block_log_sum(work, r)
         return out
 
-    def _window_log_abs(self, x: np.ndarray, a: float) -> np.ndarray:
-        """sum of log|1 - (x+ia)/lambda| over the stored points, in real arithmetic only."""
+    def _window_log_abs(self, z: np.ndarray) -> np.ndarray:
+        """sum of log|1 - z/lambda| over the stored points for points z = x + ia
+        of one line, in real arithmetic only."""
         lam = self.spectrum.points
-        out = np.zeros(x.shape)
-        if not lam.size:
-            return out
+        out = np.zeros(z.shape)
+        if np.any(collisions(z, lam, self._tol2)):
+            raise CollisionError("line sample collides with a spectrum point")
         lre, lim = lam.real, lam.imag
         log_l2 = np.log(lre * lre + lim * lim)
-        dy2 = (a - lim) ** 2
-        tol2 = (_COLLISION_RTOL * np.maximum(1.0, np.abs(lam))) ** 2
-        # fl(fl((x - Re lambda)^2) + dy2) >= dy2: only a column with
-        # dy2 <= tol2 can collide, so only those columns are tested
-        near = np.flatnonzero(dy2 <= tol2)
-        tol2_near = tol2[near]
-        step = block_rows(lam.size)
-        d2 = np.empty((min(step, x.size), lam.size))
-        for i in range(0, x.size, step):
-            xc = x[i : i + step, None]
-            d2r = d2[: xc.shape[0]]
-            np.subtract(xc, lre, out=d2r)
-            d2r *= d2r
-            d2r += dy2  # |x + ia - lambda|^2
-            if near.size and np.any(d2r[:, near] <= tol2_near):
-                raise CollisionError("line sample collides with a spectrum point")
-            np.log(d2r, out=d2r)
-            d2r -= log_l2
-            out[i : i + step] = 0.5 * d2r.sum(axis=1)
+        dy2 = (z.imag[:1, None] - lim) ** 2  # (a - Im lambda)^2, one row for the line
+        x = np.ascontiguousarray(z.real)  # a strided column per block costs more than one copy
+        for rows, d2 in row_blocks(z.size, lam.size, float):
+            np.subtract(x[rows, None], lre, out=d2)
+            d2 *= d2
+            d2 += dy2  # |x + ia - lambda|^2
+            np.log(d2, out=d2)
+            d2 -= log_l2
+            np.add.reduce(d2, axis=1, out=out[rows])
+        out *= 0.5
         return out
 
     def _log_G(self, z: np.ndarray, skip: np.ndarray | None = None) -> np.ndarray:
@@ -257,10 +238,11 @@ class GeneratingFunctionEvaluator:
     def log_abs_G(self, x, a: float = 0.0):
         """log|G(x + i a)| on real x (vectorized, real arithmetic in the window)."""
         x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+        z = x_arr + 1j * a
         out = np.full(x_arr.shape, np.log(abs(self.normalization)))
-        out += self._window_log_abs(x_arr, a)
+        out += self._window_log_abs(z)
         if self._tail is not None:
-            out += _tail_log(self._tail, x_arr + 1j * a).real
+            out += _tail_log(self._tail, z).real
         return out[0] if np.isscalar(x) or np.asarray(x).ndim == 0 else out
 
     def eval_G_prime_at_lambda(self, k: int | np.ndarray) -> complex | np.ndarray:
@@ -331,7 +313,7 @@ class OuterEvaluator:
         return cls(grid.copy_with(vals.astype(complex)))
 
     def eval_outer(self, z):
-        """omega(z) for Im z >= h, |Re z| <= X/2 (blocks of block_rows(nodes) points)."""
+        """omega(z) for Im z >= h, |Re z| <= X/2."""
         z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
         if np.any(z_arr.imag < self.grid.h * (1.0 - 1e-12)):
             raise GenFunError("eval_outer needs Im z >= one grid spacing")
@@ -340,10 +322,10 @@ class OuterEvaluator:
         t = self.grid.x
         wphi = self._w * self._phit
         out = np.empty(z_arr.shape, dtype=complex)
-        step = block_rows(t.size)
-        for i in range(0, z_arr.size, step):
-            zc = z_arr[i : i + step]
-            out[i : i + step] = (wphi[None, :] / (t[None, :] - zc[:, None])).sum(axis=1)
+        for rows, c in row_blocks(z_arr.size, t.size, complex):
+            np.subtract(t, z_arr[rows, None], out=c)
+            np.divide(wphi, c, out=c)
+            np.sum(c, axis=1, out=out[rows])
         log_omega = self.mean + out / (1j * np.pi) + 1j * self._kappa
         res = np.exp(log_omega)
         return res[0] if np.isscalar(z) or np.asarray(z).ndim == 0 else res

@@ -23,14 +23,6 @@ FAMILY_NAMES = LATTICE_FAMILIES + ("custom_list",)
 
 # Elements per block of a (points x spectrum) pair kernel: a float64 block
 # is 128 KiB, so a block's temporaries stay in a core's L2 cache.
-#
-# A complex block (256 KiB), and a float one at this size, is at or above
-# glibc's default mmap threshold (128 KiB): a kernel that made its block
-# temporaries afresh per block had them mmapped, and page-faulted afresh,
-# for every block, unless an earlier free had raised the dynamic threshold.
-# So the log-sum kernels (G, log|G|, B, log|B|), the Carleson sums, the
-# contour zero test and engine's Cauchy chunks make their block buffers once
-# per call and fill them with ufunc out= writes; no block allocates.
 BLOCK_BUDGET = 2**14
 
 
@@ -45,17 +37,70 @@ def block_rows(n_cols: int) -> int:
     return max(1, BLOCK_BUDGET // max(n_cols, 1))
 
 
-def squared_distances(z: np.ndarray, lam: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """|z_i - lam_j|^2 = (Re z_i - Re lam_j)^2 + (Im z_i - Im lam_j)^2 for a
-    block of points z (1-d), in real arithmetic: written into out[:z.size],
-    with tmp[:z.size] as scratch (ufunc out= writes), and returned."""
-    d2, t = out[: z.size], tmp[: z.size]
+def row_blocks(n_rows: int, n_cols: int, *dtypes):
+    """Yields (rows, *bufs) per block of a pair kernel over n_rows points:
+    rows slices range(n_rows) into blocks of block_rows(n_cols) rows, with
+    one (block x n_cols) buffer per dtype, made once per call; the kernel
+    fills them with ufunc out= writes, so no block allocates.  A block (128
+    KiB float, 256 KiB complex) is at or above glibc's default mmap
+    threshold, so a buffer made per block was mmapped, and page-faulted, per
+    block.  Only a ragged last block gets views of the buffers' first rows:
+    per-block work in Python costs as much as a small block's arithmetic."""
+    step = block_rows(n_cols)
+    bufs = tuple(np.empty((min(step, n_rows), n_cols), dtype) for dtype in dtypes)
+    last = n_rows - n_rows % step  # where the whole blocks end
+    for i in range(0, last, step):
+        yield (slice(i, i + step),) + bufs
+    if last < n_rows:
+        yield (slice(last, n_rows),) + tuple(b[: n_rows - last] for b in bufs)
+
+
+def squared_distances(z: np.ndarray, lam: np.ndarray, d2: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """|z_i - lam_j|^2 = (Re z_i - Re lam_j)^2 + (Im z_i - Im lam_j)^2 in real
+    arithmetic, written into d2 (t is scratch) and returned."""
     np.subtract(z.real[:, None], lam.real, out=d2)
     d2 *= d2
     np.subtract(z.imag[:, None], lam.imag, out=t)
     t *= t
     d2 += t
     return d2
+
+
+def collisions(z: np.ndarray, lam: np.ndarray, tol2, skip: np.ndarray | None = None) -> np.ndarray:
+    """Per point z_i: is there a j != skip[i] with |z_i - lam_j|^2 <= tol2_j
+    (tol2 a scalar or one per lam)?  Exact in floating point, and only the
+    columns that can collide are tested: fl(fl(dx^2) + fl(dy^2)) >= fl(dy^2),
+    and fl(dy^2) is smallest at the Im z nearest to Im lam_j."""
+    hit = np.zeros(z.shape, dtype=bool)
+    if not z.size:
+        return hit
+    tol2 = np.broadcast_to(tol2, lam.shape)
+    dy = np.clip(lam.imag, z.imag.min(), z.imag.max()) - lam.imag
+    cols = np.flatnonzero(dy * dy <= tol2)
+    if not cols.size:
+        return hit
+    near, tol2 = lam[cols], tol2[cols]
+    for rows, d2, t, bad in row_blocks(z.size, cols.size, float, float, bool):
+        np.less_equal(squared_distances(z[rows], near, d2, t), tol2, out=bad)
+        if skip is not None:  # a point's own column, where it is tested
+            j = np.minimum(np.searchsorted(cols, skip[rows]), cols.size - 1)
+            own = np.flatnonzero(cols[j] == skip[rows])
+            bad[own, j[own]] = False
+        np.any(bad, axis=1, out=hit[rows])
+    return hit
+
+
+def inverse_square_sums(z: np.ndarray, lam: np.ndarray, w: np.ndarray, skip: np.ndarray | None = None) -> np.ndarray:
+    """sum_j w_j/|z_i - lam_j|^2 per point z_i in real arithmetic; with skip,
+    point i leaves out column skip[i] (w/inf = 0)."""
+    out = np.empty(z.shape)
+    for rows, d2, t in row_blocks(z.size, lam.size, float, float):
+        squared_distances(z[rows], lam, d2, t)
+        if skip is not None:
+            d2[np.arange(d2.shape[0]), skip[rows]] = np.inf
+        np.divide(w, d2, out=d2)
+        np.sum(d2, axis=1, out=out[rows])
+    return out
 
 
 def unique_sorted(a) -> np.ndarray:
@@ -77,11 +122,12 @@ _LOG_TINY = float(np.log(np.finfo(float).tiny))
 
 
 class LogSumWork:
-    """The buffers of block_log_sum for blocks of up to `rows` rows of `cols`
-    factors.  A kernel makes one per call and writes each block of factors
-    into f[:r] (ufunc out=), so no block allocates."""
+    """The buffers of block_log_sum for the row_blocks(n_rows, cols) blocks of
+    a kernel over n_rows points.  A kernel makes one per call and writes each
+    block of factors into f[:r] (ufunc out=), so no block allocates."""
 
-    def __init__(self, rows: int, cols: int):
+    def __init__(self, n_rows: int, cols: int):
+        rows = min(block_rows(cols), n_rows)
         nb = -(-cols // LOG_BLOCK)
         pad = np.ones((rows, nb * LOG_BLOCK), dtype=complex)  # the last block's padding stays 1
         self.f = pad[:, :cols]

@@ -101,6 +101,10 @@ class _RadiusSchedule:
     def step_label(self, step: int) -> float:
         return float(self.radii[step])
 
+    def row_labels(self, step: int, ks: np.ndarray) -> np.ndarray:
+        """The step's radius, once per index of ks."""
+        return np.full(ks.size, self.radii[step])
+
     def kept(self, step: int) -> np.ndarray:
         """Ascending indices of the points with |lambda| < n_step."""
         return np.flatnonzero(self.spectrum.moduli < self.radii[step])
@@ -177,6 +181,12 @@ class UniversalWeights:
         sched = self.schedule_plus if self.schedule_plus is not None else self.schedule_minus
         return float(sched.contours[step].l)
 
+    def row_labels(self, step: int, ks: np.ndarray) -> list[float]:
+        """Per index of ks, the half-width l of the step's contour its weight
+        comes from: the upper schedule's, or the mirror's for a point in C-."""
+        scheds = (self.schedule_minus, self.schedule_plus)  # by Im lambda > 0
+        return [scheds[up].contours[step].l for up in (self.spectrum.points[ks].imag > 0).tolist()]
+
     def weight_row(self, step: int) -> WeightRow:
         """Outer weights at the points inside the step's contours; a weight that
         underflows to exactly zero (past l/2 at large alpha) leaves the row."""
@@ -201,9 +211,9 @@ def save_weights_csv(scheme, path) -> None:
     with open(path, "w") as fh:
         fh.write("n,k,lambda_re,lambda_im,w_re,w_im\n")
         for step in range(len(scheme)):
-            label = scheme.step_label(step)
             row = scheme.weight_row(step)
-            for k, lam, w in zip(row.indices, pts[row.indices], row.weights):
+            labels = scheme.row_labels(step, row.indices)
+            for label, k, lam, w in zip(labels, row.indices, pts[row.indices], row.weights):
                 fh.write(
                     f"{label:.12e},{k},{lam.real:.12e},{lam.imag:.12e},"
                     f"{w.real:.12e},{w.imag:.12e}\n"

@@ -9,7 +9,15 @@ from pwsum import spectrum
 from pwsum.blaschke import BlaschkeEvaluator
 from pwsum.contours import select_c
 from pwsum.diagnostics import carleson_sup
-from pwsum.engine import NormProbe, PWFunction, SummationContext, build_lagrange_sum, compactwise_error, disk_probe
+from pwsum.engine import (
+    NormProbe,
+    PWFunction,
+    SummationContext,
+    build_lagrange_sum,
+    compactwise_error,
+    disk_probe,
+    disk_samples,
+)
 from pwsum.genfun import GeneratingFunctionEvaluator, OuterEvaluator
 from pwsum.grids import grid_template
 from pwsum.spectrum import Spectrum, make_family
@@ -34,6 +42,14 @@ def _kernel_outputs() -> dict:
     proj = ProjectionWeights(s, [5.0, 12.0, 31.0])
     sums = [build_lagrange_sum(f, gen, proj, step) for step in range(len(proj))]
     probe = disk_probe(f, gen, center=0.4 + 0.2j, radius=3.0, samples=97)
+    # a spectrum with a point on one disk sample, which the probe moves
+    on_sample = disk_samples(0.4 + 0.2j, 3.0, 97)[40]
+    gen_hit = GeneratingFunctionEvaluator(Spectrum(np.append(s.points, on_sample)))
+    hit_probe = disk_probe(f, gen_hit, center=0.4 + 0.2j, radius=3.0, samples=97)
+    near = np.concatenate([s.points[::7], s.points[::5] + 1e-13, z])  # exact hits, near hits, misses
+    tol2 = (1e-12 * np.maximum(1.0, np.abs(s.points))) ** 2
+    own = np.arange(near.size) % s.points.size
+    w = 1.0 + np.abs(s.points.imag)
     return {
         "log_abs_G": gen.log_abs_G(x, a=0.4),
         # on the points' own line, between them: the collision test's columns
@@ -48,6 +64,11 @@ def _kernel_outputs() -> dict:
         "sample_sums": np.array([g.values for g in SummationContext(gen, grid).sample_sums(sums)]),
         "NormProbe._P": NormProbe(gen, grid, atom_halfwidth=5)._P,
         "compactwise_error": np.array([compactwise_error(probe, gen, ls) for ls in sums]),
+        "collisions": np.concatenate(
+            [spectrum.collisions(near, s.points, tol2), spectrum.collisions(near, s.points, tol2, own)]
+        ),
+        "inverse_square_sums": spectrum.inverse_square_sums(z, s.points, w),
+        "disk_probe": np.concatenate([hit_probe.points, hit_probe.G]),
     }
 
 

@@ -13,11 +13,14 @@ from hypothesis import strategies as st
 
 import pwsum
 from pwsum import cli
+from pwsum.blaschke import upper_lower_evaluators
 from pwsum.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main, parse_config, run
 from pwsum.cli import ConfigError
+from pwsum.contours import build_schedule
 from pwsum.diagnostics import a2_estimate, intG_check
 from pwsum.genfun import GeneratingFunctionEvaluator
 from pwsum.spectrum import Spectrum, save_spectrum
+from pwsum.weights import UniversalWeights
 
 
 def write_cfg(tmp_path, name, text):
@@ -200,6 +203,41 @@ output.dir={out}
     for (label, kk), wk in got.items():
         if pts[kk].imag < 0:
             assert wk == np.conj(got[label, mirror[kk]])
+
+
+def test_universal_weights_csv_labels_rows_by_half_plane(tmp_path):
+    # an asymmetric point set: the mirror conj(Lambda-) gets half-widths of
+    # its own, and a lower half-plane row carries the mirror's l, not the
+    # upper schedule's
+    up = np.array([0.5 + 1.0j, -1.5 + 0.7j, 3.1 + 0.4j, -2.5 + 0.6j, 1.2 + 0.3j])
+    lo = np.array([0.3 - 0.8j, -1.1 - 0.5j, 2.7 - 0.9j, -3.4 - 0.4j, 1.6 - 0.6j])
+    s = Spectrum(np.concatenate([up, lo]))
+    save_spectrum(s, tmp_path / "pts.txt")
+    out = tmp_path / "out"
+    cfg = write_cfg(
+        tmp_path,
+        "w.cfg",
+        f"""subcommand=weights
+family=custom_list
+count={len(s)}
+points.file={tmp_path / "pts.txt"}
+scheme=universal
+l.count=3
+output.dir={out}
+""",
+    )
+    assert run(cfg) == EXIT_OK
+    up_sched, lo_sched = (build_schedule(b.spectrum, b, count=3) for b in upper_lower_evaluators(s))
+    assert [t.l for t in up_sched.contours] != [t.l for t in lo_sched.contours]
+    uni = UniversalWeights(s, up_sched, lo_sched)
+    expected = []
+    for step in range(3):
+        for k in uni.weight_row(step).indices:
+            sched = up_sched if s.points[k].imag > 0 else lo_sched
+            expected.append((f"{sched.contours[step].l:.12e}", str(k)))
+    rows = [line.split(",")[:2] for line in (out / "weights.csv").read_text().splitlines()[1:]]
+    assert any(s.points[int(k)].imag < 0 for _, k in rows)
+    assert [tuple(r) for r in rows] == expected
 
 
 def test_compare_norms_and_determinism(tmp_path):

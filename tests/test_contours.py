@@ -173,4 +173,5 @@ def test_schedule_requires_increasing():
             contours=[TriangleContour(5.0, 1.0), TriangleContour(4.0, 1.0)],
             alphas=np.array([0.1, 0.1]),
             eps_hats=np.array([0.0, 0.0]),
+            margins=np.array([0.0, 0.0]),
         )
