@@ -35,12 +35,13 @@ def _check_poles(z: np.ndarray, mu: np.ndarray) -> None:
         raise BlaschkeError("evaluation at a pole conj(lambda)")
 
 
-def _log_factors(z: np.ndarray, mu: np.ndarray) -> np.ndarray:
+def _log_factors(z: np.ndarray, mu: np.ndarray, skip: np.ndarray | None = None) -> np.ndarray:
     """Complex kernel: sum over mu of log[(conj mu / mu)(z - mu)/(z - conj mu)]
     per point of z (1-d); raises at a pole conj(mu).  One log per block of the
     factors (z - mu)/(z - conj mu), whose moduli are <= 1 in the closed upper
     half-plane, so a block product cannot overflow; the unimodular
-    normalizations add log(conj mu / mu) = -2i arg mu."""
+    normalizations add log(conj mu / mu) = -2i arg mu.  With skip, point i
+    leaves out factor skip[i] (block_log_sum's rule) and its normalization."""
     _check_poles(z, mu)
     out = np.empty(z.shape, dtype=complex)
     work = LogSumWork(z.size, mu.size)
@@ -53,15 +54,15 @@ def _log_factors(z: np.ndarray, mu: np.ndarray) -> np.ndarray:
             np.subtract(zc, mu_bar, out=den)
             np.subtract(zc, mu, out=factor)
             factor /= den
-            out[rows] = block_log_sum(work, r)
-    return out - 2j * np.angle(mu).sum()
+            out[rows] = block_log_sum(work, r, None if skip is None else skip[rows])
+    return out - 2j * (np.angle(mu).sum() - (0.0 if skip is None else np.angle(mu[skip])))
 
 
 def _log_abs_factors(z: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Modulus kernel: per point of z (1-d), 1/2 sum over lam of log(near/far) =
-    log1p(-4 Im z Im lam/far), near = |z - lam|^2, far = |z - conj lam|^2;
-    raises at a pole conj(lam).  The ratio keeps its digits next to a zero;
-    log1p's argument rounds to -1 there (or below it: NaN)."""
+    """Modulus kernel: per point of z (1-d), 1/2 sum over lam of log(near/far),
+    near = |z - lam|^2, far = |z - conj lam|^2, in real arithmetic; raises at
+    a pole conj(lam).  The ratio keeps its digits next to a zero, and a z on a
+    zero gives near = 0, so log|B| = -inf exactly (select_c relies on it)."""
     _check_poles(z, lam)
     out = np.empty(z.shape)
     lre, lim = lam.real, lam.imag
@@ -122,20 +123,17 @@ class BlaschkeEvaluator:
         res = np.exp(_log_factors(np.atleast_1d(np.asarray(z, dtype=complex)), mu))
         return res[0] if np.ndim(z) == 0 else res
 
-    def eval_B_prime_at(self, k: int, cutoff: float | None = None) -> complex:
-        """d/dz of the cutoff product at its own zero lambda_k.
-
-        Needed by the grid projector identity, where the interpolation
-        kernel is B_n(z)/(B_n'(lambda)(z - lambda)).
-        """
-        lam_all = self._select(cutoff)
-        lam_k = self._pts[k]
-        if not np.any(lam_all == lam_k):
+    def eval_B_prime_at(self, k: int | np.ndarray, cutoff: float | None = None) -> complex | np.ndarray:
+        """d/dz of the cutoff product at its own zero lambda_k, for an index k (a
+        complex) or an index array (an array), by the own-factor rule of G'; the
+        projector's interpolation kernel is B_n(z)/(B_n'(lambda)(z - lambda))."""
+        idx = np.atleast_1d(k)
+        mu = self._select(cutoff)  # a prefix: the points are sorted by modulus
+        if np.any((idx < 0) | (idx >= mu.size)):
             raise BlaschkeError("lambda_k not inside the cutoff product")
-        own = (np.conj(lam_k) / lam_k) / (lam_k - np.conj(lam_k))
-        rest = lam_all[lam_all != lam_k]
-        own *= np.exp(_log_factors(np.array([lam_k]), rest)[0])
-        return complex(own)
+        lam = mu[idx]
+        res = (np.conj(lam) / lam) / (lam - np.conj(lam)) * np.exp(_log_factors(lam, mu, skip=idx))
+        return complex(res[0]) if np.ndim(k) == 0 else res
 
     def arg_derivative_on_R(self, t):
         """(arg B)'(t) = 2 sum Im(lambda)/|t - lambda|^2, with a lattice tail term."""

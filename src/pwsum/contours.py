@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from pwsum.blaschke import BlaschkeEvaluator
-from pwsum.spectrum import Spectrum, collisions, unique_sorted
+from pwsum.spectrum import Spectrum, unique_sorted
 
 
 class ContourError(ValueError):
@@ -123,20 +123,18 @@ def select_c(
 ) -> tuple[float, float]:
     """Apex slope in [1, 10] minimizing eps_hat(c) = max (-log|B|)/|zeta| on the sides.
 
-    Returns (c, eps_hat).  Candidates whose side samples hit a zero of B
-    (|zeta - lambda|^2 < 1e-18) are rejected; if every candidate does, raises
-    (the caller perturbs l).  Each candidate's samples are one row of a pass.
+    Returns (c, eps_hat).  A side sample on a zero of B gives log|B| = -inf,
+    so eps_hat = inf, and that candidate is never taken; if every one is,
+    raises (the caller perturbs l).  Each candidate is one row of a log|B| pass.
     """
     if grid_size < 16:
         raise ContourError("grid_size must be >= 16")
     cs = np.linspace(1.0, 10.0, grid_size)
-    tris = [TriangleContour(l=l, c=float(c), samples_per_side=samples_per_side) for c in cs]
-    zeta = np.concatenate([tri.slanted_samples() for tri in tris])
-    hits = collisions(zeta, b.points, np.nextafter(1e-18, 0.0)).reshape(grid_size, -1).any(axis=1)
+    zeta = np.concatenate([TriangleContour(l, float(c), samples_per_side).slanted_samples() for c in cs])
     eps_hats = np.max((-b.log_abs_B(zeta) / np.abs(zeta)).reshape(grid_size, -1), axis=1)
     best_c, best_eps = None, math.inf
-    for c, hit, eps_hat in zip(cs, hits, eps_hats):
-        if not hit and eps_hat < best_eps - 1e-15:
+    for c, eps_hat in zip(cs, eps_hats):
+        if eps_hat < best_eps - 1e-15:
             best_c, best_eps = float(c), float(eps_hat)
     if best_c is None:
         raise InfeasibleSelection("every apex-slope candidate hits a zero of B")

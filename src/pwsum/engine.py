@@ -110,6 +110,16 @@ def _cauchy_chunks(z: np.ndarray, lam: np.ndarray):
         yield rows, np.divide(1.0, c, out=c)
 
 
+def _cauchy_sums(z: np.ndarray, lam: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """sum_k coeffs_k/(z_i - lambda_k) per point z_i, row by row.  A one-element
+    chunk is multiplied out of place, by coeffs of its shape: numpy skips the
+    fused (FMA) loop of longer chunks for one element in place or broadcast."""
+    out = np.empty(z.shape, dtype=complex)
+    for rows, C in _cauchy_chunks(z, lam):
+        np.sum(np.multiply(C, coeffs[None, :], out=C if C.size > 1 else None), axis=1, out=out[rows])
+    return out
+
+
 class SummationContext:
     """Caches G on the grid across schedule steps; the Cauchy sums stream over
     grid chunks."""
@@ -181,22 +191,16 @@ class ProjectorCheckReport:
 def _projector_sides(f, gen, b_plus, n, grid, outer):
     """LHS (I - B_n P+ B_n^#) Phi and RHS interpolation sum on the grid."""
     x = grid.x
-    lam_all = gen.spectrum.points
-    inside = np.where(np.abs(lam_all) < n)[0]
-
-    omega_x = outer.boundary_on(grid)
-    phi_grid = f.eval(x.astype(complex)) * np.exp(1j * np.pi * x) / omega_x
+    phi_grid = f.eval(x.astype(complex)) * np.exp(1j * np.pi * x) / outer.boundary_on(grid)
     bn_x = b_plus.eval_B(x.astype(complex), cutoff=n)
 
     inner = riesz_project(grid.copy_with(np.conj(bn_x) * phi_grid), "+")
     lhs = phi_grid - bn_x * inner.values
 
-    rhs = np.zeros(len(grid), dtype=complex)
-    for k in inside:
-        lam = lam_all[k]
-        phi_lam = f.eval(lam) * np.exp(1j * np.pi * lam) / outer.eval_outer(lam)
-        bprime = b_plus.eval_B_prime_at(int(k), cutoff=n)
-        rhs += phi_lam / bprime * bn_x / (x - lam)
+    inside = np.flatnonzero(gen.spectrum.moduli < n)
+    lam = gen.spectrum.points[inside]
+    phi_lam = f.eval(lam) * np.exp(1j * np.pi * lam) / outer.eval_outer(lam)
+    rhs = bn_x * _cauchy_sums(x, lam, phi_lam / b_plus.eval_B_prime_at(inside, cutoff=n))
     return grid.copy_with(lhs), grid.copy_with(rhs), phi_grid
 
 
@@ -354,7 +358,5 @@ def disk_probe(
 def compactwise_error(probe: DiskProbe, gen: GeneratingFunctionEvaluator, ls: LagrangeSum) -> float:
     """sup |S_n - F| over the probe's sample points of the disk K, for the
     step's sum S_n = ls."""
-    sn = np.empty(probe.points.shape, dtype=complex)
-    for rows, C in _cauchy_chunks(probe.points, gen.spectrum.points[ls.indices]):
-        sn[rows] = np.multiply(C, ls.coefficients, out=C).sum(axis=1)
+    sn = _cauchy_sums(probe.points, gen.spectrum.points[ls.indices], ls.coefficients)
     return float(np.max(np.abs(probe.G * sn - probe.F)))

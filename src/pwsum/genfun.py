@@ -83,8 +83,11 @@ def _log_rgamma(w: np.ndarray) -> np.ndarray:
     Reflection 1/Gamma(w) = Gamma(1 - w) sin(pi w)/pi (DLMF 5.5.3) below
     Re w = 1/2; then Gamma(w + 12) = w (w + 1) ... (w + 11) Gamma(w)
     (DLMF 5.5.1) up to Re w >= 12, for the points below it only; then the
-    Stirling series (DLMF 5.11.1), by Horner in place on one buffer."""
-    w = np.array(w, dtype=complex, ndmin=1)  # a copy: moved in place below
+    Stirling series (DLMF 5.11.1), by Horner in place on one buffer.  numpy
+    multiplies one complex element in place without the FMA of longer arrays:
+    a lone point goes as a pair, and the recurrence product out of place."""
+    n = np.size(w)
+    w = np.resize(np.asarray(w, dtype=complex), 2 if n == 1 else n)  # a copy: moved in place below
     refl = w.real < 0.5
     if np.any(refl):
         v = w[refl]
@@ -92,11 +95,10 @@ def _log_rgamma(w: np.ndarray) -> np.ndarray:
         w[refl] = 1.0 - v
     low = w.real < _STIRLING_MIN
     if np.any(low):
-        u = w[low]
-        prod, t = u.copy(), u.copy()
+        prod, t = w[low], w[low]
         for _ in range(_STIRLING_MIN - 1):
             t += 1.0
-            prod *= t
+            prod = prod * t
         t += 1.0
         w[low] = t
     # lg = log Gamma(w) = (w - 1/2)(log w - 1) - 1/2 + log(2 pi)/2 + sum_k c_k w^(1 - 2k)
@@ -119,7 +121,7 @@ def _log_rgamma(w: np.ndarray) -> np.ndarray:
     np.negative(lg, out=lg)
     if np.any(refl):
         lg[refl] = head - lg[refl]
-    return lg
+    return lg[:n]
 
 
 def _tail_log(tail: LatticeTail, z: np.ndarray) -> np.ndarray:
@@ -174,7 +176,7 @@ class GeneratingFunctionEvaluator:
     def _window_log(self, z: np.ndarray, skip: np.ndarray | None = None) -> np.ndarray:
         """sum of log(1 - z/lambda) over the stored points per point of z, one
         log per block of factors (Im modulo 2 pi).  With skip, point i leaves
-        out the factor of spectrum index skip[i], through an exact factor 1."""
+        out the factor of spectrum index skip[i] (block_log_sum's rule)."""
         lam = self.spectrum.points
         out = np.zeros(z.shape, dtype=complex)
         hit = collisions(z, lam, self._tol2, skip)
@@ -187,9 +189,7 @@ class GeneratingFunctionEvaluator:
             factor = work.f[:r]
             np.divide(zc, lam, out=factor)
             np.subtract(1.0, factor, out=factor)
-            if skip is not None:
-                factor[np.arange(r), skip[rows]] = 1.0
-            out[rows] = block_log_sum(work, r)
+            out[rows] = block_log_sum(work, r, None if skip is None else skip[rows])
         return out
 
     def _window_log_abs(self, z: np.ndarray) -> np.ndarray:
@@ -384,12 +384,12 @@ def check_factorization(
     pts = np.asarray(sample_points, dtype=complex).ravel()
     if np.any(pts.imag == 0):
         raise GenFunError("sample points must avoid the real axis")
-    tau = gen.exp_type
-    mism = np.empty(pts.size)
-    for i, z in enumerate(pts):
-        lhs = abs(gen.eval_G(z))
-        b, w = (b_plus, z) if z.imag > 0 else (b_minus, np.conj(z))
-        bmod = math.exp(b.log_abs_B(w)) if b is not None else 1.0
-        rhs = abs(outer.eval_outer(w)) * bmod * abs(np.exp(-1j * tau * w))
-        mism[i] = abs(lhs - rhs) / max(lhs, 1e-300)
-    return FactorizationReport(points=pts, mismatches=mism)
+    up = pts.imag > 0
+    w = np.where(up, pts, np.conj(pts))
+    log_b = np.zeros(pts.size)
+    for b, side in ((b_plus, up), (b_minus, ~up)):
+        if b is not None:
+            log_b[side] = b.log_abs_B(w[side])
+    lhs = np.abs(gen.eval_G(pts))
+    rhs = np.abs(outer.eval_outer(w)) * np.exp(log_b) * np.abs(np.exp(-1j * gen.exp_type * w))
+    return FactorizationReport(points=pts, mismatches=np.abs(lhs - rhs) / np.maximum(lhs, 1e-300))

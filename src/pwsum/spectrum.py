@@ -138,7 +138,7 @@ class LogSumWork:
         self._mod = np.empty((rows, nb))
 
 
-def block_log_sum(work: LogSumWork, r: int) -> np.ndarray:
+def block_log_sum(work: LogSumWork, r: int, skip: np.ndarray | None = None) -> np.ndarray:
     """Sum of log f along each row of f = work.f[:r], one log (modulus and
     argument) per product of a block of LOG_BLOCK consecutive factors, in the
     given order (the last block is padded with ones); Im is defined modulo
@@ -149,6 +149,8 @@ def block_log_sum(work: LogSumWork, r: int) -> np.ndarray:
     real arithmetic: numpy's complex multiply may take a fused (FMA) path that
     depends on the memory layout, and so on the row blocking, while separate
     real multiplies and adds round the same way on every path."""
+    if skip is not None:  # row i leaves out its own factor skip[i] (G', B'): an exact 1
+        work.f[np.arange(r), skip] = 1.0
     members = work._members[:, :r]
     re, im, mod = work._re[:, :r], work._im[:, :r], work._mod[:r]
     np.copyto(re, members.real)

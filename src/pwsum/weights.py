@@ -181,11 +181,11 @@ class UniversalWeights:
         sched = self.schedule_plus if self.schedule_plus is not None else self.schedule_minus
         return float(sched.contours[step].l)
 
-    def row_labels(self, step: int, ks: np.ndarray) -> list[float]:
+    def row_labels(self, step: int, ks: np.ndarray) -> np.ndarray:
         """Per index of ks, the half-width l of the step's contour its weight
         comes from: the upper schedule's, or the mirror's for a point in C-."""
-        scheds = (self.schedule_minus, self.schedule_plus)  # by Im lambda > 0
-        return [scheds[up].contours[step].l for up in (self.spectrum.points[ks].imag > 0).tolist()]
+        l_minus = np.nan if self.schedule_minus is None else self.schedule_minus.contours[step].l
+        return np.where(self.spectrum.points[ks].imag > 0, self.step_label(step), l_minus)
 
     def weight_row(self, step: int) -> WeightRow:
         """Outer weights at the points inside the step's contours; a weight that

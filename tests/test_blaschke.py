@@ -210,6 +210,28 @@ def test_B_prime_matches_difference_quotient():
             assert fd == pytest.approx(got, rel=1e-6)
 
 
+def test_B_prime_index_array_matches_per_k_product():
+    # the oracle: the own factor's derivative times a direct product over the others
+    s = make_family("kadec_perturbed", {"delta": 0.3, "eps": 0.2}, 12)
+    b = BlaschkeEvaluator(s)
+    for cutoff in (None, 7.0):
+        lam = b.points if cutoff is None else b.points[np.abs(b.points) < cutoff]
+        ks = np.arange(lam.size)
+        got = b.eval_B_prime_at(ks, cutoff=cutoff)
+        for k in ks:
+            mu, lk = np.delete(lam, k), lam[k]
+            oracle = (np.conj(lk) / lk) / (lk - np.conj(lk)) * np.prod(
+                (np.conj(mu) / mu) * (lk - mu) / (lk - np.conj(mu))
+            )
+            assert got[k] == pytest.approx(oracle, rel=1e-13, abs=0.0)
+    one = b.eval_B_prime_at(3, cutoff=7.0)
+    assert type(one) is complex and one == got[3]
+    assert b.eval_B_prime_at(np.array([], dtype=int), cutoff=7.0).shape == (0,)
+    for bad in (lam.size, [0, lam.size], -1):
+        with pytest.raises(BlaschkeError):
+            b.eval_B_prime_at(bad, cutoff=7.0)
+
+
 def test_arg_derivative_single_point():
     b = BlaschkeEvaluator(Spectrum(np.array([1j])))
     assert b.arg_derivative_on_R(0.0) == pytest.approx(2.0)

@@ -1,6 +1,7 @@
 """The block size of the (points x spectrum) pair kernels changes no bit,
 except in the BLAS-based Cauchy kernels, which stay within a stated tolerance;
-compactwise_error row-sums its Cauchy chunks, so it is held to every bit."""
+the Cauchy row sums (compactwise_error, the projector's interpolation sum)
+are held to every bit, a one-term sum in one-element blocks included."""
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from pwsum.engine import (
     NormProbe,
     PWFunction,
     SummationContext,
+    _cauchy_sums,
     build_lagrange_sum,
     compactwise_error,
     disk_probe,
@@ -64,6 +66,16 @@ def _kernel_outputs() -> dict:
         "sample_sums": np.array([g.values for g in SummationContext(gen, grid).sample_sums(sums)]),
         "NormProbe._P": NormProbe(gen, grid, atom_halfwidth=5)._P,
         "compactwise_error": np.array([compactwise_error(probe, gen, ls) for ls in sums]),
+        # the second, a one-term sum: at one row per block its products are single elements
+        "cauchy_sums": np.concatenate(
+            [
+                _cauchy_sums(z, s.points, w * (1.0 - 0.5j)),
+                _cauchy_sums(probe.points, s.points[3:4], np.array([0.7 - 0.2j])),
+            ]
+        ),
+        "eval_B_prime_at": np.concatenate(
+            [up.eval_B_prime_at(np.arange(s.points.size)), up.eval_B_prime_at(np.arange(20), cutoff=12.0)]
+        ),
         "collisions": np.concatenate(
             [spectrum.collisions(near, s.points, tol2), spectrum.collisions(near, s.points, tol2, own)]
         ),

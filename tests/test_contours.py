@@ -92,6 +92,17 @@ def test_select_c_rejects_candidate_hitting_zero():
     assert abs(c - 1.0) > 1e-9
 
 
+def test_select_c_scores_a_near_miss_on_merit():
+    # a zero 1e-10 off a c=1 side sample: log|B| there is finite but very
+    # negative, so c=1 scores badly and another candidate wins
+    t = TriangleContour(l=1.0, c=1.0, samples_per_side=512)
+    zeta0 = t.side_samples("right")[100] + 1e-10j
+    b = BlaschkeEvaluator(Spectrum(np.array([zeta0, 3j])))
+    assert np.isfinite(b.log_abs_B(t.slanted_samples())).all()
+    c, eps_hat = select_c(b, l=1.0, grid_size=16, samples_per_side=512)
+    assert abs(c - 1.0) > 1e-9 and np.isfinite(eps_hat)
+
+
 def test_select_c_lattice(lattice):
     s, b = lattice
     c, eps_hat = select_c(b, l=10.5)

@@ -21,3 +21,10 @@ def test_only_spectrum_sizes_the_blocks():
     src = Path(pwsum.__file__).parent
     callers = sorted(p.name for p in src.glob("*.py") if "block_rows(" in p.read_text())
     assert callers == ["spectrum.py"]
+
+
+def test_contour_selection_has_no_separate_zero_pass():
+    # select_c scores its candidates by log|B| alone: a side sample on a zero
+    # gives log|B| = -inf, so eps_hat = inf, and that candidate is never taken
+    src = Path(pwsum.__file__).parent
+    assert "collisions(" not in (src / "contours.py").read_text()

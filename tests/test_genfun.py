@@ -162,6 +162,27 @@ def test_deterministic_bitwise(lattice200):
     assert np.all(a == b)
 
 
+@pytest.mark.parametrize(
+    "family, params",
+    [
+        ("shifted_integers", {"delta": 0.3}),
+        ("kadec_perturbed", {"delta": 0.3, "eps": 0.2}),
+        ("clustered_pairs", {"delta": 1.0, "eps": 0.5}),
+    ],
+)
+def test_batch_matches_one_point_calls_bit_for_bit(family, params):
+    # a point's G has the same bits alone and in a batch, also when it is the
+    # only point of the batch that takes the log-Gamma recurrence: Re w < 12
+    # for w = rho + (c - z)/s near the window edge (rho = 31, 16 or 15.5 here)
+    g = GeneratingFunctionEvaluator(make_family(family, params, 30))
+    rng = np.random.default_rng(3)
+    z = rng.uniform(-4.0, 4.0, 40) + 1j * rng.choice([-1.0, 1.0], 40) * rng.uniform(0.5, 2.0, 40)
+    z[17] += 20.0
+    whole = g.eval_G(z)
+    assert np.array_equal(whole, [g.eval_G(p) for p in z])
+    assert np.array_equal(whole[17:18], g.eval_G(z[17:18]))
+
+
 @pytest.fixture(scope="module")
 def lattice400_grid():
     s = make_family("shifted_integers", {"delta": 0.3}, 400)
@@ -392,6 +413,30 @@ def test_factorization_lattice_with_exponential_type():
     b_up, _ = upper_lower_evaluators(s)
     rep = check_factorization(g, o, b_up, None, [1 + 1j])
     assert rep.max_mismatch < 1e-3
+
+
+def test_factorization_batch_matches_per_point_loop():
+    # both half-planes, a half-plane without spectrum points (log|B| = 0
+    # there), and a lattice family (tau = pi)
+    for s in (
+        Spectrum(np.array([1j, 2 + 0.5j, -1.5 - 0.7j, 0.3 - 2j])),
+        Spectrum(np.array([0.5j, -1 + 1.5j])),
+        make_family("kadec_perturbed", {"delta": 0.3, "eps": 0.2}, 30),
+    ):
+        g = GeneratingFunctionEvaluator(s)
+        o = OuterEvaluator.from_generating(g, X=200.0, h=0.05)
+        b_up, b_lo = upper_lower_evaluators(s)
+        z = np.array([2j, 1 + 1j, -2j, 0.5 - 1.5j, -3 + 0.7j, 2.5 - 0.6j])
+        oracle = []
+        for p in z:
+            b, w = (b_up, p) if p.imag > 0 else (b_lo, np.conj(p))
+            lhs = abs(g.eval_G(p))
+            bmod = np.exp(b.log_abs_B(w)) if b is not None else 1.0
+            rhs = abs(o.eval_outer(w)) * bmod * abs(np.exp(-1j * g.exp_type * w))
+            oracle.append(abs(lhs - rhs) / lhs)
+        rep = check_factorization(g, o, b_up, b_lo, z)
+        assert np.array_equal(rep.points, z)
+        assert np.max(np.abs(rep.mismatches - oracle)) <= 1e-13
 
 
 # ---------------------------------------------------------------------------

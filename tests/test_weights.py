@@ -254,6 +254,9 @@ def test_universal_lower_halfplane_mirror():
             if lam.imag < 0:
                 k_ref = int(np.argmin(np.abs(s.points - np.conj(lam))))
                 assert w == pytest.approx(np.conj(row.get(k_ref, 0j)))
+        labels = uni.row_labels(step, np.arange(len(s)))
+        assert isinstance(labels, np.ndarray)
+        assert labels.tolist() == [(sched_p if lam.imag > 0 else sched_m).contours[step].l for lam in s.points]
 
 
 @settings(max_examples=30, deadline=None)
