@@ -100,23 +100,23 @@ def build_lagrange_sum(f: PWFunction, gen, scheme, step: int) -> LagrangeSum:
     return build_lagrange_sum_from_values(values, gen, scheme, step)
 
 
-def _cauchy_chunks(z: np.ndarray, lam: np.ndarray):
-    """(rows, 1/(z[rows] - lambda)) over the row_blocks of the sample points
-    (grid nodes, disk probe points): the only place this module forms
-    1/(z - lambda).  Every chunk is written into one buffer made per call, so
-    a caller consumes (or overwrites) each chunk before it asks for the next."""
-    for rows, c in row_blocks(z.size, lam.size, complex):
+def _cauchy_chunks(z: np.ndarray, lam: np.ndarray, *dtypes):
+    """(rows, 1/(z[rows] - lambda), *scratch blocks, one per dtype) over the
+    row_blocks of the sample points (grid nodes, disk probe points): the only
+    place this module forms 1/(z - lambda).  Every chunk is written into one
+    buffer made per call, so a caller consumes each before the next."""
+    for rows, c, *bufs in row_blocks(z.size, lam.size, complex, *dtypes):
         np.subtract(z[rows, None], lam, out=c)
-        yield rows, np.divide(1.0, c, out=c)
+        yield rows, np.divide(1.0, c, out=c), *bufs
 
 
 def _cauchy_sums(z: np.ndarray, lam: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """sum_k coeffs_k/(z_i - lambda_k) per point z_i, row by row.  A one-element
-    chunk is multiplied out of place, by coeffs of its shape: numpy skips the
-    fused (FMA) loop of longer chunks for one element in place or broadcast."""
+    """sum_k coeffs_k/(z_i - lambda_k) per point z_i, row by row.  The products
+    go into a second buffer: numpy multiplies a one-element block in place
+    without the fused (FMA) loop of longer blocks."""
     out = np.empty(z.shape, dtype=complex)
-    for rows, C in _cauchy_chunks(z, lam):
-        np.sum(np.multiply(C, coeffs[None, :], out=C if C.size > 1 else None), axis=1, out=out[rows])
+    for rows, C, P in _cauchy_chunks(z, lam, complex):
+        np.sum(np.multiply(C, coeffs[None, :], out=P), axis=1, out=out[rows])
     return out
 
 

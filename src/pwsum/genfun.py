@@ -83,11 +83,11 @@ def _log_rgamma(w: np.ndarray) -> np.ndarray:
     Reflection 1/Gamma(w) = Gamma(1 - w) sin(pi w)/pi (DLMF 5.5.3) below
     Re w = 1/2; then Gamma(w + 12) = w (w + 1) ... (w + 11) Gamma(w)
     (DLMF 5.5.1) up to Re w >= 12, for the points below it only; then the
-    Stirling series (DLMF 5.11.1), by Horner in place on one buffer.  numpy
-    multiplies one complex element in place without the FMA of longer arrays:
-    a lone point goes as a pair, and the recurrence product out of place."""
-    n = np.size(w)
-    w = np.resize(np.asarray(w, dtype=complex), 2 if n == 1 else n)  # a copy: moved in place below
+    Stirling series (DLMF 5.11.1), by Horner.  The complex products are
+    formed out of place: numpy multiplies one element in place without the
+    fused (FMA) loop of longer arrays, and a point alone must round as in a
+    batch."""
+    w = np.array(w, dtype=complex, ndmin=1)  # a copy: moved in place below
     refl = w.real < 0.5
     if np.any(refl):
         v = w[refl]
@@ -103,16 +103,16 @@ def _log_rgamma(w: np.ndarray) -> np.ndarray:
         w[low] = t
     # lg = log Gamma(w) = (w - 1/2)(log w - 1) - 1/2 + log(2 pi)/2 + sum_k c_k w^(1 - 2k)
     buf = np.divide(1.0, w)
-    buf *= buf
+    buf = buf * buf
     lg = np.full(w.shape, _STIRLING[-1], dtype=complex)
     for c in _STIRLING[-2::-1]:
-        lg *= buf
+        lg = lg * buf
         lg += c
     lg /= w
     np.log(w, out=buf)
     buf -= 1.0
     w -= 0.5
-    buf *= w
+    buf = buf * w
     lg += buf
     lg += _HALF_LOG_2PI - 0.5
     if np.any(low):
@@ -121,7 +121,7 @@ def _log_rgamma(w: np.ndarray) -> np.ndarray:
     np.negative(lg, out=lg)
     if np.any(refl):
         lg[refl] = head - lg[refl]
-    return lg[:n]
+    return lg
 
 
 def _tail_log(tail: LatticeTail, z: np.ndarray) -> np.ndarray:

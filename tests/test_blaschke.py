@@ -224,6 +224,8 @@ def test_B_prime_index_array_matches_per_k_product():
                 (np.conj(mu) / mu) * (lk - mu) / (lk - np.conj(mu))
             )
             assert got[k] == pytest.approx(oracle, rel=1e-13, abs=0.0)
+    # bit-equal alone and in the array: an out-of-place complex multiply of one
+    # element rounds as in a longer array (numpy 2.4.6, x86-64 with FMA)
     one = b.eval_B_prime_at(3, cutoff=7.0)
     assert type(one) is complex and one == got[3]
     assert b.eval_B_prime_at(np.array([], dtype=int), cutoff=7.0).shape == (0,)

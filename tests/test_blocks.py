@@ -1,7 +1,12 @@
 """The block size of the (points x spectrum) pair kernels changes no bit,
 except in the BLAS-based Cauchy kernels, which stay within a stated tolerance;
 the Cauchy row sums (compactwise_error, the projector's interpolation sum)
-are held to every bit, a one-term sum in one-element blocks included."""
+are held to every bit, a one-term sum in one-element blocks included.
+
+Those bits rest on numpy's dispatch, as checked with numpy 2.4.6 on an x86-64
+CPU with FMA: an out-of-place complex multiply rounds as the fused (FMA) loop
+of a long array at every length, while one element multiplied in place does
+not.  Another numpy build may dispatch otherwise and fail the one-term sum."""
 
 import numpy as np
 import pytest

@@ -171,16 +171,19 @@ def test_deterministic_bitwise(lattice200):
     ],
 )
 def test_batch_matches_one_point_calls_bit_for_bit(family, params):
-    # a point's G has the same bits alone and in a batch, also when it is the
-    # only point of the batch that takes the log-Gamma recurrence: Re w < 12
-    # for w = rho + (c - z)/s near the window edge (rho = 31, 16 or 15.5 here)
+    # a point's G has the same bits alone and in a batch, also where two points
+    # of the batch take the log-Gamma recurrence, or one alone: Re w < 12 for
+    # w = rho + (c - z)/s near the window edge (rho = 31, 16 or 15.5 here).
+    # It rests on numpy's dispatch, as checked with numpy 2.4.6 on an x86-64 CPU
+    # with FMA: an out-of-place complex multiply takes the fused (FMA) loop of a
+    # long array at every length, one element multiplied in place does not.
     g = GeneratingFunctionEvaluator(make_family(family, params, 30))
     rng = np.random.default_rng(3)
     z = rng.uniform(-4.0, 4.0, 40) + 1j * rng.choice([-1.0, 1.0], 40) * rng.uniform(0.5, 2.0, 40)
-    z[17] += 20.0
+    z[[17, 29]] += 20.0
     whole = g.eval_G(z)
     assert np.array_equal(whole, [g.eval_G(p) for p in z])
-    assert np.array_equal(whole[17:18], g.eval_G(z[17:18]))
+    assert np.array_equal(whole[:20], g.eval_G(z[:20]))
 
 
 @pytest.fixture(scope="module")
