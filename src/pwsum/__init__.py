@@ -6,12 +6,12 @@ from pwsum.diagnostics import a2_estimate, carleson_sup, intG_check
 from pwsum.engine import (
     LagrangeSum,
     PWFunction,
-    SummationContext,
     build_lagrange_sum,
     compactwise_error,
     disk_probe,
     l2_error,
     riesz_project,
+    sample_sums,
     weighted_projector_check,
 )
 from pwsum.genfun import GeneratingFunctionEvaluator, OuterEvaluator, check_factorization
@@ -33,7 +33,6 @@ __all__ = [
     "ProjectionWeights",
     "Spectrum",
     "SpectrumError",
-    "SummationContext",
     "TriangleContour",
     "UniversalWeights",
     "a2_estimate",
@@ -52,6 +51,7 @@ __all__ = [
     "outer_weight",
     "riesz_project",
     "sample_on_grid",
+    "sample_sums",
     "split_halfplanes",
     "upper_lower_evaluators",
     "weighted_projector_check",

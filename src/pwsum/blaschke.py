@@ -93,9 +93,6 @@ class BlaschkeEvaluator:
         self._pts = spectrum.points
         self._tail = spectrum.lattice_tail()
 
-    def __len__(self) -> int:
-        return int(self._pts.size)
-
     @property
     def points(self) -> np.ndarray:
         """The zeros, in the spectrum's (|lambda|, arg) order."""

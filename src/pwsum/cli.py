@@ -24,17 +24,16 @@ from pwsum.engine import (
     EngineError,
     NormProbe,
     PWFunction,
-    SummationContext,
     build_lagrange_sum,
     compactwise_error,
     disk_probe,
     l2_error,
     lagrange_tail_bound,
     pw_tail_bound,
-    sample_pw,
+    sample_sums,
 )
 from pwsum.genfun import GenFunError, GeneratingFunctionEvaluator, OuterEvaluator, check_factorization
-from pwsum.grids import GridError, grid_template, sample_count
+from pwsum.grids import GridError, grid_template, sample_count, sample_on_grid
 from pwsum.spectrum import FAMILY_NAMES, Spectrum, SpectrumError, load_spectrum, make_family
 from pwsum.weights import NaiveWeights, ProjectionWeights, UniversalWeights, WeightError, save_weights_csv
 
@@ -234,9 +233,8 @@ def _cmd_converge(cfg, outdir: Path) -> None:
     f = cfg["atoms"]
     X, h = cfg["grid.X"], cfg["grid.h"]
     grid = grid_template(X, h)
-    ref = sample_pw(f, X, h)
+    ref = sample_on_grid(f, X, h)
     ref_norm = ref.norm()
-    ctx = SummationContext(gen, grid)
     center = complex(cfg["K.center.re"], cfg["K.center.im"])
     probe = disk_probe(f, gen, center, cfg["K.radius"], cfg["K.samples"])
     f_tail = pw_tail_bound(f, X)
@@ -244,7 +242,7 @@ def _cmd_converge(cfg, outdir: Path) -> None:
     sums = [build_lagrange_sum(f, gen, scheme, step) for scheme, step in steps]
     with open(_output(outdir, "errors.csv"), "w") as fh:
         fh.write("n,scheme,l2_error,sup_error_K,tail_bound\n")
-        for (scheme, step), ls, sn in zip(steps, sums, ctx.sample_sums(sums)):
+        for (scheme, step), ls, sn in zip(steps, sums, sample_sums(gen, grid, sums)):
             rel = l2_error(sn, ref) / ref_norm if ref_norm else np.inf
             sup = compactwise_error(probe, gen, ls)
             bound = f_tail + lagrange_tail_bound(ls, gen, X)

@@ -48,19 +48,11 @@ class TriangleContour:
     def apex(self) -> complex:
         return 1j * self.c * self.l
 
-    def side_samples(self, side: str) -> np.ndarray:
-        """Arclength-uniform points on one side, corners excluded."""
-        t = (np.arange(self.samples_per_side) + 0.5) / self.samples_per_side
-        if side == "right":
-            return self.l + t * (self.apex - self.l)
-        if side == "left":
-            return -self.l + t * (self.apex + self.l)
-        if side == "base":
-            return -self.l + t * (2 * self.l) + 0j
-        raise ContourError(f"unknown side {side!r}")
-
     def slanted_samples(self) -> np.ndarray:
-        return np.concatenate([self.side_samples("right"), self.side_samples("left")])
+        """Arclength-uniform points on the right side, then on the left side,
+        corners excluded."""
+        t = (np.arange(self.samples_per_side) + 0.5) / self.samples_per_side
+        return np.concatenate([self.l + t * (self.apex - self.l), -self.l + t * (self.apex + self.l)])
 
     def contains(self, z) -> np.ndarray:
         """Strict interior test after a relative shrink of 1e-9 toward the centroid.

@@ -182,14 +182,6 @@ class IntegrabilityReport:
     def neg_trend(self) -> float:
         return self.neg_integral_2X / self.neg_integral if self.neg_integral else np.inf
 
-    @property
-    def pos_divergent(self) -> bool:
-        return self.pos_trend > 1.5
-
-    @property
-    def neg_divergent(self) -> bool:
-        return self.neg_trend > 1.5
-
 
 def intG_check(gen, X: float, h: float = 0.01) -> IntegrabilityReport:
     """Trapezoid values of int |G|^2/(1+x^2) and int |G|^-2/(1+x^2) on

@@ -56,11 +56,6 @@ class PWFunction:
         return self.eval(z)
 
 
-def sample_pw(f: PWFunction, X: float, h: float) -> GridFunction:
-    g = grid_template(X, h)
-    return g.copy_with(f.eval(g.x.astype(complex)))
-
-
 def pw_tail_bound(f: PWFunction, X: float) -> float:
     """Crude upper estimate for the L2 mass of F beyond [-X, X]."""
     out = 0.0
@@ -120,37 +115,32 @@ def _cauchy_sums(z: np.ndarray, lam: np.ndarray, coeffs: np.ndarray) -> np.ndarr
     return out
 
 
-class SummationContext:
-    """Caches G on the grid across schedule steps; the Cauchy sums stream over
-    grid chunks."""
-
-    def __init__(self, gen: GeneratingFunctionEvaluator, grid: GridFunction):
-        self.gen = gen
-        self.grid = grid
-        self.G_on_grid = gen.eval_G_on_grid(grid)
-
-    def sample_sums(self, sums: list[LagrangeSum]) -> list[GridFunction]:
-        """G(x) * sum_k a_k/(x - lambda_k) on the grid for every sum, in one
-        pass over the grid: the sums are the columns of one (points x sums)
-        coefficient matrix."""
-        A = np.zeros((len(self.gen.spectrum), len(sums)), dtype=complex)
-        for j, ls in enumerate(sums):
-            A[ls.indices, j] = ls.coefficients
-        out = np.empty((len(sums), len(self.grid)), dtype=complex)
-        for rows, C in _cauchy_chunks(self.grid.x, self.gen.spectrum.points):
-            out[:, rows] = (C @ A).T * self.G_on_grid[rows]
-        return [self.grid.copy_with(v) for v in out]
-
-    def sample_sum(self, ls: LagrangeSum) -> GridFunction:
-        return self.sample_sums([ls])[0]
+def sample_sums(
+    gen: GeneratingFunctionEvaluator, grid: GridFunction, sums: list[LagrangeSum]
+) -> list[GridFunction]:
+    """G(x) * sum_k a_k/(x - lambda_k) on the grid for every sum, in one pass
+    over the grid: the sums are the columns of one (points x sums)
+    coefficient matrix.  G on the grid comes from gen's cache, so the
+    schedule steps share it."""
+    G = gen.eval_G_on_grid(grid)
+    A = np.zeros((len(gen.spectrum), len(sums)), dtype=complex)
+    for j, ls in enumerate(sums):
+        A[ls.indices, j] = ls.coefficients
+    out = np.empty((len(sums), len(grid)), dtype=complex)
+    for rows, C in _cauchy_chunks(grid.x, gen.spectrum.points):
+        out[:, rows] = (C @ A).T * G[rows]
+    return [grid.copy_with(v) for v in out]
 
 
 def lagrange_tail_bound(ls: LagrangeSum, gen, X: float) -> float:
-    """Crude upper estimate for the sum's L2 mass beyond [-X, X]."""
+    """Crude upper estimate for the sum's L2 mass beyond [-X, X].  max|G| is
+    taken on m + 1 nodes of [-X, X], spacing about max(X/200, 0.05), with m
+    a whole number whatever X is."""
     if not len(ls):
         return 0.0
     lam = gen.spectrum.points[ls.indices]
-    gmax = float(np.max(np.abs(gen.eval_G_on_grid(grid_template(X, max(X / 200, 0.05))))))
+    m = max(1, round(2 * X / max(X / 200, 0.05)))
+    gmax = float(np.max(np.abs(gen.eval_G_on_grid(grid_template(X, 2 * X / m)))))
     d = X - np.abs(lam.real)
     reach = np.where(d <= 1.0, np.sqrt(np.pi / np.abs(lam.imag)), np.sqrt(2.0 / np.maximum(d, 1.0)))
     return float(np.sum(np.abs(ls.coefficients) * gmax * reach))

@@ -304,7 +304,6 @@ class OuterEvaluator:
         x = g.x
         self._kappa = float((w * (x * self._phit / (1.0 + x * x))).sum() / np.pi)
         self._w = w
-        self._boundary: np.ndarray | None = None
 
     @classmethod
     def from_generating(cls, gen: GeneratingFunctionEvaluator, X: float = 200.0, h: float = 0.01):
@@ -332,11 +331,8 @@ class OuterEvaluator:
 
     def boundary_values(self) -> np.ndarray:
         """omega on the grid nodes themselves (boundary limit from above)."""
-        if self._boundary is None:
-            H = hilbert_transform(self.grid.copy_with(self._phit.astype(complex)), tail_fit=False)
-            log_omega = self.mean + self._phit + 1j * (H.values.real + self._kappa)
-            self._boundary = np.exp(log_omega)
-        return self._boundary
+        H = hilbert_transform(self.grid.copy_with(self._phit.astype(complex)), tail_fit=False)
+        return np.exp(self.mean + self._phit + 1j * (H.values.real + self._kappa))
 
     def boundary_on(self, grid: GridFunction) -> np.ndarray:
         """Boundary values restricted to an aligned sub-grid."""

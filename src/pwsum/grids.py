@@ -91,17 +91,11 @@ def sample_on_grid(fn, X: float, h: float) -> GridFunction:
 # form.
 # ---------------------------------------------------------------------------
 
-_KERNEL_CACHE: dict[int, np.ndarray] = {}
-
-
 def _hilbert_kernel(n: int) -> np.ndarray:
-    k = _KERNEL_CACHE.get(n)
-    if k is None:
-        m = np.arange(-(n - 1), n, dtype=float)
-        k = np.zeros(2 * n - 1)
-        odd = (np.abs(m).astype(int) % 2) == 1
-        k[odd] = 2.0 / (np.pi * m[odd])
-        _KERNEL_CACHE[n] = k
+    m = np.arange(-(n - 1), n, dtype=float)
+    k = np.zeros(2 * n - 1)
+    odd = (np.abs(m).astype(int) % 2) == 1
+    k[odd] = 2.0 / (np.pi * m[odd])
     return k
 
 

@@ -31,9 +31,9 @@ def block_rows(n_cols: int) -> int:
 
     Every pair kernel but two reduces along its columns, one row at a time,
     so the block size cannot change a single bit of its output.  The two
-    BLAS Cauchy sums of engine (SummationContext.sample_sums, the NormProbe
-    Gram matrix) multiply whole blocks, whose rounding depends on the block
-    shape: they move by ~1e-15 relative."""
+    BLAS Cauchy sums of engine (sample_sums, the NormProbe Gram matrix)
+    multiply whole blocks, whose rounding depends on the block shape: they
+    move by ~1e-15 relative."""
     return max(1, BLOCK_BUDGET // max(n_cols, 1))
 
 
@@ -301,7 +301,9 @@ def make_family(name: str, params: dict, count: int) -> Spectrum:
     kadec_perturbed:  {k + eps*(-1)^k + i*delta : |k| <= count}
     clustered_pairs:  i*delta plus pairs {k + i*delta, k + i*delta + eps/|k|}
                       for 1 <= |k| <= count (a Carleson-violating family)
-    custom_list:      params["points"], count must match
+
+    A custom point list is a Spectrum(points, family_tag="custom_list"), or
+    a file read by load_spectrum.
     """
     if count < 1:
         raise SpectrumError("count must be >= 1")
@@ -329,17 +331,9 @@ def make_family(name: str, params: dict, count: int) -> Spectrum:
         base = np.concatenate([-ks, ks]) + 1j * delta
         shifted = base + eps / np.abs(base.real)
         pts = np.concatenate([[1j * delta], base, shifted])
-    elif name == "custom_list":
-        pts = np.asarray(params["points"], dtype=complex)
-        if pts.size != count:
-            raise SpectrumError("custom_list: count must equal len(points)")
     else:
         raise SpectrumError(f"unknown family name: {name!r}")
-    stored = dict(params)
-    if name != "custom_list":
-        stored["count"] = count
-        stored.pop("points", None)
-    return Spectrum(pts, family_tag=name, family_params=stored)
+    return Spectrum(pts, family_tag=name, family_params=dict(params, count=count))
 
 
 def split_halfplanes(s: Spectrum) -> tuple[Spectrum, Spectrum]:
@@ -356,15 +350,14 @@ def save_spectrum(s: Spectrum, path) -> None:
     """Text format: optional '# family=...' header, then 're im' per line."""
     with open(path, "w") as fh:
         if s.family_tag is not None:
-            items = " ".join(
-                f"{k}={v!r}" for k, v in sorted(s.family_params.items()) if k != "points"
-            )
+            items = " ".join(f"{k}={v!r}" for k, v in sorted(s.family_params.items()))
             fh.write(f"# family={s.family_tag} {items}".rstrip() + "\n")
         for p in s.points:
             fh.write(f"{p.real:.17g} {p.imag:.17g}\n")
 
 
 def load_spectrum(path) -> Spectrum:
+    """The save_spectrum format; a file without a point is an error."""
     tag = None
     params: dict = {}
     pts = []
@@ -392,4 +385,6 @@ def load_spectrum(path) -> Spectrum:
                 pts.append(complex(float(re_s), float(im_s)))
             except ValueError as e:
                 raise SpectrumError(f"{path}, line {ln}: expected 're im', got {line!r}") from e
+    if not pts:
+        raise SpectrumError(f"{path}: no points")
     return Spectrum(np.array(pts, dtype=complex), family_tag=tag, family_params=params)

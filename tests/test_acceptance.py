@@ -24,13 +24,12 @@ from pwsum.contours import build_schedule, domination_margin
 from pwsum.diagnostics import a2_estimate, carleson_sup
 from pwsum.engine import (
     PWFunction,
-    SummationContext,
     build_lagrange_sum,
     compactwise_error,
     disk_probe,
     l2_error,
     riesz_project,
-    sample_pw,
+    sample_sums,
     weighted_projector_check,
 )
 from pwsum.genfun import GeneratingFunctionEvaluator
@@ -79,13 +78,12 @@ def test_criterion_1_shannon_oracle_reconstruction():
     g = GeneratingFunctionEvaluator(s)
     f = PWFunction([0.3j, 2.7 + 0.3j], [1.0, 0.5])
     grid = grid_template(60.0, 0.01)
-    ref = sample_pw(f, 60.0, 0.01)
+    ref = sample_on_grid(f, 60.0, 0.01)
     radii = np.arange(10.0, 151.0, 10.0)  # schedule reaching step n = 150
     proj = ProjectionWeights(s, radii)
-    ctx = SummationContext(g, grid)
     errs = []
     for step in range(len(radii)):
-        sn = ctx.sample_sum(build_lagrange_sum(f, g, proj, step))
+        sn = sample_sums(g, grid, [build_lagrange_sum(f, g, proj, step)])[0]
         errs.append(l2_error(sn, ref) / ref.norm())
     elapsed = time.perf_counter() - t0
     err_150 = errs[-1]

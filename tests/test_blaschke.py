@@ -275,4 +275,4 @@ def test_arg_derivative_nonnegative(pts, t):
 def test_upper_lower_split_helper():
     s = Spectrum(np.array([1j, -2j, 1 + 1j]))
     b_up, b_lo = upper_lower_evaluators(s)
-    assert len(b_up) == 2 and len(b_lo) == 1
+    assert b_up.points.size == 2 and b_lo.points.size == 1

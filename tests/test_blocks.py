@@ -18,12 +18,12 @@ from pwsum.diagnostics import carleson_sup
 from pwsum.engine import (
     NormProbe,
     PWFunction,
-    SummationContext,
     _cauchy_sums,
     build_lagrange_sum,
     compactwise_error,
     disk_probe,
     disk_samples,
+    sample_sums,
 )
 from pwsum.genfun import GeneratingFunctionEvaluator, OuterEvaluator
 from pwsum.grids import grid_template
@@ -68,7 +68,7 @@ def _kernel_outputs() -> dict:
         "carleson_sup": np.array([carleson_sup(s)]),
         "eval_outer": outer.eval_outer(x[np.abs(x) <= 25.0] + 1.0j),
         "select_c": np.array(select_c(up, 20.3, samples_per_side=64)),
-        "sample_sums": np.array([g.values for g in SummationContext(gen, grid).sample_sums(sums)]),
+        "sample_sums": np.array([g.values for g in sample_sums(gen, grid, sums)]),
         "NormProbe._P": NormProbe(gen, grid, atom_halfwidth=5)._P,
         "compactwise_error": np.array([compactwise_error(probe, gen, ls) for ls in sums]),
         # the second, a one-term sum: at one row per block its products are single elements

@@ -141,6 +141,21 @@ output.dir={out}
     assert ls == sorted(ls)
 
 
+def test_converge_tail_bound_on_any_valid_grid(tmp_path):
+    # 2X/h = 1466 is whole, but 2X/max(X/200, 0.05) = 293.2 is not: the
+    # tail bound's own max|G| grid must not require it to be
+    out = tmp_path / "out"
+    cfg = write_cfg(
+        tmp_path,
+        "c733.cfg",
+        f"subcommand=converge\ncount=20\nschedule=10,21\ngrid.X=7.33\ngrid.h=0.01\noutput.dir={out}\n",
+    )
+    assert run(cfg) == EXIT_OK
+    rows = [ln.split(",") for ln in (out / "errors.csv").read_text().strip().splitlines()[1:]]
+    assert len(rows) == 2
+    assert all(np.isfinite(float(r[4])) for r in rows)
+
+
 def test_weights_csv_output(tmp_path):
     out = tmp_path / "out"
     cfg = write_cfg(
@@ -362,6 +377,9 @@ def test_runtime_imports_neither_scipy_nor_numpy_ma(tmp_path):
         ("subcommand=weights\nfamily=kadec_perturbed\neps=inf\n", {}),
         ("subcommand=diagnose\nfamily=custom_list\n", {"pts.txt": "0.5 1.0\n2.0 0.0\n"}),
         ("subcommand=diagnose\nfamily=custom_list\n", {"pts.txt": "0.5 1.0\n2.0\n"}),
+        # a header and no points: there is no spectrum to run on
+        ("subcommand=weights\nscheme=universal\nfamily=custom_list\n", {"pts.txt": "# family=custom_list\n"}),
+        ("subcommand=diagnose\nfamily=custom_list\n", {"pts.txt": "# family=custom_list\n"}),
         ("subcommand=converge\nK.samples=0\n", {}),
         ("subcommand=compare-norms\natoms.halfwidth=-3\n", {}),
         # lattice headers the tail cannot be built from: a missing key, a
@@ -416,6 +434,7 @@ def test_runtime_imports_neither_scipy_nor_numpy_ma(tmp_path):
         ("subcommand=diagnose\n", {"out": "a file, not a directory\n"}),
     ],
     ids=["delta-nan", "eps-inf", "real-axis-point", "malformed-points-line",
+         "points-file-empty-weights", "points-file-empty-diagnose",
          "K-samples-0", "atoms-halfwidth-negative", "header-without-delta",
          "header-window-too-small", "grid-h-0", "grid-X-negative", "diag-h-0",
          "diag-X-negative", "diag-h-not-dividing-2X", "samples-unparsable",

@@ -26,11 +26,9 @@ def lattice():
 def test_triangle_geometry():
     t = TriangleContour(l=10.0, c=2.0)
     assert t.apex == 20j
-    r = t.side_samples("right")
+    r = t.slanted_samples()[: t.samples_per_side]
     assert np.all((r.real <= 10.0) & (r.real >= 0.0))
     assert np.all(r.imag >= 0.0)
-    base = t.side_samples("base")
-    assert np.all(base.imag == 0)
 
 
 def test_contains_basics():
@@ -86,7 +84,7 @@ def test_select_c_far_zero():
 def test_select_c_rejects_candidate_hitting_zero():
     # place one zero exactly on the c=1 side of the l=1 triangle
     t = TriangleContour(l=1.0, c=1.0, samples_per_side=512)
-    zeta0 = t.side_samples("right")[100]
+    zeta0 = t.slanted_samples()[100]
     b = BlaschkeEvaluator(Spectrum(np.array([zeta0, 3j])))
     c, _ = select_c(b, l=1.0, grid_size=16, samples_per_side=512)
     assert abs(c - 1.0) > 1e-9
@@ -96,7 +94,7 @@ def test_select_c_scores_a_near_miss_on_merit():
     # a zero 1e-10 off a c=1 side sample: log|B| there is finite but very
     # negative, so c=1 scores badly and another candidate wins
     t = TriangleContour(l=1.0, c=1.0, samples_per_side=512)
-    zeta0 = t.side_samples("right")[100] + 1e-10j
+    zeta0 = t.slanted_samples()[100] + 1e-10j
     b = BlaschkeEvaluator(Spectrum(np.array([zeta0, 3j])))
     assert np.isfinite(b.log_abs_B(t.slanted_samples())).all()
     c, eps_hat = select_c(b, l=1.0, grid_size=16, samples_per_side=512)

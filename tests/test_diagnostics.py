@@ -145,7 +145,7 @@ def test_intG_constant_modulus_tends_to_pi():
     rep = intG_check(g, X=400.0, h=0.05)
     assert rep.pos_integral_2X == pytest.approx(np.pi, rel=2e-3)
     assert rep.neg_integral_2X == pytest.approx(np.pi, rel=2e-3)
-    assert not rep.pos_divergent and not rep.neg_divergent
+    assert rep.pos_trend <= 1.5 and rep.neg_trend <= 1.5
 
 
 def test_intG_weights_are_the_node_spacing():
@@ -168,8 +168,8 @@ def test_intG_lattice_finite():
 def test_intG_growing_modulus_flagged():
     g = _FakeG(lambda x, a: np.log(1.0 + x * x))
     rep = intG_check(g, X=100.0, h=0.05)
-    assert rep.pos_divergent  # integrand tends to a constant: linear growth
-    assert not rep.neg_divergent
+    assert rep.pos_trend > 1.5  # integrand tends to a constant: linear growth
+    assert rep.neg_trend <= 1.5
 
 
 def test_report_csv(tmp_path):

@@ -7,7 +7,6 @@ from pwsum.engine import (
     EngineError,
     NormProbe,
     PWFunction,
-    SummationContext,
     build_lagrange_sum,
     build_lagrange_sum_from_values,
     DiskProbe,
@@ -16,10 +15,10 @@ from pwsum.engine import (
     disk_samples,
     l2_error,
     pw_tail_bound,
-    sample_pw,
+    sample_sums,
 )
 from pwsum.genfun import GeneratingFunctionEvaluator
-from pwsum.grids import grid_template
+from pwsum.grids import grid_template, sample_on_grid
 from pwsum.spectrum import Spectrum, block_rows, make_family
 from pwsum.weights import NaiveWeights, ProjectionWeights
 
@@ -57,7 +56,7 @@ def test_empty_support_sum(lattice):
     f = PWFunction([0.3j], [1.0])
     naive = NaiveWeights(s, [0.1, 200.0])
     grid = grid_template(20.0, 0.05)
-    out = SummationContext(g, grid).sample_sum(build_lagrange_sum(f, g, naive, 0))
+    out = sample_sums(g, grid, [build_lagrange_sum(f, g, naive, 0)])[0]
     assert out.norm() == 0.0
 
 
@@ -71,8 +70,7 @@ def test_biorthogonal_reproduction(lattice):
     values[k0] = 1.0
     ls = build_lagrange_sum_from_values(values, g, naive, 0)
     grid = grid_template(20.0, 0.05)
-    ctx = SummationContext(g, grid)
-    got = ctx.sample_sum(ls)
+    got = sample_sums(g, grid, [ls])[0]
     lam0 = s.points[k0]
     direct = g.eval_G(grid.x.astype(complex)) / (
         g.eval_G_prime_at_lambda(k0) * (grid.x - lam0)
@@ -99,12 +97,11 @@ def test_skw_naive_convergence(lattice):
     s, g = lattice
     f = PWFunction([0.3j], [1.0])
     grid = grid_template(30.0, 0.02)
-    ctx = SummationContext(g, grid)
-    ref = sample_pw(f, 30.0, 0.02)
+    ref = sample_on_grid(f, 30.0, 0.02)
     naive = NaiveWeights(s, [20.0, 40.0, 80.0, 121.0])
     errs = []
     for step in range(4):
-        sn = ctx.sample_sum(build_lagrange_sum(f, g, naive, step))
+        sn = sample_sums(g, grid, [build_lagrange_sum(f, g, naive, step)])[0]
         errs.append(l2_error(sn, ref) / ref.norm())
     assert all(e2 < e1 for e1, e2 in zip(errs, errs[1:]))
     assert errs[-1] < 0.1
@@ -116,12 +113,11 @@ def test_partial_sum_linearity(lattice):
     f2 = PWFunction([1.5 + 0.3j], [1.0])
     a, b = 0.7 - 0.2j, -1.1 + 0.4j
     grid = grid_template(10.0, 0.1)
-    ctx = SummationContext(g, grid)
     proj = ProjectionWeights(s, [50.0])
-    s1 = ctx.sample_sum(build_lagrange_sum(f1, g, proj, 0)).values
-    s2 = ctx.sample_sum(build_lagrange_sum(f2, g, proj, 0)).values
+    s1 = sample_sums(g, grid, [build_lagrange_sum(f1, g, proj, 0)])[0].values
+    s2 = sample_sums(g, grid, [build_lagrange_sum(f2, g, proj, 0)])[0].values
     f12 = PWFunction([0.3j, 1.5 + 0.3j], [a, b])
-    s12 = ctx.sample_sum(build_lagrange_sum(f12, g, proj, 0)).values
+    s12 = sample_sums(g, grid, [build_lagrange_sum(f12, g, proj, 0)])[0].values
     assert np.allclose(s12, a * s1 + b * s2, rtol=1e-10, atol=1e-12)
 
 
@@ -133,10 +129,8 @@ def test_conjugation_symmetry():
     f = PWFunction([0.2 + 0.4j], [1.0 - 0.5j])
     f_conj = PWFunction(np.conj(f.centers), np.conj(f.coefficients))
     grid = grid_template(10.0, 0.1)
-    out = SummationContext(g, grid).sample_sum(build_lagrange_sum(f, g, NaiveWeights(s, [5.0]), 0))
-    out_conj = SummationContext(g_conj, grid).sample_sum(
-        build_lagrange_sum(f_conj, g_conj, NaiveWeights(s_conj, [5.0]), 0)
-    )
+    out = sample_sums(g, grid, [build_lagrange_sum(f, g, NaiveWeights(s, [5.0]), 0)])[0]
+    out_conj = sample_sums(g_conj, grid, [build_lagrange_sum(f_conj, g_conj, NaiveWeights(s_conj, [5.0]), 0)])[0]
     assert np.allclose(out_conj.values, np.conj(out.values), rtol=1e-12, atol=1e-14)
 
 
@@ -214,13 +208,12 @@ def test_sample_sums_match_dense_formula(lattice):
     sums = [build_lagrange_sum(f, g, sc, j)
             for sc in (NaiveWeights(s, [0.1, 20.0, 121.0]), ProjectionWeights(s, [40.0]))
             for j in range(len(sc))]
-    ctx = SummationContext(g, grid)
     C, G = _dense_cauchy(grid, g), g.eval_G_on_grid(grid)
-    for ls, got in zip(sums, ctx.sample_sums(sums)):
+    for ls, got in zip(sums, sample_sums(g, grid, sums)):
         want = G * (C[:, ls.indices] @ ls.coefficients)
         assert np.max(np.abs(got.values - want)) <= 1e-12 * max(np.max(np.abs(want)), 1e-300)
-    one = ctx.sample_sum(sums[2]).values
-    assert np.max(np.abs(one - ctx.sample_sums(sums)[2].values)) <= 1e-12 * np.max(np.abs(one))
+    one = sample_sums(g, grid, [sums[2]])[0].values
+    assert np.max(np.abs(one - sample_sums(g, grid, sums)[2].values)) <= 1e-12 * np.max(np.abs(one))
 
 
 def test_probe_gram_matches_dense_formula(lattice):
@@ -244,7 +237,7 @@ def test_grid_pass_keeps_no_grid_by_points_matrix():
     try:
         g = GeneratingFunctionEvaluator(s)
         sums = [build_lagrange_sum(f, g, NaiveWeights(s, [30.0, 101.0]), j) for j in range(2)]
-        SummationContext(g, grid).sample_sums(sums)
+        sample_sums(g, grid, sums)
         NormProbe(g, grid, atom_halfwidth=5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

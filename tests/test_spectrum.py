@@ -22,7 +22,7 @@ def test_shifted_integers_small():
 
 
 def test_custom_single_point():
-    s = make_family("custom_list", {"points": [1j]}, 1)
+    s = Spectrum([1j], family_tag="custom_list")
     assert len(s) == 1
     assert s.points[0] == 1j
 
@@ -88,7 +88,7 @@ def test_lattice_tail_descriptor(name, params, count, first_site, density):
 
 
 def test_lattice_tail_none_without_family_formula(tmp_path):
-    assert make_family("custom_list", {"points": [1j, 2 - 1j]}, 2).lattice_tail() is None
+    assert Spectrum([1j, 2 - 1j], family_tag="custom_list").lattice_tail() is None
     assert Spectrum(np.array([1j])).lattice_tail() is None
     # a family header without `count` infers the window from the stored points
     s = make_family("shifted_integers", {"delta": 0.3}, 7)
