@@ -91,7 +91,6 @@ class BlaschkeEvaluator:
             raise BlaschkeError("Blaschke evaluator requires Im lambda > 0")
         self.spectrum = spectrum
         self._pts = spectrum.points
-        self._tail = spectrum.lattice_tail()
 
     @property
     def points(self) -> np.ndarray:
@@ -136,31 +135,29 @@ class BlaschkeEvaluator:
         """(arg B)'(t) = 2 sum Im(lambda)/|t - lambda|^2, with a lattice tail term."""
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
         out = inverse_square_sums(t_arr, self._pts, 2.0 * self._pts.imag)
-        out += self._lattice_tail_argder(t_arr)
+        out += self._tail_argder(t_arr)
         return out[0] if np.asarray(t).ndim == 0 else out
 
-    def _lattice_tail_argder(self, t: np.ndarray) -> np.ndarray:
+    def _tail_argder(self, t: np.ndarray) -> np.ndarray:
         """Midpoint-rule tail of 2 sum delta/((t-n)^2+delta^2) beyond the window.
 
         Applied for the built-in families (the perturbed ones are treated
         through their base lattice; the correction is asymptotically the
         same).  Custom lists get no correction.
         """
-        if self._tail is None:
+        tail = self.spectrum.tail
+        if tail is None:
             return np.zeros(t.shape)
-        delta = self._tail.delta
-        edge = self._tail.first_site - 0.5
-        corr = 2.0 * (
-            np.pi - np.arctan((edge - t) / delta) - np.arctan((edge + t) / delta)
-        )
-        return self._tail.density * corr
+        edge = tail.first_site - 0.5
+        corr = 2.0 * (np.pi - np.arctan((edge - t) / tail.delta) - np.arctan((edge + t) / tail.delta))
+        return tail.density * corr
 
 
 def upper_lower_evaluators(spectrum: Spectrum) -> tuple[BlaschkeEvaluator | None, BlaschkeEvaluator | None]:
     """Evaluators of Lambda+ and of the mirror conj(Lambda-) (None if empty).
 
     The only place that reflects: B-(z) = conj(B(conj z)) of the second
-    evaluator.  The mirror carries no family tag, so no lattice tail."""
+    evaluator.  The mirror carries no tail."""
     up, lo = split_halfplanes(spectrum)
     b_up = BlaschkeEvaluator(up) if len(up) else None
     b_lo = BlaschkeEvaluator(Spectrum(np.conj(lo.points))) if len(lo) else None

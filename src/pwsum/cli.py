@@ -132,6 +132,8 @@ def _tuples(text: str, what: str, fields: str) -> np.ndarray:
 
 def _atoms(text: str) -> PWFunction:
     centers, coeffs = _tuples(text, "atom", "mu_re,mu_im,c_re,c_im").view(complex).T
+    if not np.any(coeffs):
+        raise ValueError("every coefficient is 0: F = 0 has no relative error")
     try:
         return PWFunction(centers, coeffs)
     except EngineError as e:
@@ -153,10 +155,7 @@ def _build_spectrum(cfg) -> Spectrum:
             return load_spectrum(cfg["points.file"])
         except FileNotFoundError as e:
             raise ConfigError(f"points file not found: {cfg['points.file']}") from e
-    params = {"delta": cfg["delta"]}
-    if family in ("kadec_perturbed", "clustered_pairs"):
-        params["eps"] = cfg["eps"]
-    return make_family(family, params, cfg["count"])
+    return make_family(family, {"delta": cfg["delta"], "eps": cfg["eps"]}, cfg["count"])
 
 
 def _schedule_kwargs(cfg) -> dict:
@@ -295,14 +294,15 @@ _COMMANDS = {
 }
 
 # key -> (default text, parser); a key without a default is required.  The
-# lower bounds: a disk needs a sample, the atom span an atom, a schedule a
-# contour, the probe a trial, the apex-slope scan its 16 candidates, a
-# contour side two samples, a grid on [-X, X] a positive X and h.
+# lower bounds: a family window needs a k on each side of 0, a disk a sample,
+# the atom span an atom, a schedule a contour, the probe a trial, the
+# apex-slope scan its 16 candidates, a contour side two samples, a grid on
+# [-X, X] a positive X and h.
 _KEYS = {
     "subcommand": (None, _choice(_COMMANDS)),
     "output.dir": ("out", _text),
     "family": ("shifted_integers", _choice(FAMILY_NAMES)),
-    "count": ("50", _number(int)),
+    "count": ("50", _number(int, ">= 1")),
     "delta": ("0.3", _number(float)),
     "eps": ("0.2", _number(float)),
     "points.file": ("", str),

@@ -75,29 +75,37 @@ def a2_estimate(gen, X: float, a: float = 0.0, h: float = 0.01) -> float:
 
 
 def _a2_from_logs(logs: np.ndarray) -> float:
-    """a2_estimate from the samples log|G(x+ia)| on the window's nodes."""
-    u = np.exp(2.0 * logs)
-    v = np.exp(-2.0 * logs)
-    cu = np.concatenate([[0.0], np.cumsum(u)])
-    cv = np.concatenate([[0.0], np.cumsum(v)])
+    """a2_estimate from the samples log|G(x+ia)| on the window's nodes.
+
+    avg|G|^2 * avg|G|^-2 does not change when log|G| moves by a constant, so
+    the samples are first centred on their midrange: u and v then overflow
+    only where log|G| spans more than ~709 over the window.  A product that
+    is still not finite raises DiagnosticsError."""
+    t = logs - 0.5 * (logs.max() + logs.min())
 
     def avgs(c, f, j0, m):
         # trapezoid means over samples j0..j0+m, vectorized over offsets
         total = c[j0 + m + 1] - c[j0] - 0.5 * (f[j0] + f[j0 + m])
         return total / m
 
-    n = u.size
-    best = 1.0
-    m = 4
-    while m < n:
-        j0 = np.arange(0, n - m, m)
-        prods = avgs(cu, u, j0, m) * avgs(cv, v, j0, m)
-        best = max(best, float(np.max(prods)))
-        m *= 2
-    # the full window as one interval
-    j0 = np.array([0])
-    p = float((avgs(cu, u, j0, n - 1) * avgs(cv, v, j0, n - 1))[0])
-    return float(max(best, p))
+    best = [1.0]
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        u = np.exp(2.0 * t)
+        v = np.exp(-2.0 * t)
+        cu = np.concatenate([[0.0], np.cumsum(u)])
+        cv = np.concatenate([[0.0], np.cumsum(v)])
+        n = u.size
+        m = 4
+        while m < n:
+            j0 = np.arange(0, n - m, m)
+            best.append(np.max(avgs(cu, u, j0, m) * avgs(cv, v, j0, m)))
+            m *= 2
+        # the full window as one interval
+        j0 = np.array([0])
+        best.append((avgs(cu, u, j0, n - 1) * avgs(cv, v, j0, n - 1))[0])
+    if not np.all(np.isfinite(best)):
+        raise DiagnosticsError("A2 product not finite: |G| on the line spans beyond the float range")
+    return float(max(best))
 
 
 # Bernoulli numbers B_2k, k = 1..8 (DLMF 24.2.2): the asymptotic series of trigamma
@@ -157,7 +165,7 @@ def carleson_sup(s) -> float:
     w = 1.0 + np.abs(pts.imag)
     sums = inverse_square_sums(pts, pts, w, skip=np.arange(pts.size))
     sums *= w  # w_lambda sum_mu w_mu/|lambda - mu|^2
-    tail = s.lattice_tail()
+    tail = s.tail
     if tail is not None:
         # tail sites sit near +-m + i*delta, m >= first_site; trigamma sums
         # the inverse-square distances along the real direction
@@ -191,14 +199,18 @@ def intG_check(gen, X: float, h: float = 0.01) -> IntegrabilityReport:
 
 def _intG_from_samples(*windows: _Window) -> IntegrabilityReport:
     """intG_check from the windows [-X, X] and [-2X, 2X] of the real line,
-    each weighted by its own node spacing."""
+    each weighted by its own node spacing; an integral that is not finite
+    raises DiagnosticsError."""
     vals = []
     for w in windows:
         wts = np.full(w.x.size, w.step)
         wts[0] = wts[-1] = w.step / 2
         base = 1.0 + w.x * w.x
-        vals.append(float(np.sum(wts * np.exp(2.0 * w.logs) / base)))
-        vals.append(float(np.sum(wts * np.exp(-2.0 * w.logs) / base)))
+        with np.errstate(over="ignore"):  # checked below
+            vals.append(float(np.sum(wts * np.exp(2.0 * w.logs) / base)))
+            vals.append(float(np.sum(wts * np.exp(-2.0 * w.logs) / base)))
+    if not np.all(np.isfinite(vals)):
+        raise DiagnosticsError("intG integral not finite: |G| on the line is beyond the float range")
     return IntegrabilityReport(*vals)
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from pwsum.blaschke import BlaschkeEvaluator
 from pwsum.genfun import GeneratingFunctionEvaluator, OuterEvaluator
 from pwsum.grids import GridFunction, GridError, grid_template, hilbert_transform
-from pwsum.spectrum import collisions, row_blocks, unique_sorted
+from pwsum.spectrum import cauchy_chunks, cauchy_sums, collisions, unique_sorted
 
 
 class EngineError(ValueError):
@@ -95,26 +95,6 @@ def build_lagrange_sum(f: PWFunction, gen, scheme, step: int) -> LagrangeSum:
     return build_lagrange_sum_from_values(values, gen, scheme, step)
 
 
-def _cauchy_chunks(z: np.ndarray, lam: np.ndarray, *dtypes):
-    """(rows, 1/(z[rows] - lambda), *scratch blocks, one per dtype) over the
-    row_blocks of the sample points (grid nodes, disk probe points): the only
-    place this module forms 1/(z - lambda).  Every chunk is written into one
-    buffer made per call, so a caller consumes each before the next."""
-    for rows, c, *bufs in row_blocks(z.size, lam.size, complex, *dtypes):
-        np.subtract(z[rows, None], lam, out=c)
-        yield rows, np.divide(1.0, c, out=c), *bufs
-
-
-def _cauchy_sums(z: np.ndarray, lam: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """sum_k coeffs_k/(z_i - lambda_k) per point z_i, row by row.  The products
-    go into a second buffer: numpy multiplies a one-element block in place
-    without the fused (FMA) loop of longer blocks."""
-    out = np.empty(z.shape, dtype=complex)
-    for rows, C, P in _cauchy_chunks(z, lam, complex):
-        np.sum(np.multiply(C, coeffs[None, :], out=P), axis=1, out=out[rows])
-    return out
-
-
 def sample_sums(
     gen: GeneratingFunctionEvaluator, grid: GridFunction, sums: list[LagrangeSum]
 ) -> list[GridFunction]:
@@ -127,7 +107,7 @@ def sample_sums(
     for j, ls in enumerate(sums):
         A[ls.indices, j] = ls.coefficients
     out = np.empty((len(sums), len(grid)), dtype=complex)
-    for rows, C in _cauchy_chunks(grid.x, gen.spectrum.points):
+    for rows, C in cauchy_chunks(grid.x, gen.spectrum.points):
         out[:, rows] = (C @ A).T * G[rows]
     return [grid.copy_with(v) for v in out]
 
@@ -190,7 +170,7 @@ def _projector_sides(f, gen, b_plus, n, grid, outer):
     inside = np.flatnonzero(gen.spectrum.moduli < n)
     lam = gen.spectrum.points[inside]
     phi_lam = f.eval(lam) * np.exp(1j * np.pi * lam) / outer.eval_outer(lam)
-    rhs = bn_x * _cauchy_sums(x, lam, phi_lam / b_plus.eval_B_prime_at(inside, cutoff=n))
+    rhs = bn_x * cauchy_sums(x, lam, phi_lam / b_plus.eval_B_prime_at(inside, cutoff=n))
     return grid.copy_with(lhs), grid.copy_with(rhs), phi_grid
 
 
@@ -272,7 +252,7 @@ class NormProbe:
         self._K = np.sinc(lam[:, None] - ms[None, :])
         D = grid.trapezoid_weights() * np.abs(gen.eval_G_on_grid(grid)) ** 2
         self._P = np.zeros((lam.size, lam.size), dtype=complex)
-        for rows, C in _cauchy_chunks(grid.x, lam):
+        for rows, C in cauchy_chunks(grid.x, lam):
             self._P += C.conj().T @ (D[rows, None] * C)
 
     def lower_bound(self, scheme, step: int, trials: int = 4, seed: int = 0) -> float:
@@ -339,14 +319,19 @@ def disk_probe(
     samples: int = 256,
 ) -> DiskProbe:
     """The probe on `samples` sunflower points of |z - center| <= radius; a
-    point with |z - lambda|^2 < 1e-16 is moved by 3e-8 + 2e-8i."""
+    point with |z - lambda|^2 < 1e-16 is moved by 3e-8 + 2e-8i.  Raises
+    EngineError where G or F is not finite."""
     zs = disk_samples(center, radius, samples)
     zs[collisions(zs, gen.spectrum.points, np.nextafter(1e-16, 0.0))] += 3e-8 + 2e-8j
-    return DiskProbe(points=zs, G=gen.eval_G(zs), F=f.eval(zs))
+    with np.errstate(over="ignore", invalid="ignore"):
+        probe = DiskProbe(points=zs, G=gen.eval_G(zs), F=f.eval(zs))
+    if not np.isfinite([probe.G, probe.F]).all():
+        raise EngineError(f"G or F is not finite on the disk K of center {center} and radius {radius}")
+    return probe
 
 
 def compactwise_error(probe: DiskProbe, gen: GeneratingFunctionEvaluator, ls: LagrangeSum) -> float:
     """sup |S_n - F| over the probe's sample points of the disk K, for the
     step's sum S_n = ls."""
-    sn = _cauchy_sums(probe.points, gen.spectrum.points[ls.indices], ls.coefficients)
+    sn = cauchy_sums(probe.points, gen.spectrum.points[ls.indices], ls.coefficients)
     return float(np.max(np.abs(probe.G * sn - probe.F)))

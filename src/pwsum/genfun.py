@@ -27,6 +27,7 @@ from pwsum.spectrum import (
     LogSumWork,
     Spectrum,
     block_log_sum,
+    cauchy_sums,
     collisions,
     row_blocks,
     unique_sorted,
@@ -164,8 +165,7 @@ class GeneratingFunctionEvaluator:
             raise GenFunError("normalization G(0) must be nonzero")
         self.spectrum = spectrum
         self.normalization = complex(normalization)
-        self._tail = spectrum.lattice_tail()
-        self.exp_type = math.pi if self._tail is not None else 0.0
+        self.exp_type = math.pi if spectrum.tail is not None else 0.0
         self._prime = np.full(len(spectrum), np.nan, dtype=complex)  # G' memo; nan = unknown
         # |z - lambda|^2 at or below which z collides with lambda
         self._tol2 = (_COLLISION_RTOL * np.maximum(1.0, spectrum.moduli)) ** 2
@@ -218,9 +218,9 @@ class GeneratingFunctionEvaluator:
         of spectrum index skip[i]."""
         out = np.full(z.shape, np.log(self.normalization), dtype=complex)
         out += self._window_log(z, skip)
-        if self._tail is None:
+        if self.spectrum.tail is None:
             return out
-        return out + _tail_log(self._tail, z)
+        return out + _tail_log(self.spectrum.tail, z)
 
     # -- public API ----------------------------------------------------------
 
@@ -241,8 +241,8 @@ class GeneratingFunctionEvaluator:
         z = x_arr + 1j * a
         out = np.full(x_arr.shape, np.log(abs(self.normalization)))
         out += self._window_log_abs(z)
-        if self._tail is not None:
-            out += _tail_log(self._tail, z).real
+        if self.spectrum.tail is not None:
+            out += _tail_log(self.spectrum.tail, z).real
         return out[0] if np.isscalar(x) or np.asarray(x).ndim == 0 else out
 
     def eval_G_prime_at_lambda(self, k: int | np.ndarray) -> complex | np.ndarray:
@@ -271,7 +271,7 @@ class GeneratingFunctionEvaluator:
     def tail_uncertainty(self, z) -> np.ndarray:
         """Upper estimate for the relative error left by the tail model:
         slope_slack |z|, and 0 without one."""
-        slack = self._tail.slope_slack if self._tail is not None else 0.0
+        slack = self.spectrum.tail.slope_slack if self.spectrum.tail is not None else 0.0
         return slack * np.abs(np.atleast_1d(np.asarray(z, dtype=complex)))
 
 
@@ -318,15 +318,9 @@ class OuterEvaluator:
             raise GenFunError("eval_outer needs Im z >= one grid spacing")
         if np.any(np.abs(z_arr.real) > self.grid.X / 2.0):
             raise GenFunError("evaluation point beyond half the boundary grid")
-        t = self.grid.x
-        wphi = self._w * self._phit
-        out = np.empty(z_arr.shape, dtype=complex)
-        for rows, c in row_blocks(z_arr.size, t.size, complex):
-            np.subtract(t, z_arr[rows, None], out=c)
-            np.divide(wphi, c, out=c)
-            np.sum(c, axis=1, out=out[rows])
-        log_omega = self.mean + out / (1j * np.pi) + 1j * self._kappa
-        res = np.exp(log_omega)
+        # (1/(i pi)) sum w phi/(t - z) = (i/pi) sum w phi/(z - t)
+        s = cauchy_sums(z_arr, self.grid.x, self._w * self._phit)
+        res = np.exp(self.mean + 1j * (s / np.pi + self._kappa))
         return res[0] if np.isscalar(z) or np.asarray(z).ndim == 0 else res
 
     def boundary_values(self) -> np.ndarray:
@@ -375,7 +369,8 @@ def check_factorization(
     spectrum points (their product is then 1).  A lower z is read through
     w = conj z: |omega#(z)| = |omega(w)|, |B-(z)| = |B_mirror(w)| and
     |e^{i tau z}| = |e^{-i tau w}|.  tau is the evaluator's exponential type
-    (pi for lattice-type tails, 0 for finite windows).
+    (pi for lattice-type tails, 0 for finite windows).  Raises GenFunError
+    where |G| or the right-hand side is not finite.
     """
     pts = np.asarray(sample_points, dtype=complex).ravel()
     if np.any(pts.imag == 0):
@@ -386,6 +381,9 @@ def check_factorization(
     for b, side in ((b_plus, up), (b_minus, ~up)):
         if b is not None:
             log_b[side] = b.log_abs_B(w[side])
-    lhs = np.abs(gen.eval_G(pts))
-    rhs = np.abs(outer.eval_outer(w)) * np.exp(log_b) * np.abs(np.exp(-1j * gen.exp_type * w))
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs = np.abs(gen.eval_G(pts))
+        rhs = np.abs(outer.eval_outer(w)) * np.exp(log_b) * np.abs(np.exp(-1j * gen.exp_type * w))
+    if not np.isfinite([lhs, rhs]).all():
+        raise GenFunError("|G| or its factorization is not finite at a sample point")
     return FactorizationReport(points=pts, mismatches=np.abs(lhs - rhs) / np.maximum(lhs, 1e-300))

@@ -1,15 +1,15 @@
 """Spectra of complex frequencies: construction, validation, indexing.
 
 A spectrum is a finite window of a (conceptually infinite) set of
-non-real frequencies.  Built-in families describe the points beyond the
-window through `Spectrum.lattice_tail`, from which the product, Blaschke
-and Carleson evaluators derive their analytic tails; custom point lists
-have no descriptor and are taken as the whole zero set.
+non-real frequencies.  A built-in family's spectrum carries the points
+beyond its window as `Spectrum.tail`, from which the product, Blaschke and
+Carleson evaluators take their analytic tails; a custom point list has no
+tail and is taken as the whole zero set.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -100,6 +100,26 @@ def inverse_square_sums(z: np.ndarray, lam: np.ndarray, w: np.ndarray, skip: np.
             d2[np.arange(d2.shape[0]), skip[rows]] = np.inf
         np.divide(w, d2, out=d2)
         np.sum(d2, axis=1, out=out[rows])
+    return out
+
+
+def cauchy_chunks(z: np.ndarray, lam: np.ndarray, *dtypes):
+    """(rows, 1/(z[rows] - lambda), *scratch blocks, one per dtype) over the
+    row_blocks of the points z: the only place that forms 1/(z - lambda).
+    Every chunk is written into one buffer made per call, so a caller
+    consumes each before the next."""
+    for rows, c, *bufs in row_blocks(z.size, lam.size, complex, *dtypes):
+        np.subtract(z[rows, None], lam, out=c)
+        yield rows, np.divide(1.0, c, out=c), *bufs
+
+
+def cauchy_sums(z: np.ndarray, lam: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """sum_k coeffs_k/(z_i - lambda_k) per point z_i, row by row.  The products
+    go into a second buffer: numpy multiplies a one-element block in place
+    without the fused (FMA) loop of longer blocks."""
+    out = np.empty(z.shape, dtype=complex)
+    for rows, C, P in cauchy_chunks(z, lam, complex):
+        np.sum(np.multiply(C, coeffs[None, :], out=P), axis=1, out=out[rows])
     return out
 
 
@@ -227,14 +247,14 @@ def _sort_points(pts: np.ndarray) -> np.ndarray:
 
 @dataclass
 class Spectrum:
-    """Finite window of frequencies, sorted by (|lambda|, arg lambda).
+    """Finite window of frequencies, sorted by (|lambda|, arg lambda), and the
+    family points beyond it (None: the window is the whole zero set).
 
     Immutable after construction; safe to share across workers.
     """
 
     points: np.ndarray
-    family_tag: str | None = None
-    family_params: dict = field(default_factory=dict)
+    tail: LatticeTail | None = None
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=complex).ravel()
@@ -264,127 +284,93 @@ class Spectrum:
             return 0.0
         return float(np.abs(self.points[-1]))
 
-    def lattice_tail(self) -> LatticeTail | None:
-        """The family points beyond the stored window; None without a family
-        formula.  When the params do not record `count` (a spectrum loaded
-        from a file header), it is inferred from the number of stored points."""
-        tag, p = self.family_tag, self.family_params
-        if tag not in LATTICE_FAMILIES:
-            return None
 
-        def param(key: str, default: float | None = None) -> float:
-            val = p.get(key, default)
-            if val is None or isinstance(val, str) or not np.isfinite(val):
-                raise SpectrumError(f"{tag} tail needs a finite parameter {key!r}, got {val!r}")
-            return float(val)
+def _lattice(name: str, params: dict, count) -> tuple[np.ndarray, LatticeTail]:
+    """The window |k| <= count of a lattice family and the family points
+    beyond it, side by side: the one place each family's formula lives.
 
-        sites_per_k = 4 if tag == "clustered_pairs" else 2
-        n = int(round(param("count", (len(self) - 1) // sites_per_k)))
-        if n < (1 if tag == "clustered_pairs" else 0):  # its slack divides by n**2
-            raise SpectrumError(f"{tag} window of {len(self)} points is too small for a tail")
-        if tag == "shifted_integers":
-            return LatticeTail((Sublattice(1j * param("delta"), 1, 0, n + 1),))
-        if tag == "kadec_perturbed":
-            delta, eps = param("delta"), param("eps", 0.0)
-            even = Sublattice(eps + 1j * delta, 2, 0, (n + 2) // 2)
-            odd = Sublattice(-eps + 1j * delta, 2, 1, (n + 1) // 2)
-            return LatticeTail((even, odd))
-        # clustered_pairs
-        base = Sublattice(1j * param("delta"), 1, 0, n + 1, weight=2)
-        return LatticeTail((base,), slope_slack=2.0 * abs(param("eps")) / n**2)
+    shifted_integers: k + i*delta
+    kadec_perturbed:  k + eps*(-1)^k + i*delta (eps defaults to 0)
+    clustered_pairs:  i*delta, and k + i*delta, k + i*delta + eps/|k| for
+                      k != 0 (a Carleson-violating family); beyond the
+                      window its second copy is folded into the base lattice
+
+    Every parameter read (a number, or the text of one) must be finite, with
+    delta > 0 and count >= 0; clustered_pairs needs eps != 0 and count >= 1
+    (its slope_slack divides by count**2).
+    """
+    if name not in LATTICE_FAMILIES:
+        raise SpectrumError(f"unknown family name: {name!r}")
+
+    def finite(key: str, val) -> float:
+        try:
+            out = float(val)
+        except (TypeError, ValueError):
+            out = np.nan
+        if not np.isfinite(out):
+            raise SpectrumError(f"{name} needs a finite parameter {key!r}, got {val!r}")
+        return out
+
+    n = int(round(finite("count", count)))
+    delta = finite("delta", params.get("delta"))
+    if delta <= 0:
+        raise SpectrumError(f"{name} needs delta > 0")
+    least = 1 if name == "clustered_pairs" else 0
+    if n < least:
+        raise SpectrumError(f"{name} needs 'count' >= {least}, got {n}")
+    ks = np.arange(-n, n + 1)
+    if name == "shifted_integers":
+        return ks + 1j * delta, LatticeTail((Sublattice(1j * delta, 1, 0, n + 1),))
+    if name == "kadec_perturbed":
+        eps = finite("eps", params.get("eps", 0.0))
+        pts = ks + eps * np.where(ks % 2 == 0, 1.0, -1.0) + 1j * delta
+        even = Sublattice(eps + 1j * delta, 2, 0, (n + 2) // 2)
+        odd = Sublattice(-eps + 1j * delta, 2, 1, (n + 1) // 2)
+        return pts, LatticeTail((even, odd))
+    eps = finite("eps", params.get("eps"))
+    if eps == 0:
+        raise SpectrumError("clustered_pairs needs eps != 0")
+    base = np.concatenate([-ks[n + 1 :], ks[n + 1 :]]) + 1j * delta
+    pts = np.concatenate([[1j * delta], base, base + eps / np.abs(base.real)])
+    return pts, LatticeTail((Sublattice(1j * delta, 1, 0, n + 1, weight=2),), slope_slack=2.0 * abs(eps) / n**2)
 
 
 def make_family(name: str, params: dict, count: int) -> Spectrum:
-    """Build one of the test families.
-
-    shifted_integers: {k + i*delta : |k| <= count}
-    kadec_perturbed:  {k + eps*(-1)^k + i*delta : |k| <= count}
-    clustered_pairs:  i*delta plus pairs {k + i*delta, k + i*delta + eps/|k|}
-                      for 1 <= |k| <= count (a Carleson-violating family)
-
-    A custom point list is a Spectrum(points, family_tag="custom_list"), or
-    a file read by load_spectrum.
-    """
-    if count < 1:
-        raise SpectrumError("count must be >= 1")
-    if name == "shifted_integers":
-        delta = float(params["delta"])
-        if delta <= 0:
-            raise SpectrumError("shifted_integers needs delta > 0")
-        ks = np.arange(-count, count + 1)
-        pts = ks + 1j * delta
-    elif name == "kadec_perturbed":
-        delta = float(params["delta"])
-        eps = float(params.get("eps", 0.0))
-        if delta <= 0:
-            raise SpectrumError("kadec_perturbed needs delta > 0")
-        ks = np.arange(-count, count + 1)
-        pts = ks + eps * np.where(ks % 2 == 0, 1.0, -1.0) + 1j * delta
-    elif name == "clustered_pairs":
-        delta = float(params["delta"])
-        eps = float(params["eps"])
-        if delta <= 0:
-            raise SpectrumError("clustered_pairs needs delta > 0")
-        if eps == 0:
-            raise SpectrumError("clustered_pairs needs eps != 0")
-        ks = np.arange(1, count + 1)
-        base = np.concatenate([-ks, ks]) + 1j * delta
-        shifted = base + eps / np.abs(base.real)
-        pts = np.concatenate([[1j * delta], base, shifted])
-    else:
-        raise SpectrumError(f"unknown family name: {name!r}")
-    return Spectrum(pts, family_tag=name, family_params=dict(params, count=count))
+    """The window |k| <= count of a lattice family (see _lattice) with its
+    tail.  A custom point list is a Spectrum(points), or a file read by
+    load_spectrum."""
+    return Spectrum(*_lattice(name, params, count))
 
 
 def split_halfplanes(s: Spectrum) -> tuple[Spectrum, Spectrum]:
-    """(Lambda+, Lambda-) by the sign of Im lambda; both keep sort order."""
-    up = s.points[s.points.imag > 0]
-    lo = s.points[s.points.imag < 0]
-    return (
-        Spectrum(up, family_tag=s.family_tag, family_params=dict(s.family_params)),
-        Spectrum(lo, family_tag=s.family_tag, family_params=dict(s.family_params)),
-    )
-
-
-def save_spectrum(s: Spectrum, path) -> None:
-    """Text format: optional '# family=...' header, then 're im' per line."""
-    with open(path, "w") as fh:
-        if s.family_tag is not None:
-            items = " ".join(f"{k}={v!r}" for k, v in sorted(s.family_params.items()))
-            fh.write(f"# family={s.family_tag} {items}".rstrip() + "\n")
-        for p in s.points:
-            fh.write(f"{p.real:.17g} {p.imag:.17g}\n")
+    """(Lambda+, Lambda-) by the sign of Im lambda; both keep sort order.  The
+    tail goes with Lambda+: its sites sit at height delta > 0."""
+    return Spectrum(s.points[s.points.imag > 0], s.tail), Spectrum(s.points[s.points.imag < 0])
 
 
 def load_spectrum(path) -> Spectrum:
-    """The save_spectrum format; a file without a point is an error."""
-    tag = None
-    params: dict = {}
+    """Text format: 're im' per line, after an optional header
+    '# family=<name> key=value ...'.  The name is custom_list (no tail) or a
+    lattice family, whose tail the header's keys give through _lattice, by
+    make_family's rules; a header without count takes the window |k| <= count
+    that the whole file holds.  A file without a point is an error."""
+    header: dict = {}
     pts = []
     with open(path) as fh:
         for ln, line in enumerate(fh, 1):
             line = line.strip()
-            if not line:
-                continue
             if line.startswith("#"):
-                body = line[1:].strip()
-                for tok in body.split():
-                    if "=" not in tok:
-                        continue
-                    key, val = tok.split("=", 1)
-                    if key == "family":
-                        tag = val
-                    else:
-                        try:
-                            params[key] = float(val)
-                        except ValueError:
-                            params[key] = val
-                continue
-            try:
-                re_s, im_s = line.split()
-                pts.append(complex(float(re_s), float(im_s)))
-            except ValueError as e:
-                raise SpectrumError(f"{path}, line {ln}: expected 're im', got {line!r}") from e
+                header.update(tok.split("=", 1) for tok in line[1:].split() if "=" in tok)
+            elif line:
+                try:
+                    re_s, im_s = line.split()
+                    pts.append(complex(float(re_s), float(im_s)))
+                except ValueError as e:
+                    raise SpectrumError(f"{path}, line {ln}: expected 're im', got {line!r}") from e
     if not pts:
         raise SpectrumError(f"{path}: no points")
-    return Spectrum(np.array(pts, dtype=complex), family_tag=tag, family_params=params)
+    tag, tail = header.get("family", "custom_list"), None
+    if tag != "custom_list":
+        window = (len(pts) - 1) // (4 if tag == "clustered_pairs" else 2)  # 4 or 2 points per k
+        tail = _lattice(tag, header, header.get("count", window))[1]
+    return Spectrum(np.array(pts, dtype=complex), tail)

@@ -18,7 +18,6 @@ from pwsum.diagnostics import carleson_sup
 from pwsum.engine import (
     NormProbe,
     PWFunction,
-    _cauchy_sums,
     build_lagrange_sum,
     compactwise_error,
     disk_probe,
@@ -74,8 +73,8 @@ def _kernel_outputs() -> dict:
         # the second, a one-term sum: at one row per block its products are single elements
         "cauchy_sums": np.concatenate(
             [
-                _cauchy_sums(z, s.points, w * (1.0 - 0.5j)),
-                _cauchy_sums(probe.points, s.points[3:4], np.array([0.7 - 0.2j])),
+                spectrum.cauchy_sums(z, s.points, w * (1.0 - 0.5j)),
+                spectrum.cauchy_sums(probe.points, s.points[3:4], np.array([0.7 - 0.2j])),
             ]
         ),
         "eval_B_prime_at": np.concatenate(

@@ -19,7 +19,7 @@ from pwsum.cli import ConfigError
 from pwsum.contours import build_schedule
 from pwsum.diagnostics import a2_estimate, intG_check
 from pwsum.genfun import GeneratingFunctionEvaluator
-from pwsum.spectrum import Spectrum, save_spectrum
+from pwsum.spectrum import Spectrum, make_family
 from pwsum.weights import UniversalWeights
 
 
@@ -27,6 +27,11 @@ def write_cfg(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text)
     return p
+
+
+def write_points(path, points):
+    """A points file without a header: 're im' per point."""
+    path.write_text("".join(f"{float(p.real)!r} {float(p.imag)!r}\n" for p in points))
 
 
 def test_missing_config_exits_2(tmp_path):
@@ -181,7 +186,7 @@ def test_weights_both_half_planes(tmp_path):
     # scheme; a symmetric point set makes the two universal schedules equal
     up = np.array([0.5 + 1.0j, -1.5 + 0.7j, 3.1 + 0.4j, -2.5 + 0.6j, 1.2 + 0.3j])
     s = Spectrum(np.concatenate([up, np.conj(up)]))
-    save_spectrum(s, tmp_path / "pts.txt")
+    write_points(tmp_path / "pts.txt", s.points)
     pts = s.points
     out = tmp_path / "out"
     cfg = write_cfg(
@@ -227,7 +232,7 @@ def test_universal_weights_csv_labels_rows_by_half_plane(tmp_path):
     up = np.array([0.5 + 1.0j, -1.5 + 0.7j, 3.1 + 0.4j, -2.5 + 0.6j, 1.2 + 0.3j])
     lo = np.array([0.3 - 0.8j, -1.1 - 0.5j, 2.7 - 0.9j, -3.4 - 0.4j, 1.6 - 0.6j])
     s = Spectrum(np.concatenate([up, lo]))
-    save_spectrum(s, tmp_path / "pts.txt")
+    write_points(tmp_path / "pts.txt", s.points)
     out = tmp_path / "out"
     cfg = write_cfg(
         tmp_path,
@@ -388,6 +393,11 @@ def test_runtime_imports_neither_scipy_nor_numpy_ma(tmp_path):
          {"pts.txt": "# family=shifted_integers\n0.5 1.0\n1.5 1.0\n2.5 1.0\n"}),
         ("subcommand=diagnose\nfamily=custom_list\n",
          {"pts.txt": "# family=clustered_pairs delta=1.0 eps=0.5\n0.0 1.0\n1.0 1.0\n1.5 1.0\n"}),
+        # headers follow the family keys' rules: delta > 0, a known family name
+        ("subcommand=diagnose\nfamily=custom_list\n",
+         {"pts.txt": "# family=shifted_integers delta=-0.3\n0.0 -0.3\n1.0 -0.3\n-1.0 -0.3\n"}),
+        ("subcommand=diagnose\nfamily=custom_list\n",
+         {"pts.txt": "# family=shifted_integer delta=0.3\n0.0 0.3\n1.0 0.3\n-1.0 0.3\n"}),
         # grid pairs need finite, positive X and h with 2X/h integral
         ("subcommand=converge\ngrid.h=0\n", {}),
         ("subcommand=converge\ngrid.X=-5\n", {}),
@@ -418,6 +428,7 @@ def test_runtime_imports_neither_scipy_nor_numpy_ma(tmp_path):
         ("subcommand=diagnose\na2.a=nan\n", {}),
         ("subcommand=converge\natoms=nan,0.3,1,0\n", {}),
         ("subcommand=converge\natoms=0,0.3,inf,0\n", {}),
+        ("subcommand=converge\natoms=0,0.3,0,0\n", {}),  # F = 0: no relative error
         ("subcommand=contours\nl.arg_threshold=nan\n", {}),
         ("subcommand=contours\nl.arg_threshold=-1\n", {}),
         ("subcommand=contours\nl.zero_margin=-1\n", {}),
@@ -428,21 +439,21 @@ def test_runtime_imports_neither_scipy_nor_numpy_ma(tmp_path):
         ("subcommand=diagnose\natoms=garbage\n", {}),
         ("subcommand=diagnose\nfamily=bogus\n", {}),
         ("subcommand=weights\nscheme=naive,bogus\n", {}),
-        # family-level and output errors, found when the run builds the
-        # spectrum or opens its first CSV
         ("subcommand=diagnose\ncount=0\n", {}),
+        # an output error, found when the run opens its first CSV
         ("subcommand=diagnose\n", {"out": "a file, not a directory\n"}),
     ],
     ids=["delta-nan", "eps-inf", "real-axis-point", "malformed-points-line",
          "points-file-empty-weights", "points-file-empty-diagnose",
          "K-samples-0", "atoms-halfwidth-negative", "header-without-delta",
-         "header-window-too-small", "grid-h-0", "grid-X-negative", "diag-h-0",
-         "diag-X-negative", "diag-h-not-dividing-2X", "samples-unparsable",
+         "header-window-too-small", "header-delta-negative", "header-family-unknown",
+         "grid-h-0", "grid-X-negative", "diag-h-0", "diag-X-negative", "diag-h-not-dividing-2X",
+         "samples-unparsable",
          "l-count-0", "trials-0", "schedule-decreasing", "schedule-negative",
          "c-grid-3", "side-samples-1", "atoms-duplicate", "samples-on-real-axis", "samples-inf",
          "l-ratio-0", "l-ratio-nan", "alpha-safety-nan", "alpha-safety-negative",
          "K-radius-nan", "K-radius-0", "K-center-re-inf", "K-center-im-nan", "a2-a-nan",
-         "atom-center-nan", "atom-coefficient-inf", "l-arg-threshold-nan",
+         "atom-center-nan", "atom-coefficient-inf", "atoms-all-zero", "l-arg-threshold-nan",
          "l-arg-threshold-negative", "l-zero-margin-negative", "seed-negative",
          "schedule-unparsable", "delta-unparsable", "atoms-unparsable", "family-unknown",
          "scheme-unknown", "count-zero", "output-dir-is-a-file"],
@@ -466,6 +477,36 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, body, files):
         assert out.read_text() == files["out"]
     else:  # no run that fails makes output.dir
         assert not out.exists()
+
+
+def _kadec_window_file(tmp_path):
+    """201 kadec points (delta 0.3, eps 0.2) as a tailless custom list."""
+    write_points(tmp_path / "pts.txt", make_family("kadec_perturbed", {"delta": 0.3, "eps": 0.2}, 100).points)
+    return f"family=custom_list\npoints.file={tmp_path / 'pts.txt'}\n"
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        # |G| on [-800, 800] spans ~e^418: the A2 products and intG overflow
+        "subcommand=diagnose\ndiag.X=400\ndiag.h=0.5\n{points}",
+        # |G(1 + 300i)| ~ e^(300 pi) overflows, and so does its factorization
+        "subcommand=factorize-check\nfactorize.samples=1,300\n",
+        # G and F overflow on the disk K around 300i
+        "subcommand=converge\nK.center.im=300\ngrid.X=10\ngrid.h=0.05\nschedule=10,21\n",
+    ],
+    ids=["diagnose-X-400", "factorize-Im-300", "converge-K-Im-300"],
+)
+def test_overflow_exits_3_with_one_line(tmp_path, capsys, body):
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, "o.cfg", body.format(points=_kadec_window_file(tmp_path)) + f"output.dir={out}\n")
+    with pytest.raises(SystemExit) as exc:
+        main([str(cfg)])
+    assert exc.value.code == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1  # no RuntimeWarning before the message
+    assert err.startswith("numerical precondition failure: ")
+    assert not out.exists()  # raised before any CSV is opened
 
 
 # (X, h, nodes per pass): with X=40, h=0.01 the [-X, X] nodes (m = 8000

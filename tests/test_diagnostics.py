@@ -52,6 +52,25 @@ def test_a2_scale_invariance():
     assert abs(v1 - v2) <= 1e-12 * max(v1, 1.0)
 
 
+def test_a2_far_above_the_line_does_not_overflow():
+    # log|G| ~ 512.6 at height 3000: exp(2 log|G|) overflows unless the scan
+    # centres the samples first, and the product does not see the centring
+    s = Spectrum(make_family("kadec_perturbed", {"delta": 0.3, "eps": 0.2}, 50).points)
+    v1 = a2_estimate(GeneratingFunctionEvaluator(s), X=10.0, a=3000.0, h=0.05)
+    v2 = a2_estimate(GeneratingFunctionEvaluator(s, normalization=np.exp(-512.6)), X=10.0, a=3000.0, h=0.05)
+    assert v1 == pytest.approx(v2, rel=1e-12)
+    assert 1.0 < v1 < 1.0 + 1e-6
+
+
+def test_a2_and_intG_raise_beyond_the_float_range():
+    # log|G| spans 800 on the window: no centring keeps the products finite
+    g = _FakeG(lambda x, a: 40.0 * x)
+    with pytest.raises(DiagnosticsError, match="A2 product"):
+        a2_estimate(g, X=10.0, h=0.01)
+    with pytest.raises(DiagnosticsError, match="intG integral"):
+        intG_check(g, X=10.0, h=0.01)
+
+
 def test_a2_lattice_stable_under_window_doubling():
     s = make_family("shifted_integers", {"delta": 0.3}, 260)
     g = GeneratingFunctionEvaluator(s)

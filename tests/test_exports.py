@@ -45,8 +45,6 @@ _ALLOW_LIST = {
     # line_diagnostics (what diagnose runs) bit-identical to both
     ("diagnostics", "a2_estimate"),
     ("diagnostics", "intG_check"),
-    # the writer of the points-file format that load_spectrum reads
-    ("spectrum", "save_spectrum"),
     # the tail model's error estimate, until a CLI output reports it
     ("genfun", "GeneratingFunctionEvaluator.tail_uncertainty"),
     # the outer-weight deviation certificate, until a CLI output reports it;

@@ -122,7 +122,7 @@ def test_prime_index_array_matches_scalar_and_mpmath(radius):
     assert np.max(np.abs(got - scalar) / np.abs(scalar)) < 1e-12
     # oracle: -1/lambda_k times the product over every other stored point at
     # 30 digits, times the family tail beyond the window
-    tail = np.exp(_tail_log(s.lattice_tail(), s.points))
+    tail = np.exp(_tail_log(s.tail, s.points))
     with mpmath.workdps(30):
         pts = [mpmath.mpc(p) for p in s.points]
         want = [
@@ -206,7 +206,7 @@ def test_grid_G_matches_per_factor_log_sum(lattice400_grid):
     s, _, grid, got = lattice400_grid
     x = grid.x[::10]
     logs = np.log(1.0 - x[:, None].astype(complex) / s.points[None, :]).sum(axis=1)
-    want = np.exp(logs + _tail_log(s.lattice_tail(), x.astype(complex)))
+    want = np.exp(logs + _tail_log(s.tail, x.astype(complex)))
     assert np.max(np.abs(got[::10] - want) / np.abs(want)) < 1e-12
 
 
@@ -267,7 +267,7 @@ def test_kadec_tail_matches_mpmath_pair_series():
     # oracle independent of the Gamma identity: the pair-factor log series
     # itself at 30 digits, including a point past the window edge |Re z| = 100
     s = make_family("kadec_perturbed", {"delta": 0.4, "eps": 0.2}, 100)
-    tail = s.lattice_tail()
+    tail = s.tail
     zs = np.array([0.5 + 0j, -37.3 + 1.1j, 143.7 + 0.2j])
     got = _tail_log(tail, zs).real
     with mpmath.workdps(30):

@@ -8,7 +8,6 @@ from pwsum.spectrum import (
     SpectrumError,
     load_spectrum,
     make_family,
-    save_spectrum,
     split_halfplanes,
 )
 from pwsum.weights import NaiveWeights
@@ -21,10 +20,17 @@ def test_shifted_integers_small():
     assert len(s) == 5
 
 
+def write_points(path, points, header=""):
+    """A points file: the header line, if any, then 're im' per point."""
+    path.write_text(header + "".join(f"{float(p.real)!r} {float(p.imag)!r}\n" for p in points))
+    return path
+
+
 def test_custom_single_point():
-    s = Spectrum([1j], family_tag="custom_list")
+    s = Spectrum([1j])
     assert len(s) == 1
     assert s.points[0] == 1j
+    assert s.tail is None
 
 
 def test_clustered_pairs_formula():
@@ -67,7 +73,7 @@ def test_kadec_pattern():
     ],
 )
 def test_lattice_tail_descriptor(name, params, count, first_site, density):
-    tail = make_family(name, params, count).lattice_tail()
+    tail = make_family(name, params, count).tail
     assert tail.first_site == first_site
     assert tail.density == density
     assert tail.delta == 0.3
@@ -88,14 +94,27 @@ def test_lattice_tail_descriptor(name, params, count, first_site, density):
 
 
 def test_lattice_tail_none_without_family_formula(tmp_path):
-    assert Spectrum([1j, 2 - 1j], family_tag="custom_list").lattice_tail() is None
-    assert Spectrum(np.array([1j])).lattice_tail() is None
+    assert Spectrum([1j, 2 - 1j]).tail is None
+    pts = [1j, 2 - 1j]
+    assert load_spectrum(write_points(tmp_path / "a.txt", pts, "# family=custom_list\n")).tail is None
+    assert load_spectrum(write_points(tmp_path / "b.txt", pts)).tail is None
     # a family header without `count` infers the window from the stored points
     s = make_family("shifted_integers", {"delta": 0.3}, 7)
-    path = tmp_path / "spec.txt"
-    path.write_text("# family=shifted_integers delta=0.3\n" + "".join(
-        f"{p.real} {p.imag}\n" for p in s.points))
-    assert load_spectrum(path).lattice_tail() == s.lattice_tail()
+    path = write_points(tmp_path / "spec.txt", s.points, "# family=shifted_integers delta=0.3\n")
+    assert load_spectrum(path).tail == s.tail
+
+
+def test_header_count_is_inferred_from_the_whole_file(tmp_path):
+    # 11 upper and 11 lower points, no count: the window is |k| <= 10, and the
+    # upper half keeps that tail rather than inferring one from its 11 points
+    up = make_family("shifted_integers", {"delta": 0.3}, 5).points
+    path = write_points(tmp_path / "two.txt", np.concatenate([up, np.conj(up)]),
+                        "# family=shifted_integers delta=0.3\n")
+    s = load_spectrum(path)
+    upper, lower = split_halfplanes(s)
+    assert s.tail.first_site == 11
+    assert upper.tail == s.tail
+    assert lower.tail is None
 
 
 @pytest.mark.parametrize(
@@ -105,13 +124,18 @@ def test_lattice_tail_none_without_family_formula(tmp_path):
         ("clustered_pairs", {"delta": 1.0}, 9, "'eps'"),
         ("kadec_perturbed", {"delta": "abc"}, 5, "'delta'"),
         ("shifted_integers", {"delta": np.nan}, 5, "'delta'"),
-        ("clustered_pairs", {"delta": 1.0, "eps": 0.5}, 3, "3 points is too small"),
+        ("clustered_pairs", {"delta": 1.0, "eps": 0.5}, 3, "'count'"),
+        ("shifted_integers", {"delta": -0.3}, 5, "delta > 0"),
+        ("shifted_integers", {"delta": 0.3, "count": -1}, 5, "'count'"),
+        ("clustered_pairs", {"delta": 1.0, "eps": 0.0}, 9, "eps != 0"),
+        ("shifted_integer", {"delta": 0.3}, 5, "unknown family"),
     ],
 )
-def test_lattice_tail_rejects_unusable_header(tag, params, n_points, match):
-    pts = np.arange(n_points) + 1j
+def test_lattice_tail_rejects_unusable_header(tmp_path, tag, params, n_points, match):
+    header = f"# family={tag} " + " ".join(f"{k}={v}" for k, v in params.items()) + "\n"
+    path = write_points(tmp_path / "pts.txt", np.arange(n_points) + 1j, header)
     with pytest.raises(SpectrumError, match=match):
-        Spectrum(pts, family_tag=tag, family_params=params).lattice_tail()
+        load_spectrum(path)
 
 
 @pytest.mark.parametrize(
@@ -122,10 +146,10 @@ def test_lattice_tail_rejects_unusable_header(tag, params, n_points, match):
         ("kadec_perturbed", {"delta": 0.3, "eps": 0.2}, 1),
     ],
 )
-def test_lattice_tail_from_one_or_two_point_header(tag, params, n_points):
+def test_lattice_tail_from_one_or_two_point_header(tmp_path, tag, params, n_points):
     # the inferred count is 0: the tail is every family site beyond the origin
-    pts = np.arange(n_points) + 0.3j
-    tail = Spectrum(pts, family_tag=tag, family_params=params).lattice_tail()
+    header = f"# family={tag} " + " ".join(f"{k}={v}" for k, v in params.items()) + "\n"
+    tail = load_spectrum(write_points(tmp_path / "pts.txt", np.arange(n_points) + 0.3j, header)).tail
     assert (tail.first_site, tail.density, tail.delta) == (1, 1.0, 0.3)
 
 
@@ -230,18 +254,14 @@ def test_truncation_monotone_and_split_partition(pts, n1, n2):
 
 def test_serialization_roundtrip(tmp_path):
     s = make_family("kadec_perturbed", {"delta": 0.3, "eps": 0.1}, 4)
-    path = tmp_path / "spec.txt"
-    save_spectrum(s, path)
+    path = write_points(tmp_path / "spec.txt", s.points, "# family=kadec_perturbed count=4 delta=0.3 eps=0.1\n")
     s2 = load_spectrum(path)
-    assert np.allclose(s.points, s2.points)
-    assert s2.family_tag == "kadec_perturbed"
-    assert s2.family_params["delta"] == pytest.approx(0.3)
+    assert np.array_equal(s.points, s2.points)
+    assert s2.tail == s.tail
 
 
 def test_serialization_custom_no_header(tmp_path):
     s = Spectrum(np.array([0.5 + 0.25j, -2j]))
-    path = tmp_path / "pts.txt"
-    save_spectrum(s, path)
-    s2 = load_spectrum(path)
-    assert np.allclose(s.points, s2.points)
-    assert s2.family_tag is None
+    s2 = load_spectrum(write_points(tmp_path / "pts.txt", s.points))
+    assert np.array_equal(s.points, s2.points)
+    assert s2.tail is None
