@@ -12,17 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from pwsum.spectrum import (
-    LogSumWork,
-    Spectrum,
-    block_log_sum,
-    collisions,
-    inverse_square_sums,
-    row_blocks,
-    split_halfplanes,
-)
-
-_POLE_RTOL = 1e-12
+from pwsum.spectrum import Spectrum, inverse_square_sums, log_products, row_blocks, split_halfplanes, touching
 
 
 class BlaschkeError(ValueError):
@@ -30,8 +20,8 @@ class BlaschkeError(ValueError):
 
 
 def _check_poles(z: np.ndarray, mu: np.ndarray) -> None:
-    """Raise if a point of z lies at a pole conj(mu): |z - conj mu| <= 1e-12 max(1, |mu|)."""
-    if np.any(collisions(z, np.conj(mu), (_POLE_RTOL * np.maximum(1.0, np.abs(mu))) ** 2)):
+    """Raise if a point of z touches a pole conj(mu) (spectrum.touching)."""
+    if np.any(touching(z, np.conj(mu))):
         raise BlaschkeError("evaluation at a pole conj(lambda)")
 
 
@@ -41,20 +31,9 @@ def _log_factors(z: np.ndarray, mu: np.ndarray, skip: np.ndarray | None = None) 
     factors (z - mu)/(z - conj mu), whose moduli are <= 1 in the closed upper
     half-plane, so a block product cannot overflow; the unimodular
     normalizations add log(conj mu / mu) = -2i arg mu.  With skip, point i
-    leaves out factor skip[i] (block_log_sum's rule) and its normalization."""
+    leaves out factor skip[i] (log_products' rule) and its normalization."""
     _check_poles(z, mu)
-    out = np.empty(z.shape, dtype=complex)
-    work = LogSumWork(z.size, mu.size)
-    mu_bar = np.conj(mu)
-    with np.errstate(divide="ignore"):  # z at a zero: log 0 = -inf, exact
-        for rows, den in row_blocks(z.size, mu.size, complex):
-            zc = z[rows, None]
-            r = zc.shape[0]
-            factor = work.f[:r]
-            np.subtract(zc, mu_bar, out=den)
-            np.subtract(zc, mu, out=factor)
-            factor /= den
-            out[rows] = block_log_sum(work, r, None if skip is None else skip[rows])
+    out = log_products(z, mu, np.conj(mu), skip)
     return out - 2j * (np.angle(mu).sum() - (0.0 if skip is None else np.angle(mu[skip])))
 
 
@@ -90,17 +69,16 @@ class BlaschkeEvaluator:
         if np.any(spectrum.points.imag <= 0):
             raise BlaschkeError("Blaschke evaluator requires Im lambda > 0")
         self.spectrum = spectrum
-        self._pts = spectrum.points
 
     @property
     def points(self) -> np.ndarray:
         """The zeros, in the spectrum's (|lambda|, arg) order."""
-        return self._pts
+        return self.spectrum.points
 
     def _select(self, cutoff: float | None) -> np.ndarray:
         if cutoff is None:
-            return self._pts
-        return self._pts[np.abs(self._pts) < cutoff]
+            return self.points
+        return self.points[np.abs(self.points) < cutoff]
 
     def eval_B(self, z, cutoff: float | None = None):
         """Product of normalized factors over |lambda| < cutoff, |lambda|-ascending."""
@@ -109,13 +87,13 @@ class BlaschkeEvaluator:
 
     def log_abs_B(self, z):
         """log|B(z)| in real arithmetic (-inf at a zero)."""
-        res = _log_abs_factors(np.atleast_1d(np.asarray(z, dtype=complex)), self._pts)
+        res = _log_abs_factors(np.atleast_1d(np.asarray(z, dtype=complex)), self.points)
         return res[0] if np.ndim(z) == 0 else res
 
     def tail_factor(self, z, n: float):
         """Tail product prod_{|mu| >= n} factor(z): beta_n(lambda) at a zero
         lambda with |lambda| < n."""
-        mu = self._pts[np.abs(self._pts) >= n]
+        mu = self.points[np.abs(self.points) >= n]
         res = np.exp(_log_factors(np.atleast_1d(np.asarray(z, dtype=complex)), mu))
         return res[0] if np.ndim(z) == 0 else res
 
@@ -134,7 +112,7 @@ class BlaschkeEvaluator:
     def arg_derivative_on_R(self, t):
         """(arg B)'(t) = 2 sum Im(lambda)/|t - lambda|^2, with a lattice tail term."""
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        out = inverse_square_sums(t_arr, self._pts, 2.0 * self._pts.imag)
+        out = inverse_square_sums(t_arr, self.points, 2.0 * self.points.imag)
         out += self._tail_argder(t_arr)
         return out[0] if np.asarray(t).ndim == 0 else out
 

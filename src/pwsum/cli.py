@@ -31,6 +31,7 @@ from pwsum.engine import (
     lagrange_tail_bound,
     pw_tail_bound,
     sample_sums,
+    sup_abs_G,
 )
 from pwsum.genfun import GenFunError, GeneratingFunctionEvaluator, OuterEvaluator, check_factorization
 from pwsum.grids import GridError, grid_template, sample_count, sample_on_grid
@@ -236,7 +237,7 @@ def _cmd_converge(cfg, outdir: Path) -> None:
     ref_norm = ref.norm()
     center = complex(cfg["K.center.re"], cfg["K.center.im"])
     probe = disk_probe(f, gen, center, cfg["K.radius"], cfg["K.samples"])
-    f_tail = pw_tail_bound(f, X)
+    f_tail, gmax = pw_tail_bound(f, X), sup_abs_G(gen, X)
     steps = [(scheme, step) for scheme in _schemes(cfg, s) for step in range(len(scheme))]
     sums = [build_lagrange_sum(f, gen, scheme, step) for scheme, step in steps]
     with open(_output(outdir, "errors.csv"), "w") as fh:
@@ -244,7 +245,7 @@ def _cmd_converge(cfg, outdir: Path) -> None:
         for (scheme, step), ls, sn in zip(steps, sums, sample_sums(gen, grid, sums)):
             rel = l2_error(sn, ref) / ref_norm if ref_norm else np.inf
             sup = compactwise_error(probe, gen, ls)
-            bound = f_tail + lagrange_tail_bound(ls, gen, X)
+            bound = f_tail + lagrange_tail_bound(ls, gen, X, gmax)
             fh.write(
                 f"{scheme.step_label(step):.12e},{scheme.kind},"
                 f"{rel:.12e},{sup:.12e},{bound:.12e}\n"

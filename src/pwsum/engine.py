@@ -16,7 +16,7 @@ import numpy as np
 
 from pwsum.blaschke import BlaschkeEvaluator
 from pwsum.genfun import GeneratingFunctionEvaluator, OuterEvaluator
-from pwsum.grids import GridFunction, GridError, grid_template, hilbert_transform
+from pwsum.grids import GridFunction, GridError, hilbert_transform
 from pwsum.spectrum import cauchy_chunks, cauchy_sums, collisions, unique_sorted
 
 
@@ -100,8 +100,7 @@ def sample_sums(
 ) -> list[GridFunction]:
     """G(x) * sum_k a_k/(x - lambda_k) on the grid for every sum, in one pass
     over the grid: the sums are the columns of one (points x sums)
-    coefficient matrix.  G on the grid comes from gen's cache, so the
-    schedule steps share it."""
+    coefficient matrix, so the schedule steps share one G on the grid."""
     G = gen.eval_G_on_grid(grid)
     A = np.zeros((len(gen.spectrum), len(sums)), dtype=complex)
     for j, ls in enumerate(sums):
@@ -112,15 +111,20 @@ def sample_sums(
     return [grid.copy_with(v) for v in out]
 
 
-def lagrange_tail_bound(ls: LagrangeSum, gen, X: float) -> float:
-    """Crude upper estimate for the sum's L2 mass beyond [-X, X].  max|G| is
-    taken on m + 1 nodes of [-X, X], spacing about max(X/200, 0.05), with m
-    a whole number whatever X is."""
+def sup_abs_G(gen: GeneratingFunctionEvaluator, X: float) -> float:
+    """max|G| on m + 1 equispaced nodes of [-X, X], spacing about
+    max(X/200, 0.05), with m a whole number whatever X is: exp of the largest
+    log|G| on the line, for lagrange_tail_bound."""
+    m = max(1, round(2 * X / max(X / 200, 0.05)))
+    return float(np.exp(np.max(gen.log_abs_G(np.linspace(-X, X, m + 1)))))
+
+
+def lagrange_tail_bound(ls: LagrangeSum, gen, X: float, gmax: float) -> float:
+    """Crude upper estimate for the sum's L2 mass beyond [-X, X], given
+    gmax = sup_abs_G(gen, X)."""
     if not len(ls):
         return 0.0
     lam = gen.spectrum.points[ls.indices]
-    m = max(1, round(2 * X / max(X / 200, 0.05)))
-    gmax = float(np.max(np.abs(gen.eval_G_on_grid(grid_template(X, 2 * X / m)))))
     d = X - np.abs(lam.real)
     reach = np.where(d <= 1.0, np.sqrt(np.pi / np.abs(lam.imag)), np.sqrt(2.0 / np.maximum(d, 1.0)))
     return float(np.sum(np.abs(ls.coefficients) * gmax * reach))

@@ -22,18 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from pwsum.grids import GridFunction, grid_template, hilbert_transform
-from pwsum.spectrum import (
-    LatticeTail,
-    LogSumWork,
-    Spectrum,
-    block_log_sum,
-    cauchy_sums,
-    collisions,
-    row_blocks,
-    unique_sorted,
-)
-
-_COLLISION_RTOL = 1e-12
+from pwsum.spectrum import LatticeTail, Spectrum, cauchy_sums, log_products, row_blocks, touching
 
 
 class GenFunError(ValueError):
@@ -166,38 +155,16 @@ class GeneratingFunctionEvaluator:
         self.spectrum = spectrum
         self.normalization = complex(normalization)
         self.exp_type = math.pi if spectrum.tail is not None else 0.0
-        self._prime = np.full(len(spectrum), np.nan, dtype=complex)  # G' memo; nan = unknown
-        # |z - lambda|^2 at or below which z collides with lambda
-        self._tol2 = (_COLLISION_RTOL * np.maximum(1.0, spectrum.moduli)) ** 2
-        self._grid_cache: dict[tuple, np.ndarray] = {}
+        self._prime = None  # G' at every node, from the first eval_G_prime_at_lambda call
 
     # -- internals ---------------------------------------------------------
-
-    def _window_log(self, z: np.ndarray, skip: np.ndarray | None = None) -> np.ndarray:
-        """sum of log(1 - z/lambda) over the stored points per point of z, one
-        log per block of factors (Im modulo 2 pi).  With skip, point i leaves
-        out the factor of spectrum index skip[i] (block_log_sum's rule)."""
-        lam = self.spectrum.points
-        out = np.zeros(z.shape, dtype=complex)
-        hit = collisions(z, lam, self._tol2, skip)
-        if np.any(hit):
-            raise CollisionError(f"z={z[np.argmax(hit)]} collides with a spectrum point")
-        work = LogSumWork(z.size, lam.size)
-        for (rows,) in row_blocks(z.size, lam.size):
-            zc = z[rows, None]
-            r = zc.shape[0]
-            factor = work.f[:r]
-            np.divide(zc, lam, out=factor)
-            np.subtract(1.0, factor, out=factor)
-            out[rows] = block_log_sum(work, r, None if skip is None else skip[rows])
-        return out
 
     def _window_log_abs(self, z: np.ndarray) -> np.ndarray:
         """sum of log|1 - z/lambda| over the stored points for points z = x + ia
         of one line, in real arithmetic only."""
         lam = self.spectrum.points
         out = np.zeros(z.shape)
-        if np.any(collisions(z, lam, self._tol2)):
+        if np.any(touching(z, lam)):
             raise CollisionError("line sample collides with a spectrum point")
         lre, lim = lam.real, lam.imag
         log_l2 = np.log(lre * lre + lim * lim)
@@ -214,10 +181,13 @@ class GeneratingFunctionEvaluator:
         return out
 
     def _log_G(self, z: np.ndarray, skip: np.ndarray | None = None) -> np.ndarray:
-        """log of the product; with skip, point i leaves out the linear factor
-        of spectrum index skip[i]."""
-        out = np.full(z.shape, np.log(self.normalization), dtype=complex)
-        out += self._window_log(z, skip)
+        """log of the product, the window by log_products (Im modulo 2 pi); with
+        skip, point i leaves out the linear factor of spectrum index skip[i]."""
+        lam = self.spectrum.points
+        hit = touching(z, lam, skip)
+        if np.any(hit):
+            raise CollisionError(f"z={z[np.argmax(hit)]} collides with a spectrum point")
+        out = np.log(self.normalization) + log_products(z, lam, skip=skip)
         if self.spectrum.tail is None:
             return out
         return out + _tail_log(self.spectrum.tail, z)
@@ -225,8 +195,8 @@ class GeneratingFunctionEvaluator:
     # -- public API ----------------------------------------------------------
 
     def log_G(self, z):
-        """A log of G(z): the window takes one log per block of LOG_BLOCK
-        factors, so Im log_G is defined modulo 2 pi.  Only exp(log_G) is
+        """A log of G(z): the window takes one log per block of factors
+        (log_products), so Im log_G is defined modulo 2 pi.  Only exp(log_G) is
         ever used (G and G')."""
         z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
         out = self._log_G(z_arr)
@@ -249,24 +219,18 @@ class GeneratingFunctionEvaluator:
         """G'(lambda_k) = normalization * (-1/lambda_k) * prod_{mu != lambda_k} (1 - lambda_k/mu)
         for an index k (a complex) or an index array (an array).
 
-        Vectorized and memoized once per node: the nodes not yet known are
-        computed in one blocked pass, each leaving out its own factor."""
+        The first call computes every node in one blocked pass, each leaving
+        out its own factor, and keeps the array."""
         ks = np.asarray(k)
         if np.any((ks < 0) | (ks >= len(self.spectrum))):
             raise GenFunError("invalid spectrum index")
-        todo = unique_sorted(ks[np.isnan(self._prime[ks])])
-        if todo.size:
-            lam = self.spectrum.points[todo]
-            self._prime[todo] = (-1.0 / lam) * np.exp(self._log_G(lam, skip=todo))
+        if self._prime is None:
+            lam = self.spectrum.points
+            self._prime = (-1.0 / lam) * np.exp(self._log_G(lam, skip=np.arange(lam.size)))
         return complex(self._prime[ks]) if ks.ndim == 0 else self._prime[ks]
 
     def eval_G_on_grid(self, grid: GridFunction) -> np.ndarray:
-        key = (grid.X, grid.h, len(grid))
-        vals = self._grid_cache.get(key)
-        if vals is None:
-            vals = np.exp(self._log_G(grid.x.astype(complex)))
-            self._grid_cache[key] = vals
-        return vals
+        return np.exp(self._log_G(grid.x.astype(complex)))
 
     def tail_uncertainty(self, z) -> np.ndarray:
         """Upper estimate for the relative error left by the tail model:

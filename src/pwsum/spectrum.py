@@ -141,58 +141,70 @@ LOG_BLOCK = 16
 _LOG_TINY = float(np.log(np.finfo(float).tiny))
 
 
-class LogSumWork:
-    """The buffers of block_log_sum for the row_blocks(n_rows, cols) blocks of
-    a kernel over n_rows points.  A kernel makes one per call and writes each
-    block of factors into f[:r] (ufunc out=), so no block allocates."""
+def log_products(z: np.ndarray, zeros: np.ndarray, poles: np.ndarray | None = None,
+                 skip: np.ndarray | None = None) -> np.ndarray:
+    """Sum over j of log f_j(z_i) per point z_i (1-d): f_j = (zeros_j - z)/zeros_j,
+    with the reciprocals formed once per call, or, with poles,
+    f_j = (z - zeros_j)/(z - poles_j).  The only block log-product of G, G', B,
+    B' and beta: with skip, point i leaves out factor skip[i] (an exact 1).
 
-    def __init__(self, n_rows: int, cols: int):
-        rows = min(block_rows(cols), n_rows)
-        nb = -(-cols // LOG_BLOCK)
-        pad = np.ones((rows, nb * LOG_BLOCK), dtype=complex)  # the last block's padding stays 1
-        self.f = pad[:, :cols]
-        self._members = pad.reshape(rows, nb, LOG_BLOCK).transpose(2, 0, 1)  # (member, row, block)
-        self._re = np.empty((LOG_BLOCK, rows, nb))
-        self._im = np.empty((LOG_BLOCK, rows, nb))
-        self._t = np.empty((LOG_BLOCK // 2, rows, nb))
-        self._mod = np.empty((rows, nb))
-
-
-def block_log_sum(work: LogSumWork, r: int, skip: np.ndarray | None = None) -> np.ndarray:
-    """Sum of log f along each row of f = work.f[:r], one log (modulus and
-    argument) per product of a block of LOG_BLOCK consecutive factors, in the
-    given order (the last block is padded with ones); Im is defined modulo
-    2 pi.  A row with a block product that is 0, inf, NaN or subnormal falls
-    back to one log per factor (log 0 = -inf, exact).
-
-    A block multiplies pairwise (member j with j + 8, then j + 4, ...), in
-    real arithmetic: numpy's complex multiply may take a fused (FMA) path that
-    depends on the memory layout, and so on the row blocking, while separate
-    real multiplies and adds round the same way on every path."""
-    if skip is not None:  # row i leaves out its own factor skip[i] (G', B'): an exact 1
-        work.f[np.arange(r), skip] = 1.0
-    members = work._members[:, :r]
-    re, im, mod = work._re[:, :r], work._im[:, :r], work._mod[:r]
-    np.copyto(re, members.real)
-    np.copyto(im, members.imag)
-    h = LOG_BLOCK
-    with np.errstate(all="ignore"):  # an overflow or a zero sends its row to the fallback
-        while h > 1:
-            h //= 2
-            ar, ai, br, bi, t = re[:h], im[:h], re[h : 2 * h], im[h : 2 * h], work._t[:h, :r]
-            np.multiply(ai, bi, out=t)
-            ai *= br
-            np.multiply(ar, bi, out=bi)  # bi is not read again
-            ai += bi
-            ar *= br
-            ar -= t
-        np.hypot(re[0], im[0], out=mod)
-        np.log(mod, out=mod)
-    out = mod.sum(axis=1) + 1j * np.arctan2(im[0], re[0]).sum(axis=1)
-    bad = ~((mod >= _LOG_TINY) & (mod < np.inf)).all(axis=1)
-    if np.any(bad):
-        out[bad] = np.log(work.f[:r][bad]).sum(axis=1)
+    One log (modulus and argument) per product of a block of LOG_BLOCK
+    consecutive factors, in the given order (the last block is padded with
+    ones); Im is defined modulo 2 pi.  A row with a block product that is 0,
+    inf, NaN or subnormal falls back to one log per factor (log 0 = -inf,
+    exact).  A block multiplies pairwise (member j with j + 8, then j + 4,
+    ...), in real arithmetic: numpy's complex multiply may take a fused (FMA)
+    path that depends on the memory layout, and so on the row blocking, while
+    separate real multiplies and adds round the same way on every path."""
+    out = np.empty(z.shape, dtype=complex)
+    n, nb = zeros.size, -(-zeros.size // LOG_BLOCK)
+    rows = min(block_rows(n), z.size)
+    pad = np.ones((rows, nb * LOG_BLOCK), dtype=complex)  # the last block's padding stays 1
+    members = pad.reshape(rows, nb, LOG_BLOCK).transpose(2, 0, 1)  # (member, row, block)
+    re, im = np.empty((2, LOG_BLOCK, rows, nb))
+    t, mod = np.empty((LOG_BLOCK // 2, rows, nb)), np.empty((rows, nb))
+    inv = 1.0 / zeros if poles is None else None
+    den = None if poles is None else np.empty((rows, n), dtype=complex)
+    for (blk,) in row_blocks(z.size, n):
+        zc, r = z[blk, None], blk.stop - blk.start
+        f = pad[:r, :n]
+        if poles is None:
+            np.subtract(zeros, zc, out=f)
+            f *= inv
+        else:
+            np.subtract(zc, poles, out=den[:r])
+            np.subtract(zc, zeros, out=f)
+            f /= den[:r]
+        if skip is not None:
+            f[np.arange(r), skip[blk]] = 1.0
+        br, bi, bm = re[:, :r], im[:, :r], mod[:r]
+        np.copyto(br, members[:, :r].real)
+        np.copyto(bi, members[:, :r].imag)
+        h = LOG_BLOCK
+        with np.errstate(all="ignore"):  # an overflow or a zero sends its row to the fallback
+            while h > 1:
+                h //= 2
+                ar, ai, cr, ci, th = br[:h], bi[:h], br[h : 2 * h], bi[h : 2 * h], t[:h, :r]
+                np.multiply(ai, ci, out=th)
+                ai *= cr
+                np.multiply(ar, ci, out=ci)  # ci is not read again
+                ai += ci
+                ar *= cr
+                ar -= th
+            np.hypot(br[0], bi[0], out=bm)
+            np.log(bm, out=bm)
+        out[blk] = bm.sum(axis=1) + 1j * np.arctan2(bi[0], br[0]).sum(axis=1)
+        bad = ~((bm >= _LOG_TINY) & (bm < np.inf)).all(axis=1)
+        if np.any(bad):
+            with np.errstate(divide="ignore"):  # log 0 = -inf, exact
+                out[blk][bad] = np.log(f[bad]).sum(axis=1)
     return out
+
+
+def touching(z: np.ndarray, pts: np.ndarray, skip: np.ndarray | None = None) -> np.ndarray:
+    """collisions at |z_i - pts_j| <= 1e-12 max(1, |pts_j|): the one rule by
+    which G refuses a zero and B a pole."""
+    return collisions(z, pts, (1e-12 * np.maximum(1.0, np.abs(pts))) ** 2, skip)
 
 
 class SpectrumError(ValueError):
@@ -352,8 +364,10 @@ def load_spectrum(path) -> Spectrum:
     """Text format: 're im' per line, after an optional header
     '# family=<name> key=value ...'.  The name is custom_list (no tail) or a
     lattice family, whose tail the header's keys give through _lattice, by
-    make_family's rules; a header without count takes the window |k| <= count
-    that the whole file holds.  A file without a point is an error."""
+    make_family's rules.  The tail continues the window of the file's upper
+    half-plane points (2 count + 1 of them, 4 count + 1 for clustered_pairs):
+    a header without count takes it from them, and a header count that
+    disagrees with them is an error.  A file without a point is an error."""
     header: dict = {}
     pts = []
     with open(path) as fh:
@@ -369,8 +383,12 @@ def load_spectrum(path) -> Spectrum:
                     raise SpectrumError(f"{path}, line {ln}: expected 're im', got {line!r}") from e
     if not pts:
         raise SpectrumError(f"{path}: no points")
-    tag, tail = header.get("family", "custom_list"), None
+    pts, tag, tail = np.array(pts, dtype=complex), header.get("family", "custom_list"), None
     if tag != "custom_list":
-        window = (len(pts) - 1) // (4 if tag == "clustered_pairs" else 2)  # 4 or 2 points per k
-        tail = _lattice(tag, header, header.get("count", window))[1]
-    return Spectrum(np.array(pts, dtype=complex), tail)
+        upper = int(np.count_nonzero(pts.imag > 0))  # the tail sites sit at +delta
+        count = header.get("count", (upper - 1) // (4 if tag == "clustered_pairs" else 2))  # 4 or 2 points per k
+        window, tail = _lattice(tag, header, count)
+        if "count" in header and window.size != upper:
+            raise SpectrumError(f"{path}: count={header['count']} is a window of {window.size} points, "
+                                f"the file has {upper} in the upper half-plane")
+    return Spectrum(pts, tail)

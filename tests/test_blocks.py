@@ -108,8 +108,10 @@ def test_block_rows_rule(monkeypatch):
 
 
 @pytest.mark.parametrize("shape", [(3, 0), (0, 5)], ids=["no-factors", "no-rows"])
-def test_block_log_sum_empty_shapes(shape):
-    out = spectrum.block_log_sum(spectrum.LogSumWork(*shape), shape[0])
+@pytest.mark.parametrize("poles", [False, True], ids=["G", "B"])
+def test_log_products_empty_shapes(shape, poles):
+    z, zeros = np.linspace(0.0, 2.0, shape[0]) + 0.5j, np.arange(shape[1]) + 1.5j
+    out = spectrum.log_products(z, zeros, np.conj(zeros) if poles else None)
     assert out.shape == (shape[0],) and np.all(out == 0)
 
 
@@ -124,23 +126,24 @@ def test_block_buffers_sliced_per_block(ragged):
     # the kernels fill buffers made for a whole block; a call with fewer points
     # than one block, or a ragged last block, uses their first rows only and
     # must match one call per point bit for bit (a tailless window, so only
-    # the block kernels run)
+    # the block kernels run); G' at every node, made in one pass, must match
+    # one log_products call per node with its own skip
     pts = make_family("kadec_perturbed", {"delta": 0.3, "eps": 0.2}, 100).points  # 201 points
     gen = GeneratingFunctionEvaluator(Spectrum(pts))
     up = BlaschkeEvaluator(Spectrum(pts))
     step = spectrum.block_rows(pts.size)
     n = 2 * step + 5 if ragged else 3
     z = np.linspace(-40.0, 40.0, n) + 0.7j
-    nodes = np.arange(pts.size if ragged else n)  # G' at the nodes: 201 = 2 * 81 + 39
     kernels = {
-        "log_G": (gen.log_G, z),
-        "log_abs_G": (lambda z: gen.log_abs_G(z.real, a=0.4), z),
-        "eval_B": (up.eval_B, z),
-        "tail_factor": (lambda z: up.tail_factor(z, 12.0), z),
-        "G_prime": (gen.eval_G_prime_at_lambda, nodes),
+        "log_G": gen.log_G,
+        "log_abs_G": lambda z: gen.log_abs_G(z.real, a=0.4),
+        "eval_B": up.eval_B,
+        "tail_factor": lambda z: up.tail_factor(z, 12.0),
     }
-    for name, (kernel, arg) in kernels.items():
-        whole = kernel(arg)
-        gen._prime[:] = np.nan  # forget the G' memo
-        single = np.array([kernel(arg[i : i + 1])[0] for i in range(arg.size)])
-        assert np.array_equal(whole, single), name
+    for name, kernel in kernels.items():
+        single = np.array([kernel(z[i : i + 1])[0] for i in range(z.size)])
+        assert np.array_equal(kernel(z), single), name
+    nodes = [pts[k : k + 1] for k in range(pts.size if ragged else n)]  # 201 = 2 * 81 + 39
+    single = [(-1.0 / lam) * np.exp(spectrum.log_products(lam, pts, skip=np.array([k])))
+              for k, lam in enumerate(nodes)]
+    assert np.array_equal(gen.eval_G_prime_at_lambda(np.arange(len(nodes))), np.concatenate(single))

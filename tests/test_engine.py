@@ -16,6 +16,7 @@ from pwsum.engine import (
     l2_error,
     pw_tail_bound,
     sample_sums,
+    sup_abs_G,
 )
 from pwsum.genfun import GeneratingFunctionEvaluator
 from pwsum.grids import grid_template, sample_on_grid
@@ -132,6 +133,15 @@ def test_conjugation_symmetry():
     out = sample_sums(g, grid, [build_lagrange_sum(f, g, NaiveWeights(s, [5.0]), 0)])[0]
     out_conj = sample_sums(g_conj, grid, [build_lagrange_sum(f_conj, g_conj, NaiveWeights(s_conj, [5.0]), 0)])[0]
     assert np.allclose(out_conj.values, np.conj(out.values), rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("X", [40.0, 7.33])
+def test_sup_abs_G_matches_the_grid_of_G(lattice, X):
+    # the m + 1 nodes of the tail bound's sup|G| are the grid of spacing 2X/m
+    s, g = lattice
+    m = max(1, round(2 * X / max(X / 200, 0.05)))
+    want = np.max(np.abs(g.eval_G_on_grid(grid_template(X, 2 * X / m))))
+    assert abs(sup_abs_G(g, X) - want) <= 1e-13 * want
 
 
 def test_tail_bounds_positive(lattice):

@@ -6,6 +6,7 @@ projector check, or is on a short allow-list."""
 import importlib
 import inspect
 import pkgutil
+import re
 import sys
 from pathlib import Path
 
@@ -27,6 +28,13 @@ def test_only_spectrum_sizes_the_blocks():
     src = Path(pwsum.__file__).parent
     callers = sorted(p.name for p in src.glob("*.py") if "block_rows(" in p.read_text())
     assert callers == ["spectrum.py"]
+    # likewise one block log-product (spectrum.log_products, the only reader
+    # of LOG_BLOCK) and one touching rule of G's zeros and B's poles
+    # (spectrum.touching): a module with its own 1e-12 tolerance, named or
+    # scaled by max(1, |lambda|), would bypass it
+    tol = re.compile(r"^\s*\w+\s*=\s*1e-12\b|1e-12\s*\*\s*np\.maximum", re.MULTILINE)
+    assert sorted(p.name for p in src.glob("*.py") if "LOG_BLOCK" in p.read_text()) == ["spectrum.py"]
+    assert sorted(p.name for p in src.glob("*.py") if tol.search(p.read_text())) == ["spectrum.py"]
 
 
 def test_contour_selection_has_no_separate_zero_pass():

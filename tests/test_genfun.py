@@ -108,8 +108,8 @@ def test_prime_vs_central_difference():
 
 @pytest.mark.parametrize("radius", [20.0, np.inf])
 def test_prime_index_array_matches_scalar_and_mpmath(radius):
-    # radius 20 memoizes G' at the points of modulus >= 20 first, so the full
-    # array call mixes memoized and fresh entries; radius inf memoizes none
+    # radius 20 asks for G' at the points of modulus >= 20 first, which fills
+    # every node; radius inf asks for every node at once
     s = make_family("kadec_perturbed", {"delta": 0.3, "eps": 0.2}, 30)
     ks = np.arange(len(s))
     g = GeneratingFunctionEvaluator(s)
@@ -130,6 +130,21 @@ def test_prime_index_array_matches_scalar_and_mpmath(radius):
         ]
     rel = np.abs(got - np.array(want) * tail) / np.abs(got)
     assert np.max(rel) < 1e-12
+
+
+def test_prime_on_a_clustered_window_matches_mpmath():
+    # a tailless clustered_pairs window (801 points, pairs eps/|k| apart): the
+    # factor (lambda - z)/lambda keeps its digits next to a zero, where
+    # 1 - z/lambda lost them (1.29e-11 relative at every 7th node)
+    s = Spectrum(make_family("clustered_pairs", {"delta": 1.0, "eps": 0.5}, 200).points)
+    ks = np.arange(0, len(s), 7)
+    got = GeneratingFunctionEvaluator(s).eval_G_prime_at_lambda(ks)
+    with mpmath.workdps(40):
+        pts = [mpmath.mpc(p) for p in s.points]
+        want = np.array(
+            [complex(-1 / pts[k] * mpmath.fprod(1 - pts[k] / mu for j, mu in enumerate(pts) if j != k)) for k in ks]
+        )
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
 
 
 def test_prime_index_out_of_range(lattice200):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pwsum.genfun import GeneratingFunctionEvaluator
 from pwsum.spectrum import (
     Spectrum,
     SpectrumError,
@@ -105,16 +106,46 @@ def test_lattice_tail_none_without_family_formula(tmp_path):
 
 
 def test_header_count_is_inferred_from_the_whole_file(tmp_path):
-    # 11 upper and 11 lower points, no count: the window is |k| <= 10, and the
-    # upper half keeps that tail rather than inferring one from its 11 points
+    # 11 upper and 11 lower points, no count: the tail sites sit at +delta, so
+    # the window is the 11 upper points, |k| <= 5, and the lower points are
+    # not family points; the upper half keeps that tail
     up = make_family("shifted_integers", {"delta": 0.3}, 5).points
     path = write_points(tmp_path / "two.txt", np.concatenate([up, np.conj(up)]),
                         "# family=shifted_integers delta=0.3\n")
     s = load_spectrum(path)
     upper, lower = split_halfplanes(s)
-    assert s.tail.first_site == 11
+    assert s.tail.first_site == 6
     assert upper.tail == s.tail
     assert lower.tail is None
+
+
+def test_two_half_file_is_the_upper_window_with_its_tail_times_the_lower_points(tmp_path):
+    # log|G| of the file is the family window |k| <= 5 with its own tail, plus
+    # the log-modulus of the lower points' finite product (3.00, 12.80, 15.90,
+    # 19.22 here); a tail inferred from all 22 points started at site 11 and
+    # dropped the zeros at 6..10 (4.20, 19.06, 20.72, 17.51)
+    fam = make_family("shifted_integers", {"delta": 0.3}, 5)
+    path = write_points(tmp_path / "two.txt", np.concatenate([fam.points, np.conj(fam.points)]),
+                        "# family=shifted_integers delta=0.3\n")
+    x = np.array([3.5, 7.5, 9.5, 12.5])
+    got = GeneratingFunctionEvaluator(load_spectrum(path)).log_abs_G(x)
+    want = (GeneratingFunctionEvaluator(fam).log_abs_G(x)
+            + GeneratingFunctionEvaluator(Spectrum(np.conj(fam.points))).log_abs_G(x))
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
+    assert np.allclose(want, [3.00, 12.80, 15.90, 19.22], atol=5e-3)
+
+
+def test_header_count_must_match_the_upper_points(tmp_path):
+    # count=10 is a window of 21 points; three upper points loaded silently
+    # with the tail of |k| > 10 before (|G(5.5)| = 24.04 against 1.358)
+    path = write_points(tmp_path / "pts.txt", np.array([-1, 0, 1]) + 0.3j,
+                        "# family=shifted_integers delta=0.3 count=10\n")
+    with pytest.raises(SpectrumError, match="count=10"):
+        load_spectrum(path)
+    # a matching count loads, whatever the lower half-plane holds
+    path = write_points(tmp_path / "ok.txt", np.array([-1, 0, 1, 7]) + np.array([0.3j, 0.3j, 0.3j, -2j]),
+                        "# family=shifted_integers delta=0.3 count=1\n")
+    assert load_spectrum(path).tail.first_site == 2
 
 
 @pytest.mark.parametrize(
