@@ -75,46 +75,32 @@ class BlaschkeEvaluator:
         """The zeros, in the spectrum's (|lambda|, arg) order."""
         return self.spectrum.points
 
-    def _select(self, cutoff: float | None) -> np.ndarray:
-        if cutoff is None:
-            return self.points
-        return self.points[np.abs(self.points) < cutoff]
-
-    def eval_B(self, z, cutoff: float | None = None):
+    def eval_B(self, z: np.ndarray, cutoff: float = np.inf) -> np.ndarray:
         """Product of normalized factors over |lambda| < cutoff, |lambda|-ascending."""
-        res = np.exp(_log_factors(np.atleast_1d(np.asarray(z, dtype=complex)), self._select(cutoff)))
-        return res[0] if np.ndim(z) == 0 else res
+        return np.exp(_log_factors(z, self.points[np.abs(self.points) < cutoff]))
 
-    def log_abs_B(self, z):
+    def log_abs_B(self, z: np.ndarray) -> np.ndarray:
         """log|B(z)| in real arithmetic (-inf at a zero)."""
-        res = _log_abs_factors(np.atleast_1d(np.asarray(z, dtype=complex)), self.points)
-        return res[0] if np.ndim(z) == 0 else res
+        return _log_abs_factors(z, self.points)
 
-    def tail_factor(self, z, n: float):
+    def tail_factor(self, z: np.ndarray, n: float) -> np.ndarray:
         """Tail product prod_{|mu| >= n} factor(z): beta_n(lambda) at a zero
         lambda with |lambda| < n."""
-        mu = self.points[np.abs(self.points) >= n]
-        res = np.exp(_log_factors(np.atleast_1d(np.asarray(z, dtype=complex)), mu))
-        return res[0] if np.ndim(z) == 0 else res
+        return np.exp(_log_factors(z, self.points[np.abs(self.points) >= n]))
 
-    def eval_B_prime_at(self, k: int | np.ndarray, cutoff: float | None = None) -> complex | np.ndarray:
-        """d/dz of the cutoff product at its own zero lambda_k, for an index k (a
-        complex) or an index array (an array), by the own-factor rule of G'; the
-        projector's interpolation kernel is B_n(z)/(B_n'(lambda)(z - lambda))."""
-        idx = np.atleast_1d(k)
-        mu = self._select(cutoff)  # a prefix: the points are sorted by modulus
-        if np.any((idx < 0) | (idx >= mu.size)):
+    def eval_B_prime_at(self, k: np.ndarray, cutoff: float = np.inf) -> np.ndarray:
+        """d/dz of the cutoff product at its own zeros lambda_k, for an index
+        array k, by the own-factor rule of G'; the projector's interpolation
+        kernel is B_n(z)/(B_n'(lambda)(z - lambda))."""
+        mu = self.points[np.abs(self.points) < cutoff]  # a prefix: the points are sorted by modulus
+        if np.any((k < 0) | (k >= mu.size)):
             raise BlaschkeError("lambda_k not inside the cutoff product")
-        lam = mu[idx]
-        res = (np.conj(lam) / lam) / (lam - np.conj(lam)) * np.exp(_log_factors(lam, mu, skip=idx))
-        return complex(res[0]) if np.ndim(k) == 0 else res
+        lam = mu[k]
+        return (np.conj(lam) / lam) / (lam - np.conj(lam)) * np.exp(_log_factors(lam, mu, skip=k))
 
-    def arg_derivative_on_R(self, t):
+    def arg_derivative_on_R(self, t: np.ndarray) -> np.ndarray:
         """(arg B)'(t) = 2 sum Im(lambda)/|t - lambda|^2, with a lattice tail term."""
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        out = inverse_square_sums(t_arr, self.points, 2.0 * self.points.imag)
-        out += self._tail_argder(t_arr)
-        return out[0] if np.asarray(t).ndim == 0 else out
+        return inverse_square_sums(t, self.points, 2.0 * self.points.imag) + self._tail_argder(t)
 
     def _tail_argder(self, t: np.ndarray) -> np.ndarray:
         """Midpoint-rule tail of 2 sum delta/((t-n)^2+delta^2) beyond the window.

@@ -239,7 +239,8 @@ def _cmd_converge(cfg, outdir: Path) -> None:
     probe = disk_probe(f, gen, center, cfg["K.radius"], cfg["K.samples"])
     f_tail, gmax = pw_tail_bound(f, X), sup_abs_G(gen, X)
     steps = [(scheme, step) for scheme in _schemes(cfg, s) for step in range(len(scheme))]
-    sums = [build_lagrange_sum(f, gen, scheme, step) for scheme, step in steps]
+    values = f.eval(s.points)
+    sums = [build_lagrange_sum(values, gen, scheme, step) for scheme, step in steps]
     with open(_output(outdir, "errors.csv"), "w") as fh:
         fh.write("n,scheme,l2_error,sup_error_K,tail_bound\n")
         for (scheme, step), ls, sn in zip(steps, sums, sample_sums(gen, grid, sums)):

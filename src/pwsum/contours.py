@@ -54,19 +54,18 @@ class TriangleContour:
         t = (np.arange(self.samples_per_side) + 0.5) / self.samples_per_side
         return np.concatenate([self.l + t * (self.apex - self.l), -self.l + t * (self.apex + self.l)])
 
-    def contains(self, z) -> np.ndarray:
+    def contains(self, z: np.ndarray) -> np.ndarray:
         """Strict interior test after a relative shrink of 1e-9 toward the centroid.
 
         The shrink makes boundary points land outside deterministically.
         """
-        z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
         centroid = (self.apex - self.l + self.l) / 3.0
-        w = (z_arr - centroid) / (1.0 - 1e-9) + centroid
+        w = (z - centroid) / (1.0 - 1e-9) + centroid
         x, y = w.real, w.imag
         inside = (y > 0) & (np.abs(x) < self.l)
         # below both slanted sides: y < c*(l - |x|)
         inside &= y < self.c * (self.l - np.abs(x))
-        return inside if np.asarray(z).ndim else inside[0]
+        return inside
 
 
 def lambda_inside(s: Spectrum, t: TriangleContour) -> np.ndarray:
@@ -112,25 +111,27 @@ def select_c(
     l: float,
     grid_size: int = 16,
     samples_per_side: int = 512,
-) -> tuple[float, float]:
+) -> tuple[float, float, float]:
     """Apex slope in [1, 10] minimizing eps_hat(c) = max (-log|B|)/|zeta| on the sides.
 
-    Returns (c, eps_hat).  A side sample on a zero of B gives log|B| = -inf,
-    so eps_hat = inf, and that candidate is never taken; if every one is,
+    Returns (c, eps_hat, min log|B|), the last over the chosen contour's side
+    samples.  A side sample on a zero of B gives log|B| = -inf, so
+    eps_hat = inf, and that candidate is never taken; if every one is,
     raises (the caller perturbs l).  Each candidate is one row of a log|B| pass.
     """
     if grid_size < 16:
         raise ContourError("grid_size must be >= 16")
     cs = np.linspace(1.0, 10.0, grid_size)
     zeta = np.concatenate([TriangleContour(l, float(c), samples_per_side).slanted_samples() for c in cs])
-    eps_hats = np.max((-b.log_abs_B(zeta) / np.abs(zeta)).reshape(grid_size, -1), axis=1)
-    best_c, best_eps = None, math.inf
-    for c, eps_hat in zip(cs, eps_hats):
+    log_b = b.log_abs_B(zeta)
+    eps_hats = np.max((-log_b / np.abs(zeta)).reshape(grid_size, -1), axis=1)
+    best, best_eps = None, math.inf
+    for i, eps_hat in enumerate(eps_hats):
         if eps_hat < best_eps - 1e-15:
-            best_c, best_eps = float(c), float(eps_hat)
-    if best_c is None:
+            best, best_eps = i, float(eps_hat)
+    if best is None:
         raise InfeasibleSelection("every apex-slope candidate hits a zero of B")
-    return best_c, best_eps
+    return float(cs[best]), best_eps, float(np.min(log_b.reshape(grid_size, -1)[best]))
 
 
 def select_alpha(l: float, eps_hat: float, c: float, safety: float = 1.2) -> float:
@@ -166,12 +167,6 @@ class ContourSchedule:
         return len(self.contours)
 
 
-def domination_margin(b: BlaschkeEvaluator, tri: TriangleContour, alpha: float) -> float:
-    """min over side samples of alpha*l/5 + log|B(zeta)| (>= 0 is the certificate)."""
-    zeta = tri.slanted_samples()
-    return float(np.min(alpha * tri.l / 5.0 + b.log_abs_B(zeta)))
-
-
 def build_schedule(
     spectrum: Spectrum,
     b: BlaschkeEvaluator,
@@ -201,13 +196,14 @@ def build_schedule(
         raise InfeasibleSelection("banded half-width selection failed to space out")
     contours, alphas, eps_hats, margins = [], [], [], []
     for l in ls:
-        c, eps_hat = select_c(b, l, grid_size=c_grid, samples_per_side=samples_per_side)
+        c, eps_hat, min_log_b = select_c(b, l, grid_size=c_grid, samples_per_side=samples_per_side)
         alpha = select_alpha(l, eps_hat, c, safety=safety)
-        tri = TriangleContour(l=l, c=c, samples_per_side=samples_per_side)
-        contours.append(tri)
+        contours.append(TriangleContour(l=l, c=c, samples_per_side=samples_per_side))
         alphas.append(alpha)
         eps_hats.append(eps_hat)
-        margins.append(domination_margin(b, tri, alpha))
+        # min over the side samples of alpha*l/5 + log|B| (>= 0 is the
+        # certificate): rounding is monotone, so the min moves inside the sum
+        margins.append(alpha * l / 5.0 + min_log_b)
     sched = ContourSchedule(
         contours=contours,
         alphas=np.array(alphas),

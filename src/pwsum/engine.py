@@ -46,13 +46,11 @@ class PWFunction:
         self.centers = mu
         self.coefficients = c
 
-    def eval(self, z):
-        z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
-        d = z_arr[..., None] - np.conj(self.centers)
-        vals = (self.coefficients * np.sinc(d)).sum(axis=-1)
-        return vals[0] if np.asarray(z).ndim == 0 else vals
+    def eval(self, z: np.ndarray) -> np.ndarray:
+        d = z[:, None] - np.conj(self.centers)
+        return (self.coefficients * np.sinc(d)).sum(axis=-1)
 
-    def __call__(self, z):
+    def __call__(self, z: np.ndarray) -> np.ndarray:
         return self.eval(z)
 
 
@@ -82,17 +80,11 @@ class LagrangeSum:
         return int(self.indices.size)
 
 
-def build_lagrange_sum_from_values(values, gen, scheme, step: int) -> LagrangeSum:
-    """values: F(lambda_k) for every spectrum index k (array)."""
+def build_lagrange_sum(values: np.ndarray, gen, scheme, step: int) -> LagrangeSum:
+    """The step's sum, from values = F(lambda_k) at every spectrum index k."""
     row = scheme.weight_row(step)
-    values = np.asarray(values, dtype=complex)[row.indices]
-    coeffs = row.weights * values / gen.eval_G_prime_at_lambda(row.indices)
+    coeffs = row.weights * values[row.indices] / gen.eval_G_prime_at_lambda(row.indices)
     return LagrangeSum(indices=row.indices, coefficients=coeffs)
-
-
-def build_lagrange_sum(f: PWFunction, gen, scheme, step: int) -> LagrangeSum:
-    values = f.eval(gen.spectrum.points)
-    return build_lagrange_sum_from_values(values, gen, scheme, step)
 
 
 def sample_sums(
@@ -101,7 +93,7 @@ def sample_sums(
     """G(x) * sum_k a_k/(x - lambda_k) on the grid for every sum, in one pass
     over the grid: the sums are the columns of one (points x sums)
     coefficient matrix, so the schedule steps share one G on the grid."""
-    G = gen.eval_G_on_grid(grid)
+    G = gen.eval_G(grid.x)
     A = np.zeros((len(gen.spectrum), len(sums)), dtype=complex)
     for j, ls in enumerate(sums):
         A[ls.indices, j] = ls.coefficients
@@ -254,7 +246,7 @@ class NormProbe:
         self.atom_centers = ms
         lam = gen.spectrum.points
         self._K = np.sinc(lam[:, None] - ms[None, :])
-        D = grid.trapezoid_weights() * np.abs(gen.eval_G_on_grid(grid)) ** 2
+        D = grid.trapezoid_weights() * np.abs(gen.eval_G(grid.x)) ** 2
         self._P = np.zeros((lam.size, lam.size), dtype=complex)
         for rows, C in cauchy_chunks(grid.x, lam):
             self._P += C.conj().T @ (D[rows, None] * C)

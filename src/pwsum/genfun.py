@@ -180,9 +180,13 @@ class GeneratingFunctionEvaluator:
         out *= 0.5
         return out
 
-    def _log_G(self, z: np.ndarray, skip: np.ndarray | None = None) -> np.ndarray:
-        """log of the product, the window by log_products (Im modulo 2 pi); with
-        skip, point i leaves out the linear factor of spectrum index skip[i]."""
+    # -- public API ----------------------------------------------------------
+
+    def log_G(self, z: np.ndarray, skip: np.ndarray | None = None) -> np.ndarray:
+        """A log of G(z): the window takes one log per block of factors
+        (log_products), so Im log_G is defined modulo 2 pi.  Only exp(log_G) is
+        ever used (G and G').  With skip, point i leaves out the linear factor
+        of spectrum index skip[i]."""
         lam = self.spectrum.points
         hit = touching(z, lam, skip)
         if np.any(hit):
@@ -192,51 +196,36 @@ class GeneratingFunctionEvaluator:
             return out
         return out + _tail_log(self.spectrum.tail, z)
 
-    # -- public API ----------------------------------------------------------
-
-    def log_G(self, z):
-        """A log of G(z): the window takes one log per block of factors
-        (log_products), so Im log_G is defined modulo 2 pi.  Only exp(log_G) is
-        ever used (G and G')."""
-        z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
-        out = self._log_G(z_arr)
-        return out[0] if np.isscalar(z) or np.asarray(z).ndim == 0 else out
-
-    def eval_G(self, z):
+    def eval_G(self, z: np.ndarray) -> np.ndarray:
         return np.exp(self.log_G(z))
 
-    def log_abs_G(self, x, a: float = 0.0):
-        """log|G(x + i a)| on real x (vectorized, real arithmetic in the window)."""
-        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        z = x_arr + 1j * a
-        out = np.full(x_arr.shape, np.log(abs(self.normalization)))
+    def log_abs_G(self, x: np.ndarray, a: float = 0.0) -> np.ndarray:
+        """log|G(x + i a)| on real x (real arithmetic in the window)."""
+        z = x + 1j * a
+        out = np.full(x.shape, np.log(abs(self.normalization)))
         out += self._window_log_abs(z)
         if self.spectrum.tail is not None:
             out += _tail_log(self.spectrum.tail, z).real
-        return out[0] if np.isscalar(x) or np.asarray(x).ndim == 0 else out
+        return out
 
-    def eval_G_prime_at_lambda(self, k: int | np.ndarray) -> complex | np.ndarray:
+    def eval_G_prime_at_lambda(self, k: np.ndarray) -> np.ndarray:
         """G'(lambda_k) = normalization * (-1/lambda_k) * prod_{mu != lambda_k} (1 - lambda_k/mu)
-        for an index k (a complex) or an index array (an array).
+        for an index array k.
 
         The first call computes every node in one blocked pass, each leaving
         out its own factor, and keeps the array."""
-        ks = np.asarray(k)
-        if np.any((ks < 0) | (ks >= len(self.spectrum))):
+        if np.any((k < 0) | (k >= len(self.spectrum))):
             raise GenFunError("invalid spectrum index")
         if self._prime is None:
             lam = self.spectrum.points
-            self._prime = (-1.0 / lam) * np.exp(self._log_G(lam, skip=np.arange(lam.size)))
-        return complex(self._prime[ks]) if ks.ndim == 0 else self._prime[ks]
+            self._prime = (-1.0 / lam) * np.exp(self.log_G(lam, skip=np.arange(lam.size)))
+        return self._prime[k]
 
-    def eval_G_on_grid(self, grid: GridFunction) -> np.ndarray:
-        return np.exp(self._log_G(grid.x.astype(complex)))
-
-    def tail_uncertainty(self, z) -> np.ndarray:
+    def tail_uncertainty(self, z: np.ndarray) -> np.ndarray:
         """Upper estimate for the relative error left by the tail model:
         slope_slack |z|, and 0 without one."""
         slack = self.spectrum.tail.slope_slack if self.spectrum.tail is not None else 0.0
-        return slack * np.abs(np.atleast_1d(np.asarray(z, dtype=complex)))
+        return slack * np.abs(z)
 
 
 # ---------------------------------------------------------------------------
@@ -275,17 +264,15 @@ class OuterEvaluator:
         vals = gen.log_abs_G(grid.x)
         return cls(grid.copy_with(vals.astype(complex)))
 
-    def eval_outer(self, z):
+    def eval_outer(self, z: np.ndarray) -> np.ndarray:
         """omega(z) for Im z >= h, |Re z| <= X/2."""
-        z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
-        if np.any(z_arr.imag < self.grid.h * (1.0 - 1e-12)):
+        if np.any(z.imag < self.grid.h * (1.0 - 1e-12)):
             raise GenFunError("eval_outer needs Im z >= one grid spacing")
-        if np.any(np.abs(z_arr.real) > self.grid.X / 2.0):
+        if np.any(np.abs(z.real) > self.grid.X / 2.0):
             raise GenFunError("evaluation point beyond half the boundary grid")
         # (1/(i pi)) sum w phi/(t - z) = (i/pi) sum w phi/(z - t)
-        s = cauchy_sums(z_arr, self.grid.x, self._w * self._phit)
-        res = np.exp(self.mean + 1j * (s / np.pi + self._kappa))
-        return res[0] if np.isscalar(z) or np.asarray(z).ndim == 0 else res
+        s = cauchy_sums(z, self.grid.x, self._w * self._phit)
+        return np.exp(self.mean + 1j * (s / np.pi + self._kappa))
 
     def boundary_values(self) -> np.ndarray:
         """omega on the grid nodes themselves (boundary limit from above)."""

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # Points closer to the real axis than this are rejected: Blaschke
-# factors and the 1 - z/lambda products degenerate there.
+# factors and the (lambda - z)/lambda products degenerate there.
 MIN_IMAG = 1e-12
 
 # families with a formula for the points beyond the window
@@ -308,8 +308,8 @@ def _lattice(name: str, params: dict, count) -> tuple[np.ndarray, LatticeTail]:
                       window its second copy is folded into the base lattice
 
     Every parameter read (a number, or the text of one) must be finite, with
-    delta > 0 and count >= 0; clustered_pairs needs eps != 0 and count >= 1
-    (its slope_slack divides by count**2).
+    delta > 0 and count a whole number >= 0; clustered_pairs needs eps != 0
+    and count >= 1 (its slope_slack divides by count**2).
     """
     if name not in LATTICE_FAMILIES:
         raise SpectrumError(f"unknown family name: {name!r}")
@@ -323,7 +323,10 @@ def _lattice(name: str, params: dict, count) -> tuple[np.ndarray, LatticeTail]:
             raise SpectrumError(f"{name} needs a finite parameter {key!r}, got {val!r}")
         return out
 
-    n = int(round(finite("count", count)))
+    n = finite("count", count)
+    if n != round(n):
+        raise SpectrumError(f"{name} needs a whole number 'count', got {count!r}")
+    n = int(n)
     delta = finite("delta", params.get("delta"))
     if delta <= 0:
         raise SpectrumError(f"{name} needs delta > 0")
@@ -362,8 +365,9 @@ def split_halfplanes(s: Spectrum) -> tuple[Spectrum, Spectrum]:
 
 def load_spectrum(path) -> Spectrum:
     """Text format: 're im' per line, after an optional header
-    '# family=<name> key=value ...'.  The name is custom_list (no tail) or a
-    lattice family, whose tail the header's keys give through _lattice, by
+    '# family=<name> key=value ...', with keys among family, count, delta and
+    eps, each at most once.  The name is custom_list (no tail) or a lattice
+    family, whose tail the header's keys give through _lattice, by
     make_family's rules.  The tail continues the window of the file's upper
     half-plane points (2 count + 1 of them, 4 count + 1 for clustered_pairs):
     a header without count takes it from them, and a header count that
@@ -374,7 +378,11 @@ def load_spectrum(path) -> Spectrum:
         for ln, line in enumerate(fh, 1):
             line = line.strip()
             if line.startswith("#"):
-                header.update(tok.split("=", 1) for tok in line[1:].split() if "=" in tok)
+                for key, val in (tok.split("=", 1) for tok in line[1:].split() if "=" in tok):
+                    if key not in ("family", "count", "delta", "eps") or key in header:
+                        why = "repeated" if key in header else "unknown"
+                        raise SpectrumError(f"{path}, line {ln}: {why} header key {key!r}")
+                    header[key] = val
             elif line:
                 try:
                     re_s, im_s = line.split()

@@ -38,7 +38,7 @@ def outer_weight_phase(zeta) -> np.ndarray:
     return np.log(z - 0.5) - np.log(z + 0.5) - 1j * np.pi
 
 
-def outer_weight(l: float, alpha: float, z):
+def outer_weight(l: float, alpha: float, z: np.ndarray) -> np.ndarray:
     """w(z) = exp(-i alpha l Phi(z/l)): outer in C+, |w| = 1 on (-l/2, l/2),
     |w| = e^{-pi alpha l} on the rest of R.
 
@@ -46,28 +46,24 @@ def outer_weight(l: float, alpha: float, z):
     """
     if l <= 0 or alpha <= 0:
         raise WeightError("l and alpha must be positive")
-    z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
-    if np.any(z_arr.imag < -1e-12):
+    if np.any(z.imag < -1e-12):
         raise WeightError("outer weight is defined on the closed upper half-plane")
-    zeta = z_arr / l
+    zeta = z / l
     if np.any(np.abs(zeta - 0.5) < 1e-14) or np.any(np.abs(zeta + 0.5) < 1e-14):
         raise WeightError("z at a branch point +-l/2")
     # force the boundary limit from C+ (imag = +0.0) on the real axis
     zeta = np.where(zeta.imag == 0, zeta.real + 0j, zeta)
-    vals = np.exp(-1j * alpha * l * outer_weight_phase(zeta))
-    return vals[0] if np.asarray(z).ndim == 0 else vals
+    return np.exp(-1j * alpha * l * outer_weight_phase(zeta))
 
 
-def outer_weight_deviation_bound(l: float, alpha: float, z) -> np.ndarray:
+def outer_weight_deviation_bound(l: float, alpha: float, z: np.ndarray) -> np.ndarray:
     """Certified bound for |w(z) - 1|: |u| e^{|u|} with u = alpha l Phi(z/l).
 
     Arguments past the exp range return inf: no convergence is certified
     there (typically points beyond l/2 at large alpha).
     """
-    z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
-    u = alpha * l * np.abs(outer_weight_phase(z_arr / l))
-    out = np.where(u < 700.0, u * np.exp(np.minimum(u, 700.0)), np.inf)
-    return out[0] if np.asarray(z).ndim == 0 else out
+    u = alpha * l * np.abs(outer_weight_phase(z / l))
+    return np.where(u < 700.0, u * np.exp(np.minimum(u, 700.0)), np.inf)
 
 
 # ---------------------------------------------------------------------------

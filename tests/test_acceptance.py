@@ -20,7 +20,7 @@ import pytest
 from scipy.integrate import quad
 
 from pwsum.blaschke import BlaschkeEvaluator
-from pwsum.contours import build_schedule, domination_margin
+from pwsum.contours import build_schedule
 from pwsum.diagnostics import a2_estimate, carleson_sup
 from pwsum.engine import (
     PWFunction,
@@ -81,9 +81,10 @@ def test_criterion_1_shannon_oracle_reconstruction():
     ref = sample_on_grid(f, 60.0, 0.01)
     radii = np.arange(10.0, 151.0, 10.0)  # schedule reaching step n = 150
     proj = ProjectionWeights(s, radii)
+    values = f.eval(s.points)
     errs = []
     for step in range(len(radii)):
-        sn = sample_sums(g, grid, [build_lagrange_sum(f, g, proj, step)])[0]
+        sn = sample_sums(g, grid, [build_lagrange_sum(values, g, proj, step)])[0]
         errs.append(l2_error(sn, ref) / ref.norm())
     elapsed = time.perf_counter() - t0
     err_150 = errs[-1]
@@ -124,10 +125,10 @@ def test_criterion_2_weight_laws(weight_matrix):
             tri = scheme.schedule_plus.contours[final]
             alpha = float(scheme.schedule_plus.alphas[final])
             assert np.all(tri.contains(s.points))
+            bounds = outer_weight_deviation_bound(tri.l, alpha, s.points)
             for k in range(len(s)):
                 w = row.get(k, 0j)
-                bound = outer_weight_deviation_bound(tri.l, alpha, s.points[k])
-                worst_universal = max(worst_universal, abs(w - 1.0) - float(bound))
+                worst_universal = max(worst_universal, abs(w - 1.0) - float(bounds[k]))
     ok = worst_mod <= 1e-12 and worst_final <= 1e-9 and worst_universal <= 1e-12
     report(
         2,
@@ -186,8 +187,7 @@ def test_criterion_4_universal_weight_boundary_profile():
     rng = np.random.default_rng(7)
     zs = rng.uniform(-35, 35, 100) + 1j * rng.uniform(0.1, 30.0, 100)
     worst_q = 0.0
-    for z in zs:
-        got = outer_weight(l, alpha, complex(z))
+    for z, got in zip(zs, outer_weight(l, alpha, zs)):
         want = np.exp(-1j * alpha * l * phase_oracle(complex(z) / l))
         worst_q = max(worst_q, abs(got - want) / abs(want))
     ok = dev_in <= 1e-8 and dev_out <= 1e-8 and worst_q <= 1e-6
@@ -203,7 +203,9 @@ def test_criterion_4_universal_weight_boundary_profile():
 
 
 def test_criterion_5_domination_certificates():
-    worst = np.inf
+    # each margin recomputed from a fresh log|B| pass over the contour's side
+    # samples, against the schedule's own (taken from select_c's pass)
+    worst, differ = np.inf, 0
     for name, params, count in (
         ("shifted_integers", {"delta": 0.3}, 60),
         ("clustered_pairs", {"delta": 1.0, "eps": 0.5}, 40),
@@ -211,10 +213,14 @@ def test_criterion_5_domination_certificates():
         s = make_family(name, params, count)
         b = BlaschkeEvaluator(s)
         sched = build_schedule(s, b, count=4, samples_per_side=512)
-        for tri, alpha in zip(sched.contours, sched.alphas):
-            worst = min(worst, domination_margin(b, tri, float(alpha)))
-    ok = worst >= 0.0
-    report(5, ok, f"min over schedules/sides of alpha*l/5 + log|B|: {worst:.4f} (>= 0)")
+        for tri, alpha, margin in zip(sched.contours, sched.alphas, sched.margins):
+            fresh = float(np.min(float(alpha) * tri.l / 5.0 + b.log_abs_B(tri.slanted_samples())))
+            differ += fresh != margin
+            worst = min(worst, fresh)
+    ok = worst >= 0.0 and differ == 0
+    report(5, ok, f"min over schedules/sides of alpha*l/5 + log|B|: {worst:.4f} (>= 0); "
+                  f"margins differing from the schedule's: {differ} (== 0)")
+    assert differ == 0
     assert worst >= 0.0
 
 
@@ -334,7 +340,8 @@ def test_criterion_11_compactwise_universal():
     uni = UniversalWeights(s, sched)
     f = PWFunction([0.3j, 2.7 + 0.3j], [1.0, 0.5])
     probe = disk_probe(f, g, center=0j, radius=3.0, samples=337)
-    errs = [compactwise_error(probe, g, build_lagrange_sum(f, g, uni, j)) for j in range(len(uni))]
+    values = f.eval(s.points)
+    errs = [compactwise_error(probe, g, build_lagrange_sum(values, g, uni, j)) for j in range(len(uni))]
     decreasing = all(b <= a * (1 + 1e-12) for a, b in zip(errs, errs[1:]))
     final_ok = errs[-1] <= 1e-2
     ok = decreasing and final_ok

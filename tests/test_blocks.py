@@ -46,7 +46,7 @@ def _kernel_outputs() -> dict:
     grid = grid_template(10.0, 0.05)
     f = PWFunction([0.3j, 2.7 - 0.3j], [1.0, 0.5])
     proj = ProjectionWeights(s, [5.0, 12.0, 31.0])
-    sums = [build_lagrange_sum(f, gen, proj, step) for step in range(len(proj))]
+    sums = [build_lagrange_sum(f.eval(s.points), gen, proj, step) for step in range(len(proj))]
     probe = disk_probe(f, gen, center=0.4 + 0.2j, radius=3.0, samples=97)
     # a spectrum with a point on one disk sample, which the probe moves
     on_sample = disk_samples(0.4 + 0.2j, 3.0, 97)[40]

@@ -401,6 +401,14 @@ def test_runtime_imports_neither_scipy_nor_numpy_ma(tmp_path):
         # a header count must be the window the file's upper points hold
         ("subcommand=diagnose\nfamily=custom_list\n",
          {"pts.txt": "# family=shifted_integers delta=0.3 count=10\n0.0 0.3\n1.0 0.3\n-1.0 0.3\n"}),
+        # a header key no family reads, a key given twice, a count that is not whole
+        ("subcommand=diagnose\nfamily=custom_list\n",
+         {"pts.txt": "# family=kadec_perturbed delta=0.3 esp=0.2\n0.2 0.3\n0.8 0.3\n-1.2 0.3\n"}),
+        ("subcommand=diagnose\nfamily=custom_list\n",
+         {"pts.txt": "# family=shifted_integers delta=0.3 delta=0.5\n0.0 0.3\n1.0 0.3\n-1.0 0.3\n"}),
+        ("subcommand=diagnose\nfamily=custom_list\n",
+         {"pts.txt": "# family=shifted_integers delta=0.3 count=2.4\n"
+                     + "".join(f"{k}.0 0.3\n" for k in range(-2, 3))}),
         # grid pairs need finite, positive X and h with 2X/h integral
         ("subcommand=converge\ngrid.h=0\n", {}),
         ("subcommand=converge\ngrid.X=-5\n", {}),
@@ -450,7 +458,7 @@ def test_runtime_imports_neither_scipy_nor_numpy_ma(tmp_path):
          "points-file-empty-weights", "points-file-empty-diagnose",
          "K-samples-0", "atoms-halfwidth-negative", "header-without-delta",
          "header-window-too-small", "header-delta-negative", "header-family-unknown",
-         "header-count-disagrees",
+         "header-count-disagrees", "header-key-unknown", "header-key-repeated", "header-count-fractional",
          "grid-h-0", "grid-X-negative", "diag-h-0", "diag-X-negative", "diag-h-not-dividing-2X",
          "samples-unparsable",
          "l-count-0", "trials-0", "schedule-decreasing", "schedule-negative",

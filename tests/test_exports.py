@@ -44,6 +44,18 @@ def test_contour_selection_has_no_separate_zero_pass():
     assert "collisions(" not in (src / "contours.py").read_text()
 
 
+def test_evaluators_take_and_return_arrays_only():
+    # every evaluator takes a 1-d array and returns one, so no module tests
+    # its argument for a scalar; and each evaluation has one entry point: no
+    # grid alias of eval_G, no second Lagrange-sum builder, no second log|B|
+    # pass for the domination margin, no None cutoff
+    src = {p.name: p.read_text() for p in Path(pwsum.__file__).parent.glob("*.py")}
+    scalar = re.compile(r"atleast_1d|isscalar|\bndim\b")
+    assert sorted(name for name, text in src.items() if scalar.search(text)) == []
+    gone = ("eval_G_on_grid", "build_lagrange_sum_from_values", "domination_margin", "_log_G", "_select")
+    assert sorted((name, g) for name, text in src.items() for g in gone if re.search(rf"\b{g}\b", text)) == []
+
+
 # Public names that no CLI run and no criterion-6 check reaches, and why each
 # stays.  Anything else public that those runs do not call is dead surface.
 _ALLOW_LIST = {

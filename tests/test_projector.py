@@ -62,7 +62,8 @@ def test_mismatch_matches_per_lambda_loop():
         bprime = (np.conj(lam) / lam) / (lam - np.conj(lam)) * np.prod(
             (np.conj(mu) / mu) * (lam - mu) / (lam - np.conj(mu))
         )
-        phi_lam = f.eval(lam) * np.exp(1j * np.pi * lam) / outer.eval_outer(lam)
+        one = np.array([lam])
+        phi_lam = (f.eval(one) * np.exp(1j * np.pi * lam) / outer.eval_outer(one))[0]
         rhs += phi_lam / bprime * bn / (x - lam)
     oracle = grid.copy_with(lhs - rhs).norm()
     rep = weighted_projector_check(f, g, b, n, grid, outer)

@@ -146,6 +146,10 @@ def test_header_count_must_match_the_upper_points(tmp_path):
     path = write_points(tmp_path / "ok.txt", np.array([-1, 0, 1, 7]) + np.array([0.3j, 0.3j, 0.3j, -2j]),
                         "# family=shifted_integers delta=0.3 count=1\n")
     assert load_spectrum(path).tail.first_site == 2
+    # a whole count written as a float is that count (count=2.4 is refused)
+    path = write_points(tmp_path / "float.txt", np.array([-1, 0, 1]) + 0.3j,
+                        "# family=shifted_integers delta=0.3 count=1.0\n")
+    assert load_spectrum(path).tail.first_site == 2
 
 
 @pytest.mark.parametrize(
