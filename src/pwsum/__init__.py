@@ -17,7 +17,7 @@ from pwsum.engine import (
 from pwsum.genfun import GeneratingFunctionEvaluator, OuterEvaluator, check_factorization
 from pwsum.grids import GridFunction, grid_template, hilbert_transform, sample_on_grid
 from pwsum.spectrum import Spectrum, SpectrumError, make_family, split_halfplanes
-from pwsum.weights import NaiveWeights, ProjectionWeights, UniversalWeights, outer_weight
+from pwsum.weights import naive_rows, outer_weight, projection_rows, universal_rows
 
 __version__ = "0.1.0"
 
@@ -27,14 +27,11 @@ __all__ = [
     "GeneratingFunctionEvaluator",
     "GridFunction",
     "LagrangeSum",
-    "NaiveWeights",
     "OuterEvaluator",
     "PWFunction",
-    "ProjectionWeights",
     "Spectrum",
     "SpectrumError",
     "TriangleContour",
-    "UniversalWeights",
     "a2_estimate",
     "build_lagrange_sum",
     "build_schedule",
@@ -48,11 +45,14 @@ __all__ = [
     "l2_error",
     "lambda_inside",
     "make_family",
+    "naive_rows",
     "outer_weight",
+    "projection_rows",
     "riesz_project",
     "sample_on_grid",
     "sample_sums",
     "split_halfplanes",
+    "universal_rows",
     "upper_lower_evaluators",
     "weighted_projector_check",
     "__version__",

@@ -36,7 +36,7 @@ from pwsum.engine import (
 from pwsum.genfun import GenFunError, GeneratingFunctionEvaluator, OuterEvaluator, check_factorization
 from pwsum.grids import GridError, grid_template, sample_count, sample_on_grid
 from pwsum.spectrum import FAMILY_NAMES, Spectrum, SpectrumError, load_spectrum, make_family
-from pwsum.weights import NaiveWeights, ProjectionWeights, UniversalWeights, WeightError, save_weights_csv
+from pwsum.weights import WeightError, naive_rows, projection_rows, save_weights_csv, universal_rows
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -172,20 +172,15 @@ def _schedule_kwargs(cfg) -> dict:
     )
 
 
-def _build_scheme(name: str, cfg, spectrum):
+def _rows(name: str, cfg, spectrum) -> list:
+    """The rows of the summation method the config names, one per step."""
     if name == "naive":
-        return NaiveWeights(spectrum, cfg["schedule"])
+        return naive_rows(spectrum, cfg["schedule"])
     if name == "projection":
-        return ProjectionWeights(spectrum, cfg["schedule"])
+        return projection_rows(spectrum, cfg["schedule"])
     kw = _schedule_kwargs(cfg)
-    sched_p, sched_m = [
-        None if b is None else build_schedule(b.spectrum, b, **kw) for b in upper_lower_evaluators(spectrum)
-    ]
-    return UniversalWeights(spectrum, sched_p, sched_m)
-
-
-def _schemes(cfg, spectrum) -> list:
-    return [_build_scheme(n, cfg, spectrum) for n in cfg["scheme"]]
+    return universal_rows(spectrum, *[None if b is None else build_schedule(b, **kw)
+                                      for b in upper_lower_evaluators(spectrum)])
 
 
 # ---------------------------------------------------------------------------
@@ -219,12 +214,11 @@ def _cmd_diagnose(cfg, outdir: Path) -> None:
 
 
 def _cmd_weights(cfg, outdir: Path) -> None:
-    schemes = _schemes(cfg, _build_spectrum(cfg))
-    if len(schemes) == 1:
-        save_weights_csv(schemes[0], _output(outdir, "weights.csv"))
-    else:
-        for sc in schemes:
-            save_weights_csv(sc, _output(outdir, f"weights_{sc.kind}.csv"))
+    s = _build_spectrum(cfg)
+    names = cfg["scheme"]
+    schemes = [_rows(name, cfg, s) for name in names]
+    for name, rows in zip(names, schemes):
+        save_weights_csv(s, rows, _output(outdir, "weights.csv" if len(names) == 1 else f"weights_{name}.csv"))
 
 
 def _cmd_converge(cfg, outdir: Path) -> None:
@@ -238,19 +232,16 @@ def _cmd_converge(cfg, outdir: Path) -> None:
     center = complex(cfg["K.center.re"], cfg["K.center.im"])
     probe = disk_probe(f, gen, center, cfg["K.radius"], cfg["K.samples"])
     f_tail, gmax = pw_tail_bound(f, X), sup_abs_G(gen, X)
-    steps = [(scheme, step) for scheme in _schemes(cfg, s) for step in range(len(scheme))]
+    steps = [(name, row) for name in cfg["scheme"] for row in _rows(name, cfg, s)]
     values = f.eval(s.points)
-    sums = [build_lagrange_sum(values, gen, scheme, step) for scheme, step in steps]
+    sums = [build_lagrange_sum(values, gen, row) for _, row in steps]
     with open(_output(outdir, "errors.csv"), "w") as fh:
         fh.write("n,scheme,l2_error,sup_error_K,tail_bound\n")
-        for (scheme, step), ls, sn in zip(steps, sums, sample_sums(gen, grid, sums)):
+        for (name, row), ls, sn in zip(steps, sums, sample_sums(gen, grid, sums)):
             rel = l2_error(sn, ref) / ref_norm if ref_norm else np.inf
             sup = compactwise_error(probe, gen, ls)
             bound = f_tail + lagrange_tail_bound(ls, gen, X, gmax)
-            fh.write(
-                f"{scheme.step_label(step):.12e},{scheme.kind},"
-                f"{rel:.12e},{sup:.12e},{bound:.12e}\n"
-            )
+            fh.write(f"{row.n:.12e},{name},{rel:.12e},{sup:.12e},{bound:.12e}\n")
 
 
 def _cmd_compare_norms(cfg, outdir: Path) -> None:
@@ -260,17 +251,17 @@ def _cmd_compare_norms(cfg, outdir: Path) -> None:
     probe = NormProbe(gen, grid, atom_halfwidth=cfg["atoms.halfwidth"])
     with open(_output(outdir, "norms.csv"), "w") as fh:
         fh.write("n,scheme,norm_lower_bound\n")
-        for scheme in _schemes(cfg, s):
-            for step in range(len(scheme)):
-                val = probe.lower_bound(scheme, step, trials=cfg["trials"], seed=cfg["seed"])
-                fh.write(f"{scheme.step_label(step):.12e},{scheme.kind},{val:.12e}\n")
+        steps = [(name, row) for name in cfg["scheme"] for row in _rows(name, cfg, s)]
+        for name, row in steps:
+            val = probe.lower_bound(row, trials=cfg["trials"], seed=cfg["seed"])
+            fh.write(f"{row.n:.12e},{name},{val:.12e}\n")
 
 
 def _cmd_contours(cfg, outdir: Path) -> None:
     b_up, _ = upper_lower_evaluators(_build_spectrum(cfg))
     if b_up is None:
         raise ConfigError("contours need upper half-plane points")
-    sched = build_schedule(b_up.spectrum, b_up, **_schedule_kwargs(cfg))
+    sched = build_schedule(b_up, **_schedule_kwargs(cfg))
     save_schedule_csv(sched, _output(outdir, "contours.csv"))
 
 

@@ -168,7 +168,6 @@ class ContourSchedule:
 
 
 def build_schedule(
-    spectrum: Spectrum,
     b: BlaschkeEvaluator,
     count: int,
     ratio: float = 2.0,
@@ -184,7 +183,9 @@ def build_schedule(
     just past the window radius (so the final contour covers the whole
     stored spectrum and the weights can reach 1 there), each earlier one
     inside [l_next/(ratio*1.6), l_next/ratio], one select_l pick per band.
+    The points are b's own.
     """
+    spectrum = b.spectrum
     top = 1.02 * spectrum.radius if len(spectrum) else 100.0
     band = np.linspace(top, 1.05 * top, 400)
     ls_rev = []

@@ -157,10 +157,11 @@ def carleson_sup(s) -> float:
     Exact over the stored window; for the built-in lattice-type families a
     trigamma tail adds the contribution of the family points beyond the
     window, scaled by the tail's site density.  The pair sums run in real
-    arithmetic.
+    arithmetic.  A sum that is not finite (a point whose real part is a tail
+    site, a pole of the trigamma) raises DiagnosticsError.
     """
     pts = s.points
-    if pts.size < 2:
+    if not pts.size:
         return 0.0
     w = 1.0 + np.abs(pts.imag)
     sums = inverse_square_sums(pts, pts, w, skip=np.arange(pts.size))
@@ -172,6 +173,8 @@ def carleson_sup(s) -> float:
         wt = w * (1.0 + tail.delta)
         psi1 = _trigamma(tail.first_site - pts.real) + _trigamma(tail.first_site + pts.real)
         sums += tail.density * wt * psi1
+    if not np.all(np.isfinite(sums)):
+        raise DiagnosticsError("Carleson sum not finite: a point's real part is a site of the lattice tail")
     return float(np.max(sums))
 
 

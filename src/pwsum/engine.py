@@ -18,6 +18,7 @@ from pwsum.blaschke import BlaschkeEvaluator
 from pwsum.genfun import GeneratingFunctionEvaluator, OuterEvaluator
 from pwsum.grids import GridFunction, GridError, hilbert_transform
 from pwsum.spectrum import cauchy_chunks, cauchy_sums, collisions, unique_sorted
+from pwsum.weights import WeightRow
 
 
 class EngineError(ValueError):
@@ -80,9 +81,8 @@ class LagrangeSum:
         return int(self.indices.size)
 
 
-def build_lagrange_sum(values: np.ndarray, gen, scheme, step: int) -> LagrangeSum:
-    """The step's sum, from values = F(lambda_k) at every spectrum index k."""
-    row = scheme.weight_row(step)
+def build_lagrange_sum(values: np.ndarray, gen, row: WeightRow) -> LagrangeSum:
+    """The row's sum, from values = F(lambda_k) at every spectrum index k."""
     coeffs = row.weights * values[row.indices] / gen.eval_G_prime_at_lambda(row.indices)
     return LagrangeSum(indices=row.indices, coefficients=coeffs)
 
@@ -251,11 +251,10 @@ class NormProbe:
         for rows, C in cauchy_chunks(grid.x, lam):
             self._P += C.conj().T @ (D[rows, None] * C)
 
-    def lower_bound(self, scheme, step: int, trials: int = 4, seed: int = 0) -> float:
-        """Best of `trials` seeded power iterations on the step's operator."""
+    def lower_bound(self, row: WeightRow, trials: int = 4, seed: int = 0) -> float:
+        """Best of `trials` seeded power iterations on the row's operator."""
         if trials < 1:
             raise EngineError("trials must be >= 1")
-        row = scheme.weight_row(step)
         if not len(row):
             return 0.0
         ks = row.indices

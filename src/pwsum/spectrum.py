@@ -370,8 +370,9 @@ def load_spectrum(path) -> Spectrum:
     family, whose tail the header's keys give through _lattice, by
     make_family's rules.  The tail continues the window of the file's upper
     half-plane points (2 count + 1 of them, 4 count + 1 for clustered_pairs):
-    a header without count takes it from them, and a header count that
-    disagrees with them is an error.  A file without a point is an error."""
+    a header without count takes it from them, and a count, given or
+    inferred, whose window is not those points is an error.  A file without
+    a point is an error."""
     header: dict = {}
     pts = []
     with open(path) as fh:
@@ -396,7 +397,7 @@ def load_spectrum(path) -> Spectrum:
         upper = int(np.count_nonzero(pts.imag > 0))  # the tail sites sit at +delta
         count = header.get("count", (upper - 1) // (4 if tag == "clustered_pairs" else 2))  # 4 or 2 points per k
         window, tail = _lattice(tag, header, count)
-        if "count" in header and window.size != upper:
-            raise SpectrumError(f"{path}: count={header['count']} is a window of {window.size} points, "
+        if window.size != upper:
+            raise SpectrumError(f"{path}: count={count} is a window of {window.size} points, "
                                 f"the file has {upper} in the upper half-plane")
     return Spectrum(pts, tail)

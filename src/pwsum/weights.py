@@ -1,10 +1,10 @@
 """Summation matrices w(lambda, n): naive, projection and universal schemes.
 
-All three present one interface: weight_row(step) returns the step's row
-of the matrix as a WeightRow, the ascending spectrum indices of its finite
-support and the weights there, built in one vectorized pass.  Weights tend
-to 1 in the step for every fixed point; indices absent from a row have
-weight 0.
+A scheme is its list of rows: naive_rows, projection_rows and
+universal_rows each return one WeightRow per step, in step order, with the
+ascending spectrum indices of the row's finite support and the weights
+there, built in one vectorized pass per step.  Weights tend to 1 in the
+step for every fixed point; indices absent from a row have weight 0.
 """
 
 from __future__ import annotations
@@ -73,124 +73,81 @@ def outer_weight_deviation_bound(l: float, alpha: float, z: np.ndarray) -> np.nd
 
 @dataclass(frozen=True)
 class WeightRow:
-    """One row of w(lambda, n): ascending int spectrum indices, complex weights."""
+    """One row of w(lambda, n): the step's label n, ascending int spectrum
+    indices, complex weights, and per index the half-width l of the contour
+    its weight came from (n itself for the radius schemes)."""
 
+    n: float
     indices: np.ndarray
     weights: np.ndarray
+    labels: np.ndarray
 
     def __len__(self):
         return int(self.indices.size)
 
 
-class _RadiusSchedule:
-    """Steps at radii n_1 < n_2 < ...; step j keeps the points with |lambda| < n_j."""
-
-    def __init__(self, spectrum: Spectrum, radii):
-        self.spectrum = spectrum
-        self.radii = np.asarray(radii, dtype=float)
-        if np.any(np.diff(self.radii) <= 0) or np.any(self.radii <= 0):
-            raise WeightError("radius schedule must be positive and increasing")
-
-    def __len__(self):
-        return int(self.radii.size)
-
-    def step_label(self, step: int) -> float:
-        return float(self.radii[step])
-
-    def row_labels(self, step: int, ks: np.ndarray) -> np.ndarray:
-        """The step's radius, once per index of ks."""
-        return np.full(ks.size, self.radii[step])
-
-    def kept(self, step: int) -> np.ndarray:
-        """Ascending indices of the points with |lambda| < n_step."""
-        return np.flatnonzero(self.spectrum.moduli < self.radii[step])
+def _radius_rows(spectrum: Spectrum, radii, weights) -> list[WeightRow]:
+    """One row per radius n of an increasing schedule: the points with
+    |lambda| < n, weighted by weights(ks, n)."""
+    radii = np.asarray(radii, dtype=float)
+    if np.any(np.diff(radii) <= 0) or np.any(radii <= 0):
+        raise WeightError("radius schedule must be positive and increasing")
+    rows = []
+    for n in radii:
+        ks = np.flatnonzero(spectrum.moduli < n)
+        rows.append(WeightRow(float(n), ks, weights(ks, n), np.full(ks.size, n)))
+    return rows
 
 
-class NaiveWeights(_RadiusSchedule):
+def naive_rows(spectrum: Spectrum, radii) -> list[WeightRow]:
     """w(lambda, n) = 1 if |lambda| < n else 0, over a radius schedule."""
-
-    kind = "naive"
-
-    def weight_row(self, step: int) -> WeightRow:
-        ks = self.kept(step)
-        return WeightRow(ks, np.ones(ks.size, dtype=complex))
+    return _radius_rows(spectrum, radii, lambda ks, n: np.ones(ks.size, dtype=complex))
 
 
-class ProjectionWeights(_RadiusSchedule):
+def projection_rows(spectrum: Spectrum, radii) -> list[WeightRow]:
     """w(lambda, n) = beta_n^{+-}(lambda): Blaschke tail products per half-plane."""
+    b_plus, b_minus = upper_lower_evaluators(spectrum)
 
-    kind = "projection"
-
-    def __init__(self, spectrum: Spectrum, radii):
-        super().__init__(spectrum, radii)
-        self.b_plus, self.b_minus = upper_lower_evaluators(spectrum)
-
-    def weight_row(self, step: int) -> WeightRow:
-        ks = self.kept(step)
-        lam = self.spectrum.points[ks]
+    def weights(ks, n):
+        lam = spectrum.points[ks]
         w = np.empty(ks.size, dtype=complex)
-        n = self.radii[step]
         up = lam.imag > 0
         if np.any(up):
-            w[up] = self.b_plus.tail_factor(lam[up], n)
+            w[up] = b_plus.tail_factor(lam[up], n)
         if not np.all(up):  # beta_n^-(lambda) = conj(beta_n of the mirror at conj lambda)
-            w[~up] = np.conj(self.b_minus.tail_factor(np.conj(lam[~up]), n))
-        return WeightRow(ks, w)
+            w[~up] = np.conj(b_minus.tail_factor(np.conj(lam[~up]), n))
+        return w
+
+    return _radius_rows(spectrum, radii, weights)
 
 
-class UniversalWeights:
-    """w(lambda, n) = w_n(lambda) inside the n-th contour, 0 outside.
+def universal_rows(
+    spectrum: Spectrum,
+    schedule_plus: ContourSchedule | None,
+    schedule_minus: ContourSchedule | None = None,
+) -> list[WeightRow]:
+    """w(lambda, n) = w_n(lambda) inside the n-th contour, 0 outside; a weight
+    that underflows to exactly zero (past l/2 at large alpha) leaves the row.
 
     The lower half-plane mirrors the construction through conjugation: a
     schedule built on the reflected points supplies w_n, and the weight at
-    lambda in C- is conj(w_n(conj lambda)).
+    lambda in C- is conj(w_n(conj lambda)).  A row's n is the upper
+    schedule's l (the mirror's when there is no upper schedule).
     """
-
-    kind = "universal"
-
-    def __init__(
-        self,
-        spectrum: Spectrum,
-        schedule_plus: ContourSchedule | None,
-        schedule_minus: ContourSchedule | None = None,
-    ):
-        self.spectrum = spectrum
-        up = spectrum.points.imag > 0
-        if np.any(up) and schedule_plus is None:
-            raise WeightError("upper half-plane points need a contour schedule")
-        if np.any(~up) and schedule_minus is None:
-            raise WeightError("lower half-plane points need a mirrored schedule")
-        if (
-            schedule_plus is not None
-            and schedule_minus is not None
-            and len(schedule_plus) != len(schedule_minus)
-        ):
-            raise WeightError("the two half-plane schedules must have equal length")
-        self.schedule_plus = schedule_plus
-        self.schedule_minus = schedule_minus
-        self._n_steps = len(schedule_plus) if schedule_plus is not None else len(schedule_minus)
-
-    def __len__(self):
-        return self._n_steps
-
-    def step_label(self, step: int) -> float:
-        sched = self.schedule_plus if self.schedule_plus is not None else self.schedule_minus
-        return float(sched.contours[step].l)
-
-    def row_labels(self, step: int, ks: np.ndarray) -> np.ndarray:
-        """Per index of ks, the half-width l of the step's contour its weight
-        comes from: the upper schedule's, or the mirror's for a point in C-."""
-        l_minus = np.nan if self.schedule_minus is None else self.schedule_minus.contours[step].l
-        return np.where(self.spectrum.points[ks].imag > 0, self.step_label(step), l_minus)
-
-    def weight_row(self, step: int) -> WeightRow:
-        """Outer weights at the points inside the step's contours; a weight that
-        underflows to exactly zero (past l/2 at large alpha) leaves the row."""
-        pts = self.spectrum.points
+    pts = spectrum.points
+    up = pts.imag > 0
+    if np.any(up) and schedule_plus is None:
+        raise WeightError("upper half-plane points need a contour schedule")
+    if np.any(~up) and schedule_minus is None:
+        raise WeightError("lower half-plane points need a mirrored schedule")
+    if schedule_plus is not None and schedule_minus is not None and len(schedule_plus) != len(schedule_minus):
+        raise WeightError("the two half-plane schedules must have equal length")
+    labelled = schedule_plus if schedule_plus is not None else schedule_minus
+    halves = ((schedule_plus, np.flatnonzero(up), False), (schedule_minus, np.flatnonzero(~up), True))
+    rows = []
+    for step, tri_n in enumerate(labelled.contours):
         w = np.zeros(pts.size, dtype=complex)
-        up = pts.imag > 0
-        for sched, ks, lower in ((self.schedule_plus, np.flatnonzero(up), False),
-                                 (self.schedule_minus, np.flatnonzero(~up), True)):
+        for sched, ks, lower in halves:
             if not ks.size:
                 continue
             tri = sched.contours[step]
@@ -199,17 +156,18 @@ class UniversalWeights:
             vals = outer_weight(tri.l, float(sched.alphas[step]), z[inside])
             w[ks[inside]] = np.conj(vals) if lower else vals
         ks = np.flatnonzero(w)
-        return WeightRow(ks, w[ks])
+        n = float(tri_n.l)
+        l_minus = np.nan if schedule_minus is None else schedule_minus.contours[step].l
+        rows.append(WeightRow(n, ks, w[ks], np.where(pts[ks].imag > 0, n, l_minus)))
+    return rows
 
 
-def save_weights_csv(scheme, path) -> None:
-    pts = scheme.spectrum.points
+def save_weights_csv(spectrum: Spectrum, rows: list[WeightRow], path) -> None:
+    pts = spectrum.points
     with open(path, "w") as fh:
         fh.write("n,k,lambda_re,lambda_im,w_re,w_im\n")
-        for step in range(len(scheme)):
-            row = scheme.weight_row(step)
-            labels = scheme.row_labels(step, row.indices)
-            for label, k, lam, w in zip(labels, row.indices, pts[row.indices], row.weights):
+        for row in rows:
+            for label, k, lam, w in zip(row.labels, row.indices, pts[row.indices], row.weights):
                 fh.write(
                     f"{label:.12e},{k},{lam.real:.12e},{lam.imag:.12e},"
                     f"{w.real:.12e},{w.imag:.12e}\n"

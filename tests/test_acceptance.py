@@ -36,11 +36,11 @@ from pwsum.genfun import GeneratingFunctionEvaluator
 from pwsum.grids import grid_template, sample_on_grid
 from pwsum.spectrum import Spectrum, make_family
 from pwsum.weights import (
-    NaiveWeights,
-    ProjectionWeights,
-    UniversalWeights,
+    naive_rows,
     outer_weight,
     outer_weight_deviation_bound,
+    projection_rows,
+    universal_rows,
 )
 
 
@@ -49,14 +49,14 @@ def report(num: int, ok: bool, detail: str) -> None:
 
 
 def _universal_for(spectrum, count=4):
-    b = BlaschkeEvaluator(spectrum)
-    sched = build_schedule(spectrum, b, count=count)
-    return UniversalWeights(spectrum, sched)
+    sched = build_schedule(BlaschkeEvaluator(spectrum), count=count)
+    return spectrum, "universal", universal_rows(spectrum, sched), sched
 
 
 @pytest.fixture(scope="module")
 def weight_matrix():
-    """Scheme/spectrum test matrix shared by criteria 2 and 3."""
+    """Scheme/spectrum test matrix shared by criteria 2 and 3: (spectrum,
+    scheme name, rows, the contour schedule of a universal scheme)."""
     lattice = make_family("shifted_integers", {"delta": 0.3}, 30)
     kadec = make_family("kadec_perturbed", {"delta": 0.3, "eps": 0.2}, 30)
     clustered = make_family("clustered_pairs", {"delta": 1.0, "eps": 0.5}, 20)
@@ -64,10 +64,10 @@ def weight_matrix():
     entries = []
     for s in (lattice, kadec, clustered, custom):
         radii = np.array([5.0, 10.0, 20.0, max(25.0, s.radius * 1.01)])
-        entries.append((s, NaiveWeights(s, radii)))
-        entries.append((s, ProjectionWeights(s, radii)))
-    entries.append((lattice, _universal_for(lattice)))
-    entries.append((clustered, _universal_for(clustered)))
+        entries.append((s, "naive", naive_rows(s, radii), None))
+        entries.append((s, "projection", projection_rows(s, radii), None))
+    entries.append(_universal_for(lattice))
+    entries.append(_universal_for(clustered))
     return entries
 
 
@@ -80,11 +80,10 @@ def test_criterion_1_shannon_oracle_reconstruction():
     grid = grid_template(60.0, 0.01)
     ref = sample_on_grid(f, 60.0, 0.01)
     radii = np.arange(10.0, 151.0, 10.0)  # schedule reaching step n = 150
-    proj = ProjectionWeights(s, radii)
     values = f.eval(s.points)
     errs = []
-    for step in range(len(radii)):
-        sn = sample_sums(g, grid, [build_lagrange_sum(values, g, proj, step)])[0]
+    for row in projection_rows(s, radii):
+        sn = sample_sums(g, grid, [build_lagrange_sum(values, g, row)])[0]
         errs.append(l2_error(sn, ref) / ref.norm())
     elapsed = time.perf_counter() - t0
     err_150 = errs[-1]
@@ -107,14 +106,14 @@ def test_criterion_2_weight_laws(weight_matrix):
     worst_mod = 0.0
     worst_final = 0.0
     worst_universal = 0.0
-    for s, scheme in weight_matrix:
-        for step in range(len(scheme)):
-            for w in scheme.weight_row(step).weights:
+    for s, kind, rows, sched in weight_matrix:
+        for step_row in rows:
+            for w in step_row.weights:
                 worst_mod = max(worst_mod, abs(w) - 1.0)
-        final = len(scheme) - 1
-        last = scheme.weight_row(final)
+        final = len(rows) - 1
+        last = rows[final]
         row = dict(zip(last.indices.tolist(), last.weights))
-        if scheme.kind in ("naive", "projection"):
+        if kind in ("naive", "projection"):
             assert set(row) == set(range(len(s)))
             for k, w in row.items():
                 worst_final = max(worst_final, abs(w - 1.0))
@@ -122,8 +121,8 @@ def test_criterion_2_weight_laws(weight_matrix):
             # every point sits inside the final contour; deviations from 1
             # are certified by the outer-weight profile bound (which is
             # large for points past l/2, where no convergence is claimed)
-            tri = scheme.schedule_plus.contours[final]
-            alpha = float(scheme.schedule_plus.alphas[final])
+            tri = sched.contours[final]
+            alpha = float(sched.alphas[final])
             assert np.all(tri.contains(s.points))
             bounds = outer_weight_deviation_bound(tri.l, alpha, s.points)
             for k in range(len(s)):
@@ -147,7 +146,7 @@ def test_criterion_3_unimodularity(weight_matrix):
     xs = rng.uniform(-300.0, 300.0, 1000)
     worst = 0.0
     seen = set()
-    for s, _ in weight_matrix:
+    for s, *_ in weight_matrix:
         key = id(s)
         if key in seen:
             continue
@@ -212,7 +211,7 @@ def test_criterion_5_domination_certificates():
     ):
         s = make_family(name, params, count)
         b = BlaschkeEvaluator(s)
-        sched = build_schedule(s, b, count=4, samples_per_side=512)
+        sched = build_schedule(b, count=4, samples_per_side=512)
         for tri, alpha, margin in zip(sched.contours, sched.alphas, sched.margins):
             fresh = float(np.min(float(alpha) * tri.l / 5.0 + b.log_abs_B(tri.slanted_samples())))
             differ += fresh != margin
@@ -336,12 +335,11 @@ def test_criterion_11_compactwise_universal():
     s = make_family("shifted_integers", {"delta": 0.3}, 200)
     g = GeneratingFunctionEvaluator(s)
     b = BlaschkeEvaluator(s)
-    sched = build_schedule(s, b, count=6)
-    uni = UniversalWeights(s, sched)
+    uni = universal_rows(s, build_schedule(b, count=6))
     f = PWFunction([0.3j, 2.7 + 0.3j], [1.0, 0.5])
     probe = disk_probe(f, g, center=0j, radius=3.0, samples=337)
     values = f.eval(s.points)
-    errs = [compactwise_error(probe, g, build_lagrange_sum(values, g, uni, j)) for j in range(len(uni))]
+    errs = [compactwise_error(probe, g, build_lagrange_sum(values, g, row)) for row in uni]
     decreasing = all(b <= a * (1 + 1e-12) for a, b in zip(errs, errs[1:]))
     final_ok = errs[-1] <= 1e-2
     ok = decreasing and final_ok

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from pwsum.blaschke import BlaschkeError, BlaschkeEvaluator, upper_lower_evaluators
 from pwsum.spectrum import Spectrum, make_family
-from pwsum.weights import ProjectionWeights
+from pwsum.weights import projection_rows
 
 
 def B_i(z):
@@ -144,9 +144,9 @@ def test_beta_single_tail_factor():
 
 def test_beta_zero_outside():
     # beta_n vanishes at |lambda| >= n: such points are absent from the row
-    proj = ProjectionWeights(Spectrum(np.array([1j, 5j])), [1.0, 2.0])
-    assert proj.weight_row(0).indices.tolist() == []
-    assert proj.weight_row(1).indices.tolist() == [0]
+    rows = projection_rows(Spectrum(np.array([1j, 5j])), [1.0, 2.0])
+    assert rows[0].indices.tolist() == []
+    assert rows[1].indices.tolist() == [0]
 
 
 def test_beta_modulus_bound_and_monotone_trend():

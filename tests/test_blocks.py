@@ -27,7 +27,7 @@ from pwsum.engine import (
 from pwsum.genfun import GeneratingFunctionEvaluator, OuterEvaluator
 from pwsum.grids import grid_template
 from pwsum.spectrum import Spectrum, make_family
-from pwsum.weights import ProjectionWeights
+from pwsum.weights import projection_rows
 
 # The Cauchy kernels multiply each grid chunk by BLAS: a one-row chunk takes
 # numpy's matrix-vector path, and NormProbe sums its Gram matrix P chunk by
@@ -45,8 +45,7 @@ def _kernel_outputs() -> dict:
     outer = OuterEvaluator.from_generating(gen, X=50.0, h=0.05)
     grid = grid_template(10.0, 0.05)
     f = PWFunction([0.3j, 2.7 - 0.3j], [1.0, 0.5])
-    proj = ProjectionWeights(s, [5.0, 12.0, 31.0])
-    sums = [build_lagrange_sum(f.eval(s.points), gen, proj, step) for step in range(len(proj))]
+    sums = [build_lagrange_sum(f.eval(s.points), gen, row) for row in projection_rows(s, [5.0, 12.0, 31.0])]
     probe = disk_probe(f, gen, center=0.4 + 0.2j, radius=3.0, samples=97)
     # a spectrum with a point on one disk sample, which the probe moves
     on_sample = disk_samples(0.4 + 0.2j, 3.0, 97)[40]

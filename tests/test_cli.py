@@ -20,7 +20,7 @@ from pwsum.contours import build_schedule
 from pwsum.diagnostics import a2_estimate, intG_check
 from pwsum.genfun import GeneratingFunctionEvaluator
 from pwsum.spectrum import Spectrum, make_family
-from pwsum.weights import UniversalWeights
+from pwsum.weights import universal_rows
 
 
 def write_cfg(tmp_path, name, text):
@@ -247,12 +247,11 @@ output.dir={out}
 """,
     )
     assert run(cfg) == EXIT_OK
-    up_sched, lo_sched = (build_schedule(b.spectrum, b, count=3) for b in upper_lower_evaluators(s))
+    up_sched, lo_sched = (build_schedule(b, count=3) for b in upper_lower_evaluators(s))
     assert [t.l for t in up_sched.contours] != [t.l for t in lo_sched.contours]
-    uni = UniversalWeights(s, up_sched, lo_sched)
     expected = []
-    for step in range(3):
-        for k in uni.weight_row(step).indices:
+    for step, row in enumerate(universal_rows(s, up_sched, lo_sched)):
+        for k in row.indices:
             sched = up_sched if s.points[k].imag > 0 else lo_sched
             expected.append((f"{sched.contours[step].l:.12e}", str(k)))
     rows = [line.split(",")[:2] for line in (out / "weights.csv").read_text().splitlines()[1:]]
@@ -401,6 +400,10 @@ def test_runtime_imports_neither_scipy_nor_numpy_ma(tmp_path):
         # a header count must be the window the file's upper points hold
         ("subcommand=diagnose\nfamily=custom_list\n",
          {"pts.txt": "# family=shifted_integers delta=0.3 count=10\n0.0 0.3\n1.0 0.3\n-1.0 0.3\n"}),
+        # an inferred count must be the window too: four upper points round down
+        # to count=1, whose tail site 2 would sit on a stored point
+        ("subcommand=diagnose\nfamily=custom_list\n",
+         {"pts.txt": "# family=shifted_integers delta=0.3\n" + "".join(f"{k}.0 0.3\n" for k in range(-1, 3))}),
         # a header key no family reads, a key given twice, a count that is not whole
         ("subcommand=diagnose\nfamily=custom_list\n",
          {"pts.txt": "# family=kadec_perturbed delta=0.3 esp=0.2\n0.2 0.3\n0.8 0.3\n-1.2 0.3\n"}),
@@ -458,7 +461,7 @@ def test_runtime_imports_neither_scipy_nor_numpy_ma(tmp_path):
          "points-file-empty-weights", "points-file-empty-diagnose",
          "K-samples-0", "atoms-halfwidth-negative", "header-without-delta",
          "header-window-too-small", "header-delta-negative", "header-family-unknown",
-         "header-count-disagrees", "header-key-unknown", "header-key-repeated", "header-count-fractional",
+         "header-count-disagrees", "header-window-even", "header-key-unknown", "header-key-repeated", "header-count-fractional",
          "grid-h-0", "grid-X-negative", "diag-h-0", "diag-X-negative", "diag-h-not-dividing-2X",
          "samples-unparsable",
          "l-count-0", "trials-0", "schedule-decreasing", "schedule-negative",
@@ -506,8 +509,11 @@ def _kadec_window_file(tmp_path):
         "subcommand=factorize-check\nfactorize.samples=1,300\n",
         # G and F overflow on the disk K around 300i
         "subcommand=converge\nK.center.im=300\ngrid.X=10\ngrid.h=0.05\nschedule=10,21\n",
+        # eps=-1 moves the window's edge point k=5 to 6, the tail's first
+        # site, where the Carleson sum's trigamma tail has its pole
+        "subcommand=diagnose\nfamily=kadec_perturbed\ncount=5\neps=-1\ndiag.X=5\ndiag.h=0.1\n",
     ],
-    ids=["diagnose-X-400", "factorize-Im-300", "converge-K-Im-300"],
+    ids=["diagnose-X-400", "factorize-Im-300", "converge-K-Im-300", "diagnose-kadec-eps-minus-1"],
 )
 def test_overflow_exits_3_with_one_line(tmp_path, capsys, body):
     out = tmp_path / "out"

@@ -138,7 +138,7 @@ def test_alpha_domination(lattice):
 
 def test_build_schedule_nesting_and_certificates(lattice):
     s, b = lattice
-    sched = build_schedule(s, b, count=4)
+    sched = build_schedule(b, count=4)
     assert len(sched) == 4
     assert np.all(sched.margins >= 0.0)
     sets = [set(lambda_inside(s, t).tolist()) for t in sched.contours]
@@ -152,11 +152,11 @@ def test_schedule_matches_complex_modulus_reference(monkeypatch):
     # the reference takes log|B| as log of |B| from the complex product
     s = make_family("kadec_perturbed", {"delta": 0.3, "eps": 0.2}, 100)
     b = BlaschkeEvaluator(s)
-    got = build_schedule(s, b, count=4)
+    got = build_schedule(b, count=4)
     with monkeypatch.context() as m:
         m.setattr(BlaschkeEvaluator, "log_abs_B",
                   lambda self, z: np.log(np.abs(self.eval_B(z))))
-        ref = build_schedule(s, b, count=4)
+        ref = build_schedule(b, count=4)
     assert [t.l for t in got.contours] == [t.l for t in ref.contours]
     assert [t.c for t in got.contours] == [t.c for t in ref.contours]
     for name in ("eps_hats", "alphas", "margins"):
@@ -164,8 +164,7 @@ def test_schedule_matches_complex_modulus_reference(monkeypatch):
 
 
 def test_schedule_csv(tmp_path, lattice):
-    s, b = lattice
-    sched = build_schedule(s, b, count=3)
+    sched = build_schedule(lattice[1], count=3)
     p = tmp_path / "contours.csv"
     save_schedule_csv(sched, p)
     lines = p.read_text().strip().splitlines()

@@ -107,6 +107,22 @@ def test_carleson_single_point():
     assert carleson_sup(Spectrum(np.array([1j]))) == 0.0
 
 
+def test_carleson_one_point_window_keeps_its_tail():
+    # the full lattice looks the same from every site, so a one-point window
+    # with its tail gives the sup of any larger window (5.559877 at delta 0.3)
+    one = carleson_sup(make_family("shifted_integers", {"delta": 0.3}, 0))
+    three = carleson_sup(make_family("shifted_integers", {"delta": 0.3}, 1))
+    assert one == pytest.approx(three, rel=1e-12)
+    assert one == pytest.approx(5.559877, abs=1e-6)
+
+
+def test_carleson_not_finite_raises():
+    # eps=1 moves the edge point k=-5 to -6, the first site of the tail's
+    # left half, where the trigamma tail has its pole
+    with pytest.raises(DiagnosticsError, match="not finite"):
+        carleson_sup(make_family("kadec_perturbed", {"delta": 0.3, "eps": 1.0}, 5))
+
+
 def test_carleson_two_points():
     v = carleson_sup(Spectrum(np.array([1j, 2j])))
     assert v == pytest.approx(6.0)

@@ -20,7 +20,7 @@ from pwsum.engine import (
 from pwsum.genfun import GeneratingFunctionEvaluator
 from pwsum.grids import grid_template, sample_on_grid
 from pwsum.spectrum import Spectrum, block_rows, make_family
-from pwsum.weights import NaiveWeights, ProjectionWeights
+from pwsum.weights import naive_rows, projection_rows
 
 
 @pytest.fixture(scope="module")
@@ -55,9 +55,9 @@ def test_pw_distinct_centers():
 def test_empty_support_sum(lattice):
     s, g = lattice
     f = PWFunction([0.3j], [1.0])
-    naive = NaiveWeights(s, [0.1, 200.0])
+    naive = naive_rows(s, [0.1, 200.0])
     grid = grid_template(20.0, 0.05)
-    out = sample_sums(g, grid, [build_lagrange_sum(f.eval(s.points), g, naive, 0)])[0]
+    out = sample_sums(g, grid, [build_lagrange_sum(f.eval(s.points), g, naive[0])])[0]
     assert out.norm() == 0.0
 
 
@@ -65,11 +65,11 @@ def test_biorthogonal_reproduction(lattice):
     # F with F(lambda_k) = delta_{k,k0} is the k0-th Lagrange element itself;
     # a full-weight sum must reproduce it exactly on the grid
     s, g = lattice
-    naive = NaiveWeights(s, [130.0])
+    naive = naive_rows(s, [130.0])
     k0 = int(np.argmin(np.abs(s.points - (3 + 0.3j))))
     values = np.zeros(len(s), complex)
     values[k0] = 1.0
-    ls = build_lagrange_sum(values, g, naive, 0)
+    ls = build_lagrange_sum(values, g, naive[0])
     grid = grid_template(20.0, 0.05)
     got = sample_sums(g, grid, [ls])[0]
     lam0 = s.points[k0]
@@ -99,10 +99,10 @@ def test_skw_naive_convergence(lattice):
     f = PWFunction([0.3j], [1.0])
     grid = grid_template(30.0, 0.02)
     ref = sample_on_grid(f, 30.0, 0.02)
-    naive = NaiveWeights(s, [20.0, 40.0, 80.0, 121.0])
+    naive = naive_rows(s, [20.0, 40.0, 80.0, 121.0])
     errs = []
-    for step in range(4):
-        sn = sample_sums(g, grid, [build_lagrange_sum(f.eval(s.points), g, naive, step)])[0]
+    for row in naive:
+        sn = sample_sums(g, grid, [build_lagrange_sum(f.eval(s.points), g, row)])[0]
         errs.append(l2_error(sn, ref) / ref.norm())
     assert all(e2 < e1 for e1, e2 in zip(errs, errs[1:]))
     assert errs[-1] < 0.1
@@ -114,11 +114,11 @@ def test_partial_sum_linearity(lattice):
     f2 = PWFunction([1.5 + 0.3j], [1.0])
     a, b = 0.7 - 0.2j, -1.1 + 0.4j
     grid = grid_template(10.0, 0.1)
-    proj = ProjectionWeights(s, [50.0])
-    s1 = sample_sums(g, grid, [build_lagrange_sum(f1.eval(s.points), g, proj, 0)])[0].values
-    s2 = sample_sums(g, grid, [build_lagrange_sum(f2.eval(s.points), g, proj, 0)])[0].values
+    proj = projection_rows(s, [50.0])
+    s1 = sample_sums(g, grid, [build_lagrange_sum(f1.eval(s.points), g, proj[0])])[0].values
+    s2 = sample_sums(g, grid, [build_lagrange_sum(f2.eval(s.points), g, proj[0])])[0].values
     f12 = PWFunction([0.3j, 1.5 + 0.3j], [a, b])
-    s12 = sample_sums(g, grid, [build_lagrange_sum(f12.eval(s.points), g, proj, 0)])[0].values
+    s12 = sample_sums(g, grid, [build_lagrange_sum(f12.eval(s.points), g, proj[0])])[0].values
     assert np.allclose(s12, a * s1 + b * s2, rtol=1e-10, atol=1e-12)
 
 
@@ -130,8 +130,8 @@ def test_conjugation_symmetry():
     f = PWFunction([0.2 + 0.4j], [1.0 - 0.5j])
     f_conj = PWFunction(np.conj(f.centers), np.conj(f.coefficients))
     grid = grid_template(10.0, 0.1)
-    out = sample_sums(g, grid, [build_lagrange_sum(f.eval(s.points), g, NaiveWeights(s, [5.0]), 0)])[0]
-    ls_conj = build_lagrange_sum(f_conj.eval(s_conj.points), g_conj, NaiveWeights(s_conj, [5.0]), 0)
+    out = sample_sums(g, grid, [build_lagrange_sum(f.eval(s.points), g, naive_rows(s, [5.0])[0])])[0]
+    ls_conj = build_lagrange_sum(f_conj.eval(s_conj.points), g_conj, naive_rows(s_conj, [5.0])[0])
     out_conj = sample_sums(g_conj, grid, [ls_conj])[0]
     assert np.allclose(out_conj.values, np.conj(out.values), rtol=1e-12, atol=1e-14)
 
@@ -164,8 +164,8 @@ def test_disk_samples_inside():
 def test_compactwise_empty_support(lattice):
     s, g = lattice
     f = PWFunction([0.3j], [1.0])
-    naive = NaiveWeights(s, [0.2, 121.0])
-    ls = build_lagrange_sum(f.eval(s.points), g, naive, 0)
+    naive = naive_rows(s, [0.2, 121.0])
+    ls = build_lagrange_sum(f.eval(s.points), g, naive[0])
     err = compactwise_error(disk_probe(f, g, center=0j, radius=2.0, samples=128), g, ls)
     zs = disk_samples(0j, 2.0, 128)
     assert err == pytest.approx(float(np.max(np.abs(f.eval(zs)))))
@@ -174,11 +174,11 @@ def test_compactwise_empty_support(lattice):
 def test_compactwise_exact_reproduction(lattice):
     # the k0-th Lagrange element under full weights reproduces itself on K
     s, g = lattice
-    naive = NaiveWeights(s, [121.0])
+    naive = naive_rows(s, [121.0])
     k0 = int(np.argmin(np.abs(s.points - 0.3j)))
     values = np.zeros(len(s), complex)
     values[k0] = 1.0
-    ls = build_lagrange_sum(values, g, naive, 0)
+    ls = build_lagrange_sum(values, g, naive[0])
     zs = disk_samples(0j, 3.0, 128)
     lam0 = s.points[k0]
     direct = g.eval_G(zs) / (g.eval_G_prime_at_lambda(np.array([k0]))[0] * (zs - lam0))
@@ -200,9 +200,9 @@ def test_disk_probe_nudges_a_sample_on_the_spectrum():
 def test_compactwise_decreases(lattice):
     s, g = lattice
     f = PWFunction([0.3j], [1.0])
-    naive = NaiveWeights(s, [20.0, 60.0, 121.0])
+    naive = naive_rows(s, [20.0, 60.0, 121.0])
     probe = disk_probe(f, g, radius=3.0)
-    errs = [compactwise_error(probe, g, build_lagrange_sum(f.eval(s.points), g, naive, j)) for j in range(3)]
+    errs = [compactwise_error(probe, g, build_lagrange_sum(f.eval(s.points), g, row)) for row in naive]
     assert errs[2] < errs[0]
 
 
@@ -216,9 +216,9 @@ def test_sample_sums_match_dense_formula(lattice):
     grid = grid_template(10.0, 0.05)
     assert len(grid) % block_rows(len(s)) != 0
     f = PWFunction([0.3j, 1.5 - 0.2j], [1.0, 0.5 - 0.1j])
-    sums = [build_lagrange_sum(f.eval(s.points), g, sc, j)
-            for sc in (NaiveWeights(s, [0.1, 20.0, 121.0]), ProjectionWeights(s, [40.0]))
-            for j in range(len(sc))]
+    sums = [build_lagrange_sum(f.eval(s.points), g, row)
+            for rows in (naive_rows(s, [0.1, 20.0, 121.0]), projection_rows(s, [40.0]))
+            for row in rows]
     C, G = _dense_cauchy(grid, g), g.eval_G(grid.x)
     for ls, got in zip(sums, sample_sums(g, grid, sums)):
         want = G * (C[:, ls.indices] @ ls.coefficients)
@@ -247,7 +247,7 @@ def test_grid_pass_keeps_no_grid_by_points_matrix():
     tracemalloc.start()
     try:
         g = GeneratingFunctionEvaluator(s)
-        sums = [build_lagrange_sum(f.eval(s.points), g, NaiveWeights(s, [30.0, 101.0]), j) for j in range(2)]
+        sums = [build_lagrange_sum(f.eval(s.points), g, row) for row in naive_rows(s, [30.0, 101.0])]
         sample_sums(g, grid, sums)
         NormProbe(g, grid, atom_halfwidth=5)
         peak = tracemalloc.get_traced_memory()[1]
@@ -261,31 +261,31 @@ def test_grid_pass_keeps_no_grid_by_points_matrix():
 
 def test_probe_zero_scheme(lattice):
     s, g = lattice
-    naive = NaiveWeights(s, [0.2, 121.0])
+    naive = naive_rows(s, [0.2, 121.0])
     grid = grid_template(20.0, 0.05)
     probe = NormProbe(g, grid, atom_halfwidth=15)
-    assert probe.lower_bound(naive, 0, trials=2, seed=1) == 0.0
+    assert probe.lower_bound(naive[0], trials=2, seed=1) == 0.0
     with pytest.raises(EngineError):
-        probe.lower_bound(naive, 1, trials=0)
+        probe.lower_bound(naive[1], trials=0)
 
 
 def test_probe_identity_configuration(lattice):
     # full-weight lattice sums reproduce integer-atom combinations: the
     # probe must sit near 1 (Shannon oracle)
     s, g = lattice
-    naive = NaiveWeights(s, [121.0])
+    naive = naive_rows(s, [121.0])
     grid = grid_template(40.0, 0.05)
-    val = NormProbe(g, grid, atom_halfwidth=15).lower_bound(naive, 0, trials=3, seed=7)
+    val = NormProbe(g, grid, atom_halfwidth=15).lower_bound(naive[0], trials=3, seed=7)
     assert val >= 0.9
     assert val <= 1.6
 
 
 def test_probe_deterministic(lattice):
     s, g = lattice
-    naive = NaiveWeights(s, [30.0])
+    naive = naive_rows(s, [30.0])
     grid = grid_template(20.0, 0.05)
-    a = NormProbe(g, grid, atom_halfwidth=10).lower_bound(naive, 0, trials=2, seed=3)
-    b = NormProbe(g, grid, atom_halfwidth=10).lower_bound(naive, 0, trials=2, seed=3)
+    a = NormProbe(g, grid, atom_halfwidth=10).lower_bound(naive[0], trials=2, seed=3)
+    b = NormProbe(g, grid, atom_halfwidth=10).lower_bound(naive[0], trials=2, seed=3)
     assert a == b
 
 
@@ -296,10 +296,10 @@ def test_probe_clustered_contrast():
     g = GeneratingFunctionEvaluator(s)
     grid = grid_template(20.0, 0.05)
     probe = NormProbe(g, grid, atom_halfwidth=12)
-    naive = NaiveWeights(s, [10.0])
-    proj = ProjectionWeights(s, [10.0])
-    nv = probe.lower_bound(naive, 0, trials=2, seed=3)
-    pv = probe.lower_bound(proj, 0, trials=2, seed=3)
+    naive = naive_rows(s, [10.0])
+    proj = projection_rows(s, [10.0])
+    nv = probe.lower_bound(naive[0], trials=2, seed=3)
+    pv = probe.lower_bound(proj[0], trials=2, seed=3)
     assert nv > pv * 3.0
 
 
@@ -307,7 +307,7 @@ def test_probe_reuse_context(lattice):
     s, g = lattice
     grid = grid_template(20.0, 0.05)
     probe = NormProbe(g, grid, atom_halfwidth=10)
-    naive = NaiveWeights(s, [30.0, 121.0])
-    v1 = probe.lower_bound(naive, 0, trials=2, seed=5)
-    v2 = probe.lower_bound(naive, 1, trials=2, seed=5)
+    naive = naive_rows(s, [30.0, 121.0])
+    v1 = probe.lower_bound(naive[0], trials=2, seed=5)
+    v2 = probe.lower_bound(naive[1], trials=2, seed=5)
     assert v2 >= v1 * 0.5

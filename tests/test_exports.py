@@ -48,11 +48,14 @@ def test_evaluators_take_and_return_arrays_only():
     # every evaluator takes a 1-d array and returns one, so no module tests
     # its argument for a scalar; and each evaluation has one entry point: no
     # grid alias of eval_G, no second Lagrange-sum builder, no second log|B|
-    # pass for the domination margin, no None cutoff
+    # pass for the domination margin, no None cutoff, no scheme class
     src = {p.name: p.read_text() for p in Path(pwsum.__file__).parent.glob("*.py")}
     scalar = re.compile(r"atleast_1d|isscalar|\bndim\b")
     assert sorted(name for name, text in src.items() if scalar.search(text)) == []
-    gone = ("eval_G_on_grid", "build_lagrange_sum_from_values", "domination_margin", "_log_G", "_select")
+    gone = ("eval_G_on_grid", "build_lagrange_sum_from_values", "domination_margin", "_log_G", "_select",
+            # a summation method is its list of rows: no scheme classes, no lazy row interface
+            "weight_row", "step_label", "row_labels", "_RadiusSchedule", "NaiveWeights", "ProjectionWeights",
+            "UniversalWeights")
     assert sorted((name, g) for name, text in src.items() for g in gone if re.search(rf"\b{g}\b", text)) == []
 
 

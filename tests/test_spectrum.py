@@ -11,7 +11,7 @@ from pwsum.spectrum import (
     make_family,
     split_halfplanes,
 )
-from pwsum.weights import NaiveWeights
+from pwsum.weights import naive_rows
 
 
 def test_shifted_integers_small():
@@ -164,6 +164,8 @@ def test_header_count_must_match_the_upper_points(tmp_path):
         ("shifted_integers", {"delta": 0.3, "count": -1}, 5, "'count'"),
         ("clustered_pairs", {"delta": 1.0, "eps": 0.0}, 9, "eps != 0"),
         ("shifted_integer", {"delta": 0.3}, 5, "unknown family"),
+        # an even window: the inferred count=0 would put the first tail site on a stored point
+        ("shifted_integers", {"delta": 0.3}, 2, "count=0"),
     ],
 )
 def test_lattice_tail_rejects_unusable_header(tmp_path, tag, params, n_points, match):
@@ -177,12 +179,12 @@ def test_lattice_tail_rejects_unusable_header(tmp_path, tag, params, n_points, m
     "tag, params, n_points",
     [
         ("shifted_integers", {"delta": 0.3}, 1),
-        ("shifted_integers", {"delta": 0.3}, 2),
         ("kadec_perturbed", {"delta": 0.3, "eps": 0.2}, 1),
     ],
 )
 def test_lattice_tail_from_one_or_two_point_header(tmp_path, tag, params, n_points):
     # the inferred count is 0: the tail is every family site beyond the origin
+    # (a two-point window is refused, see test_lattice_tail_rejects_unusable_header)
     header = f"# family={tag} " + " ".join(f"{k}={v}" for k, v in params.items()) + "\n"
     tail = load_spectrum(write_points(tmp_path / "pts.txt", np.arange(n_points) + 0.3j, header)).tail
     assert (tail.first_site, tail.density, tail.delta) == (1, 1.0, 0.3)
@@ -247,7 +249,7 @@ def test_split_halfplanes_all_upper_and_empty():
 
 def kept(s: Spectrum, n: float) -> np.ndarray:
     """Indices that a truncation radius n keeps."""
-    return NaiveWeights(s, [n]).weight_row(0).indices
+    return naive_rows(s, [n])[0].indices
 
 
 def test_truncation_small():

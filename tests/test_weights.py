@@ -4,18 +4,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from pwsum.blaschke import BlaschkeEvaluator
+from pwsum.blaschke import BlaschkeEvaluator, upper_lower_evaluators
 from pwsum.contours import build_schedule
 from pwsum.spectrum import Spectrum, make_family
 from pwsum.weights import (
-    NaiveWeights,
-    ProjectionWeights,
-    UniversalWeights,
     WeightError,
+    naive_rows,
     outer_weight,
     outer_weight_deviation_bound,
     outer_weight_phase,
+    projection_rows,
     save_weights_csv,
+    universal_rows,
 )
 
 
@@ -107,56 +107,73 @@ def test_outer_weight_tends_to_one():
 def lattice_weights():
     s = make_family("shifted_integers", {"delta": 0.3}, 20)
     radii = np.array([5.0, 10.0, 15.0, 21.0])
-    naive = NaiveWeights(s, radii)
-    proj = ProjectionWeights(s, radii)
-    b = BlaschkeEvaluator(s)
-    sched = build_schedule(s, b, count=3)
-    uni = UniversalWeights(s, sched)
-    return s, naive, proj, uni
+    sched = build_schedule(BlaschkeEvaluator(s), count=3)
+    return s, naive_rows(s, radii), projection_rows(s, radii), universal_rows(s, sched), sched
 
 
 def test_naive_weights(lattice_weights):
-    s, naive, _, _ = lattice_weights
-    assert row_dict(naive.weight_row(0))[0] == 1.0
+    s, naive, *_ = lattice_weights
+    assert row_dict(naive[0])[0] == 1.0
     k_far = len(s) - 1
-    assert k_far not in row_dict(naive.weight_row(0))
-    assert row_dict(naive.weight_row(3))[k_far] == 1.0
-    row0 = naive.weight_row(0)
-    assert all(abs(s.points[k]) < 5.0 and w == 1.0 for k, w in row_dict(row0).items())
+    assert k_far not in row_dict(naive[0])
+    assert row_dict(naive[3])[k_far] == 1.0
+    assert all(abs(s.points[k]) < 5.0 and w == 1.0 for k, w in row_dict(naive[0]).items())
+
+
+def test_radius_rows_carry_their_radius(lattice_weights):
+    _, naive, proj, *_ = lattice_weights
+    for rows in (naive, proj):
+        assert [row.n for row in rows] == [5.0, 10.0, 15.0, 21.0]
+        for row in rows:
+            assert row.labels.tolist() == [row.n] * len(row)
 
 
 def test_naive_empty_row():
     s = Spectrum(np.array([3j, 4j]))
-    for scheme in (NaiveWeights(s, [1.0, 2.0, 5.0]), ProjectionWeights(s, [1.0, 2.0, 5.0])):
-        row = scheme.weight_row(0)
+    for rows in (naive_rows(s, [1.0, 2.0, 5.0]), projection_rows(s, [1.0, 2.0, 5.0])):
+        row = rows[0]
         assert len(row) == 0
-        assert row.indices.shape == row.weights.shape == (0,)
+        assert row.indices.shape == row.weights.shape == row.labels.shape == (0,)
         assert row.indices.dtype.kind == "i" and row.weights.dtype == complex
+
+
+def test_row_builders_check_their_schedules(lattice_weights):
+    s, *_, sched = lattice_weights
+    for build in (naive_rows, projection_rows):
+        for radii in ([2.0, 1.0], [-1.0, 2.0], [1.0, 1.0]):
+            with pytest.raises(WeightError, match="increasing"):
+                build(s, radii)
+    with pytest.raises(WeightError, match="upper"):
+        universal_rows(s, None)
+    both = Spectrum(np.array([1j, 2 + 1j, -1j, -2 - 1j]))
+    b_up, b_lo = upper_lower_evaluators(both)
+    with pytest.raises(WeightError, match="lower"):
+        universal_rows(both, build_schedule(b_up, count=2))
+    with pytest.raises(WeightError, match="equal length"):
+        universal_rows(both, build_schedule(b_up, count=2), build_schedule(b_lo, count=1))
 
 
 def test_projection_matches_blaschke_example():
     s = Spectrum(np.array([1j, 5j]))
-    proj = ProjectionWeights(s, [2.0, 6.0])
+    proj = projection_rows(s, [2.0, 6.0])
     k_i = int(np.flatnonzero(s.points == 1j)[0])
-    assert row_dict(proj.weight_row(0))[k_i] == pytest.approx(2.0 / 3.0)
-    assert row_dict(proj.weight_row(1))[k_i] == pytest.approx(1.0)
+    assert row_dict(proj[0])[k_i] == pytest.approx(2.0 / 3.0)
+    assert row_dict(proj[1])[k_i] == pytest.approx(1.0)
 
 
 def test_projection_final_step_all_one(lattice_weights):
-    s, _, proj, _ = lattice_weights
-    row = proj.weight_row(3)
+    s, _, proj, *_ = lattice_weights
+    row = proj[3]
     assert len(row) == len(s)
     assert all(abs(w - 1.0) < 1e-12 for w in row.weights)
 
 
 def test_projection_split_halfplanes():
     s = Spectrum(np.array([1j, -1j, 2 + 2j, -3 - 0.5j]))
-    proj = ProjectionWeights(s, [10.0])
-    row = row_dict(proj.weight_row(0))
+    row = row_dict(projection_rows(s, [10.0])[0])
     for k in range(len(s)):
         assert row[k] == pytest.approx(1.0)
-    proj2 = ProjectionWeights(s, [2.0, 10.0])
-    row2 = row_dict(proj2.weight_row(0))
+    row2 = row_dict(projection_rows(s, [2.0, 10.0])[0])
     # point i: its half-plane partner 2+2i is outside radius 2: tail factor
     k_i = int(np.flatnonzero(s.points == 1j)[0])
     mu = 2 + 2j
@@ -175,10 +192,9 @@ def test_projection_lower_halfplane_index_mapping():
     lower = np.array([1 - 1j, -1 - 1j, 2 - 2j, -2 - 2j])
     upper = np.array([0.5 + 1j, -1.5 + 0.7j, 2 + 2j, -3 + 0.4j])
     s = Spectrum(np.concatenate([lower, upper]))
-    proj = ProjectionWeights(s, [1.5, 3.0, 4.0])
-    assert not np.array_equal(proj.b_minus.points, np.conj(s.points[s.points.imag < 0]))
-    for step, n in enumerate(proj.radii):
-        row = proj.weight_row(step)
+    radii = [1.5, 3.0, 4.0]
+    assert not np.array_equal(upper_lower_evaluators(s)[1].points, np.conj(s.points[s.points.imag < 0]))
+    for row, n in zip(projection_rows(s, radii), radii):
         assert row.indices.tolist() == np.flatnonzero(s.moduli < n).tolist()
         for k, w in zip(row.indices, row.weights):
             lam = s.points[k]
@@ -188,18 +204,18 @@ def test_projection_lower_halfplane_index_mapping():
 
 
 def test_weights_bounded_and_final(lattice_weights):
-    s, naive, proj, uni = lattice_weights
-    for scheme in (naive, proj, uni):
-        for step in range(len(scheme)):
-            for w in scheme.weight_row(step).weights:
+    s, naive, proj, uni, sched = lattice_weights
+    for rows in (naive, proj, uni):
+        for row in rows:
+            for w in row.weights:
                 assert abs(w) <= 1.0 + 1e-12
     # universal final step: every point inside the last contour, deviation
     # within the certified profile bound
     last = len(uni) - 1
-    row = row_dict(uni.weight_row(last))
+    row = row_dict(uni[last])
     assert set(row.keys()) == set(range(len(s)))
-    tri = uni.schedule_plus.contours[last]
-    alpha = uni.schedule_plus.alphas[last]
+    tri = sched.contours[last]
+    alpha = sched.alphas[last]
     for k, w in row.items():
         bound = outer_weight_deviation_bound(tri.l, alpha, s.points[k])
         assert abs(w - 1.0) <= bound + 1e-12
@@ -208,31 +224,30 @@ def test_weights_bounded_and_final(lattice_weights):
 def test_universal_pointwise_trend(lattice_weights):
     # for a fixed small frequency the deviation from 1 shrinks along the
     # schedule (alpha*l stays bounded while |Phi(lambda/l)| ~ 4|lambda|/l)
-    s, _, _, uni = lattice_weights
+    s, *_, uni, _ = lattice_weights
     k0 = int(np.argmin(np.abs(s.points - 0.3j)))
-    devs = [abs(row_dict(uni.weight_row(j)).get(k0, 0j) - 1.0) for j in range(len(uni))]
+    devs = [abs(row_dict(row).get(k0, 0j) - 1.0) for row in uni]
     assert devs[-1] < devs[0]
 
 
 def test_universal_support_matches_contour(lattice_weights):
-    s, _, _, uni = lattice_weights
-    for step in range(len(uni)):
-        row_ks = uni.weight_row(step).indices.tolist()
+    s, *_, uni, sched = lattice_weights
+    assert len(uni) == len(sched)
+    for row, tri in zip(uni, sched.contours):
+        assert row.n == tri.l
+        row_ks = row.indices.tolist()
         assert row_ks == sorted(row_ks)
-        tri = uni.schedule_plus.contours[step]
         for k in range(len(s)):
             inside = bool(tri.contains(s.points[k]))
             assert (k in row_ks) == inside
 
 
 def test_universal_domination_on_sides(lattice_weights):
-    s, _, _, uni = lattice_weights
+    s, *_, sched = lattice_weights
     b = BlaschkeEvaluator(s)
-    for step in range(len(uni)):
-        tri = uni.schedule_plus.contours[step]
-        alpha = float(uni.schedule_plus.alphas[step])
+    for tri, alpha in zip(sched.contours, sched.alphas):
         zeta = tri.slanted_samples()
-        w_vals = outer_weight(tri.l, alpha, zeta)
+        w_vals = outer_weight(tri.l, float(alpha), zeta)
         b_vals = b.eval_B(zeta)
         assert np.all(np.abs(w_vals) <= np.abs(b_vals) * (1.0 + 1e-9))
 
@@ -240,23 +255,26 @@ def test_universal_domination_on_sides(lattice_weights):
 def test_universal_lower_halfplane_mirror():
     pts = np.array([1j, 2 + 1j, -1j, -2 - 1j])
     s = Spectrum(pts)
-    up = Spectrum(pts[pts.imag > 0])
     lo = Spectrum(pts[pts.imag < 0])
-    b_up = BlaschkeEvaluator(up)
+    b_up = BlaschkeEvaluator(Spectrum(pts[pts.imag > 0]))
     b_lo_ref = BlaschkeEvaluator(Spectrum(np.conj(lo.points)))
-    sched_p = build_schedule(up, b_up, count=2)
-    sched_m = build_schedule(Spectrum(np.conj(lo.points)), b_lo_ref, count=2)
-    uni = UniversalWeights(s, sched_p, sched_m)
-    for step in range(2):
-        row = row_dict(uni.weight_row(step))
+    sched_p = build_schedule(b_up, count=2)
+    sched_m = build_schedule(b_lo_ref, count=2)
+    uni = universal_rows(s, sched_p, sched_m)
+    assert len(uni) == 2
+    for step, r in enumerate(uni):
+        row = row_dict(r)
         for k, lam in enumerate(s.points):
             w = row.get(k, 0j)
             if lam.imag < 0:
                 k_ref = int(np.argmin(np.abs(s.points - np.conj(lam))))
                 assert w == pytest.approx(np.conj(row.get(k_ref, 0j)))
-        labels = uni.row_labels(step, np.arange(len(s)))
-        assert isinstance(labels, np.ndarray)
-        assert labels.tolist() == [(sched_p if lam.imag > 0 else sched_m).contours[step].l for lam in s.points]
+        assert r.n == sched_p.contours[step].l
+        assert isinstance(r.labels, np.ndarray)
+        assert r.labels.tolist() == [(sched_p if s.points[k].imag > 0 else sched_m).contours[step].l
+                                     for k in r.indices]
+    # with no upper points, a row's n is the mirror schedule's l
+    assert [r.n for r in universal_rows(lo, None, sched_m)] == [t.l for t in sched_m.contours]
 
 
 @settings(max_examples=30, deadline=None)
@@ -274,21 +292,21 @@ def test_universal_lower_halfplane_mirror():
 def test_projection_weight_laws_random(pts, frac):
     s = Spectrum(np.array(pts))
     n_mid = frac * s.radius + 0.01
-    proj = ProjectionWeights(s, [n_mid, max(s.radius * 1.01, n_mid + 0.05)])
+    radii = [n_mid, max(s.radius * 1.01, n_mid + 0.05)]
+    proj = projection_rows(s, radii)
     mods = s.moduli
-    for step in range(2):
-        row = proj.weight_row(step)
+    for row, n in zip(proj, radii):
         assert np.all(np.abs(row.weights) <= 1.0 + 1e-12)
         # points at or outside the radius are absent from the row
-        assert row.indices.tolist() == np.flatnonzero(mods < proj.radii[step]).tolist()
-    for w in proj.weight_row(1).weights:
+        assert row.indices.tolist() == np.flatnonzero(mods < n).tolist()
+    for w in proj[1].weights:
         assert abs(w - 1.0) <= 1e-9
 
 
 def test_weights_csv(tmp_path, lattice_weights):
-    s, naive, proj, uni = lattice_weights
+    s, _, proj, *_ = lattice_weights
     p = tmp_path / "weights.csv"
-    save_weights_csv(proj, p)
+    save_weights_csv(s, proj, p)
     lines = p.read_text().strip().splitlines()
     assert lines[0] == "n,k,lambda_re,lambda_im,w_re,w_im"
     assert len(lines) > len(s)
