@@ -221,6 +221,21 @@ def _cmd_weights(cfg, outdir: Path) -> None:
         save_weights_csv(s, rows, _output(outdir, "weights.csv" if len(names) == 1 else f"weights_{name}.csv"))
 
 
+def _write_table(outdir: Path, name: str, header: str, rows: list) -> None:
+    """outdir / name with the header and one line per row, numbers as %.12e
+    and text as it is.  Every number is checked first: a non-finite one
+    raises EngineError naming the column, before output.dir is made."""
+    cols = header.split(",")
+    for row in rows:
+        for col, val in zip(cols, row):
+            if not isinstance(val, str) and not math.isfinite(val):
+                raise EngineError(f"{name}: {col} is {val} at {cols[0]}={row[0]:.12e}")
+    with open(_output(outdir, name), "w") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(v if isinstance(v, str) else f"{v:.12e}" for v in row) + "\n")
+
+
 def _cmd_converge(cfg, outdir: Path) -> None:
     s = _build_spectrum(cfg)
     gen = GeneratingFunctionEvaluator(s)
@@ -231,17 +246,17 @@ def _cmd_converge(cfg, outdir: Path) -> None:
     ref_norm = ref.norm()
     center = complex(cfg["K.center.re"], cfg["K.center.im"])
     probe = disk_probe(f, gen, center, cfg["K.radius"], cfg["K.samples"])
-    f_tail, gmax = pw_tail_bound(f, X), sup_abs_G(gen, X)
     steps = [(name, row) for name in cfg["scheme"] for row in _rows(name, cfg, s)]
     values = f.eval(s.points)
-    sums = [build_lagrange_sum(values, gen, row) for _, row in steps]
-    with open(_output(outdir, "errors.csv"), "w") as fh:
-        fh.write("n,scheme,l2_error,sup_error_K,tail_bound\n")
+    table = []
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is a non-finite cell, refused below
+        f_tail, gmax = pw_tail_bound(f, X), sup_abs_G(gen, X)
+        sums = [build_lagrange_sum(values, gen, row) for _, row in steps]
         for (name, row), ls, sn in zip(steps, sums, sample_sums(gen, grid, sums)):
             rel = l2_error(sn, ref) / ref_norm if ref_norm else np.inf
             sup = compactwise_error(probe, gen, ls)
-            bound = f_tail + lagrange_tail_bound(ls, gen, X, gmax)
-            fh.write(f"{row.n:.12e},{name},{rel:.12e},{sup:.12e},{bound:.12e}\n")
+            table.append((row.n, name, rel, sup, f_tail + lagrange_tail_bound(ls, gen, X, gmax)))
+    _write_table(outdir, "errors.csv", "n,scheme,l2_error,sup_error_K,tail_bound", table)
 
 
 def _cmd_compare_norms(cfg, outdir: Path) -> None:
@@ -249,12 +264,9 @@ def _cmd_compare_norms(cfg, outdir: Path) -> None:
     gen = GeneratingFunctionEvaluator(s)
     grid = grid_template(cfg["grid.X"], cfg["grid.h"])
     probe = NormProbe(gen, grid, atom_halfwidth=cfg["atoms.halfwidth"])
-    with open(_output(outdir, "norms.csv"), "w") as fh:
-        fh.write("n,scheme,norm_lower_bound\n")
-        steps = [(name, row) for name in cfg["scheme"] for row in _rows(name, cfg, s)]
-        for name, row in steps:
-            val = probe.lower_bound(row, trials=cfg["trials"], seed=cfg["seed"])
-            fh.write(f"{row.n:.12e},{name},{val:.12e}\n")
+    steps = [(name, row) for name in cfg["scheme"] for row in _rows(name, cfg, s)]
+    table = [(row.n, name, probe.lower_bound(row, trials=cfg["trials"], seed=cfg["seed"])) for name, row in steps]
+    _write_table(outdir, "norms.csv", "n,scheme,norm_lower_bound", table)
 
 
 def _cmd_contours(cfg, outdir: Path) -> None:

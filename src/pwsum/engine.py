@@ -236,7 +236,8 @@ class NormProbe:
     Paley-Wiener space, so the coefficient Euclidean norm is exactly
     ||F|| and the grid operator matrix A_n gives a true lower bound
     sigma_max(A_n) <= ||T_n||.  The Gram matrix P = C^H D C is summed over
-    grid chunks and cached across schedule steps.
+    grid chunks and cached across schedule steps.  Raises EngineError where
+    the weights D = w |G|^2, P or a row's operator are not finite.
     """
 
     def __init__(self, gen: GeneratingFunctionEvaluator, grid: GridFunction, atom_halfwidth: int):
@@ -246,10 +247,15 @@ class NormProbe:
         self.atom_centers = ms
         lam = gen.spectrum.points
         self._K = np.sinc(lam[:, None] - ms[None, :])
-        D = grid.trapezoid_weights() * np.abs(gen.eval_G(grid.x)) ** 2
-        self._P = np.zeros((lam.size, lam.size), dtype=complex)
-        for rows, C in cauchy_chunks(grid.x, lam):
-            self._P += C.conj().T @ (D[rows, None] * C)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value raises below
+            D = grid.trapezoid_weights() * np.abs(gen.eval_G(grid.x)) ** 2
+            if not np.isfinite(D).all():
+                raise EngineError("|G|^2 is not finite on the grid: the norm probe's weights overflow")
+            self._P = np.zeros((lam.size, lam.size), dtype=complex)
+            for rows, C in cauchy_chunks(grid.x, lam):
+                self._P += C.conj().T @ (D[rows, None] * C)
+        if not np.isfinite(self._P).all():
+            raise EngineError("the norm probe's Gram matrix is not finite")
 
     def lower_bound(self, row: WeightRow, trials: int = 4, seed: int = 0) -> float:
         """Best of `trials` seeded power iterations on the row's operator."""
@@ -258,28 +264,33 @@ class NormProbe:
         if not len(row):
             return 0.0
         ks = row.indices
-        Kt = (row.weights / self.gen.eval_G_prime_at_lambda(ks))[:, None] * self._K[ks, :]
-        M = Kt.conj().T @ (self._P[np.ix_(ks, ks)] @ Kt)
-        rng = np.random.default_rng(seed)
-        best = 0.0
-        dim = M.shape[0]
-        for _ in range(trials):
-            v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-            v /= np.linalg.norm(v)
-            prev = 0.0
-            for _ in range(60):
-                w_vec = M @ v
-                val = float(np.real(np.vdot(v, w_vec)))
-                nrm = np.linalg.norm(w_vec)
-                if nrm == 0.0:
-                    val = 0.0
-                    break
-                v = w_vec / nrm
-                if abs(val - prev) <= 1e-12 * max(val, 1.0):
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value raises below
+            Kt = (row.weights / self.gen.eval_G_prime_at_lambda(ks))[:, None] * self._K[ks, :]
+            M = Kt.conj().T @ (self._P[np.ix_(ks, ks)] @ Kt)
+            if not np.isfinite(M).all():
+                raise EngineError(f"the norm probe's operator is not finite at n={row.n:.12e}")
+            rng = np.random.default_rng(seed)
+            best = 0.0
+            dim = M.shape[0]
+            for _ in range(trials):
+                v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+                v /= np.linalg.norm(v)
+                prev = 0.0
+                for _ in range(60):
+                    w_vec = M @ v
+                    val = float(np.real(np.vdot(v, w_vec)))
+                    nrm = np.linalg.norm(w_vec)
+                    if nrm == 0.0:
+                        val = 0.0
+                        break
+                    v = w_vec / nrm
+                    if abs(val - prev) <= 1e-12 * max(val, 1.0):
+                        prev = val
+                        break
                     prev = val
-                    break
-                prev = val
-            best = max(best, prev)
+                if not np.isfinite(prev):
+                    raise EngineError(f"the norm probe's power iteration is not finite at n={row.n:.12e}")
+                best = max(best, prev)
         return float(np.sqrt(max(best, 0.0)))
 
 

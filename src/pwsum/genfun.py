@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from pwsum.grids import GridFunction, grid_template, hilbert_transform
-from pwsum.spectrum import LatticeTail, Spectrum, cauchy_sums, log_products, row_blocks, touching
+from pwsum.spectrum import LatticeTail, Spectrum, cauchy_sums, line_log_abs, log_products, touching
 
 
 class GenFunError(ValueError):
@@ -157,29 +157,6 @@ class GeneratingFunctionEvaluator:
         self.exp_type = math.pi if spectrum.tail is not None else 0.0
         self._prime = None  # G' at every node, from the first eval_G_prime_at_lambda call
 
-    # -- internals ---------------------------------------------------------
-
-    def _window_log_abs(self, z: np.ndarray) -> np.ndarray:
-        """sum of log|1 - z/lambda| over the stored points for points z = x + ia
-        of one line, in real arithmetic only."""
-        lam = self.spectrum.points
-        out = np.zeros(z.shape)
-        if np.any(touching(z, lam)):
-            raise CollisionError("line sample collides with a spectrum point")
-        lre, lim = lam.real, lam.imag
-        log_l2 = np.log(lre * lre + lim * lim)
-        dy2 = (z.imag[:1, None] - lim) ** 2  # (a - Im lambda)^2, one row for the line
-        x = np.ascontiguousarray(z.real)  # a strided column per block costs more than one copy
-        for rows, d2 in row_blocks(z.size, lam.size, float):
-            np.subtract(x[rows, None], lre, out=d2)
-            d2 *= d2
-            d2 += dy2  # |x + ia - lambda|^2
-            np.log(d2, out=d2)
-            d2 -= log_l2
-            np.add.reduce(d2, axis=1, out=out[rows])
-        out *= 0.5
-        return out
-
     # -- public API ----------------------------------------------------------
 
     def log_G(self, z: np.ndarray, skip: np.ndarray | None = None) -> np.ndarray:
@@ -200,10 +177,13 @@ class GeneratingFunctionEvaluator:
         return np.exp(self.log_G(z))
 
     def log_abs_G(self, x: np.ndarray, a: float = 0.0) -> np.ndarray:
-        """log|G(x + i a)| on real x (real arithmetic in the window)."""
+        """log|G(x + i a)| on real x: the window by the panel kernel
+        line_log_abs, in real arithmetic."""
         z = x + 1j * a
+        if np.any(touching(z, self.spectrum.points)):
+            raise CollisionError("line sample collides with a spectrum point")
         out = np.full(x.shape, np.log(abs(self.normalization)))
-        out += self._window_log_abs(z)
+        out += line_log_abs(x, a, self.spectrum.points)
         if self.spectrum.tail is not None:
             out += _tail_log(self.spectrum.tail, z).real
         return out

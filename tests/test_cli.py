@@ -500,6 +500,13 @@ def _kadec_window_file(tmp_path):
     return f"family=custom_list\npoints.file={tmp_path / 'pts.txt'}\n"
 
 
+def _dense_list_file(tmp_path):
+    """The 599 points x + 0.5i, x = 0.05, 0.10, ..., 29.95, as a custom list:
+    |G| overflows a double a few units from them."""
+    (tmp_path / "dense.txt").write_text("".join(f"{k * 0.05:.2f} 0.5\n" for k in range(1, 600)))
+    return f"family=custom_list\npoints.file={tmp_path / 'dense.txt'}\n"
+
+
 @pytest.mark.parametrize(
     "body",
     [
@@ -512,12 +519,22 @@ def _kadec_window_file(tmp_path):
         # eps=-1 moves the window's edge point k=5 to 6, the tail's first
         # site, where the Carleson sum's trigamma tail has its pole
         "subcommand=diagnose\nfamily=kadec_perturbed\ncount=5\neps=-1\ndiag.X=5\ndiag.h=0.1\n",
+        # G overflows on the grid: errors.csv had l2_error and tail_bound inf
+        "subcommand=converge\nscheme=naive\nschedule=10,31\ngrid.X=10\ngrid.h=0.05\n{dense}",
+        # |G|^2 overflows in the norm probe's weights: norms.csv had 0.0 bounds
+        "subcommand=compare-norms\natoms.halfwidth=3\n{dense}",
+        # the probe is finite on [-1, 1], and contour selection fails after it
+        # was built: norms.csv was left with its header alone
+        "subcommand=compare-norms\nscheme=naive,universal\nl.count=2\nl.zero_margin=0.06\n"
+        "grid.X=1\ngrid.h=0.05\n{dense}",
     ],
-    ids=["diagnose-X-400", "factorize-Im-300", "converge-K-Im-300", "diagnose-kadec-eps-minus-1"],
+    ids=["diagnose-X-400", "factorize-Im-300", "converge-K-Im-300", "diagnose-kadec-eps-minus-1",
+         "converge-dense-list", "compare-norms-dense-list", "compare-norms-dense-list-contours"],
 )
 def test_overflow_exits_3_with_one_line(tmp_path, capsys, body):
     out = tmp_path / "out"
-    cfg = write_cfg(tmp_path, "o.cfg", body.format(points=_kadec_window_file(tmp_path)) + f"output.dir={out}\n")
+    files = dict(points=_kadec_window_file(tmp_path), dense=_dense_list_file(tmp_path))
+    cfg = write_cfg(tmp_path, "o.cfg", body.format(**files) + f"output.dir={out}\n")
     with pytest.raises(SystemExit) as exc:
         main([str(cfg)])
     assert exc.value.code == EXIT_NUMERICAL
