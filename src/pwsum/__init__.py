@@ -2,7 +2,7 @@
 
 from pwsum.blaschke import BlaschkeEvaluator, upper_lower_evaluators
 from pwsum.contours import ContourSchedule, TriangleContour, build_schedule, lambda_inside
-from pwsum.diagnostics import a2_estimate, carleson_sup, intG_check
+from pwsum.diagnostics import carleson_sup
 from pwsum.engine import (
     LagrangeSum,
     PWFunction,
@@ -32,7 +32,6 @@ __all__ = [
     "Spectrum",
     "SpectrumError",
     "TriangleContour",
-    "a2_estimate",
     "build_lagrange_sum",
     "build_schedule",
     "carleson_sup",
@@ -41,7 +40,6 @@ __all__ = [
     "disk_probe",
     "grid_template",
     "hilbert_transform",
-    "intG_check",
     "l2_error",
     "lambda_inside",
     "make_family",

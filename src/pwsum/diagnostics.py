@@ -64,18 +64,12 @@ def _check_shift(gen, a: float) -> None:
         raise DiagnosticsError("shift a hits a spectrum height; |G| vanishes on the line")
 
 
-def a2_estimate(gen, X: float, a: float = 0.0, h: float = 0.01) -> float:
-    """max over dyadic subintervals of [-X, X] of avg|G(x+ia)|^2 * avg|G(x+ia)|^-2.
-
-    Lower bound for the Muckenhoupt supremum; >= 1 by Cauchy-Schwarz.
-    Interval lengths are 2^j h for j >= 2 at aligned offsets.
-    """
-    _check_shift(gen, a)
-    return _a2_from_logs(_line_window(gen, X, h, a).logs)
-
-
 def _a2_from_logs(logs: np.ndarray) -> float:
-    """a2_estimate from the samples log|G(x+ia)| on the window's nodes.
+    """max over dyadic subintervals of the window, and the window itself, of
+    avg|G(x+ia)|^2 * avg|G(x+ia)|^-2 (trapezoid means), from the samples
+    log|G(x+ia)| on the window's nodes: a lower bound for the Muckenhoupt
+    supremum, >= 1 by Cauchy-Schwarz.  Interval lengths are 2^j node
+    spacings for j >= 2, at aligned offsets.
 
     avg|G|^2 * avg|G|^-2 does not change when log|G| moves by a constant, so
     the samples are first centred on their midrange: u and v then overflow
@@ -194,16 +188,11 @@ class IntegrabilityReport:
         return self.neg_integral_2X / self.neg_integral if self.neg_integral else np.inf
 
 
-def intG_check(gen, X: float, h: float = 0.01) -> IntegrabilityReport:
-    """Trapezoid values of int |G|^2/(1+x^2) and int |G|^-2/(1+x^2) on
-    [-X, X] and [-2X, 2X]; the 2X/X ratio reports the growth trend."""
-    return _intG_from_samples(*_line_samples(gen, X, h, 0.0))
-
-
 def _intG_from_samples(*windows: _Window) -> IntegrabilityReport:
-    """intG_check from the windows [-X, X] and [-2X, 2X] of the real line,
-    each weighted by its own node spacing; an integral that is not finite
-    raises DiagnosticsError."""
+    """Trapezoid values of int |G|^2/(1+x^2) and int |G|^-2/(1+x^2) on the
+    windows [-X, X] and [-2X, 2X] of the real line, each weighted by its own
+    node spacing; the 2X/X ratio reports the growth trend.  An integral that
+    is not finite raises DiagnosticsError."""
     vals = []
     for w in windows:
         wts = np.full(w.x.size, w.step)
@@ -218,10 +207,12 @@ def _intG_from_samples(*windows: _Window) -> IntegrabilityReport:
 
 
 def line_diagnostics(gen, X: float, h: float, a: float = 0.0) -> tuple[float, float, IntegrabilityReport]:
-    """(a2_estimate on [-X, X], a2_estimate on [-2X, 2X], intG_check(gen, X, h)),
-    bit-identical to the three calls, from _line_samples: one log|G| pass
-    over [-2X, 2X] when the X nodes are its middle nodes, and one more over
-    [-X, X] otherwise; the A2 scan takes as many again at a shift a != 0."""
+    """(the A2 scan of [-X, X], the A2 scan of [-2X, 2X], the intG integrals),
+    the scans on the line at height a and the integrals on the real line,
+    bit-identical to one log|G| pass per window, from _line_samples: one
+    pass over [-2X, 2X] when the X nodes are its middle nodes, and one more
+    over [-X, X] otherwise; the A2 scan takes as many again at a shift
+    a != 0."""
     _check_shift(gen, a)
     line = _line_samples(gen, X, h, 0.0)
     shifted = line if a == 0 else _line_samples(gen, X, h, a)

@@ -5,7 +5,10 @@ k_mu(z) = sin(pi(z - conj mu))/(pi(z - conj mu)); their interpolation
 coefficients against the biorthogonal family are exactly the point
 values F(lambda), so no time-domain computation is ever needed.  Partial
 sums, the discrete Riesz projections and the weighted projector identity
-all run on the uniform grids of `grids`.
+all run on the uniform grids of `grids`.  On the grid, G and the Cauchy sums
+of every step's partial sum take the near and far field of spectrum's line
+kernels (log_G's real points and line_cauchy); the disk K and the norm
+probe's Gram matrix stay direct.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 from pwsum.blaschke import BlaschkeEvaluator
 from pwsum.genfun import GeneratingFunctionEvaluator, OuterEvaluator
 from pwsum.grids import GridFunction, GridError, hilbert_transform
-from pwsum.spectrum import cauchy_chunks, cauchy_sums, collisions, unique_sorted
+from pwsum.spectrum import cauchy_chunks, cauchy_sums, collisions, line_cauchy, unique_sorted
 from pwsum.weights import WeightRow
 
 
@@ -92,14 +95,14 @@ def sample_sums(
 ) -> list[GridFunction]:
     """G(x) * sum_k a_k/(x - lambda_k) on the grid for every sum, in one pass
     over the grid: the sums are the columns of one (points x sums)
-    coefficient matrix, so the schedule steps share one G on the grid."""
+    coefficient matrix, whose Cauchy sums line_cauchy takes panel by panel,
+    and the schedule steps share one G on the grid."""
     G = gen.eval_G(grid.x)
     A = np.zeros((len(gen.spectrum), len(sums)), dtype=complex)
     for j, ls in enumerate(sums):
         A[ls.indices, j] = ls.coefficients
-    out = np.empty((len(sums), len(grid)), dtype=complex)
-    for rows, C in cauchy_chunks(grid.x, gen.spectrum.points):
-        out[:, rows] = (C @ A).T * G[rows]
+    out = np.ascontiguousarray(line_cauchy(grid.x, gen.spectrum.points, A).T)
+    out *= G
     return [grid.copy_with(v) for v in out]
 
 
@@ -248,7 +251,7 @@ class NormProbe:
         lam = gen.spectrum.points
         self._K = np.sinc(lam[:, None] - ms[None, :])
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value raises below
-            D = grid.trapezoid_weights() * np.abs(gen.eval_G(grid.x)) ** 2
+            D = grid.trapezoid_weights() * np.exp(2.0 * gen.log_abs_G(grid.x))
             if not np.isfinite(D).all():
                 raise EngineError("|G|^2 is not finite on the grid: the norm probe's weights overflow")
             self._P = np.zeros((lam.size, lam.size), dtype=complex)

@@ -7,7 +7,10 @@ formula pairs points symmetrically, (1 - z/(c+q))(1 - z/(c-q)) =
 (q^2 - (c-z)^2)/(q^2 - c^2), and the product of those pairs over a
 sublattice is a ratio of Gamma functions, evaluated through log-Gamma.
 Custom point lists are taken as the whole zero set: G is the finite
-product over the stored points, with no tail.
+product over the stored points, with no tail.  The window's product takes
+the near and far field of spectrum's line kernels at real points (log|G|
+on any line, and G on the real line, as on converge's grid) and the block
+log-product at every other point.
 
 The outer factor is recovered from |G| on the line by the Schwarz-Poisson
 integral; only its modulus is contractual (the unimodular constant is
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from pwsum.grids import GridFunction, grid_template, hilbert_transform
-from pwsum.spectrum import LatticeTail, Spectrum, cauchy_sums, line_log_abs, log_products, touching
+from pwsum.spectrum import LatticeTail, Spectrum, cauchy_sums, line_arg, line_log_abs, log_products, touching
 
 
 class GenFunError(ValueError):
@@ -160,15 +163,22 @@ class GeneratingFunctionEvaluator:
     # -- public API ----------------------------------------------------------
 
     def log_G(self, z: np.ndarray, skip: np.ndarray | None = None) -> np.ndarray:
-        """A log of G(z): the window takes one log per block of factors
-        (log_products), so Im log_G is defined modulo 2 pi.  Only exp(log_G) is
-        ever used (G and G').  With skip, point i leaves out the linear factor
-        of spectrum index skip[i]."""
+        """A log of G(z), Im defined modulo 2 pi: only exp(log_G) is ever used
+        (G and G').  A real point takes the line kernels, line_log_abs + i
+        line_arg; any other point, and every point given a skip, takes the
+        block log-product log_products.  The rule is per point, so a point's
+        value does not depend on the other points of the call.  With skip,
+        point i leaves out the linear factor of spectrum index skip[i]."""
         lam = self.spectrum.points
         hit = touching(z, lam, skip)
         if np.any(hit):
             raise CollisionError(f"z={z[np.argmax(hit)]} collides with a spectrum point")
-        out = np.log(self.normalization) + log_products(z, lam, skip=skip)
+        out = np.empty(z.shape, dtype=complex)
+        real = z.imag == 0 if skip is None else np.zeros(z.shape, dtype=bool)
+        x = z.real[real]
+        out[real] = line_log_abs(x, 0.0, lam) + 1j * line_arg(x, 0.0, lam)
+        out[~real] = log_products(z[~real], lam, skip=skip)
+        out += np.log(self.normalization)
         if self.spectrum.tail is None:
             return out
         return out + _tail_log(self.spectrum.tail, z)

@@ -5,6 +5,13 @@ non-real frequencies.  A built-in family's spectrum carries the points
 beyond its window as `Spectrum.tail`, from which the product, Blaschke and
 Carleson evaluators take their analytic tails; a custom point list has no
 tail and is taken as the whole zero set.
+
+The pair kernels over (points x spectrum) live here too.  Points in the
+plane take a direct kernel, walked in blocks by row_blocks: log_products
+(G, G', B, B', beta), collisions, inverse_square_sums and the Cauchy sums.
+Real points take the near and far field of one panel walker, _panels,
+under three reductions: line_log_abs (log|G| on a line), line_arg (arg G
+on the real line) and line_cauchy (the Cauchy sums on the grid).
 """
 
 from __future__ import annotations
@@ -31,9 +38,9 @@ def block_rows(n_cols: int) -> int:
 
     Every pair kernel but two reduces along its columns, one row at a time,
     so the block size cannot change a single bit of its output.  The two
-    BLAS Cauchy sums of engine (sample_sums, the NormProbe Gram matrix)
-    multiply whole blocks, whose rounding depends on the block shape: they
-    move by ~1e-15 relative."""
+    BLAS Cauchy sums (line_cauchy, which engine.sample_sums calls, and the
+    NormProbe Gram matrix) multiply whole blocks, whose rounding depends on
+    the block shape: they move by ~1e-15 relative."""
     return max(1, BLOCK_BUDGET // max(n_cols, 1))
 
 
@@ -105,33 +112,87 @@ def inverse_square_sums(z: np.ndarray, lam: np.ndarray, w: np.ndarray, skip: np.
 
 def cauchy_chunks(z: np.ndarray, lam: np.ndarray, *dtypes):
     """(rows, 1/(z[rows] - lambda), *scratch blocks, one per dtype) over the
-    row_blocks of the points z: the only place that forms 1/(z - lambda).
-    Every chunk is written into one buffer made per call, so a caller
-    consumes each before the next."""
+    row_blocks of the points z: the one complex form of 1/(z - lambda), for
+    the BLAS Cauchy sums.  Every chunk is written into one buffer made per
+    call, so a caller consumes each before the next."""
     for rows, c, *bufs in row_blocks(z.size, lam.size, complex, *dtypes):
         np.subtract(z[rows, None], lam, out=c)
         yield rows, np.divide(1.0, c, out=c), *bufs
 
 
 def cauchy_sums(z: np.ndarray, lam: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """sum_k coeffs_k/(z_i - lambda_k) per point z_i, row by row.  The products
-    go into a second buffer: numpy multiplies a one-element block in place
-    without the fused (FMA) loop of longer blocks."""
+    """sum_k coeffs_k/(z_i - lambda_k) per point z_i, row by row, in real
+    arithmetic, as log_products' products are: with d = z - lambda,
+    c/d = c conj(d) |d|^-2, so no bit rests on whether numpy takes a fused
+    (FMA) loop for a complex multiply of some length or layout.  |d|^2 is
+    formed as is: finite and nonzero for 1e-154 < |d| < 1e154."""
     out = np.empty(z.shape, dtype=complex)
-    for rows, C, P in cauchy_chunks(z, lam, complex):
-        np.sum(np.multiply(C, coeffs[None, :], out=P), axis=1, out=out[rows])
+    cr, ci = coeffs.real.copy(), coeffs.imag.copy()
+    lr, li = lam.real.copy(), lam.imag.copy()
+    for rows, dr, di, m, p in row_blocks(z.size, lam.size, float, float, float, float):
+        np.subtract(z.real[rows, None], lr, out=dr)
+        np.subtract(z.imag[rows, None], li, out=di)
+        np.multiply(dr, dr, out=m)
+        m += np.multiply(di, di, out=p)
+        np.divide(1.0, m, out=m)
+        dr *= m  # Re 1/d
+        di *= m  # -Im 1/d
+        np.multiply(dr, cr, out=p)
+        p += np.multiply(di, ci, out=m)
+        np.add.reduce(p, axis=1, out=out.real[rows])
+        np.multiply(dr, ci, out=p)
+        p -= np.multiply(di, cr, out=m)
+        np.add.reduce(p, axis=1, out=out.imag[rows])
     return out
 
 
-# The panels of line_log_abs: width, near radius and Chebyshev points.
-# Fixed, and independent of BLOCK_BUDGET: a node's value depends on
-# (x, a, lambda) alone.
+# The panels of the line kernels (line_log_abs, line_arg, line_cauchy): width,
+# near radius and Chebyshev points.  Fixed, and independent of BLOCK_BUDGET: a
+# node's value depends on the node and the spectrum alone.
 PANEL_WIDTH = 4.0
 PANEL_RADIUS = 8.0
 PANEL_POINTS = 16
 _THETA = (2 * np.arange(PANEL_POINTS) + 1) * np.pi / (2 * PANEL_POINTS)
 _CHEB = 0.5 * PANEL_WIDTH * np.cos(_THETA)  # offsets from a panel's centre
 _BARY = np.where(np.arange(PANEL_POINTS) % 2, -1.0, 1.0) * np.sin(_THETA)
+
+
+def _panels(x: np.ndarray, lre: np.ndarray):
+    """The panel walk of the line kernels: near and far field (Dutt, Gu and
+    Rokhlin, SIAM J. Numer. Anal. 33, 1996) for real nodes x against columns
+    whose real parts lre are sorted ascending.
+
+    Yields (nodes, t, lo, hi) per panel [k W, (k + 1) W], W = PANEL_WIDTH,
+    that holds a node: nodes indexes its nodes, t is its PANEL_POINTS
+    first-kind Chebyshev points, lre[lo:hi] are its near columns, those with
+    |lre - centre| <= W/2 + PANEL_RADIUS, and lre[:lo] and lre[hi:] its far
+    columns."""
+    if not x.size:
+        return
+    panel = np.floor(x / PANEL_WIDTH)
+    by_panel = np.argsort(panel, kind="stable")
+    ends = np.flatnonzero(np.diff(panel[by_panel])) + 1
+    for nodes in np.split(by_panel, ends):
+        left = panel[nodes[0]] * PANEL_WIDTH
+        lo = np.searchsorted(lre, left - PANEL_RADIUS, "left")
+        hi = np.searchsorted(lre, left + PANEL_WIDTH + PANEL_RADIUS, "right")
+        yield nodes, (left + 0.5 * PANEL_WIDTH) + _CHEB, lo, hi
+
+
+def _line_sums(x: np.ndarray, lre: np.ndarray, sums, interpolate, out: np.ndarray) -> np.ndarray:
+    """Writes into out[i] a sum over every column at node x_i, with
+    sums(t, cols) the sum over the columns cols (a slice of lre's order) at
+    each point t: the near columns at the node itself, the far ones summed at
+    the panel's Chebyshev points and interpolated (_interpolate or
+    _interpolate_columns).  Returns out, as it came when there are no
+    columns."""
+    if lre.size:
+        for nodes, t, lo, hi in _panels(x, lre):
+            far = sums(t, slice(None, lo))
+            far += sums(t, slice(hi, None))
+            xs = x[nodes]
+            out[nodes] = sums(xs, slice(lo, hi)) + interpolate(xs, t, far)
+    return out
 
 
 def _log_d2_sums(t: np.ndarray, lre: np.ndarray, dy2: np.ndarray, log_l2: np.ndarray) -> np.ndarray:
@@ -147,23 +208,67 @@ def _log_d2_sums(t: np.ndarray, lre: np.ndarray, dy2: np.ndarray, log_l2: np.nda
     return out
 
 
+def _arg_sums(t: np.ndarray, lre: np.ndarray, dim: np.ndarray, arg: np.ndarray) -> np.ndarray:
+    """sum_j arctan2(dim_j, lre_j - t_i) - arg_j per point t_i, in column order."""
+    out = np.empty(t.shape)
+    for rows, d in row_blocks(t.size, lre.size, float):
+        np.subtract(lre, t[rows, None], out=d)
+        np.arctan2(dim, d, out=d)
+        d -= arg
+        np.add.reduce(d, axis=1, out=out[rows])
+    return out
+
+
+def _cauchy_products(z: np.ndarray, lam: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """sum_k A[k, s]/(z_i - lam_k) per point z_i and column s, by BLAS per block."""
+    out = np.empty((z.size, A.shape[1]), dtype=complex)
+    for rows, C in cauchy_chunks(z, lam):
+        np.matmul(C, A, out=out[rows])
+    return out
+
+
+def _bary_weights(x: np.ndarray, t: np.ndarray, q: np.ndarray) -> tuple:
+    """Fills q with the barycentric weights b_k/(x_i - t_k) of the first-kind
+    Chebyshev points t of one panel (inf at x_i = t_k), and returns the
+    (i, k) pairs where x_i = t_k."""
+    np.subtract(x[:, None], t, out=q)
+    hit = np.nonzero(q == 0.0)
+    with np.errstate(divide="ignore"):  # an x_i on t_k: taken by the caller
+        np.divide(_BARY, q, out=q)
+    return hit
+
+
 def _interpolate(x: np.ndarray, t: np.ndarray, f: np.ndarray) -> np.ndarray:
     """The polynomial through (t_k, f_k) at the first-kind Chebyshev points t
     of one panel, at every x_i, by the barycentric formula
-    sum_k (b_k f_k/(x - t_k)) / sum_k (b_k/(x - t_k)); f_k itself at x_i = t_k.
-    The middle value c is taken out of f and added back, so the rounding of
-    the quotient scales with the variation of f, not its size."""
+    sum_k (b_k f_k/(x - t_k)) / sum_k (b_k/(x - t_k)), row by row; f_k itself
+    at x_i = t_k.  The middle value c is taken out of f and added back, so
+    the rounding of the quotient scales with the variation of f, not its
+    size."""
     c = f[PANEL_POINTS // 2]
     g = f - c
     out = np.empty(x.shape)
     for rows, q, p in row_blocks(x.size, PANEL_POINTS, float, float):
-        np.subtract(x[rows, None], t, out=q)
-        hit = np.nonzero(q == 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):  # an x_i on t_k: taken below
-            np.divide(_BARY, q, out=q)
-            np.multiply(q, g, out=p)
-            np.divide(np.add.reduce(p, axis=1), np.add.reduce(q, axis=1), out=out[rows])
+        hit = _bary_weights(x[rows], t, q)
+        with np.errstate(invalid="ignore"):  # inf/inf on a hit row, replaced below
+            np.divide(np.add.reduce(np.multiply(q, g, out=p), axis=1), np.add.reduce(q, axis=1), out=out[rows])
         out[rows][hit[0]] = g[hit[1]]
+    out += c
+    return out
+
+
+def _interpolate_columns(x: np.ndarray, t: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """_interpolate for complex f with one row of S columns per Chebyshev
+    point: the numerators of all columns are one real matrix product, on the
+    real and imaginary parts side by side."""
+    c = f[PANEL_POINTS // 2]
+    g = f - c
+    q = np.empty((x.size, PANEL_POINTS))
+    hit = _bary_weights(x, t, q)
+    with np.errstate(invalid="ignore"):  # inf/inf on a hit row, replaced below
+        out = (q @ g.view(float)).view(complex)
+        out /= np.add.reduce(q, axis=1)[:, None]
+    out[hit[0]] = g[hit[1]]
     out += c
     return out
 
@@ -172,8 +277,8 @@ def line_log_abs(x: np.ndarray, a: float, lam: np.ndarray) -> np.ndarray:
     """sum_j log|1 - (x_i + ia)/lam_j| per real x_i, in real arithmetic: half
     of sum_j log(((x_i - Re lam_j)^2 + (a - Im lam_j)^2)/|lam_j|^2).
 
-    Near and far field (Dutt, Gu and Rokhlin, SIAM J. Numer. Anal. 33, 1996).
-    A node in the panel [k W, (k + 1) W] sums its near points, those with
+    Near and far field on the panels of _panels: a node in the panel
+    [k W, (k + 1) W] sums its near points, those with
     |Re lam - centre| <= W/2 + R, directly, one row per node; the far sum f(t)
     is interpolated from its values at the panel's n = PANEL_POINTS
     first-kind Chebyshev points.  W = PANEL_WIDTH, R = PANEL_RADIUS, and
@@ -194,27 +299,57 @@ def line_log_abs(x: np.ndarray, a: float, lam: np.ndarray) -> np.ndarray:
     M is 60-410 on the built-in families and on 599 points 0.05 apart, so
     n = 16 is the least count whose bound (4e-13 at most there) stays below
     1e-12: n = 15 gives 4e-12."""
-    out = np.zeros(x.shape)
-    if not (x.size and lam.size):
-        return out
     order = np.argsort(lam.real, kind="stable")
     lre, lim = lam.real[order], lam.imag[order]
     log_l2 = np.log(lre * lre + lim * lim)
     dy2 = (a - lim) ** 2
-    panel = np.floor(x / PANEL_WIDTH)
-    by_panel = np.argsort(panel, kind="stable")
-    ends = np.flatnonzero(np.diff(panel[by_panel])) + 1
-    for nodes in np.split(by_panel, ends):
-        left = panel[nodes[0]] * PANEL_WIDTH
-        lo = np.searchsorted(lre, left - PANEL_RADIUS, "left")
-        hi = np.searchsorted(lre, left + PANEL_WIDTH + PANEL_RADIUS, "right")
-        t = (left + 0.5 * PANEL_WIDTH) + _CHEB
-        far = _log_d2_sums(t, lre[:lo], dy2[:lo], log_l2[:lo])
-        far += _log_d2_sums(t, lre[hi:], dy2[hi:], log_l2[hi:])
-        xs = x[nodes]
-        out[nodes] = _log_d2_sums(xs, lre[lo:hi], dy2[lo:hi], log_l2[lo:hi]) + _interpolate(xs, t, far)
+    out = _line_sums(x, lre, lambda t, c: _log_d2_sums(t, lre[c], dy2[c], log_l2[c]),
+                     _interpolate, np.zeros(x.shape))
     out *= 0.5
     return out
+
+
+def line_arg(x: np.ndarray, a: float, lam: np.ndarray) -> np.ndarray:
+    """sum_j [arctan2(Im lam_j - a, Re lam_j - x_i) - arg lam_j] per real x_i, in
+    real arithmetic: the argument of prod_j (1 - (x_i + ia)/lam_j), modulo 2 pi.
+
+    Near and far field on the panels of line_log_abs, with its bound.  For
+    real x the term is arg(mu_j - x) - arg lam_j with mu_j = lam_j - ia, that
+    is (log(mu_j - x) - log(conj mu_j - x))/(2i) up to a constant, while
+    line_log_abs's term is half the sum of the same two logs.  So the far sum
+    is analytic off the same points mu_j and conj mu_j, inside the same
+    Bernstein ellipse E_rho, and since |log(1 - u)| <= -log(1 - |u|), it
+    obeys the same |f(s) - f(0)| <= M = sum_far -log(1 - A_rho/d_j) and the
+    same |error| <= 4 M rho^-15/(rho - 1) = 1.0e-15 M at rho = 9.5.  Each
+    term is continuous along the line, except at x = Re lam_j where
+    Im lam_j = a: a zero of the product, which only a near point can be."""
+    order = np.argsort(lam.real, kind="stable")
+    lre, lim = lam.real[order], lam.imag[order]
+    dim, arg = lim - a, np.arctan2(lim, lre)
+    return _line_sums(x, lre, lambda t, c: _arg_sums(t, lre[c], dim[c], arg[c]),
+                      _interpolate, np.zeros(x.shape))
+
+
+def line_cauchy(x: np.ndarray, lam: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """sum_k A[k, s]/(x_i - lam_k) per real x_i and column s of the
+    (lam.size, S) matrix A: the (x.size, S) Cauchy sums of its columns.
+
+    Near and far field on the panels of line_log_abs; the near sums and the
+    far sums at the Chebyshev points are BLAS products, so their last bits
+    depend on the block shape.  Error bound (ATAP Thm 8.2, as in
+    line_log_abs): in the panel's variable s, a far term A_k/(x - lam_k) is
+    A_k/((W/2)(s - sigma_k)), sigma_k = (lam_k - centre)/(W/2), |sigma_k| >=
+    |Re sigma_k| > 5.  E_rho lies in |s| <= A_rho, so on it
+    |s - sigma_k| >= |sigma_k| (1 - A_rho/5), while at a node
+    |s - sigma_k| <= |sigma_k| (1 + 1/5): the far sum is bounded on E_rho by
+    M = 1.2/(1 - A_rho/5) sum_far |A_k|/|x_i - lam_k|, and the error by
+    4 M rho^-15/(rho - 1).  At rho = 9.25 (A_rho = 4.68) that is
+    2.9e-14 sum_far |A_k|/|x_i - lam_k|."""
+    out = np.zeros((x.size, A.shape[1]), dtype=complex)
+    order = np.argsort(lam.real, kind="stable")
+    lam, A = lam[order], A[order]
+    return _line_sums(x, lam.real, lambda t, c: _cauchy_products(t, lam[c], A[c]),
+                      _interpolate_columns, out)
 
 
 def unique_sorted(a) -> np.ndarray:

@@ -21,7 +21,7 @@ from scipy.integrate import quad
 
 from pwsum.blaschke import BlaschkeEvaluator
 from pwsum.contours import build_schedule
-from pwsum.diagnostics import a2_estimate, carleson_sup
+from pwsum.diagnostics import carleson_sup, line_diagnostics
 from pwsum.engine import (
     PWFunction,
     build_lagrange_sum,
@@ -313,12 +313,12 @@ def test_criterion_10_diagnostics_invariances():
     s = make_family("shifted_integers", {"delta": 0.3}, 80)
     g1 = GeneratingFunctionEvaluator(s)
     g2 = GeneratingFunctionEvaluator(s, normalization=3.7 - 1.2j)
-    v1 = a2_estimate(g1, X=20.0, h=0.01)
-    v2 = a2_estimate(g2, X=20.0, h=0.01)
+    v1 = line_diagnostics(g1, X=20.0, h=0.01)[0]
+    v2 = line_diagnostics(g2, X=20.0, h=0.01)[0]
     scale_dev = abs(v1 - v2) / max(v1, 1.0)
     pts = np.array([0.25 + 0.5j, 1 + 1j, -2 + 0.75j, 3 - 0.5j])
     trans_exact = carleson_sup(Spectrum(pts)) == carleson_sup(Spectrum(pts + 11.0))
-    lower_ok = v1 >= 1.0 - 1e-12 and a2_estimate(g1, X=5.0, h=0.01) >= 1.0 - 1e-12
+    lower_ok = v1 >= 1.0 - 1e-12 and line_diagnostics(g1, X=5.0, h=0.01)[0] >= 1.0 - 1e-12
     ok = scale_dev <= 1e-12 and trans_exact and lower_ok
     report(
         10,

@@ -1,12 +1,9 @@
 """The block size of the (points x spectrum) pair kernels changes no bit,
 except in the BLAS-based Cauchy kernels, which stay within a stated tolerance;
 the Cauchy row sums (compactwise_error, the projector's interpolation sum)
-are held to every bit, a one-term sum in one-element blocks included.
-
-Those bits rest on numpy's dispatch, as checked with numpy 2.4.6 on an x86-64
-CPU with FMA: an out-of-place complex multiply rounds as the fused (FMA) loop
-of a long array at every length, while one element multiplied in place does
-not.  Another numpy build may dispatch otherwise and fail the one-term sum."""
+are held to every bit, a one-term sum in one-element blocks included.  They
+form their products in real arithmetic, so no bit rests on whether numpy
+takes a fused (FMA) loop for a complex multiply of some length."""
 
 import numpy as np
 import pytest
@@ -60,6 +57,7 @@ def _kernel_outputs() -> dict:
         # on the points' own line, between them: the collision test's columns
         "log_abs_G@delta": gen.log_abs_G(x + 0.1, a=0.3),
         "log_G": gen.log_G(z),
+        "log_G@real": gen.log_G(x + 0j),
         "log_abs_B": up.log_abs_B(z),
         "eval_B": np.concatenate([up.eval_B(z), up.eval_B(z, cutoff=12.0)]),
         "arg_derivative_on_R": up.arg_derivative_on_R(x),
@@ -135,6 +133,7 @@ def test_block_buffers_sliced_per_block(ragged):
     z = np.linspace(-40.0, 40.0, n) + 0.7j
     kernels = {
         "log_G": gen.log_G,
+        "log_G@real": lambda z: gen.log_G(z.real + 0j),
         "log_abs_G": lambda z: gen.log_abs_G(z.real, a=0.4),
         "eval_B": up.eval_B,
         "tail_factor": lambda z: up.tail_factor(z, 12.0),

@@ -17,7 +17,7 @@ from pwsum.blaschke import upper_lower_evaluators
 from pwsum.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main, parse_config, run
 from pwsum.cli import ConfigError
 from pwsum.contours import build_schedule
-from pwsum.diagnostics import a2_estimate, intG_check
+from pwsum import diagnostics
 from pwsum.genfun import GeneratingFunctionEvaluator
 from pwsum.spectrum import Spectrum, make_family
 from pwsum.weights import universal_rows
@@ -569,8 +569,12 @@ def test_diagnose_samples_each_line_once(tmp_path, monkeypatch, a, X, h, nodes):
     passes = sorted((n, shift) for _, n, shift in calls)
     assert passes == sorted((n, shift) for n in nodes for shift in {0.0, a})
     gen = calls[0][0]
-    v1, v2 = a2_estimate(gen, X=X, a=a, h=h), a2_estimate(gen, X=2 * X, a=a, h=h)
-    rep = intG_check(gen, X=X, h=h)
+
+    def window(X, a):  # one window, from a log|G| pass of its own
+        return diagnostics._line_window(gen, X, h, a)
+
+    v1, v2 = (diagnostics._a2_from_logs(window(w, a).logs) for w in (X, 2 * X))
+    rep = diagnostics._intG_from_samples(window(X, 0.0), window(2 * X, 0.0))
     assert rows[0][2:] == (v1, v2 / v1)
     assert rows[2][2:] == (rep.pos_integral, rep.pos_trend)
     assert rows[3][2:] == (rep.neg_integral, rep.neg_trend)

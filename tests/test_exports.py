@@ -64,10 +64,6 @@ def test_evaluators_take_and_return_arrays_only():
 _ALLOW_LIST = {
     # the console script; the runs below call cli.run, which main wraps
     ("cli", "main"),
-    # the single-window API: criterion 10 calls a2_estimate, and tests hold
-    # line_diagnostics (what diagnose runs) bit-identical to both
-    ("diagnostics", "a2_estimate"),
-    ("diagnostics", "intG_check"),
     # the tail model's error estimate, until a CLI output reports it
     ("genfun", "GeneratingFunctionEvaluator.tail_uncertainty"),
     # the outer-weight deviation certificate, until a CLI output reports it;

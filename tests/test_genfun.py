@@ -226,12 +226,13 @@ def test_grid_G_matches_per_factor_log_sum(lattice400_grid):
 
 
 def test_block_product_overflow_falls_back_per_factor():
-    # 32 points of modulus ~1e-6: at z = 1e15 each factor is ~1e21, so a block
-    # product of 16 overflows and that row takes one log per factor
+    # 32 points of modulus ~1e-6: at z = 1e15 + i each factor is ~1e21, so a block
+    # product of 16 overflows and that row takes one log per factor (a real z
+    # takes the line kernels, not log_products)
     j = np.arange(32)
     lam = 1e-6 * ((j + 1) + (1.0 + 0.01 * j) * 1j)
     g = GeneratingFunctionEvaluator(Spectrum(lam))
-    z = np.array([0.5 + 0.2j, 1e15 + 0j])
+    z = np.array([0.5 + 0.2j, 1e15 + 1j])
     got = g.log_G(z)
     per_factor = np.log(1.0 - z[:, None] / g.spectrum.points[None, :]).sum(axis=1)
     assert got[1] == per_factor[1]

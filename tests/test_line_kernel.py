@@ -1,5 +1,6 @@
-"""The panel kernel of log|G| on a line (spectrum.line_log_abs) against the
-direct kernel it replaced, kept here as the oracle, and against mpmath."""
+"""The panel kernels of the line (spectrum.line_log_abs, line_arg and
+line_cauchy) against the direct kernels they replaced, kept here as the
+oracles, and G on a real line (log_G) against mpmath."""
 
 import mpmath
 import numpy as np
@@ -7,9 +8,10 @@ import pytest
 
 from pwsum import spectrum
 from pwsum.genfun import CollisionError, GeneratingFunctionEvaluator
-from pwsum.spectrum import PANEL_POINTS, PANEL_WIDTH, Spectrum, line_log_abs, make_family
+from pwsum.spectrum import PANEL_POINTS, PANEL_WIDTH, Spectrum, line_arg, line_cauchy, line_log_abs, make_family
 
-TOL = 1e-12  # absolute, in the log
+TOL = 1e-12  # absolute, in the log (and in the argument, modulo 2 pi)
+CAUCHY_TOL = 1e-13  # of sum_k |a_k|/|x - lambda_k|
 
 
 def direct_line_log_abs(x, a, lam):
@@ -25,9 +27,43 @@ def direct_line_log_abs(x, a, lam):
     return out
 
 
+def direct_line_arg(x, a, lam):
+    """sum_j [arctan2(Im lam_j - a, Re lam_j - x_i) - arg lam_j] over every
+    pair, one row per node, in chunks of 256 rows."""
+    out = np.zeros(x.shape)
+    arg = np.arctan2(lam.imag, lam.real)
+    for i in range(0, x.size, 256):
+        out[i : i + 256] = (np.arctan2(lam.imag - a, lam.real - x[i : i + 256, None]) - arg).sum(axis=1)
+    return out
+
+
+def dense_cauchy(x, lam, A):
+    """The dense Cauchy product 1/(x_i - lam_k) @ A, and its scale
+    sum_k |A[k, s]|/|x_i - lam_k|."""
+    C = 1.0 / (x[:, None] - lam)
+    return C @ A, np.abs(C) @ np.abs(A)
+
+
+def arg_error(got, want):
+    """max |got - want| modulo 2 pi."""
+    return np.max(np.abs(np.angle(np.exp(1j * (got - want))))) if got.size else 0.0
+
+
+def coefficients(n, cols=3):
+    rng = np.random.default_rng(11)
+    return rng.standard_normal((n, cols)) + 1j * rng.standard_normal((n, cols))
+
+
 def dense_list():
     """The 599 points x + 0.5i, x = 0.05, 0.10, ..., 29.95."""
     return np.array([float(f"{k * 0.05:.2f}") for k in range(1, 600)]) + 0.5j
+
+
+def both_halfplanes():
+    """150 points with real parts in [-30, 30] and |Im| in [0.1, 2], in both
+    half-planes."""
+    rng = np.random.default_rng(3)
+    return rng.uniform(-30.0, 30.0, 150) + 1j * rng.choice([-1.0, 1.0], 150) * rng.uniform(0.1, 2.0, 150)
 
 
 SPECTRA = {
@@ -35,6 +71,7 @@ SPECTRA = {
     "kadec_perturbed": make_family("kadec_perturbed", {"delta": 0.3, "eps": 0.2}, 100).points,
     "clustered_pairs": make_family("clustered_pairs", {"delta": 1.0, "eps": 0.5}, 200).points,
     "dense_list": dense_list(),
+    "both_halfplanes": both_halfplanes(),
 }
 
 
@@ -69,19 +106,32 @@ def test_nodes_on_panel_edges_and_on_chebyshev_points():
     left = ks[:, None] * PANEL_WIDTH
     cheb = ((left + 0.5 * PANEL_WIDTH) + spectrum._CHEB).ravel()
     assert cheb.size == ks.size * PANEL_POINTS
+    A = coefficients(lam.size)
     for x in (edges, cheb, np.concatenate([edges, cheb])):
         got = line_log_abs(x, 0.0, lam)
         assert np.all(np.isfinite(got))
         assert np.max(np.abs(got - direct_line_log_abs(x, 0.0, lam))) <= TOL
+        got = line_arg(x, 0.0, lam)
+        assert np.all(np.isfinite(got))
+        assert arg_error(got, direct_line_arg(x, 0.0, lam)) <= TOL
+        got, (want, scale) = line_cauchy(x, lam, A), dense_cauchy(x, lam, A)
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - want) / scale) <= CAUCHY_TOL
 
 
 def test_empty_nodes_and_empty_spectrum():
     lam = SPECTRA["kadec_perturbed"]
+    none, A = np.array([], dtype=complex), coefficients(lam.size)
     assert line_log_abs(np.array([]), 0.0, lam).shape == (0,)
+    assert line_arg(np.array([]), 0.0, lam).shape == (0,)
+    assert line_cauchy(np.array([]), lam, A).shape == (0, 3)
     x = np.linspace(-10.0, 10.0, 41)
-    assert np.array_equal(line_log_abs(x, 0.3, np.array([], dtype=complex)), np.zeros(41))
-    gen = GeneratingFunctionEvaluator(Spectrum(np.array([], dtype=complex)))
+    assert np.array_equal(line_log_abs(x, 0.3, none), np.zeros(41))
+    assert np.array_equal(line_arg(x, 0.3, none), np.zeros(41))
+    assert np.array_equal(line_cauchy(x, none, np.zeros((0, 3), dtype=complex)), np.zeros((41, 3)))
+    gen = GeneratingFunctionEvaluator(Spectrum(none))
     assert np.array_equal(gen.log_abs_G(x, a=0.3), np.zeros(41))
+    assert np.array_equal(gen.log_G(x + 0j), np.zeros(41))
 
 
 def test_line_at_a_points_height():
@@ -101,11 +151,26 @@ def test_a_nodes_value_does_not_depend_on_the_call():
     # fixed panels, fixed sums: any order, any subset, one node alone
     lam = SPECTRA["clustered_pairs"]
     x = np.linspace(-90.0, 90.0, 1801) + 0.0137
-    ref = line_log_abs(x, 0.2, lam)
     perm = np.random.default_rng(5).permutation(x.size)
-    assert np.array_equal(line_log_abs(x[perm], 0.2, lam), ref[perm])
-    assert np.array_equal(line_log_abs(x[::37], 0.2, lam), ref[::37])
-    assert all(line_log_abs(x[i : i + 1], 0.2, lam)[0] == ref[i] for i in range(0, x.size, 97))
+    for kernel in (line_log_abs, line_arg):
+        ref = kernel(x, 0.2, lam)
+        assert np.array_equal(kernel(x[perm], 0.2, lam), ref[perm])
+        assert np.array_equal(kernel(x[::37], 0.2, lam), ref[::37])
+        assert all(kernel(x[i : i + 1], 0.2, lam)[0] == ref[i] for i in range(0, x.size, 97))
+
+
+def test_a_real_points_G_does_not_depend_on_the_call():
+    # log_G's rule is per point: a real point takes the line kernels whether
+    # it comes alone, in a batch of real points or among non-real ones
+    gen = GeneratingFunctionEvaluator(make_family("clustered_pairs", {"delta": 1.0, "eps": 0.5}, 200))
+    x = np.linspace(-90.0, 90.0, 601) + 0.0137 + 0j
+    ref = gen.log_G(x)
+    mixed = np.empty(2 * x.size, dtype=complex)
+    mixed[::2], mixed[1::2] = x, x + 0.5j
+    got = gen.log_G(mixed)
+    assert np.array_equal(got[::2], ref)
+    assert np.array_equal(got[1::2], gen.log_G(x + 0.5j))
+    assert all(gen.log_G(x[i : i + 1])[0] == ref[i] for i in range(0, x.size, 61))
 
 
 @pytest.mark.parametrize("name, a", [("clustered_pairs", 0.0), ("dense_list", 0.0), ("kadec_perturbed", -2.0)])
@@ -117,3 +182,52 @@ def test_panels_match_mpmath(name, a):
         pts = [mpmath.mpc(p) for p in lam]
         want = [float(mpmath.fsum(mpmath.log(abs(1 - mpmath.mpc(xi, a) / p)) for p in pts)) for xi in x]
     assert np.max(np.abs(got - np.array(want))) <= TOL
+
+
+@pytest.mark.parametrize("a", [0.0, 0.3])
+@pytest.mark.parametrize("name", sorted(SPECTRA))
+def test_line_arg_matches_the_direct_kernel(name, a):
+    # a = 0.3 puts the lattice families' points on the line: their terms are
+    # 0 or pi, and jump only at the near points' real parts
+    lam = SPECTRA[name]
+    reach = np.max(np.abs(lam.real)) + 30.0
+    x = np.linspace(-reach, reach, 2001) + 0.0137
+    got, want = line_arg(x, a, lam), direct_line_arg(x, a, lam)
+    assert arg_error(got, want) <= TOL, (name, a, arg_error(got, want))
+
+
+@pytest.mark.parametrize("name", sorted(SPECTRA))
+def test_line_cauchy_matches_the_dense_product(name):
+    lam = SPECTRA[name]
+    reach = np.max(np.abs(lam.real)) + 30.0
+    x = np.linspace(-reach, reach, 2001) + 0.0137
+    A = coefficients(lam.size)
+    got, (want, scale) = line_cauchy(x, lam, A), dense_cauchy(x, lam, A)
+    assert got.shape == (x.size, 3)
+    assert np.max(np.abs(got - want) / scale) <= CAUCHY_TOL, (name, np.max(np.abs(got - want) / scale))
+
+
+@pytest.mark.parametrize("name", ["kadec_perturbed", "dense_list", "both_halfplanes"])
+def test_G_on_a_real_line_matches_mpmath(name):
+    # the window alone (no tail), so the product is finite
+    lam = SPECTRA[name]
+    x = np.array([-61.3, -0.05, 2.0, 33.3])
+    got = GeneratingFunctionEvaluator(Spectrum(lam)).log_G(x + 0j)
+    with mpmath.workdps(30):
+        pts = [mpmath.mpc(p) for p in lam]
+        want = np.array([complex(mpmath.fsum(mpmath.log(1 - xi / p) for p in pts)) for xi in x])
+    assert np.max(np.abs(got.real - want.real)) <= TOL
+    assert arg_error(got.imag, want.imag) <= TOL
+
+
+def test_G_at_a_real_point_far_out():
+    # 32 points of modulus ~1e-6 and x = +-1e15, where each factor is ~1e21:
+    # every point is far, and the panel's Chebyshev points round to the
+    # doubles 0.125 apart; against the per-factor sum of logs
+    j = np.arange(32)
+    lam = 1e-6 * ((j + 1) + (1.0 + 0.01 * j) * 1j)
+    z = np.array([1e15, -1e15]) + 0j
+    got = GeneratingFunctionEvaluator(Spectrum(lam)).log_G(z)
+    want = np.log(1.0 - z[:, None] / lam).sum(axis=1)
+    assert np.max(np.abs(got.real - want.real) / np.abs(want.real)) <= 1e-14
+    assert arg_error(got.imag, want.imag) <= 1e-13
