@@ -2,10 +2,12 @@
 
 Subcommands (selected by the `subcommand` config key): diagnose, weights,
 converge, compare-norms, contours, factorize-check.  Exit codes: 0 on
-success, 2 on configuration errors, 3 on numerical precondition failures
-(infeasible contour selection and friends).  parse_config parses and
-checks every key before anything runs.  Outputs are byte-stable for a
-fixed config and seed.
+success, 2 on configuration errors and unwritable outputs, 3 on numerical
+precondition failures (infeasible contour selection, a non-finite number
+in any table, and friends).  parse_config checks every key before anything
+runs; a subcommand returns its tables, run checks every cell of every table
+and only then writes them all, so a run that exits 2 or 3 writes no CSV.
+Outputs are byte-stable for a fixed config and seed.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from pwsum.blaschke import BlaschkeError, upper_lower_evaluators
-from pwsum.contours import ContourError, build_schedule, save_schedule_csv
-from pwsum.diagnostics import DiagnosticsError, carleson_sup, line_diagnostics, save_report_csv
+from pwsum.contours import ContourError, build_schedule
+from pwsum.diagnostics import DiagnosticsError, carleson_sup, line_diagnostics
 from pwsum.engine import (
     EngineError,
     NormProbe,
@@ -36,7 +38,7 @@ from pwsum.engine import (
 from pwsum.genfun import GenFunError, GeneratingFunctionEvaluator, OuterEvaluator, check_factorization
 from pwsum.grids import GridError, grid_template, sample_count, sample_on_grid
 from pwsum.spectrum import FAMILY_NAMES, Spectrum, SpectrumError, load_spectrum, make_family
-from pwsum.weights import WeightError, naive_rows, projection_rows, save_weights_csv, universal_rows
+from pwsum.weights import WeightError, naive_rows, projection_rows, universal_rows
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -99,6 +101,8 @@ def _scheme_names(text: str) -> list:
     names = [t.strip() for t in text.split(",") if t.strip()]
     if not names:
         raise ValueError("no scheme given")
+    if len(set(names)) < len(names):  # a scheme's file or rows would be written twice
+        raise ValueError(f"a scheme is named twice in {text!r}")
     return [_choice(("naive", "projection", "universal"))(n) for n in names]
 
 
@@ -184,59 +188,39 @@ def _rows(name: str, cfg, spectrum) -> list:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns its tables, {file name: (header, rows)}
 # ---------------------------------------------------------------------------
 
-
-def _output(outdir: Path, name: str) -> Path:
-    """outdir / name, after making outdir.  Subcommands call it when they open
-    their first CSV, so a run that fails before has made no directory."""
-    try:
-        outdir.mkdir(parents=True, exist_ok=True)
-    except OSError as e:
-        raise ConfigError(f"cannot make output.dir: {e}") from e
-    return outdir / name
+_REPORT = "condition,window_X,value,trend_ratio"
 
 
-def _cmd_diagnose(cfg, outdir: Path) -> None:
+def _cmd_diagnose(cfg) -> dict:
     s = _build_spectrum(cfg)
     gen = GeneratingFunctionEvaluator(s)
     X = cfg["diag.X"]
     v1, v2, rep = line_diagnostics(gen, X, cfg["diag.h"], a=cfg["a2.a"])
-    car = carleson_sup(s)
     rows = [
-        ("a2_lower_bound", X, v1, v2 / v1 if v1 else np.inf),
-        ("carleson_sup", s.radius, car, 1.0),
+        ("a2_lower_bound", X, v1, v2 / v1),  # v1 >= 1: the A2 scan starts its maximum at 1
+        ("carleson_sup", s.radius, carleson_sup(s), 1.0),
         ("intG_pos", X, rep.pos_integral, rep.pos_trend),
         ("intG_neg", X, rep.neg_integral, rep.neg_trend),
     ]
-    save_report_csv(rows, _output(outdir, "report.csv"))
+    return {"report.csv": (_REPORT, rows)}
 
 
-def _cmd_weights(cfg, outdir: Path) -> None:
+def _cmd_weights(cfg) -> dict:
     s = _build_spectrum(cfg)
     names = cfg["scheme"]
-    schemes = [_rows(name, cfg, s) for name in names]
-    for name, rows in zip(names, schemes):
-        save_weights_csv(s, rows, _output(outdir, "weights.csv" if len(names) == 1 else f"weights_{name}.csv"))
+    tables = {}
+    for name in names:
+        rows = [(label, k, lam.real, lam.imag, w.real, w.imag) for row in _rows(name, cfg, s)
+                for label, k, lam, w in zip(row.labels, row.indices, s.points[row.indices], row.weights)]
+        file = "weights.csv" if len(names) == 1 else f"weights_{name}.csv"
+        tables[file] = ("n,k,lambda_re,lambda_im,w_re,w_im", rows)
+    return tables
 
 
-def _write_table(outdir: Path, name: str, header: str, rows: list) -> None:
-    """outdir / name with the header and one line per row, numbers as %.12e
-    and text as it is.  Every number is checked first: a non-finite one
-    raises EngineError naming the column, before output.dir is made."""
-    cols = header.split(",")
-    for row in rows:
-        for col, val in zip(cols, row):
-            if not isinstance(val, str) and not math.isfinite(val):
-                raise EngineError(f"{name}: {col} is {val} at {cols[0]}={row[0]:.12e}")
-    with open(_output(outdir, name), "w") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(v if isinstance(v, str) else f"{v:.12e}" for v in row) + "\n")
-
-
-def _cmd_converge(cfg, outdir: Path) -> None:
+def _cmd_converge(cfg) -> dict:
     s = _build_spectrum(cfg)
     gen = GeneratingFunctionEvaluator(s)
     f = cfg["atoms"]
@@ -249,44 +233,43 @@ def _cmd_converge(cfg, outdir: Path) -> None:
     steps = [(name, row) for name in cfg["scheme"] for row in _rows(name, cfg, s)]
     values = f.eval(s.points)
     table = []
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is a non-finite cell, refused below
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is a non-finite cell, refused by run
         f_tail, gmax = pw_tail_bound(f, X), sup_abs_G(gen, X)
         sums = [build_lagrange_sum(values, gen, row) for _, row in steps]
         for (name, row), ls, sn in zip(steps, sums, sample_sums(gen, grid, sums)):
             rel = l2_error(sn, ref) / ref_norm if ref_norm else np.inf
             sup = compactwise_error(probe, gen, ls)
             table.append((row.n, name, rel, sup, f_tail + lagrange_tail_bound(ls, gen, X, gmax)))
-    _write_table(outdir, "errors.csv", "n,scheme,l2_error,sup_error_K,tail_bound", table)
+    return {"errors.csv": ("n,scheme,l2_error,sup_error_K,tail_bound", table)}
 
 
-def _cmd_compare_norms(cfg, outdir: Path) -> None:
+def _cmd_compare_norms(cfg) -> dict:
     s = _build_spectrum(cfg)
     gen = GeneratingFunctionEvaluator(s)
     grid = grid_template(cfg["grid.X"], cfg["grid.h"])
     probe = NormProbe(gen, grid, atom_halfwidth=cfg["atoms.halfwidth"])
     steps = [(name, row) for name in cfg["scheme"] for row in _rows(name, cfg, s)]
     table = [(row.n, name, probe.lower_bound(row, trials=cfg["trials"], seed=cfg["seed"])) for name, row in steps]
-    _write_table(outdir, "norms.csv", "n,scheme,norm_lower_bound", table)
+    return {"norms.csv": ("n,scheme,norm_lower_bound", table)}
 
 
-def _cmd_contours(cfg, outdir: Path) -> None:
+def _cmd_contours(cfg) -> dict:
     b_up, _ = upper_lower_evaluators(_build_spectrum(cfg))
     if b_up is None:
         raise ConfigError("contours need upper half-plane points")
     sched = build_schedule(b_up, **_schedule_kwargs(cfg))
-    save_schedule_csv(sched, _output(outdir, "contours.csv"))
+    rows = [(j + 1, tri.l, tri.c, sched.alphas[j], sched.eps_hats[j], sched.margins[j])
+            for j, tri in enumerate(sched.contours)]
+    return {"contours.csv": ("n,l,c,alpha,eps_hat,margin", rows)}
 
 
-def _cmd_factorize_check(cfg, outdir: Path) -> None:
+def _cmd_factorize_check(cfg) -> dict:
     s = _build_spectrum(cfg)
     gen = GeneratingFunctionEvaluator(s)
     outer = OuterEvaluator.from_generating(gen, X=cfg["outer.X"], h=cfg["outer.h"])
     b_up, b_lo = upper_lower_evaluators(s)
     rep = check_factorization(gen, outer, b_up, b_lo, cfg["factorize.samples"])
-    save_report_csv(
-        [("factorization_max_rel_mismatch", cfg["outer.X"], rep.max_mismatch, 1.0)],
-        _output(outdir, "report.csv"),
-    )
+    return {"report.csv": (_REPORT, [("factorization_max_rel_mismatch", cfg["outer.X"], rep.max_mismatch, 1.0)])}
 
 
 _COMMANDS = {
@@ -376,12 +359,45 @@ def parse_config(path) -> dict:
     return cfg
 
 
+def _cell(val) -> str:
+    """Text as it is, an integer as an integer, any other number as %.12e."""
+    if isinstance(val, str):
+        return val
+    return str(val) if isinstance(val, (int, np.integer)) else f"{val:.12e}"
+
+
+def _write_tables(outdir: Path, tables: dict) -> None:
+    """Each table, {file name: (header, rows)}, to outdir / its file name:
+    the header line, then one line per row.  Every cell is checked first: a
+    non-finite number raises EngineError naming its file, column and row,
+    before output.dir is made.  An OSError is a ConfigError, raised after
+    the files written before it are removed, so a failed run leaves no CSV."""
+    for name, (header, rows) in tables.items():
+        cols = header.split(",")
+        for row in rows:
+            for col, val in zip(cols, row):
+                if not isinstance(val, str) and not math.isfinite(val):
+                    raise EngineError(f"{name}: {col} is {val} at {cols[0]}={_cell(row[0])}")
+    written = []
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        for name, (header, rows) in tables.items():
+            with open(outdir / name, "w") as fh:
+                written.append(outdir / name)
+                fh.write(header + "\n")
+                fh.writelines(",".join(map(_cell, row)) + "\n" for row in rows)
+    except OSError as e:
+        for path in written:
+            path.unlink()
+        raise ConfigError(f"cannot write output.dir: {e}") from e
+
+
 def run(config_path) -> int:
-    """Execute the subcommand requested by the config; artifact CSVs land in
-    output.dir.  Returns the process exit code."""
+    """Execute the subcommand requested by the config, then check and write
+    the tables it returns.  Returns the process exit code."""
     try:
         cfg = parse_config(config_path)
-        _COMMANDS[cfg["subcommand"]](cfg, Path(cfg["output.dir"]))
+        _write_tables(Path(cfg["output.dir"]), _COMMANDS[cfg["subcommand"]](cfg))
     except (ConfigError, SpectrumError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

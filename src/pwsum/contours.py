@@ -219,12 +219,3 @@ def build_schedule(
         prev = cur
     return sched
 
-
-def save_schedule_csv(sched: ContourSchedule, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("n,l,c,alpha,eps_hat,margin\n")
-        for j, tri in enumerate(sched.contours):
-            fh.write(
-                f"{j + 1},{tri.l:.12e},{tri.c:.12e},{sched.alphas[j]:.12e},"
-                f"{sched.eps_hats[j]:.12e},{sched.margins[j]:.12e}\n"
-            )

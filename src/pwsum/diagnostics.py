@@ -219,10 +219,3 @@ def line_diagnostics(gen, X: float, h: float, a: float = 0.0) -> tuple[float, fl
     v1, v2 = (_a2_from_logs(w.logs) for w in shifted)
     return v1, v2, _intG_from_samples(*line)
 
-
-def save_report_csv(rows, path) -> None:
-    """rows: iterable of (condition, window_X, value, trend_ratio)."""
-    with open(path, "w") as fh:
-        fh.write("condition,window_X,value,trend_ratio\n")
-        for cond, X, val, trend in rows:
-            fh.write(f"{cond},{X:.12e},{val:.12e},{trend:.12e}\n")

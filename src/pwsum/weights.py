@@ -161,14 +161,3 @@ def universal_rows(
         rows.append(WeightRow(n, ks, w[ks], np.where(pts[ks].imag > 0, n, l_minus)))
     return rows
 
-
-def save_weights_csv(spectrum: Spectrum, rows: list[WeightRow], path) -> None:
-    pts = spectrum.points
-    with open(path, "w") as fh:
-        fh.write("n,k,lambda_re,lambda_im,w_re,w_im\n")
-        for row in rows:
-            for label, k, lam, w in zip(row.labels, row.indices, pts[row.indices], row.weights):
-                fh.write(
-                    f"{label:.12e},{k},{lam.real:.12e},{lam.imag:.12e},"
-                    f"{w.real:.12e},{w.imag:.12e}\n"
-                )

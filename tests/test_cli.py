@@ -453,8 +453,10 @@ def test_runtime_imports_neither_scipy_nor_numpy_ma(tmp_path):
         ("subcommand=diagnose\natoms=garbage\n", {}),
         ("subcommand=diagnose\nfamily=bogus\n", {}),
         ("subcommand=weights\nscheme=naive,bogus\n", {}),
+        # a repeated scheme would write its file, or its rows, twice
+        ("subcommand=weights\nscheme=naive,naive\n", {}),
         ("subcommand=diagnose\ncount=0\n", {}),
-        # an output error, found when the run opens its first CSV
+        # an output error, found after every table is computed and checked
         ("subcommand=diagnose\n", {"out": "a file, not a directory\n"}),
     ],
     ids=["delta-nan", "eps-inf", "real-axis-point", "malformed-points-line",
@@ -471,7 +473,7 @@ def test_runtime_imports_neither_scipy_nor_numpy_ma(tmp_path):
          "atom-center-nan", "atom-coefficient-inf", "atoms-all-zero", "l-arg-threshold-nan",
          "l-arg-threshold-negative", "l-zero-margin-negative", "seed-negative",
          "schedule-unparsable", "delta-unparsable", "atoms-unparsable", "family-unknown",
-         "scheme-unknown", "count-zero", "output-dir-is-a-file"],
+         "scheme-unknown", "scheme-repeated", "count-zero", "output-dir-is-a-file"],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, body, files):
     for name, text in files.items():  # a points file, or a file where output.dir points
@@ -492,6 +494,68 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, body, files):
         assert out.read_text() == files["out"]
     else:  # no run that fails makes output.dir
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "body, blocked",
+    [
+        ("subcommand=diagnose\ncount=5\ndiag.X=5\ndiag.h=0.1\n", "report.csv"),
+        # the first file is written before the second fails, and then removed
+        ("subcommand=weights\ncount=5\nscheme=naive,projection\nschedule=2,6\n", "weights_projection.csv"),
+    ],
+    ids=["diagnose", "weights-second-file"],
+)
+def test_unwritable_output_file_exits_2_with_one_line(tmp_path, capsys, body, blocked):
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)  # a directory where the run writes its CSV
+    cfg = write_cfg(tmp_path, "w.cfg", body + f"output.dir={out}\n")
+    with pytest.raises(SystemExit) as exc:
+        main([str(cfg)])
+    assert exc.value.code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("config error: cannot write output.dir: ")
+    assert [p.name for p in out.iterdir()] == [blocked] and (out / blocked).is_dir()
+
+
+_REPORT = "condition,window_X,value,trend_ratio"
+_WEIGHTS = "n,k,lambda_re,lambda_im,w_re,w_im"
+
+
+# shifted_integers count 10 has 21 points, 9 of them inside |lambda| < 5: a
+# weights row per step of schedule 5,11 holds 9 and then 21 of them
+@pytest.mark.parametrize(
+    "body, files",
+    [
+        ("subcommand=diagnose\nfamily=clustered_pairs\ncount=10\ndiag.X=5\ndiag.h=0.05\n", {"report.csv": (_REPORT, 4)}),
+        ("subcommand=factorize-check\nfamily=kadec_perturbed\ncount=20\nouter.X=40\nouter.h=0.05\n",
+         {"report.csv": (_REPORT, 1)}),
+        ("subcommand=contours\nfamily=kadec_perturbed\ncount=20\nl.count=2\n",
+         {"contours.csv": ("n,l,c,alpha,eps_hat,margin", 2)}),
+        ("subcommand=weights\ncount=10\nscheme=projection\nschedule=5,11\n", {"weights.csv": (_WEIGHTS, 9 + 21)}),
+        ("subcommand=weights\ncount=10\nscheme=naive,projection\nschedule=5,11\n",
+         {"weights_naive.csv": (_WEIGHTS, 9 + 21), "weights_projection.csv": (_WEIGHTS, 9 + 21)}),
+        ("subcommand=converge\ncount=10\nscheme=naive,projection\nschedule=5,11\ngrid.X=10\ngrid.h=0.05\n"
+         "K.samples=16\n", {"errors.csv": ("n,scheme,l2_error,sup_error_K,tail_bound", 4)}),
+        ("subcommand=compare-norms\ncount=10\nscheme=naive\nschedule=5,11\ngrid.X=10\ngrid.h=0.05\n"
+         "atoms.halfwidth=3\n", {"norms.csv": ("n,scheme,norm_lower_bound", 2)}),
+    ],
+    ids=["diagnose", "factorize-check", "contours", "weights", "weights-two-schemes", "converge", "compare-norms"],
+)
+def test_every_subcommand_writes_its_tables(tmp_path, body, files):
+    out = tmp_path / "out"
+    assert run(write_cfg(tmp_path, "t.cfg", body + f"output.dir={out}\n")) == EXIT_OK
+    assert sorted(p.name for p in out.iterdir()) == sorted(files)
+    for name, (header, count) in files.items():
+        lines = (out / name).read_text().splitlines()
+        assert lines[0] == header
+        assert len(lines) == 1 + count
+        cells = [ln.split(",") for ln in lines[1:]]
+        # integer columns keep their integer text: a spectrum index, a contour number
+        if header == _WEIGHTS:
+            assert [int(c[1]) for c in cells][9:] == list(range(21))
+        if name == "contours.csv":
+            assert [int(c[0]) for c in cells] == list(range(1, count + 1))
 
 
 def _kadec_window_file(tmp_path):
@@ -560,12 +624,9 @@ def test_diagnose_samples_each_line_once(tmp_path, monkeypatch, a, X, h, nodes):
         calls.append((self, np.size(x), a))
         return log_abs_G(self, x, a=a)
 
-    rows = []
     monkeypatch.setattr(GeneratingFunctionEvaluator, "log_abs_G", counted)
-    monkeypatch.setattr(cli, "save_report_csv", lambda r, path: rows.extend(r))
-    cfg = write_cfg(tmp_path, "d.cfg", f"subcommand=diagnose\na2.a={a}\ndiag.X={X}\ndiag.h={h}\n"
-                    f"output.dir={tmp_path}\n")
-    assert run(cfg) == EXIT_OK
+    cfg = write_cfg(tmp_path, "d.cfg", f"subcommand=diagnose\na2.a={a}\ndiag.X={X}\ndiag.h={h}\n")
+    rows = cli._cmd_diagnose(parse_config(cfg))["report.csv"][1]
     passes = sorted((n, shift) for _, n, shift in calls)
     assert passes == sorted((n, shift) for n in nodes for shift in {0.0, a})
     gen = calls[0][0]
@@ -634,7 +695,7 @@ _FUZZ_EDGE = {
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
-    sub=st.sampled_from(["contours", "compare-norms", "weights", "converge", "diagnose"]),
+    sub=st.sampled_from(["contours", "compare-norms", "weights", "converge", "diagnose", "factorize-check"]),
     count=st.integers(1, 20),
     keys=st.fixed_dictionaries({}, optional=_FUZZ_VALID),
     # at most one key at an edge value, so that no other key hides it
@@ -642,7 +703,8 @@ _FUZZ_EDGE = {
         lambda k: st.tuples(st.just(k), st.sampled_from(_FUZZ_EDGE[k])))),
 )
 def test_config_fuzz_exit_contract(sub, count, keys, edge):
-    # a key left out keeps its default; an exit 0 writes only finite numbers
+    # a key left out keeps its default; an exit 0 writes only finite numbers,
+    # and a run that exits 2 or 3 writes no CSV
     if edge is not None:
         keys = {**keys, edge[0]: edge[1]}
     body = "".join(f"{k}={v}\n" for k, v in keys.items())
@@ -650,16 +712,18 @@ def test_config_fuzz_exit_contract(sub, count, keys, edge):
         cfg = write_cfg(
             Path(tmp), "f.cfg",
             f"subcommand={sub}\nfamily=kadec_perturbed\ncount={count}\nscheme=universal\n{body}"
-            f"grid.X=5\ngrid.h=0.1\ndiag.X=5\ndiag.h=0.1\nK.samples=16\natoms.halfwidth=3\n"
+            f"grid.X=5\ngrid.h=0.1\ndiag.X=5\ndiag.h=0.1\nouter.X=5\nouter.h=0.1\nK.samples=16\natoms.halfwidth=3\n"
             f"output.dir={tmp}/out\n",
         )
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             code = run(cfg)
+        made_out = Path(tmp, "out").exists()
         cells = [c for f in Path(tmp, "out").glob("*.csv") for ln in f.read_text().splitlines()[1:]
                  for c in ln.split(",")]
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL)
     if code != EXIT_OK:
         assert len(err.getvalue().splitlines()) == 1
+        assert not made_out
     else:
         assert all(np.isfinite(v) for v in map(_number, cells) if v is not None), cells

@@ -8,7 +8,6 @@ from pwsum.contours import (
     TriangleContour,
     build_schedule,
     lambda_inside,
-    save_schedule_csv,
     select_alpha,
     select_c,
     select_l,
@@ -161,15 +160,6 @@ def test_schedule_matches_complex_modulus_reference(monkeypatch):
     assert [t.c for t in got.contours] == [t.c for t in ref.contours]
     for name in ("eps_hats", "alphas", "margins"):
         np.testing.assert_allclose(getattr(got, name), getattr(ref, name), rtol=1e-10, atol=0)
-
-
-def test_schedule_csv(tmp_path, lattice):
-    sched = build_schedule(lattice[1], count=3)
-    p = tmp_path / "contours.csv"
-    save_schedule_csv(sched, p)
-    lines = p.read_text().strip().splitlines()
-    assert lines[0] == "n,l,c,alpha,eps_hat,margin"
-    assert len(lines) == 4
 
 
 def test_schedule_requires_increasing():

@@ -11,7 +11,6 @@ from pwsum.diagnostics import (
     _trigamma,
     carleson_sup,
     line_diagnostics,
-    save_report_csv,
 )
 from pwsum.genfun import GeneratingFunctionEvaluator
 from pwsum.spectrum import Spectrum, make_family
@@ -208,11 +207,3 @@ def test_intG_growing_modulus_flagged():
     rep = line_diagnostics(g, X=100.0, h=0.05)[2]
     assert rep.pos_trend > 1.5  # integrand tends to a constant: linear growth
     assert rep.neg_trend <= 1.5
-
-
-def test_report_csv(tmp_path):
-    p = tmp_path / "report.csv"
-    save_report_csv([("a2", 40.0, 1.5, 1.01), ("carleson", 0.0, 13.1, 1.0)], p)
-    lines = p.read_text().strip().splitlines()
-    assert lines[0] == "condition,window_X,value,trend_ratio"
-    assert len(lines) == 3

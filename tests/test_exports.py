@@ -37,6 +37,15 @@ def test_only_spectrum_sizes_the_blocks():
     assert sorted(p.name for p in src.glob("*.py") if tol.search(p.read_text())) == ["spectrum.py"]
 
 
+def test_only_cli_writes_files():
+    # subcommands return their tables and cli.run writes them all, after it
+    # has checked every cell; a module that opened a file for writing itself
+    # would bypass that check and the one CSV format
+    src = Path(pwsum.__file__).parent
+    writes = re.compile(r"""\bopen\([^)]*["'][wax]|write_text|write_bytes|savetxt|tofile""")
+    assert sorted(p.name for p in src.glob("*.py") if writes.search(p.read_text())) == ["cli.py"]
+
+
 def test_contour_selection_has_no_separate_zero_pass():
     # select_c scores its candidates by log|B| alone: a side sample on a zero
     # gives log|B| = -inf, so eps_hat = inf, and that candidate is never taken

@@ -14,7 +14,6 @@ from pwsum.weights import (
     outer_weight_deviation_bound,
     outer_weight_phase,
     projection_rows,
-    save_weights_csv,
     universal_rows,
 )
 
@@ -301,12 +300,3 @@ def test_projection_weight_laws_random(pts, frac):
         assert row.indices.tolist() == np.flatnonzero(mods < n).tolist()
     for w in proj[1].weights:
         assert abs(w - 1.0) <= 1e-9
-
-
-def test_weights_csv(tmp_path, lattice_weights):
-    s, _, proj, *_ = lattice_weights
-    p = tmp_path / "weights.csv"
-    save_weights_csv(s, proj, p)
-    lines = p.read_text().strip().splitlines()
-    assert lines[0] == "n,k,lambda_re,lambda_im,w_re,w_im"
-    assert len(lines) > len(s)
