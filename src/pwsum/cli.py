@@ -7,7 +7,7 @@ precondition failures (infeasible contour selection, a non-finite number
 in any table, and friends).  parse_config checks every key before anything
 runs; a subcommand returns its tables, run checks every cell of every table
 and only then writes them all, so a run that exits 2 or 3 writes no CSV.
-Outputs are byte-stable for a fixed config and seed.
+Outputs are byte-stable for a fixed config.
 """
 
 from __future__ import annotations
@@ -249,7 +249,7 @@ def _cmd_compare_norms(cfg) -> dict:
     grid = grid_template(cfg["grid.X"], cfg["grid.h"])
     probe = NormProbe(gen, grid, atom_halfwidth=cfg["atoms.halfwidth"])
     steps = [(name, row) for name in cfg["scheme"] for row in _rows(name, cfg, s)]
-    table = [(row.n, name, probe.lower_bound(row, trials=cfg["trials"], seed=cfg["seed"])) for name, row in steps]
+    table = [(row.n, name, probe.lower_bound(row)) for name, row in steps]
     return {"norms.csv": ("n,scheme,norm_lower_bound", table)}
 
 
@@ -283,9 +283,11 @@ _COMMANDS = {
 
 # key -> (default text, parser); a key without a default is required.  The
 # lower bounds: a family window needs a k on each side of 0, a disk a sample,
-# the atom span an atom, a schedule a contour, the probe a trial, the
-# apex-slope scan its 16 candidates, a contour side two samples, a grid on
-# [-X, X] a positive X and h.
+# the atom span an atom, a schedule a contour, the apex-slope scan its 16
+# candidates, a contour side two samples, a grid on [-X, X] a positive X and
+# h.  seed and trials are parsed and checked but have no effect: the norm
+# probe takes no random start and no iteration, and old configs still send
+# them.
 _KEYS = {
     "subcommand": (None, _choice(_COMMANDS)),
     "output.dir": ("out", _text),

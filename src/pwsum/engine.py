@@ -7,8 +7,8 @@ values F(lambda), so no time-domain computation is ever needed.  Partial
 sums, the discrete Riesz projections and the weighted projector identity
 all run on the uniform grids of `grids`.  On the grid, G and the Cauchy sums
 of every step's partial sum take the near and far field of spectrum's line
-kernels (log_G's real points and line_cauchy); the disk K and the norm
-probe's Gram matrix stay direct.
+kernels (log_G's real points and line_cauchy), and so does the norm probe's
+operator for each row; the disk K stays direct.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 from pwsum.blaschke import BlaschkeEvaluator
 from pwsum.genfun import GeneratingFunctionEvaluator, OuterEvaluator
 from pwsum.grids import GridFunction, GridError, hilbert_transform
-from pwsum.spectrum import cauchy_chunks, cauchy_sums, collisions, line_cauchy, unique_sorted
+from pwsum.spectrum import cauchy_sums, collisions, line_cauchy, unique_sorted
 from pwsum.weights import WeightRow
 
 
@@ -237,10 +237,13 @@ class NormProbe:
 
     Atoms k_m with integer real centers are orthonormal in the
     Paley-Wiener space, so the coefficient Euclidean norm is exactly
-    ||F|| and the grid operator matrix A_n gives a true lower bound
-    sigma_max(A_n) <= ||T_n||.  The Gram matrix P = C^H D C is summed over
-    grid chunks and cached across schedule steps.  Raises EngineError where
-    the weights D = w |G|^2, P or a row's operator are not finite.
+    ||F||, and the grid operator of a row gives a true lower bound
+    sigma_max <= ||T_n||.  Its column m is G Y[:, m], with
+    Y[:, m] = sum_k (w_k/G'(lambda_k)) k_m(lambda_k)/(x - lambda_k), so
+    sigma_max^2 is the largest eigenvalue of Y^H D Y, D = (trapezoid
+    weight) |G|^2.  The probe keeps the atom matrix and D; each row takes
+    its Y from one line_cauchy pass and drops it.  Raises EngineError
+    where D or a row's operator is not finite.
     """
 
     def __init__(self, gen: GeneratingFunctionEvaluator, grid: GridFunction, atom_halfwidth: int):
@@ -248,53 +251,23 @@ class NormProbe:
         self.grid = grid
         ms = np.arange(-atom_halfwidth, atom_halfwidth + 1, dtype=float)
         self.atom_centers = ms
-        lam = gen.spectrum.points
-        self._K = np.sinc(lam[:, None] - ms[None, :])
+        self._K = np.sinc(gen.spectrum.points[:, None] - ms[None, :])
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value raises below
-            D = grid.trapezoid_weights() * np.exp(2.0 * gen.log_abs_G(grid.x))
-            if not np.isfinite(D).all():
-                raise EngineError("|G|^2 is not finite on the grid: the norm probe's weights overflow")
-            self._P = np.zeros((lam.size, lam.size), dtype=complex)
-            for rows, C in cauchy_chunks(grid.x, lam):
-                self._P += C.conj().T @ (D[rows, None] * C)
-        if not np.isfinite(self._P).all():
-            raise EngineError("the norm probe's Gram matrix is not finite")
+            self._D = grid.trapezoid_weights() * np.exp(2.0 * gen.log_abs_G(grid.x))
+        if not np.isfinite(self._D).all():
+            raise EngineError("|G|^2 is not finite on the grid: the norm probe's weights overflow")
 
-    def lower_bound(self, row: WeightRow, trials: int = 4, seed: int = 0) -> float:
-        """Best of `trials` seeded power iterations on the row's operator."""
-        if trials < 1:
-            raise EngineError("trials must be >= 1")
-        if not len(row):
-            return 0.0
+    def lower_bound(self, row: WeightRow) -> float:
+        """sqrt of the largest eigenvalue of Y^H D Y (eigvalsh): the row's
+        sigma_max, exactly, with no iteration."""
         ks = row.indices
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value raises below
             Kt = (row.weights / self.gen.eval_G_prime_at_lambda(ks))[:, None] * self._K[ks, :]
-            M = Kt.conj().T @ (self._P[np.ix_(ks, ks)] @ Kt)
-            if not np.isfinite(M).all():
-                raise EngineError(f"the norm probe's operator is not finite at n={row.n:.12e}")
-            rng = np.random.default_rng(seed)
-            best = 0.0
-            dim = M.shape[0]
-            for _ in range(trials):
-                v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-                v /= np.linalg.norm(v)
-                prev = 0.0
-                for _ in range(60):
-                    w_vec = M @ v
-                    val = float(np.real(np.vdot(v, w_vec)))
-                    nrm = np.linalg.norm(w_vec)
-                    if nrm == 0.0:
-                        val = 0.0
-                        break
-                    v = w_vec / nrm
-                    if abs(val - prev) <= 1e-12 * max(val, 1.0):
-                        prev = val
-                        break
-                    prev = val
-                if not np.isfinite(prev):
-                    raise EngineError(f"the norm probe's power iteration is not finite at n={row.n:.12e}")
-                best = max(best, prev)
-        return float(np.sqrt(max(best, 0.0)))
+            Y = line_cauchy(self.grid.x, self.gen.spectrum.points[ks], Kt)
+            M = Y.conj().T @ (self._D[:, None] * Y)
+        if not np.isfinite(M).all():
+            raise EngineError(f"the norm probe's operator is not finite at n={row.n:.12e}")
+        return float(np.sqrt(max(np.linalg.eigvalsh(M)[-1], 0.0)))
 
 
 # ---------------------------------------------------------------------------

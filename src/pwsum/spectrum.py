@@ -36,11 +36,11 @@ BLOCK_BUDGET = 2**14
 def block_rows(n_cols: int) -> int:
     """Rows per block of a pair kernel with n_cols columns (at least one).
 
-    Every pair kernel but two reduces along its columns, one row at a time,
-    so the block size cannot change a single bit of its output.  The two
-    BLAS Cauchy sums (line_cauchy, which engine.sample_sums calls, and the
-    NormProbe Gram matrix) multiply whole blocks, whose rounding depends on
-    the block shape: they move by ~1e-15 relative."""
+    Every pair kernel but one reduces along its columns, one row at a time,
+    so the block size cannot change a single bit of its output.  The BLAS
+    Cauchy sums (line_cauchy, which engine.sample_sums and engine.NormProbe
+    call) multiply whole blocks, whose rounding depends on the block shape:
+    they move by ~1e-15 relative."""
     return max(1, BLOCK_BUDGET // max(n_cols, 1))
 
 
@@ -108,16 +108,6 @@ def inverse_square_sums(z: np.ndarray, lam: np.ndarray, w: np.ndarray, skip: np.
         np.divide(w, d2, out=d2)
         np.sum(d2, axis=1, out=out[rows])
     return out
-
-
-def cauchy_chunks(z: np.ndarray, lam: np.ndarray, *dtypes):
-    """(rows, 1/(z[rows] - lambda), *scratch blocks, one per dtype) over the
-    row_blocks of the points z: the one complex form of 1/(z - lambda), for
-    the BLAS Cauchy sums.  Every chunk is written into one buffer made per
-    call, so a caller consumes each before the next."""
-    for rows, c, *bufs in row_blocks(z.size, lam.size, complex, *dtypes):
-        np.subtract(z[rows, None], lam, out=c)
-        yield rows, np.divide(1.0, c, out=c), *bufs
 
 
 def cauchy_sums(z: np.ndarray, lam: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -220,10 +210,12 @@ def _arg_sums(t: np.ndarray, lre: np.ndarray, dim: np.ndarray, arg: np.ndarray) 
 
 
 def _cauchy_products(z: np.ndarray, lam: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """sum_k A[k, s]/(z_i - lam_k) per point z_i and column s, by BLAS per block."""
+    """sum_k A[k, s]/(z_i - lam_k) per point z_i and column s, by BLAS per
+    block: the one complex form of 1/(z - lambda)."""
     out = np.empty((z.size, A.shape[1]), dtype=complex)
-    for rows, C in cauchy_chunks(z, lam):
-        np.matmul(C, A, out=out[rows])
+    for rows, c in row_blocks(z.size, lam.size, complex):
+        np.subtract(z[rows, None], lam, out=c)
+        np.matmul(np.divide(1.0, c, out=c), A, out=out[rows])
     return out
 
 

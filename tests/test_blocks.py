@@ -26,11 +26,12 @@ from pwsum.grids import grid_template
 from pwsum.spectrum import Spectrum, make_family
 from pwsum.weights import projection_rows
 
-# The Cauchy kernels multiply each grid chunk by BLAS: a one-row chunk takes
-# numpy's matrix-vector path, and NormProbe sums its Gram matrix P chunk by
-# chunk, so the block size moves their last bits (measured up to 1.5e-15 of
-# the largest entry).  They are held to this relative tolerance instead.
-_BLAS_KERNELS = {"sample_sums": 1e-13, "NormProbe._P": 1e-13}
+# The grid's Cauchy sums (line_cauchy, under sample_sums and the NormProbe
+# bounds) multiply each chunk by BLAS: a one-row chunk takes numpy's
+# matrix-vector path, so the block size moves their last bits (measured up to
+# 1.5e-15 of the largest entry), and the bounds' eigenvalues with them.  They
+# are held to this relative tolerance instead.
+_BLAS_KERNELS = {"sample_sums": 1e-13, "NormProbe.lower_bound": 1e-13}
 
 
 def _kernel_outputs() -> dict:
@@ -42,7 +43,9 @@ def _kernel_outputs() -> dict:
     outer = OuterEvaluator.from_generating(gen, X=50.0, h=0.05)
     grid = grid_template(10.0, 0.05)
     f = PWFunction([0.3j, 2.7 - 0.3j], [1.0, 0.5])
-    sums = [build_lagrange_sum(f.eval(s.points), gen, row) for row in projection_rows(s, [5.0, 12.0, 31.0])]
+    rows = projection_rows(s, [5.0, 12.0, 31.0])
+    sums = [build_lagrange_sum(f.eval(s.points), gen, row) for row in rows]
+    norm_probe = NormProbe(gen, grid, atom_halfwidth=5)
     probe = disk_probe(f, gen, center=0.4 + 0.2j, radius=3.0, samples=97)
     # a spectrum with a point on one disk sample, which the probe moves
     on_sample = disk_samples(0.4 + 0.2j, 3.0, 97)[40]
@@ -65,7 +68,7 @@ def _kernel_outputs() -> dict:
         "eval_outer": outer.eval_outer(x[np.abs(x) <= 25.0] + 1.0j),
         "select_c": np.array(select_c(up, 20.3, samples_per_side=64)),
         "sample_sums": np.array([g.values for g in sample_sums(gen, grid, sums)]),
-        "NormProbe._P": NormProbe(gen, grid, atom_halfwidth=5)._P,
+        "NormProbe.lower_bound": np.array([norm_probe.lower_bound(row) for row in rows]),
         "compactwise_error": np.array([compactwise_error(probe, gen, ls) for ls in sums]),
         # the second, a one-term sum: at one row per block its products are single elements
         "cauchy_sums": np.concatenate(

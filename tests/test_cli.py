@@ -260,8 +260,7 @@ output.dir={out}
 
 
 def test_compare_norms_and_determinism(tmp_path):
-    out1 = tmp_path / "o1"
-    out2 = tmp_path / "o2"
+    # the probe's bound is exact: seed and trials are accepted and change no byte
     base = """subcommand=compare-norms
 family=clustered_pairs
 count=12
@@ -272,16 +271,15 @@ schedule=4,8,13
 grid.X=15
 grid.h=0.05
 atoms.halfwidth=10
-seed=42
+{}
 output.dir={}
 """
-    cfg1 = write_cfg(tmp_path, "n1.cfg", base.format(out1))
-    cfg2 = write_cfg(tmp_path, "n2.cfg", base.format(out2))
-    assert run(cfg1) == EXIT_OK
-    assert run(cfg2) == EXIT_OK
-    b1 = (out1 / "norms.csv").read_bytes()
-    b2 = (out2 / "norms.csv").read_bytes()
-    assert b1 == b2
+    seeds = ["seed=42", "seed=42", "trials=1\nseed=0", "trials=4\nseed=99"]
+    outs = [tmp_path / f"o{i}" for i in range(len(seeds))]
+    for i, (seed, out) in enumerate(zip(seeds, outs)):
+        assert run(write_cfg(tmp_path, f"n{i}.cfg", base.format(seed, out))) == EXIT_OK
+    b1, b2, b3, b4 = [(out / "norms.csv").read_bytes() for out in outs]
+    assert b1 == b2 == b3 == b4
     lines = b1.decode().strip().splitlines()
     assert lines[0] == "n,scheme,norm_lower_bound"
     assert len(lines) == 7
