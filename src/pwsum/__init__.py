@@ -4,11 +4,9 @@ from pwsum.blaschke import BlaschkeEvaluator, upper_lower_evaluators
 from pwsum.contours import ContourSchedule, TriangleContour, build_schedule, lambda_inside
 from pwsum.diagnostics import carleson_sup
 from pwsum.engine import (
-    LagrangeSum,
     PWFunction,
-    build_lagrange_sum,
-    compactwise_error,
-    disk_probe,
+    coefficient_matrix,
+    compactwise_errors,
     l2_error,
     riesz_project,
     sample_sums,
@@ -26,18 +24,16 @@ __all__ = [
     "ContourSchedule",
     "GeneratingFunctionEvaluator",
     "GridFunction",
-    "LagrangeSum",
     "OuterEvaluator",
     "PWFunction",
     "Spectrum",
     "SpectrumError",
     "TriangleContour",
-    "build_lagrange_sum",
     "build_schedule",
     "carleson_sup",
     "check_factorization",
-    "compactwise_error",
-    "disk_probe",
+    "coefficient_matrix",
+    "compactwise_errors",
     "grid_template",
     "hilbert_transform",
     "l2_error",

@@ -7,6 +7,8 @@ precondition failures (infeasible contour selection, a non-finite number
 in any table, and friends).  parse_config checks every key before anything
 runs; a subcommand returns its tables, run checks every cell of every table
 and only then writes them all, so a run that exits 2 or 3 writes no CSV.
+Its stderr is one line: run holds back the warnings a subcommand raises,
+drops them when the run fails and issues them again when it succeeds.
 Outputs are byte-stable for a fixed config.
 """
 
@@ -15,6 +17,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -26,14 +29,12 @@ from pwsum.engine import (
     EngineError,
     NormProbe,
     PWFunction,
-    build_lagrange_sum,
-    compactwise_error,
-    disk_probe,
-    l2_error,
-    lagrange_tail_bound,
+    coefficient_matrix,
+    compactwise_errors,
     pw_tail_bound,
     sample_sums,
     sup_abs_G,
+    tail_bounds,
 )
 from pwsum.genfun import GenFunError, GeneratingFunctionEvaluator, OuterEvaluator, check_factorization
 from pwsum.grids import GridError, grid_template, sample_count, sample_on_grid
@@ -225,21 +226,16 @@ def _cmd_converge(cfg) -> dict:
     gen = GeneratingFunctionEvaluator(s)
     f = cfg["atoms"]
     X, h = cfg["grid.X"], cfg["grid.h"]
-    grid = grid_template(X, h)
     ref = sample_on_grid(f, X, h)
-    ref_norm = ref.norm()
-    center = complex(cfg["K.center.re"], cfg["K.center.im"])
-    probe = disk_probe(f, gen, center, cfg["K.radius"], cfg["K.samples"])
     steps = [(name, row) for name in cfg["scheme"] for row in _rows(name, cfg, s)]
-    values = f.eval(s.points)
-    table = []
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is a non-finite cell, refused by run
-        f_tail, gmax = pw_tail_bound(f, X), sup_abs_G(gen, X)
-        sums = [build_lagrange_sum(values, gen, row) for _, row in steps]
-        for (name, row), ls, sn in zip(steps, sums, sample_sums(gen, grid, sums)):
-            rel = l2_error(sn, ref) / ref_norm if ref_norm else np.inf
-            sup = compactwise_error(probe, gen, ls)
-            table.append((row.n, name, rel, sup, f_tail + lagrange_tail_bound(ls, gen, X, gmax)))
+    A = coefficient_matrix(f.eval(s.points), gen, [row for _, row in steps])
+    center = complex(cfg["K.center.re"], cfg["K.center.im"])
+    sup = compactwise_errors(f, gen, A, center, cfg["K.radius"], cfg["K.samples"])
+    diff = sample_sums(gen, ref, A) - ref.values
+    l2 = np.sqrt(np.sum(ref.trapezoid_weights() * np.abs(diff) ** 2, axis=1))
+    rel = l2 / ref.norm()
+    tail = pw_tail_bound(f, X) + tail_bounds(A, gen, X, sup_abs_G(gen, X))
+    table = [(row.n, name, e, k, b) for (name, row), e, k, b in zip(steps, rel, sup, tail)]
     return {"errors.csv": ("n,scheme,l2_error,sup_error_K,tail_bound", table)}
 
 
@@ -396,16 +392,22 @@ def _write_tables(outdir: Path, tables: dict) -> None:
 
 def run(config_path) -> int:
     """Execute the subcommand requested by the config, then check and write
-    the tables it returns.  Returns the process exit code."""
-    try:
-        cfg = parse_config(config_path)
-        _write_tables(Path(cfg["output.dir"]), _COMMANDS[cfg["subcommand"]](cfg))
-    except (ConfigError, SpectrumError) as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except _NUMERICAL_ERRORS as e:
-        print(f"numerical precondition failure: {e}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    the tables it returns.  Returns the process exit code.  The warnings the
+    run raises are held back: a run that fails prints its one stderr line
+    alone, and a run that succeeds issues them again on its way out."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        try:
+            cfg = parse_config(config_path)
+            _write_tables(Path(cfg["output.dir"]), _COMMANDS[cfg["subcommand"]](cfg))
+        except (ConfigError, SpectrumError) as e:
+            print(f"config error: {e}", file=sys.stderr)
+            return EXIT_CONFIG
+        except _NUMERICAL_ERRORS as e:
+            print(f"numerical precondition failure: {e}", file=sys.stderr)
+            return EXIT_NUMERICAL
+    for w in caught:
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, source=w.source)
     return EXIT_OK
 
 

@@ -3,12 +3,17 @@
 Test functions are finite combinations of shifted reproducing kernels
 k_mu(z) = sin(pi(z - conj mu))/(pi(z - conj mu)); their interpolation
 coefficients against the biorthogonal family are exactly the point
-values F(lambda), so no time-domain computation is ever needed.  Partial
-sums, the discrete Riesz projections and the weighted projector identity
-all run on the uniform grids of `grids`.  On the grid, G and the Cauchy sums
-of every step's partial sum take the near and far field of spectrum's line
-kernels (log_G's real points and line_cauchy), and so does the norm probe's
-operator for each row; the disk K stays direct.
+values F(lambda), so no time-domain computation is ever needed.  A
+summation method is linear, so a run's steps are the columns of one
+(points x steps) coefficient matrix A = w F/G' (coefficient_matrix), and
+each evaluator takes all of them at once: the partial sums on the grid
+(sample_sums), the sup error on the disk K (compactwise_errors) and the
+tail bounds (tail_bounds).  Partial sums, the discrete Riesz projections
+and the weighted projector identity all run on the uniform grids of
+`grids`.  On the grid, G and every Cauchy sum (the partial sums, the
+projector's interpolation sum and the norm probe's operator for each row)
+take the near and far field of spectrum's line kernels (log_G's real
+points and line_cauchy); the disk K stays direct (cauchy_sums).
 """
 
 from __future__ import annotations
@@ -73,56 +78,44 @@ def pw_tail_bound(f: PWFunction, X: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class LagrangeSum:
-    """Finite weighted interpolation series: pairs (k, w * F(lambda_k)/G'(lambda_k))."""
-
-    indices: np.ndarray
-    coefficients: np.ndarray
-
-    def __len__(self):
-        return int(self.indices.size)
-
-
-def build_lagrange_sum(values: np.ndarray, gen, row: WeightRow) -> LagrangeSum:
-    """The row's sum, from values = F(lambda_k) at every spectrum index k."""
-    coeffs = row.weights * values[row.indices] / gen.eval_G_prime_at_lambda(row.indices)
-    return LagrangeSum(indices=row.indices, coefficients=coeffs)
+def coefficient_matrix(values: np.ndarray, gen, rows: list[WeightRow]) -> np.ndarray:
+    """The run's steps as the columns of one (points x steps) matrix A:
+    column j holds w_j F(lambda_k)/G'(lambda_k) on row j's indices k and 0
+    elsewhere, from values = F(lambda_k) at every spectrum index k."""
+    A = np.zeros((len(gen.spectrum), len(rows)), dtype=complex)
+    for j, row in enumerate(rows):
+        A[row.indices, j] = row.weights * values[row.indices] / gen.eval_G_prime_at_lambda(row.indices)
+    return A
 
 
-def sample_sums(
-    gen: GeneratingFunctionEvaluator, grid: GridFunction, sums: list[LagrangeSum]
-) -> list[GridFunction]:
-    """G(x) * sum_k a_k/(x - lambda_k) on the grid for every sum, in one pass
-    over the grid: the sums are the columns of one (points x sums)
-    coefficient matrix, whose Cauchy sums line_cauchy takes panel by panel,
-    and the schedule steps share one G on the grid."""
-    G = gen.eval_G(grid.x)
-    A = np.zeros((len(gen.spectrum), len(sums)), dtype=complex)
-    for j, ls in enumerate(sums):
-        A[ls.indices, j] = ls.coefficients
+def sample_sums(gen: GeneratingFunctionEvaluator, grid: GridFunction, A: np.ndarray) -> np.ndarray:
+    """G(x) * sum_k A[k, j]/(x - lambda_k) on the grid for every column j of
+    A: the (steps x grid) partial sums, in one pass over the grid, whose
+    Cauchy sums line_cauchy takes panel by panel; the steps share one G."""
     out = np.ascontiguousarray(line_cauchy(grid.x, gen.spectrum.points, A).T)
-    out *= G
-    return [grid.copy_with(v) for v in out]
+    out *= gen.eval_G(grid.x)
+    return out
 
 
 def sup_abs_G(gen: GeneratingFunctionEvaluator, X: float) -> float:
     """max|G| on m + 1 equispaced nodes of [-X, X], spacing about
     max(X/200, 0.05), with m a whole number whatever X is: exp of the largest
-    log|G| on the line, for lagrange_tail_bound."""
+    log|G| on the line, for tail_bounds."""
     m = max(1, round(2 * X / max(X / 200, 0.05)))
     return float(np.exp(np.max(gen.log_abs_G(np.linspace(-X, X, m + 1)))))
 
 
-def lagrange_tail_bound(ls: LagrangeSum, gen, X: float, gmax: float) -> float:
-    """Crude upper estimate for the sum's L2 mass beyond [-X, X], given
-    gmax = sup_abs_G(gen, X)."""
-    if not len(ls):
-        return 0.0
-    lam = gen.spectrum.points[ls.indices]
+def tail_bounds(A: np.ndarray, gen, X: float, gmax: float) -> np.ndarray:
+    """Crude upper estimate for each column's L2 mass beyond [-X, X], given
+    gmax = sup_abs_G(gen, X): sum_k |A[k, j]| gmax reach_k, column by column,
+    so no bit of a column depends on the others."""
+    lam = gen.spectrum.points
     d = X - np.abs(lam.real)
     reach = np.where(d <= 1.0, np.sqrt(np.pi / np.abs(lam.imag)), np.sqrt(2.0 / np.maximum(d, 1.0)))
-    return float(np.sum(np.abs(ls.coefficients) * gmax * reach))
+    terms = np.ascontiguousarray(np.abs(A).T)
+    terms *= gmax
+    terms *= reach
+    return np.add.reduce(terms, axis=1)
 
 
 def l2_error(a: GridFunction, b: GridFunction) -> float:
@@ -169,7 +162,7 @@ def _projector_sides(f, gen, b_plus, n, grid, outer):
     inside = np.flatnonzero(gen.spectrum.moduli < n)
     lam = gen.spectrum.points[inside]
     phi_lam = f.eval(lam) * np.exp(1j * np.pi * lam) / outer.eval_outer(lam)
-    rhs = bn_x * cauchy_sums(x, lam, phi_lam / b_plus.eval_B_prime_at(inside, cutoff=n))
+    rhs = bn_x * line_cauchy(x, lam, (phi_lam / b_plus.eval_B_prime_at(inside, cutoff=n))[:, None])[:, 0]
     return grid.copy_with(lhs), grid.copy_with(rhs), phi_grid
 
 
@@ -283,37 +276,28 @@ def disk_samples(center: complex, radius: float, count: int) -> np.ndarray:
     return center + r * np.exp(1j * th)
 
 
-@dataclass
-class DiskProbe:
-    """Sample points of the disk K (nudged off the spectrum) with G and F
-    there, built once per run and shared by every step's compactwise_error."""
-
-    points: np.ndarray
-    G: np.ndarray
-    F: np.ndarray
-
-
-def disk_probe(
+def compactwise_errors(
     f: PWFunction,
     gen: GeneratingFunctionEvaluator,
+    A: np.ndarray,
     center: complex = 0j,
     radius: float = 3.0,
     samples: int = 256,
-) -> DiskProbe:
-    """The probe on `samples` sunflower points of |z - center| <= radius; a
-    point with |z - lambda|^2 < 1e-16 is moved by 3e-8 + 2e-8i.  Raises
-    EngineError where G or F is not finite."""
+) -> np.ndarray:
+    """sup |S_j - F| over `samples` sunflower points z of the disk K,
+    |z - center| <= radius, for every column j of A, with
+    S_j(z) = G(z) sum_k A[k, j]/(z - lambda_k): one call per run, G and F
+    taken once.  A sample with |z - lambda|^2 < 1e-16 is moved by
+    3e-8 + 2e-8i.  Each column's sums are one contiguous row, so no bit of
+    a column depends on the others.  Raises EngineError where G or F is not
+    finite on K."""
     zs = disk_samples(center, radius, samples)
     zs[collisions(zs, gen.spectrum.points, np.nextafter(1e-16, 0.0))] += 3e-8 + 2e-8j
-    with np.errstate(over="ignore", invalid="ignore"):
-        probe = DiskProbe(points=zs, G=gen.eval_G(zs), F=f.eval(zs))
-    if not np.isfinite([probe.G, probe.F]).all():
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value raises below
+        G, F = gen.eval_G(zs), f.eval(zs)
+    if not np.isfinite([G, F]).all():
         raise EngineError(f"G or F is not finite on the disk K of center {center} and radius {radius}")
-    return probe
-
-
-def compactwise_error(probe: DiskProbe, gen: GeneratingFunctionEvaluator, ls: LagrangeSum) -> float:
-    """sup |S_n - F| over the probe's sample points of the disk K, for the
-    step's sum S_n = ls."""
-    sn = cauchy_sums(probe.points, gen.spectrum.points[ls.indices], ls.coefficients)
-    return float(np.max(np.abs(probe.G * sn - probe.F)))
+    S = np.ascontiguousarray(cauchy_sums(zs, gen.spectrum.points, A).T)  # a row per column
+    S *= G
+    S -= F
+    return np.max(np.abs(S), axis=1)

@@ -261,7 +261,7 @@ class OuterEvaluator:
         if np.any(np.abs(z.real) > self.grid.X / 2.0):
             raise GenFunError("evaluation point beyond half the boundary grid")
         # (1/(i pi)) sum w phi/(t - z) = (i/pi) sum w phi/(z - t)
-        s = cauchy_sums(z, self.grid.x, self._w * self._phit)
+        s = cauchy_sums(z, self.grid.x, (self._w * self._phit)[:, None])[:, 0]
         return np.exp(self.mean + 1j * (s / np.pi + self._kappa))
 
     def boundary_values(self) -> np.ndarray:

@@ -8,10 +8,13 @@ tail and is taken as the whole zero set.
 
 The pair kernels over (points x spectrum) live here too.  Points in the
 plane take a direct kernel, walked in blocks by row_blocks: log_products
-(G, G', B, B', beta), collisions, inverse_square_sums and the Cauchy sums.
-Real points take the near and far field of one panel walker, _panels,
-under three reductions: line_log_abs (log|G| on a line), line_arg (arg G
-on the real line) and line_cauchy (the Cauchy sums on the grid).
+(G, G', B, B', beta), collisions, inverse_square_sums and cauchy_sums (the
+Cauchy sums of a coefficient matrix's columns: on the disk K, and for the
+outer factor).  Real points take the near and far field of one panel
+walker, _panels, under three reductions: line_log_abs (log|G| on a line),
+line_arg (arg G on the real line) and line_cauchy (the Cauchy sums on the
+grid: the partial sums, the projector's interpolation sum and the norm
+probe's operator).
 """
 
 from __future__ import annotations
@@ -38,9 +41,9 @@ def block_rows(n_cols: int) -> int:
 
     Every pair kernel but one reduces along its columns, one row at a time,
     so the block size cannot change a single bit of its output.  The BLAS
-    Cauchy sums (line_cauchy, which engine.sample_sums and engine.NormProbe
-    call) multiply whole blocks, whose rounding depends on the block shape:
-    they move by ~1e-15 relative."""
+    Cauchy sums (line_cauchy, which engine.sample_sums, the projector check
+    and engine.NormProbe call) multiply whole blocks, whose rounding depends
+    on the block shape: they move by ~1e-15 relative."""
     return max(1, BLOCK_BUDGET // max(n_cols, 1))
 
 
@@ -110,14 +113,18 @@ def inverse_square_sums(z: np.ndarray, lam: np.ndarray, w: np.ndarray, skip: np.
     return out
 
 
-def cauchy_sums(z: np.ndarray, lam: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """sum_k coeffs_k/(z_i - lambda_k) per point z_i, row by row, in real
-    arithmetic, as log_products' products are: with d = z - lambda,
-    c/d = c conj(d) |d|^-2, so no bit rests on whether numpy takes a fused
-    (FMA) loop for a complex multiply of some length or layout.  |d|^2 is
-    formed as is: finite and nonzero for 1e-154 < |d| < 1e154."""
-    out = np.empty(z.shape, dtype=complex)
-    cr, ci = coeffs.real.copy(), coeffs.imag.copy()
+def cauchy_sums(z: np.ndarray, lam: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """sum_k A[k, s]/(z_i - lambda_k) per point z_i and column s of the
+    (lam.size, S) matrix A: the (z.size, S) Cauchy sums of its columns.
+
+    1/d, d = z - lambda, is formed once per block, in real arithmetic, as
+    log_products' products are: 1/d = conj(d) |d|^-2, so no bit rests on
+    whether numpy takes a fused (FMA) loop for a complex multiply of some
+    length or layout.  Each column is then reduced row by row, so no bit
+    depends on the block size or on the other columns.  |d|^2 is formed as
+    is: finite and nonzero for 1e-154 < |d| < 1e154."""
+    out = np.empty((z.size, A.shape[1]), dtype=complex)
+    cr, ci = A.real.T.copy(), A.imag.T.copy()  # one contiguous row per column
     lr, li = lam.real.copy(), lam.imag.copy()
     for rows, dr, di, m, p in row_blocks(z.size, lam.size, float, float, float, float):
         np.subtract(z.real[rows, None], lr, out=dr)
@@ -127,12 +134,13 @@ def cauchy_sums(z: np.ndarray, lam: np.ndarray, coeffs: np.ndarray) -> np.ndarra
         np.divide(1.0, m, out=m)
         dr *= m  # Re 1/d
         di *= m  # -Im 1/d
-        np.multiply(dr, cr, out=p)
-        p += np.multiply(di, ci, out=m)
-        np.add.reduce(p, axis=1, out=out.real[rows])
-        np.multiply(dr, ci, out=p)
-        p -= np.multiply(di, cr, out=m)
-        np.add.reduce(p, axis=1, out=out.imag[rows])
+        for s in range(A.shape[1]):
+            np.multiply(dr, cr[s], out=p)
+            p += np.multiply(di, ci[s], out=m)
+            np.add.reduce(p, axis=1, out=out.real[rows, s])
+            np.multiply(dr, ci[s], out=p)
+            p -= np.multiply(di, cr[s], out=m)
+            np.add.reduce(p, axis=1, out=out.imag[rows, s])
     return out
 
 

@@ -24,9 +24,8 @@ from pwsum.contours import build_schedule
 from pwsum.diagnostics import carleson_sup, line_diagnostics
 from pwsum.engine import (
     PWFunction,
-    build_lagrange_sum,
-    compactwise_error,
-    disk_probe,
+    coefficient_matrix,
+    compactwise_errors,
     l2_error,
     riesz_project,
     sample_sums,
@@ -82,9 +81,8 @@ def test_criterion_1_shannon_oracle_reconstruction():
     radii = np.arange(10.0, 151.0, 10.0)  # schedule reaching step n = 150
     values = f.eval(s.points)
     errs = []
-    for row in projection_rows(s, radii):
-        sn = sample_sums(g, grid, [build_lagrange_sum(values, g, row)])[0]
-        errs.append(l2_error(sn, ref) / ref.norm())
+    for sn in sample_sums(g, grid, coefficient_matrix(values, g, projection_rows(s, radii))):
+        errs.append(l2_error(grid.copy_with(sn), ref) / ref.norm())
     elapsed = time.perf_counter() - t0
     err_150 = errs[-1]
     last5 = errs[-5:]
@@ -337,9 +335,8 @@ def test_criterion_11_compactwise_universal():
     b = BlaschkeEvaluator(s)
     uni = universal_rows(s, build_schedule(b, count=6))
     f = PWFunction([0.3j, 2.7 + 0.3j], [1.0, 0.5])
-    probe = disk_probe(f, g, center=0j, radius=3.0, samples=337)
     values = f.eval(s.points)
-    errs = [compactwise_error(probe, g, build_lagrange_sum(values, g, row)) for row in uni]
+    errs = list(compactwise_errors(f, g, coefficient_matrix(values, g, uni), center=0j, radius=3.0, samples=337))
     decreasing = all(b <= a * (1 + 1e-12) for a, b in zip(errs, errs[1:]))
     final_ok = errs[-1] <= 1e-2
     ok = decreasing and final_ok

@@ -1,9 +1,11 @@
 """The block size of the (points x spectrum) pair kernels changes no bit,
-except in the BLAS-based Cauchy kernels, which stay within a stated tolerance;
-the Cauchy row sums (compactwise_error, the projector's interpolation sum)
-are held to every bit, a one-term sum in one-element blocks included.  They
-form their products in real arithmetic, so no bit rests on whether numpy
-takes a fused (FMA) loop for a complex multiply of some length."""
+except in the BLAS-based Cauchy kernels on the grid (line_cauchy: the
+partial sums, the projector's interpolation sum, the norm probe), which stay
+within a stated tolerance; the Cauchy sums off the grid (cauchy_sums, under
+compactwise_errors and the outer factor) are held to every bit, a one-term
+sum in one-element blocks included.  They form their products in real
+arithmetic, so no bit rests on whether numpy takes a fused (FMA) loop for a
+complex multiply of some length."""
 
 import numpy as np
 import pytest
@@ -15,9 +17,8 @@ from pwsum.diagnostics import carleson_sup
 from pwsum.engine import (
     NormProbe,
     PWFunction,
-    build_lagrange_sum,
-    compactwise_error,
-    disk_probe,
+    coefficient_matrix,
+    compactwise_errors,
     disk_samples,
     sample_sums,
 )
@@ -44,17 +45,19 @@ def _kernel_outputs() -> dict:
     grid = grid_template(10.0, 0.05)
     f = PWFunction([0.3j, 2.7 - 0.3j], [1.0, 0.5])
     rows = projection_rows(s, [5.0, 12.0, 31.0])
-    sums = [build_lagrange_sum(f.eval(s.points), gen, row) for row in rows]
+    A = coefficient_matrix(f.eval(s.points), gen, rows)
     norm_probe = NormProbe(gen, grid, atom_halfwidth=5)
-    probe = disk_probe(f, gen, center=0.4 + 0.2j, radius=3.0, samples=97)
-    # a spectrum with a point on one disk sample, which the probe moves
-    on_sample = disk_samples(0.4 + 0.2j, 3.0, 97)[40]
-    gen_hit = GeneratingFunctionEvaluator(Spectrum(np.append(s.points, on_sample)))
-    hit_probe = disk_probe(f, gen_hit, center=0.4 + 0.2j, radius=3.0, samples=97)
+    disk = disk_samples(0.4 + 0.2j, 3.0, 97)
+    # a spectrum with a point on one disk sample, which compactwise_errors moves
+    gen_hit = GeneratingFunctionEvaluator(Spectrum(np.append(s.points, disk[40])))
+    A_hit = coefficient_matrix(f.eval(gen_hit.spectrum.points), gen_hit,
+                               projection_rows(gen_hit.spectrum, [5.0, 31.0]))
     near = np.concatenate([s.points[::7], s.points[::5] + 1e-13, z])  # exact hits, near hits, misses
     tol2 = (1e-12 * np.maximum(1.0, np.abs(s.points))) ** 2
     own = np.arange(near.size) % s.points.size
     w = 1.0 + np.abs(s.points.imag)
+    # three columns, one of them a single term
+    three = np.stack([w * (1.0 - 0.5j), np.where(np.arange(w.size) == 3, 0.7 - 0.2j, 0.0), np.conj(s.points)], axis=1)
     return {
         "log_abs_G": gen.log_abs_G(x, a=0.4),
         # on the points' own line, between them: the collision test's columns
@@ -67,16 +70,13 @@ def _kernel_outputs() -> dict:
         "carleson_sup": np.array([carleson_sup(s)]),
         "eval_outer": outer.eval_outer(x[np.abs(x) <= 25.0] + 1.0j),
         "select_c": np.array(select_c(up, 20.3, samples_per_side=64)),
-        "sample_sums": np.array([g.values for g in sample_sums(gen, grid, sums)]),
+        "sample_sums": sample_sums(gen, grid, A),
         "NormProbe.lower_bound": np.array([norm_probe.lower_bound(row) for row in rows]),
-        "compactwise_error": np.array([compactwise_error(probe, gen, ls) for ls in sums]),
+        "compactwise_errors": np.concatenate([compactwise_errors(f, gen, A, 0.4 + 0.2j, 3.0, 97),
+                                              compactwise_errors(f, gen_hit, A_hit, 0.4 + 0.2j, 3.0, 97)]),
         # the second, a one-term sum: at one row per block its products are single elements
-        "cauchy_sums": np.concatenate(
-            [
-                spectrum.cauchy_sums(z, s.points, w * (1.0 - 0.5j)),
-                spectrum.cauchy_sums(probe.points, s.points[3:4], np.array([0.7 - 0.2j])),
-            ]
-        ),
+        "cauchy_sums": np.concatenate([spectrum.cauchy_sums(z, s.points, three).ravel(),
+                                       spectrum.cauchy_sums(disk, s.points[3:4], np.array([[0.7 - 0.2j]]))[:, 0]]),
         "eval_B_prime_at": np.concatenate(
             [up.eval_B_prime_at(np.arange(s.points.size)), up.eval_B_prime_at(np.arange(20), cutoff=12.0)]
         ),
@@ -84,7 +84,6 @@ def _kernel_outputs() -> dict:
             [spectrum.collisions(near, s.points, tol2), spectrum.collisions(near, s.points, tol2, own)]
         ),
         "inverse_square_sums": spectrum.inverse_square_sums(z, s.points, w),
-        "disk_probe": np.concatenate([hit_probe.points, hit_probe.G]),
     }
 
 

@@ -18,6 +18,7 @@ from pwsum.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main, parse_config, 
 from pwsum.cli import ConfigError
 from pwsum.contours import build_schedule
 from pwsum import diagnostics
+from pwsum.engine import EngineError
 from pwsum.genfun import GeneratingFunctionEvaluator
 from pwsum.spectrum import Spectrum, make_family
 from pwsum.weights import universal_rows
@@ -540,9 +541,10 @@ _WEIGHTS = "n,k,lambda_re,lambda_im,w_re,w_im"
     ],
     ids=["diagnose", "factorize-check", "contours", "weights", "weights-two-schemes", "converge", "compare-norms"],
 )
-def test_every_subcommand_writes_its_tables(tmp_path, body, files):
+def test_every_subcommand_writes_its_tables(tmp_path, capsys, body, files):
     out = tmp_path / "out"
     assert run(write_cfg(tmp_path, "t.cfg", body + f"output.dir={out}\n")) == EXIT_OK
+    assert capsys.readouterr().err == ""
     assert sorted(p.name for p in out.iterdir()) == sorted(files)
     for name, (header, count) in files.items():
         lines = (out / name).read_text().splitlines()
@@ -589,9 +591,17 @@ def _dense_list_file(tmp_path):
         # was built: norms.csv was left with its header alone
         "subcommand=compare-norms\nscheme=naive,universal\nl.count=2\nl.zero_margin=0.06\n"
         "grid.X=1\ngrid.h=0.05\n{dense}",
+        # each of these printed 5 to 11 RuntimeWarning lines before its message
+        "subcommand=diagnose\na2.a=1e300\n",
+        "subcommand=factorize-check\nfactorize.samples=0.1,1e300\n",
+        "subcommand=converge\nK.radius=1e300\ngrid.X=10\ngrid.h=0.05\nschedule=10,21\n",
+        "subcommand=converge\natoms=0,1e300,1,0\ngrid.X=10\ngrid.h=0.05\nschedule=10,21\n",
+        "subcommand=diagnose\ndelta=1e300\n",
     ],
     ids=["diagnose-X-400", "factorize-Im-300", "converge-K-Im-300", "diagnose-kadec-eps-minus-1",
-         "converge-dense-list", "compare-norms-dense-list", "compare-norms-dense-list-contours"],
+         "converge-dense-list", "compare-norms-dense-list", "compare-norms-dense-list-contours",
+         "diagnose-a2-a-1e300", "factorize-Im-1e300", "converge-K-radius-1e300", "converge-atom-Im-1e300",
+         "diagnose-delta-1e300"],
 )
 def test_overflow_exits_3_with_one_line(tmp_path, capsys, body):
     out = tmp_path / "out"
@@ -604,6 +614,27 @@ def test_overflow_exits_3_with_one_line(tmp_path, capsys, body):
     assert len(err.splitlines()) == 1  # no RuntimeWarning before the message
     assert err.startswith("numerical precondition failure: ")
     assert not out.exists()  # raised before any CSV is opened
+
+
+@pytest.mark.parametrize("fails", [False, True], ids=["exit-0", "exit-3"])
+def test_run_issues_warnings_only_at_exit_0(tmp_path, monkeypatch, capsys, fails):
+    # run holds back the warnings of the subcommand: a failing run prints its
+    # one line alone, and a run that succeeds issues them again
+    def command(cfg):
+        np.log(np.zeros(1))  # RuntimeWarning: divide by zero
+        if fails:
+            raise EngineError("the run fails after the warning")
+        return {"report.csv": (_REPORT, [("x", 1.0, 2.0, 1.0)])}
+
+    monkeypatch.setitem(cli._COMMANDS, "diagnose", command)
+    cfg = write_cfg(tmp_path, "w.cfg", f"subcommand=diagnose\noutput.dir={tmp_path / 'out'}\n")
+    if fails:
+        assert run(cfg) == EXIT_NUMERICAL
+        assert capsys.readouterr().err == "numerical precondition failure: the run fails after the warning\n"
+    else:
+        with pytest.warns(RuntimeWarning, match="divide by zero"):
+            assert run(cfg) == EXIT_OK
+        assert (tmp_path / "out" / "report.csv").is_file()
 
 
 # (X, h, nodes per pass): with X=40, h=0.01 the [-X, X] nodes (m = 8000

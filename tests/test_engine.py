@@ -8,19 +8,18 @@ from pwsum.engine import (
     EngineError,
     NormProbe,
     PWFunction,
-    build_lagrange_sum,
-    DiskProbe,
-    compactwise_error,
-    disk_probe,
+    coefficient_matrix,
+    compactwise_errors,
     disk_samples,
     l2_error,
     pw_tail_bound,
     sample_sums,
     sup_abs_G,
+    tail_bounds,
 )
 from pwsum.genfun import GeneratingFunctionEvaluator
 from pwsum.grids import grid_template, sample_on_grid
-from pwsum.spectrum import Spectrum, block_rows, make_family
+from pwsum.spectrum import Spectrum, block_rows, cauchy_sums, make_family
 from pwsum.weights import naive_rows, projection_rows
 
 
@@ -58,7 +57,7 @@ def test_empty_support_sum(lattice):
     f = PWFunction([0.3j], [1.0])
     naive = naive_rows(s, [0.1, 200.0])
     grid = grid_template(20.0, 0.05)
-    out = sample_sums(g, grid, [build_lagrange_sum(f.eval(s.points), g, naive[0])])[0]
+    out = grid.copy_with(sample_sums(g, grid, coefficient_matrix(f.eval(s.points), g, naive[:1]))[0])
     assert out.norm() == 0.0
 
 
@@ -70,9 +69,8 @@ def test_biorthogonal_reproduction(lattice):
     k0 = int(np.argmin(np.abs(s.points - (3 + 0.3j))))
     values = np.zeros(len(s), complex)
     values[k0] = 1.0
-    ls = build_lagrange_sum(values, g, naive[0])
     grid = grid_template(20.0, 0.05)
-    got = sample_sums(g, grid, [ls])[0]
+    got = grid.copy_with(sample_sums(g, grid, coefficient_matrix(values, g, naive))[0])
     lam0 = s.points[k0]
     direct = g.eval_G(grid.x.astype(complex)) / (
         g.eval_G_prime_at_lambda(np.array([k0]))[0] * (grid.x - lam0)
@@ -102,9 +100,8 @@ def test_skw_naive_convergence(lattice):
     ref = sample_on_grid(f, 30.0, 0.02)
     naive = naive_rows(s, [20.0, 40.0, 80.0, 121.0])
     errs = []
-    for row in naive:
-        sn = sample_sums(g, grid, [build_lagrange_sum(f.eval(s.points), g, row)])[0]
-        errs.append(l2_error(sn, ref) / ref.norm())
+    for sn in sample_sums(g, grid, coefficient_matrix(f.eval(s.points), g, naive)):
+        errs.append(l2_error(grid.copy_with(sn), ref) / ref.norm())
     assert all(e2 < e1 for e1, e2 in zip(errs, errs[1:]))
     assert errs[-1] < 0.1
 
@@ -116,10 +113,10 @@ def test_partial_sum_linearity(lattice):
     a, b = 0.7 - 0.2j, -1.1 + 0.4j
     grid = grid_template(10.0, 0.1)
     proj = projection_rows(s, [50.0])
-    s1 = sample_sums(g, grid, [build_lagrange_sum(f1.eval(s.points), g, proj[0])])[0].values
-    s2 = sample_sums(g, grid, [build_lagrange_sum(f2.eval(s.points), g, proj[0])])[0].values
+    s1 = sample_sums(g, grid, coefficient_matrix(f1.eval(s.points), g, proj))[0]
+    s2 = sample_sums(g, grid, coefficient_matrix(f2.eval(s.points), g, proj))[0]
     f12 = PWFunction([0.3j, 1.5 + 0.3j], [a, b])
-    s12 = sample_sums(g, grid, [build_lagrange_sum(f12.eval(s.points), g, proj[0])])[0].values
+    s12 = sample_sums(g, grid, coefficient_matrix(f12.eval(s.points), g, proj))[0]
     assert np.allclose(s12, a * s1 + b * s2, rtol=1e-10, atol=1e-12)
 
 
@@ -131,10 +128,10 @@ def test_conjugation_symmetry():
     f = PWFunction([0.2 + 0.4j], [1.0 - 0.5j])
     f_conj = PWFunction(np.conj(f.centers), np.conj(f.coefficients))
     grid = grid_template(10.0, 0.1)
-    out = sample_sums(g, grid, [build_lagrange_sum(f.eval(s.points), g, naive_rows(s, [5.0])[0])])[0]
-    ls_conj = build_lagrange_sum(f_conj.eval(s_conj.points), g_conj, naive_rows(s_conj, [5.0])[0])
-    out_conj = sample_sums(g_conj, grid, [ls_conj])[0]
-    assert np.allclose(out_conj.values, np.conj(out.values), rtol=1e-12, atol=1e-14)
+    out = sample_sums(g, grid, coefficient_matrix(f.eval(s.points), g, naive_rows(s, [5.0])))[0]
+    A_conj = coefficient_matrix(f_conj.eval(s_conj.points), g_conj, naive_rows(s_conj, [5.0]))
+    out_conj = sample_sums(g_conj, grid, A_conj)[0]
+    assert np.allclose(out_conj, np.conj(out), rtol=1e-12, atol=1e-14)
 
 
 @pytest.mark.parametrize("X", [40.0, 7.33])
@@ -166,8 +163,8 @@ def test_compactwise_empty_support(lattice):
     s, g = lattice
     f = PWFunction([0.3j], [1.0])
     naive = naive_rows(s, [0.2, 121.0])
-    ls = build_lagrange_sum(f.eval(s.points), g, naive[0])
-    err = compactwise_error(disk_probe(f, g, center=0j, radius=2.0, samples=128), g, ls)
+    A = coefficient_matrix(f.eval(s.points), g, naive[:1])
+    err = compactwise_errors(f, g, A, center=0j, radius=2.0, samples=128)[0]
     zs = disk_samples(0j, 2.0, 128)
     assert err == pytest.approx(float(np.max(np.abs(f.eval(zs)))))
 
@@ -179,32 +176,86 @@ def test_compactwise_exact_reproduction(lattice):
     k0 = int(np.argmin(np.abs(s.points - 0.3j)))
     values = np.zeros(len(s), complex)
     values[k0] = 1.0
-    ls = build_lagrange_sum(values, g, naive[0])
-    zs = disk_samples(0j, 3.0, 128)
+    A = coefficient_matrix(values, g, naive)
     lam0 = s.points[k0]
-    direct = g.eval_G(zs) / (g.eval_G_prime_at_lambda(np.array([k0]))[0] * (zs - lam0))
-    assert compactwise_error(DiskProbe(zs, g.eval_G(zs), direct), g, ls) < 1e-12
+
+    class Element:  # F = the k0-th Lagrange element itself, through the same G
+        def eval(self, zs):
+            return g.eval_G(zs) / (g.eval_G_prime_at_lambda(np.array([k0]))[0] * (zs - lam0))
+
+    assert compactwise_errors(Element(), g, A, center=0j, radius=3.0, samples=128)[0] < 1e-12
 
 
-def test_disk_probe_nudges_a_sample_on_the_spectrum():
+def _dense_compactwise(f, g, A, zs):
+    """max |G sum_k A[k, j]/(z - lambda_k) - F| over zs per column j, one
+    step at a time on the column's support: the per-step formula."""
+    G, F, out = g.eval_G(zs), f.eval(zs), []
+    for col in A.T:
+        ks = np.flatnonzero(col)
+        sn = (1.0 / (zs[:, None] - g.spectrum.points[ks])) @ col[ks]
+        out.append(np.max(np.abs(G * sn - F)))
+    return np.array(out)
+
+
+def test_compactwise_errors_nudge_a_sample_on_the_spectrum():
     # a spectrum point exactly on one sample: only that sample moves, by
     # 3e-8 + 2e-8i, and no RuntimeWarning escapes the 1/0
     zs = disk_samples(0j, 3.0, 64)
     k = int(np.flatnonzero(zs.imag > 0.5)[0])
     g = GeneratingFunctionEvaluator(Spectrum(np.array([zs[k], -2.2 + 1j, 1.3 - 1j])))
-    probe = disk_probe(PWFunction([0.3j], [1.0]), g, center=0j, radius=3.0, samples=64)
-    assert np.flatnonzero(probe.points != zs).tolist() == [k]
-    assert probe.points[k] == zs[k] + (3e-8 + 2e-8j)
-    assert np.all(np.isfinite(probe.G))
+    f = PWFunction([0.3j], [1.0])
+    A = coefficient_matrix(f.eval(g.spectrum.points), g, naive_rows(g.spectrum, [3.1, 10.0]))
+    assert A[np.flatnonzero(g.spectrum.points == zs[k]), 1] != 0
+    moved = zs.copy()
+    moved[k] += 3e-8 + 2e-8j
+    got, want = compactwise_errors(f, g, A, center=0j, radius=3.0, samples=64), _dense_compactwise(f, g, A, moved)
+    assert np.all(np.isfinite(got))
+    assert np.all(np.abs(got - want) <= 1e-12 * want)
 
 
 def test_compactwise_decreases(lattice):
     s, g = lattice
     f = PWFunction([0.3j], [1.0])
     naive = naive_rows(s, [20.0, 60.0, 121.0])
-    probe = disk_probe(f, g, radius=3.0)
-    errs = [compactwise_error(probe, g, build_lagrange_sum(f.eval(s.points), g, row)) for row in naive]
+    errs = compactwise_errors(f, g, coefficient_matrix(f.eval(s.points), g, naive), radius=3.0)
     assert errs[2] < errs[0]
+
+
+def _matrix_cases(lattice):
+    """A lattice run's coefficient matrix: an empty row, partial naive and
+    projection rows, and a full row (all 241 points)."""
+    s, g = lattice
+    f = PWFunction([0.3j, 1.5 - 0.2j], [1.0, 0.5 - 0.1j])
+    rows = naive_rows(s, [0.1, 20.0, 121.0]) + projection_rows(s, [40.0])
+    assert len(rows[0]) == 0 and len(rows[2]) == len(s)
+    return f, g, rows, coefficient_matrix(f.eval(s.points), g, rows)
+
+
+def test_matrix_evaluators_match_per_step_formula(lattice):
+    f, g, rows, A = _matrix_cases(lattice)
+    zs = disk_samples(0.4 + 0.2j, 3.0, 97)
+    want = _dense_compactwise(f, g, A, zs)
+    assert np.all(np.abs(compactwise_errors(f, g, A, 0.4 + 0.2j, 3.0, 97) - want) <= 1e-12 * want)
+    X = 30.0
+    gmax = sup_abs_G(g, X)
+    for j, (row, got) in enumerate(zip(rows, tail_bounds(A, g, X, gmax))):  # one step, on its support
+        lam, c = g.spectrum.points[row.indices], A[row.indices, j]
+        d = X - np.abs(lam.real)
+        reach = np.where(d <= 1.0, np.sqrt(np.pi / np.abs(lam.imag)), np.sqrt(2.0 / np.maximum(d, 1.0)))
+        want = np.sum(np.abs(c) * gmax * reach)
+        assert abs(got - want) <= 1e-12 * want  # the empty row: exactly 0
+
+
+def test_matrix_evaluators_column_alone_matches_batch(lattice):
+    # each column is reduced on its own: no bit depends on the other columns
+    f, g, rows, A = _matrix_cases(lattice)
+    z = np.concatenate([disk_samples(0.4 + 0.2j, 3.0, 97), np.linspace(-40.0, 40.0, 301) - 1.3j])
+    sup, tail, sums = compactwise_errors(f, g, A), tail_bounds(A, g, 30.0, 2.5), cauchy_sums(z, g.spectrum.points, A)
+    for j in range(A.shape[1]):
+        col = A[:, j : j + 1]
+        assert compactwise_errors(f, g, col)[0] == sup[j]
+        assert tail_bounds(col, g, 30.0, 2.5)[0] == tail[j]
+        assert np.array_equal(cauchy_sums(z, g.spectrum.points, col)[:, 0], sums[:, j])
 
 
 def _dense_cauchy(grid, g):
@@ -217,15 +268,13 @@ def test_sample_sums_match_dense_formula(lattice):
     grid = grid_template(10.0, 0.05)
     assert len(grid) % block_rows(len(s)) != 0
     f = PWFunction([0.3j, 1.5 - 0.2j], [1.0, 0.5 - 0.1j])
-    sums = [build_lagrange_sum(f.eval(s.points), g, row)
-            for rows in (naive_rows(s, [0.1, 20.0, 121.0]), projection_rows(s, [40.0]))
-            for row in rows]
+    A = coefficient_matrix(f.eval(s.points), g, naive_rows(s, [0.1, 20.0, 121.0]) + projection_rows(s, [40.0]))
     C, G = _dense_cauchy(grid, g), g.eval_G(grid.x)
-    for ls, got in zip(sums, sample_sums(g, grid, sums)):
-        want = G * (C[:, ls.indices] @ ls.coefficients)
-        assert np.max(np.abs(got.values - want)) <= 1e-12 * max(np.max(np.abs(want)), 1e-300)
-    one = sample_sums(g, grid, [sums[2]])[0].values
-    assert np.max(np.abs(one - sample_sums(g, grid, sums)[2].values)) <= 1e-12 * np.max(np.abs(one))
+    for col, got in zip(A.T, sample_sums(g, grid, A)):
+        want = G * (C @ col)
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(np.max(np.abs(want)), 1e-300)
+    one = sample_sums(g, grid, A[:, 2:3])[0]
+    assert np.max(np.abs(one - sample_sums(g, grid, A)[2])) <= 1e-12 * np.max(np.abs(one))
 
 
 def _dense_probe_matrix(probe, row):
@@ -289,8 +338,7 @@ def test_grid_pass_keeps_no_grid_by_points_matrix():
     tracemalloc.start()
     try:
         g = GeneratingFunctionEvaluator(s)
-        sums = [build_lagrange_sum(f.eval(s.points), g, row) for row in naive_rows(s, [30.0, 101.0])]
-        sample_sums(g, grid, sums)
+        sample_sums(g, grid, coefficient_matrix(f.eval(s.points), g, naive_rows(s, [30.0, 101.0])))
         NormProbe(g, grid, atom_halfwidth=5).lower_bound(naive_rows(s, [30.0])[0])
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -57,14 +57,18 @@ def test_evaluators_take_and_return_arrays_only():
     # every evaluator takes a 1-d array and returns one, so no module tests
     # its argument for a scalar; and each evaluation has one entry point: no
     # grid alias of eval_G, no second Lagrange-sum builder, no second log|B|
-    # pass for the domination margin, no None cutoff, no scheme class
+    # pass for the domination margin, no None cutoff, no scheme class, and no
+    # per-step evaluator of a partial sum
     src = {p.name: p.read_text() for p in Path(pwsum.__file__).parent.glob("*.py")}
     scalar = re.compile(r"atleast_1d|isscalar|\bndim\b")
     assert sorted(name for name, text in src.items() if scalar.search(text)) == []
     gone = ("eval_G_on_grid", "build_lagrange_sum_from_values", "domination_margin", "_log_G", "_select",
             # a summation method is its list of rows: no scheme classes, no lazy row interface
             "weight_row", "step_label", "row_labels", "_RadiusSchedule", "NaiveWeights", "ProjectionWeights",
-            "UniversalWeights")
+            "UniversalWeights",
+            # a run's steps are the columns of one coefficient matrix: no per-step sum or disk probe
+            "LagrangeSum", "build_lagrange_sum", "compactwise_error", "DiskProbe", "disk_probe",
+            "lagrange_tail_bound")
     assert sorted((name, g) for name, text in src.items() for g in gone if re.search(rf"\b{g}\b", text)) == []
 
 
