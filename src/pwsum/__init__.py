@@ -15,7 +15,7 @@ from pwsum.engine import (
 from pwsum.genfun import GeneratingFunctionEvaluator, OuterEvaluator, check_factorization
 from pwsum.grids import GridFunction, grid_template, hilbert_transform, sample_on_grid
 from pwsum.spectrum import Spectrum, SpectrumError, make_family, split_halfplanes
-from pwsum.weights import naive_rows, outer_weight, projection_rows, universal_rows
+from pwsum.weights import naive_weights, outer_weight, projection_weights, universal_weights
 
 __version__ = "0.1.0"
 
@@ -39,14 +39,14 @@ __all__ = [
     "l2_error",
     "lambda_inside",
     "make_family",
-    "naive_rows",
+    "naive_weights",
     "outer_weight",
-    "projection_rows",
+    "projection_weights",
     "riesz_project",
     "sample_on_grid",
     "sample_sums",
     "split_halfplanes",
-    "universal_rows",
+    "universal_weights",
     "upper_lower_evaluators",
     "weighted_projector_check",
     "__version__",

@@ -2,11 +2,12 @@
 
 Subcommands (selected by the `subcommand` config key): diagnose, weights,
 converge, compare-norms, contours, factorize-check.  Exit codes: 0 on
-success, 2 on configuration errors and unwritable outputs, 3 on numerical
-precondition failures (infeasible contour selection, a non-finite number
-in any table, and friends).  parse_config checks every key before anything
-runs; a subcommand returns its tables, run checks every cell of every table
-and only then writes them all, so a run that exits 2 or 3 writes no CSV.
+success, 2 on configuration errors, unwritable outputs and runs that need
+more memory than the machine holds, 3 on numerical precondition failures
+(infeasible contour selection, a non-finite number in any table, and
+friends).  parse_config checks every key before anything runs; a
+subcommand returns its tables, run checks every cell of every table and
+only then writes them all, so a run that exits 2 or 3 writes no CSV.
 Its stderr is one line: run holds back the warnings a subcommand raises,
 drops them when the run fails and issues them again when it succeeds.
 Outputs are byte-stable for a fixed config.
@@ -27,10 +28,10 @@ from pwsum.contours import ContourError, build_schedule
 from pwsum.diagnostics import DiagnosticsError, carleson_sup, line_diagnostics
 from pwsum.engine import (
     EngineError,
-    NormProbe,
     PWFunction,
     coefficient_matrix,
     compactwise_errors,
+    norm_lower_bounds,
     pw_tail_bound,
     sample_sums,
     sup_abs_G,
@@ -39,7 +40,7 @@ from pwsum.engine import (
 from pwsum.genfun import GenFunError, GeneratingFunctionEvaluator, OuterEvaluator, check_factorization
 from pwsum.grids import GridError, grid_template, sample_count, sample_on_grid
 from pwsum.spectrum import FAMILY_NAMES, Spectrum, SpectrumError, load_spectrum, make_family
-from pwsum.weights import WeightError, naive_rows, projection_rows, universal_rows
+from pwsum.weights import WeightError, naive_weights, projection_weights, universal_weights
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -177,15 +178,23 @@ def _schedule_kwargs(cfg) -> dict:
     )
 
 
-def _rows(name: str, cfg, spectrum) -> list:
-    """The rows of the summation method the config names, one per step."""
+def _weights(name: str, cfg, spectrum) -> tuple:
+    """(L, W) of the summation method the config names."""
     if name == "naive":
-        return naive_rows(spectrum, cfg["schedule"])
+        return naive_weights(spectrum, cfg["schedule"])
     if name == "projection":
-        return projection_rows(spectrum, cfg["schedule"])
+        return projection_weights(spectrum, cfg["schedule"])
     kw = _schedule_kwargs(cfg)
-    return universal_rows(spectrum, *[None if b is None else build_schedule(b, **kw)
-                                      for b in upper_lower_evaluators(spectrum)])
+    return universal_weights(spectrum, *[None if b is None else build_schedule(b, **kw)
+                                         for b in upper_lower_evaluators(spectrum)])
+
+
+def _steps(cfg, spectrum) -> tuple:
+    """Every step of the schemes the config names, in order: the scheme and
+    the n of each step, and the (points x steps) weight matrix."""
+    parts = {name: _weights(name, cfg, spectrum) for name in cfg["scheme"]}
+    schemes = [name for name, (L, _) in parts.items() for _ in L[0]]
+    return schemes, np.concatenate([L[0] for L, _ in parts.values()]), np.hstack([W for _, W in parts.values()])
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +223,10 @@ def _cmd_weights(cfg) -> dict:
     names = cfg["scheme"]
     tables = {}
     for name in names:
-        rows = [(label, k, lam.real, lam.imag, w.real, w.imag) for row in _rows(name, cfg, s)
-                for label, k, lam, w in zip(row.labels, row.indices, s.points[row.indices], row.weights)]
+        L, W = _weights(name, cfg, s)
+        j, k = np.nonzero(W.T)  # step order, then ascending index
+        lam = s.points[k]
+        rows = list(zip(L[(lam.imag < 0).astype(int), j], k, lam.real, lam.imag, W[k, j].real, W[k, j].imag))
         file = "weights.csv" if len(names) == 1 else f"weights_{name}.csv"
         tables[file] = ("n,k,lambda_re,lambda_im,w_re,w_im", rows)
     return tables
@@ -226,16 +237,16 @@ def _cmd_converge(cfg) -> dict:
     gen = GeneratingFunctionEvaluator(s)
     f = cfg["atoms"]
     X, h = cfg["grid.X"], cfg["grid.h"]
-    ref = sample_on_grid(f, X, h)
-    steps = [(name, row) for name in cfg["scheme"] for row in _rows(name, cfg, s)]
-    A = coefficient_matrix(f.eval(s.points), gen, [row for _, row in steps])
+    ref = sample_on_grid(f.eval, X, h)
+    schemes, ns, W = _steps(cfg, s)
+    A = coefficient_matrix(f.eval(s.points), gen, W)
     center = complex(cfg["K.center.re"], cfg["K.center.im"])
     sup = compactwise_errors(f, gen, A, center, cfg["K.radius"], cfg["K.samples"])
     diff = sample_sums(gen, ref, A) - ref.values
     l2 = np.sqrt(np.sum(ref.trapezoid_weights() * np.abs(diff) ** 2, axis=1))
     rel = l2 / ref.norm()
     tail = pw_tail_bound(f, X) + tail_bounds(A, gen, X, sup_abs_G(gen, X))
-    table = [(row.n, name, e, k, b) for (name, row), e, k, b in zip(steps, rel, sup, tail)]
+    table = list(zip(ns, schemes, rel, sup, tail))
     return {"errors.csv": ("n,scheme,l2_error,sup_error_K,tail_bound", table)}
 
 
@@ -243,9 +254,8 @@ def _cmd_compare_norms(cfg) -> dict:
     s = _build_spectrum(cfg)
     gen = GeneratingFunctionEvaluator(s)
     grid = grid_template(cfg["grid.X"], cfg["grid.h"])
-    probe = NormProbe(gen, grid, atom_halfwidth=cfg["atoms.halfwidth"])
-    steps = [(name, row) for name in cfg["scheme"] for row in _rows(name, cfg, s)]
-    table = [(row.n, name, probe.lower_bound(row)) for name, row in steps]
+    schemes, ns, W = _steps(cfg, s)
+    table = list(zip(ns, schemes, norm_lower_bounds(gen, grid, cfg["atoms.halfwidth"], W)))
     return {"norms.csv": ("n,scheme,norm_lower_bound", table)}
 
 
@@ -402,6 +412,9 @@ def run(config_path) -> int:
             _write_tables(Path(cfg["output.dir"]), _COMMANDS[cfg["subcommand"]](cfg))
         except (ConfigError, SpectrumError) as e:
             print(f"config error: {e}", file=sys.stderr)
+            return EXIT_CONFIG
+        except MemoryError as e:  # the config asks for more than the machine holds
+            print(f"config error: out of memory: {e}", file=sys.stderr)
             return EXIT_CONFIG
         except _NUMERICAL_ERRORS as e:
             print(f"numerical precondition failure: {e}", file=sys.stderr)

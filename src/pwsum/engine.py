@@ -4,14 +4,15 @@ Test functions are finite combinations of shifted reproducing kernels
 k_mu(z) = sin(pi(z - conj mu))/(pi(z - conj mu)); their interpolation
 coefficients against the biorthogonal family are exactly the point
 values F(lambda), so no time-domain computation is ever needed.  A
-summation method is linear, so a run's steps are the columns of one
-(points x steps) coefficient matrix A = w F/G' (coefficient_matrix), and
-each evaluator takes all of them at once: the partial sums on the grid
-(sample_sums), the sup error on the disk K (compactwise_errors) and the
-tail bounds (tail_bounds).  Partial sums, the discrete Riesz projections
-and the weighted projector identity all run on the uniform grids of
-`grids`.  On the grid, G and every Cauchy sum (the partial sums, the
-projector's interpolation sum and the norm probe's operator for each row)
+summation method is its (points x steps) weight matrix W, so a run's steps
+are the columns of one coefficient matrix A = w F/G' (coefficient_matrix),
+and each evaluator takes all of them at once: the partial sums on the grid
+(sample_sums), the sup error on the disk K (compactwise_errors), the tail
+bounds (tail_bounds) and the operator-norm lower bounds
+(norm_lower_bounds, which reads W itself).  Partial sums, the discrete
+Riesz projections and the weighted projector identity all run on the
+uniform grids of `grids`.  On the grid, G and every Cauchy sum (the partial
+sums, the projector's interpolation sum and each column's norm operator)
 take the near and far field of spectrum's line kernels (log_G's real
 points and line_cauchy); the disk K stays direct (cauchy_sums).
 """
@@ -26,7 +27,6 @@ from pwsum.blaschke import BlaschkeEvaluator
 from pwsum.genfun import GeneratingFunctionEvaluator, OuterEvaluator
 from pwsum.grids import GridFunction, GridError, hilbert_transform
 from pwsum.spectrum import cauchy_sums, collisions, line_cauchy, unique_sorted
-from pwsum.weights import WeightRow
 
 
 class EngineError(ValueError):
@@ -59,9 +59,6 @@ class PWFunction:
         d = z[:, None] - np.conj(self.centers)
         return (self.coefficients * np.sinc(d)).sum(axis=-1)
 
-    def __call__(self, z: np.ndarray) -> np.ndarray:
-        return self.eval(z)
-
 
 def pw_tail_bound(f: PWFunction, X: float) -> float:
     """Crude upper estimate for the L2 mass of F beyond [-X, X]."""
@@ -78,13 +75,14 @@ def pw_tail_bound(f: PWFunction, X: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def coefficient_matrix(values: np.ndarray, gen, rows: list[WeightRow]) -> np.ndarray:
+def coefficient_matrix(values: np.ndarray, gen, W: np.ndarray) -> np.ndarray:
     """The run's steps as the columns of one (points x steps) matrix A:
-    column j holds w_j F(lambda_k)/G'(lambda_k) on row j's indices k and 0
-    elsewhere, from values = F(lambda_k) at every spectrum index k."""
-    A = np.zeros((len(gen.spectrum), len(rows)), dtype=complex)
-    for j, row in enumerate(rows):
-        A[row.indices, j] = row.weights * values[row.indices] / gen.eval_G_prime_at_lambda(row.indices)
+    A[k, j] = (W[k, j] F(lambda_k))/G'(lambda_k) on W's support and 0
+    elsewhere, from values = F(lambda_k) at every spectrum index k, in one
+    gather; values and G' are read on the support only."""
+    k, j = np.nonzero(W)
+    A = np.zeros(W.shape, dtype=complex)
+    A[k, j] = W[k, j] * values[k] / gen.eval_G_prime_at_lambda(k)
     return A
 
 
@@ -221,46 +219,42 @@ def weighted_projector_check(
 
 
 # ---------------------------------------------------------------------------
-# Operator norm probe
+# Operator norm lower bounds
 # ---------------------------------------------------------------------------
 
 
-class NormProbe:
-    """Lower bounds for ||F -> S_n(W, F)|| on the span of integer-lattice atoms.
+def norm_lower_bounds(gen: GeneratingFunctionEvaluator, grid: GridFunction, atom_halfwidth: int,
+                      W: np.ndarray) -> np.ndarray:
+    """Lower bounds for ||F -> S_n(W, F)|| on the span of integer-lattice
+    atoms, one per column of W.
 
-    Atoms k_m with integer real centers are orthonormal in the
-    Paley-Wiener space, so the coefficient Euclidean norm is exactly
-    ||F||, and the grid operator of a row gives a true lower bound
-    sigma_max <= ||T_n||.  Its column m is G Y[:, m], with
-    Y[:, m] = sum_k (w_k/G'(lambda_k)) k_m(lambda_k)/(x - lambda_k), so
-    sigma_max^2 is the largest eigenvalue of Y^H D Y, D = (trapezoid
-    weight) |G|^2.  The probe keeps the atom matrix and D; each row takes
-    its Y from one line_cauchy pass and drops it.  Raises EngineError
-    where D or a row's operator is not finite.
+    Atoms k_m with integer real centers |m| <= atom_halfwidth are
+    orthonormal in the Paley-Wiener space, so the coefficient Euclidean
+    norm is exactly ||F||, and the grid operator of a column gives a true
+    lower bound sigma_max <= ||T_n||.  Its column m is G Y[:, m], with
+    Y[:, m] = sum_k (w_k/G'(lambda_k)) k_m(lambda_k)/(x - lambda_k) over
+    the column's support, so sigma_max^2 is the largest eigenvalue of
+    Y^H D Y, D = (trapezoid weight) |G|^2: one line_cauchy pass per column,
+    then eigvalsh, exactly, with no iteration.  Raises EngineError where D
+    or a column's operator is not finite.
     """
-
-    def __init__(self, gen: GeneratingFunctionEvaluator, grid: GridFunction, atom_halfwidth: int):
-        self.gen = gen
-        self.grid = grid
-        ms = np.arange(-atom_halfwidth, atom_halfwidth + 1, dtype=float)
-        self.atom_centers = ms
-        self._K = np.sinc(gen.spectrum.points[:, None] - ms[None, :])
+    ms = np.arange(-atom_halfwidth, atom_halfwidth + 1, dtype=float)
+    K = np.sinc(gen.spectrum.points[:, None] - ms[None, :])
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value raises below
+        D = grid.trapezoid_weights() * np.exp(2.0 * gen.log_abs_G(grid.x))
+    if not np.isfinite(D).all():
+        raise EngineError("|G|^2 is not finite on the grid: the norm probe's weights overflow")
+    out = np.empty(W.shape[1])
+    for j, w in enumerate(W.T):
+        ks = np.flatnonzero(w)
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value raises below
-            self._D = grid.trapezoid_weights() * np.exp(2.0 * gen.log_abs_G(grid.x))
-        if not np.isfinite(self._D).all():
-            raise EngineError("|G|^2 is not finite on the grid: the norm probe's weights overflow")
-
-    def lower_bound(self, row: WeightRow) -> float:
-        """sqrt of the largest eigenvalue of Y^H D Y (eigvalsh): the row's
-        sigma_max, exactly, with no iteration."""
-        ks = row.indices
-        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value raises below
-            Kt = (row.weights / self.gen.eval_G_prime_at_lambda(ks))[:, None] * self._K[ks, :]
-            Y = line_cauchy(self.grid.x, self.gen.spectrum.points[ks], Kt)
-            M = Y.conj().T @ (self._D[:, None] * Y)
+            Kt = (w[ks] / gen.eval_G_prime_at_lambda(ks))[:, None] * K[ks, :]
+            Y = line_cauchy(grid.x, gen.spectrum.points[ks], Kt)
+            M = Y.conj().T @ (D[:, None] * Y)
         if not np.isfinite(M).all():
-            raise EngineError(f"the norm probe's operator is not finite at n={row.n:.12e}")
-        return float(np.sqrt(max(np.linalg.eigvalsh(M)[-1], 0.0)))
+            raise EngineError(f"the norm probe's operator is not finite in column {j} of W")
+        out[j] = np.sqrt(max(np.linalg.eigvalsh(M)[-1], 0.0))
+    return out
 
 
 # ---------------------------------------------------------------------------

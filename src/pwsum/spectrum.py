@@ -13,8 +13,8 @@ Cauchy sums of a coefficient matrix's columns: on the disk K, and for the
 outer factor).  Real points take the near and far field of one panel
 walker, _panels, under three reductions: line_log_abs (log|G| on a line),
 line_arg (arg G on the real line) and line_cauchy (the Cauchy sums on the
-grid: the partial sums, the projector's interpolation sum and the norm
-probe's operator).
+grid: the partial sums, the projector's interpolation sum and, per column
+of a weight matrix, the operator of norm_lower_bounds).
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ def block_rows(n_cols: int) -> int:
     Every pair kernel but one reduces along its columns, one row at a time,
     so the block size cannot change a single bit of its output.  The BLAS
     Cauchy sums (line_cauchy, which engine.sample_sums, the projector check
-    and engine.NormProbe call) multiply whole blocks, whose rounding depends
+    and engine.norm_lower_bounds call) multiply whole blocks, whose rounding depends
     on the block shape: they move by ~1e-15 relative."""
     return max(1, BLOCK_BUDGET // max(n_cols, 1))
 

@@ -1,15 +1,14 @@
 """Summation matrices w(lambda, n): naive, projection and universal schemes.
 
-A scheme is its list of rows: naive_rows, projection_rows and
-universal_rows each return one WeightRow per step, in step order, with the
-ascending spectrum indices of the row's finite support and the weights
-there, built in one vectorized pass per step.  Weights tend to 1 in the
-step for every fixed point; indices absent from a row have weight 0.
+A scheme is its weight matrix: naive_weights, projection_weights and
+universal_weights each return (L, W).  W is the (points x steps) complex
+matrix of w(lambda_k, n_j), and a column's support is its nonzero entries.
+L is the (2, steps) array of half-widths: row 0 labels each step's C+
+entries and is the step's n, row 1 its C- entries.  Weights tend to 1 in
+the step for every fixed point.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,68 +70,52 @@ def outer_weight_deviation_bound(l: float, alpha: float, z: np.ndarray) -> np.nd
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WeightRow:
-    """One row of w(lambda, n): the step's label n, ascending int spectrum
-    indices, complex weights, and per index the half-width l of the contour
-    its weight came from (n itself for the radius schemes)."""
-
-    n: float
-    indices: np.ndarray
-    weights: np.ndarray
-    labels: np.ndarray
-
-    def __len__(self):
-        return int(self.indices.size)
-
-
-def _radius_rows(spectrum: Spectrum, radii, weights) -> list[WeightRow]:
-    """One row per radius n of an increasing schedule: the points with
-    |lambda| < n, weighted by weights(ks, n)."""
+def _radii(radii) -> np.ndarray:
+    """The (2, steps) half-widths of an increasing radius schedule: both
+    rows hold the radii."""
     radii = np.asarray(radii, dtype=float)
     if np.any(np.diff(radii) <= 0) or np.any(radii <= 0):
         raise WeightError("radius schedule must be positive and increasing")
-    rows = []
-    for n in radii:
-        ks = np.flatnonzero(spectrum.moduli < n)
-        rows.append(WeightRow(float(n), ks, weights(ks, n), np.full(ks.size, n)))
-    return rows
+    return np.stack([radii, radii])
 
 
-def naive_rows(spectrum: Spectrum, radii) -> list[WeightRow]:
+def naive_weights(spectrum: Spectrum, radii) -> tuple[np.ndarray, np.ndarray]:
     """w(lambda, n) = 1 if |lambda| < n else 0, over a radius schedule."""
-    return _radius_rows(spectrum, radii, lambda ks, n: np.ones(ks.size, dtype=complex))
+    L = _radii(radii)
+    return L, (spectrum.moduli[:, None] < L[0]).astype(complex)
 
 
-def projection_rows(spectrum: Spectrum, radii) -> list[WeightRow]:
-    """w(lambda, n) = beta_n^{+-}(lambda): Blaschke tail products per half-plane."""
+def projection_weights(spectrum: Spectrum, radii) -> tuple[np.ndarray, np.ndarray]:
+    """w(lambda, n) = beta_n^{+-}(lambda) for |lambda| < n: Blaschke tail
+    products per half-plane, beta_n^-(lambda) = conj(beta_n of the mirror
+    at conj lambda)."""
+    L = _radii(radii)
     b_plus, b_minus = upper_lower_evaluators(spectrum)
-
-    def weights(ks, n):
-        lam = spectrum.points[ks]
-        w = np.empty(ks.size, dtype=complex)
-        up = lam.imag > 0
-        if np.any(up):
-            w[up] = b_plus.tail_factor(lam[up], n)
-        if not np.all(up):  # beta_n^-(lambda) = conj(beta_n of the mirror at conj lambda)
-            w[~up] = np.conj(b_minus.tail_factor(np.conj(lam[~up]), n))
-        return w
-
-    return _radius_rows(spectrum, radii, weights)
+    pts = spectrum.points
+    W = np.zeros((pts.size, L.shape[1]), dtype=complex)
+    for j, n in enumerate(L[0]):
+        inside = spectrum.moduli < n
+        for b, ks, lower in ((b_plus, np.flatnonzero(inside & (pts.imag > 0)), False),
+                             (b_minus, np.flatnonzero(inside & (pts.imag < 0)), True)):
+            if ks.size:
+                W[ks, j] = np.conj(b.tail_factor(np.conj(pts[ks]), n)) if lower else b.tail_factor(pts[ks], n)
+    return L, W
 
 
-def universal_rows(
+def universal_weights(
     spectrum: Spectrum,
     schedule_plus: ContourSchedule | None,
     schedule_minus: ContourSchedule | None = None,
-) -> list[WeightRow]:
+) -> tuple[np.ndarray, np.ndarray]:
     """w(lambda, n) = w_n(lambda) inside the n-th contour, 0 outside; a weight
-    that underflows to exactly zero (past l/2 at large alpha) leaves the row.
+    that underflows to exactly zero (past l/2 at large alpha) leaves the
+    column's support.
 
     The lower half-plane mirrors the construction through conjugation: a
     schedule built on the reflected points supplies w_n, and the weight at
-    lambda in C- is conj(w_n(conj lambda)).  A row's n is the upper
-    schedule's l (the mirror's when there is no upper schedule).
+    lambda in C- is conj(w_n(conj lambda)).  Row 0 of L holds the upper
+    schedule's l and row 1 the mirror's; a missing schedule's row repeats
+    the other.
     """
     pts = spectrum.points
     up = pts.imag > 0
@@ -142,22 +125,14 @@ def universal_rows(
         raise WeightError("lower half-plane points need a mirrored schedule")
     if schedule_plus is not None and schedule_minus is not None and len(schedule_plus) != len(schedule_minus):
         raise WeightError("the two half-plane schedules must have equal length")
-    labelled = schedule_plus if schedule_plus is not None else schedule_minus
-    halves = ((schedule_plus, np.flatnonzero(up), False), (schedule_minus, np.flatnonzero(~up), True))
-    rows = []
-    for step, tri_n in enumerate(labelled.contours):
-        w = np.zeros(pts.size, dtype=complex)
-        for sched, ks, lower in halves:
-            if not ks.size:
-                continue
-            tri = sched.contours[step]
-            z = np.conj(pts[ks]) if lower else pts[ks]
+    scheds = (schedule_plus if schedule_plus is not None else schedule_minus,
+              schedule_minus if schedule_minus is not None else schedule_plus)
+    L = np.array([[tri.l for tri in sched.contours] for sched in scheds])
+    W = np.zeros((pts.size, L.shape[1]), dtype=complex)
+    for sched, ks, lower in zip(scheds, (np.flatnonzero(up), np.flatnonzero(~up)), (False, True)):
+        z = np.conj(pts[ks]) if lower else pts[ks]
+        for j, tri in enumerate(sched.contours):
             inside = tri.contains(z)
-            vals = outer_weight(tri.l, float(sched.alphas[step]), z[inside])
-            w[ks[inside]] = np.conj(vals) if lower else vals
-        ks = np.flatnonzero(w)
-        n = float(tri_n.l)
-        l_minus = np.nan if schedule_minus is None else schedule_minus.contours[step].l
-        rows.append(WeightRow(n, ks, w[ks], np.where(pts[ks].imag > 0, n, l_minus)))
-    return rows
-
+            vals = outer_weight(tri.l, float(sched.alphas[j]), z[inside])
+            W[ks[inside], j] = np.conj(vals) if lower else vals
+    return L, W

@@ -35,11 +35,11 @@ from pwsum.genfun import GeneratingFunctionEvaluator
 from pwsum.grids import grid_template, sample_on_grid
 from pwsum.spectrum import Spectrum, make_family
 from pwsum.weights import (
-    naive_rows,
+    naive_weights,
     outer_weight,
     outer_weight_deviation_bound,
-    projection_rows,
-    universal_rows,
+    projection_weights,
+    universal_weights,
 )
 
 
@@ -49,13 +49,13 @@ def report(num: int, ok: bool, detail: str) -> None:
 
 def _universal_for(spectrum, count=4):
     sched = build_schedule(BlaschkeEvaluator(spectrum), count=count)
-    return spectrum, "universal", universal_rows(spectrum, sched), sched
+    return spectrum, "universal", universal_weights(spectrum, sched)[1], sched
 
 
 @pytest.fixture(scope="module")
 def weight_matrix():
     """Scheme/spectrum test matrix shared by criteria 2 and 3: (spectrum,
-    scheme name, rows, the contour schedule of a universal scheme)."""
+    scheme name, weight matrix W, the contour schedule of a universal scheme)."""
     lattice = make_family("shifted_integers", {"delta": 0.3}, 30)
     kadec = make_family("kadec_perturbed", {"delta": 0.3, "eps": 0.2}, 30)
     clustered = make_family("clustered_pairs", {"delta": 1.0, "eps": 0.5}, 20)
@@ -63,8 +63,8 @@ def weight_matrix():
     entries = []
     for s in (lattice, kadec, clustered, custom):
         radii = np.array([5.0, 10.0, 20.0, max(25.0, s.radius * 1.01)])
-        entries.append((s, "naive", naive_rows(s, radii), None))
-        entries.append((s, "projection", projection_rows(s, radii), None))
+        entries.append((s, "naive", naive_weights(s, radii)[1], None))
+        entries.append((s, "projection", projection_weights(s, radii)[1], None))
     entries.append(_universal_for(lattice))
     entries.append(_universal_for(clustered))
     return entries
@@ -77,11 +77,11 @@ def test_criterion_1_shannon_oracle_reconstruction():
     g = GeneratingFunctionEvaluator(s)
     f = PWFunction([0.3j, 2.7 + 0.3j], [1.0, 0.5])
     grid = grid_template(60.0, 0.01)
-    ref = sample_on_grid(f, 60.0, 0.01)
+    ref = sample_on_grid(f.eval, 60.0, 0.01)
     radii = np.arange(10.0, 151.0, 10.0)  # schedule reaching step n = 150
     values = f.eval(s.points)
     errs = []
-    for sn in sample_sums(g, grid, coefficient_matrix(values, g, projection_rows(s, radii))):
+    for sn in sample_sums(g, grid, coefficient_matrix(values, g, projection_weights(s, radii)[1])):
         errs.append(l2_error(grid.copy_with(sn), ref) / ref.norm())
     elapsed = time.perf_counter() - t0
     err_150 = errs[-1]
@@ -104,13 +104,12 @@ def test_criterion_2_weight_laws(weight_matrix):
     worst_mod = 0.0
     worst_final = 0.0
     worst_universal = 0.0
-    for s, kind, rows, sched in weight_matrix:
-        for step_row in rows:
-            for w in step_row.weights:
-                worst_mod = max(worst_mod, abs(w) - 1.0)
-        final = len(rows) - 1
-        last = rows[final]
-        row = dict(zip(last.indices.tolist(), last.weights))
+    for s, kind, W, sched in weight_matrix:
+        for w in W[W != 0]:  # every step's support
+            worst_mod = max(worst_mod, abs(w) - 1.0)
+        final = W.shape[1] - 1
+        last = np.flatnonzero(W[:, final])
+        row = dict(zip(last.tolist(), W[last, final]))
         if kind in ("naive", "projection"):
             assert set(row) == set(range(len(s)))
             for k, w in row.items():
@@ -333,7 +332,7 @@ def test_criterion_11_compactwise_universal():
     s = make_family("shifted_integers", {"delta": 0.3}, 200)
     g = GeneratingFunctionEvaluator(s)
     b = BlaschkeEvaluator(s)
-    uni = universal_rows(s, build_schedule(b, count=6))
+    _, uni = universal_weights(s, build_schedule(b, count=6))
     f = PWFunction([0.3j, 2.7 + 0.3j], [1.0, 0.5])
     values = f.eval(s.points)
     errs = list(compactwise_errors(f, g, coefficient_matrix(values, g, uni), center=0j, radius=3.0, samples=337))

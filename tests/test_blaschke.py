@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from pwsum.blaschke import BlaschkeError, BlaschkeEvaluator, upper_lower_evaluators
 from pwsum.spectrum import Spectrum, make_family
-from pwsum.weights import projection_rows
+from pwsum.weights import projection_weights
 
 
 def B_i(z):
@@ -143,10 +143,10 @@ def test_beta_single_tail_factor():
 
 
 def test_beta_zero_outside():
-    # beta_n vanishes at |lambda| >= n: such points are absent from the row
-    rows = projection_rows(Spectrum(np.array([1j, 5j])), [1.0, 2.0])
-    assert rows[0].indices.tolist() == []
-    assert rows[1].indices.tolist() == [0]
+    # beta_n vanishes at |lambda| >= n: such points are off the column's support
+    _, W = projection_weights(Spectrum(np.array([1j, 5j])), [1.0, 2.0])
+    assert np.flatnonzero(W[:, 0]).tolist() == []
+    assert np.flatnonzero(W[:, 1]).tolist() == [0]
 
 
 def test_beta_modulus_bound_and_monotone_trend():

@@ -1,6 +1,6 @@
 """The block size of the (points x spectrum) pair kernels changes no bit,
 except in the BLAS-based Cauchy kernels on the grid (line_cauchy: the
-partial sums, the projector's interpolation sum, the norm probe), which stay
+partial sums, the projector's interpolation sum, the norm bounds), which stay
 within a stated tolerance; the Cauchy sums off the grid (cauchy_sums, under
 compactwise_errors and the outer factor) are held to every bit, a one-term
 sum in one-element blocks included.  They form their products in real
@@ -15,24 +15,24 @@ from pwsum.blaschke import BlaschkeEvaluator
 from pwsum.contours import select_c
 from pwsum.diagnostics import carleson_sup
 from pwsum.engine import (
-    NormProbe,
     PWFunction,
     coefficient_matrix,
     compactwise_errors,
     disk_samples,
+    norm_lower_bounds,
     sample_sums,
 )
 from pwsum.genfun import GeneratingFunctionEvaluator, OuterEvaluator
 from pwsum.grids import grid_template
 from pwsum.spectrum import Spectrum, make_family
-from pwsum.weights import projection_rows
+from pwsum.weights import projection_weights
 
-# The grid's Cauchy sums (line_cauchy, under sample_sums and the NormProbe
-# bounds) multiply each chunk by BLAS: a one-row chunk takes numpy's
+# The grid's Cauchy sums (line_cauchy, under sample_sums and
+# norm_lower_bounds) multiply each chunk by BLAS: a one-row chunk takes numpy's
 # matrix-vector path, so the block size moves their last bits (measured up to
 # 1.5e-15 of the largest entry), and the bounds' eigenvalues with them.  They
 # are held to this relative tolerance instead.
-_BLAS_KERNELS = {"sample_sums": 1e-13, "NormProbe.lower_bound": 1e-13}
+_BLAS_KERNELS = {"sample_sums": 1e-13, "norm_lower_bounds": 1e-13}
 
 
 def _kernel_outputs() -> dict:
@@ -44,14 +44,13 @@ def _kernel_outputs() -> dict:
     outer = OuterEvaluator.from_generating(gen, X=50.0, h=0.05)
     grid = grid_template(10.0, 0.05)
     f = PWFunction([0.3j, 2.7 - 0.3j], [1.0, 0.5])
-    rows = projection_rows(s, [5.0, 12.0, 31.0])
-    A = coefficient_matrix(f.eval(s.points), gen, rows)
-    norm_probe = NormProbe(gen, grid, atom_halfwidth=5)
+    _, W = projection_weights(s, [5.0, 12.0, 31.0])
+    A = coefficient_matrix(f.eval(s.points), gen, W)
     disk = disk_samples(0.4 + 0.2j, 3.0, 97)
     # a spectrum with a point on one disk sample, which compactwise_errors moves
     gen_hit = GeneratingFunctionEvaluator(Spectrum(np.append(s.points, disk[40])))
     A_hit = coefficient_matrix(f.eval(gen_hit.spectrum.points), gen_hit,
-                               projection_rows(gen_hit.spectrum, [5.0, 31.0]))
+                               projection_weights(gen_hit.spectrum, [5.0, 31.0])[1])
     near = np.concatenate([s.points[::7], s.points[::5] + 1e-13, z])  # exact hits, near hits, misses
     tol2 = (1e-12 * np.maximum(1.0, np.abs(s.points))) ** 2
     own = np.arange(near.size) % s.points.size
@@ -71,7 +70,7 @@ def _kernel_outputs() -> dict:
         "eval_outer": outer.eval_outer(x[np.abs(x) <= 25.0] + 1.0j),
         "select_c": np.array(select_c(up, 20.3, samples_per_side=64)),
         "sample_sums": sample_sums(gen, grid, A),
-        "NormProbe.lower_bound": np.array([norm_probe.lower_bound(row) for row in rows]),
+        "norm_lower_bounds": norm_lower_bounds(gen, grid, 5, W),
         "compactwise_errors": np.concatenate([compactwise_errors(f, gen, A, 0.4 + 0.2j, 3.0, 97),
                                               compactwise_errors(f, gen_hit, A_hit, 0.4 + 0.2j, 3.0, 97)]),
         # the second, a one-term sum: at one row per block its products are single elements

@@ -21,7 +21,7 @@ from pwsum import diagnostics
 from pwsum.engine import EngineError
 from pwsum.genfun import GeneratingFunctionEvaluator
 from pwsum.spectrum import Spectrum, make_family
-from pwsum.weights import universal_rows
+from pwsum.weights import universal_weights
 
 
 def write_cfg(tmp_path, name, text):
@@ -251,8 +251,8 @@ output.dir={out}
     up_sched, lo_sched = (build_schedule(b, count=3) for b in upper_lower_evaluators(s))
     assert [t.l for t in up_sched.contours] != [t.l for t in lo_sched.contours]
     expected = []
-    for step, row in enumerate(universal_rows(s, up_sched, lo_sched)):
-        for k in row.indices:
+    for step, w in enumerate(universal_weights(s, up_sched, lo_sched)[1].T):
+        for k in np.flatnonzero(w):
             sched = up_sched if s.points[k].imag > 0 else lo_sched
             expected.append((f"{sched.contours[step].l:.12e}", str(k)))
     rows = [line.split(",")[:2] for line in (out / "weights.csv").read_text().splitlines()[1:]]
@@ -515,6 +515,24 @@ def test_unwritable_output_file_exits_2_with_one_line(tmp_path, capsys, body, bl
     assert len(err.splitlines()) == 1
     assert err.startswith("config error: cannot write output.dir: ")
     assert [p.name for p in out.iterdir()] == [blocked] and (out / blocked).is_dir()
+
+
+def test_out_of_memory_exits_2_with_one_line(tmp_path, monkeypatch, capsys):
+    # compare-norms at atoms.halfwidth=100000 asked numpy for a 200 001^2
+    # complex matrix (596 GiB) and exited 1 with a traceback: the config asks
+    # for more than the machine holds, like an unwritable output.dir
+    def command(cfg):
+        raise MemoryError("Unable to allocate 596. GiB for an array with shape (200001, 200001)")
+
+    monkeypatch.setitem(cli._COMMANDS, "compare-norms", command)
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, "m.cfg", f"subcommand=compare-norms\natoms.halfwidth=100000\noutput.dir={out}\n")
+    with pytest.raises(SystemExit) as exc:
+        main([str(cfg)])
+    assert exc.value.code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == "config error: out of memory: Unable to allocate 596. GiB for an array with shape (200001, 200001)\n"
+    assert not out.exists()
 
 
 _REPORT = "condition,window_X,value,trend_ratio"

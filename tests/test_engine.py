@@ -1,4 +1,3 @@
-import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -6,12 +5,12 @@ import pytest
 
 from pwsum.engine import (
     EngineError,
-    NormProbe,
     PWFunction,
     coefficient_matrix,
     compactwise_errors,
     disk_samples,
     l2_error,
+    norm_lower_bounds,
     pw_tail_bound,
     sample_sums,
     sup_abs_G,
@@ -20,7 +19,7 @@ from pwsum.engine import (
 from pwsum.genfun import GeneratingFunctionEvaluator
 from pwsum.grids import grid_template, sample_on_grid
 from pwsum.spectrum import Spectrum, block_rows, cauchy_sums, make_family
-from pwsum.weights import naive_rows, projection_rows
+from pwsum.weights import naive_weights, projection_weights
 
 
 @pytest.fixture(scope="module")
@@ -55,9 +54,9 @@ def test_pw_distinct_centers():
 def test_empty_support_sum(lattice):
     s, g = lattice
     f = PWFunction([0.3j], [1.0])
-    naive = naive_rows(s, [0.1, 200.0])
+    _, naive = naive_weights(s, [0.1, 200.0])
     grid = grid_template(20.0, 0.05)
-    out = grid.copy_with(sample_sums(g, grid, coefficient_matrix(f.eval(s.points), g, naive[:1]))[0])
+    out = grid.copy_with(sample_sums(g, grid, coefficient_matrix(f.eval(s.points), g, naive[:, :1]))[0])
     assert out.norm() == 0.0
 
 
@@ -65,7 +64,7 @@ def test_biorthogonal_reproduction(lattice):
     # F with F(lambda_k) = delta_{k,k0} is the k0-th Lagrange element itself;
     # a full-weight sum must reproduce it exactly on the grid
     s, g = lattice
-    naive = naive_rows(s, [130.0])
+    _, naive = naive_weights(s, [130.0])
     k0 = int(np.argmin(np.abs(s.points - (3 + 0.3j))))
     values = np.zeros(len(s), complex)
     values[k0] = 1.0
@@ -97,8 +96,8 @@ def test_skw_naive_convergence(lattice):
     s, g = lattice
     f = PWFunction([0.3j], [1.0])
     grid = grid_template(30.0, 0.02)
-    ref = sample_on_grid(f, 30.0, 0.02)
-    naive = naive_rows(s, [20.0, 40.0, 80.0, 121.0])
+    ref = sample_on_grid(f.eval, 30.0, 0.02)
+    _, naive = naive_weights(s, [20.0, 40.0, 80.0, 121.0])
     errs = []
     for sn in sample_sums(g, grid, coefficient_matrix(f.eval(s.points), g, naive)):
         errs.append(l2_error(grid.copy_with(sn), ref) / ref.norm())
@@ -112,7 +111,7 @@ def test_partial_sum_linearity(lattice):
     f2 = PWFunction([1.5 + 0.3j], [1.0])
     a, b = 0.7 - 0.2j, -1.1 + 0.4j
     grid = grid_template(10.0, 0.1)
-    proj = projection_rows(s, [50.0])
+    _, proj = projection_weights(s, [50.0])
     s1 = sample_sums(g, grid, coefficient_matrix(f1.eval(s.points), g, proj))[0]
     s2 = sample_sums(g, grid, coefficient_matrix(f2.eval(s.points), g, proj))[0]
     f12 = PWFunction([0.3j, 1.5 + 0.3j], [a, b])
@@ -128,8 +127,8 @@ def test_conjugation_symmetry():
     f = PWFunction([0.2 + 0.4j], [1.0 - 0.5j])
     f_conj = PWFunction(np.conj(f.centers), np.conj(f.coefficients))
     grid = grid_template(10.0, 0.1)
-    out = sample_sums(g, grid, coefficient_matrix(f.eval(s.points), g, naive_rows(s, [5.0])))[0]
-    A_conj = coefficient_matrix(f_conj.eval(s_conj.points), g_conj, naive_rows(s_conj, [5.0]))
+    out = sample_sums(g, grid, coefficient_matrix(f.eval(s.points), g, naive_weights(s, [5.0])[1]))[0]
+    A_conj = coefficient_matrix(f_conj.eval(s_conj.points), g_conj, naive_weights(s_conj, [5.0])[1])
     out_conj = sample_sums(g_conj, grid, A_conj)[0]
     assert np.allclose(out_conj, np.conj(out), rtol=1e-12, atol=1e-14)
 
@@ -162,8 +161,8 @@ def test_disk_samples_inside():
 def test_compactwise_empty_support(lattice):
     s, g = lattice
     f = PWFunction([0.3j], [1.0])
-    naive = naive_rows(s, [0.2, 121.0])
-    A = coefficient_matrix(f.eval(s.points), g, naive[:1])
+    _, naive = naive_weights(s, [0.2, 121.0])
+    A = coefficient_matrix(f.eval(s.points), g, naive[:, :1])
     err = compactwise_errors(f, g, A, center=0j, radius=2.0, samples=128)[0]
     zs = disk_samples(0j, 2.0, 128)
     assert err == pytest.approx(float(np.max(np.abs(f.eval(zs)))))
@@ -172,7 +171,7 @@ def test_compactwise_empty_support(lattice):
 def test_compactwise_exact_reproduction(lattice):
     # the k0-th Lagrange element under full weights reproduces itself on K
     s, g = lattice
-    naive = naive_rows(s, [121.0])
+    _, naive = naive_weights(s, [121.0])
     k0 = int(np.argmin(np.abs(s.points - 0.3j)))
     values = np.zeros(len(s), complex)
     values[k0] = 1.0
@@ -204,7 +203,7 @@ def test_compactwise_errors_nudge_a_sample_on_the_spectrum():
     k = int(np.flatnonzero(zs.imag > 0.5)[0])
     g = GeneratingFunctionEvaluator(Spectrum(np.array([zs[k], -2.2 + 1j, 1.3 - 1j])))
     f = PWFunction([0.3j], [1.0])
-    A = coefficient_matrix(f.eval(g.spectrum.points), g, naive_rows(g.spectrum, [3.1, 10.0]))
+    A = coefficient_matrix(f.eval(g.spectrum.points), g, naive_weights(g.spectrum, [3.1, 10.0])[1])
     assert A[np.flatnonzero(g.spectrum.points == zs[k]), 1] != 0
     moved = zs.copy()
     moved[k] += 3e-8 + 2e-8j
@@ -216,39 +215,40 @@ def test_compactwise_errors_nudge_a_sample_on_the_spectrum():
 def test_compactwise_decreases(lattice):
     s, g = lattice
     f = PWFunction([0.3j], [1.0])
-    naive = naive_rows(s, [20.0, 60.0, 121.0])
+    _, naive = naive_weights(s, [20.0, 60.0, 121.0])
     errs = compactwise_errors(f, g, coefficient_matrix(f.eval(s.points), g, naive), radius=3.0)
     assert errs[2] < errs[0]
 
 
 def _matrix_cases(lattice):
-    """A lattice run's coefficient matrix: an empty row, partial naive and
-    projection rows, and a full row (all 241 points)."""
+    """A lattice run's coefficient matrix: an empty column, partial naive and
+    projection columns, and a full column (all 241 points)."""
     s, g = lattice
     f = PWFunction([0.3j, 1.5 - 0.2j], [1.0, 0.5 - 0.1j])
-    rows = naive_rows(s, [0.1, 20.0, 121.0]) + projection_rows(s, [40.0])
-    assert len(rows[0]) == 0 and len(rows[2]) == len(s)
-    return f, g, rows, coefficient_matrix(f.eval(s.points), g, rows)
+    W = np.hstack([naive_weights(s, [0.1, 20.0, 121.0])[1], projection_weights(s, [40.0])[1]])
+    assert np.count_nonzero(W[:, 0]) == 0 and np.count_nonzero(W[:, 2]) == len(s)
+    return f, g, W, coefficient_matrix(f.eval(s.points), g, W)
 
 
 def test_matrix_evaluators_match_per_step_formula(lattice):
-    f, g, rows, A = _matrix_cases(lattice)
+    f, g, W, A = _matrix_cases(lattice)
     zs = disk_samples(0.4 + 0.2j, 3.0, 97)
     want = _dense_compactwise(f, g, A, zs)
     assert np.all(np.abs(compactwise_errors(f, g, A, 0.4 + 0.2j, 3.0, 97) - want) <= 1e-12 * want)
     X = 30.0
     gmax = sup_abs_G(g, X)
-    for j, (row, got) in enumerate(zip(rows, tail_bounds(A, g, X, gmax))):  # one step, on its support
-        lam, c = g.spectrum.points[row.indices], A[row.indices, j]
+    for j, (w, got) in enumerate(zip(W.T, tail_bounds(A, g, X, gmax))):  # one step, on its support
+        ks = np.flatnonzero(w)
+        lam, c = g.spectrum.points[ks], A[ks, j]
         d = X - np.abs(lam.real)
         reach = np.where(d <= 1.0, np.sqrt(np.pi / np.abs(lam.imag)), np.sqrt(2.0 / np.maximum(d, 1.0)))
         want = np.sum(np.abs(c) * gmax * reach)
-        assert abs(got - want) <= 1e-12 * want  # the empty row: exactly 0
+        assert abs(got - want) <= 1e-12 * want  # the empty column: exactly 0
 
 
 def test_matrix_evaluators_column_alone_matches_batch(lattice):
     # each column is reduced on its own: no bit depends on the other columns
-    f, g, rows, A = _matrix_cases(lattice)
+    f, g, _, A = _matrix_cases(lattice)
     z = np.concatenate([disk_samples(0.4 + 0.2j, 3.0, 97), np.linspace(-40.0, 40.0, 301) - 1.3j])
     sup, tail, sums = compactwise_errors(f, g, A), tail_bounds(A, g, 30.0, 2.5), cauchy_sums(z, g.spectrum.points, A)
     for j in range(A.shape[1]):
@@ -256,6 +256,29 @@ def test_matrix_evaluators_column_alone_matches_batch(lattice):
         assert compactwise_errors(f, g, col)[0] == sup[j]
         assert tail_bounds(col, g, 30.0, 2.5)[0] == tail[j]
         assert np.array_equal(cauchy_sums(z, g.spectrum.points, col)[:, 0], sums[:, j])
+
+
+def test_coefficient_matrix_reads_only_the_support(lattice):
+    # values are NaN off W's support: A is (w F)/G' on the support and
+    # exactly 0 elsewhere
+    s, g = lattice
+    f = PWFunction([0.3j, 1.5 - 0.2j], [1.0, 0.5 - 0.1j])
+    W = np.hstack([naive_weights(s, [0.1, 5.0])[1], projection_weights(s, [10.0])[1]])
+    on = W != 0
+    values = np.where(on.any(axis=1), f.eval(s.points), np.nan)
+    A = coefficient_matrix(values, g, W)
+    k, j = np.nonzero(on)
+    assert np.all(np.isfinite(A))
+    assert np.all(A[~on] == 0)
+    assert np.array_equal(A[k, j], W[k, j] * values[k] / g.eval_G_prime_at_lambda(k))
+    # delta = 300: G' underflows to 0 at every node, and no column reaches a
+    # point, so neither 1/0 nor NaN values may leak into A
+    far = make_family("shifted_integers", {"delta": 300.0}, 10)
+    g_far = GeneratingFunctionEvaluator(far)
+    assert np.all(g_far.eval_G_prime_at_lambda(np.arange(len(far))) == 0)
+    A_far = coefficient_matrix(np.full(len(far), np.nan), g_far, naive_weights(far, [1.0, 299.0])[1])
+    assert A_far.shape == (len(far), 2)
+    assert np.all(A_far == 0)
 
 
 def _dense_cauchy(grid, g):
@@ -268,7 +291,8 @@ def test_sample_sums_match_dense_formula(lattice):
     grid = grid_template(10.0, 0.05)
     assert len(grid) % block_rows(len(s)) != 0
     f = PWFunction([0.3j, 1.5 - 0.2j], [1.0, 0.5 - 0.1j])
-    A = coefficient_matrix(f.eval(s.points), g, naive_rows(s, [0.1, 20.0, 121.0]) + projection_rows(s, [40.0]))
+    W = np.hstack([naive_weights(s, [0.1, 20.0, 121.0])[1], projection_weights(s, [40.0])[1]])
+    A = coefficient_matrix(f.eval(s.points), g, W)
     C, G = _dense_cauchy(grid, g), g.eval_G(grid.x)
     for col, got in zip(A.T, sample_sums(g, grid, A)):
         want = G * (C @ col)
@@ -277,11 +301,12 @@ def test_sample_sums_match_dense_formula(lattice):
     assert np.max(np.abs(one - sample_sums(g, grid, A)[2])) <= 1e-12 * np.max(np.abs(one))
 
 
-def _dense_probe_matrix(probe, row):
-    """M = Y^H D Y with Y = C[:, ks] @ Kt from the dense Cauchy matrix C."""
-    g, grid, ks = probe.gen, probe.grid, row.indices
-    Kt = (row.weights / g.eval_G_prime_at_lambda(ks))[:, None] * np.sinc(
-        g.spectrum.points[ks, None] - probe.atom_centers[None, :]
+def _dense_probe_matrix(g, grid, atom_halfwidth, w):
+    """M = Y^H D Y with Y = C[:, ks] @ Kt from the dense Cauchy matrix C,
+    for one column w of W with support ks."""
+    ks = np.flatnonzero(w)
+    Kt = (w[ks] / g.eval_G_prime_at_lambda(ks))[:, None] * np.sinc(
+        g.spectrum.points[ks, None] - np.arange(-atom_halfwidth, atom_halfwidth + 1, dtype=float)[None, :]
     )
     Y = _dense_cauchy(grid, g)[:, ks] @ Kt
     D = grid.trapezoid_weights() * np.abs(g.eval_G(grid.x)) ** 2
@@ -294,38 +319,37 @@ def _probe_cases(lattice):
     gc = GeneratingFunctionEvaluator(c)
     grid = grid_template(10.0, 0.05)
     return [
-        (NormProbe(g, grid, atom_halfwidth=5), naive_rows(s, [20.0, 121.0]) + projection_rows(s, [40.0])),
-        (NormProbe(gc, grid, atom_halfwidth=8), naive_rows(c, [10.0]) + projection_rows(c, [10.0, 31.0])),
+        (g, grid, 5, np.hstack([naive_weights(s, [20.0, 121.0])[1], projection_weights(s, [40.0])[1]])),
+        (gc, grid, 8, np.hstack([naive_weights(c, [10.0])[1], projection_weights(c, [10.0, 31.0])[1]])),
     ]
 
 
 def test_probe_bound_matches_dense_eigenvalue(lattice):
-    for probe, rows in _probe_cases(lattice):
-        for row in rows:
-            want = np.sqrt(np.linalg.eigvalsh(_dense_probe_matrix(probe, row))[-1])
-            assert abs(probe.lower_bound(row) - want) <= 1e-12 * want
+    for g, grid, hw, W in _probe_cases(lattice):
+        for w, got in zip(W.T, norm_lower_bounds(g, grid, hw, W)):
+            want = np.sqrt(np.linalg.eigvalsh(_dense_probe_matrix(g, grid, hw, w))[-1])
+            assert abs(got - want) <= 1e-12 * want
 
 
 def test_probe_bound_dominates_rayleigh_quotients(lattice):
     rng = np.random.default_rng(17)
-    for probe, rows in _probe_cases(lattice):
-        for row in rows:
-            M = _dense_probe_matrix(probe, row)
+    for g, grid, hw, W in _probe_cases(lattice):
+        for w, got in zip(W.T, norm_lower_bounds(g, grid, hw, W)):
+            M = _dense_probe_matrix(g, grid, hw, w)
             v = rng.standard_normal((M.shape[0], 8)) + 1j * rng.standard_normal((M.shape[0], 8))
             v /= np.linalg.norm(v, axis=0)
             rq = np.real(np.einsum("ij,ij->j", v.conj(), M @ v))
-            assert probe.lower_bound(row) >= np.sqrt(np.max(rq)) * (1 - 1e-12)
+            assert got >= np.sqrt(np.max(rq)) * (1 - 1e-12)
 
 
 def test_probe_bound_is_homogeneous_in_the_weights(lattice):
     # a stop test absolute below 1 (|val - prev| <= 1e-12 max(val, 1)) ends
-    # a power iteration early on this row scaled down: 6.3% under the bound
+    # a power iteration early on this column scaled down: 6.3% under the bound
     s, g = lattice
-    probe = NormProbe(g, grid_template(20.0, 0.05), atom_halfwidth=10)
-    row = naive_rows(s, [30.0])[0]
-    small = dataclasses.replace(row, weights=row.weights * 1e-8)
-    want = probe.lower_bound(row) * 1e-8
-    assert abs(probe.lower_bound(small) - want) <= 1e-12 * want
+    grid = grid_template(20.0, 0.05)
+    _, W = naive_weights(s, [30.0])
+    want = norm_lower_bounds(g, grid, 10, W)[0] * 1e-8
+    assert abs(norm_lower_bounds(g, grid, 10, W * 1e-8)[0] - want) <= 1e-12 * want
 
 
 def test_grid_pass_keeps_no_grid_by_points_matrix():
@@ -338,42 +362,41 @@ def test_grid_pass_keeps_no_grid_by_points_matrix():
     tracemalloc.start()
     try:
         g = GeneratingFunctionEvaluator(s)
-        sample_sums(g, grid, coefficient_matrix(f.eval(s.points), g, naive_rows(s, [30.0, 101.0])))
-        NormProbe(g, grid, atom_halfwidth=5).lower_bound(naive_rows(s, [30.0])[0])
+        sample_sums(g, grid, coefficient_matrix(f.eval(s.points), g, naive_weights(s, [30.0, 101.0])[1]))
+        norm_lower_bounds(g, grid, 5, naive_weights(s, [30.0])[1])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < dense / 4
 
 
-# -- operator norm probe ------------------------------------------------------
+# -- operator norm lower bounds -----------------------------------------------
 
 
 def test_probe_zero_scheme(lattice):
     s, g = lattice
-    naive = naive_rows(s, [0.2, 121.0])
+    _, naive = naive_weights(s, [0.2, 121.0])
     grid = grid_template(20.0, 0.05)
-    probe = NormProbe(g, grid, atom_halfwidth=15)
-    assert probe.lower_bound(naive[0]) == 0.0
+    assert norm_lower_bounds(g, grid, 15, naive[:, :1])[0] == 0.0
 
 
 def test_probe_identity_configuration(lattice):
     # full-weight lattice sums reproduce integer-atom combinations: the
     # probe must sit near 1 (Shannon oracle)
     s, g = lattice
-    naive = naive_rows(s, [121.0])
+    _, naive = naive_weights(s, [121.0])
     grid = grid_template(40.0, 0.05)
-    val = NormProbe(g, grid, atom_halfwidth=15).lower_bound(naive[0])
+    val = norm_lower_bounds(g, grid, 15, naive)[0]
     assert val >= 0.9
     assert val <= 1.6
 
 
 def test_probe_deterministic(lattice):
     s, g = lattice
-    naive = naive_rows(s, [30.0])
+    _, naive = naive_weights(s, [30.0])
     grid = grid_template(20.0, 0.05)
-    a = NormProbe(g, grid, atom_halfwidth=10).lower_bound(naive[0])
-    b = NormProbe(g, grid, atom_halfwidth=10).lower_bound(naive[0])
+    a = norm_lower_bounds(g, grid, 10, naive)[0]
+    b = norm_lower_bounds(g, grid, 10, naive)[0]
     assert a == b
 
 
@@ -383,19 +406,16 @@ def test_probe_clustered_contrast():
     s = make_family("clustered_pairs", {"delta": 1.0, "eps": 0.5}, 30)
     g = GeneratingFunctionEvaluator(s)
     grid = grid_template(20.0, 0.05)
-    probe = NormProbe(g, grid, atom_halfwidth=12)
-    naive = naive_rows(s, [10.0])
-    proj = projection_rows(s, [10.0])
-    nv = probe.lower_bound(naive[0])
-    pv = probe.lower_bound(proj[0])
+    _, naive = naive_weights(s, [10.0])
+    _, proj = projection_weights(s, [10.0])
+    nv = norm_lower_bounds(g, grid, 12, naive)[0]
+    pv = norm_lower_bounds(g, grid, 12, proj)[0]
     assert nv > pv * 3.0
 
 
 def test_probe_reuse_context(lattice):
     s, g = lattice
     grid = grid_template(20.0, 0.05)
-    probe = NormProbe(g, grid, atom_halfwidth=10)
-    naive = naive_rows(s, [30.0, 121.0])
-    v1 = probe.lower_bound(naive[0])
-    v2 = probe.lower_bound(naive[1])
+    _, naive = naive_weights(s, [30.0, 121.0])
+    v1, v2 = norm_lower_bounds(g, grid, 10, naive)
     assert v2 >= v1 * 0.5

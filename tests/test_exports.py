@@ -57,8 +57,9 @@ def test_evaluators_take_and_return_arrays_only():
     # every evaluator takes a 1-d array and returns one, so no module tests
     # its argument for a scalar; and each evaluation has one entry point: no
     # grid alias of eval_G, no second Lagrange-sum builder, no second log|B|
-    # pass for the domination margin, no None cutoff, no scheme class, and no
-    # per-step evaluator of a partial sum
+    # pass for the domination margin, no None cutoff, no scheme class, no
+    # per-step evaluator of a partial sum, no row object and no alias of F's
+    # eval
     src = {p.name: p.read_text() for p in Path(pwsum.__file__).parent.glob("*.py")}
     scalar = re.compile(r"atleast_1d|isscalar|\bndim\b")
     assert sorted(name for name, text in src.items() if scalar.search(text)) == []
@@ -68,8 +69,21 @@ def test_evaluators_take_and_return_arrays_only():
             "UniversalWeights",
             # a run's steps are the columns of one coefficient matrix: no per-step sum or disk probe
             "LagrangeSum", "build_lagrange_sum", "compactwise_error", "DiskProbe", "disk_probe",
-            "lagrange_tail_bound")
+            "lagrange_tail_bound",
+            # a summation method is its weight matrix: no row objects, no per-row norm probe
+            "WeightRow", "NormProbe", "naive_rows", "projection_rows", "universal_rows", "_radius_rows",
+            "lower_bound", "__call__")
     assert sorted((name, g) for name, text in src.items() for g in gone if re.search(rf"\b{g}\b", text)) == []
+
+
+def test_readme_quick_start_runs_as_written(capsys):
+    # the fenced block under "Library quick start", exactly as README shows it
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"## Library quick start\n\n```python\n(.*?)```", readme, re.DOTALL).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 8  # one line per radius 25, 50, ..., 200
+    assert [float(ln.split()[0]) for ln in lines] == list(range(25, 201, 25))
 
 
 # Public names that no CLI run and no criterion-6 check reaches, and why each

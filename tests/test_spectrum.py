@@ -11,7 +11,7 @@ from pwsum.spectrum import (
     make_family,
     split_halfplanes,
 )
-from pwsum.weights import naive_rows
+from pwsum.weights import naive_weights
 
 
 def test_shifted_integers_small():
@@ -249,7 +249,7 @@ def test_split_halfplanes_all_upper_and_empty():
 
 def kept(s: Spectrum, n: float) -> np.ndarray:
     """Indices that a truncation radius n keeps."""
-    return naive_rows(s, [n])[0].indices
+    return np.flatnonzero(naive_weights(s, [n])[1][:, 0])
 
 
 def test_truncation_small():

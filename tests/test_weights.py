@@ -9,18 +9,19 @@ from pwsum.contours import build_schedule
 from pwsum.spectrum import Spectrum, make_family
 from pwsum.weights import (
     WeightError,
-    naive_rows,
+    naive_weights,
     outer_weight,
     outer_weight_deviation_bound,
     outer_weight_phase,
-    projection_rows,
-    universal_rows,
+    projection_weights,
+    universal_weights,
 )
 
 
-def row_dict(row) -> dict:
-    """Spectrum index -> weight for the entries of a WeightRow."""
-    return dict(zip(row.indices.tolist(), row.weights))
+def row_dict(w) -> dict:
+    """Spectrum index -> weight on the support of one column w of W."""
+    ks = np.flatnonzero(w)
+    return dict(zip(ks.tolist(), w[ks]))
 
 
 def quad_phase_oracle(zeta: complex) -> complex:
@@ -107,72 +108,71 @@ def lattice_weights():
     s = make_family("shifted_integers", {"delta": 0.3}, 20)
     radii = np.array([5.0, 10.0, 15.0, 21.0])
     sched = build_schedule(BlaschkeEvaluator(s), count=3)
-    return s, naive_rows(s, radii), projection_rows(s, radii), universal_rows(s, sched), sched
+    return s, naive_weights(s, radii), projection_weights(s, radii), universal_weights(s, sched), sched
 
 
 def test_naive_weights(lattice_weights):
-    s, naive, *_ = lattice_weights
-    assert row_dict(naive[0])[0] == 1.0
+    s, (_, naive), *_ = lattice_weights
+    assert row_dict(naive[:, 0])[0] == 1.0
     k_far = len(s) - 1
-    assert k_far not in row_dict(naive[0])
-    assert row_dict(naive[3])[k_far] == 1.0
-    assert all(abs(s.points[k]) < 5.0 and w == 1.0 for k, w in row_dict(naive[0]).items())
+    assert k_far not in row_dict(naive[:, 0])
+    assert row_dict(naive[:, 3])[k_far] == 1.0
+    assert all(abs(s.points[k]) < 5.0 and w == 1.0 for k, w in row_dict(naive[:, 0]).items())
 
 
 def test_radius_rows_carry_their_radius(lattice_weights):
     _, naive, proj, *_ = lattice_weights
-    for rows in (naive, proj):
-        assert [row.n for row in rows] == [5.0, 10.0, 15.0, 21.0]
-        for row in rows:
-            assert row.labels.tolist() == [row.n] * len(row)
+    for L, W in (naive, proj):
+        assert L[0].tolist() == [5.0, 10.0, 15.0, 21.0]
+        assert L.shape == (2, W.shape[1])
+        assert L[1].tolist() == L[0].tolist()
 
 
 def test_naive_empty_row():
     s = Spectrum(np.array([3j, 4j]))
-    for rows in (naive_rows(s, [1.0, 2.0, 5.0]), projection_rows(s, [1.0, 2.0, 5.0])):
-        row = rows[0]
-        assert len(row) == 0
-        assert row.indices.shape == row.weights.shape == row.labels.shape == (0,)
-        assert row.indices.dtype.kind == "i" and row.weights.dtype == complex
+    for L, W in (naive_weights(s, [1.0, 2.0, 5.0]), projection_weights(s, [1.0, 2.0, 5.0])):
+        assert np.flatnonzero(W[:, 0]).size == 0
+        assert W.shape == (len(s), L.shape[1]) == (2, 3)
+        assert W.dtype == complex
 
 
 def test_row_builders_check_their_schedules(lattice_weights):
     s, *_, sched = lattice_weights
-    for build in (naive_rows, projection_rows):
+    for build in (naive_weights, projection_weights):
         for radii in ([2.0, 1.0], [-1.0, 2.0], [1.0, 1.0]):
             with pytest.raises(WeightError, match="increasing"):
                 build(s, radii)
     with pytest.raises(WeightError, match="upper"):
-        universal_rows(s, None)
+        universal_weights(s, None)
     both = Spectrum(np.array([1j, 2 + 1j, -1j, -2 - 1j]))
     b_up, b_lo = upper_lower_evaluators(both)
     with pytest.raises(WeightError, match="lower"):
-        universal_rows(both, build_schedule(b_up, count=2))
+        universal_weights(both, build_schedule(b_up, count=2))
     with pytest.raises(WeightError, match="equal length"):
-        universal_rows(both, build_schedule(b_up, count=2), build_schedule(b_lo, count=1))
+        universal_weights(both, build_schedule(b_up, count=2), build_schedule(b_lo, count=1))
 
 
 def test_projection_matches_blaschke_example():
     s = Spectrum(np.array([1j, 5j]))
-    proj = projection_rows(s, [2.0, 6.0])
+    _, proj = projection_weights(s, [2.0, 6.0])
     k_i = int(np.flatnonzero(s.points == 1j)[0])
-    assert row_dict(proj[0])[k_i] == pytest.approx(2.0 / 3.0)
-    assert row_dict(proj[1])[k_i] == pytest.approx(1.0)
+    assert row_dict(proj[:, 0])[k_i] == pytest.approx(2.0 / 3.0)
+    assert row_dict(proj[:, 1])[k_i] == pytest.approx(1.0)
 
 
 def test_projection_final_step_all_one(lattice_weights):
-    s, _, proj, *_ = lattice_weights
-    row = proj[3]
+    s, _, (_, proj), *_ = lattice_weights
+    row = row_dict(proj[:, 3])
     assert len(row) == len(s)
-    assert all(abs(w - 1.0) < 1e-12 for w in row.weights)
+    assert all(abs(w - 1.0) < 1e-12 for w in row.values())
 
 
 def test_projection_split_halfplanes():
     s = Spectrum(np.array([1j, -1j, 2 + 2j, -3 - 0.5j]))
-    row = row_dict(projection_rows(s, [10.0])[0])
+    row = row_dict(projection_weights(s, [10.0])[1][:, 0])
     for k in range(len(s)):
         assert row[k] == pytest.approx(1.0)
-    row2 = row_dict(projection_rows(s, [2.0, 10.0])[0])
+    row2 = row_dict(projection_weights(s, [2.0, 10.0])[1][:, 0])
     # point i: its half-plane partner 2+2i is outside radius 2: tail factor
     k_i = int(np.flatnonzero(s.points == 1j)[0])
     mu = 2 + 2j
@@ -193,9 +193,10 @@ def test_projection_lower_halfplane_index_mapping():
     s = Spectrum(np.concatenate([lower, upper]))
     radii = [1.5, 3.0, 4.0]
     assert not np.array_equal(upper_lower_evaluators(s)[1].points, np.conj(s.points[s.points.imag < 0]))
-    for row, n in zip(projection_rows(s, radii), radii):
-        assert row.indices.tolist() == np.flatnonzero(s.moduli < n).tolist()
-        for k, w in zip(row.indices, row.weights):
+    for w_col, n in zip(projection_weights(s, radii)[1].T, radii):
+        row = row_dict(w_col)
+        assert list(row) == np.flatnonzero(s.moduli < n).tolist()
+        for k, w in row.items():
             lam = s.points[k]
             mu = s.points[(s.moduli >= n) & (np.sign(s.points.imag) == np.sign(lam.imag))]
             direct = np.prod((np.conj(mu) / mu) * (lam - mu) / (lam - np.conj(mu)))
@@ -204,14 +205,14 @@ def test_projection_lower_halfplane_index_mapping():
 
 def test_weights_bounded_and_final(lattice_weights):
     s, naive, proj, uni, sched = lattice_weights
-    for rows in (naive, proj, uni):
-        for row in rows:
-            for w in row.weights:
+    for _, W in (naive, proj, uni):
+        for w_col in W.T:
+            for w in row_dict(w_col).values():
                 assert abs(w) <= 1.0 + 1e-12
     # universal final step: every point inside the last contour, deviation
     # within the certified profile bound
-    last = len(uni) - 1
-    row = row_dict(uni[last])
+    last = uni[1].shape[1] - 1
+    row = row_dict(uni[1][:, last])
     assert set(row.keys()) == set(range(len(s)))
     tri = sched.contours[last]
     alpha = sched.alphas[last]
@@ -223,18 +224,18 @@ def test_weights_bounded_and_final(lattice_weights):
 def test_universal_pointwise_trend(lattice_weights):
     # for a fixed small frequency the deviation from 1 shrinks along the
     # schedule (alpha*l stays bounded while |Phi(lambda/l)| ~ 4|lambda|/l)
-    s, *_, uni, _ = lattice_weights
+    s, *_, (_, uni), _ = lattice_weights
     k0 = int(np.argmin(np.abs(s.points - 0.3j)))
-    devs = [abs(row_dict(row).get(k0, 0j) - 1.0) for row in uni]
+    devs = [abs(row_dict(w_col).get(k0, 0j) - 1.0) for w_col in uni.T]
     assert devs[-1] < devs[0]
 
 
 def test_universal_support_matches_contour(lattice_weights):
-    s, *_, uni, sched = lattice_weights
-    assert len(uni) == len(sched)
-    for row, tri in zip(uni, sched.contours):
-        assert row.n == tri.l
-        row_ks = row.indices.tolist()
+    s, *_, (L, uni), sched = lattice_weights
+    assert uni.shape[1] == len(sched)
+    for n, w_col, tri in zip(L[0], uni.T, sched.contours):
+        assert n == tri.l
+        row_ks = list(row_dict(w_col))
         assert row_ks == sorted(row_ks)
         for k in range(len(s)):
             inside = bool(tri.contains(s.points[k]))
@@ -259,21 +260,22 @@ def test_universal_lower_halfplane_mirror():
     b_lo_ref = BlaschkeEvaluator(Spectrum(np.conj(lo.points)))
     sched_p = build_schedule(b_up, count=2)
     sched_m = build_schedule(b_lo_ref, count=2)
-    uni = universal_rows(s, sched_p, sched_m)
-    assert len(uni) == 2
-    for step, r in enumerate(uni):
-        row = row_dict(r)
+    L, uni = universal_weights(s, sched_p, sched_m)
+    assert uni.shape[1] == 2
+    for step, w_col in enumerate(uni.T):
+        row = row_dict(w_col)
         for k, lam in enumerate(s.points):
             w = row.get(k, 0j)
             if lam.imag < 0:
                 k_ref = int(np.argmin(np.abs(s.points - np.conj(lam))))
                 assert w == pytest.approx(np.conj(row.get(k_ref, 0j)))
-        assert r.n == sched_p.contours[step].l
-        assert isinstance(r.labels, np.ndarray)
-        assert r.labels.tolist() == [(sched_p if s.points[k].imag > 0 else sched_m).contours[step].l
-                                     for k in r.indices]
-    # with no upper points, a row's n is the mirror schedule's l
-    assert [r.n for r in universal_rows(lo, None, sched_m)] == [t.l for t in sched_m.contours]
+        assert L[0, step] == sched_p.contours[step].l
+        assert isinstance(L, np.ndarray)
+        assert L[(s.points[list(row)].imag < 0).astype(int), step].tolist() == [
+            (sched_p if s.points[k].imag > 0 else sched_m).contours[step].l for k in row]
+    # with no upper points, a step's n is the mirror schedule's l, in both rows of L
+    L_lo, _ = universal_weights(lo, None, sched_m)
+    assert L_lo[0].tolist() == L_lo[1].tolist() == [t.l for t in sched_m.contours]
 
 
 @settings(max_examples=30, deadline=None)
@@ -292,11 +294,11 @@ def test_projection_weight_laws_random(pts, frac):
     s = Spectrum(np.array(pts))
     n_mid = frac * s.radius + 0.01
     radii = [n_mid, max(s.radius * 1.01, n_mid + 0.05)]
-    proj = projection_rows(s, radii)
+    _, proj = projection_weights(s, radii)
     mods = s.moduli
-    for row, n in zip(proj, radii):
-        assert np.all(np.abs(row.weights) <= 1.0 + 1e-12)
-        # points at or outside the radius are absent from the row
-        assert row.indices.tolist() == np.flatnonzero(mods < n).tolist()
-    for w in proj[1].weights:
+    for w_col, n in zip(proj.T, radii):
+        assert np.all(np.abs(w_col) <= 1.0 + 1e-12)
+        # points at or outside the radius are absent from the column's support
+        assert np.flatnonzero(w_col).tolist() == np.flatnonzero(mods < n).tolist()
+    for w in row_dict(proj[:, 1]).values():
         assert abs(w - 1.0) <= 1e-9
