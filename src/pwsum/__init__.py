@@ -1,7 +1,7 @@
 """Summation methods for non-harmonic Fourier series on the Paley-Wiener side."""
 
 from pwsum.blaschke import BlaschkeEvaluator, upper_lower_evaluators
-from pwsum.contours import ContourSchedule, TriangleContour, build_schedule, lambda_inside
+from pwsum.contours import build_schedule
 from pwsum.diagnostics import carleson_sup
 from pwsum.engine import (
     PWFunction,
@@ -21,14 +21,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BlaschkeEvaluator",
-    "ContourSchedule",
     "GeneratingFunctionEvaluator",
     "GridFunction",
     "OuterEvaluator",
     "PWFunction",
     "Spectrum",
     "SpectrumError",
-    "TriangleContour",
     "build_schedule",
     "carleson_sup",
     "check_factorization",
@@ -37,7 +35,6 @@ __all__ = [
     "grid_template",
     "hilbert_transform",
     "l2_error",
-    "lambda_inside",
     "make_family",
     "naive_weights",
     "outer_weight",

@@ -264,8 +264,7 @@ def _cmd_contours(cfg) -> dict:
     if b_up is None:
         raise ConfigError("contours need upper half-plane points")
     sched = build_schedule(b_up, **_schedule_kwargs(cfg))
-    rows = [(j + 1, tri.l, tri.c, sched.alphas[j], sched.eps_hats[j], sched.margins[j])
-            for j, tri in enumerate(sched.contours)]
+    rows = list(zip(range(1, sched.shape[1] + 1), *sched))
     return {"contours.csv": ("n,l,c,alpha,eps_hat,margin", rows)}
 
 

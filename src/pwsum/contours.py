@@ -6,18 +6,19 @@ derivative of the Blaschke product is small (staying away from the zeros'
 real parts), the apex slope c by minimizing the measured side profile
 eps_hat = max(-log|B(zeta)|)/|zeta|, and alpha from the domination
 inequality alpha*l/5 >= max side sample of -log|B| that the operator
-bound actually uses.
+bound actually uses.  A schedule is its table: build_schedule returns the
+(5, contours) array whose rows are l, c, alpha, eps_hat and the margin,
+the columns of contours.csv.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from pwsum.blaschke import BlaschkeEvaluator
-from pwsum.spectrum import Spectrum, unique_sorted
+from pwsum.spectrum import unique_sorted
 
 
 class ContourError(ValueError):
@@ -28,49 +29,28 @@ class InfeasibleSelection(ContourError):
     """Raised when no admissible candidate set exists (exit code 3 territory)."""
 
 
-@dataclass
-class TriangleContour:
-    """Triangle boundary: base [-l, l] on R, apex at i*c*l."""
-
-    l: float
-    c: float
-    samples_per_side: int = 512
-
-    def __post_init__(self):
-        if self.l <= 0:
-            raise ContourError("half-width l must be positive")
-        if not (1.0 <= self.c <= 10.0):
-            raise ContourError("apex slope c must lie in [1, 10]")
-        if self.samples_per_side < 2:
-            raise ContourError("need at least 2 samples per side")
-
-    @property
-    def apex(self) -> complex:
-        return 1j * self.c * self.l
-
-    def slanted_samples(self) -> np.ndarray:
-        """Arclength-uniform points on the right side, then on the left side,
-        corners excluded."""
-        t = (np.arange(self.samples_per_side) + 0.5) / self.samples_per_side
-        return np.concatenate([self.l + t * (self.apex - self.l), -self.l + t * (self.apex + self.l)])
-
-    def contains(self, z: np.ndarray) -> np.ndarray:
-        """Strict interior test after a relative shrink of 1e-9 toward the centroid.
-
-        The shrink makes boundary points land outside deterministically.
-        """
-        centroid = (self.apex - self.l + self.l) / 3.0
-        w = (z - centroid) / (1.0 - 1e-9) + centroid
-        x, y = w.real, w.imag
-        inside = (y > 0) & (np.abs(x) < self.l)
-        # below both slanted sides: y < c*(l - |x|)
-        inside &= y < self.c * (self.l - np.abs(x))
-        return inside
+def triangle_samples(l: float, c: float, m: int) -> np.ndarray:
+    """m arclength-uniform points on the right slanted side of the triangle
+    with vertices -l, l, i*c*l, then m on its left side, corners excluded."""
+    apex = 1j * c * l
+    t = (np.arange(m) + 0.5) / m
+    return np.concatenate([l + t * (apex - l), -l + t * (apex + l)])
 
 
-def lambda_inside(s: Spectrum, t: TriangleContour) -> np.ndarray:
-    """Ascending indices of the points strictly inside the (shrunk) triangle."""
-    return np.flatnonzero(t.contains(s.points))
+def in_triangle(l: float, c: float, z: np.ndarray) -> np.ndarray:
+    """Strict interior test of the triangle -l, l, i*c*l after a relative
+    shrink of 1e-9 toward the centroid.
+
+    The shrink makes boundary points land outside deterministically.
+    """
+    apex = 1j * c * l
+    centroid = (apex - l + l) / 3.0
+    w = (z - centroid) / (1.0 - 1e-9) + centroid
+    x, y = w.real, w.imag
+    inside = (y > 0) & (np.abs(x) < l)
+    # below both slanted sides: y < c*(l - |x|)
+    inside &= y < c * (l - np.abs(x))
+    return inside
 
 
 def select_l(
@@ -119,10 +99,10 @@ def select_c(
     eps_hat = inf, and that candidate is never taken; if every one is,
     raises (the caller perturbs l).  Each candidate is one row of a log|B| pass.
     """
-    if grid_size < 16:
-        raise ContourError("grid_size must be >= 16")
+    if l <= 0 or grid_size < 16 or samples_per_side < 2:
+        raise ContourError("need l > 0, grid_size >= 16 and at least 2 samples per side")
     cs = np.linspace(1.0, 10.0, grid_size)
-    zeta = np.concatenate([TriangleContour(l, float(c), samples_per_side).slanted_samples() for c in cs])
+    zeta = np.concatenate([triangle_samples(l, float(c), samples_per_side) for c in cs])
     log_b = b.log_abs_B(zeta)
     eps_hats = np.max((-log_b / np.abs(zeta)).reshape(grid_size, -1), axis=1)
     best, best_eps = None, math.inf
@@ -149,24 +129,6 @@ def select_alpha(l: float, eps_hat: float, c: float, safety: float = 1.2) -> flo
     return max(safety * 5.0 * eps_hat * sup_zeta / l, 1e-9)
 
 
-@dataclass
-class ContourSchedule:
-    contours: list[TriangleContour]
-    alphas: np.ndarray
-    eps_hats: np.ndarray
-    margins: np.ndarray
-
-    def __post_init__(self):
-        ls = [t.l for t in self.contours]
-        if np.any(np.diff(ls) <= 0):
-            raise ContourError("half-widths must be strictly increasing")
-        if np.any(np.asarray(self.alphas) <= 0):
-            raise ContourError("alphas must be positive")
-
-    def __len__(self):
-        return len(self.contours)
-
-
 def build_schedule(
     b: BlaschkeEvaluator,
     count: int,
@@ -176,14 +138,17 @@ def build_schedule(
     c_grid: int = 16,
     samples_per_side: int = 512,
     safety: float = 1.2,
-) -> ContourSchedule:
-    """Select l's, c's and alphas; verify nesting of the included sets.
+) -> np.ndarray:
+    """The (5, count) schedule: rows l, c, alpha, eps_hat and margin, one
+    column per contour, l increasing.
 
     The half-widths are picked top-down in geometric bands: the last one
     just past the window radius (so the final contour covers the whole
     stored spectrum and the weights can reach 1 there), each earlier one
     inside [l_next/(ratio*1.6), l_next/ratio], one select_l pick per band.
-    The points are b's own.
+    The points are b's own.  Raises InfeasibleSelection when a margin (the
+    min of alpha*l/5 + log|B| on the sides) is negative, as safety < 1 can
+    leave it, and ContourError when the included point sets do not nest.
     """
     spectrum = b.spectrum
     top = 1.02 * spectrum.radius if len(spectrum) else 100.0
@@ -195,27 +160,18 @@ def build_schedule(
     ls = np.array(ls_rev[::-1])
     if np.any(np.diff(ls) <= 0) or np.any(ls[1:] < ratio * ls[:-1] - 1e-9):
         raise InfeasibleSelection("banded half-width selection failed to space out")
-    contours, alphas, eps_hats, margins = [], [], [], []
+    cols = []
     for l in ls:
         c, eps_hat, min_log_b = select_c(b, l, grid_size=c_grid, samples_per_side=samples_per_side)
         alpha = select_alpha(l, eps_hat, c, safety=safety)
-        contours.append(TriangleContour(l=l, c=c, samples_per_side=samples_per_side))
-        alphas.append(alpha)
-        eps_hats.append(eps_hat)
         # min over the side samples of alpha*l/5 + log|B| (>= 0 is the
         # certificate): rounding is monotone, so the min moves inside the sum
-        margins.append(alpha * l / 5.0 + min_log_b)
-    sched = ContourSchedule(
-        contours=contours,
-        alphas=np.array(alphas),
-        eps_hats=np.array(eps_hats),
-        margins=np.array(margins),
-    )
-    prev: set[int] = set()
-    for tri in contours:
-        cur = set(lambda_inside(spectrum, tri).tolist())
-        if not prev <= cur:
-            raise ContourError("included point sets do not nest along the schedule")
-        prev = cur
+        cols.append((l, c, alpha, eps_hat, alpha * l / 5.0 + min_log_b))
+    sched = np.array(cols).T
+    j = np.argmax(sched[4] < 0)
+    if sched[4, j] < 0:
+        raise InfeasibleSelection(f"contour {j + 1}: domination margin {sched[4, j]:.3e} < 0 at safety {safety}")
+    inside = np.stack([in_triangle(l, c, spectrum.points) for l, c in zip(sched[0], sched[1])], axis=1)
+    if np.any(inside[:, :-1] & ~inside[:, 1:]):
+        raise ContourError("included point sets do not nest along the schedule")
     return sched
-

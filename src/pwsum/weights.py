@@ -5,7 +5,9 @@ universal_weights each return (L, W).  W is the (points x steps) complex
 matrix of w(lambda_k, n_j), and a column's support is its nonzero entries.
 L is the (2, steps) array of half-widths: row 0 labels each step's C+
 entries and is the step's n, row 1 its C- entries.  Weights tend to 1 in
-the step for every fixed point.
+the step for every fixed point.  The universal scheme reads each
+half-plane's contour schedule as build_schedule's table, one column per
+contour and step.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from pwsum.blaschke import upper_lower_evaluators
-from pwsum.contours import ContourSchedule
+from pwsum.contours import ContourError, in_triangle
 from pwsum.spectrum import Spectrum
 
 
@@ -104,18 +106,19 @@ def projection_weights(spectrum: Spectrum, radii) -> tuple[np.ndarray, np.ndarra
 
 def universal_weights(
     spectrum: Spectrum,
-    schedule_plus: ContourSchedule | None,
-    schedule_minus: ContourSchedule | None = None,
+    schedule_plus: np.ndarray | None,
+    schedule_minus: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """w(lambda, n) = w_n(lambda) inside the n-th contour, 0 outside; a weight
     that underflows to exactly zero (past l/2 at large alpha) leaves the
     column's support.
 
-    The lower half-plane mirrors the construction through conjugation: a
-    schedule built on the reflected points supplies w_n, and the weight at
-    lambda in C- is conj(w_n(conj lambda)).  Row 0 of L holds the upper
-    schedule's l and row 1 the mirror's; a missing schedule's row repeats
-    the other.
+    A schedule is build_schedule's table, read for its rows l (strictly
+    increasing), c and alpha (positive), or ContourError.  The lower
+    half-plane mirrors the construction through conjugation: a schedule
+    built on the reflected points supplies w_n, and the weight at lambda in
+    C- is conj(w_n(conj lambda)).  Row 0 of L holds the upper schedule's l
+    and row 1 the mirror's; a missing schedule's row repeats the other.
     """
     pts = spectrum.points
     up = pts.imag > 0
@@ -123,16 +126,18 @@ def universal_weights(
         raise WeightError("upper half-plane points need a contour schedule")
     if np.any(~up) and schedule_minus is None:
         raise WeightError("lower half-plane points need a mirrored schedule")
-    if schedule_plus is not None and schedule_minus is not None and len(schedule_plus) != len(schedule_minus):
-        raise WeightError("the two half-plane schedules must have equal length")
     scheds = (schedule_plus if schedule_plus is not None else schedule_minus,
               schedule_minus if schedule_minus is not None else schedule_plus)
-    L = np.array([[tri.l for tri in sched.contours] for sched in scheds])
+    if scheds[0].shape[1] != scheds[1].shape[1]:
+        raise WeightError("the two half-plane schedules must have equal length")
+    L = np.array([sched[0] for sched in scheds])
     W = np.zeros((pts.size, L.shape[1]), dtype=complex)
-    for sched, ks, lower in zip(scheds, (np.flatnonzero(up), np.flatnonzero(~up)), (False, True)):
+    for (ls, cs, alphas, *_), ks, lower in zip(scheds, (np.flatnonzero(up), np.flatnonzero(~up)), (False, True)):
+        if np.any(np.diff(ls) <= 0) or np.any(alphas <= 0):
+            raise ContourError("a schedule needs strictly increasing half-widths and positive alphas")
         z = np.conj(pts[ks]) if lower else pts[ks]
-        for j, tri in enumerate(sched.contours):
-            inside = tri.contains(z)
-            vals = outer_weight(tri.l, float(sched.alphas[j]), z[inside])
+        for j, (l, c, alpha) in enumerate(zip(ls, cs, alphas)):
+            inside = in_triangle(l, c, z)
+            vals = outer_weight(l, float(alpha), z[inside])
             W[ks[inside], j] = np.conj(vals) if lower else vals
     return L, W

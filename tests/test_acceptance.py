@@ -20,7 +20,7 @@ import pytest
 from scipy.integrate import quad
 
 from pwsum.blaschke import BlaschkeEvaluator
-from pwsum.contours import build_schedule
+from pwsum.contours import build_schedule, in_triangle, triangle_samples
 from pwsum.diagnostics import carleson_sup, line_diagnostics
 from pwsum.engine import (
     PWFunction,
@@ -118,10 +118,9 @@ def test_criterion_2_weight_laws(weight_matrix):
             # every point sits inside the final contour; deviations from 1
             # are certified by the outer-weight profile bound (which is
             # large for points past l/2, where no convergence is claimed)
-            tri = sched.contours[final]
-            alpha = float(sched.alphas[final])
-            assert np.all(tri.contains(s.points))
-            bounds = outer_weight_deviation_bound(tri.l, alpha, s.points)
+            l, c, alpha = sched[0, final], sched[1, final], float(sched[2, final])
+            assert np.all(in_triangle(l, c, s.points))
+            bounds = outer_weight_deviation_bound(l, alpha, s.points)
             for k in range(len(s)):
                 w = row.get(k, 0j)
                 worst_universal = max(worst_universal, abs(w - 1.0) - float(bounds[k]))
@@ -209,8 +208,8 @@ def test_criterion_5_domination_certificates():
         s = make_family(name, params, count)
         b = BlaschkeEvaluator(s)
         sched = build_schedule(b, count=4, samples_per_side=512)
-        for tri, alpha, margin in zip(sched.contours, sched.alphas, sched.margins):
-            fresh = float(np.min(float(alpha) * tri.l / 5.0 + b.log_abs_B(tri.slanted_samples())))
+        for l, c, alpha, _, margin in sched.T:
+            fresh = float(np.min(float(alpha) * l / 5.0 + b.log_abs_B(triangle_samples(l, c, 512))))
             differ += fresh != margin
             worst = min(worst, fresh)
     ok = worst >= 0.0 and differ == 0

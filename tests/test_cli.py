@@ -249,12 +249,12 @@ output.dir={out}
     )
     assert run(cfg) == EXIT_OK
     up_sched, lo_sched = (build_schedule(b, count=3) for b in upper_lower_evaluators(s))
-    assert [t.l for t in up_sched.contours] != [t.l for t in lo_sched.contours]
+    assert up_sched[0].tolist() != lo_sched[0].tolist()
     expected = []
     for step, w in enumerate(universal_weights(s, up_sched, lo_sched)[1].T):
         for k in np.flatnonzero(w):
             sched = up_sched if s.points[k].imag > 0 else lo_sched
-            expected.append((f"{sched.contours[step].l:.12e}", str(k)))
+            expected.append((f"{sched[0, step]:.12e}", str(k)))
     rows = [line.split(",")[:2] for line in (out / "weights.csv").read_text().splitlines()[1:]]
     assert any(s.points[int(k)].imag < 0 for _, k in rows)
     assert [tuple(r) for r in rows] == expected
@@ -615,11 +615,15 @@ def _dense_list_file(tmp_path):
         "subcommand=converge\nK.radius=1e300\ngrid.X=10\ngrid.h=0.05\nschedule=10,21\n",
         "subcommand=converge\natoms=0,1e300,1,0\ngrid.X=10\ngrid.h=0.05\nschedule=10,21\n",
         "subcommand=diagnose\ndelta=1e300\n",
+        # alpha.safety < 1 left every margin negative: contours.csv held
+        # margins down to -0.95, and weights 150 rows from that schedule
+        "subcommand=contours\nalpha.safety=0.05\n",
+        "subcommand=weights\nscheme=universal\nalpha.safety=0.05\n",
     ],
     ids=["diagnose-X-400", "factorize-Im-300", "converge-K-Im-300", "diagnose-kadec-eps-minus-1",
          "converge-dense-list", "compare-norms-dense-list", "compare-norms-dense-list-contours",
          "diagnose-a2-a-1e300", "factorize-Im-1e300", "converge-K-radius-1e300", "converge-atom-Im-1e300",
-         "diagnose-delta-1e300"],
+         "diagnose-delta-1e300", "contours-safety-0.05", "weights-universal-safety-0.05"],
 )
 def test_overflow_exits_3_with_one_line(tmp_path, capsys, body):
     out = tmp_path / "out"
@@ -774,3 +778,32 @@ def test_config_fuzz_exit_contract(sub, count, keys, edge):
         assert not made_out
     else:
         assert all(np.isfinite(v) for v in map(_number, cells) if v is not None), cells
+
+
+# The contour keys at their edges, one key at a time: the bound a key's check
+# accepts or refuses, 1e300, the fuzz edge values, and alpha.safety below 1,
+# where the domination margin can go negative.
+_CONTOUR_BOUND = {"l.count": 1, "l.ratio": 1, "l.arg_threshold": 0, "l.zero_margin": 0, "c.grid": 16,
+                  "side.samples": 2, "alpha.safety": 0}
+
+
+@pytest.mark.parametrize("sub", ["contours", "weights\nscheme=universal"], ids=["contours", "weights-universal"])
+@pytest.mark.parametrize("key", sorted(_CONTOUR_BOUND))
+def test_contour_key_edges_keep_the_exit_contract(tmp_path, sub, key):
+    values = [_CONTOUR_BOUND[key], 1e300, *_FUZZ_EDGE[key]] + ([0.05, 1e-9] if key == "alpha.safety" else [])
+    for i, value in enumerate(values):
+        out = tmp_path / f"out{i}"
+        cfg = write_cfg(tmp_path, f"e{i}.cfg",
+                        f"subcommand={sub}\nfamily=kadec_perturbed\ncount=10\n{key}={value}\noutput.dir={out}\n")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run(cfg)
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL), value
+        if code != EXIT_OK:
+            assert len(err.getvalue().splitlines()) == 1, value
+            assert not out.exists(), value
+            continue
+        assert err.getvalue() == "", value
+        tables = {f.name: [ln.split(",") for ln in f.read_text().splitlines()[1:]] for f in out.glob("*.csv")}
+        assert all(np.isfinite(v) for rows in tables.values() for row in rows for v in map(_number, row)), value
+        assert all(float(row[5]) >= 0 for row in tables.get("contours.csv", [])), value

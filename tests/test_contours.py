@@ -5,14 +5,15 @@ from pwsum.blaschke import BlaschkeEvaluator
 from pwsum.contours import (
     ContourError,
     InfeasibleSelection,
-    TriangleContour,
     build_schedule,
-    lambda_inside,
+    in_triangle,
     select_alpha,
     select_c,
     select_l,
+    triangle_samples,
 )
 from pwsum.spectrum import Spectrum, make_family
+from pwsum.weights import universal_weights
 
 
 @pytest.fixture(scope="module")
@@ -22,26 +23,24 @@ def lattice():
 
 
 def test_triangle_geometry():
-    t = TriangleContour(l=10.0, c=2.0)
-    assert t.apex == 20j
-    r = t.slanted_samples()[: t.samples_per_side]
+    # the apex is 20j: one sample per side is its midpoint, (+-l + apex)/2
+    assert triangle_samples(10.0, 2.0, 1).tolist() == [5 + 10j, -5 + 10j]
+    r = triangle_samples(10.0, 2.0, 512)[:512]
     assert np.all((r.real <= 10.0) & (r.real >= 0.0))
     assert np.all(r.imag >= 0.0)
 
 
 def test_contains_basics():
-    t = TriangleContour(l=10.0, c=1.0)
     # the last two, boundary-adjacent points, are excluded by the shrink rule
-    inside = t.contains(np.array([1j, 20 + 1j, -1j, 0.0 + 0j, 5.0 + 5.0j]))
+    inside = in_triangle(10.0, 1.0, np.array([1j, 20 + 1j, -1j, 0.0 + 0j, 5.0 + 5.0j]))
     assert inside.tolist() == [True, False, False, False, False]
 
 
 def test_lambda_inside_examples():
-    t = TriangleContour(l=10.0, c=1.0)
     s1 = Spectrum(np.array([1j]))
-    assert lambda_inside(s1, t).tolist() == [0]
+    assert np.flatnonzero(in_triangle(10.0, 1.0, s1.points)).tolist() == [0]
     s2 = Spectrum(np.array([20 + 1j]))
-    assert lambda_inside(s2, t).tolist() == []
+    assert np.flatnonzero(in_triangle(10.0, 1.0, s2.points)).tolist() == []
 
 
 def test_select_l_lattice_prefers_half_integers(lattice):
@@ -78,8 +77,7 @@ def test_select_c_far_zero():
 
 def test_select_c_rejects_candidate_hitting_zero():
     # place one zero exactly on the c=1 side of the l=1 triangle
-    t = TriangleContour(l=1.0, c=1.0, samples_per_side=512)
-    zeta0 = t.slanted_samples()[100]
+    zeta0 = triangle_samples(1.0, 1.0, 512)[100]
     b = BlaschkeEvaluator(Spectrum(np.array([zeta0, 3j])))
     c, _, _ = select_c(b, l=1.0, grid_size=16, samples_per_side=512)
     assert abs(c - 1.0) > 1e-9
@@ -88,10 +86,9 @@ def test_select_c_rejects_candidate_hitting_zero():
 def test_select_c_scores_a_near_miss_on_merit():
     # a zero 1e-10 off a c=1 side sample: log|B| there is finite but very
     # negative, so c=1 scores badly and another candidate wins
-    t = TriangleContour(l=1.0, c=1.0, samples_per_side=512)
-    zeta0 = t.slanted_samples()[100] + 1e-10j
+    zeta0 = triangle_samples(1.0, 1.0, 512)[100] + 1e-10j
     b = BlaschkeEvaluator(Spectrum(np.array([zeta0, 3j])))
-    assert np.isfinite(b.log_abs_B(t.slanted_samples())).all()
+    assert np.isfinite(b.log_abs_B(triangle_samples(1.0, 1.0, 512))).all()
     c, eps_hat, _ = select_c(b, l=1.0, grid_size=16, samples_per_side=512)
     assert abs(c - 1.0) > 1e-9 and np.isfinite(eps_hat)
 
@@ -103,8 +100,7 @@ def test_select_c_lattice(lattice):
     # brute-force grid search oracle: no candidate does better
     best = np.inf
     for cc in np.linspace(1.0, 10.0, 16):
-        tri = TriangleContour(l=10.5, c=float(cc))
-        zeta = tri.slanted_samples()
+        zeta = triangle_samples(10.5, float(cc), 512)
         val = float(np.max(-np.log(np.abs(b.eval_B(zeta))) / np.abs(zeta)))
         best = min(best, val)
     assert eps_hat == pytest.approx(best, rel=1e-12)
@@ -113,6 +109,14 @@ def test_select_c_lattice(lattice):
 def test_select_c_deterministic(lattice):
     s, b = lattice
     assert select_c(b, l=10.5) == select_c(b, l=10.5)
+
+
+def test_select_c_checks_its_arguments(lattice):
+    # the checks a contour object made on its half-width and side samples
+    s, b = lattice
+    for kw in ({"l": 0.0}, {"l": -10.5}, {"l": 10.5, "samples_per_side": 1}, {"l": 10.5, "grid_size": 15}):
+        with pytest.raises(ContourError):
+            select_c(b, **kw)
 
 
 def test_select_alpha_formula():
@@ -130,7 +134,7 @@ def test_alpha_domination(lattice):
     alpha = select_alpha(l, eps_hat, c)
     # select_c's min log|B| is the chosen contour's own, so the margin is
     # the same bits as a fresh log|B| pass over its side samples
-    margin = np.min(alpha * l / 5.0 + b.log_abs_B(TriangleContour(l=l, c=c).slanted_samples()))
+    margin = np.min(alpha * l / 5.0 + b.log_abs_B(triangle_samples(l, c, 512)))
     assert margin == alpha * l / 5.0 + min_log_b
     assert margin >= 0.0
 
@@ -138,9 +142,9 @@ def test_alpha_domination(lattice):
 def test_build_schedule_nesting_and_certificates(lattice):
     s, b = lattice
     sched = build_schedule(b, count=4)
-    assert len(sched) == 4
-    assert np.all(sched.margins >= 0.0)
-    sets = [set(lambda_inside(s, t).tolist()) for t in sched.contours]
+    assert sched.shape == (5, 4)
+    assert np.all(sched[4] >= 0.0)
+    sets = [set(np.flatnonzero(in_triangle(l, c, s.points)).tolist()) for l, c in zip(sched[0], sched[1])]
     for a_, b_ in zip(sets, sets[1:]):
         assert a_ <= b_
     # the last contour reaches past the window radius: union is everything
@@ -156,19 +160,26 @@ def test_schedule_matches_complex_modulus_reference(monkeypatch):
         m.setattr(BlaschkeEvaluator, "log_abs_B",
                   lambda self, z: np.log(np.abs(self.eval_B(z))))
         ref = build_schedule(b, count=4)
-    assert [t.l for t in got.contours] == [t.l for t in ref.contours]
-    assert [t.c for t in got.contours] == [t.c for t in ref.contours]
-    for name in ("eps_hats", "alphas", "margins"):
-        np.testing.assert_allclose(getattr(got, name), getattr(ref, name), rtol=1e-10, atol=0)
+    assert got[0].tolist() == ref[0].tolist()  # l
+    assert got[1].tolist() == ref[1].tolist()  # c
+    np.testing.assert_allclose(got[2:], ref[2:], rtol=1e-10, atol=0)  # alpha, eps_hat, margin
+
+
+def test_build_schedule_refuses_a_negative_margin(lattice):
+    # safety < 1 leaves alpha*l/5 below max(-log|B|) on the sides: a
+    # schedule without its domination certificate is no schedule
+    s, b = lattice
+    with pytest.raises(InfeasibleSelection, match=r"^contour 1: domination margin -"):
+        build_schedule(b, count=4, safety=0.05)
 
 
 def test_schedule_requires_increasing():
+    # universal_weights reads a schedule that may not come from build_schedule
+    s = Spectrum(np.array([1j]))
+    sched = np.array([[5.0, 4.0], [1.0, 1.0], [0.1, 0.1], [0.0, 0.0], [0.0, 0.0]])
     with pytest.raises(ContourError):
-        from pwsum.contours import ContourSchedule
-
-        ContourSchedule(
-            contours=[TriangleContour(5.0, 1.0), TriangleContour(4.0, 1.0)],
-            alphas=np.array([0.1, 0.1]),
-            eps_hats=np.array([0.0, 0.0]),
-            margins=np.array([0.0, 0.0]),
-        )
+        universal_weights(s, sched)
+    sched[0] = [4.0, 5.0]
+    sched[2, 1] = 0.0
+    with pytest.raises(ContourError):
+        universal_weights(s, sched)

@@ -58,8 +58,8 @@ def test_evaluators_take_and_return_arrays_only():
     # its argument for a scalar; and each evaluation has one entry point: no
     # grid alias of eval_G, no second Lagrange-sum builder, no second log|B|
     # pass for the domination margin, no None cutoff, no scheme class, no
-    # per-step evaluator of a partial sum, no row object and no alias of F's
-    # eval
+    # per-step evaluator of a partial sum, no row object, no alias of F's
+    # eval and no contour object
     src = {p.name: p.read_text() for p in Path(pwsum.__file__).parent.glob("*.py")}
     scalar = re.compile(r"atleast_1d|isscalar|\bndim\b")
     assert sorted(name for name, text in src.items() if scalar.search(text)) == []
@@ -72,7 +72,9 @@ def test_evaluators_take_and_return_arrays_only():
             "lagrange_tail_bound",
             # a summation method is its weight matrix: no row objects, no per-row norm probe
             "WeightRow", "NormProbe", "naive_rows", "projection_rows", "universal_rows", "_radius_rows",
-            "lower_bound", "__call__")
+            "lower_bound", "__call__",
+            # a contour schedule is its table: no contour or schedule object, no inside-set helper
+            "TriangleContour", "ContourSchedule", "lambda_inside", "slanted_samples")
     assert sorted((name, g) for name, text in src.items() for g in gone if re.search(rf"\b{g}\b", text)) == []
 
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from pwsum.blaschke import BlaschkeEvaluator, upper_lower_evaluators
-from pwsum.contours import build_schedule
+from pwsum.contours import build_schedule, in_triangle, triangle_samples
 from pwsum.spectrum import Spectrum, make_family
 from pwsum.weights import (
     WeightError,
@@ -214,10 +214,9 @@ def test_weights_bounded_and_final(lattice_weights):
     last = uni[1].shape[1] - 1
     row = row_dict(uni[1][:, last])
     assert set(row.keys()) == set(range(len(s)))
-    tri = sched.contours[last]
-    alpha = sched.alphas[last]
+    l, alpha = sched[0, last], sched[2, last]
     for k, w in row.items():
-        bound = outer_weight_deviation_bound(tri.l, alpha, s.points[k])
+        bound = outer_weight_deviation_bound(l, alpha, s.points[k])
         assert abs(w - 1.0) <= bound + 1e-12
 
 
@@ -232,22 +231,22 @@ def test_universal_pointwise_trend(lattice_weights):
 
 def test_universal_support_matches_contour(lattice_weights):
     s, *_, (L, uni), sched = lattice_weights
-    assert uni.shape[1] == len(sched)
-    for n, w_col, tri in zip(L[0], uni.T, sched.contours):
-        assert n == tri.l
+    assert uni.shape[1] == sched.shape[1]
+    for n, w_col, l, c in zip(L[0], uni.T, sched[0], sched[1]):
+        assert n == l
         row_ks = list(row_dict(w_col))
         assert row_ks == sorted(row_ks)
         for k in range(len(s)):
-            inside = bool(tri.contains(s.points[k]))
+            inside = bool(in_triangle(l, c, s.points[k]))
             assert (k in row_ks) == inside
 
 
 def test_universal_domination_on_sides(lattice_weights):
     s, *_, sched = lattice_weights
     b = BlaschkeEvaluator(s)
-    for tri, alpha in zip(sched.contours, sched.alphas):
-        zeta = tri.slanted_samples()
-        w_vals = outer_weight(tri.l, float(alpha), zeta)
+    for l, c, alpha in zip(*sched[:3]):
+        zeta = triangle_samples(l, c, 512)
+        w_vals = outer_weight(l, float(alpha), zeta)
         b_vals = b.eval_B(zeta)
         assert np.all(np.abs(w_vals) <= np.abs(b_vals) * (1.0 + 1e-9))
 
@@ -269,13 +268,13 @@ def test_universal_lower_halfplane_mirror():
             if lam.imag < 0:
                 k_ref = int(np.argmin(np.abs(s.points - np.conj(lam))))
                 assert w == pytest.approx(np.conj(row.get(k_ref, 0j)))
-        assert L[0, step] == sched_p.contours[step].l
+        assert L[0, step] == sched_p[0, step]
         assert isinstance(L, np.ndarray)
         assert L[(s.points[list(row)].imag < 0).astype(int), step].tolist() == [
-            (sched_p if s.points[k].imag > 0 else sched_m).contours[step].l for k in row]
+            (sched_p if s.points[k].imag > 0 else sched_m)[0, step] for k in row]
     # with no upper points, a step's n is the mirror schedule's l, in both rows of L
     L_lo, _ = universal_weights(lo, None, sched_m)
-    assert L_lo[0].tolist() == L_lo[1].tolist() == [t.l for t in sched_m.contours]
+    assert L_lo[0].tolist() == L_lo[1].tolist() == sched_m[0].tolist()
 
 
 @settings(max_examples=30, deadline=None)
