@@ -208,13 +208,13 @@ def _cmd_diagnose(cfg) -> dict:
     s = _build_spectrum(cfg)
     gen = GeneratingFunctionEvaluator(s)
     X = cfg["diag.X"]
-    v1, v2, rep = line_diagnostics(gen, X, cfg["diag.h"], a=cfg["a2.a"])
-    rows = [
-        ("a2_lower_bound", X, v1, v2 / v1),  # v1 >= 1: the A2 scan starts its maximum at 1
-        ("carleson_sup", s.radius, carleson_sup(s), 1.0),
-        ("intG_pos", X, rep.pos_integral, rep.pos_trend),
-        ("intG_neg", X, rep.neg_integral, rep.neg_trend),
-    ]
+    table = line_diagnostics(gen, X, cfg["diag.h"], a=cfg["a2.a"])
+    # the A2 scan is >= 1; a zero X-window integral gives inf, which the writer refuses
+    with np.errstate(divide="ignore", invalid="ignore"):
+        trend = np.where(table[:, 0] != 0, table[:, 1] / table[:, 0], np.inf)
+    a2, pos, neg = zip(table[:, 0], trend)
+    rows = [("a2_lower_bound", X, *a2), ("carleson_sup", s.radius, carleson_sup(s), 1.0),
+            ("intG_pos", X, *pos), ("intG_neg", X, *neg)]
     return {"report.csv": (_REPORT, rows)}
 
 
@@ -273,8 +273,8 @@ def _cmd_factorize_check(cfg) -> dict:
     gen = GeneratingFunctionEvaluator(s)
     outer = OuterEvaluator.from_generating(gen, X=cfg["outer.X"], h=cfg["outer.h"])
     b_up, b_lo = upper_lower_evaluators(s)
-    rep = check_factorization(gen, outer, b_up, b_lo, cfg["factorize.samples"])
-    return {"report.csv": (_REPORT, [("factorization_max_rel_mismatch", cfg["outer.X"], rep.max_mismatch, 1.0)])}
+    mismatch = check_factorization(gen, outer, b_up, b_lo, cfg["factorize.samples"])
+    return {"report.csv": (_REPORT, [("factorization_max_rel_mismatch", cfg["outer.X"], np.max(mismatch), 1.0)])}
 
 
 _COMMANDS = {

@@ -146,15 +146,19 @@ def build_schedule(
     just past the window radius (so the final contour covers the whole
     stored spectrum and the weights can reach 1 there), each earlier one
     inside [l_next/(ratio*1.6), l_next/ratio], one select_l pick per band.
-    The points are b's own.  Raises InfeasibleSelection when a margin (the
-    min of alpha*l/5 + log|B| on the sides) is negative, as safety < 1 can
-    leave it, and ContourError when the included point sets do not nest.
+    The points are b's own.  Raises InfeasibleSelection when a band falls
+    below the smallest normal float (a large ratio), when a margin (the min
+    of alpha*l/5 + log|B| on the sides) is negative, as safety < 1 can leave
+    it, and ContourError when the included point sets do not nest.
     """
     spectrum = b.spectrum
     top = 1.02 * spectrum.radius if len(spectrum) else 100.0
     band = np.linspace(top, 1.05 * top, 400)
     ls_rev = []
-    for _ in range(count):
+    for n in range(count, 0, -1):
+        if band[0] < np.finfo(float).tiny:
+            raise InfeasibleSelection(f"contour {n}: the band [{band[0]:.3e}, {band[-1]:.3e}] of half-widths "
+                                      f"underflows at ratio {ratio:g}")
         ls_rev.append(select_l(b, band, arg_threshold, zero_margin))
         band = np.linspace(ls_rev[-1] / (ratio * 1.6), ls_rev[-1] / ratio, 400)
     ls = np.array(ls_rev[::-1])

@@ -2,61 +2,25 @@
 the Muckenhoupt product over dyadic intervals, the Carleson separation sup,
 and the two line integrability checks.
 
-The A2 scan is a lower bound only (dyadic intervals, finite window); the
-artifact reports values and trends, never membership claims.
+A diagnosis of the line is its table: line_diagnostics returns the (3, 2)
+array of the A2 scan and the two integrals (rows) on the windows [-X, X]
+and [-2X, 2X] (columns), from one log|G| pass per line height, and the
+caller forms the 2X/X trends from its two columns.  The A2 scan is a lower
+bound only (dyadic intervals, finite window); the artifact reports values
+and trends, never membership claims.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from pwsum.spectrum import inverse_square_sums
+from pwsum.spectrum import inverse_square_sums, unique_sorted
 
 
 class DiagnosticsError(ValueError):
     pass
-
-
-@dataclass
-class _Window:
-    """log|G(x + ia)| on the nodes x of one window, spaced `step` apart."""
-
-    step: float
-    x: np.ndarray
-    logs: np.ndarray
-
-
-def _intervals(X: float, h: float) -> int:
-    """m = round(2X/h), at least 1: the intervals of the window [-X, X]."""
-    return max(1, round(2 * X / h))
-
-
-def _line_window(gen, X: float, h: float, a: float) -> _Window:
-    """The window [-X, X] on the nodes (2X/m)(k - m/2), k = 0..m, which are
-    exactly symmetric about 0."""
-    m = _intervals(X, h)
-    step = 2 * X / m
-    x = step * (np.arange(m + 1) - m / 2)
-    return _Window(step, x, gen.log_abs_G(x, a=a))
-
-
-def _line_samples(gen, X: float, h: float, a: float) -> tuple[_Window, _Window]:
-    """The windows [-X, X] and [-2X, 2X] of the line at height a.
-
-    When m = _intervals(X, h) is even and _intervals(2X, h) = 2m, both
-    windows have the spacing 2X/m bit for bit, and the X nodes are the
-    middle m + 1 nodes of the 2X window: then one pass over the 2X window
-    gives both, and the slice is the very array a pass over the X window
-    would give.  Otherwise each window takes its own pass."""
-    m = _intervals(X, h)
-    wide = _line_window(gen, 2 * X, h, a)
-    if m % 2 or _intervals(2 * X, h) != 2 * m:
-        return _line_window(gen, X, h, a), wide
-    mid = slice(m // 2, m // 2 + m + 1)
-    return _Window(wide.step, wide.x[mid], wide.logs[mid]), wide
 
 
 def _check_shift(gen, a: float) -> None:
@@ -172,50 +136,37 @@ def carleson_sup(s) -> float:
     return float(np.max(sums))
 
 
-@dataclass
-class IntegrabilityReport:
-    pos_integral: float
-    neg_integral: float
-    pos_integral_2X: float
-    neg_integral_2X: float
+def line_diagnostics(gen, X: float, h: float, a: float = 0.0) -> np.ndarray:
+    """The (3, 2) table of the line: rows the A2 scan on the line at height
+    a, int |G|^2/(1+x^2) and int |G|^-2/(1+x^2) on the real line; columns
+    the windows [-X, X] and [-2X, 2X].
 
-    @property
-    def pos_trend(self) -> float:
-        return self.pos_integral_2X / self.pos_integral if self.pos_integral else np.inf
-
-    @property
-    def neg_trend(self) -> float:
-        return self.neg_integral_2X / self.neg_integral if self.neg_integral else np.inf
-
-
-def _intG_from_samples(*windows: _Window) -> IntegrabilityReport:
-    """Trapezoid values of int |G|^2/(1+x^2) and int |G|^-2/(1+x^2) on the
-    windows [-X, X] and [-2X, 2X] of the real line, each weighted by its own
-    node spacing; the 2X/X ratio reports the growth trend.  An integral that
-    is not finite raises DiagnosticsError."""
-    vals = []
-    for w in windows:
-        wts = np.full(w.x.size, w.step)
-        wts[0] = wts[-1] = w.step / 2
-        base = 1.0 + w.x * w.x
-        with np.errstate(over="ignore"):  # checked below
-            vals.append(float(np.sum(wts * np.exp(2.0 * w.logs) / base)))
-            vals.append(float(np.sum(wts * np.exp(-2.0 * w.logs) / base)))
-    if not np.all(np.isfinite(vals)):
-        raise DiagnosticsError("intG integral not finite: |G| on the line is beyond the float range")
-    return IntegrabilityReport(*vals)
-
-
-def line_diagnostics(gen, X: float, h: float, a: float = 0.0) -> tuple[float, float, IntegrabilityReport]:
-    """(the A2 scan of [-X, X], the A2 scan of [-2X, 2X], the intG integrals),
-    the scans on the line at height a and the integrals on the real line,
-    bit-identical to one log|G| pass per window, from _line_samples: one
-    pass over [-2X, 2X] when the X nodes are its middle nodes, and one more
-    over [-X, X] otherwise; the A2 scan takes as many again at a shift
-    a != 0."""
+    A window [-W, W] has the nodes (2W/m)(k - m/2), k = 0..m, with
+    m = round(2W/h) at least 1: exactly symmetric about 0.  The integrals
+    are trapezoid values, each window weighted by its own node spacing.
+    One log|G| pass per line height, over the union of both windows' nodes:
+    each node's value depends on that node alone, so each window reads the
+    bits a pass of its own would give.  An integral that is not finite
+    raises DiagnosticsError."""
     _check_shift(gen, a)
-    line = _line_samples(gen, X, h, 0.0)
-    shifted = line if a == 0 else _line_samples(gen, X, h, a)
-    v1, v2 = (_a2_from_logs(w.logs) for w in shifted)
-    return v1, v2, _intG_from_samples(*line)
-
+    steps, xs = [], []
+    for W in (X, 2 * X):
+        m = max(1, round(2 * W / h))
+        steps.append(2 * W / m)
+        xs.append(steps[-1] * (np.arange(m + 1) - m / 2))
+    nodes = unique_sorted(np.concatenate(xs))
+    line = gen.log_abs_G(nodes)
+    shifted = line if a == 0 else gen.log_abs_G(nodes, a=a)
+    table = np.empty((3, 2))
+    for j, (step, x) in enumerate(zip(steps, xs)):
+        k = np.searchsorted(nodes, x)
+        table[0, j] = _a2_from_logs(shifted[k])
+        wts = np.full(x.size, step)
+        wts[0] = wts[-1] = step / 2
+        base = 1.0 + x * x
+        with np.errstate(over="ignore"):  # checked below
+            table[1, j] = np.sum(wts * np.exp(2.0 * line[k]) / base)
+            table[2, j] = np.sum(wts * np.exp(-2.0 * line[k]) / base)
+    if not np.all(np.isfinite(table)):
+        raise DiagnosticsError("intG integral not finite: |G| on the line is beyond the float range")
+    return table

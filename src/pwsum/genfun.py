@@ -20,7 +20,6 @@ never fixed).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -285,25 +284,16 @@ class OuterEvaluator:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class FactorizationReport:
-    points: np.ndarray
-    mismatches: np.ndarray
-
-    @property
-    def max_mismatch(self) -> float:
-        return float(np.max(self.mismatches)) if self.mismatches.size else 0.0
-
-
 def check_factorization(
     gen: GeneratingFunctionEvaluator,
     outer: OuterEvaluator,
     b_plus,
     b_minus,
     sample_points,
-) -> FactorizationReport:
-    """Compare |G| against |omega B+ e^{-i tau z}| (upper) and
-    |omega# B- e^{+i tau z}| (lower) at the sample points.
+) -> np.ndarray:
+    """The relative mismatches ||G| - rhs|/|G| at the sample points, one per
+    point, where rhs is |omega B+ e^{-i tau z}| (upper) or
+    |omega# B- e^{+i tau z}| (lower).
 
     b_plus and b_minus are the evaluators of upper_lower_evaluators: Lambda+
     and the mirror conj(Lambda-), or None when that half-plane holds no
@@ -327,4 +317,4 @@ def check_factorization(
         rhs = np.abs(outer.eval_outer(w)) * np.exp(log_b) * np.abs(np.exp(-1j * gen.exp_type * w))
     if not np.isfinite([lhs, rhs]).all():
         raise GenFunError("|G| or its factorization is not finite at a sample point")
-    return FactorizationReport(points=pts, mismatches=np.abs(lhs - rhs) / np.maximum(lhs, 1e-300))
+    return np.abs(lhs - rhs) / np.maximum(lhs, 1e-300)

@@ -111,7 +111,8 @@ def universal_weights(
 ) -> tuple[np.ndarray, np.ndarray]:
     """w(lambda, n) = w_n(lambda) inside the n-th contour, 0 outside; a weight
     that underflows to exactly zero (past l/2 at large alpha) leaves the
-    column's support.
+    column's support, and a spectrum whose every weight is zero raises
+    WeightError.
 
     A schedule is build_schedule's table, read for its rows l (strictly
     increasing), c and alpha (positive), or ContourError.  The lower
@@ -140,4 +141,7 @@ def universal_weights(
             inside = in_triangle(l, c, z)
             vals = outer_weight(l, float(alpha), z[inside])
             W[ks[inside], j] = np.conj(vals) if lower else vals
+    if pts.size and not np.any(W):
+        raise WeightError(f"every universal weight is 0: no point is inside a contour where w_n stays above "
+                          f"underflow (alpha up to {max(np.max(sched[2]) for sched in scheds):.3e})")
     return L, W

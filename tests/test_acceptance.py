@@ -309,12 +309,12 @@ def test_criterion_10_diagnostics_invariances():
     s = make_family("shifted_integers", {"delta": 0.3}, 80)
     g1 = GeneratingFunctionEvaluator(s)
     g2 = GeneratingFunctionEvaluator(s, normalization=3.7 - 1.2j)
-    v1 = line_diagnostics(g1, X=20.0, h=0.01)[0]
-    v2 = line_diagnostics(g2, X=20.0, h=0.01)[0]
+    v1 = line_diagnostics(g1, X=20.0, h=0.01)[0, 0]
+    v2 = line_diagnostics(g2, X=20.0, h=0.01)[0, 0]
     scale_dev = abs(v1 - v2) / max(v1, 1.0)
     pts = np.array([0.25 + 0.5j, 1 + 1j, -2 + 0.75j, 3 - 0.5j])
     trans_exact = carleson_sup(Spectrum(pts)) == carleson_sup(Spectrum(pts + 11.0))
-    lower_ok = v1 >= 1.0 - 1e-12 and line_diagnostics(g1, X=5.0, h=0.01)[0] >= 1.0 - 1e-12
+    lower_ok = v1 >= 1.0 - 1e-12 and line_diagnostics(g1, X=5.0, h=0.01)[0, 0] >= 1.0 - 1e-12
     ok = scale_dev <= 1e-12 and trans_exact and lower_ok
     report(
         10,

@@ -659,12 +659,13 @@ def test_run_issues_warnings_only_at_exit_0(tmp_path, monkeypatch, capsys, fails
         assert (tmp_path / "out" / "report.csv").is_file()
 
 
-# (X, h, nodes per pass): with X=40, h=0.01 the [-X, X] nodes (m = 8000
-# intervals, even) are the middle nodes of [-2X, 2X], so one pass gives both;
-# with X=10.05, h=0.1 (m = 201, odd) they are not, and each window takes a pass
+# (X, h, nodes per pass): one pass per line height over the union of the
+# nodes of [-X, X] and [-2X, 2X].  With X=40, h=0.01 the X nodes (m = 8000
+# intervals, even) are the middle nodes of the 2X window, so the union is
+# the 2X window; with X=10.05, h=0.1 (m = 201, odd) no node is shared
 @pytest.mark.parametrize(
     "a, X, h, nodes",
-    [(a, *window) for window in [(40.0, 0.01, [16001]), (10.05, 0.1, [202, 403])] for a in (0.0, 0.15)],
+    [(a, *window) for window in [(40.0, 0.01, 16001), (10.05, 0.1, 202 + 403)] for a in (0.0, 0.15)],
     ids=["0.0", "0.15", "0.0-unaligned", "0.15-unaligned"],
 )
 def test_diagnose_samples_each_line_once(tmp_path, monkeypatch, a, X, h, nodes):
@@ -679,17 +680,36 @@ def test_diagnose_samples_each_line_once(tmp_path, monkeypatch, a, X, h, nodes):
     cfg = write_cfg(tmp_path, "d.cfg", f"subcommand=diagnose\na2.a={a}\ndiag.X={X}\ndiag.h={h}\n")
     rows = cli._cmd_diagnose(parse_config(cfg))["report.csv"][1]
     passes = sorted((n, shift) for _, n, shift in calls)
-    assert passes == sorted((n, shift) for n in nodes for shift in {0.0, a})
+    assert passes == sorted((nodes, shift) for shift in {0.0, a})
     gen = calls[0][0]
 
-    def window(X, a):  # one window, from a log|G| pass of its own
-        return diagnostics._line_window(gen, X, h, a)
+    def window(W, a):  # the node spacing and nodes of [-W, W], and a log|G| pass of its own
+        m = max(1, round(2 * W / h))
+        x = 2 * W / m * (np.arange(m + 1) - m / 2)
+        return 2 * W / m, x, log_abs_G(gen, x, a=a)
 
-    v1, v2 = (diagnostics._a2_from_logs(window(w, a).logs) for w in (X, 2 * X))
-    rep = diagnostics._intG_from_samples(window(X, 0.0), window(2 * X, 0.0))
+    cells = []  # (A2 scan, int |G|^2/(1+x^2), int |G|^-2/(1+x^2)) per window
+    for W in (X, 2 * X):
+        step, x, logs = window(W, 0.0)
+        wts = np.full(x.size, step)
+        wts[0] = wts[-1] = step / 2
+        cells.append((diagnostics._a2_from_logs(window(W, a)[2]), np.sum(wts * np.exp(2.0 * logs) / (1.0 + x * x)),
+                      np.sum(wts * np.exp(-2.0 * logs) / (1.0 + x * x))))
+    (v1, pos, neg), (v2, pos_2X, neg_2X) = cells
     assert rows[0][2:] == (v1, v2 / v1)
-    assert rows[2][2:] == (rep.pos_integral, rep.pos_trend)
-    assert rows[3][2:] == (rep.neg_integral, rep.neg_trend)
+    assert rows[2][2:] == (pos, pos_2X / pos)
+    assert rows[3][2:] == (neg, neg_2X / neg)
+
+
+def test_diagnose_refuses_a_zero_window_integral(tmp_path, monkeypatch, capsys):
+    # a zero [-X, X] integral makes its trend inf, which the writer refuses
+    table = np.array([[1.5, 2.0], [0.0, 1.0], [3.0, 3.0]])
+    monkeypatch.setattr(cli, "line_diagnostics", lambda *args, **kw: table)
+    cfg = write_cfg(tmp_path, "z.cfg", f"subcommand=diagnose\ncount=10\noutput.dir={tmp_path / 'out'}\n")
+    assert run(cfg) == EXIT_NUMERICAL
+    assert capsys.readouterr().err == ("numerical precondition failure: report.csv: trend_ratio is inf at "
+                                       "condition=intG_pos\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_converge_computes_G_prime_once_per_step(tmp_path, monkeypatch):
@@ -790,7 +810,7 @@ _CONTOUR_BOUND = {"l.count": 1, "l.ratio": 1, "l.arg_threshold": 0, "l.zero_marg
 @pytest.mark.parametrize("sub", ["contours", "weights\nscheme=universal"], ids=["contours", "weights-universal"])
 @pytest.mark.parametrize("key", sorted(_CONTOUR_BOUND))
 def test_contour_key_edges_keep_the_exit_contract(tmp_path, sub, key):
-    values = [_CONTOUR_BOUND[key], 1e300, *_FUZZ_EDGE[key]] + ([0.05, 1e-9] if key == "alpha.safety" else [])
+    values = [_CONTOUR_BOUND[key], 1e300, *_FUZZ_EDGE[key]] + ([0.05, 1e-9, 1000] if key == "alpha.safety" else [])
     for i, value in enumerate(values):
         out = tmp_path / f"out{i}"
         cfg = write_cfg(tmp_path, f"e{i}.cfg",
@@ -807,3 +827,17 @@ def test_contour_key_edges_keep_the_exit_contract(tmp_path, sub, key):
         tables = {f.name: [ln.split(",") for ln in f.read_text().splitlines()[1:]] for f in out.glob("*.csv")}
         assert all(np.isfinite(v) for rows in tables.values() for row in rows for v in map(_number, row)), value
         assert all(float(row[5]) >= 0 for row in tables.get("contours.csv", [])), value
+        assert "weights.csv" not in tables or tables["weights.csv"], value  # some weight is nonzero
+
+
+@pytest.mark.parametrize("sub", ["contours", "weights\nscheme=universal"], ids=["contours", "weights-universal"])
+@pytest.mark.parametrize("ratio", ["1e200", "1e300"])
+def test_a_huge_contour_ratio_names_the_band_that_underflows(tmp_path, capsys, sub, ratio):
+    # the bands [l/(1.6 ratio), l/ratio] fall below the smallest normal float
+    # after the first pick: the one stderr line names the contour and the ratio
+    cfg = write_cfg(tmp_path, "r.cfg", f"subcommand={sub}\nfamily=kadec_perturbed\ncount=10\nl.ratio={ratio}\n"
+                                       f"output.dir={tmp_path / 'out'}\n")
+    assert run(cfg) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("numerical precondition failure: contour 2: the band [0.000e+00, 0.000e+00]"), err
+    assert f"ratio {float(ratio):g}" in err and len(err.splitlines()) == 1

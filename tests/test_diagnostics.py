@@ -7,7 +7,6 @@ from scipy.special import polygamma
 from pwsum.diagnostics import (
     DiagnosticsError,
     _a2_from_logs,
-    _line_window,
     _trigamma,
     carleson_sup,
     line_diagnostics,
@@ -29,12 +28,12 @@ class _FakeG:
 
 def test_a2_constant_modulus_is_one():
     g = _FakeG(lambda x, a: np.zeros(x.shape))
-    assert line_diagnostics(g, X=10.0, h=0.01)[0] == pytest.approx(1.0, abs=1e-12)
+    assert line_diagnostics(g, X=10.0, h=0.01)[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_a2_lower_bound_at_least_one():
     g = _FakeG(lambda x, a: 0.3 * np.sin(x))
-    assert line_diagnostics(g, X=20.0, h=0.01)[0] >= 1.0 - 1e-12
+    assert line_diagnostics(g, X=20.0, h=0.01)[0, 0] >= 1.0 - 1e-12
 
 
 def test_a2_scale_invariance():
@@ -47,8 +46,8 @@ def test_a2_scale_invariance():
             out += b * np.exp(-((x - (j - 32) / 2.0) ** 2))
         return 0.2 * out + off
 
-    v1 = line_diagnostics(_FakeG(lambda x, a: logmod(x, a)), X=15.0, h=0.01)[0]
-    v2 = line_diagnostics(_FakeG(lambda x, a: logmod(x, a, off=np.log(7.5))), X=15.0, h=0.01)[0]
+    v1 = line_diagnostics(_FakeG(lambda x, a: logmod(x, a)), X=15.0, h=0.01)[0, 0]
+    v2 = line_diagnostics(_FakeG(lambda x, a: logmod(x, a, off=np.log(7.5))), X=15.0, h=0.01)[0, 0]
     assert abs(v1 - v2) <= 1e-12 * max(v1, 1.0)
 
 
@@ -57,9 +56,9 @@ def test_a2_far_above_the_line_does_not_overflow():
     # centres the samples first, and the product does not see the centring
     # (the A2 scan alone: intG on the real line underflows at G(0) = e^-512.6)
     s = Spectrum(make_family("kadec_perturbed", {"delta": 0.3, "eps": 0.2}, 50).points)
-    v1 = _a2_from_logs(_line_window(GeneratingFunctionEvaluator(s), 10.0, 0.05, 3000.0).logs)
-    v2 = _a2_from_logs(_line_window(GeneratingFunctionEvaluator(s, normalization=np.exp(-512.6)), 10.0, 0.05,
-                                    3000.0).logs)
+    x = 0.05 * (np.arange(401) - 200)  # the nodes of the window X = 10 at h = 0.05
+    v1 = _a2_from_logs(GeneratingFunctionEvaluator(s).log_abs_G(x, 3000.0))
+    v2 = _a2_from_logs(GeneratingFunctionEvaluator(s, normalization=np.exp(-512.6)).log_abs_G(x, 3000.0))
     assert v1 == pytest.approx(v2, rel=1e-12)
     assert 1.0 < v1 < 1.0 + 1e-6
 
@@ -77,7 +76,7 @@ def test_a2_and_intG_raise_beyond_the_float_range():
 def test_a2_lattice_stable_under_window_doubling():
     s = make_family("shifted_integers", {"delta": 0.3}, 260)
     g = GeneratingFunctionEvaluator(s)
-    v1, v2, _ = line_diagnostics(g, X=40.0, h=0.01)  # the windows X = 40 and 80
+    v1, v2 = line_diagnostics(g, X=40.0, h=0.01)[0]  # the windows X = 40 and 80
     assert v1 >= 1.0
     assert abs(v2 - v1) / v1 < 0.05
     # oracle cross-check: closed-form |G|^2 for the lattice
@@ -87,7 +86,7 @@ def test_a2_lattice_stable_under_window_doubling():
     def closed(x, a):
         return 0.5 * np.log((np.sin(np.pi * x) ** 2 + sh2) / sh2)
 
-    v_oracle = line_diagnostics(_FakeG(closed), X=40.0, h=0.01)[0]
+    v_oracle = line_diagnostics(_FakeG(closed), X=40.0, h=0.01)[0, 0]
     assert v1 == pytest.approx(v_oracle, rel=1e-6)
 
 
@@ -101,7 +100,7 @@ def test_a2_shift_rejected_on_zero_line():
 def test_a2_clustered_grows_with_window():
     s = make_family("clustered_pairs", {"delta": 1.0, "eps": 0.5}, 150)
     g = GeneratingFunctionEvaluator(s)
-    vals = [line_diagnostics(g, X=X, h=0.02)[0] for X in (20.0, 40.0, 80.0)]
+    vals = [line_diagnostics(g, X=X, h=0.02)[0, 0] for X in (20.0, 40.0, 80.0)]
     assert vals[0] < vals[1] < vals[2]
 
 
@@ -179,31 +178,31 @@ def test_carleson_clustered_blows_up():
 
 def test_intG_constant_modulus_tends_to_pi():
     g = _FakeG(lambda x, a: np.zeros(x.shape))
-    rep = line_diagnostics(g, X=400.0, h=0.05)[2]
-    assert rep.pos_integral_2X == pytest.approx(np.pi, rel=2e-3)
-    assert rep.neg_integral_2X == pytest.approx(np.pi, rel=2e-3)
-    assert rep.pos_trend <= 1.5 and rep.neg_trend <= 1.5
+    table = line_diagnostics(g, X=400.0, h=0.05)
+    assert table[1, 1] == pytest.approx(np.pi, rel=2e-3)
+    assert table[2, 1] == pytest.approx(np.pi, rel=2e-3)
+    assert table[1, 1] / table[1, 0] <= 1.5 and table[2, 1] / table[2, 0] <= 1.5
 
 
 def test_intG_weights_are_the_node_spacing():
     # 2X/h is not an integer: the nodes are 20/667 and 40/1333 apart, not h
     g = _FakeG(lambda x, a: np.zeros(x.shape))
-    rep = line_diagnostics(g, X=10.0, h=0.03)[2]
-    for got, X in [(rep.pos_integral, 10.0), (rep.neg_integral, 10.0),
-                   (rep.pos_integral_2X, 20.0), (rep.neg_integral_2X, 20.0)]:
+    table = line_diagnostics(g, X=10.0, h=0.03)
+    for got, X in [(table[1, 0], 10.0), (table[2, 0], 10.0),
+                   (table[1, 1], 20.0), (table[2, 1], 20.0)]:
         assert got == pytest.approx(2.0 * math.atan(X), rel=1e-5)
 
 
 def test_intG_lattice_finite():
     s = make_family("shifted_integers", {"delta": 0.3}, 900)
     g = GeneratingFunctionEvaluator(s)
-    rep = line_diagnostics(g, X=200.0, h=0.05)[2]
-    assert rep.pos_trend < 1.1
-    assert rep.neg_trend < 1.1
+    table = line_diagnostics(g, X=200.0, h=0.05)
+    assert table[1, 1] / table[1, 0] < 1.1
+    assert table[2, 1] / table[2, 0] < 1.1
 
 
 def test_intG_growing_modulus_flagged():
     g = _FakeG(lambda x, a: np.log(1.0 + x * x))
-    rep = line_diagnostics(g, X=100.0, h=0.05)[2]
-    assert rep.pos_trend > 1.5  # integrand tends to a constant: linear growth
-    assert rep.neg_trend <= 1.5
+    table = line_diagnostics(g, X=100.0, h=0.05)
+    assert table[1, 1] / table[1, 0] > 1.5  # integrand tends to a constant: linear growth
+    assert table[2, 1] / table[2, 0] <= 1.5

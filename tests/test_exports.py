@@ -59,7 +59,7 @@ def test_evaluators_take_and_return_arrays_only():
     # grid alias of eval_G, no second Lagrange-sum builder, no second log|B|
     # pass for the domination margin, no None cutoff, no scheme class, no
     # per-step evaluator of a partial sum, no row object, no alias of F's
-    # eval and no contour object
+    # eval, no contour object and no report object
     src = {p.name: p.read_text() for p in Path(pwsum.__file__).parent.glob("*.py")}
     scalar = re.compile(r"atleast_1d|isscalar|\bndim\b")
     assert sorted(name for name, text in src.items() if scalar.search(text)) == []
@@ -74,7 +74,9 @@ def test_evaluators_take_and_return_arrays_only():
             "WeightRow", "NormProbe", "naive_rows", "projection_rows", "universal_rows", "_radius_rows",
             "lower_bound", "__call__",
             # a contour schedule is its table: no contour or schedule object, no inside-set helper
-            "TriangleContour", "ContourSchedule", "lambda_inside", "slanted_samples")
+            "TriangleContour", "ContourSchedule", "lambda_inside", "slanted_samples",
+            # a diagnosis is its table: no window record, no per-window pass, no report objects
+            "_Window", "_line_window", "_line_samples", "IntegrabilityReport", "FactorizationReport")
     assert sorted((name, g) for name, text in src.items() for g in gone if re.search(rf"\b{g}\b", text)) == []
 
 

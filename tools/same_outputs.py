@@ -3,11 +3,14 @@
     python tools/same_outputs.py OLD NEW
 
 Runs one fixed set of configs with each tree's src/pwsum: every variant of
-every benchmark workload (perfbench/workloads.config_text) and the one
+every benchmark workload (perfbench/workloads.config_text), the one
 config per subcommand of tests/test_exports.py::_cli_configs, whose
-weights run reads points in both half-planes.  The configs come from this
-tool's own tree, so both sides run the same text.  Each tree runs them all
-in one subprocess, cli.run on each config in turn, with one BLAS thread.
+weights run reads points in both half-planes, and the diagnose configs of
+_DIAGNOSE, whose windows no benchmark variant takes: an odd number of
+intervals m = round(2X/h), and an A2 scan off the real line (a2.a != 0).
+The configs come from this tool's own tree, so both sides run the same
+text.  Each tree runs them all in one subprocess, cli.run on each config
+in turn, with one BLAS thread.
 Prints each config whose exit code differs and each CSV that differs byte
 for byte or that one tree wrote and the other did not; exits 1 if there is
 any, 0 if every output is the same.
@@ -28,6 +31,14 @@ sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "tests"), str(ROOT / "src")]
 from test_exports import _cli_configs  # noqa: E402
 from workloads import VARIANTS, WORKLOADS, config_text  # noqa: E402
 
+# name -> config body: m = 51 and m = 201 intervals are odd, so the [-X, X]
+# nodes are not nodes of [-2X, 2X]
+_DIAGNOSE = {
+    "diagnose-odd": "family=clustered_pairs\ncount=100\ndelta=1\neps=0.5\ndiag.X=2.55\ndiag.h=0.1\n",
+    "diagnose-shifted": "family=clustered_pairs\ncount=100\ndelta=1\neps=0.5\na2.a=0.2\ndiag.X=5\ndiag.h=0.05\n",
+    "diagnose-odd-shifted": "family=kadec_perturbed\ncount=100\na2.a=-0.4\ndiag.X=10.05\ndiag.h=0.1\n",
+}
+
 _RUN = "import sys\nfrom pwsum import cli\nfor path in sys.argv[1:]:\n    print(cli.run(path), flush=True)\n"
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -40,6 +51,10 @@ def write_configs(base: Path) -> list[Path]:
             path = base / f"{name}-{variant}.cfg"
             path.write_text(config_text(name, variant, str(base / f"{name}-{variant}")))
             paths.append(path)
+    for name, body in _DIAGNOSE.items():
+        path = base / f"{name}.cfg"
+        path.write_text(f"subcommand=diagnose\n{body}output.dir={base / name}\n")
+        paths.append(path)
     (base / "cli").mkdir()
     return paths + _cli_configs(base / "cli")
 
