@@ -7,13 +7,12 @@ from pwsum.engine import (
     PWFunction,
     coefficient_matrix,
     compactwise_errors,
-    l2_error,
     riesz_project,
     sample_sums,
     weighted_projector_check,
 )
 from pwsum.genfun import GeneratingFunctionEvaluator, OuterEvaluator, check_factorization
-from pwsum.grids import GridFunction, grid_template, hilbert_transform, sample_on_grid
+from pwsum.grids import hilbert_transform, line_grid
 from pwsum.spectrum import Spectrum, SpectrumError, make_family, split_halfplanes
 from pwsum.weights import naive_weights, outer_weight, projection_weights, universal_weights
 
@@ -22,7 +21,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BlaschkeEvaluator",
     "GeneratingFunctionEvaluator",
-    "GridFunction",
     "OuterEvaluator",
     "PWFunction",
     "Spectrum",
@@ -32,15 +30,13 @@ __all__ = [
     "check_factorization",
     "coefficient_matrix",
     "compactwise_errors",
-    "grid_template",
     "hilbert_transform",
-    "l2_error",
+    "line_grid",
     "make_family",
     "naive_weights",
     "outer_weight",
     "projection_weights",
     "riesz_project",
-    "sample_on_grid",
     "sample_sums",
     "split_halfplanes",
     "universal_weights",

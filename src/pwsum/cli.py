@@ -38,7 +38,7 @@ from pwsum.engine import (
     tail_bounds,
 )
 from pwsum.genfun import GenFunError, GeneratingFunctionEvaluator, OuterEvaluator, check_factorization
-from pwsum.grids import GridError, grid_template, sample_count, sample_on_grid
+from pwsum.grids import GridError, line_grid, sample_count
 from pwsum.spectrum import FAMILY_NAMES, Spectrum, SpectrumError, load_spectrum, make_family
 from pwsum.weights import WeightError, naive_weights, projection_weights, universal_weights
 
@@ -236,15 +236,15 @@ def _cmd_converge(cfg) -> dict:
     s = _build_spectrum(cfg)
     gen = GeneratingFunctionEvaluator(s)
     f = cfg["atoms"]
-    X, h = cfg["grid.X"], cfg["grid.h"]
-    ref = sample_on_grid(f.eval, X, h)
+    X = cfg["grid.X"]
+    x, w = line_grid(X, cfg["grid.h"])
+    ref = f.eval(x)
     schemes, ns, W = _steps(cfg, s)
     A = coefficient_matrix(f.eval(s.points), gen, W)
     center = complex(cfg["K.center.re"], cfg["K.center.im"])
     sup = compactwise_errors(f, gen, A, center, cfg["K.radius"], cfg["K.samples"])
-    diff = sample_sums(gen, ref, A) - ref.values
-    l2 = np.sqrt(np.sum(ref.trapezoid_weights() * np.abs(diff) ** 2, axis=1))
-    rel = l2 / ref.norm()
+    diff = sample_sums(gen, x, A) - ref
+    rel = np.sqrt(np.sum(w * np.abs(diff) ** 2, axis=1)) / np.sqrt(np.sum(w * np.abs(ref) ** 2))
     tail = pw_tail_bound(f, X) + tail_bounds(A, gen, X, sup_abs_G(gen, X))
     table = list(zip(ns, schemes, rel, sup, tail))
     return {"errors.csv": ("n,scheme,l2_error,sup_error_K,tail_bound", table)}
@@ -253,9 +253,9 @@ def _cmd_converge(cfg) -> dict:
 def _cmd_compare_norms(cfg) -> dict:
     s = _build_spectrum(cfg)
     gen = GeneratingFunctionEvaluator(s)
-    grid = grid_template(cfg["grid.X"], cfg["grid.h"])
+    x, w = line_grid(cfg["grid.X"], cfg["grid.h"])
     schemes, ns, W = _steps(cfg, s)
-    table = list(zip(ns, schemes, norm_lower_bounds(gen, grid, cfg["atoms.halfwidth"], W)))
+    table = list(zip(ns, schemes, norm_lower_bounds(gen, x, w, cfg["atoms.halfwidth"], W)))
     return {"norms.csv": ("n,scheme,norm_lower_bound", table)}
 
 

@@ -16,6 +16,7 @@ import math
 
 import numpy as np
 
+from pwsum.grids import line_grid
 from pwsum.spectrum import inverse_square_sums, unique_sorted
 
 
@@ -141,32 +142,24 @@ def line_diagnostics(gen, X: float, h: float, a: float = 0.0) -> np.ndarray:
     a, int |G|^2/(1+x^2) and int |G|^-2/(1+x^2) on the real line; columns
     the windows [-X, X] and [-2X, 2X].
 
-    A window [-W, W] has the nodes (2W/m)(k - m/2), k = 0..m, with
-    m = round(2W/h) at least 1: exactly symmetric about 0.  The integrals
-    are trapezoid values, each window weighted by its own node spacing.
-    One log|G| pass per line height, over the union of both windows' nodes:
-    each node's value depends on that node alone, so each window reads the
-    bits a pass of its own would give.  An integral that is not finite
-    raises DiagnosticsError."""
+    A window [-W, W] has the nodes and trapezoid weights of
+    line_grid(W, h).  One log|G| pass per line height, over the union of
+    both windows' nodes: each node's value depends on that node alone, so
+    each window reads the bits a pass of its own would give.  An integral
+    that is not finite raises DiagnosticsError."""
     _check_shift(gen, a)
-    steps, xs = [], []
-    for W in (X, 2 * X):
-        m = max(1, round(2 * W / h))
-        steps.append(2 * W / m)
-        xs.append(steps[-1] * (np.arange(m + 1) - m / 2))
-    nodes = unique_sorted(np.concatenate(xs))
+    windows = [line_grid(W, h) for W in (X, 2 * X)]
+    nodes = unique_sorted(np.concatenate([x for x, _ in windows]))
     line = gen.log_abs_G(nodes)
     shifted = line if a == 0 else gen.log_abs_G(nodes, a=a)
     table = np.empty((3, 2))
-    for j, (step, x) in enumerate(zip(steps, xs)):
+    for j, (x, w) in enumerate(windows):
         k = np.searchsorted(nodes, x)
         table[0, j] = _a2_from_logs(shifted[k])
-        wts = np.full(x.size, step)
-        wts[0] = wts[-1] = step / 2
         base = 1.0 + x * x
         with np.errstate(over="ignore"):  # checked below
-            table[1, j] = np.sum(wts * np.exp(2.0 * line[k]) / base)
-            table[2, j] = np.sum(wts * np.exp(-2.0 * line[k]) / base)
+            table[1, j] = np.sum(w * np.exp(2.0 * line[k]) / base)
+            table[2, j] = np.sum(w * np.exp(-2.0 * line[k]) / base)
     if not np.all(np.isfinite(table)):
         raise DiagnosticsError("intG integral not finite: |G| on the line is beyond the float range")
     return table

@@ -10,11 +10,12 @@ and each evaluator takes all of them at once: the partial sums on the grid
 (sample_sums), the sup error on the disk K (compactwise_errors), the tail
 bounds (tail_bounds) and the operator-norm lower bounds
 (norm_lower_bounds, which reads W itself).  Partial sums, the discrete
-Riesz projections and the weighted projector identity all run on the
-uniform grids of `grids`.  On the grid, G and every Cauchy sum (the partial
-sums, the projector's interpolation sum and each column's norm operator)
-take the near and far field of spectrum's line kernels (log_G's real
-points and line_cauchy); the disk K stays direct (cauchy_sums).
+Riesz projections and the weighted projector identity all run on plain
+arrays at the nodes of grids.line_grid(X, h), and every L2 norm is the sum
+with its trapezoid weights.  On the grid, G and every Cauchy sum (the
+partial sums, the projector's interpolation sum and each column's norm
+operator) take the near and far field of spectrum's line kernels (log_G's
+real points and line_cauchy); the disk K stays direct (cauchy_sums).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from pwsum.blaschke import BlaschkeEvaluator
 from pwsum.genfun import GeneratingFunctionEvaluator, OuterEvaluator
-from pwsum.grids import GridFunction, GridError, hilbert_transform
+from pwsum.grids import GridError, hilbert_transform, line_grid
 from pwsum.spectrum import cauchy_sums, collisions, line_cauchy, unique_sorted
 
 
@@ -86,21 +87,21 @@ def coefficient_matrix(values: np.ndarray, gen, W: np.ndarray) -> np.ndarray:
     return A
 
 
-def sample_sums(gen: GeneratingFunctionEvaluator, grid: GridFunction, A: np.ndarray) -> np.ndarray:
-    """G(x) * sum_k A[k, j]/(x - lambda_k) on the grid for every column j of
-    A: the (steps x grid) partial sums, in one pass over the grid, whose
-    Cauchy sums line_cauchy takes panel by panel; the steps share one G."""
-    out = np.ascontiguousarray(line_cauchy(grid.x, gen.spectrum.points, A).T)
-    out *= gen.eval_G(grid.x)
+def sample_sums(gen: GeneratingFunctionEvaluator, x: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """G(x) * sum_k A[k, j]/(x - lambda_k) at the real nodes x for every
+    column j of A: the (steps x nodes) partial sums, in one pass over the
+    nodes, whose Cauchy sums line_cauchy takes panel by panel; the steps
+    share one G."""
+    out = np.ascontiguousarray(line_cauchy(x, gen.spectrum.points, A).T)
+    out *= gen.eval_G(x)
     return out
 
 
 def sup_abs_G(gen: GeneratingFunctionEvaluator, X: float) -> float:
-    """max|G| on m + 1 equispaced nodes of [-X, X], spacing about
-    max(X/200, 0.05), with m a whole number whatever X is: exp of the largest
-    log|G| on the line, for tail_bounds."""
-    m = max(1, round(2 * X / max(X / 200, 0.05)))
-    return float(np.exp(np.max(gen.log_abs_G(np.linspace(-X, X, m + 1)))))
+    """max|G| on the nodes of line_grid(X, max(X/200, 0.05)): exp of the
+    largest log|G| on the line, for tail_bounds."""
+    x, _ = line_grid(X, max(X / 200, 0.05))
+    return float(np.exp(np.max(gen.log_abs_G(x))))
 
 
 def tail_bounds(A: np.ndarray, gen, X: float, gmax: float) -> np.ndarray:
@@ -116,24 +117,18 @@ def tail_bounds(A: np.ndarray, gen, X: float, gmax: float) -> np.ndarray:
     return np.add.reduce(terms, axis=1)
 
 
-def l2_error(a: GridFunction, b: GridFunction) -> float:
-    if not a.same_grid(b):
-        raise GridError("grid mismatch in l2_error")
-    return a.copy_with(a.values - b.values).norm()
-
-
 # ---------------------------------------------------------------------------
 # Riesz projections
 # ---------------------------------------------------------------------------
 
 
-def riesz_project(g: GridFunction, sign: str) -> GridFunction:
-    """Discrete Riesz projection P+/P- = (I +- iH)/2."""
+def riesz_project(values: np.ndarray, X: float, h: float, sign: str) -> np.ndarray:
+    """Discrete Riesz projection P+/P- = (I +- iH)/2 of the samples of f on
+    line_grid(X, h), at the same nodes."""
     if sign not in ("+", "-"):
         raise EngineError("sign must be '+' or '-'")
-    H = hilbert_transform(g)
     s = 1.0 if sign == "+" else -1.0
-    return g.copy_with(0.5 * (g.values + s * 1j * H.values))
+    return 0.5 * (values + s * 1j * hilbert_transform(values, X, h))
 
 
 # ---------------------------------------------------------------------------
@@ -141,27 +136,19 @@ def riesz_project(g: GridFunction, sign: str) -> GridFunction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ProjectorCheckReport:
-    mismatch: float
-    error_bar: float
-    operator_norm_scale: float
-
-
-def _projector_sides(f, gen, b_plus, n, grid, outer):
-    """LHS (I - B_n P+ B_n^#) Phi and RHS interpolation sum on the grid."""
-    x = grid.x
-    phi_grid = f.eval(x.astype(complex)) * np.exp(1j * np.pi * x) / outer.boundary_on(grid)
+def _projector_sides(f, gen, b_plus, n, X, h, outer):
+    """Phi, the LHS (I - B_n P+ B_n^#) Phi and the RHS interpolation sum at
+    the nodes of line_grid(X, h)."""
+    x, _ = line_grid(X, h)
+    phi = f.eval(x.astype(complex)) * np.exp(1j * np.pi * x) / outer.boundary_on(X, h)
     bn_x = b_plus.eval_B(x.astype(complex), cutoff=n)
-
-    inner = riesz_project(grid.copy_with(np.conj(bn_x) * phi_grid), "+")
-    lhs = phi_grid - bn_x * inner.values
+    lhs = phi - bn_x * riesz_project(np.conj(bn_x) * phi, X, h, "+")
 
     inside = np.flatnonzero(gen.spectrum.moduli < n)
     lam = gen.spectrum.points[inside]
     phi_lam = f.eval(lam) * np.exp(1j * np.pi * lam) / outer.eval_outer(lam)
     rhs = bn_x * line_cauchy(x, lam, (phi_lam / b_plus.eval_B_prime_at(inside, cutoff=n))[:, None])[:, 0]
-    return grid.copy_with(lhs), grid.copy_with(rhs), phi_grid
+    return phi, lhs, rhs
 
 
 def weighted_projector_check(
@@ -169,53 +156,52 @@ def weighted_projector_check(
     gen: GeneratingFunctionEvaluator,
     b_plus: BlaschkeEvaluator,
     n: float,
-    grid: GridFunction,
+    X: float,
+    h: float,
     outer: OuterEvaluator | None = None,
-) -> ProjectorCheckReport:
-    """Grid mismatch between the operator form I - B_n P+ B_n^# applied to
+) -> np.ndarray:
+    """[mismatch, error_bar, scale]: the L2 mismatch on line_grid(X, h)
+    between the operator form I - B_n P+ B_n^# applied to
     Phi = F e^{i pi x}/omega and the direct interpolation sum over the
-    points inside radius n.  Defined for spectra in the upper half-plane.
+    points inside radius n, its error bar, and ||Phi|| on the grid, the
+    operator's scale.  Defined for spectra in the upper half-plane.
 
     The error bar combines an h-refinement (Richardson) estimate for the
-    discrete Hilbert transforms with analytic bounds for the quadrature
+    discrete Hilbert transforms, from a repeat on every other node of the
+    grid and of the outer factor's boundary grid (each needs an even number
+    of intervals, or GridError), with analytic bounds for the quadrature
     tails of the outer factor.
     """
     if np.any(gen.spectrum.points.imag <= 0):
         raise EngineError("projector check is defined for upper half-plane spectra")
     if outer is None:
-        outer = OuterEvaluator.from_generating(gen, X=max(4 * grid.X, 200.0), h=grid.h)
+        outer = OuterEvaluator.from_generating(gen, X=max(4 * X, 200.0), h=h)
+    x, w = line_grid(X, h)
+    if x.size % 2 == 0 or outer.x.size % 2 == 0:
+        raise GridError("the projector check repeats at 2h: each grid needs an even number of intervals")
 
-    lhs, rhs, phi_grid = _projector_sides(f, gen, b_plus, n, grid, outer)
-    mism = l2_error(lhs, rhs)
+    phi, lhs, rhs = _projector_sides(f, gen, b_plus, n, X, h, outer)
+    mism = np.sqrt(np.sum(w * np.abs(lhs - rhs) ** 2))
+    scale = np.sqrt(np.sum(w * np.abs(phi) ** 2))
 
     # --- error accounting ---------------------------------------------------
     # (a) discretization of the Hilbert transforms: repeat at 2h, Richardson
-    coarse = GridFunction(grid.X, 2 * grid.h, grid.values[::2])
-    outer_c = OuterEvaluator(
-        GridFunction(outer.grid.X, 2 * outer.grid.h, outer.grid.values[::2])
-    )
-    lhs_c, rhs_c, _ = _projector_sides(f, gen, b_plus, n, coarse, outer_c)
-    diff_lhs = lhs.values[::2] - lhs_c.values
-    diff_rhs = rhs.values[::2] - rhs_c.values
-    w_c = coarse.trapezoid_weights()
-    bar_h = float(np.sqrt(np.sum(w_c * np.abs(diff_lhs - diff_rhs) ** 2))) / 3.0
+    outer_c = OuterEvaluator(outer.X, 2 * outer.h, outer.log_modulus[::2])
+    _, lhs_c, rhs_c = _projector_sides(f, gen, b_plus, n, X, 2 * h, outer_c)
+    diff = (lhs[::2] - lhs_c) - (rhs[::2] - rhs_c)
+    _, w_c = line_grid(X, 2 * h)
+    bar_h = np.sqrt(np.sum(w_c * np.abs(diff) ** 2)) / 3.0
 
     # (b) grid-end truncation of P+ applied to B_n^# Phi
-    edge = np.abs(grid.x) >= 0.95 * grid.X
-    a_end = float(np.mean(np.abs(phi_grid[edge])))
-    bar_tail = a_end * np.sqrt(2.0 * grid.X) * 2.0 / (np.pi * 0.9)
+    a_end = np.mean(np.abs(phi[np.abs(x) >= 0.95 * X]))
+    bar_tail = a_end * np.sqrt(2.0 * X) * 2.0 / (np.pi * 0.9)
 
     # (c) boundary-phase window truncation of the outer factor at |x| <= X:
     # |theta error| <= max|phi_tilde| * 2 X_out/(pi (X_out^2 - x^2)) per unit mass
-    phimax = float(np.max(np.abs(outer._phit)))
-    xo = outer.grid.X
-    theta_err = phimax * 2.0 * xo / (np.pi * max(xo**2 - grid.X**2, xo))
-    w = grid.trapezoid_weights()
-    bar_phase = float(np.sqrt(np.sum(w * np.abs(phi_grid) ** 2))) * theta_err
-
-    bar = bar_h + bar_tail + bar_phase
-    scale = float(np.sqrt(np.sum(w * np.abs(phi_grid) ** 2)))
-    return ProjectorCheckReport(mismatch=mism, error_bar=bar, operator_norm_scale=scale)
+    phimax = np.max(np.abs(outer._phit))
+    xo = outer.X
+    theta_err = phimax * 2.0 * xo / (np.pi * max(xo**2 - X**2, xo))
+    return np.array([mism, bar_h + bar_tail + scale * theta_err, scale])
 
 
 # ---------------------------------------------------------------------------
@@ -223,33 +209,34 @@ def weighted_projector_check(
 # ---------------------------------------------------------------------------
 
 
-def norm_lower_bounds(gen: GeneratingFunctionEvaluator, grid: GridFunction, atom_halfwidth: int,
+def norm_lower_bounds(gen: GeneratingFunctionEvaluator, x: np.ndarray, w: np.ndarray, atom_halfwidth: int,
                       W: np.ndarray) -> np.ndarray:
     """Lower bounds for ||F -> S_n(W, F)|| on the span of integer-lattice
     atoms, one per column of W.
 
     Atoms k_m with integer real centers |m| <= atom_halfwidth are
     orthonormal in the Paley-Wiener space, so the coefficient Euclidean
-    norm is exactly ||F||, and the grid operator of a column gives a true
-    lower bound sigma_max <= ||T_n||.  Its column m is G Y[:, m], with
-    Y[:, m] = sum_k (w_k/G'(lambda_k)) k_m(lambda_k)/(x - lambda_k) over
+    norm is exactly ||F||, and the operator of a column on the nodes x,
+    with their trapezoid weights w (line_grid), gives a true lower bound
+    sigma_max <= ||T_n||.  Its column m is G Y[:, m], with
+    Y[:, m] = sum_k (W[k, j]/G'(lambda_k)) k_m(lambda_k)/(x - lambda_k) over
     the column's support, so sigma_max^2 is the largest eigenvalue of
-    Y^H D Y, D = (trapezoid weight) |G|^2: one line_cauchy pass per column,
+    Y^H D Y, D = w |G|^2: one line_cauchy pass per column,
     then eigvalsh, exactly, with no iteration.  Raises EngineError where D
     or a column's operator is not finite.
     """
     ms = np.arange(-atom_halfwidth, atom_halfwidth + 1, dtype=float)
     K = np.sinc(gen.spectrum.points[:, None] - ms[None, :])
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value raises below
-        D = grid.trapezoid_weights() * np.exp(2.0 * gen.log_abs_G(grid.x))
+        D = w * np.exp(2.0 * gen.log_abs_G(x))
     if not np.isfinite(D).all():
         raise EngineError("|G|^2 is not finite on the grid: the norm probe's weights overflow")
     out = np.empty(W.shape[1])
-    for j, w in enumerate(W.T):
-        ks = np.flatnonzero(w)
+    for j, col in enumerate(W.T):
+        ks = np.flatnonzero(col)
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value raises below
-            Kt = (w[ks] / gen.eval_G_prime_at_lambda(ks))[:, None] * K[ks, :]
-            Y = line_cauchy(grid.x, gen.spectrum.points[ks], Kt)
+            Kt = (col[ks] / gen.eval_G_prime_at_lambda(ks))[:, None] * K[ks, :]
+            Y = line_cauchy(x, gen.spectrum.points[ks], Kt)
             M = Y.conj().T @ (D[:, None] * Y)
         if not np.isfinite(M).all():
             raise EngineError(f"the norm probe's operator is not finite in column {j} of W")

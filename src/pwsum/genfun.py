@@ -12,9 +12,9 @@ the near and far field of spectrum's line kernels at real points (log|G|
 on any line, and G on the real line, as on converge's grid) and the block
 log-product at every other point.
 
-The outer factor is recovered from |G| on the line by the Schwarz-Poisson
-integral; only its modulus is contractual (the unimodular constant is
-never fixed).
+The outer factor is recovered from log|G| at the nodes of
+grids.line_grid(X, h) by the Schwarz-Poisson integral; only its modulus is
+contractual (the unimodular constant is never fixed).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from pwsum.grids import GridFunction, grid_template, hilbert_transform
+from pwsum.grids import hilbert_transform, line_grid
 from pwsum.spectrum import LatticeTail, Spectrum, cauchy_sums, line_arg, line_log_abs, log_products, touching
 
 
@@ -234,49 +234,52 @@ class OuterEvaluator:
     transform (boundary values).
     """
 
-    def __init__(self, boundary_log_modulus: GridFunction):
-        g = boundary_log_modulus
-        if np.any(~np.isfinite(g.values.real)):
+    def __init__(self, X: float, h: float, log_modulus: np.ndarray):
+        """log_modulus: the real samples of log|G| at the nodes x of
+        line_grid(X, h)."""
+        self.X, self.h = X, h
+        self.x, w = line_grid(X, h)
+        if log_modulus.shape != self.x.shape:
+            raise GenFunError(f"expected {self.x.size} boundary samples for X={X}, h={h}, got {log_modulus.size}")
+        if np.any(~np.isfinite(log_modulus)):
             raise GenFunError("boundary log-modulus has non-finite samples")
-        self.grid = g
-        phi = g.values.real.astype(float)
-        w = g.trapezoid_weights()
-        self.mean = float((w * phi).sum() / (2.0 * g.X))
-        self._phit = phi - self.mean
-        x = g.x
+        self.log_modulus = log_modulus
+        self.mean = float((w * log_modulus).sum() / (2.0 * X))
+        self._phit = log_modulus - self.mean
+        x = self.x
         self._kappa = float((w * (x * self._phit / (1.0 + x * x))).sum() / np.pi)
         self._w = w
 
     @classmethod
-    def from_generating(cls, gen: GeneratingFunctionEvaluator, X: float = 200.0, h: float = 0.01):
-        grid = grid_template(X, h)
-        vals = gen.log_abs_G(grid.x)
-        return cls(grid.copy_with(vals.astype(complex)))
+    def from_generating(cls, gen: GeneratingFunctionEvaluator, X: float, h: float):
+        x, _ = line_grid(X, h)
+        return cls(X, h, gen.log_abs_G(x))
 
     def eval_outer(self, z: np.ndarray) -> np.ndarray:
         """omega(z) for Im z >= h, |Re z| <= X/2."""
-        if np.any(z.imag < self.grid.h * (1.0 - 1e-12)):
+        if np.any(z.imag < self.h * (1.0 - 1e-12)):
             raise GenFunError("eval_outer needs Im z >= one grid spacing")
-        if np.any(np.abs(z.real) > self.grid.X / 2.0):
+        if np.any(np.abs(z.real) > self.X / 2.0):
             raise GenFunError("evaluation point beyond half the boundary grid")
         # (1/(i pi)) sum w phi/(t - z) = (i/pi) sum w phi/(z - t)
-        s = cauchy_sums(z, self.grid.x, (self._w * self._phit)[:, None])[:, 0]
+        s = cauchy_sums(z, self.x, (self._w * self._phit)[:, None])[:, 0]
         return np.exp(self.mean + 1j * (s / np.pi + self._kappa))
 
     def boundary_values(self) -> np.ndarray:
         """omega on the grid nodes themselves (boundary limit from above)."""
-        H = hilbert_transform(self.grid.copy_with(self._phit.astype(complex)), tail_fit=False)
-        return np.exp(self.mean + self._phit + 1j * (H.values.real + self._kappa))
+        H = hilbert_transform(self._phit, self.X, self.h, tail_fit=False)
+        return np.exp(self.mean + self._phit + 1j * (H.real + self._kappa))
 
-    def boundary_on(self, grid: GridFunction) -> np.ndarray:
-        """Boundary values restricted to an aligned sub-grid."""
-        if abs(grid.h - self.grid.h) > 1e-12:
+    def boundary_on(self, X: float, h: float) -> np.ndarray:
+        """Boundary values at the nodes of line_grid(X, h), a sub-grid aligned
+        with the boundary grid."""
+        if abs(h - self.h) > 1e-12:
             raise GenFunError("sub-grid spacing must match the boundary grid")
-        off = (self.grid.X - grid.X) / self.grid.h
+        off = (self.X - X) / self.h
         if off < -1e-9 or abs(off - round(off)) > 1e-6:
             raise GenFunError("sub-grid is not aligned with the boundary grid")
         j0 = int(round(off))
-        return self.boundary_values()[j0 : j0 + len(grid)]
+        return self.boundary_values()[j0 : j0 + line_grid(X, h)[0].size]
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,16 @@
-"""Uniformly sampled real-line functions and the transforms acting on them.
+"""The real-line grid and the transforms acting on samples on it.
 
-Everything downstream (norms, Riesz projections, outer-function phases)
-runs on these grids, so the conventions are pinned here once: nodes are
-x_j = -X + j*h with (2X/h) integral, norms are trapezoid sums.
+Everything measured on the line (L2 errors, norm probes, Riesz projections,
+outer-function phases, the A2 scan and the integrability checks) is a sum
+over the nodes of one rule, line_grid(X, h): m + 1 exactly symmetric nodes
+of [-X, X], m = round(2X/h), with the trapezoid weights of their spacing.
+Samples are plain arrays on those nodes; the transforms take them with the
+window's (X, h).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,66 +19,30 @@ class GridError(ValueError):
     """Grid construction or alignment failure."""
 
 
-@dataclass
-class GridFunction:
-    """Samples of a complex function at x_j = -X + j*h, j = 0..2X/h."""
-
-    X: float
-    h: float
-    values: np.ndarray
-
-    def __post_init__(self):
-        n = sample_count(self.X, self.h)
-        vals = np.asarray(self.values, dtype=complex).ravel()
-        if vals.size != n:
-            raise GridError(f"expected {n} samples for X={self.X}, h={self.h}, got {vals.size}")
-        self.values = vals
-
-    def __len__(self) -> int:
-        return int(self.values.size)
-
-    @property
-    def x(self) -> np.ndarray:
-        return np.linspace(-self.X, self.X, len(self))
-
-    def trapezoid_weights(self) -> np.ndarray:
-        w = np.full(len(self), self.h)
-        w[0] = w[-1] = self.h / 2.0
-        return w
-
-    def norm(self) -> float:
-        """Trapezoid-rule L2 norm over [-X, X]."""
-        return float(np.sqrt(np.sum(self.trapezoid_weights() * np.abs(self.values) ** 2)))
-
-    def same_grid(self, other: "GridFunction") -> bool:
-        return (
-            abs(self.X - other.X) < 1e-12
-            and abs(self.h - other.h) < 1e-12
-            and len(self) == len(other)
-        )
-
-    def copy_with(self, values: np.ndarray) -> "GridFunction":
-        return GridFunction(self.X, self.h, values)
+def line_grid(X: float, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """(x, w): the nodes x_k = (2X/m)(k - m/2), k = 0..m, of [-X, X], with
+    m = round(2X/h) at least 1, and their trapezoid weights, 2X/m halved at
+    both ends.  The nodes are exactly symmetric about 0, and at even m the
+    nodes of [-X, X] are nodes of [-2X, 2X], bit for bit.  X and h must be
+    finite and positive."""
+    if not (math.isfinite(X) and math.isfinite(h) and X > 0 and h > 0):
+        raise GridError("X and h must be finite and positive")
+    m = max(1, round(2 * X / h))
+    step = 2 * X / m
+    w = np.full(m + 1, step)
+    w[0] = w[-1] = step / 2
+    return step * (np.arange(m + 1) - m / 2), w
 
 
 def sample_count(X: float, h: float) -> int:
-    """Node count 2X/h + 1 of the grid on [-X, X] with spacing h; X and h
-    must be finite and positive, 2X/h an integer."""
+    """Node count 2X/h + 1 of line_grid(X, h) where 2X/h is an integer, the
+    rule of a config's grid keys; X and h must be finite and positive."""
     if not (math.isfinite(X) and math.isfinite(h) and X > 0 and h > 0):
         raise GridError("X and h must be finite and positive")
     m = 2.0 * X / h
     if not math.isfinite(m) or abs(m - round(m)) > 1e-8:
         raise GridError("2X/h must be an integer sample count")
     return int(round(m)) + 1
-
-
-def grid_template(X: float, h: float) -> GridFunction:
-    return GridFunction(X, h, np.zeros(sample_count(X, h), dtype=complex))
-
-
-def sample_on_grid(fn, X: float, h: float) -> GridFunction:
-    g = grid_template(X, h)
-    return g.copy_with(np.asarray(fn(g.x), dtype=complex))
 
 
 # ---------------------------------------------------------------------------
@@ -125,15 +91,16 @@ def _tail_kernel_one_over_t2(x: np.ndarray, Xe: float) -> np.ndarray:
     return out
 
 
-def fit_rational_tail(g: GridFunction) -> tuple[complex, complex]:
-    """Least-squares (a, b) with f(t) ~ a/t + b/t^2 on the outer 15% of the samples."""
-    x = g.x
-    mask = np.abs(x) >= 0.85 * g.X
+def fit_rational_tail(values: np.ndarray, X: float, h: float) -> tuple[complex, complex]:
+    """Least-squares (a, b) with f(t) ~ a/t + b/t^2 on the outer 15% of the
+    samples of f on line_grid(X, h)."""
+    x, _ = line_grid(X, h)
+    mask = np.abs(x) >= 0.85 * X
     t = x[mask]
     if t.size < 8:
         return 0j, 0j
     A = np.column_stack([1.0 / t, 1.0 / t**2]).astype(complex)
-    coef, *_ = np.linalg.lstsq(A, g.values[mask], rcond=None)
+    coef, *_ = np.linalg.lstsq(A, values[mask], rcond=None)
     return complex(coef[0]), complex(coef[1])
 
 
@@ -151,17 +118,21 @@ def _fast_len(n: int) -> int:
     return best
 
 
-def hilbert_transform(g: GridFunction, tail_fit: bool = True) -> GridFunction:
-    n = len(g)
+def hilbert_transform(values: np.ndarray, X: float, h: float, tail_fit: bool = True) -> np.ndarray:
+    """The discrete Hilbert transform of the samples of f on line_grid(X, h),
+    at the same nodes; with tail_fit, plus the rational tail model's part
+    beyond the grid."""
+    x, _ = line_grid(X, h)
+    if values.shape != x.shape:
+        raise GridError(f"expected {x.size} samples for X={X}, h={h}, got {values.size}")
+    n = values.size
     kern = _hilbert_kernel(n)
     # linear convolution with the kernel, zero-padded to a fast FFT length
     m = _fast_len(n + kern.size - 1)
-    out = np.fft.ifft(np.fft.fft(g.values, m) * np.fft.fft(kern, m))[n - 1 : 2 * n - 1].copy()
+    out = np.fft.ifft(np.fft.fft(values, m) * np.fft.fft(kern, m))[n - 1 : 2 * n - 1].copy()
     if tail_fit:
-        a, b = fit_rational_tail(g)
+        a, b = fit_rational_tail(values, X, h)
         if a != 0 or b != 0:
-            Xe = g.X + g.h / 2.0
-            x = g.x
+            Xe = X + h / 2.0
             out += (a * _tail_kernel_one_over_t(x, Xe) + b * _tail_kernel_one_over_t2(x, Xe)) / np.pi
-    return g.copy_with(out)
-
+    return out

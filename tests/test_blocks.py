@@ -23,7 +23,7 @@ from pwsum.engine import (
     sample_sums,
 )
 from pwsum.genfun import GeneratingFunctionEvaluator, OuterEvaluator
-from pwsum.grids import grid_template
+from pwsum.grids import line_grid
 from pwsum.spectrum import Spectrum, make_family
 from pwsum.weights import projection_weights
 
@@ -42,7 +42,7 @@ def _kernel_outputs() -> dict:
     x = np.linspace(-40.0, 40.0, 301)
     z = np.concatenate([x + 0.7j, x - 1.3j])
     outer = OuterEvaluator.from_generating(gen, X=50.0, h=0.05)
-    grid = grid_template(10.0, 0.05)
+    grid_x, grid_w = line_grid(10.0, 0.05)
     f = PWFunction([0.3j, 2.7 - 0.3j], [1.0, 0.5])
     _, W = projection_weights(s, [5.0, 12.0, 31.0])
     A = coefficient_matrix(f.eval(s.points), gen, W)
@@ -69,8 +69,8 @@ def _kernel_outputs() -> dict:
         "carleson_sup": np.array([carleson_sup(s)]),
         "eval_outer": outer.eval_outer(x[np.abs(x) <= 25.0] + 1.0j),
         "select_c": np.array(select_c(up, 20.3, samples_per_side=64)),
-        "sample_sums": sample_sums(gen, grid, A),
-        "norm_lower_bounds": norm_lower_bounds(gen, grid, 5, W),
+        "sample_sums": sample_sums(gen, grid_x, A),
+        "norm_lower_bounds": norm_lower_bounds(gen, grid_x, grid_w, 5, W),
         "compactwise_errors": np.concatenate([compactwise_errors(f, gen, A, 0.4 + 0.2j, 3.0, 97),
                                               compactwise_errors(f, gen_hit, A_hit, 0.4 + 0.2j, 3.0, 97)]),
         # the second, a one-term sum: at one row per block its products are single elements

@@ -9,7 +9,6 @@ from pwsum.engine import (
     coefficient_matrix,
     compactwise_errors,
     disk_samples,
-    l2_error,
     norm_lower_bounds,
     pw_tail_bound,
     sample_sums,
@@ -17,7 +16,7 @@ from pwsum.engine import (
     tail_bounds,
 )
 from pwsum.genfun import GeneratingFunctionEvaluator
-from pwsum.grids import grid_template, sample_on_grid
+from pwsum.grids import line_grid
 from pwsum.spectrum import Spectrum, block_rows, cauchy_sums, make_family
 from pwsum.weights import naive_weights, projection_weights
 
@@ -55,9 +54,9 @@ def test_empty_support_sum(lattice):
     s, g = lattice
     f = PWFunction([0.3j], [1.0])
     _, naive = naive_weights(s, [0.1, 200.0])
-    grid = grid_template(20.0, 0.05)
-    out = grid.copy_with(sample_sums(g, grid, coefficient_matrix(f.eval(s.points), g, naive[:, :1]))[0])
-    assert out.norm() == 0.0
+    x, w = line_grid(20.0, 0.05)
+    out = sample_sums(g, x, coefficient_matrix(f.eval(s.points), g, naive[:, :1]))[0]
+    assert np.sqrt(np.sum(w * np.abs(out) ** 2)) == 0.0
 
 
 def test_biorthogonal_reproduction(lattice):
@@ -68,13 +67,13 @@ def test_biorthogonal_reproduction(lattice):
     k0 = int(np.argmin(np.abs(s.points - (3 + 0.3j))))
     values = np.zeros(len(s), complex)
     values[k0] = 1.0
-    grid = grid_template(20.0, 0.05)
-    got = grid.copy_with(sample_sums(g, grid, coefficient_matrix(values, g, naive))[0])
+    x, _ = line_grid(20.0, 0.05)
+    got = sample_sums(g, x, coefficient_matrix(values, g, naive))[0]
     lam0 = s.points[k0]
-    direct = g.eval_G(grid.x.astype(complex)) / (
-        g.eval_G_prime_at_lambda(np.array([k0]))[0] * (grid.x - lam0)
+    direct = g.eval_G(x.astype(complex)) / (
+        g.eval_G_prime_at_lambda(np.array([k0]))[0] * (x - lam0)
     )
-    assert np.max(np.abs(got.values - direct)) < 1e-12
+    assert np.max(np.abs(got - direct)) < 1e-12
 
 
 def test_lagrange_kernel_is_shifted_sinc(lattice):
@@ -95,12 +94,12 @@ def test_skw_naive_convergence(lattice):
     # full naive sums approach F on the grid as the radius grows
     s, g = lattice
     f = PWFunction([0.3j], [1.0])
-    grid = grid_template(30.0, 0.02)
-    ref = sample_on_grid(f.eval, 30.0, 0.02)
+    x, w = line_grid(30.0, 0.02)
+    ref = f.eval(x)
     _, naive = naive_weights(s, [20.0, 40.0, 80.0, 121.0])
     errs = []
-    for sn in sample_sums(g, grid, coefficient_matrix(f.eval(s.points), g, naive)):
-        errs.append(l2_error(grid.copy_with(sn), ref) / ref.norm())
+    for sn in sample_sums(g, x, coefficient_matrix(f.eval(s.points), g, naive)):
+        errs.append(np.sqrt(np.sum(w * np.abs(sn - ref) ** 2)) / np.sqrt(np.sum(w * np.abs(ref) ** 2)))
     assert all(e2 < e1 for e1, e2 in zip(errs, errs[1:]))
     assert errs[-1] < 0.1
 
@@ -110,12 +109,12 @@ def test_partial_sum_linearity(lattice):
     f1 = PWFunction([0.3j], [1.0])
     f2 = PWFunction([1.5 + 0.3j], [1.0])
     a, b = 0.7 - 0.2j, -1.1 + 0.4j
-    grid = grid_template(10.0, 0.1)
+    x, _ = line_grid(10.0, 0.1)
     _, proj = projection_weights(s, [50.0])
-    s1 = sample_sums(g, grid, coefficient_matrix(f1.eval(s.points), g, proj))[0]
-    s2 = sample_sums(g, grid, coefficient_matrix(f2.eval(s.points), g, proj))[0]
+    s1 = sample_sums(g, x, coefficient_matrix(f1.eval(s.points), g, proj))[0]
+    s2 = sample_sums(g, x, coefficient_matrix(f2.eval(s.points), g, proj))[0]
     f12 = PWFunction([0.3j, 1.5 + 0.3j], [a, b])
-    s12 = sample_sums(g, grid, coefficient_matrix(f12.eval(s.points), g, proj))[0]
+    s12 = sample_sums(g, x, coefficient_matrix(f12.eval(s.points), g, proj))[0]
     assert np.allclose(s12, a * s1 + b * s2, rtol=1e-10, atol=1e-12)
 
 
@@ -126,10 +125,10 @@ def test_conjugation_symmetry():
     g_conj = GeneratingFunctionEvaluator(s_conj)
     f = PWFunction([0.2 + 0.4j], [1.0 - 0.5j])
     f_conj = PWFunction(np.conj(f.centers), np.conj(f.coefficients))
-    grid = grid_template(10.0, 0.1)
-    out = sample_sums(g, grid, coefficient_matrix(f.eval(s.points), g, naive_weights(s, [5.0])[1]))[0]
+    x, _ = line_grid(10.0, 0.1)
+    out = sample_sums(g, x, coefficient_matrix(f.eval(s.points), g, naive_weights(s, [5.0])[1]))[0]
     A_conj = coefficient_matrix(f_conj.eval(s_conj.points), g_conj, naive_weights(s_conj, [5.0])[1])
-    out_conj = sample_sums(g_conj, grid, A_conj)[0]
+    out_conj = sample_sums(g_conj, x, A_conj)[0]
     assert np.allclose(out_conj, np.conj(out), rtol=1e-12, atol=1e-14)
 
 
@@ -138,7 +137,7 @@ def test_sup_abs_G_matches_the_grid_of_G(lattice, X):
     # the m + 1 nodes of the tail bound's sup|G| are the grid of spacing 2X/m
     s, g = lattice
     m = max(1, round(2 * X / max(X / 200, 0.05)))
-    want = np.max(np.abs(g.eval_G(grid_template(X, 2 * X / m).x)))
+    want = np.max(np.abs(g.eval_G(line_grid(X, 2 * X / m)[0])))
     assert abs(sup_abs_G(g, X) - want) <= 1e-13 * want
 
 
@@ -282,23 +281,23 @@ def test_coefficient_matrix_reads_only_the_support(lattice):
 
 
 def _dense_cauchy(grid, g):
-    return 1.0 / (grid.x[:, None] - g.spectrum.points[None, :])
+    return 1.0 / (grid[0][:, None] - g.spectrum.points[None, :])
 
 
 def test_sample_sums_match_dense_formula(lattice):
     # 401 nodes in chunks of block_rows(241) = 67 rows: the last chunk is ragged
     s, g = lattice
-    grid = grid_template(10.0, 0.05)
-    assert len(grid) % block_rows(len(s)) != 0
+    grid = line_grid(10.0, 0.05)
+    assert grid[0].size % block_rows(len(s)) != 0
     f = PWFunction([0.3j, 1.5 - 0.2j], [1.0, 0.5 - 0.1j])
     W = np.hstack([naive_weights(s, [0.1, 20.0, 121.0])[1], projection_weights(s, [40.0])[1]])
     A = coefficient_matrix(f.eval(s.points), g, W)
-    C, G = _dense_cauchy(grid, g), g.eval_G(grid.x)
-    for col, got in zip(A.T, sample_sums(g, grid, A)):
+    C, G = _dense_cauchy(grid, g), g.eval_G(grid[0])
+    for col, got in zip(A.T, sample_sums(g, grid[0], A)):
         want = G * (C @ col)
         assert np.max(np.abs(got - want)) <= 1e-12 * max(np.max(np.abs(want)), 1e-300)
-    one = sample_sums(g, grid, A[:, 2:3])[0]
-    assert np.max(np.abs(one - sample_sums(g, grid, A)[2])) <= 1e-12 * np.max(np.abs(one))
+    one = sample_sums(g, grid[0], A[:, 2:3])[0]
+    assert np.max(np.abs(one - sample_sums(g, grid[0], A)[2])) <= 1e-12 * np.max(np.abs(one))
 
 
 def _dense_probe_matrix(g, grid, atom_halfwidth, w):
@@ -309,7 +308,7 @@ def _dense_probe_matrix(g, grid, atom_halfwidth, w):
         g.spectrum.points[ks, None] - np.arange(-atom_halfwidth, atom_halfwidth + 1, dtype=float)[None, :]
     )
     Y = _dense_cauchy(grid, g)[:, ks] @ Kt
-    D = grid.trapezoid_weights() * np.abs(g.eval_G(grid.x)) ** 2
+    D = grid[1] * np.abs(g.eval_G(grid[0])) ** 2
     return Y.conj().T @ (D[:, None] * Y)
 
 
@@ -317,7 +316,7 @@ def _probe_cases(lattice):
     s, g = lattice
     c = make_family("clustered_pairs", {"delta": 1.0, "eps": 0.5}, 30)
     gc = GeneratingFunctionEvaluator(c)
-    grid = grid_template(10.0, 0.05)
+    grid = line_grid(10.0, 0.05)
     return [
         (g, grid, 5, np.hstack([naive_weights(s, [20.0, 121.0])[1], projection_weights(s, [40.0])[1]])),
         (gc, grid, 8, np.hstack([naive_weights(c, [10.0])[1], projection_weights(c, [10.0, 31.0])[1]])),
@@ -326,7 +325,7 @@ def _probe_cases(lattice):
 
 def test_probe_bound_matches_dense_eigenvalue(lattice):
     for g, grid, hw, W in _probe_cases(lattice):
-        for w, got in zip(W.T, norm_lower_bounds(g, grid, hw, W)):
+        for w, got in zip(W.T, norm_lower_bounds(g, *grid, hw, W)):
             want = np.sqrt(np.linalg.eigvalsh(_dense_probe_matrix(g, grid, hw, w))[-1])
             assert abs(got - want) <= 1e-12 * want
 
@@ -334,7 +333,7 @@ def test_probe_bound_matches_dense_eigenvalue(lattice):
 def test_probe_bound_dominates_rayleigh_quotients(lattice):
     rng = np.random.default_rng(17)
     for g, grid, hw, W in _probe_cases(lattice):
-        for w, got in zip(W.T, norm_lower_bounds(g, grid, hw, W)):
+        for w, got in zip(W.T, norm_lower_bounds(g, *grid, hw, W)):
             M = _dense_probe_matrix(g, grid, hw, w)
             v = rng.standard_normal((M.shape[0], 8)) + 1j * rng.standard_normal((M.shape[0], 8))
             v /= np.linalg.norm(v, axis=0)
@@ -346,24 +345,24 @@ def test_probe_bound_is_homogeneous_in_the_weights(lattice):
     # a stop test absolute below 1 (|val - prev| <= 1e-12 max(val, 1)) ends
     # a power iteration early on this column scaled down: 6.3% under the bound
     s, g = lattice
-    grid = grid_template(20.0, 0.05)
+    grid = line_grid(20.0, 0.05)
     _, W = naive_weights(s, [30.0])
-    want = norm_lower_bounds(g, grid, 10, W)[0] * 1e-8
-    assert abs(norm_lower_bounds(g, grid, 10, W * 1e-8)[0] - want) <= 1e-12 * want
+    want = norm_lower_bounds(g, *grid, 10, W)[0] * 1e-8
+    assert abs(norm_lower_bounds(g, *grid, 10, W * 1e-8)[0] - want) <= 1e-12 * want
 
 
 def test_grid_pass_keeps_no_grid_by_points_matrix():
     # 8 001 nodes x 201 points: a dense complex Cauchy matrix is 25.7 MB
     s = make_family("shifted_integers", {"delta": 0.3}, 100)
-    grid = grid_template(40.0, 0.01)
-    dense = len(grid) * len(s) * 16
+    grid = line_grid(40.0, 0.01)
+    dense = grid[0].size * len(s) * 16
     assert dense >= 25e6
     f = PWFunction([0.3j], [1.0])
     tracemalloc.start()
     try:
         g = GeneratingFunctionEvaluator(s)
-        sample_sums(g, grid, coefficient_matrix(f.eval(s.points), g, naive_weights(s, [30.0, 101.0])[1]))
-        norm_lower_bounds(g, grid, 5, naive_weights(s, [30.0])[1])
+        sample_sums(g, grid[0], coefficient_matrix(f.eval(s.points), g, naive_weights(s, [30.0, 101.0])[1]))
+        norm_lower_bounds(g, *grid, 5, naive_weights(s, [30.0])[1])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -376,8 +375,8 @@ def test_grid_pass_keeps_no_grid_by_points_matrix():
 def test_probe_zero_scheme(lattice):
     s, g = lattice
     _, naive = naive_weights(s, [0.2, 121.0])
-    grid = grid_template(20.0, 0.05)
-    assert norm_lower_bounds(g, grid, 15, naive[:, :1])[0] == 0.0
+    grid = line_grid(20.0, 0.05)
+    assert norm_lower_bounds(g, *grid, 15, naive[:, :1])[0] == 0.0
 
 
 def test_probe_identity_configuration(lattice):
@@ -385,8 +384,8 @@ def test_probe_identity_configuration(lattice):
     # probe must sit near 1 (Shannon oracle)
     s, g = lattice
     _, naive = naive_weights(s, [121.0])
-    grid = grid_template(40.0, 0.05)
-    val = norm_lower_bounds(g, grid, 15, naive)[0]
+    grid = line_grid(40.0, 0.05)
+    val = norm_lower_bounds(g, *grid, 15, naive)[0]
     assert val >= 0.9
     assert val <= 1.6
 
@@ -394,9 +393,9 @@ def test_probe_identity_configuration(lattice):
 def test_probe_deterministic(lattice):
     s, g = lattice
     _, naive = naive_weights(s, [30.0])
-    grid = grid_template(20.0, 0.05)
-    a = norm_lower_bounds(g, grid, 10, naive)[0]
-    b = norm_lower_bounds(g, grid, 10, naive)[0]
+    grid = line_grid(20.0, 0.05)
+    a = norm_lower_bounds(g, *grid, 10, naive)[0]
+    b = norm_lower_bounds(g, *grid, 10, naive)[0]
     assert a == b
 
 
@@ -405,17 +404,17 @@ def test_probe_clustered_contrast():
     # the projection taper keeps it near 1
     s = make_family("clustered_pairs", {"delta": 1.0, "eps": 0.5}, 30)
     g = GeneratingFunctionEvaluator(s)
-    grid = grid_template(20.0, 0.05)
+    grid = line_grid(20.0, 0.05)
     _, naive = naive_weights(s, [10.0])
     _, proj = projection_weights(s, [10.0])
-    nv = norm_lower_bounds(g, grid, 12, naive)[0]
-    pv = norm_lower_bounds(g, grid, 12, proj)[0]
+    nv = norm_lower_bounds(g, *grid, 12, naive)[0]
+    pv = norm_lower_bounds(g, *grid, 12, proj)[0]
     assert nv > pv * 3.0
 
 
 def test_probe_reuse_context(lattice):
     s, g = lattice
-    grid = grid_template(20.0, 0.05)
+    grid = line_grid(20.0, 0.05)
     _, naive = naive_weights(s, [30.0, 121.0])
-    v1, v2 = norm_lower_bounds(g, grid, 10, naive)
+    v1, v2 = norm_lower_bounds(g, *grid, 10, naive)
     assert v2 >= v1 * 0.5

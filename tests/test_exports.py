@@ -37,6 +37,16 @@ def test_only_spectrum_sizes_the_blocks():
     assert sorted(p.name for p in src.glob("*.py") if tol.search(p.read_text())) == ["spectrum.py"]
 
 
+def test_only_grids_builds_line_nodes():
+    # every sum on the line (L2 errors, norm probes, the outer factor, the A2
+    # scan and the intG integrals) takes its nodes and trapezoid weights from
+    # grids.line_grid; a module with its own linspace over [-X, X], its own
+    # (k - m/2) nodes or its own halved end weights would be a second rule
+    src = Path(pwsum.__file__).parent
+    rule = re.compile(r"linspace\(\s*-|-\s*m\s*/\s*2\b|\[0\]\s*=\s*\w+\[-1\]\s*=")
+    assert sorted(p.name for p in src.glob("*.py") if rule.search(p.read_text())) == ["grids.py"]
+
+
 def test_only_cli_writes_files():
     # subcommands return their tables and cli.run writes them all, after it
     # has checked every cell; a module that opened a file for writing itself
@@ -59,7 +69,7 @@ def test_evaluators_take_and_return_arrays_only():
     # grid alias of eval_G, no second Lagrange-sum builder, no second log|B|
     # pass for the domination margin, no None cutoff, no scheme class, no
     # per-step evaluator of a partial sum, no row object, no alias of F's
-    # eval, no contour object and no report object
+    # eval, no contour object, no report object and no grid object
     src = {p.name: p.read_text() for p in Path(pwsum.__file__).parent.glob("*.py")}
     scalar = re.compile(r"atleast_1d|isscalar|\bndim\b")
     assert sorted(name for name, text in src.items() if scalar.search(text)) == []
@@ -76,8 +86,12 @@ def test_evaluators_take_and_return_arrays_only():
             # a contour schedule is its table: no contour or schedule object, no inside-set helper
             "TriangleContour", "ContourSchedule", "lambda_inside", "slanted_samples",
             # a diagnosis is its table: no window record, no per-window pass, no report objects
-            "_Window", "_line_window", "_line_samples", "IntegrabilityReport", "FactorizationReport")
+            "_Window", "_line_window", "_line_samples", "IntegrabilityReport", "FactorizationReport",
+            # a grid is its nodes and weights: no grid object, no second node or weight rule
+            "GridFunction", "grid_template", "sample_on_grid", "copy_with", "same_grid", "ProjectorCheckReport")
     assert sorted((name, g) for name, text in src.items() for g in gone if re.search(rf"\b{g}\b", text)) == []
+    # l2_error stays a column of converge's errors.csv, but is no function
+    assert sorted(name for name, text in src.items() if re.search(r"\bl2_error\(", text)) == []
 
 
 def test_readme_quick_start_runs_as_written(capsys):
@@ -151,7 +165,6 @@ def test_every_public_name_is_reached_or_allow_listed(tmp_path):
     from pwsum.blaschke import BlaschkeEvaluator
     from pwsum.engine import PWFunction, weighted_projector_check
     from pwsum.genfun import GeneratingFunctionEvaluator
-    from pwsum.grids import grid_template
     from pwsum.spectrum import make_family
 
     configs = _cli_configs(tmp_path)
@@ -167,7 +180,7 @@ def test_every_public_name_is_reached_or_allow_listed(tmp_path):
         codes = [cli.run(p) for p in configs]
         s = make_family("shifted_integers", {"delta": 0.3}, 10)
         weighted_projector_check(PWFunction([0.3j], [1.0]), GeneratingFunctionEvaluator(s),
-                                 BlaschkeEvaluator(s), 4.0, grid_template(10.0, 0.05))
+                                 BlaschkeEvaluator(s), 4.0, 10.0, 0.05)
     finally:
         sys.setprofile(None)
     assert codes == [cli.EXIT_OK] * len(configs)

@@ -14,7 +14,7 @@ from pwsum.genfun import (
     _tail_log,
     check_factorization,
 )
-from pwsum.grids import grid_template
+from pwsum.grids import line_grid
 from pwsum.spectrum import Spectrum, make_family
 
 
@@ -205,21 +205,21 @@ def test_batch_matches_one_point_calls_bit_for_bit(family, params):
 def lattice400_grid():
     s = make_family("shifted_integers", {"delta": 0.3}, 400)
     g = GeneratingFunctionEvaluator(s)
-    grid = grid_template(40.0, 0.02)
-    return s, g, grid, g.eval_G(grid.x)
+    x, _ = line_grid(40.0, 0.02)
+    return s, g, x, g.eval_G(x)
 
 
 def test_grid_G_matches_sine_form(lattice400_grid):
     # block log-products on the grid against the closed form of the lattice G
-    _, _, grid, got = lattice400_grid
-    want = sine_type_G(grid.x, 0.3)
+    _, _, x, got = lattice400_grid
+    want = sine_type_G(x, 0.3)
     assert np.max(np.abs(got - want) / np.abs(want)) < 1e-8
 
 
 def test_grid_G_matches_per_factor_log_sum(lattice400_grid):
     # oracle: one log per factor, summed in the same |lambda|-ascending order
-    s, _, grid, got = lattice400_grid
-    x = grid.x[::10]
+    s, _, x, got = lattice400_grid
+    x = x[::10]
     logs = np.log(1.0 - x[:, None].astype(complex) / s.points[None, :]).sum(axis=1)
     want = np.exp(logs + _tail_log(s.tail, x.astype(complex)))
     assert np.max(np.abs(got[::10] - want) / np.abs(want)) < 1e-12
@@ -320,18 +320,17 @@ def test_clustered_tail_error_within_reported_uncertainty():
 
 
 def test_outer_of_unimodular_boundary():
-    grid = grid_template(50.0, 0.05)
-    o = OuterEvaluator(grid.copy_with(np.zeros(len(grid), complex)))
+    o = OuterEvaluator(50.0, 0.05, np.zeros(line_grid(50.0, 0.05)[0].size))
     z = np.array([1j, 2 + 3j, -5 + 0.5j])
     assert np.allclose(np.abs(o.eval_outer(z)), 1.0, atol=1e-12)
 
 
 def test_outer_scaling():
-    grid = grid_template(50.0, 0.05)
+    x, _ = line_grid(50.0, 0.05)
     rng = np.random.default_rng(0)
-    phi = np.exp(-grid.x**2 / 100.0) * rng.standard_normal(len(grid)) * 0.1
-    o1 = OuterEvaluator(grid.copy_with(phi.astype(complex)))
-    o2 = OuterEvaluator(grid.copy_with((phi + np.log(2.0)).astype(complex)))
+    phi = np.exp(-x**2 / 100.0) * rng.standard_normal(x.size) * 0.1
+    o1 = OuterEvaluator(50.0, 0.05, phi)
+    o2 = OuterEvaluator(50.0, 0.05, phi + np.log(2.0))
     z = np.array([1.5 + 2j])
     assert abs(o2.eval_outer(z)[0]) == pytest.approx(2 * abs(o1.eval_outer(z)[0]), rel=1e-9)
 
@@ -340,9 +339,8 @@ def test_outer_halfplane_oracle():
     # |G(x)| = |x + i| is the boundary modulus of the outer function z + i.
     # The log-modulus grows like log|t| here, so the finite window leaves an
     # O(log X / X) truncation error; bounded (sine-type) weights do better.
-    grid = grid_template(400.0, 0.05)
-    phi = 0.5 * np.log(1.0 + grid.x**2)
-    o = OuterEvaluator(grid.copy_with(phi.astype(complex)))
+    x, _ = line_grid(400.0, 0.05)
+    o = OuterEvaluator(400.0, 0.05, 0.5 * np.log(1.0 + x**2))
     z = np.array([2j, 1 + 1j, -3 + 0.7j])
     assert np.abs(o.eval_outer(z)) == pytest.approx(np.abs(z + 1j), rel=1.5e-2)
 
@@ -351,10 +349,9 @@ def test_outer_boundary_phase_consistent():
     # bounded, decaying boundary modulus with closed form: the outer
     # function for |omega(x)| = |(x+2i)/(x+i)| is (z+2i)/(z+i), so
     # omega(x) over that ratio must be one unimodular constant
-    grid = grid_template(200.0, 0.02)
-    x = grid.x
+    x, _ = line_grid(200.0, 0.02)
     phi = 0.5 * np.log((x**2 + 4.0) / (x**2 + 1.0))
-    o = OuterEvaluator(grid.copy_with(phi.astype(complex)))
+    o = OuterEvaluator(200.0, 0.02, phi)
     vals = o.boundary_values()
     oracle = (x + 2j) / (x + 1j)
     inner = np.abs(x) < 50
@@ -378,9 +375,14 @@ def test_outer_invariant_under_unimodular_normalization():
     assert np.allclose(np.abs(o1.eval_outer(z)), np.abs(o2.eval_outer(z)), rtol=1e-12)
 
 
+def test_outer_needs_one_sample_per_node():
+    # 2X/h = 200 intervals: 201 nodes
+    with pytest.raises(GenFunError):
+        OuterEvaluator(10.0, 0.1, np.zeros(200))
+
+
 def test_outer_requires_height():
-    grid = grid_template(10.0, 0.1)
-    o = OuterEvaluator(grid.copy_with(np.zeros(len(grid), complex)))
+    o = OuterEvaluator(10.0, 0.1, np.zeros(line_grid(10.0, 0.1)[0].size))
     with pytest.raises(GenFunError):
         o.eval_outer(np.array([1.0 + 0.01j]))
     with pytest.raises(GenFunError):

@@ -12,8 +12,10 @@ The configs come from this tool's own tree, so both sides run the same
 text.  Each tree runs them all in one subprocess, cli.run on each config
 in turn, with one BLAS thread.
 Prints each config whose exit code differs and each CSV that differs byte
-for byte or that one tree wrote and the other did not; exits 1 if there is
-any, 0 if every output is the same.
+for byte or that one tree wrote and the other did not; for a CSV both trees
+wrote, the number of numeric cells that moved and the largest relative
+change among them, |new - old| / max(|new|, |old|).  Exits 1 if anything
+differs, 0 if every output is the same.
 """
 
 from __future__ import annotations
@@ -69,6 +71,29 @@ def run_tree(tree: Path, base: Path) -> dict:
     return dict(zip((p.relative_to(base) for p in paths), map(int, proc.stdout.split())))
 
 
+def cell_moves(old: bytes, new: bytes) -> str:
+    """How two CSVs differ: the count of numeric cells that moved and the
+    largest relative change among them, plus the count of text cells that
+    changed; or that the tables differ in shape."""
+    a, b = ([line.split(",") for line in text.decode().splitlines()] for text in (old, new))
+    if [len(row) for row in a] != [len(row) for row in b]:
+        return "the tables differ in shape"
+    moved, text, worst = 0, 0, 0.0
+    for u, v in zip((c for row in a for c in row), (c for row in b for c in row)):
+        if u == v:
+            continue
+        try:
+            x, y = float(u), float(v)
+        except ValueError:
+            text += 1
+            continue
+        moved += 1
+        if x != y:
+            worst = max(worst, abs(y - x) / max(abs(x), abs(y)))
+    out = f"{moved} numeric cells moved, largest relative change {worst:.1e}"
+    return out + (f", {text} text cells changed" if text else "")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old", type=Path, help="source tree with src/pwsum")
@@ -80,8 +105,11 @@ def main(argv=None) -> int:
         old_csv, new_csv = ({p.relative_to(base): p.read_bytes() for p in base.rglob("*.csv")} for base in bases)
     differ = [f"exit code {cfg}: {code} -> {new_codes[cfg]}" for cfg, code in old_codes.items()
               if code != new_codes[cfg]]
-    differ += [f"differs: {name}" for name in sorted(old_csv.keys() | new_csv.keys())
-               if old_csv.get(name) != new_csv.get(name)]
+    for name in sorted(old_csv.keys() | new_csv.keys()):
+        old, new = old_csv.get(name), new_csv.get(name)
+        if old != new:
+            how = f"only in {'new' if old is None else 'old'}" if None in (old, new) else cell_moves(old, new)
+            differ.append(f"differs: {name} ({how})")
     print("\n".join(differ) if differ else
           f"same: {len(old_csv)} CSVs from {len(old_codes)} configs ({sum(c != 0 for c in old_codes.values())} "
           "exit non-zero on both sides)")
