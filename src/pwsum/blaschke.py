@@ -41,7 +41,11 @@ def _log_abs_factors(z: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """Modulus kernel: per point of z (1-d), 1/2 sum over lam of log(near/far),
     near = |z - lam|^2, far = |z - conj lam|^2, in real arithmetic; raises at
     a pole conj(lam).  The ratio keeps its digits next to a zero, and a z on a
-    zero gives near = 0, so log|B| = -inf exactly (select_c relies on it)."""
+    zero gives near = 0, so log|B| = -inf exactly (select_c relies on it).
+    A point's value is the same bits whichever other points share the call,
+    in any number or order: each row is reduced on its own.  select_c's
+    pruned search, which scores a contour's samples a few at a time, is exact
+    only under this contract."""
     _check_poles(z, lam)
     out = np.empty(z.shape)
     lre, lim = lam.real, lam.imag

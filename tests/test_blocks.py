@@ -12,7 +12,7 @@ import pytest
 
 from pwsum import spectrum
 from pwsum.blaschke import BlaschkeEvaluator
-from pwsum.contours import select_c
+from pwsum.contours import select_c, triangle_samples
 from pwsum.diagnostics import carleson_sup
 from pwsum.engine import (
     PWFunction,
@@ -98,6 +98,24 @@ def test_block_size_changes_no_bit(monkeypatch, budget):
             assert np.max(np.abs(other[name] - ref)) <= _BLAS_KERNELS[name] * np.max(np.abs(ref)), name
         else:
             assert np.array_equal(other[name], ref), name
+
+
+@pytest.mark.parametrize("budget", [1, 1000, 10**9], ids=["one-row", "ragged", "one-block"])
+def test_log_abs_B_of_a_point_ignores_the_other_points(monkeypatch, budget):
+    # select_c scores samples in calls of every size: a sample's log|B| must
+    # not depend on which other samples share its call
+    monkeypatch.setattr(spectrum, "BLOCK_BUDGET", budget)
+    up = BlaschkeEvaluator(make_family("kadec_perturbed", {"delta": 0.3, "eps": 0.2}, 30))
+    z = np.concatenate([triangle_samples(l, c, 64) for l, c in ((3.5, 1.0), (20.3, 4.6), (40.0, 10.0))])
+    z = np.concatenate([z, np.linspace(-40.0, 40.0, 301) + 0.7j])
+    full = up.log_abs_B(z)
+    rng = np.random.default_rng(5)
+    subsets = [np.arange(z.size)[s] for s in (slice(None, None, 16), slice(8, None, 16), slice(1, None, 2),
+                                               slice(3, None, 7))]
+    subsets += [np.sort(rng.choice(z.size, k, replace=False)) for k in (1, 2, 81, 500)]
+    subsets += [rng.permutation(z.size)[:300], np.array([7, 7, 3, 600, 3])]
+    for idx in subsets:
+        assert np.array_equal(up.log_abs_B(z[idx]), full[idx]), idx[:5]
 
 
 def test_block_rows_rule(monkeypatch):

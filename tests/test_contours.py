@@ -1,10 +1,16 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pwsum.blaschke import BlaschkeEvaluator
 from pwsum.contours import (
     ContourError,
     InfeasibleSelection,
+    _first_best,
+    _prune_margin,
     build_schedule,
     in_triangle,
     select_alpha,
@@ -20,6 +26,36 @@ from pwsum.weights import universal_weights
 def lattice():
     s = make_family("shifted_integers", {"delta": 0.3}, 40)
     return s, BlaschkeEvaluator(s)
+
+
+def full_scan_select_c(b, l, grid_size=16, samples_per_side=512):
+    """The oracle: every candidate scored on every side sample in one log|B|
+    call, then the sequential tie rule (select_c before its pruned search)."""
+    cs = np.linspace(1.0, 10.0, grid_size)
+    zeta = np.concatenate([triangle_samples(l, float(c), samples_per_side) for c in cs])
+    log_b = b.log_abs_B(zeta)
+    eps_hats = np.max((-log_b / np.abs(zeta)).reshape(grid_size, -1), axis=1)
+    best, best_eps = None, math.inf
+    for i, eps_hat in enumerate(eps_hats):
+        if eps_hat < best_eps - 1e-15:
+            best, best_eps = i, float(eps_hat)
+    if best is None:
+        raise InfeasibleSelection("every apex-slope candidate hits a zero of B")
+    return float(cs[best]), best_eps, float(np.min(log_b.reshape(grid_size, -1)[best]))
+
+
+def assert_same_triple(got, want):
+    # bit for bit: the signs of zeros and every last digit
+    assert np.array(got).tobytes() == np.array(want).tobytes(), (got, want)
+
+
+_FAMILIES = {
+    "shifted_integers": make_family("shifted_integers", {"delta": 0.3}, 40),
+    "kadec_perturbed": make_family("kadec_perturbed", {"delta": 0.3, "eps": 0.2}, 40),
+    "clustered_pairs": make_family("clustered_pairs", {"delta": 1.0, "eps": 0.5}, 20),
+    "custom_list": Spectrum(np.random.default_rng(7).uniform(-30, 30, 60)
+                            + 1j * np.random.default_rng(8).uniform(0.1, 3, 60)),
+}
 
 
 def test_triangle_geometry():
@@ -79,8 +115,11 @@ def test_select_c_rejects_candidate_hitting_zero():
     # place one zero exactly on the c=1 side of the l=1 triangle
     zeta0 = triangle_samples(1.0, 1.0, 512)[100]
     b = BlaschkeEvaluator(Spectrum(np.array([zeta0, 3j])))
+    assert b.log_abs_B(np.array([zeta0]))[0] == -np.inf
     c, _, _ = select_c(b, l=1.0, grid_size=16, samples_per_side=512)
     assert abs(c - 1.0) > 1e-9
+    # the candidate at inf is refined or pruned like any other
+    assert_same_triple(select_c(b, 1.0), full_scan_select_c(b, 1.0))
 
 
 def test_select_c_scores_a_near_miss_on_merit():
@@ -91,6 +130,54 @@ def test_select_c_scores_a_near_miss_on_merit():
     assert np.isfinite(b.log_abs_B(triangle_samples(1.0, 1.0, 512))).all()
     c, eps_hat, _ = select_c(b, l=1.0, grid_size=16, samples_per_side=512)
     assert abs(c - 1.0) > 1e-9 and np.isfinite(eps_hat)
+    assert_same_triple(select_c(b, 1.0), full_scan_select_c(b, 1.0))
+
+
+@pytest.mark.parametrize("family", sorted(_FAMILIES))
+@pytest.mark.parametrize("l", [0.7, 3.5, 10.5, 24.3, 41.0])
+def test_select_c_matches_the_full_scan_on_the_families(family, l):
+    b = BlaschkeEvaluator(_FAMILIES[family])
+    assert_same_triple(select_c(b, l), full_scan_select_c(b, l))
+
+
+@pytest.mark.parametrize("grid_size", [16, 17, 64])
+@pytest.mark.parametrize("samples_per_side", [2, 3, 64, 512])
+def test_select_c_matches_the_full_scan_at_every_grid(grid_size, samples_per_side):
+    # strides past the sample count (2 and 3 per side) refine by empty slices
+    b = BlaschkeEvaluator(_FAMILIES["kadec_perturbed"])
+    for l in (5.5, 20.3):
+        assert_same_triple(select_c(b, l, grid_size, samples_per_side),
+                           full_scan_select_c(b, l, grid_size, samples_per_side))
+
+
+def test_a_margin_of_2e_15_is_not_enough():
+    # the full scan's rule depends on the order: m + 2.5t, m + 1.6t,
+    # m + 0.7t, m picks index 2 (0.7t undercuts 2.5t by more than t, and m
+    # does not undercut 0.7t), but with the first pruned by a margin of 2t
+    # it picks index 3; select_c's margin keeps the first
+    t, m = 1e-15, 1.0
+    chain = np.array([m + 2.5 * t, m + 1.6 * t, m + 0.7 * t, m])
+    assert _first_best(chain) == 2
+    assert chain[0] > m + 2 * t and _first_best(np.array([np.inf, *chain[1:]])) == 3
+    assert chain[0] <= m + _prune_margin(m, chain.size)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    magnitude=st.sampled_from([1e-3, 1.0, 1e3]),
+    unit=st.sampled_from([0.37, 0.71, 0.13, 1.3, "ulp"]),
+    steps=st.lists(st.integers(0, 15), min_size=16, max_size=64),
+    prune=st.lists(st.booleans(), min_size=64, max_size=64),
+)
+def test_pruning_above_the_margin_keeps_the_pick(magnitude, unit, steps, prune):
+    # values clustered within a few 1e-15 (or a few ulps) of their minimum;
+    # any candidate above m + margin, pruned or not, leaves the pick alone
+    step = np.spacing(magnitude) if unit == "ulp" else unit * 1e-15
+    eps = magnitude + np.array(steps) * step
+    m = float(np.min(eps))
+    top = m + _prune_margin(m, eps.size)
+    pruned = np.where((eps > top) & np.array(prune[: eps.size]), np.inf, eps)
+    assert _first_best(pruned) == _first_best(eps)
 
 
 def test_select_c_lattice(lattice):

@@ -5,9 +5,12 @@
 Runs one fixed set of configs with each tree's src/pwsum: every variant of
 every benchmark workload (perfbench/workloads.config_text), the one
 config per subcommand of tests/test_exports.py::_cli_configs, whose
-weights run reads points in both half-planes, and the diagnose configs of
-_DIAGNOSE, whose windows no benchmark variant takes: an odd number of
-intervals m = round(2X/h), and an A2 scan off the real line (a2.a != 0).
+weights run reads points in both half-planes, and the configs of _EXTRA,
+which no benchmark variant takes: diagnose windows with an odd number of
+intervals m = round(2X/h) or an A2 scan off the real line (a2.a != 0), and
+contours and universal weights on all three lattice families, at c.grid 17
+and 64 and at side.samples 2, 3 and 1000 (the apex-slope search's
+candidate and sample counts).
 The configs come from this tool's own tree, so both sides run the same
 text.  Each tree runs them all in one subprocess, cli.run on each config
 in turn, with one BLAS thread.
@@ -35,11 +38,27 @@ from workloads import VARIANTS, WORKLOADS, config_text  # noqa: E402
 
 # name -> config body: m = 51 and m = 201 intervals are odd, so the [-X, X]
 # nodes are not nodes of [-2X, 2X]
-_DIAGNOSE = {
-    "diagnose-odd": "family=clustered_pairs\ncount=100\ndelta=1\neps=0.5\ndiag.X=2.55\ndiag.h=0.1\n",
-    "diagnose-shifted": "family=clustered_pairs\ncount=100\ndelta=1\neps=0.5\na2.a=0.2\ndiag.X=5\ndiag.h=0.05\n",
-    "diagnose-odd-shifted": "family=kadec_perturbed\ncount=100\na2.a=-0.4\ndiag.X=10.05\ndiag.h=0.1\n",
+_EXTRA = {
+    "diagnose-odd": "subcommand=diagnose\nfamily=clustered_pairs\ncount=100\ndelta=1\neps=0.5\ndiag.X=2.55\n"
+                    "diag.h=0.1\n",
+    "diagnose-shifted": "subcommand=diagnose\nfamily=clustered_pairs\ncount=100\ndelta=1\neps=0.5\na2.a=0.2\n"
+                        "diag.X=5\ndiag.h=0.05\n",
+    "diagnose-odd-shifted": "subcommand=diagnose\nfamily=kadec_perturbed\ncount=100\na2.a=-0.4\ndiag.X=10.05\n"
+                            "diag.h=0.1\n",
 }
+# contours and universal weights: the apex-slope search at the default
+# candidates and samples, and at c.grid 17 and 64 and side.samples 2, 3 and
+# 1000, on each lattice family
+_FAMILY_KEYS = {
+    "shifted": "family=shifted_integers\ncount=60\ndelta=0.35\n",
+    "clustered": "family=clustered_pairs\ncount=40\ndelta=1\neps=0.5\n",
+    "kadec": "family=kadec_perturbed\ncount=60\ndelta=0.25\neps=0.15\n",
+}
+_SEARCH_KEYS = {"": "", "-grid17": "c.grid=17\n", "-grid64": "c.grid=64\n", "-side2": "side.samples=2\n",
+                "-side3": "side.samples=3\n", "-side1000": "side.samples=1000\n"}
+_EXTRA.update({f"{sub}-{family}{suffix}": f"subcommand={sub}\n{scheme}{keys}{search}"
+               for sub, scheme in (("contours", ""), ("weights", "scheme=universal\n"))
+               for family, keys in _FAMILY_KEYS.items() for suffix, search in _SEARCH_KEYS.items()})
 
 _RUN = "import sys\nfrom pwsum import cli\nfor path in sys.argv[1:]:\n    print(cli.run(path), flush=True)\n"
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
@@ -53,9 +72,9 @@ def write_configs(base: Path) -> list[Path]:
             path = base / f"{name}-{variant}.cfg"
             path.write_text(config_text(name, variant, str(base / f"{name}-{variant}")))
             paths.append(path)
-    for name, body in _DIAGNOSE.items():
+    for name, body in _EXTRA.items():
         path = base / f"{name}.cfg"
-        path.write_text(f"subcommand=diagnose\n{body}output.dir={base / name}\n")
+        path.write_text(f"{body}output.dir={base / name}\n")
         paths.append(path)
     (base / "cli").mkdir()
     return paths + _cli_configs(base / "cli")
