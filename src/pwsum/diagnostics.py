@@ -8,6 +8,10 @@ and [-2X, 2X] (columns), from one log|G| pass per line height, and the
 caller forms the 2X/X trends from its two columns.  The A2 scan is a lower
 bound only (dyadic intervals, finite window); the artifact reports values
 and trends, never membership claims.
+
+The Carleson sup is the largest of N row sums over N - 1 pairs each; an
+exact best-first search sums only the rows whose bound can still reach the
+largest sum found, and returns the direct pass's bits.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import math
 import numpy as np
 
 from pwsum.grids import line_grid
-from pwsum.spectrum import inverse_square_sums, unique_sorted
+from pwsum.spectrum import inverse_square_sums
 
 
 class DiagnosticsError(ValueError):
@@ -110,6 +114,46 @@ def _trigamma(x: np.ndarray) -> np.ndarray:
     return series
 
 
+# carleson_sup's search: the exact terms of the _NEAR index neighbours on
+# each side of a point enter its bound, and the rows are summed in batches of
+# _FIRST_BATCH, 2 _FIRST_BATCH, 4 _FIRST_BATCH, ... rows
+_NEAR = 8
+_FIRST_BATCH = 16
+_EPS = float(np.finfo(float).eps)  # 2u, u = 2^-53 the unit roundoff
+
+
+def _row_bounds(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """carleson_sup's B_i per point i, sorted by real part x: the terms of
+    the _NEAR index neighbours on each side, plus (W_R + E)/g_R^2 over the
+    index ranges R, |j - i| in [_NEAR + 2^k, _NEAR + 2^(k+1)), with W_R from
+    prefix sums of w, E = 2 N eps sum(w) and g_R the gap to R's nearest x."""
+    n = x.size
+    out = np.zeros(n)
+    for o in range(1, min(_NEAR, n - 1) + 1):
+        # |lambda_i - lambda_j|^2 as squared_distances forms it, so each
+        # term is the one the row's sum adds; one d2 serves i and j = i + o
+        dx, dy = x[o:] - x[:-o], y[o:] - y[:-o]
+        d2 = dx * dx + dy * dy
+        out[:-o] += w[o:] / d2
+        out[o:] += w[:-o] / d2
+    # c[n + k] = sum(w[:k]), held at 0 below k = 0 and at sum(w) above k = n
+    c = np.concatenate([np.zeros(n + 1), np.cumsum(w)])
+    c = np.concatenate([c, np.full(n, c[-1])])
+    slack = 2.0 * n * _EPS * c[2 * n]
+    span = 1
+    while _NEAR + span < n:
+        # row i < k's right range starts at a = i + d, row a's left range
+        # ends at i: both are g = x_a - x_i from their row
+        d = _NEAR + span
+        k = n - d
+        g = x[d:] - x[:k]
+        g *= g
+        out[:k] += (c[n + d + span : n + d + span + k] - c[n + d : n + d + k] + slack) / g
+        out[d:] += (c[n + 1 : n + 1 + k] - c[n + 1 - span : n + 1 - span + k] + slack) / g
+        span *= 2
+    return out
+
+
 def carleson_sup(s) -> float:
     """sup over lambda of sum_{mu != lambda} (1+|Im lambda|)(1+|Im mu|)/|lambda-mu|^2.
 
@@ -118,23 +162,91 @@ def carleson_sup(s) -> float:
     window, scaled by the tail's site density.  The pair sums run in real
     arithmetic.  A sum that is not finite (a point whose real part is a tail
     site, a pole of the trigamma) raises DiagnosticsError.
+
+    The search is best-first and exact.  Row i's value is V_i = w_i S_i +
+    T_i, with w = 1 + |Im|, S_i = sum_{j != i} w_j/|lambda_i - lambda_j|^2
+    and T_i the tail term.  With the points sorted by real part, B_i
+    (_row_bounds) adds the computed terms of the _NEAR index neighbours on
+    each side to a bound on all other terms: a dyadic index range R beyond
+    them holds the weight W_R, and none of its points is nearer in real part
+    than the one next to the row.  U_i = (w_i B_i + T_i)(1 + (N + 256) eps),
+    all in O(N (_NEAR + log N)).  The rows are summed in descending U, in
+    batches that double in size, each by inverse_square_sums over all N
+    columns with its own column skipped, until the largest sum so far is at
+    least the next bound.  Each row is reduced on its own, in column order
+    (row_blocks), so a summed row has the bits of the direct pass over all N
+    rows, and so has the max: a row left out has V_i <= U_i <= that max.  On
+    a separated lattice the rows are near equal and all are summed.
+
+    Why V_i <= U_i.  Let u = eps/2 and h = 2^-1075, the largest error of a
+    result in the subnormal range; each inequality is between computed
+    floats, read as reals.  A term of S_i is t_ij = fl(w_j/d_ij), d_ij =
+    fl(fl(dx^2) + fl(dy^2)), dx = fl(x_i - x_j).  Rounding is monotone, so
+    for j in a range R whose point next to the row is a, |dx| >= |fl(x_a -
+    x_i)| = g and d_ij >= fl(g^2): t_ij <= (1 + u) w_j/fl(g^2) + h.  Each
+    prefix sum is off by at most gamma_N sum(w), so W_R <= W'_R + E, W'_R
+    the computed difference of two, and R's term f_R = fl(fl(W'_R +
+    E)/fl(g^2)) gives sum_R t_ij <= (1 + u)(1 - u)^-2 (f_R + h) + |R| h.
+    The neighbour terms are the t_ij themselves.  A float sum of k
+    nonnegative terms, in any order, is within (1 +- u)^(k - 1) of the exact
+    sum (an addition never loses to underflow); B_i has at most 2 _NEAR + 2
+    * 63 < 145 terms and S_i has N.  So S_i <= (1 + u)^N (1 - u)^-146 B_i +
+    2 (N + 128) h, and the products by w_i >= 1 and the sums with T_i (the
+    same float on both sides) give V_i <= (1 + u)^(N + 2) (1 - u)^-148 (w_i
+    B_i + T_i) + 4 (N + 128) w_i h.  With B_i >= 2^-900 the last term is
+    below 2^-120 (N + 128) u w_i B_i, and while N u < 1e-2 (any N that fits
+    in memory) the factor, with the two roundings of U's own product, stays
+    below 1 + (N + 256) eps.  A row with B_i < 2^-900 (a point alone, or far
+    from all others), or with U_i > 2^1000, where a sum may overflow, or
+    NaN, gets U_i = inf.  Such rows are summed first, so a sum that is not
+    finite still raises.
     """
     pts = s.points
-    if not pts.size:
+    n = pts.size
+    if not n:
         return 0.0
     w = 1.0 + np.abs(pts.imag)
-    sums = inverse_square_sums(pts, pts, w, skip=np.arange(pts.size))
-    sums *= w  # w_lambda sum_mu w_mu/|lambda - mu|^2
-    tail = s.tail
-    if tail is not None:
+    tail = np.zeros(n)
+    if s.tail is not None:
         # tail sites sit near +-m + i*delta, m >= first_site; trigamma sums
         # the inverse-square distances along the real direction
-        wt = w * (1.0 + tail.delta)
-        psi1 = _trigamma(tail.first_site - pts.real) + _trigamma(tail.first_site + pts.real)
-        sums += tail.density * wt * psi1
-    if not np.all(np.isfinite(sums)):
-        raise DiagnosticsError("Carleson sum not finite: a point's real part is a site of the lattice tail")
-    return float(np.max(sums))
+        wt = w * (1.0 + s.tail.delta)
+        psi1 = _trigamma(s.tail.first_site - pts.real) + _trigamma(s.tail.first_site + pts.real)
+        tail = s.tail.density * wt * psi1
+    order = np.argsort(pts.real, kind="stable")
+    b = np.empty(n)
+    with np.errstate(divide="ignore", over="ignore"):  # inf bounds: rows summed first
+        b[order] = _row_bounds(pts.real[order], pts.imag[order], w[order])
+        bound = (w * b + tail) * (1.0 + (n + 256) * _EPS)
+    bound[~((b >= 2.0**-900) & (bound <= 2.0**1000))] = np.inf
+    rows = np.argsort(-bound, kind="stable")
+    best, start, size = -np.inf, 0, _FIRST_BATCH
+    while start < n and not best >= bound[rows[start]]:
+        batch = rows[start : start + size]
+        sums = inverse_square_sums(pts[batch], pts, w, skip=batch)
+        sums *= w[batch]  # w_lambda sum_mu w_mu/|lambda - mu|^2
+        sums += tail[batch]
+        if not np.all(np.isfinite(sums)):
+            raise DiagnosticsError("Carleson sum not finite: a point's real part is a site of the lattice tail")
+        best = max(best, float(np.max(sums)))
+        start, size = start + size, 2 * size
+    return best
+
+
+def _merge_sorted(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(nodes, ka, kb): the sorted union of the increasing arrays a and b (b
+    not empty), with nodes[ka] = a and nodes[kb] = b; an entry of a equal to
+    one of b is taken once.  One searchsorted of a into b merges them: k
+    counts the entries of b below each entry of a, and an entry that b
+    lacks goes in just before b[k]."""
+    k = np.searchsorted(b, a)
+    new = b[np.minimum(k, b.size - 1)] != a
+    ka = k + np.cumsum(new) - new
+    kb = np.arange(b.size) + np.cumsum(np.bincount(k[new], minlength=b.size + 1))[: b.size]
+    nodes = np.empty(b.size + np.count_nonzero(new))
+    nodes[ka] = a
+    nodes[kb] = b
+    return nodes, ka, kb
 
 
 def line_diagnostics(gen, X: float, h: float, a: float = 0.0) -> np.ndarray:
@@ -144,17 +256,17 @@ def line_diagnostics(gen, X: float, h: float, a: float = 0.0) -> np.ndarray:
 
     A window [-W, W] has the nodes and trapezoid weights of
     line_grid(W, h).  One log|G| pass per line height, over the union of
-    both windows' nodes: each node's value depends on that node alone, so
+    both windows' nodes (_merge_sorted; at even m the [-X, X] nodes are
+    nodes of [-2X, 2X]): each node's value depends on that node alone, so
     each window reads the bits a pass of its own would give.  An integral
     that is not finite raises DiagnosticsError."""
     _check_shift(gen, a)
     windows = [line_grid(W, h) for W in (X, 2 * X)]
-    nodes = unique_sorted(np.concatenate([x for x, _ in windows]))
+    nodes, *at = _merge_sorted(windows[0][0], windows[1][0])
     line = gen.log_abs_G(nodes)
     shifted = line if a == 0 else gen.log_abs_G(nodes, a=a)
     table = np.empty((3, 2))
-    for j, (x, w) in enumerate(windows):
-        k = np.searchsorted(nodes, x)
+    for j, ((x, w), k) in enumerate(zip(windows, at)):
         table[0, j] = _a2_from_logs(shifted[k])
         base = 1.0 + x * x
         with np.errstate(over="ignore"):  # checked below

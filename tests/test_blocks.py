@@ -10,7 +10,7 @@ complex multiply of some length."""
 import numpy as np
 import pytest
 
-from pwsum import spectrum
+from pwsum import diagnostics, spectrum
 from pwsum.blaschke import BlaschkeEvaluator
 from pwsum.contours import select_c, triangle_samples
 from pwsum.diagnostics import carleson_sup
@@ -33,6 +33,11 @@ from pwsum.weights import projection_weights
 # 1.5e-15 of the largest entry), and the bounds' eigenvalues with them.  They
 # are held to this relative tolerance instead.
 _BLAS_KERNELS = {"sample_sums": 1e-13, "norm_lower_bounds": 1e-13}
+
+
+# carleson_sup's search sums only the rows that can hold the max: on this
+# spectrum (161 points) a few of them, in row blocks of every size
+_CLUSTERED = make_family("clustered_pairs", {"delta": 1.0, "eps": 0.5}, 40)
 
 
 def _kernel_outputs() -> dict:
@@ -66,7 +71,7 @@ def _kernel_outputs() -> dict:
         "log_abs_B": up.log_abs_B(z),
         "eval_B": np.concatenate([up.eval_B(z), up.eval_B(z, cutoff=12.0)]),
         "arg_derivative_on_R": up.arg_derivative_on_R(x),
-        "carleson_sup": np.array([carleson_sup(s)]),
+        "carleson_sup": np.array([carleson_sup(s), carleson_sup(_CLUSTERED)]),
         "eval_outer": outer.eval_outer(x[np.abs(x) <= 25.0] + 1.0j),
         "select_c": np.array(select_c(up, 20.3, samples_per_side=64)),
         "sample_sums": sample_sums(gen, grid_x, A),
@@ -90,6 +95,10 @@ def _kernel_outputs() -> dict:
 def test_block_size_changes_no_bit(monkeypatch, budget):
     default = _kernel_outputs()
     monkeypatch.setattr(spectrum, "BLOCK_BUDGET", budget)
+    rows = []
+    inner = diagnostics.inverse_square_sums
+    monkeypatch.setattr(diagnostics, "inverse_square_sums",
+                        lambda z, *args, **kw: rows.append(z.size) or inner(z, *args, **kw))
     if budget == 1:
         assert spectrum.block_rows(61) == 1
     other = _kernel_outputs()
@@ -98,6 +107,7 @@ def test_block_size_changes_no_bit(monkeypatch, budget):
             assert np.max(np.abs(other[name] - ref)) <= _BLAS_KERNELS[name] * np.max(np.abs(ref)), name
         else:
             assert np.array_equal(other[name], ref), name
+    assert sum(rows) < 61 + len(_CLUSTERED)  # the search left rows out
 
 
 @pytest.mark.parametrize("budget", [1, 1000, 10**9], ids=["one-row", "ragged", "one-block"])

@@ -2,17 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import polygamma
 
+from pwsum import diagnostics
 from pwsum.diagnostics import (
     DiagnosticsError,
     _a2_from_logs,
+    _merge_sorted,
     _trigamma,
     carleson_sup,
     line_diagnostics,
 )
 from pwsum.genfun import GeneratingFunctionEvaluator
-from pwsum.spectrum import Spectrum, make_family
+from pwsum.grids import line_grid
+from pwsum.spectrum import Spectrum, inverse_square_sums, make_family, unique_sorted
 
 
 class _FakeG:
@@ -104,6 +109,105 @@ def test_a2_clustered_grows_with_window():
     assert vals[0] < vals[1] < vals[2]
 
 
+def direct_carleson_sup(s) -> float:
+    """The oracle: every row summed over all N columns in one pass, then the
+    max (carleson_sup before its best-first search)."""
+    pts = s.points
+    if not pts.size:
+        return 0.0
+    w = 1.0 + np.abs(pts.imag)
+    sums = inverse_square_sums(pts, pts, w, skip=np.arange(pts.size))
+    sums *= w
+    if s.tail is not None:
+        wt = w * (1.0 + s.tail.delta)
+        psi1 = _trigamma(s.tail.first_site - pts.real) + _trigamma(s.tail.first_site + pts.real)
+        sums += s.tail.density * wt * psi1
+    if not np.all(np.isfinite(sums)):
+        raise DiagnosticsError("Carleson sum not finite")
+    return float(np.max(sums))
+
+
+# (delta, eps) of the eight diagnose-clustered benchmark variants (count 600)
+_BENCH_DRAWS = [(1.067, 0.48), (0.897, 0.684), (1.126, 0.634), (1.01, 0.445), (1.082, 0.669), (1.053, 0.479),
+                (1.024, 0.629), (0.901, 0.638)]
+_FAMILY_CASES = [("clustered_pairs", {"delta": d, "eps": e}, 600) for d, e in _BENCH_DRAWS] + [
+    ("clustered_pairs", {"delta": 1.0, "eps": 0.5}, 1),
+    ("clustered_pairs", {"delta": 1.0, "eps": 0.5}, 40),
+    ("clustered_pairs", {"delta": 0.3, "eps": -0.2}, 150),
+    ("clustered_pairs", {"delta": 2.0, "eps": 1e-3}, 200),
+    ("shifted_integers", {"delta": 0.3}, 0),
+    ("shifted_integers", {"delta": 0.3}, 1),
+    ("shifted_integers", {"delta": 0.35}, 60),
+    ("shifted_integers", {"delta": 0.05}, 2000),
+    ("kadec_perturbed", {"delta": 0.3, "eps": 0.2}, 5),
+    ("kadec_perturbed", {"delta": 0.25, "eps": 0.15}, 1000),
+    ("kadec_perturbed", {"delta": 0.5, "eps": -0.3}, 300),
+]
+
+
+@pytest.mark.parametrize("name, params, count", _FAMILY_CASES)
+def test_carleson_matches_the_direct_pass_on_the_families(name, params, count):
+    s = make_family(name, params, count)
+    assert carleson_sup(s) == direct_carleson_sup(s)
+
+
+def _custom_points(rng, n):
+    pts = rng.uniform(-20, 20, n) + 1j * rng.choice([-1, 1], n) * rng.uniform(0.01, 3.0, n)
+    conj = np.conj(pts[: n // 4])  # conjugate pairs
+    shared = pts[n // 4 : n // 2].real + 1j * rng.uniform(0.5, 4.0, n // 4)  # shared real parts
+    close = np.concatenate([pts[n // 2 :] + 1e-9, pts[n // 2 :] + 1e-9j])  # 1e-9 apart
+    return np.concatenate([pts, conj, shared, close])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_carleson_matches_the_direct_pass_on_custom_lists(seed):
+    rng = np.random.default_rng(seed)
+    s = Spectrum(_custom_points(rng, 8 * (seed + 1)))
+    assert carleson_sup(s) == direct_carleson_sup(s)
+    # the same points with a lattice tail whose sites lie beyond them
+    tailed = Spectrum(s.points, make_family("clustered_pairs", {"delta": 0.5, "eps": 0.5}, 30).tail)
+    assert carleson_sup(tailed) == direct_carleson_sup(tailed)
+
+
+@pytest.mark.parametrize("pts", [[1j], [-3.5 - 0.2j], [1j, 2j], [0.3 + 0.5j, 0.3 - 0.5j], [0.0 + 1j, 1e-9 + 1j]])
+@pytest.mark.parametrize("tail", [False, True], ids=["no-tail", "tail"])
+def test_carleson_matches_the_direct_pass_on_one_and_two_points(pts, tail):
+    s = Spectrum(np.array(pts), make_family("shifted_integers", {"delta": 0.5}, 3).tail if tail else None)
+    assert carleson_sup(s) == direct_carleson_sup(s)
+
+
+# A spectrum drawn as bytes, two per point (one draw, not one per element):
+# real part (a % 61 - 30) * unit and height +-(b % 12 + 1)/4, so real parts
+# are shared and, at unit 1e-9, points 1e-9 apart; the optional tail's sites
+# start at 31, beyond every real part.
+@settings(max_examples=200, deadline=None)
+@given(unit=st.sampled_from([1.0, 0.125, 1e-9]), raw=st.binary(min_size=2, max_size=60), tail=st.booleans())
+def test_carleson_matches_the_direct_pass_on_drawn_spectra(unit, raw, tail):
+    a, b = np.frombuffer(raw[: len(raw) // 2 * 2], np.uint8).reshape(-1, 2).T.astype(float)
+    pts = (a % 61 - 30) * unit + 1j * np.where(b >= 128, 1.0, -1.0) * (b % 12 + 1) / 4
+    s = Spectrum(np.unique(pts), make_family("clustered_pairs", {"delta": 0.5, "eps": 0.5}, 30).tail if tail else None)
+    assert carleson_sup(s) == direct_carleson_sup(s)
+
+
+def _summed_rows(monkeypatch) -> list:
+    """The row counts of carleson_sup's inverse_square_sums calls, recorded."""
+    rows = []
+    inner = diagnostics.inverse_square_sums
+    monkeypatch.setattr(diagnostics, "inverse_square_sums",
+                        lambda z, *args, **kw: rows.append(z.size) or inner(z, *args, **kw))
+    return rows
+
+
+@pytest.mark.parametrize("count", [40, 600, 3000])
+def test_carleson_sums_few_rows_of_clustered_pairs(monkeypatch, count):
+    # the largest rows sit at the window's edges, far above the rest: one
+    # batch of rows settles the max
+    rows = _summed_rows(monkeypatch)
+    s = make_family("clustered_pairs", {"delta": 1.0, "eps": 0.5}, count)
+    carleson_sup(s)
+    assert sum(rows) <= 2 * diagnostics._FIRST_BATCH < len(s)
+
+
 def test_carleson_single_point():
     assert carleson_sup(Spectrum(np.array([1j]))) == 0.0
 
@@ -122,6 +226,20 @@ def test_carleson_not_finite_raises():
     # left half, where the trigamma tail has its pole
     with pytest.raises(DiagnosticsError, match="not finite"):
         carleson_sup(make_family("kadec_perturbed", {"delta": 0.3, "eps": 1.0}, 5))
+
+
+def test_carleson_raises_on_a_row_that_is_not_the_max(monkeypatch):
+    # a point at 700 + i, a site of the tail beyond the window |k| <= 600,
+    # far from the edge rows that hold the max (~6.7e6): its own pair sum
+    # is small, its tail term infinite
+    s = make_family("clustered_pairs", {"delta": 1.0, "eps": 0.5}, 600)
+    hit = Spectrum(np.append(s.points, 700.0 + 1j), s.tail)
+    rows = _summed_rows(monkeypatch)
+    with pytest.raises(DiagnosticsError, match="not finite"):
+        carleson_sup(hit)
+    assert sum(rows) < len(hit)  # raised before the search summed every row
+    with pytest.raises(DiagnosticsError):
+        direct_carleson_sup(hit)
 
 
 def test_carleson_two_points():
@@ -206,3 +324,24 @@ def test_intG_growing_modulus_flagged():
     table = line_diagnostics(g, X=100.0, h=0.05)
     assert table[1, 1] / table[1, 0] > 1.5  # integrand tends to a constant: linear growth
     assert table[2, 1] / table[2, 0] <= 1.5
+
+
+@pytest.mark.parametrize("X, h", [(40.0, 0.01), (5.0, 0.05), (2.55, 0.1), (10.05, 0.1), (10.0, 0.03), (0.01, 1.0)],
+                         ids=["bench", "even", "odd-51", "odd-201", "ragged", "one-interval"])
+def test_merge_sorted_is_the_union_of_the_windows(X, h):
+    # at even m the [-X, X] nodes are nodes of [-2X, 2X]; at odd m they fall between them
+    (a, _), (b, _) = line_grid(X, h), line_grid(2 * X, h)
+    nodes, ka, kb = _merge_sorted(a, b)
+    assert np.array_equal(nodes, unique_sorted(np.concatenate([a, b])))
+    assert np.array_equal(nodes[ka], a) and np.array_equal(nodes[kb], b)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_merge_sorted_on_random_arrays(seed):
+    # shared values, entries beyond either end of b, runs of a between two of b
+    rng = np.random.default_rng(seed)
+    pool = np.round(rng.uniform(-5, 5, 60), 1)
+    a, b = unique_sorted(rng.choice(pool, 25)), unique_sorted(rng.choice(pool[10:50], 25))
+    nodes, ka, kb = _merge_sorted(a, b)
+    assert np.array_equal(nodes, unique_sorted(np.concatenate([a, b])))
+    assert np.array_equal(nodes[ka], a) and np.array_equal(nodes[kb], b)

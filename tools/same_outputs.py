@@ -7,10 +7,13 @@ every benchmark workload (perfbench/workloads.config_text), the one
 config per subcommand of tests/test_exports.py::_cli_configs, whose
 weights run reads points in both half-planes, and the configs of _EXTRA,
 which no benchmark variant takes: diagnose windows with an odd number of
-intervals m = round(2X/h) or an A2 scan off the real line (a2.a != 0), and
-contours and universal weights on all three lattice families, at c.grid 17
-and 64 and at side.samples 2, 3 and 1000 (the apex-slope search's
-candidate and sample counts).
+intervals m = round(2X/h) or an A2 scan off the real line (a2.a != 0);
+diagnose on shifted_integers and kadec_perturbed, where the Carleson
+search sums every row (eps 0.02) or a few (eps 0.15), and on
+clustered_pairs at count 3 000, where it leaves out all but a few of
+12 001 rows; and contours and universal weights on all three lattice
+families, at c.grid 17 and 64 and at side.samples 2, 3 and 1000 (the
+apex-slope search's candidate and sample counts).
 The configs come from this tool's own tree, so both sides run the same
 text.  Each tree runs them all in one subprocess, cli.run on each config
 in turn, with one BLAS thread.
@@ -45,6 +48,14 @@ _EXTRA = {
                         "diag.X=5\ndiag.h=0.05\n",
     "diagnose-odd-shifted": "subcommand=diagnose\nfamily=kadec_perturbed\ncount=100\na2.a=-0.4\ndiag.X=10.05\n"
                             "diag.h=0.1\n",
+    # the Carleson search: every row summed (shifted, kadec-flat), a few (kadec), a few of 12 001 (clustered-3000)
+    "carleson-shifted": "subcommand=diagnose\nfamily=shifted_integers\ncount=100\ndelta=0.35\ndiag.X=10\ndiag.h=0.05\n",
+    "carleson-kadec-flat": "subcommand=diagnose\nfamily=kadec_perturbed\ncount=100\ndelta=0.25\neps=0.02\ndiag.X=10\n"
+                           "diag.h=0.05\n",
+    "carleson-kadec": "subcommand=diagnose\nfamily=kadec_perturbed\ncount=100\ndelta=0.25\neps=0.15\ndiag.X=10\n"
+                      "diag.h=0.05\n",
+    "carleson-clustered-3000": "subcommand=diagnose\nfamily=clustered_pairs\ncount=3000\ndelta=1\neps=0.5\ndiag.X=20\n"
+                               "diag.h=0.05\n",
 }
 # contours and universal weights: the apex-slope search at the default
 # candidates and samples, and at c.grid 17 and 64 and side.samples 2, 3 and
