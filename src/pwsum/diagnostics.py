@@ -154,14 +154,30 @@ def _row_bounds(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out
 
 
+def _tail_sums(tail, x: np.ndarray) -> np.ndarray:
+    """sum over the tail sites mu of 1/(x_i - Re mu)^2 per real x_i, by
+    trigamma per sublattice: its sites Re c +- (spacing m + offset), m >=
+    start, give weight/spacing^2 (psi'(rho - u) + psi'(rho + u)) with u =
+    (x - Re c)/spacing and rho = start + offset/spacing."""
+    out = np.zeros(x.shape)
+    for sl in tail.sublattices:
+        u = (x - sl.c.real) / sl.spacing
+        rho = sl.start + sl.offset / sl.spacing
+        out += sl.weight / sl.spacing**2 * (_trigamma(rho - u) + _trigamma(rho + u))
+    return out
+
+
 def carleson_sup(s) -> float:
     """sup over lambda of sum_{mu != lambda} (1+|Im lambda|)(1+|Im mu|)/|lambda-mu|^2.
 
     Exact over the stored window; for the built-in lattice-type families a
-    trigamma tail adds the contribution of the family points beyond the
-    window, scaled by the tail's site density.  The pair sums run in real
-    arithmetic.  A sum that is not finite (a point whose real part is a tail
-    site, a pole of the trigamma) raises DiagnosticsError.
+    trigamma tail (_tail_sums) adds the contribution of the family points
+    beyond the window, each sublattice at its own real offset, with the
+    weight 1 + delta of a tail site and the distances along the real
+    direction: exact where every point sits at the tail's height delta.
+    The pair sums run in real arithmetic.  A sum that is not finite (a point
+    whose real part is a tail site, a pole of the trigamma) raises
+    DiagnosticsError.
 
     The search is best-first and exact.  Row i's value is V_i = w_i S_i +
     T_i, with w = 1 + |Im|, S_i = sum_{j != i} w_j/|lambda_i - lambda_j|^2
@@ -208,11 +224,7 @@ def carleson_sup(s) -> float:
     w = 1.0 + np.abs(pts.imag)
     tail = np.zeros(n)
     if s.tail is not None:
-        # tail sites sit near +-m + i*delta, m >= first_site; trigamma sums
-        # the inverse-square distances along the real direction
-        wt = w * (1.0 + s.tail.delta)
-        psi1 = _trigamma(s.tail.first_site - pts.real) + _trigamma(s.tail.first_site + pts.real)
-        tail = s.tail.density * wt * psi1
+        tail = w * (1.0 + s.tail.delta) * _tail_sums(s.tail, pts.real)
     order = np.argsort(pts.real, kind="stable")
     b = np.empty(n)
     with np.errstate(divide="ignore", over="ignore"):  # inf bounds: rows summed first

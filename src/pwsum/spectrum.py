@@ -10,8 +10,8 @@ The pair kernels over (points x spectrum) live here too.  Points in the
 plane take a direct kernel, walked in blocks by row_blocks: log_products
 (G, G', B, B', beta), collisions, inverse_square_sums and cauchy_sums (the
 Cauchy sums of a coefficient matrix's columns: on the disk K, and for the
-outer factor).  Real points take the near and far field of one panel
-walker, _panels, under three reductions: line_log_abs (log|G| on a line),
+outer factor).  Real points take the near and far field of one panel tree,
+_line_sums, under three reductions: line_log_abs (log|G| on a line),
 line_arg (arg G on the real line) and line_cauchy (the Cauchy sums on the
 grid: the partial sums, the projector's interpolation sum and, per column
 of a weight matrix, the operator of norm_lower_bounds).
@@ -19,6 +19,7 @@ of a weight matrix, the operator of norm_lower_bounds).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,52 +145,101 @@ def cauchy_sums(z: np.ndarray, lam: np.ndarray, A: np.ndarray) -> np.ndarray:
     return out
 
 
-# The panels of the line kernels (line_log_abs, line_arg, line_cauchy): width,
-# near radius and Chebyshev points.  Fixed, and independent of BLOCK_BUDGET: a
+# The panel tree of the line kernels (line_log_abs, line_arg, line_cauchy).
+# Level j has the panels [p W, (p + 1) W], W = PANEL_WIDTH 2^j, with near
+# radius PANEL_RADIUS 2^j and PANEL_POINTS first-kind Chebyshev points; the
+# parent of panel p is panel p // 2 of level j + 1, and the nodes sit in the
+# leaves, level 0.  A panel takes its far sums from its parent only where the
+# parent's far set holds at least TREE_MIN_FAR columns, and sums its far
+# columns directly otherwise.  All fixed, and independent of BLOCK_BUDGET: a
 # node's value depends on the node and the spectrum alone.
 PANEL_WIDTH = 4.0
 PANEL_RADIUS = 8.0
 PANEL_POINTS = 16
+TREE_MIN_FAR = 256
 _THETA = (2 * np.arange(PANEL_POINTS) + 1) * np.pi / (2 * PANEL_POINTS)
-_CHEB = 0.5 * PANEL_WIDTH * np.cos(_THETA)  # offsets from a panel's centre
+_CHEB = 0.5 * PANEL_WIDTH * np.cos(_THETA)  # offsets from a leaf's centre
 _BARY = np.where(np.arange(PANEL_POINTS) % 2, -1.0, 1.0) * np.sin(_THETA)
 
 
-def _panels(x: np.ndarray, lre: np.ndarray):
-    """The panel walk of the line kernels: near and far field (Dutt, Gu and
-    Rokhlin, SIAM J. Numer. Anal. 33, 1996) for real nodes x against columns
-    whose real parts lre are sorted ascending.
+def _child_basis(side: float) -> np.ndarray:
+    """The Lagrange basis of a panel's Chebyshev points at the points of its
+    left (side -1) or right (side 1) child: row i holds l_k(s_i), s_i the
+    child's i-th point in the parent's variable, by the barycentric formula."""
+    s = 0.5 * (side + np.cos(_THETA))
+    q = _BARY / (s[:, None] - np.cos(_THETA))
+    return q / q.sum(axis=1, keepdims=True)
 
-    Yields (nodes, t, lo, hi) per panel [k W, (k + 1) W], W = PANEL_WIDTH,
-    that holds a node: nodes indexes its nodes, t is its PANEL_POINTS
-    first-kind Chebyshev points, lre[lo:hi] are its near columns, those with
-    |lre - centre| <= W/2 + PANEL_RADIUS, and lre[:lo] and lre[hi:] its far
-    columns."""
-    if not x.size:
-        return
-    panel = np.floor(x / PANEL_WIDTH)
-    by_panel = np.argsort(panel, kind="stable")
-    ends = np.flatnonzero(np.diff(panel[by_panel])) + 1
-    for nodes in np.split(by_panel, ends):
-        left = panel[nodes[0]] * PANEL_WIDTH
-        lo = np.searchsorted(lre, left - PANEL_RADIUS, "left")
-        hi = np.searchsorted(lre, left + PANEL_WIDTH + PANEL_RADIUS, "right")
-        yield nodes, (left + 0.5 * PANEL_WIDTH) + _CHEB, lo, hi
+
+# carry a panel's far sums to its even (left) and odd (right) child's points
+_TRANSFER = (_child_basis(-1.0), _child_basis(1.0))
+
+
+def _near(level: int, p: float, lre: np.ndarray) -> tuple:
+    """(left, lo, hi) of panel p of level: its left end, and its near columns
+    lre[lo:hi], those with |lre - centre| <= W/2 + R."""
+    scale = 2.0**level
+    left = p * (PANEL_WIDTH * scale)
+    lo = np.searchsorted(lre, left - PANEL_RADIUS * scale, "left")
+    hi = np.searchsorted(lre, left + PANEL_WIDTH * scale + PANEL_RADIUS * scale, "right")
+    return left, lo, hi
 
 
 def _line_sums(x: np.ndarray, lre: np.ndarray, sums, interpolate, out: np.ndarray) -> np.ndarray:
     """Writes into out[i] a sum over every column at node x_i, with
-    sums(t, cols) the sum over the columns cols (a slice of lre's order) at
-    each point t: the near columns at the node itself, the far ones summed at
-    the panel's Chebyshev points and interpolated (_interpolate or
-    _interpolate_columns).  Returns out, as it came when there are no
-    columns."""
-    if lre.size:
-        for nodes, t, lo, hi in _panels(x, lre):
-            far = sums(t, slice(None, lo))
-            far += sums(t, slice(hi, None))
-            xs = x[nodes]
-            out[nodes] = sums(xs, slice(lo, hi)) + interpolate(xs, t, far)
+    sums(t, cols) the sum over the columns cols (a slice or an index array
+    of lre's order, lre ascending) at each point t: the near columns at the
+    node itself, the far ones at its leaf's Chebyshev points, interpolated
+    (_interpolate or _interpolate_columns).  Returns out, as it came when
+    there are no columns.
+
+    The far sums come down the panel tree (Dutt, Gu and Rokhlin, SIAM J.
+    Numer. Anal. 33, 1996; Chebyshev transfers as in Fong and Darve, J.
+    Comput. Phys. 228, 2009).  A panel whose parent's far set holds at least
+    TREE_MIN_FAR columns takes its parent's far sums at its own points
+    (_TRANSFER) plus the sums over its interaction columns, those near the
+    parent but not near the panel: two slices of lre, summed as one.  Any
+    other panel sums its far columns directly, as two slices, as the
+    single-level walk did; one whose near range holds every column has far
+    sums 0, and no panel descends from it.  A node that is not finite sums
+    directly at its leaf, which is not finite either.  The leaves are walked
+    in ascending order, so each level keeps only the last panel it met."""
+    if not (x.size and lre.size):
+        return out
+    n = lre.size
+    known = {}  # level: (p, far sums) of the last panel of that level
+    panel = np.floor(x / PANEL_WIDTH)
+    by_panel = np.argsort(panel, kind="stable")
+    ends = np.flatnonzero(np.diff(panel[by_panel])) + 1
+    for nodes in np.split(by_panel, ends):
+        level, p = 0, float(panel[nodes[0]])
+        span, path = _near(0, p, lre), []  # path: the panels to sum, leaf first
+        while not (level in known and known[level][0] == p):
+            left, lo, hi = span
+            up = None  # the parent's far set lies in the panel's, so the panel's is tested first
+            if lo + n - hi >= TREE_MIN_FAR and math.isfinite(left):
+                up = _near(level + 1, p // 2, lre)
+                if up[1] + n - up[2] < TREE_MIN_FAR:
+                    up = None
+            path.append((level, p, span, up))
+            if up is None:
+                break
+            level, p, span = level + 1, p // 2, up
+        for level, p, (left, lo, hi), up in reversed(path):  # the leaf comes last
+            scale = 2.0**level
+            t = (left + 0.5 * PANEL_WIDTH * scale) + scale * _CHEB
+            if up is None:
+                far = sums(t, slice(None, lo))
+                far += sums(t, slice(hi, None))
+            else:
+                f = known[level + 1][1]
+                c = f[PANEL_POINTS // 2]  # centred on the middle value, as _interpolate is
+                far = _TRANSFER[int(p % 2)] @ (f - c)
+                far += c
+                far += sums(t, np.concatenate((np.arange(up[1], lo), np.arange(hi, up[2]))))
+            known[level] = (p, far)
+        xs = x[nodes]
+        out[nodes] = sums(xs, slice(lo, hi)) + interpolate(xs, t, far)
     return out
 
 
@@ -277,28 +327,41 @@ def line_log_abs(x: np.ndarray, a: float, lam: np.ndarray) -> np.ndarray:
     """sum_j log|1 - (x_i + ia)/lam_j| per real x_i, in real arithmetic: half
     of sum_j log(((x_i - Re lam_j)^2 + (a - Im lam_j)^2)/|lam_j|^2).
 
-    Near and far field on the panels of _panels: a node in the panel
+    Near and far field on the panel tree of _line_sums: a node in the leaf
     [k W, (k + 1) W] sums its near points, those with
-    |Re lam - centre| <= W/2 + R, directly, one row per node; the far sum f(t)
-    is interpolated from its values at the panel's n = PANEL_POINTS
-    first-kind Chebyshev points.  W = PANEL_WIDTH, R = PANEL_RADIUS, and
-    every sum runs in a fixed order, so no bit depends on the block size or
-    on the other nodes of the call.
+    |Re lam - centre| <= W/2 + R, directly, one row per node; the far sum
+    is interpolated from its values at the leaf's n = PANEL_POINTS
+    first-kind Chebyshev points, which come down the tree.  W = PANEL_WIDTH,
+    R = PANEL_RADIUS, and every sum runs in a fixed order, so no bit depends
+    on the block size or on the other nodes of the call.
 
     Error bound (Trefethen, Approximation Theory and Approximation Practice,
-    Thm 8.2).  In the panel's variable s = (t - centre)/(W/2), f is analytic
-    off the points s = (lam_j - ia - centre)/(W/2) and their conjugates,
-    whose real parts exceed 1 + 2R/W = 5 in modulus: so inside the Bernstein
-    ellipse E_rho for every rho < 5 + sqrt(24) = 9.90.  There, with semi-axis
-    A_rho = (rho + 1/rho)/2 and d_j = |Re lam_j - centre|/(W/2),
-    |f(s) - f(0)| <= M = sum_far -log(1 - A_rho/d_j).  The interpolant in n
-    first-kind points reproduces constants and aliases each T_m (m >= n)
-    onto +-T_k (k < n) or 0, so Thm 8.2's argument gives
-    |error| <= 4 M rho^-(n-1)/(rho - 1).  At rho = 9.5 (A_rho = 4.80) that is
-    1.0e-15 M, and a far point adds at most -log(1 - 4.80/5) = 3.2 to M.
-    M is 60-410 on the built-in families and on 599 points 0.05 apart, so
-    n = 16 is the least count whose bound (4e-13 at most there) stays below
-    1e-12: n = 15 gives 4e-12."""
+    Thm 8.2), per level.  Let P_0 (the leaf), P_1, ..., P_J be a node's
+    panel and its ancestors, P_J the one that sums its far points directly,
+    and f_j the sum over P_j's interaction points (P_J: its far points), so
+    the node's far sum is sum_j f_j.  In P_j's variable
+    s = (t - centre)/(W_j/2), f_j is analytic off the points
+    s = (lam_k - ia - centre)/(W_j/2) and their conjugates, whose real parts
+    exceed 1 + 2R/W = 5 in modulus: so inside the Bernstein ellipse E_rho
+    for every rho < 5 + sqrt(24) = 9.90.  There, with semi-axis
+    A_rho = (rho + 1/rho)/2 and d_k = |Re lam_k - centre|/(W_j/2),
+    |f_j(s) - f_j(0)| <= M_j = sum -log(1 - A_rho/d_k) over f_j's points.
+    The interpolant in n first-kind points reproduces constants and aliases
+    each T_m (m >= n) onto +-T_k (k < n) or 0, so Thm 8.2's argument bounds
+    its error on P_j by 4 M_j rho^-(n-1)/(rho - 1).  A transfer evaluates
+    the parent's interpolant at the child's points, and the child's
+    interpolant reproduces that polynomial (degree <= 15), so the node
+    takes sum_j (P_j's interpolant of f_j)(x), and
+        |error| <= sum_j 4 M_j rho^-15/(rho - 1) + the transfers' rounding.
+    At rho = 9.5 (A_rho = 4.80) that is 1.0e-15 sum_j M_j.  An interaction
+    point lies in the parent's near range, at d_k in (5, 11], so it adds
+    0.57 to 3.2 to M_j (a far point of P_J at most 3.2), and the bound grows
+    about linearly with the number of far points.  At
+    rho = 9.5, sum_j M_j is 49-60 on kadec_perturbed count 100 (201 points:
+    no tree, as with a single level), 830 on shifted_integers count 400,
+    2 900 on diagnose-clustered's line (2 401 points: bound 3.0e-12,
+    measured 1.7e-13 against the direct sum) and 31 400 at count 6 000
+    (3.2e-11, measured 2.0e-12)."""
     order = np.argsort(lam.real, kind="stable")
     lre, lim = lam.real[order], lam.imag[order]
     log_l2 = np.log(lre * lre + lim * lim)
@@ -313,14 +376,16 @@ def line_arg(x: np.ndarray, a: float, lam: np.ndarray) -> np.ndarray:
     """sum_j [arctan2(Im lam_j - a, Re lam_j - x_i) - arg lam_j] per real x_i, in
     real arithmetic: the argument of prod_j (1 - (x_i + ia)/lam_j), modulo 2 pi.
 
-    Near and far field on the panels of line_log_abs, with its bound.  For
-    real x the term is arg(mu_j - x) - arg lam_j with mu_j = lam_j - ia, that
-    is (log(mu_j - x) - log(conj mu_j - x))/(2i) up to a constant, while
-    line_log_abs's term is half the sum of the same two logs.  So the far sum
-    is analytic off the same points mu_j and conj mu_j, inside the same
-    Bernstein ellipse E_rho, and since |log(1 - u)| <= -log(1 - |u|), it
-    obeys the same |f(s) - f(0)| <= M = sum_far -log(1 - A_rho/d_j) and the
-    same |error| <= 4 M rho^-15/(rho - 1) = 1.0e-15 M at rho = 9.5.  Each
+    Near and far field on the panel tree of line_log_abs, with its bound.
+    For real x the term is arg(mu_j - x) - arg lam_j with mu_j = lam_j - ia,
+    that is (log(mu_j - x) - log(conj mu_j - x))/(2i) up to a constant,
+    while line_log_abs's term is half the sum of the same two logs.  So each
+    level's sum f_j is analytic off the same points mu_j and conj mu_j,
+    inside the same Bernstein ellipse E_rho, and since
+    |log(1 - u)| <= -log(1 - |u|), it obeys the same
+    |f_j(s) - f_j(0)| <= M_j and the same
+    |error| <= sum_j 4 M_j rho^-15/(rho - 1) = 1.0e-15 sum_j M_j at
+    rho = 9.5, plus the transfers' rounding.  Each
     term is continuous along the line, except at x = Re lam_j where
     Im lam_j = a: a zero of the product, which only a near point can be."""
     order = np.argsort(lam.real, kind="stable")
@@ -334,17 +399,18 @@ def line_cauchy(x: np.ndarray, lam: np.ndarray, A: np.ndarray) -> np.ndarray:
     """sum_k A[k, s]/(x_i - lam_k) per real x_i and column s of the
     (lam.size, S) matrix A: the (x.size, S) Cauchy sums of its columns.
 
-    Near and far field on the panels of line_log_abs; the near sums and the
-    far sums at the Chebyshev points are BLAS products, so their last bits
-    depend on the block shape.  Error bound (ATAP Thm 8.2, as in
-    line_log_abs): in the panel's variable s, a far term A_k/(x - lam_k) is
-    A_k/((W/2)(s - sigma_k)), sigma_k = (lam_k - centre)/(W/2), |sigma_k| >=
-    |Re sigma_k| > 5.  E_rho lies in |s| <= A_rho, so on it
+    Near and far field on the panel tree of line_log_abs; the near sums and
+    the far sums at the Chebyshev points are BLAS products, so their last
+    bits depend on the block shape.  Error bound (ATAP Thm 8.2, per level as
+    in line_log_abs): in P_j's variable s, a term A_k/(x - lam_k) of f_j is
+    A_k/((W_j/2)(s - sigma_k)), sigma_k = (lam_k - centre)/(W_j/2),
+    |sigma_k| >= |Re sigma_k| > 5.  E_rho lies in |s| <= A_rho, so on it
     |s - sigma_k| >= |sigma_k| (1 - A_rho/5), while at a node
-    |s - sigma_k| <= |sigma_k| (1 + 1/5): the far sum is bounded on E_rho by
-    M = 1.2/(1 - A_rho/5) sum_far |A_k|/|x_i - lam_k|, and the error by
-    4 M rho^-15/(rho - 1).  At rho = 9.25 (A_rho = 4.68) that is
-    2.9e-14 sum_far |A_k|/|x_i - lam_k|."""
+    |s - sigma_k| <= |sigma_k| (1 + 1/5): f_j is bounded on E_rho by
+    M_j = 1.2/(1 - A_rho/5) sum |A_k|/|x_i - lam_k| over f_j's points, and
+    the error by sum_j 4 M_j rho^-15/(rho - 1) plus the transfers' rounding.
+    The levels' points split the far set, so at rho = 9.25 (A_rho = 4.68)
+    that is 2.9e-14 sum_far |A_k|/|x_i - lam_k|, as for a single level."""
     out = np.zeros((x.size, A.shape[1]), dtype=complex)
     order = np.argsort(lam.real, kind="stable")
     lam, A = lam[order], A[order]

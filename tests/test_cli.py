@@ -598,9 +598,9 @@ def _dense_list_file(tmp_path):
         "subcommand=factorize-check\nfactorize.samples=1,300\n",
         # G and F overflow on the disk K around 300i
         "subcommand=converge\nK.center.im=300\ngrid.X=10\ngrid.h=0.05\nschedule=10,21\n",
-        # eps=-1 moves the window's edge point k=5 to 6, the tail's first
-        # site, where the Carleson sum's trigamma tail has its pole
-        "subcommand=diagnose\nfamily=kadec_perturbed\ncount=5\neps=-1\ndiag.X=5\ndiag.h=0.1\n",
+        # eps=1.5 moves the window's point k=1 to -0.5, where the tail's
+        # point k=-2 sits too: the Carleson sum's trigamma tail has its pole
+        "subcommand=diagnose\nfamily=kadec_perturbed\ncount=1\neps=1.5\ndiag.X=5\ndiag.h=0.1\n",
         # G overflows on the grid: errors.csv had l2_error and tail_bound inf
         "subcommand=converge\nscheme=naive\nschedule=10,31\ngrid.X=10\ngrid.h=0.05\n{dense}",
         # |G|^2 overflows in the norm probe's weights: norms.csv had 0.0 bounds
@@ -620,7 +620,7 @@ def _dense_list_file(tmp_path):
         "subcommand=contours\nalpha.safety=0.05\n",
         "subcommand=weights\nscheme=universal\nalpha.safety=0.05\n",
     ],
-    ids=["diagnose-X-400", "factorize-Im-300", "converge-K-Im-300", "diagnose-kadec-eps-minus-1",
+    ids=["diagnose-X-400", "factorize-Im-300", "converge-K-Im-300", "diagnose-kadec-eps-1.5",
          "converge-dense-list", "compare-norms-dense-list", "compare-norms-dense-list-contours",
          "diagnose-a2-a-1e300", "factorize-Im-1e300", "converge-K-radius-1e300", "converge-atom-Im-1e300",
          "diagnose-delta-1e300", "contours-safety-0.05", "weights-universal-safety-0.05"],

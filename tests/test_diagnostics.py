@@ -119,9 +119,12 @@ def direct_carleson_sup(s) -> float:
     sums = inverse_square_sums(pts, pts, w, skip=np.arange(pts.size))
     sums *= w
     if s.tail is not None:
-        wt = w * (1.0 + s.tail.delta)
-        psi1 = _trigamma(s.tail.first_site - pts.real) + _trigamma(s.tail.first_site + pts.real)
-        sums += s.tail.density * wt * psi1
+        # per sublattice: its sites Re c +- (spacing m + offset), m >= start
+        psi1 = np.zeros(pts.shape)
+        for sl in s.tail.sublattices:
+            u, rho = (pts.real - sl.c.real) / sl.spacing, sl.start + sl.offset / sl.spacing
+            psi1 += sl.weight / sl.spacing**2 * (_trigamma(rho - u) + _trigamma(rho + u))
+        sums += w * (1.0 + s.tail.delta) * psi1
     if not np.all(np.isfinite(sums)):
         raise DiagnosticsError("Carleson sum not finite")
     return float(np.max(sums))
@@ -176,6 +179,18 @@ def test_carleson_matches_the_direct_pass_on_one_and_two_points(pts, tail):
     assert carleson_sup(s) == direct_carleson_sup(s)
 
 
+@pytest.mark.parametrize("count", [100, 1000])
+def test_carleson_tail_takes_each_sublattices_offset(count):
+    # kadec_perturbed's tail is two sublattices at real offsets +-eps: with
+    # them the windowed sup matches the family's, read off a window 40 times
+    # wider without any tail, where a tail at the sites +-m read 6.3545 at
+    # the window's edge against 6.1405
+    params = {"delta": 0.25, "eps": 0.15}
+    wide = carleson_sup(Spectrum(make_family("kadec_perturbed", params, 4000).points))
+    got = carleson_sup(make_family("kadec_perturbed", params, count))
+    assert abs(got - wide) <= 1e-3 * wide, (got, wide)
+
+
 # A spectrum drawn as bytes, two per point (one draw, not one per element):
 # real part (a % 61 - 30) * unit and height +-(b % 12 + 1)/4, so real parts
 # are shared and, at unit 1e-9, points 1e-9 apart; the optional tail's sites
@@ -222,10 +237,11 @@ def test_carleson_one_point_window_keeps_its_tail():
 
 
 def test_carleson_not_finite_raises():
-    # eps=1 moves the edge point k=-5 to -6, the first site of the tail's
-    # left half, where the trigamma tail has its pole
+    # a point at -5.75 + 0.3i, where the tail's point k=-6 sits (-6 + eps):
+    # a pole of the even sublattice's trigamma
+    s = make_family("kadec_perturbed", {"delta": 0.3, "eps": 0.25}, 5)
     with pytest.raises(DiagnosticsError, match="not finite"):
-        carleson_sup(make_family("kadec_perturbed", {"delta": 0.3, "eps": 1.0}, 5))
+        carleson_sup(Spectrum(np.append(s.points, -5.75 + 0.3j), s.tail))
 
 
 def test_carleson_raises_on_a_row_that_is_not_the_max(monkeypatch):

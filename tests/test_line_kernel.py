@@ -1,6 +1,7 @@
-"""The panel kernels of the line (spectrum.line_log_abs, line_arg and
+"""The panel-tree kernels of the line (spectrum.line_log_abs, line_arg and
 line_cauchy) against the direct kernels they replaced, kept here as the
-oracles, and G on a real line (log_G) against mpmath."""
+oracles, the tree's work and transfer matrices, and G on a real line (log_G)
+against mpmath."""
 
 import mpmath
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from pwsum import spectrum
 from pwsum.genfun import CollisionError, GeneratingFunctionEvaluator
+from pwsum.grids import line_grid
 from pwsum.spectrum import PANEL_POINTS, PANEL_WIDTH, Spectrum, line_arg, line_cauchy, line_log_abs, make_family
 
 TOL = 1e-12  # absolute, in the log (and in the argument, modulo 2 pi)
@@ -117,6 +119,94 @@ def test_nodes_on_panel_edges_and_on_chebyshev_points():
         got, (want, scale) = line_cauchy(x, lam, A), dense_cauchy(x, lam, A)
         assert np.all(np.isfinite(got))
         assert np.max(np.abs(got - want) / scale) <= CAUCHY_TOL
+
+
+def test_nodes_on_the_edges_and_chebyshev_points_of_every_level():
+    # 801 points on [-200, 200]: the leaves below level 3 take their far sums
+    # down the tree, level 5's panels near 0 hold every point (the roots);
+    # the points of a level are formed as the kernel forms them
+    lam = SPECTRA["clustered_pairs"]
+    x = []
+    for level in range(7):
+        width = PANEL_WIDTH * 2.0**level
+        left = np.arange(-256.0 / width, 256.0 / width)[:, None] * width
+        x += [left.ravel(), ((left + 0.5 * width) + 2.0**level * spectrum._CHEB).ravel()]
+    x = np.concatenate(x)
+    assert np.max(np.abs(line_log_abs(x, 0.0, lam) - direct_line_log_abs(x, 0.0, lam))) <= TOL
+    assert arg_error(line_arg(x, 0.0, lam), direct_line_arg(x, 0.0, lam)) <= TOL
+    A = coefficients(lam.size)
+    got, (want, scale) = line_cauchy(x, lam, A), dense_cauchy(x, lam, A)
+    assert np.max(np.abs(got - want) / scale) <= CAUCHY_TOL
+
+
+def test_diagnose_clustered_line_matches_the_direct_kernel():
+    # the 16 001 nodes of [-80, 80] at h 0.01 and 2 401 points on [-600, 600]
+    lam = make_family("clustered_pairs", {"delta": 1.0, "eps": 0.5}, 600).points
+    x, _ = line_grid(80.0, 0.01)
+    assert x.size == 16001
+    assert np.max(np.abs(line_log_abs(x, 0.0, lam) - direct_line_log_abs(x, 0.0, lam))) <= TOL
+
+
+def single_level_pairs(x, lam):
+    """(near, far) pairs of a walk without the tree: each occupied leaf
+    [4k, 4k + 4] sums its near points, |Re lam - (4k + 2)| <= 10, at its
+    nodes and all others at its 16 Chebyshev points."""
+    lre = np.sort(lam.real)
+    k, nodes = np.unique(np.floor(x / PANEL_WIDTH), return_counts=True)
+    near = np.searchsorted(lre, PANEL_WIDTH * k + 12.0, "right") - np.searchsorted(lre, PANEL_WIDTH * k - 8.0, "left")
+    return int(np.sum(nodes * near)), int(np.sum(PANEL_POINTS * (lre.size - near)))
+
+
+def counted_pairs(monkeypatch, x, lam):
+    """The pairs line_log_abs sums, through a wrapper of _log_d2_sums."""
+    pairs, kernel = [0], spectrum._log_d2_sums
+
+    def counting(t, lre, dy2, log_l2):
+        pairs[0] += t.size * lre.size
+        return kernel(t, lre, dy2, log_l2)
+
+    monkeypatch.setattr(spectrum, "_log_d2_sums", counting)
+    line_log_abs(x, 0.0, lam)
+    return pairs[0]
+
+
+def test_the_tree_cuts_the_far_pairs_of_diagnose_clustered(monkeypatch):
+    lam = make_family("clustered_pairs", {"delta": 1.0, "eps": 0.5}, 600).points
+    x, _ = line_grid(80.0, 0.01)
+    near, far = single_level_pairs(x, lam)
+    assert far > 1.5e6
+    assert counted_pairs(monkeypatch, x, lam) - near <= 0.25e6
+
+
+def test_a_small_spectrum_keeps_the_single_level_walk(monkeypatch):
+    # 201 points: no parent's far set reaches TREE_MIN_FAR columns, so every
+    # leaf sums its far points directly (factorize-line's spectrum and line)
+    lam = make_family("kadec_perturbed", {"delta": 0.3, "eps": 0.2}, 100).points
+    x, _ = line_grid(150.0, 0.01)
+    assert counted_pairs(monkeypatch, x, lam) == sum(single_level_pairs(x, lam))
+
+
+def test_transfer_matrices_reproduce_polynomials():
+    # T_m, m <= 15, at a panel's Chebyshev points, carried to each child's
+    s = np.cos(spectrum._THETA)
+    m = np.arange(PANEL_POINTS)[:, None]
+    for side, transfer in zip((-1.0, 1.0), spectrum._TRANSFER):
+        child = 0.5 * (side + s)
+        got = transfer @ np.cos(m * np.arccos(s)).T
+        assert np.max(np.abs(got - np.cos(m * np.arccos(child)).T)) <= 1e-14
+
+
+def test_nodes_that_are_not_finite():
+    # inf and nan give nan, as the direct sums do, and leave the walk and
+    # the other nodes alone
+    lam = SPECTRA["clustered_pairs"]
+    x = np.array([np.inf, -np.inf, np.nan, 1.5])
+    with np.errstate(invalid="ignore"):
+        for kernel in (line_log_abs, line_arg):
+            got = kernel(x, 0.0, lam)
+            assert np.all(np.isnan(got[:3])) and got[3] == kernel(x[3:], 0.0, lam)[0]
+        got = line_cauchy(x, lam, coefficients(lam.size))
+    assert np.all(np.isnan(got[:3])) and np.all(np.isfinite(got[3]))
 
 
 def test_empty_nodes_and_empty_spectrum():

@@ -11,7 +11,10 @@ intervals m = round(2X/h) or an A2 scan off the real line (a2.a != 0);
 diagnose on shifted_integers and kadec_perturbed, where the Carleson
 search sums every row (eps 0.02) or a few (eps 0.15), and on
 clustered_pairs at count 3 000, where it leaves out all but a few of
-12 001 rows; and contours and universal weights on all three lattice
+12 001 rows; diagnose on a sparse line (diag.X 400 at diag.h 2, a node or
+two per leaf of the line kernels' panel tree) and converge on
+shifted_integers at count 2 000 (a tree several levels deeper than the
+benchmark's); and contours and universal weights on all three lattice
 families, at c.grid 17 and 64 and at side.samples 2, 3 and 1000 (the
 apex-slope search's candidate and sample counts).
 The configs come from this tool's own tree, so both sides run the same
@@ -56,6 +59,10 @@ _EXTRA = {
                       "diag.h=0.05\n",
     "carleson-clustered-3000": "subcommand=diagnose\nfamily=clustered_pairs\ncount=3000\ndelta=1\neps=0.5\ndiag.X=20\n"
                                "diag.h=0.05\n",
+    # the line kernels' panel tree: a sparse line, and a spectrum of 4 001 points
+    "diagnose-sparse": "subcommand=diagnose\nfamily=clustered_pairs\ncount=600\ndelta=1\neps=0.5\ndiag.X=400\n"
+                       "diag.h=2\n",
+    "converge-shifted-2000": "subcommand=converge\nfamily=shifted_integers\ncount=2000\ndelta=0.3\n",
 }
 # contours and universal weights: the apex-slope search at the default
 # candidates and samples, and at c.grid 17 and 64 and side.samples 2, 3 and
