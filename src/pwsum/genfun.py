@@ -10,7 +10,10 @@ Custom point lists are taken as the whole zero set: G is the finite
 product over the stored points, with no tail.  The window's product takes
 the near and far field of spectrum's line kernels at real points (log|G|
 on any line, and G on the real line, as on converge's grid) and the block
-log-product at every other point.
+log-product at every other point.  G' at every node leaves out each
+node's own factor: a window on one height (Spectrum.height) takes the
+real kernel one_height_self_logs, any other the block log-product with a
+skip.
 
 The outer factor is recovered from log|G| at the nodes of
 grids.line_grid(X, h) by the Schwarz-Poisson integral; only its modulus is
@@ -24,7 +27,17 @@ import math
 import numpy as np
 
 from pwsum.grids import hilbert_transform, line_grid
-from pwsum.spectrum import LatticeTail, Spectrum, cauchy_sums, line_arg, line_log_abs, log_products, touching
+from pwsum.spectrum import (
+    LatticeTail,
+    Spectrum,
+    line_arg,
+    line_log_abs,
+    log_products,
+    one_height_self_logs,
+    one_height_touching,
+    real_cauchy_sums,
+    touching,
+)
 
 
 class GenFunError(ValueError):
@@ -161,22 +174,25 @@ class GeneratingFunctionEvaluator:
 
     # -- public API ----------------------------------------------------------
 
-    def log_G(self, z: np.ndarray, skip: np.ndarray | None = None) -> np.ndarray:
-        """A log of G(z), Im defined modulo 2 pi: only exp(log_G) is ever used
-        (G and G').  A real point takes the line kernels, line_log_abs + i
-        line_arg; any other point, and every point given a skip, takes the
-        block log-product log_products.  The rule is per point, so a point's
-        value does not depend on the other points of the call.  With skip,
-        point i leaves out the linear factor of spectrum index skip[i]."""
+    def log_G(self, z: np.ndarray) -> np.ndarray:
+        """A log of G(z), Im defined modulo 2 pi: only exp(log_G) is ever used.
+        A real point takes the line kernels, line_log_abs + i
+        line_arg; any other point takes the block log-product log_products.
+        The rule is per point, so a point's value does not depend on the
+        other points of the call."""
         lam = self.spectrum.points
-        hit = touching(z, lam, skip)
+        hit = touching(z, lam)
         if np.any(hit):
             raise CollisionError(f"z={z[np.argmax(hit)]} collides with a spectrum point")
         out = np.empty(z.shape, dtype=complex)
-        real = z.imag == 0 if skip is None else np.zeros(z.shape, dtype=bool)
+        real = z.imag == 0
         x = z.real[real]
         out[real] = line_log_abs(x, 0.0, lam) + 1j * line_arg(x, 0.0, lam)
-        out[~real] = log_products(z[~real], lam, skip=skip)
+        out[~real] = log_products(z[~real], lam)
+        return self._completed(out, z)
+
+    def _completed(self, out: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """The window's log-product at z, with log G(0) and the tail added."""
         out += np.log(self.normalization)
         if self.spectrum.tail is None:
             return out
@@ -202,12 +218,17 @@ class GeneratingFunctionEvaluator:
         for an index array k.
 
         The first call computes every node in one blocked pass, each leaving
-        out its own factor, and keeps the array."""
+        out its own factor, and keeps the array: one_height_self_logs on a
+        window on one height, log_products with a skip on any other."""
         if np.any((k < 0) | (k >= len(self.spectrum))):
             raise GenFunError("invalid spectrum index")
         if self._prime is None:
-            lam = self.spectrum.points
-            self._prime = (-1.0 / lam) * np.exp(self.log_G(lam, skip=np.arange(lam.size)))
+            lam, own, height = self.spectrum.points, np.arange(len(self.spectrum)), self.spectrum.height
+            hit = touching(lam, lam, own) if height is None else one_height_touching(lam)
+            if np.any(hit):
+                raise CollisionError(f"spectrum point {lam[np.argmax(hit)]} collides with another")
+            out = log_products(lam, lam, skip=own) if height is None else one_height_self_logs(lam.real, height, own)
+            self._prime = (-1.0 / lam) * np.exp(self._completed(out, lam))
         return self._prime[k]
 
     def tail_uncertainty(self, z: np.ndarray) -> np.ndarray:
@@ -262,7 +283,7 @@ class OuterEvaluator:
         if np.any(np.abs(z.real) > self.X / 2.0):
             raise GenFunError("evaluation point beyond half the boundary grid")
         # (1/(i pi)) sum w phi/(t - z) = (i/pi) sum w phi/(z - t)
-        s = cauchy_sums(z, self.x, (self._w * self._phit)[:, None])[:, 0]
+        s = real_cauchy_sums(z, self.x, self._w * self._phit)
         return np.exp(self.mean + 1j * (s / np.pi + self._kappa))
 
     def boundary_values(self) -> np.ndarray:

@@ -8,19 +8,25 @@ tail and is taken as the whole zero set.
 
 The pair kernels over (points x spectrum) live here too.  Points in the
 plane take a direct kernel, walked in blocks by row_blocks: log_products
-(G, G', B, B', beta), collisions, inverse_square_sums and cauchy_sums (the
-Cauchy sums of a coefficient matrix's columns: on the disk K, and for the
-outer factor).  Real points take the near and far field of one panel tree,
-_line_sums, under three reductions: line_log_abs (log|G| on a line),
-line_arg (arg G on the real line) and line_cauchy (the Cauchy sums on the
-grid: the partial sums, the projector's interpolation sum and, per column
-of a weight matrix, the operator of norm_lower_bounds).
+(G, G', B, B', beta), collisions, inverse_square_sums, cauchy_sums (the
+Cauchy sums of a coefficient matrix's columns, on the disk K) and
+real_cauchy_sums (real nodes and weights: the outer factor).  A window
+whose points share one height delta (Spectrum.height: every lattice
+family's) has real differences lam_j - lam_k, and its kernels run in the
+one dimension Re z - Re lam_j: one_height_self_logs (G' at every node,
+with one_height_touching as its collision rule) and
+one_height_blaschke_logs (B, B', beta and log|B|); the general kernels
+serve any other point set.  Real points take the near and far field of
+one panel tree, _line_sums, under three reductions: line_log_abs (log|G|
+on a line), line_arg (arg G on the real line) and line_cauchy (the Cauchy
+sums on the grid: the partial sums, the projector's interpolation sum
+and, per column of a weight matrix, the operator of norm_lower_bounds).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -267,6 +273,24 @@ def _arg_sums(t: np.ndarray, lre: np.ndarray, dim: np.ndarray, arg: np.ndarray) 
     return out
 
 
+def real_cauchy_sums(z: np.ndarray, t: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """sum_k c_k/(z_i - t_k) per point z_i, for real nodes t and real weights
+    c: sum c (x - t)/|z - t|^2 - i y sum c/|z - t|^2, z = x + iy, in four
+    passes over a block and two row reductions, so no bit depends on the
+    block size or on the other points of the call."""
+    out = np.empty(z.shape, dtype=complex)
+    x, y2 = z.real, z.imag * z.imag
+    for rows, u, q in row_blocks(z.size, t.size, float, float):
+        np.subtract(x[rows, None], t, out=u)
+        np.multiply(u, u, out=q)
+        q += y2[rows, None]
+        np.divide(c, q, out=q)
+        np.add.reduce(q, axis=1, out=out.imag[rows])
+        np.add.reduce(np.multiply(q, u, out=u), axis=1, out=out.real[rows])
+    out.imag *= -z.imag
+    return out
+
+
 def _cauchy_products(z: np.ndarray, lam: np.ndarray, A: np.ndarray) -> np.ndarray:
     """sum_k A[k, s]/(z_i - lam_k) per point z_i and column s, by BLAS per
     block: the one complex form of 1/(z - lambda)."""
@@ -496,10 +520,110 @@ def log_products(z: np.ndarray, zeros: np.ndarray, poles: np.ndarray | None = No
     return out
 
 
+def _touch2(pts: np.ndarray) -> np.ndarray:
+    """(1e-12 max(1, |pts_j|))^2 per point: the squared reach of touching."""
+    return (1e-12 * np.maximum(1.0, np.abs(pts))) ** 2
+
+
 def touching(z: np.ndarray, pts: np.ndarray, skip: np.ndarray | None = None) -> np.ndarray:
     """collisions at |z_i - pts_j| <= 1e-12 max(1, |pts_j|): the one rule by
     which G refuses a zero and B a pole."""
-    return collisions(z, pts, (1e-12 * np.maximum(1.0, np.abs(pts))) ** 2, skip)
+    return collisions(z, pts, _touch2(pts), skip)
+
+
+def one_height_touching(lam: np.ndarray) -> np.ndarray:
+    """touching(lam, lam, skip=arange(lam.size)) for points that share one
+    height: each point against its sorted neighbours in Re lam only.  On one
+    height |lam_k - lam_j|^2 is fl(dx^2), which is monotone in |dx|, and a
+    point j beyond the neighbour j' on the same side is farther by
+    |x_j - x_j'| while its reach is larger by at most 1e-12 |x_j - x_j'|:
+    if j touches lam_k, so does j'."""
+    order = np.argsort(lam.real, kind="stable")
+    reach = _touch2(lam[order])
+    d2 = np.diff(lam.real[order]) ** 2
+    hit = np.zeros(lam.shape, dtype=bool)
+    hit[order[:-1]] |= d2 <= reach[1:]
+    hit[order[1:]] |= d2 <= reach[:-1]
+    return hit
+
+
+def one_height_self_logs(x: np.ndarray, delta: float, k: np.ndarray) -> np.ndarray:
+    """sum_{j != k} log(1 - lam_k/lam_j) at the nodes lam_k = x_k + i delta
+    of a window on one height (distinct x_j), for an index array k, Im
+    defined modulo 2 pi: the window's part of log G'(lam_k) + log(-lam_k).
+
+    1 - lam_k/lam_j = (x_j - x_k)/lam_j, so the modulus is
+    1/2 sum_{j != k} log((x_j - x_k)^2/|lam_j|^2), one log per pair in real
+    arithmetic, each row reduced on its own, and the phase is exact:
+    pi #{j : x_j < x_k} - sum_{j != k} arg lam_j.  With s = sign(delta),
+    arg lam_j = s pi/2 + a_j, a_j = arctan2(-s x_j, |delta|), so the phase
+    is (pi/2) q_k - (S - a_k), q_k = (2 #{x_j < x_k} - s (N - 1)) mod 4 and
+    S = fsum(a): a symmetric window keeps S near 0, and the phase near
+    [0, 2 pi), where a float sum of N args near pi/2 lost ~N ulp."""
+    inv = 1.0 / (x * x + delta * delta)
+    out = np.empty(k.shape, dtype=complex)
+    mod = out.real
+    for rows, d in row_blocks(k.size, x.size, float):
+        np.subtract(x[k[rows], None], x, out=d)
+        d *= d
+        d *= inv
+        d[np.arange(d.shape[0]), k[rows]] = 1.0  # its own factor
+        np.add.reduce(np.log(d, out=d), axis=1, out=mod[rows])
+    mod *= 0.5
+    s = 1 if delta > 0 else -1
+    a = np.arctan2(-s * x, abs(delta))
+    q = (2 * np.searchsorted(np.sort(x), x[k]) - s * (x.size - 1)) % 4
+    out.imag = 0.5 * np.pi * q - (math.fsum(a) - a[k])
+    return out
+
+
+def one_height_blaschke_logs(z: np.ndarray, x: np.ndarray, delta: float, skip: np.ndarray | None = None,
+                             phase: bool = True) -> np.ndarray:
+    """sum_j log[(conj mu_j/mu_j)(z - mu_j)/(z - conj mu_j)] per point z_i,
+    for zeros mu_j = x_j + i delta on one height delta > 0; with skip, point
+    i leaves out factor skip[i]; with phase False, the real part alone,
+    log|B|.  Im is defined modulo 2 pi.
+
+    With u = Re z - x_j and y = Im z, y a per-row scalar:
+    log|f_j| = 1/2 log(near/far), near = u^2 + (y - delta)^2 and
+    far = u^2 + (y + delta)^2, rounded as the general modulus kernel
+    (blaschke._log_abs_factors) rounds them, so log|B| keeps its bits; and
+    arg f_j = arctan2(-2 delta u, u^2 + (y - delta)(y + delta)) - 2 arg mu_j.
+    A z on a zero gives near = 0 and log|B| = -inf, exactly.  The
+    normalizations sum to N pi + 2 sum_j arctan2(-x_j, delta) modulo 2 pi, as
+    in one_height_self_logs.  Each row is reduced on its own, so a point's
+    value is the same bits whichever other points share its call."""
+    out = np.empty(z.shape, dtype=complex if phase else float)
+    mod, y = out.real, z.imag
+    own = None
+    with np.errstate(divide="ignore"):  # z on a zero: log 0 = -inf, exact
+        for rows, u, n, f in row_blocks(z.size, x.size, float, float, float):
+            yr = y[rows, None]
+            np.subtract(z.real[rows, None], x, out=u)
+            np.multiply(u, u, out=n)
+            if skip is not None:
+                own = (np.arange(u.shape[0]), skip[rows])
+            if phase:  # f holds the argument's real part until the modulus needs it
+                np.add(n, (yr - delta) * (yr + delta), out=f)
+                u *= -2.0 * delta
+                np.arctan2(u, f, out=u)
+                if own is not None:
+                    u[own] = 0.0
+                np.add.reduce(u, axis=1, out=out.imag[rows])
+            np.add(n, (yr + delta) ** 2, out=f)
+            n += (yr - delta) ** 2
+            n /= f
+            if own is not None:
+                n[own] = 1.0
+            np.add.reduce(np.log(n, out=n), axis=1, out=mod[rows])
+    mod *= 0.5
+    if phase:
+        a = np.arctan2(-x, delta)
+        if skip is None:
+            out.imag += np.pi * (x.size % 2) - 2.0 * math.fsum(a)
+        else:
+            out.imag += np.pi * ((x.size - 1) % 2) - 2.0 * (math.fsum(a) - a[skip])
+    return out
 
 
 class SpectrumError(ValueError):
@@ -556,12 +680,16 @@ def _sort_points(pts: np.ndarray) -> np.ndarray:
 class Spectrum:
     """Finite window of frequencies, sorted by (|lambda|, arg lambda), and the
     family points beyond it (None: the window is the whole zero set).
+    height is the points' common Im when every one is bit-equal (each
+    lattice family's window), else None: decided once, from the points
+    alone, it selects the one-height pair kernels.
 
     Immutable after construction; safe to share across workers.
     """
 
     points: np.ndarray
     tail: LatticeTail | None = None
+    height: float | None = field(init=False, default=None)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=complex).ravel()
@@ -576,6 +704,8 @@ class Spectrum:
                 raise SpectrumError("duplicate spectrum points")
         pts.flags.writeable = False
         self.points = pts
+        if pts.size and np.all(pts.imag == pts.imag[0]):
+            self.height = float(pts.imag[0])
 
     def __len__(self) -> int:
         return int(self.points.size)

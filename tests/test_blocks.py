@@ -44,6 +44,9 @@ def _kernel_outputs() -> dict:
     s = make_family("kadec_perturbed", {"delta": 0.3, "eps": 0.2}, 30)  # 61 points
     gen = GeneratingFunctionEvaluator(s)
     up = BlaschkeEvaluator(s)
+    # on two heights: the general kernels of G' and B
+    two = Spectrum(np.concatenate([s.points, s.points[::4] + 0.2j]))
+    up_two = BlaschkeEvaluator(two)
     x = np.linspace(-40.0, 40.0, 301)
     z = np.concatenate([x + 0.7j, x - 1.3j])
     outer = OuterEvaluator.from_generating(gen, X=50.0, h=0.05)
@@ -69,7 +72,11 @@ def _kernel_outputs() -> dict:
         "log_G": gen.log_G(z),
         "log_G@real": gen.log_G(x + 0j),
         "log_abs_B": up.log_abs_B(z),
+        "log_abs_B@two-heights": up_two.log_abs_B(z),
         "eval_B": np.concatenate([up.eval_B(z), up.eval_B(z, cutoff=12.0)]),
+        "eval_B@two-heights": up_two.eval_B(z),
+        "G_prime": gen.eval_G_prime_at_lambda(np.arange(s.points.size)),
+        "G_prime@two-heights": GeneratingFunctionEvaluator(two).eval_G_prime_at_lambda(np.arange(two.points.size)),
         "arg_derivative_on_R": up.arg_derivative_on_R(x),
         "carleson_sup": np.array([carleson_sup(s), carleson_sup(_CLUSTERED)]),
         "eval_outer": outer.eval_outer(x[np.abs(x) <= 25.0] + 1.0j),
@@ -81,8 +88,10 @@ def _kernel_outputs() -> dict:
         # the second, a one-term sum: at one row per block its products are single elements
         "cauchy_sums": np.concatenate([spectrum.cauchy_sums(z, s.points, three).ravel(),
                                        spectrum.cauchy_sums(disk, s.points[3:4], np.array([[0.7 - 0.2j]]))[:, 0]]),
+        "real_cauchy_sums": spectrum.real_cauchy_sums(z, grid_x, np.cos(grid_x)),
         "eval_B_prime_at": np.concatenate(
-            [up.eval_B_prime_at(np.arange(s.points.size)), up.eval_B_prime_at(np.arange(20), cutoff=12.0)]
+            [up.eval_B_prime_at(np.arange(s.points.size)), up.eval_B_prime_at(np.arange(20), cutoff=12.0),
+             up_two.eval_B_prime_at(np.arange(two.points.size))]
         ),
         "collisions": np.concatenate(
             [spectrum.collisions(near, s.points, tol2), spectrum.collisions(near, s.points, tol2, own)]
@@ -153,7 +162,7 @@ def test_block_buffers_sliced_per_block(ragged):
     # than one block, or a ragged last block, uses their first rows only and
     # must match one call per point bit for bit (a tailless window, so only
     # the block kernels run); G' at every node, made in one pass, must match
-    # one log_products call per node with its own skip
+    # one call of its kernel (a window on one height) per node with its own skip
     pts = make_family("kadec_perturbed", {"delta": 0.3, "eps": 0.2}, 100).points  # 201 points
     gen = GeneratingFunctionEvaluator(Spectrum(pts))
     up = BlaschkeEvaluator(Spectrum(pts))
@@ -171,6 +180,7 @@ def test_block_buffers_sliced_per_block(ragged):
         single = np.array([kernel(z[i : i + 1])[0] for i in range(z.size)])
         assert np.array_equal(kernel(z), single), name
     nodes = [pts[k : k + 1] for k in range(pts.size if ragged else n)]  # 201 = 2 * 81 + 39
-    single = [(-1.0 / lam) * np.exp(spectrum.log_products(lam, pts, skip=np.array([k])))
+    assert gen.spectrum.height == 0.3
+    single = [(-1.0 / lam) * np.exp(spectrum.one_height_self_logs(pts.real, 0.3, np.array([k])))
               for k, lam in enumerate(nodes)]
     assert np.array_equal(gen.eval_G_prime_at_lambda(np.arange(len(nodes))), np.concatenate(single))

@@ -1,6 +1,6 @@
 """The shared pair-kernel helpers of spectrum against dense and loop oracles:
 row_blocks, collisions, inverse_square_sums (and arg_derivative_on_R, which
-is built on it)."""
+is built on it) and real_cauchy_sums."""
 
 import math
 
@@ -9,7 +9,7 @@ import pytest
 
 from pwsum import spectrum
 from pwsum.blaschke import BlaschkeEvaluator
-from pwsum.spectrum import Spectrum, collisions, inverse_square_sums, row_blocks
+from pwsum.spectrum import Spectrum, cauchy_sums, collisions, inverse_square_sums, real_cauchy_sums, row_blocks
 
 
 def dense_collisions(z, lam, tol2, skip=None):
@@ -126,3 +126,17 @@ def test_arg_derivative_matches_a_pair_loop():
     t = np.linspace(-15.0, 15.0, 121)
     ref = _fsum_inverse_squares(t, b.points, 2.0 * b.points.imag)
     np.testing.assert_allclose(b.arg_derivative_on_R(t), ref, rtol=1e-14, atol=0)
+
+
+def test_real_cauchy_sums_match_the_complex_form():
+    # real nodes and weights, as eval_outer's: points above, on and below
+    # the nodes' line, and a point between two nodes
+    rng = np.random.default_rng(3)
+    t = np.sort(rng.uniform(-20.0, 20.0, 500))
+    c = rng.standard_normal(500)
+    z = np.concatenate([rng.uniform(-10, 10, 40) + 1j * rng.uniform(-2, 2, 40), [0.5 * (t[7] + t[8]) + 0j]])
+    got = real_cauchy_sums(z, t, c)
+    want = cauchy_sums(z, t + 0j, c[:, None] + 0j)[:, 0]
+    scale = np.sum(np.abs(c)[None, :] / np.abs(z[:, None] - t), axis=1)
+    assert np.all(np.abs(got - want) <= 1e-15 * scale)
+    assert np.all(got.imag[z.imag == 0] == 0.0)
