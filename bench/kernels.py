@@ -13,7 +13,9 @@ Times, with one BLAS thread, on fixed inputs:
   count (1/8, 1/4, 1/2, 3/4) and count + 1 (converge-lattice's schedule at
   count 400), and log_abs_B on select_c's side samples (16 apex slopes,
   512 samples per side, at l = count/4), on shifted_integers at counts 400
-  and 4 000 and clustered_pairs at count 600.
+  and 4 000 and clustered_pairs at count 600, and on shifted_integers'
+  window at count 400 with the heights 0.3 and 0.5 in turn (params
+  "heights"), a tailless Spectrum whose kernels take a height per zero.
 Each case runs once untimed, then K times; the file holds the best, the
 quartiles and the pairs (evaluation points x spectrum points) per second at
 the best, with the machine, Python and numpy versions.
@@ -47,6 +49,7 @@ import numpy as np  # noqa: E402
 ROOT = Path(__file__).resolve().parents[1]
 
 SHIFTED, CLUSTERED = ("shifted_integers", {"delta": 0.3}), ("clustered_pairs", {"delta": 1.0, "eps": 0.5})
+TWO_HEIGHTS = ("shifted_integers", {"delta": 0.3, "heights": [0.3, 0.5]})
 # line cases (family, params, count, X, h): the spectrum and the nodes line_grid(X, h)
 CASES = [
     (*SHIFTED, 400, 40.0, 0.01),
@@ -57,9 +60,9 @@ CASES = [
     (*CLUSTERED, 6000, 80.0, 0.01),
 ]
 # spectrum cases (family, params, count): G', the beta rows and log|B| on contour sides
-SPECTRUM_CASES = [(*SHIFTED, 400), (*SHIFTED, 4000), (*CLUSTERED, 600)]
+SPECTRUM_CASES = [(*SHIFTED, 400), (*SHIFTED, 4000), (*CLUSTERED, 600), (*TWO_HEIGHTS, 400)]
 TINY = [(*SHIFTED, 20, 10.0, 0.1), (*CLUSTERED, 80, 8.0, 2.0)]
-TINY_SPECTRUM = [(*SHIFTED, 20)]
+TINY_SPECTRUM = [(*SHIFTED, 20), (*TWO_HEIGHTS, 20)]
 COLUMNS = 10  # of line_cauchy's coefficient matrix
 RADII = (0.125, 0.25, 0.5, 0.75)  # beta rows at these fractions of count, and at count + 1
 SLOPES, SIDE_SAMPLES = 16, 512  # select_c's defaults
@@ -107,7 +110,10 @@ def line_kernels(pw, family, params, count, X, h) -> tuple:
 def spectrum_kernels(pw, family, params, count) -> tuple:
     """(points, {name: (kernel, pairs)}) of G' at every node, the beta rows
     and log|B| on select_c's side samples, on one spectrum case."""
-    s = pw.spectrum.make_family(family, params, count)
+    heights = params.get("heights")
+    s = pw.spectrum.make_family(family, {k: v for k, v in params.items() if k != "heights"}, count)
+    if heights is not None:  # the window's Re at the heights in turn, with no tail
+        s = pw.spectrum.Spectrum(s.points.real + 1j * np.resize(heights, len(s)))
     nodes, moduli = np.arange(len(s)), np.abs(s.points)
     radii = [f * count for f in RADII] + [count + 1.0]
     inside = [int(np.count_nonzero(moduli < n)) for n in radii]

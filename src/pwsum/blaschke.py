@@ -5,10 +5,9 @@ points, all in C+.  The lower half-plane is reached by reflection alone:
 upper_lower_evaluators builds the evaluator of the mirror conj(Lambda-),
 and B-(z) = conj(B(conj z)) of that evaluator.  The summation weight
 beta_n(lam) = B/B_n is always computed as the tail product over
-|mu| >= n, never as a 0/0 ratio.  Zeros on one height (Spectrum.height,
-every lattice family's) take the real kernel one_height_blaschke_logs for
-B, B', beta and log|B|; any other point set takes the block log-product
-(B, B', beta) and the modulus kernel _log_abs_factors (log|B|).
+|mu| >= n, never as a 0/0 ratio.  B, B', beta and log|B| take one real
+kernel, spectrum.blaschke_logs, for every zero set: at the zeros' one
+height (Spectrum.height, every lattice family's) or at Im mu per zero.
 """
 
 from __future__ import annotations
@@ -17,10 +16,8 @@ import numpy as np
 
 from pwsum.spectrum import (
     Spectrum,
+    blaschke_logs,
     inverse_square_sums,
-    log_products,
-    one_height_blaschke_logs,
-    row_blocks,
     split_halfplanes,
     touching,
 )
@@ -30,58 +27,20 @@ class BlaschkeError(ValueError):
     pass
 
 
-def _check_poles(z: np.ndarray, mu: np.ndarray) -> None:
-    """Raise if a point of z touches a pole conj(mu) (spectrum.touching)."""
+def _log_factors(z: np.ndarray, mu: np.ndarray, height: float | None, skip: np.ndarray | None = None,
+                 phase: bool = True) -> np.ndarray:
+    """sum over mu of log[(conj mu / mu)(z - mu)/(z - conj mu)] per point of
+    z (1-d), Im defined modulo 2 pi, by spectrum.blaschke_logs at the
+    zeros' one height, or at Im mu_j per zero; raises at a pole conj(mu)
+    (spectrum.touching).  With skip, point i leaves out factor skip[i] and
+    its normalization; with phase False, the real part alone: log|B|, -inf
+    exactly at a zero, and a point's bits do not depend on the other points
+    of the call, in any number or order.  select_c's pruned search, which
+    scores a contour's samples a few at a time, is exact only under this
+    contract."""
     if np.any(touching(z, np.conj(mu))):
         raise BlaschkeError("evaluation at a pole conj(lambda)")
-
-
-def _log_factors(z: np.ndarray, mu: np.ndarray, height: float | None, skip: np.ndarray | None = None) -> np.ndarray:
-    """Complex kernel: sum over mu of log[(conj mu / mu)(z - mu)/(z - conj mu)]
-    per point of z (1-d); raises at a pole conj(mu).  Zeros on one height
-    take one_height_blaschke_logs.  Any others take one log per block of the
-    factors (z - mu)/(z - conj mu), whose moduli are <= 1 in the closed upper
-    half-plane, so a block product cannot overflow; the unimodular
-    normalizations add log(conj mu / mu) = -2i arg mu.  With skip, point i
-    leaves out factor skip[i] (log_products' rule) and its normalization."""
-    _check_poles(z, mu)
-    if height is not None:
-        return one_height_blaschke_logs(z, mu.real, height, skip)
-    out = log_products(z, mu, np.conj(mu), skip)
-    return out - 2j * (np.angle(mu).sum() - (0.0 if skip is None else np.angle(mu[skip])))
-
-
-def _log_abs_factors(z: np.ndarray, lam: np.ndarray, height: float | None) -> np.ndarray:
-    """Modulus kernel: per point of z (1-d), 1/2 sum over lam of log(near/far),
-    near = |z - lam|^2, far = |z - conj lam|^2, in real arithmetic; raises at
-    a pole conj(lam).  Zeros on one height take one_height_blaschke_logs'
-    modulus, the same terms with Im lam a scalar: the same bits.  The ratio
-    keeps its digits next to a zero, and a z on a zero gives near = 0, so
-    log|B| = -inf exactly (select_c relies on it).  A point's value is the
-    same bits whichever other points share the call, in any number or order:
-    each row is reduced on its own.  select_c's pruned search, which scores
-    a contour's samples a few at a time, is exact only under this
-    contract."""
-    _check_poles(z, lam)
-    if height is not None:
-        return one_height_blaschke_logs(z, lam.real, height, phase=False)
-    out = np.empty(z.shape)
-    lre, lim = lam.real, lam.imag
-    with np.errstate(divide="ignore"):  # z at a zero: log 0 = -inf, exact
-        for rows, d, f, n in row_blocks(z.size, lam.size, float, float, float):
-            zc = z[rows, None]
-            np.subtract(zc.real, lre, out=d)
-            d *= d
-            np.add(zc.imag, lim, out=f)
-            f *= f
-            f += d
-            np.subtract(zc.imag, lim, out=n)
-            n *= n
-            n += d
-            n /= f
-            np.add.reduce(np.log(n, out=n), axis=1, out=out[rows])
-    out *= 0.5
-    return out
+    return blaschke_logs(z, mu.real, height if height is not None else mu.imag, skip, phase)
 
 
 class BlaschkeEvaluator:
@@ -103,7 +62,7 @@ class BlaschkeEvaluator:
 
     def log_abs_B(self, z: np.ndarray) -> np.ndarray:
         """log|B(z)| in real arithmetic (-inf at a zero)."""
-        return _log_abs_factors(z, self.points, self.spectrum.height)
+        return _log_factors(z, self.points, self.spectrum.height, phase=False)
 
     def tail_factor(self, z: np.ndarray, n: float) -> np.ndarray:
         """Tail product prod_{|mu| >= n} factor(z): beta_n(lambda) at a zero

@@ -290,9 +290,8 @@ _COMMANDS = {
 # lower bounds: a family window needs a k on each side of 0, a disk a sample,
 # the atom span an atom, a schedule a contour, the apex-slope scan its 16
 # candidates, a contour side two samples, a grid on [-X, X] a positive X and
-# h.  seed and trials are parsed and checked but have no effect: the norm
-# probe takes no random start and no iteration, and old configs still send
-# them.
+# h.  seed is parsed and checked but has no effect: the norm probe takes no
+# random start, and old configs still send it.
 _KEYS = {
     "subcommand": (None, _choice(_COMMANDS)),
     "output.dir": ("out", _text),
@@ -306,7 +305,6 @@ _KEYS = {
     "grid.X": ("40.0", _number(float, "> 0")),
     "grid.h": ("0.01", _number(float, "> 0")),
     "seed": ("1234", _number(int, ">= 0")),
-    "trials": ("4", _number(int, ">= 1")),
     "atoms.halfwidth": ("20", _number(int, ">= 0")),
     "atoms": ("0.0,0.3,1,0;2.7,0.3,0.5,0", _atoms),
     "l.count": ("4", _number(int, ">= 1")),

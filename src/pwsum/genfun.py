@@ -1,19 +1,21 @@
 """Generating function G: truncated canonical products with tail accounting.
 
-G(z) = G(0) * prod (1 - z/lambda), factors multiplied in |lambda|-ascending
-order.  For the built-in lattice-type families the product over the stored
-window is completed by an analytic tail: beyond the window the family
-formula pairs points symmetrically, (1 - z/(c+q))(1 - z/(c-q)) =
-(q^2 - (c-z)^2)/(q^2 - c^2), and the product of those pairs over a
-sublattice is a ratio of Gamma functions, evaluated through log-Gamma.
-Custom point lists are taken as the whole zero set: G is the finite
-product over the stored points, with no tail.  The window's product takes
-the near and far field of spectrum's line kernels at real points (log|G|
-on any line, and G on the real line, as on converge's grid) and the block
-log-product at every other point.  G' at every node leaves out each
-node's own factor: a window on one height (Spectrum.height) takes the
-real kernel one_height_self_logs, any other the block log-product with a
-skip.
+G(z) = prod (1 - z/lambda), so G(0) = 1, factors multiplied in
+|lambda|-ascending order.  For the built-in lattice-type families the
+product over the stored window is completed by an analytic tail: beyond
+the window the family formula pairs points symmetrically,
+(1 - z/(c+q))(1 - z/(c-q)) = (q^2 - (c-z)^2)/(q^2 - c^2), and the product
+of those pairs over a sublattice is a ratio of Gamma functions, evaluated
+through log-Gamma.  Custom point lists are taken as the whole zero set: G
+is the finite product over the stored points, with no tail.  The window's
+product takes the near and far field of spectrum's line kernels at real
+points (log|G| on any line, and G on the real line, as on converge's
+grid) and the block log-product at every other point.  G' at every node
+leaves out each node's own factor: a window on one height
+(Spectrum.height) takes the real kernel one_height_self_logs, any other
+the block log-product with a skip.  The Blaschke quantities (B, B', beta,
+log|B|) are not here: one real kernel, spectrum.blaschke_logs, serves
+them for every zero set.
 
 The outer factor is recovered from log|G| at the nodes of
 grids.line_grid(X, h) by the Schwarz-Poisson integral; only its modulus is
@@ -164,11 +166,8 @@ class GeneratingFunctionEvaluator:
     entire of exponential type 0, recorded in `exp_type`.
     """
 
-    def __init__(self, spectrum: Spectrum, normalization: complex = 1.0 + 0j):
-        if normalization == 0:
-            raise GenFunError("normalization G(0) must be nonzero")
+    def __init__(self, spectrum: Spectrum):
         self.spectrum = spectrum
-        self.normalization = complex(normalization)
         self.exp_type = math.pi if spectrum.tail is not None else 0.0
         self._prime = None  # G' at every node, from the first eval_G_prime_at_lambda call
 
@@ -192,8 +191,7 @@ class GeneratingFunctionEvaluator:
         return self._completed(out, z)
 
     def _completed(self, out: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """The window's log-product at z, with log G(0) and the tail added."""
-        out += np.log(self.normalization)
+        """The window's log-product at z, with the tail added."""
         if self.spectrum.tail is None:
             return out
         return out + _tail_log(self.spectrum.tail, z)
@@ -207,14 +205,13 @@ class GeneratingFunctionEvaluator:
         z = x + 1j * a
         if np.any(touching(z, self.spectrum.points)):
             raise CollisionError("line sample collides with a spectrum point")
-        out = np.full(x.shape, np.log(abs(self.normalization)))
-        out += line_log_abs(x, a, self.spectrum.points)
+        out = line_log_abs(x, a, self.spectrum.points)
         if self.spectrum.tail is not None:
             out += _tail_log(self.spectrum.tail, z).real
         return out
 
     def eval_G_prime_at_lambda(self, k: np.ndarray) -> np.ndarray:
-        """G'(lambda_k) = normalization * (-1/lambda_k) * prod_{mu != lambda_k} (1 - lambda_k/mu)
+        """G'(lambda_k) = (-1/lambda_k) * prod_{mu != lambda_k} (1 - lambda_k/mu)
         for an index array k.
 
         The first call computes every node in one blocked pass, each leaving

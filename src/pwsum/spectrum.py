@@ -8,19 +8,19 @@ tail and is taken as the whole zero set.
 
 The pair kernels over (points x spectrum) live here too.  Points in the
 plane take a direct kernel, walked in blocks by row_blocks: log_products
-(G, G', B, B', beta), collisions, inverse_square_sums, cauchy_sums (the
-Cauchy sums of a coefficient matrix's columns, on the disk K) and
-real_cauchy_sums (real nodes and weights: the outer factor).  A window
-whose points share one height delta (Spectrum.height: every lattice
-family's) has real differences lam_j - lam_k, and its kernels run in the
-one dimension Re z - Re lam_j: one_height_self_logs (G' at every node,
-with one_height_touching as its collision rule) and
-one_height_blaschke_logs (B, B', beta and log|B|); the general kernels
-serve any other point set.  Real points take the near and far field of
-one panel tree, _line_sums, under three reductions: line_log_abs (log|G|
-on a line), line_arg (arg G on the real line) and line_cauchy (the Cauchy
-sums on the grid: the partial sums, the projector's interpolation sum
-and, per column of a weight matrix, the operator of norm_lower_bounds).
+(G, and G' off one height), blaschke_logs (B, B', beta and log|B| of every
+zero set in C+, in real arithmetic), collisions, inverse_square_sums,
+cauchy_sums (the Cauchy sums of a coefficient matrix's columns, on the
+disk K) and real_cauchy_sums (real nodes and weights: the outer factor).
+A window whose points share one height delta (Spectrum.height: every
+lattice family's) has real differences lam_j - lam_k, and G' at its nodes
+runs in the one dimension Re lam_j - Re lam_k: one_height_self_logs, with
+one_height_touching as its collision rule.  Real points take the near and
+far field of one panel tree, _line_sums, under three reductions:
+line_log_abs (log|G| on a line), line_arg (arg G on the real line) and
+line_cauchy (the Cauchy sums on the grid: the partial sums, the
+projector's interpolation sum and, per column of a weight matrix, the
+operator of norm_lower_bounds).
 """
 
 from __future__ import annotations
@@ -460,12 +460,10 @@ LOG_BLOCK = 16
 _LOG_TINY = float(np.log(np.finfo(float).tiny))
 
 
-def log_products(z: np.ndarray, zeros: np.ndarray, poles: np.ndarray | None = None,
-                 skip: np.ndarray | None = None) -> np.ndarray:
-    """Sum over j of log f_j(z_i) per point z_i (1-d): f_j = (zeros_j - z)/zeros_j,
-    with the reciprocals formed once per call, or, with poles,
-    f_j = (z - zeros_j)/(z - poles_j).  The only block log-product of G, G', B,
-    B' and beta: with skip, point i leaves out factor skip[i] (an exact 1).
+def log_products(z: np.ndarray, zeros: np.ndarray, skip: np.ndarray | None = None) -> np.ndarray:
+    """Sum over j of log f_j(z_i) per point z_i (1-d), f_j = (zeros_j - z)/zeros_j,
+    with the reciprocals formed once per call.  The only block log-product
+    of G and G': with skip, point i leaves out factor skip[i] (an exact 1).
 
     One log (modulus and argument) per product of a block of LOG_BLOCK
     consecutive factors, in the given order (the last block is padded with
@@ -482,18 +480,12 @@ def log_products(z: np.ndarray, zeros: np.ndarray, poles: np.ndarray | None = No
     members = pad.reshape(rows, nb, LOG_BLOCK).transpose(2, 0, 1)  # (member, row, block)
     re, im = np.empty((2, LOG_BLOCK, rows, nb))
     t, mod = np.empty((LOG_BLOCK // 2, rows, nb)), np.empty((rows, nb))
-    inv = 1.0 / zeros if poles is None else None
-    den = None if poles is None else np.empty((rows, n), dtype=complex)
+    inv = 1.0 / zeros
     for (blk,) in row_blocks(z.size, n):
         zc, r = z[blk, None], blk.stop - blk.start
         f = pad[:r, :n]
-        if poles is None:
-            np.subtract(zeros, zc, out=f)
-            f *= inv
-        else:
-            np.subtract(zc, poles, out=den[:r])
-            np.subtract(zc, zeros, out=f)
-            f /= den[:r]
+        np.subtract(zeros, zc, out=f)
+        f *= inv
         if skip is not None:
             f[np.arange(r), skip[blk]] = 1.0
         br, bi, bm = re[:, :r], im[:, :r], mod[:r]
@@ -577,41 +569,53 @@ def one_height_self_logs(x: np.ndarray, delta: float, k: np.ndarray) -> np.ndarr
     return out
 
 
-def one_height_blaschke_logs(z: np.ndarray, x: np.ndarray, delta: float, skip: np.ndarray | None = None,
-                             phase: bool = True) -> np.ndarray:
+def blaschke_logs(z: np.ndarray, x: np.ndarray, delta: float | np.ndarray, skip: np.ndarray | None = None,
+                  phase: bool = True) -> np.ndarray:
     """sum_j log[(conj mu_j/mu_j)(z - mu_j)/(z - conj mu_j)] per point z_i,
-    for zeros mu_j = x_j + i delta on one height delta > 0; with skip, point
-    i leaves out factor skip[i]; with phase False, the real part alone,
-    log|B|.  Im is defined modulo 2 pi.
+    for zeros mu_j = x_j + i delta_j in C+, delta a scalar (one height) or
+    one per zero; with skip, point i leaves out factor skip[i]; with phase
+    False, the real part alone, log|B|.  Im is defined modulo 2 pi.  The one
+    Blaschke kernel: B, B', beta and log|B| for every zero set.
 
     With u = Re z - x_j and y = Im z, y a per-row scalar:
-    log|f_j| = 1/2 log(near/far), near = u^2 + (y - delta)^2 and
-    far = u^2 + (y + delta)^2, rounded as the general modulus kernel
-    (blaschke._log_abs_factors) rounds them, so log|B| keeps its bits; and
-    arg f_j = arctan2(-2 delta u, u^2 + (y - delta)(y + delta)) - 2 arg mu_j.
-    A z on a zero gives near = 0 and log|B| = -inf, exactly.  The
-    normalizations sum to N pi + 2 sum_j arctan2(-x_j, delta) modulo 2 pi, as
-    in one_height_self_logs.  Each row is reduced on its own, so a point's
-    value is the same bits whichever other points share its call."""
+    log|f_j| = 1/2 log(near/far), near = u^2 + (y - delta_j)^2 and
+    far = u^2 + (y + delta_j)^2, in real arithmetic; and
+    arg f_j = arctan2(-2 delta_j u, u^2 + (y - delta_j)(y + delta_j)) - 2 arg mu_j.
+    On one height y -/+ delta is a column per block; on several it is
+    written into the block's buffers, in the same arithmetic, so a scalar
+    delta and the same heights one per zero give the same bits.  A z on a
+    zero gives near = 0 and log|B| = -inf, exactly.  The normalizations sum
+    to -2 sum_j arg mu_j = N pi - 2 sum_j arctan2(-x_j, delta_j) modulo
+    2 pi, with an fsum, as in one_height_self_logs.  Each row is reduced on
+    its own, so a point's value is the same bits whichever other points
+    share its call."""
     out = np.empty(z.shape, dtype=complex if phase else float)
     mod, y = out.real, z.imag
+    two = -2.0 * delta
+    each = np.size(delta) > 1  # a height per zero: y -/+ delta_j go into the block's buffers
     own = None
     with np.errstate(divide="ignore"):  # z on a zero: log 0 = -inf, exact
-        for rows, u, n, f in row_blocks(z.size, x.size, float, float, float):
+        for rows, u, n, f, *t in row_blocks(z.size, x.size, *(float,) * (4 if phase and each else 3)):
             yr = y[rows, None]
             np.subtract(z.real[rows, None], x, out=u)
             np.multiply(u, u, out=n)
             if skip is not None:
                 own = (np.arange(u.shape[0]), skip[rows])
             if phase:  # f holds the argument's real part until the modulus needs it
-                np.add(n, (yr - delta) * (yr + delta), out=f)
-                u *= -2.0 * delta
+                if each:
+                    np.multiply(np.subtract(yr, delta, out=f), np.add(yr, delta, out=t[0]), out=f)
+                    f += n
+                else:
+                    np.add(n, (yr - delta) * (yr + delta), out=f)
+                u *= two
                 np.arctan2(u, f, out=u)
                 if own is not None:
                     u[own] = 0.0
                 np.add.reduce(u, axis=1, out=out.imag[rows])
-            np.add(n, (yr + delta) ** 2, out=f)
-            n += (yr - delta) ** 2
+            p = np.add(yr, delta, out=f if each else None)  # u and f are free now
+            np.add(n, np.square(p, out=p), out=f)
+            m = np.subtract(yr, delta, out=u if each else None)
+            n += np.square(m, out=m)
             n /= f
             if own is not None:
                 n[own] = 1.0
@@ -682,7 +686,8 @@ class Spectrum:
     family points beyond it (None: the window is the whole zero set).
     height is the points' common Im when every one is bit-equal (each
     lattice family's window), else None: decided once, from the points
-    alone, it selects the one-height pair kernels.
+    alone, it selects G's one-height kernel and passes blaschke_logs a
+    scalar height.
 
     Immutable after construction; safe to share across workers.
     """

@@ -118,8 +118,8 @@ def test_log_abs_B_zero_and_pole():
 
 
 def test_eval_B_zero_inside_a_block():
-    # a zero factor sends its row to one log per factor: log 0 = -inf, B = 0
-    # exactly, and the other rows keep their block products
+    # a z on a zero: log|f| = log 0 = -inf, so B = 0 exactly, and the other
+    # rows keep their values
     s = make_family("kadec_perturbed", {"delta": 0.3, "eps": 0.2}, 20)  # 41 zeros
     b = BlaschkeEvaluator(s)
     z = np.array([b.points[17], b.points[17] + 0.25, b.points[40]])

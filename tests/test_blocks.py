@@ -44,7 +44,7 @@ def _kernel_outputs() -> dict:
     s = make_family("kadec_perturbed", {"delta": 0.3, "eps": 0.2}, 30)  # 61 points
     gen = GeneratingFunctionEvaluator(s)
     up = BlaschkeEvaluator(s)
-    # on two heights: the general kernels of G' and B
+    # on two heights: G' by log_products with a skip, B at a height per zero
     two = Spectrum(np.concatenate([s.points, s.points[::4] + 0.2j]))
     up_two = BlaschkeEvaluator(two)
     x = np.linspace(-40.0, 40.0, 301)
@@ -143,11 +143,20 @@ def test_block_rows_rule(monkeypatch):
 
 
 @pytest.mark.parametrize("shape", [(3, 0), (0, 5)], ids=["no-factors", "no-rows"])
-@pytest.mark.parametrize("poles", [False, True], ids=["G", "B"])
-def test_log_products_empty_shapes(shape, poles):
+def test_log_products_empty_shapes(shape):
     z, zeros = np.linspace(0.0, 2.0, shape[0]) + 0.5j, np.arange(shape[1]) + 1.5j
-    out = spectrum.log_products(z, zeros, np.conj(zeros) if poles else None)
+    out = spectrum.log_products(z, zeros)
     assert out.shape == (shape[0],) and np.all(out == 0)
+
+
+@pytest.mark.parametrize("shape", [(3, 0), (0, 5)], ids=["no-zeros", "no-rows"])
+@pytest.mark.parametrize("phase", [True, False], ids=["B", "log|B|"])
+def test_blaschke_logs_empty_shapes(shape, phase):
+    # at one height and at a height per zero: no zeros give log B = 0, no points an empty array
+    z, x = np.linspace(0.0, 2.0, shape[0]) + 0.5j, np.arange(shape[1]) + 0.5
+    for delta in (1.5, np.full(shape[1], 1.5)):
+        out = spectrum.blaschke_logs(z, x, delta, phase=phase)
+        assert out.shape == (shape[0],) and np.all(out == 0)
 
 
 def test_tail_factor_with_no_points_beyond_n():

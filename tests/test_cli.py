@@ -261,7 +261,7 @@ output.dir={out}
 
 
 def test_compare_norms_and_determinism(tmp_path):
-    # the probe's bound is exact: seed and trials are accepted and change no byte
+    # the probe's bound is exact: seed is accepted and changes no byte
     base = """subcommand=compare-norms
 family=clustered_pairs
 count=12
@@ -275,7 +275,7 @@ atoms.halfwidth=10
 {}
 output.dir={}
 """
-    seeds = ["seed=42", "seed=42", "trials=1\nseed=0", "trials=4\nseed=99"]
+    seeds = ["seed=42", "seed=42", "seed=0", "seed=99"]
     outs = [tmp_path / f"o{i}" for i in range(len(seeds))]
     for i, (seed, out) in enumerate(zip(seeds, outs)):
         assert run(write_cfg(tmp_path, f"n{i}.cfg", base.format(seed, out))) == EXIT_OK
@@ -418,9 +418,10 @@ def test_runtime_imports_neither_scipy_nor_numpy_ma(tmp_path):
         ("subcommand=diagnose\ndiag.X=-4\n", {}),
         ("subcommand=diagnose\ndiag.h=0.03\ndiag.X=40\n", {}),
         ("subcommand=factorize-check\nfactorize.samples=a,b\n", {}),
-        # no contour, no trial: nothing meaningful to write
+        # no contour: nothing meaningful to write
         ("subcommand=contours\nl.count=0\n", {}),
-        ("subcommand=compare-norms\ntrials=0\n", {}),
+        # a removed key is an unknown key, even at a value it once accepted
+        ("subcommand=compare-norms\ntrials=4\n", {}),
         # config mistakes, caught before the numerical layers run
         ("subcommand=weights\nscheme=naive\nschedule=3,2\n", {}),
         ("subcommand=weights\nscheme=naive\nschedule=-1,2\n", {}),
@@ -465,7 +466,7 @@ def test_runtime_imports_neither_scipy_nor_numpy_ma(tmp_path):
          "header-count-disagrees", "header-window-even", "header-key-unknown", "header-key-repeated", "header-count-fractional",
          "grid-h-0", "grid-X-negative", "diag-h-0", "diag-X-negative", "diag-h-not-dividing-2X",
          "samples-unparsable",
-         "l-count-0", "trials-0", "schedule-decreasing", "schedule-negative",
+         "l-count-0", "trials-removed", "schedule-decreasing", "schedule-negative",
          "c-grid-3", "side-samples-1", "atoms-duplicate", "samples-on-real-axis", "samples-inf",
          "l-ratio-0", "l-ratio-nan", "alpha-safety-nan", "alpha-safety-negative",
          "K-radius-nan", "K-radius-0", "K-center-re-inf", "K-center-im-nan", "a2-a-nan",
@@ -739,7 +740,6 @@ _NONFINITE = [float("nan"), float("inf"), -float("inf")]
 # the ranges a run accepts, and edge values for each key (some must be refused)
 _FUZZ_VALID = {
     "l.count": st.integers(1, 4),
-    "trials": st.integers(1, 3),
     "c.grid": st.integers(16, 24),
     "side.samples": st.integers(2, 40),
     "l.ratio": st.floats(1.0, 6.0),
@@ -755,7 +755,6 @@ _FUZZ_VALID = {
 }
 _FUZZ_EDGE = {
     "l.count": [0, -1],
-    "trials": [0],
     "c.grid": [3, 15],
     "side.samples": [0, 1],
     **{k: _NONFINITE + [-1.0, 0.0, 0.5] for k in

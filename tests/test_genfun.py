@@ -38,11 +38,6 @@ def test_single_factor():
     assert g.eval_G(np.array([2j]))[0] == pytest.approx(-1.0)
 
 
-def test_value_at_zero_is_normalization():
-    g = GeneratingFunctionEvaluator(Spectrum(np.array([1j, 2 - 1j])), normalization=3.5 - 1j)
-    assert g.eval_G(np.array([0j]))[0] == pytest.approx(3.5 - 1j)
-
-
 def test_lattice_matches_sine_form_small_z():
     s = make_family("shifted_integers", {"delta": 0.3}, 5000)
     g = GeneratingFunctionEvaluator(s)
@@ -362,17 +357,6 @@ def test_outer_boundary_phase_consistent():
     # interior values agree with the same closed form
     z = np.array([1j, 3 + 2j, -10 + 0.5j])
     assert np.abs(o.eval_outer(z)) == pytest.approx(np.abs((z + 2j) / (z + 1j)), rel=1e-3)
-
-
-def test_outer_invariant_under_unimodular_normalization():
-    # |c| = 1 leaves log|G| and hence the outer factor untouched
-    s = make_family("shifted_integers", {"delta": 0.3}, 40)
-    g1 = GeneratingFunctionEvaluator(s)
-    g2 = GeneratingFunctionEvaluator(s, normalization=np.exp(0.9j))
-    o1 = OuterEvaluator.from_generating(g1, X=50.0, h=0.05)
-    o2 = OuterEvaluator.from_generating(g2, X=50.0, h=0.05)
-    z = np.array([1 + 1j, -3 + 2j])
-    assert np.allclose(np.abs(o1.eval_outer(z)), np.abs(o2.eval_outer(z)), rtol=1e-12)
 
 
 def test_outer_needs_one_sample_per_node():

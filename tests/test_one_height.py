@@ -1,8 +1,10 @@
-"""The one-height kernels: a window whose points share one height delta
-(Spectrum.height) takes one_height_self_logs for G' at every node and
-one_height_blaschke_logs for B, B', beta and log|B|.  The general kernels
-(log_products, blaschke._log_abs_factors, touching with a skip) stay for
-any other point set and are the oracles here."""
+"""The one-height kernels and the one Blaschke kernel.  A window whose
+points share one height delta (Spectrum.height) takes one_height_self_logs
+for G' at every node; the general kernels (log_products with a skip,
+touching with a skip) stay for any other point set and are its oracles
+here.  B, B', beta and log|B| take spectrum.blaschke_logs for every zero
+set: a scalar height and the same heights one per zero give the same
+bits, and a two-height list meets mpmath."""
 
 import mpmath
 import numpy as np
@@ -26,7 +28,8 @@ _WINDOWS["clustered-tailless"] = Spectrum(make_family("clustered_pairs", _PARAMS
 
 
 def _general(s: Spectrum) -> Spectrum:
-    """The same spectrum with the one-height kernels switched off."""
+    """The same spectrum with the one-height kernels switched off: G' takes
+    log_products, and blaschke_logs a height per zero."""
     out = Spectrum(s.points, s.tail)
     out.height = None
     return out
@@ -63,16 +66,17 @@ def test_G_prime_matches_the_general_kernel(window):
 
 @pytest.mark.parametrize("window", sorted(_WINDOWS))
 def test_blaschke_kernels_match_the_general_ones(window):
-    # B, beta and B' within 2e-12 (on clustered_pairs count 200 the general
-    # block product errs by up to 6.3e-13 against mpmath, this kernel by
-    # 7e-15); log|B| bit for bit
+    # the general kernel is blaschke_logs with a height per zero: B, beta
+    # (the zeros beyond a radius), B' (a skip) and log|B| at the scalar
+    # height and at the array Im mu give the same bits
     s = _WINDOWS[window]
     lam, z, own = s.points, _test_points(s), np.arange(len(s))
-    for args in ((z, lam), (z, lam[np.abs(lam) >= s.radius / 2]), (lam, lam, own)):
-        got = blaschke._log_factors(*args[:2], s.height, *args[2:])
-        want = blaschke._log_factors(*args[:2], None, *args[2:])
-        assert np.max(np.abs(np.expm1(got - want))) <= 2e-12
-    assert np.array_equal(blaschke._log_abs_factors(z, lam, s.height), blaschke._log_abs_factors(z, lam, None))
+    outer = lam[np.abs(lam) >= s.radius / 2]
+    for args in ((z, lam), (z, outer), (lam, lam, own), (outer, outer, own[: outer.size])):
+        for phase in (True, False):
+            got = spectrum.blaschke_logs(args[0], args[1].real, s.height, *args[2:], phase=phase)
+            want = spectrum.blaschke_logs(args[0], args[1].real, args[1].imag, *args[2:], phase=phase)
+            assert np.array_equal(got, want)
 
 
 def test_B_prime_on_a_clustered_window_matches_mpmath():
@@ -101,29 +105,45 @@ def test_touching_on_one_height_is_the_general_rule():
         GeneratingFunctionEvaluator(Spectrum(lam)).eval_G_prime_at_lambda(np.arange(1))
 
 
-def test_two_heights_and_their_mirror_take_the_general_path_bit_for_bit():
-    x = np.linspace(-9.0, 9.0, 19)
-    pts = np.concatenate([x + 0.3j, x[::2] + 0.25 + 0.8j, x[::3] + 0.1 - 0.4j, x[1::4] - 0.9j])
+def _mp_factors(z, mu, skip=None):
+    """prod_j (conj mu_j/mu_j)(z - mu_j)/(z - conj mu_j), j != skip, at 30 digits."""
+    with mpmath.workdps(30):
+        z, mu = mpmath.mpc(z), [mpmath.mpc(m) for m in mu]
+        return complex(mpmath.fprod((mpmath.conj(m) / m) * (z - m) / (z - mpmath.conj(m))
+                                    for j, m in enumerate(mu) if j != skip))
+
+
+def test_two_heights_and_their_mirror():
+    # 301 zeros at height 0.3 and 300 at 0.5 in C+, and a two-height lower
+    # list: G' takes log_products with a skip, bit for bit; B' and beta meet
+    # mpmath to 1e-13 (the block log-product that served them met it to
+    # 1.7e-13 on the upper list, blaschke_logs to 3.5e-15)
+    x = np.arange(-150.0, 151.0)
+    pts = np.concatenate([x + 0.3j, x[:-1] + 0.5 + 0.5j, x[::9] + 0.1 - 0.4j, x[1::12] - 0.9j])
     s = Spectrum(pts)
     assert s.height is None
     own = np.arange(len(s))
     gen = GeneratingFunctionEvaluator(s)
     want = (-1.0 / s.points) * np.exp(log_products(s.points, s.points, skip=own))
     assert np.array_equal(gen.eval_G_prime_at_lambda(own), want)
-    z = _test_points(Spectrum(x + 0.3j))
     for b in upper_lower_evaluators(s):
         mu = b.points
         assert b.spectrum.height is None
-        assert np.array_equal(b.log_abs_B(z), blaschke._log_abs_factors(z, mu, None))
-        assert np.array_equal(b.eval_B(z), np.exp(log_products(z, mu, np.conj(mu)) - 2j * np.angle(mu).sum()))
-        k = np.arange(mu.size)
-        assert np.array_equal(b.eval_B_prime_at(k), (np.conj(mu) / mu) / (mu - np.conj(mu)) * np.exp(
-            log_products(mu, mu, np.conj(mu), k) - 2j * (np.angle(mu).sum() - np.angle(mu))))
+        ks = np.arange(0, mu.size, 1 + mu.size // 16)
+        got = b.eval_B_prime_at(ks)
+        want = [(np.conj(mu[k]) / mu[k]) / (mu[k] - np.conj(mu[k])) * _mp_factors(mu[k], mu, k) for k in ks]
+        assert np.max(np.abs(got / want - 1.0)) <= 1e-13
+        n = 0.6 * b.spectrum.radius
+        inside = mu[np.abs(mu) < n][::5]
+        got = b.tail_factor(inside, n)
+        want = [_mp_factors(lam, mu[np.abs(mu) >= n]) for lam in inside]
+        assert np.max(np.abs(got / want - 1.0)) <= 1e-13
 
 
 def test_a_lower_window_on_one_height_and_its_mirror():
-    # G' below the real line (sign -1 in the phase) and the mirror's B on
-    # the one-height kernels, against the general ones
+    # G' below the real line (sign -1 in the phase) on the one-height
+    # kernel, against log_products; the mirror's B and log|B| at its one
+    # height and at a height per zero, bit for bit
     s = Spectrum(np.conj(make_family("kadec_perturbed", _PARAMS["kadec_perturbed"], 30).points))
     assert s.height == -0.3
     own = np.arange(len(s))
@@ -133,7 +153,7 @@ def test_a_lower_window_on_one_height_and_its_mirror():
     assert up is None and lo.spectrum.height == 0.3
     general = BlaschkeEvaluator(_general(lo.spectrum))
     z = _test_points(lo.spectrum)
-    assert np.max(np.abs(lo.eval_B(z) / general.eval_B(z) - 1.0)) <= 2e-12
+    assert np.array_equal(lo.eval_B(z), general.eval_B(z))
     assert np.array_equal(lo.log_abs_B(z), general.log_abs_B(z))
 
 

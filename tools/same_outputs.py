@@ -16,7 +16,10 @@ two per leaf of the line kernels' panel tree) and converge on
 shifted_integers at count 2 000 (a tree several levels deeper than the
 benchmark's); and contours and universal weights on all three lattice
 families, at c.grid 17 and 64 and at side.samples 2, 3 and 1000 (the
-apex-slope search's candidate and sample counts).
+apex-slope search's candidate and sample counts); and projection and
+universal weights and a projection converge run on a custom list of 200
+points on two heights in each half-plane (_TWO_HEIGHTS), where the
+Blaschke kernel takes a height per zero.
 The configs come from this tool's own tree, so both sides run the same
 text.  Each tree runs them all in one subprocess, cli.run on each config
 in turn, with one BLAS thread.
@@ -78,6 +81,12 @@ _EXTRA.update({f"{sub}-{family}{suffix}": f"subcommand={sub}\n{scheme}{keys}{sea
                for sub, scheme in (("contours", ""), ("weights", "scheme=universal\n"))
                for family, keys in _FAMILY_KEYS.items() for suffix, search in _SEARCH_KEYS.items()})
 
+# 100 points in C+ at x = 2k, heights 0.3 and 0.5 in turn, and 100 in C- at
+# x = 2k + 1, written as _cli_configs writes its points file
+_TWO_HEIGHTS = "".join(f"{2 * k} {h}\n{2 * k + 1} {-h}\n" for k in range(-50, 50) for h in [(0.3, 0.5)[k % 2]])
+_TWO_HEIGHT_RUNS = {"weights-two-heights": "subcommand=weights\nscheme=projection,universal\n",
+                    "converge-two-heights": "subcommand=converge\nscheme=projection\n"}
+
 _RUN = "import sys\nfrom pwsum import cli\nfor path in sys.argv[1:]:\n    print(cli.run(path), flush=True)\n"
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -90,7 +99,10 @@ def write_configs(base: Path) -> list[Path]:
             path = base / f"{name}-{variant}.cfg"
             path.write_text(config_text(name, variant, str(base / f"{name}-{variant}")))
             paths.append(path)
-    for name, body in _EXTRA.items():
+    points = base / "two-heights.txt"
+    points.write_text(_TWO_HEIGHTS)
+    two_heights = {name: f"{body}family=custom_list\npoints.file={points}\n" for name, body in _TWO_HEIGHT_RUNS.items()}
+    for name, body in {**_EXTRA, **two_heights}.items():
         path = base / f"{name}.cfg"
         path.write_text(f"{body}output.dir={base / name}\n")
         paths.append(path)
