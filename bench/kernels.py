@@ -15,7 +15,10 @@ Times, with one BLAS thread, on fixed inputs:
   512 samples per side, at l = count/4), on shifted_integers at counts 400
   and 4 000 and clustered_pairs at count 600, and on shifted_integers'
   window at count 400 with the heights 0.3 and 0.5 in turn (params
-  "heights"), a tailless Spectrum whose kernels take a height per zero.
+  "heights"), a tailless Spectrum whose kernels take a height per zero;
+- on the same spectrum cases, the disk K of engine.compactwise_errors:
+  spectrum.cauchy_sums (10 columns) and G (log_G, tail included) at its
+  256 sunflower samples (engine.disk_samples, centre 0, radius 3).
 Each case runs once untimed, then K times; the file holds the best, the
 quartiles and the pairs (evaluation points x spectrum points) per second at
 the best, with the machine, Python and numpy versions.
@@ -63,9 +66,10 @@ CASES = [
 SPECTRUM_CASES = [(*SHIFTED, 400), (*SHIFTED, 4000), (*CLUSTERED, 600), (*TWO_HEIGHTS, 400)]
 TINY = [(*SHIFTED, 20, 10.0, 0.1), (*CLUSTERED, 80, 8.0, 2.0)]
 TINY_SPECTRUM = [(*SHIFTED, 20), (*TWO_HEIGHTS, 20)]
-COLUMNS = 10  # of line_cauchy's coefficient matrix
+COLUMNS = 10  # of line_cauchy's and cauchy_sums' coefficient matrices
 RADII = (0.125, 0.25, 0.5, 0.75)  # beta rows at these fractions of count, and at count + 1
 SLOPES, SIDE_SAMPLES = 16, 512  # select_c's defaults
+DISK = (0j, 3.0, 256)  # compactwise_errors' defaults: centre, radius, samples
 
 
 def machine() -> dict:
@@ -90,17 +94,23 @@ def load(src: Path) -> SimpleNamespace:
     sys.path.insert(0, str(src.resolve()))
     try:
         return SimpleNamespace(**{m: importlib.import_module(f"pwsum.{m}")
-                                  for m in ("grids", "spectrum", "genfun", "blaschke", "contours", "weights")})
+                                  for m in ("grids", "spectrum", "genfun", "blaschke", "contours", "weights",
+                                            "engine")})
     finally:
         sys.path.pop(0)
+
+
+def coefficients(n: int, seed: int) -> np.ndarray:
+    """A seeded (n, COLUMNS) complex coefficient matrix."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((n, COLUMNS)) + 1j * rng.standard_normal((n, COLUMNS))
 
 
 def line_kernels(pw, family, params, count, X, h) -> tuple:
     """(points, {name: (kernel, pairs)}) of the line kernels on one line case."""
     lam = pw.spectrum.make_family(family, params, count).points
     x, _ = pw.grids.line_grid(X, h)
-    rng = np.random.default_rng(count)
-    A = rng.standard_normal((lam.size, COLUMNS)) + 1j * rng.standard_normal((lam.size, COLUMNS))
+    A = coefficients(lam.size, count)
     pairs = x.size * lam.size
     return lam.size, {"line_log_abs": (lambda: pw.spectrum.line_log_abs(x, 0.0, lam), pairs),
                       "line_arg": (lambda: pw.spectrum.line_arg(x, 0.0, lam), pairs),
@@ -108,8 +118,9 @@ def line_kernels(pw, family, params, count, X, h) -> tuple:
 
 
 def spectrum_kernels(pw, family, params, count) -> tuple:
-    """(points, {name: (kernel, pairs)}) of G' at every node, the beta rows
-    and log|B| on select_c's side samples, on one spectrum case."""
+    """(points, {name: (kernel, pairs)}) of G' at every node, the beta rows,
+    log|B| on select_c's side samples, and the Cauchy sums and G on the disk
+    K, on one spectrum case."""
     heights = params.get("heights")
     s = pw.spectrum.make_family(family, {k: v for k, v in params.items() if k != "heights"}, count)
     if heights is not None:  # the window's Re at the heights in turn, with no tail
@@ -121,9 +132,13 @@ def spectrum_kernels(pw, family, params, count) -> tuple:
     l = count / 4
     zeta = np.concatenate([pw.contours.triangle_samples(l, c, SIDE_SAMPLES) for c in np.linspace(1.0, 10.0, SLOPES)])
     n = len(s)
+    disk, gen = pw.engine.disk_samples(*DISK), pw.genfun.GeneratingFunctionEvaluator(s)
+    A = coefficients(n, count)
     return n, {"G_prime": (lambda: pw.genfun.GeneratingFunctionEvaluator(s).eval_G_prime_at_lambda(nodes), n * (n - 1)),
                "beta_rows": (lambda: pw.weights.projection_weights(s, radii), sum(k * (n - k) for k in inside)),
-               "log_abs_B_sides": (lambda: b.log_abs_B(zeta), zeta.size * n)}
+               "log_abs_B_sides": (lambda: b.log_abs_B(zeta), zeta.size * n),
+               "cauchy_disk": (lambda: pw.spectrum.cauchy_sums(disk, s.points, A), disk.size * n),
+               "G_disk": (lambda: gen.log_G(disk), disk.size * n)}
 
 
 def time_runs(kernels: list, repeat: int) -> list:

@@ -15,7 +15,8 @@ arrays at the nodes of grids.line_grid(X, h), and every L2 norm is the sum
 with its trapezoid weights.  On the grid, G and every Cauchy sum (the
 partial sums, the projector's interpolation sum and each column's norm
 operator) take the near and far field of spectrum's line kernels (log_G's
-real points and line_cauchy); the disk K stays direct (cauchy_sums).
+real points and line_cauchy); the disk K sums directly, with the same
+complex kernel (cauchy_sums).
 """
 
 from __future__ import annotations
@@ -269,16 +270,14 @@ def compactwise_errors(
     |z - center| <= radius, for every column j of A, with
     S_j(z) = G(z) sum_k A[k, j]/(z - lambda_k): one call per run, G and F
     taken once.  A sample with |z - lambda|^2 < 1e-16 is moved by
-    3e-8 + 2e-8i.  Each column's sums are one contiguous row, so no bit of
-    a column depends on the others.  Raises EngineError where G or F is not
-    finite on K."""
+    3e-8 + 2e-8i.  Raises EngineError where G or F is not finite on K."""
     zs = disk_samples(center, radius, samples)
     zs[collisions(zs, gen.spectrum.points, np.nextafter(1e-16, 0.0))] += 3e-8 + 2e-8j
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value raises below
         G, F = gen.eval_G(zs), f.eval(zs)
     if not np.isfinite([G, F]).all():
         raise EngineError(f"G or F is not finite on the disk K of center {center} and radius {radius}")
-    S = np.ascontiguousarray(cauchy_sums(zs, gen.spectrum.points, A).T)  # a row per column
-    S *= G
-    S -= F
-    return np.max(np.abs(S), axis=1)
+    S = cauchy_sums(zs, gen.spectrum.points, A)
+    S *= G[:, None]
+    S -= F[:, None]
+    return np.max(np.abs(S), axis=0)

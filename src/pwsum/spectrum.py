@@ -10,8 +10,8 @@ The pair kernels over (points x spectrum) live here too.  Points in the
 plane take a direct kernel, walked in blocks by row_blocks: log_products
 (G, and G' off one height), blaschke_logs (B, B', beta and log|B| of every
 zero set in C+, in real arithmetic), collisions, inverse_square_sums,
-cauchy_sums (the Cauchy sums of a coefficient matrix's columns, on the
-disk K) and real_cauchy_sums (real nodes and weights: the outer factor).
+cauchy_sums (the one complex Cauchy kernel: the disk K and line_cauchy's
+panels) and real_cauchy_sums (real nodes and weights: the outer factor).
 A window whose points share one height delta (Spectrum.height: every
 lattice family's) has real differences lam_j - lam_k, and G' at its nodes
 runs in the one dimension Re lam_j - Re lam_k: one_height_self_logs, with
@@ -48,9 +48,10 @@ def block_rows(n_cols: int) -> int:
 
     Every pair kernel but one reduces along its columns, one row at a time,
     so the block size cannot change a single bit of its output.  The BLAS
-    Cauchy sums (line_cauchy, which engine.sample_sums, the projector check
-    and engine.norm_lower_bounds call) multiply whole blocks, whose rounding depends
-    on the block shape: they move by ~1e-15 relative."""
+    Cauchy sums (cauchy_sums, which engine.compactwise_errors calls on the
+    disk K and line_cauchy on the grid, for engine.sample_sums, the projector
+    check and engine.norm_lower_bounds) multiply whole blocks, whose
+    rounding depends on the block shape: they move by ~1e-15 relative."""
     return max(1, BLOCK_BUDGET // max(n_cols, 1))
 
 
@@ -117,37 +118,6 @@ def inverse_square_sums(z: np.ndarray, lam: np.ndarray, w: np.ndarray, skip: np.
             d2[np.arange(d2.shape[0]), skip[rows]] = np.inf
         np.divide(w, d2, out=d2)
         np.sum(d2, axis=1, out=out[rows])
-    return out
-
-
-def cauchy_sums(z: np.ndarray, lam: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """sum_k A[k, s]/(z_i - lambda_k) per point z_i and column s of the
-    (lam.size, S) matrix A: the (z.size, S) Cauchy sums of its columns.
-
-    1/d, d = z - lambda, is formed once per block, in real arithmetic, as
-    log_products' products are: 1/d = conj(d) |d|^-2, so no bit rests on
-    whether numpy takes a fused (FMA) loop for a complex multiply of some
-    length or layout.  Each column is then reduced row by row, so no bit
-    depends on the block size or on the other columns.  |d|^2 is formed as
-    is: finite and nonzero for 1e-154 < |d| < 1e154."""
-    out = np.empty((z.size, A.shape[1]), dtype=complex)
-    cr, ci = A.real.T.copy(), A.imag.T.copy()  # one contiguous row per column
-    lr, li = lam.real.copy(), lam.imag.copy()
-    for rows, dr, di, m, p in row_blocks(z.size, lam.size, float, float, float, float):
-        np.subtract(z.real[rows, None], lr, out=dr)
-        np.subtract(z.imag[rows, None], li, out=di)
-        np.multiply(dr, dr, out=m)
-        m += np.multiply(di, di, out=p)
-        np.divide(1.0, m, out=m)
-        dr *= m  # Re 1/d
-        di *= m  # -Im 1/d
-        for s in range(A.shape[1]):
-            np.multiply(dr, cr[s], out=p)
-            p += np.multiply(di, ci[s], out=m)
-            np.add.reduce(p, axis=1, out=out.real[rows, s])
-            np.multiply(dr, ci[s], out=p)
-            p -= np.multiply(di, cr[s], out=m)
-            np.add.reduce(p, axis=1, out=out.imag[rows, s])
     return out
 
 
@@ -291,9 +261,12 @@ def real_cauchy_sums(z: np.ndarray, t: np.ndarray, c: np.ndarray) -> np.ndarray:
     return out
 
 
-def _cauchy_products(z: np.ndarray, lam: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """sum_k A[k, s]/(z_i - lam_k) per point z_i and column s, by BLAS per
-    block: the one complex form of 1/(z - lambda)."""
+def cauchy_sums(z: np.ndarray, lam: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """sum_k A[k, s]/(z_i - lam_k) per point z_i and column s of the
+    (lam.size, S) matrix A: the (z.size, S) Cauchy sums of its columns, by
+    BLAS per block, so their last bits depend on the block shape.  The one
+    complex form of 1/(z - lambda): line_cauchy's near and far sums and the
+    disk K of engine.compactwise_errors."""
     out = np.empty((z.size, A.shape[1]), dtype=complex)
     for rows, c in row_blocks(z.size, lam.size, complex):
         np.subtract(z[rows, None], lam, out=c)
@@ -438,7 +411,7 @@ def line_cauchy(x: np.ndarray, lam: np.ndarray, A: np.ndarray) -> np.ndarray:
     out = np.zeros((x.size, A.shape[1]), dtype=complex)
     order = np.argsort(lam.real, kind="stable")
     lam, A = lam[order], A[order]
-    return _line_sums(x, lam.real, lambda t, c: _cauchy_products(t, lam[c], A[c]),
+    return _line_sums(x, lam.real, lambda t, c: cauchy_sums(t, lam[c], A[c]),
                       _interpolate_columns, out)
 
 

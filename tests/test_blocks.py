@@ -1,11 +1,11 @@
 """The block size of the (points x spectrum) pair kernels changes no bit,
-except in the BLAS-based Cauchy kernels on the grid (line_cauchy: the
-partial sums, the projector's interpolation sum, the norm bounds), which stay
-within a stated tolerance; the Cauchy sums off the grid (cauchy_sums, under
-compactwise_errors and the outer factor) are held to every bit, a one-term
-sum in one-element blocks included.  They form their products in real
-arithmetic, so no bit rests on whether numpy takes a fused (FMA) loop for a
-complex multiply of some length."""
+except in the one complex Cauchy kernel, cauchy_sums, which multiplies each
+block by BLAS: its own sums, the disk K's errors (compactwise_errors) and,
+on the grid, line_cauchy's (the partial sums, the projector's interpolation
+sum, the norm bounds) stay within a stated tolerance, a one-term sum in
+one-element blocks included.  The other kernels form their products in
+real arithmetic, so no bit rests on whether numpy takes a fused (FMA) loop
+for a complex multiply of some length."""
 
 import numpy as np
 import pytest
@@ -27,12 +27,14 @@ from pwsum.grids import line_grid
 from pwsum.spectrum import Spectrum, make_family
 from pwsum.weights import projection_weights
 
-# The grid's Cauchy sums (line_cauchy, under sample_sums and
-# norm_lower_bounds) multiply each chunk by BLAS: a one-row chunk takes numpy's
-# matrix-vector path, so the block size moves their last bits (measured up to
-# 1.5e-15 of the largest entry), and the bounds' eigenvalues with them.  They
-# are held to this relative tolerance instead.
-_BLAS_KERNELS = {"sample_sums": 1e-13, "norm_lower_bounds": 1e-13}
+# The Cauchy sums (cauchy_sums, on the disk K under compactwise_errors and on
+# the grid through line_cauchy, under sample_sums and norm_lower_bounds)
+# multiply each chunk by BLAS: a one-row chunk takes numpy's matrix-vector
+# path, so the block size moves their last bits (measured up to 1.5e-15 of
+# the largest entry), and the errors and the bounds' eigenvalues with them.
+# They are held to this relative tolerance instead.
+_BLAS_KERNELS = {"sample_sums": 1e-13, "norm_lower_bounds": 1e-13, "cauchy_sums": 1e-13,
+                 "compactwise_errors": 1e-13}
 
 
 # carleson_sup's search sums only the rows that can hold the max: on this

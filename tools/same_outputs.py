@@ -25,14 +25,16 @@ text.  Each tree runs them all in one subprocess, cli.run on each config
 in turn, with one BLAS thread.
 Prints each config whose exit code differs and each CSV that differs byte
 for byte or that one tree wrote and the other did not; for a CSV both trees
-wrote, the number of numeric cells that moved and the largest relative
-change among them, |new - old| / max(|new|, |old|).  Exits 1 if anything
-differs, 0 if every output is the same.
+wrote, the number of numeric cells that moved, the largest relative
+change among them, |new - old| / max(|new|, |old|), and the header
+columns (a CSV's first row; "?" past its width) that hold them, with a
+count each.  Exits 1 if anything differs, 0 if every output is the same.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import subprocess
 import sys
@@ -121,25 +123,30 @@ def run_tree(tree: Path, base: Path) -> dict:
 
 
 def cell_moves(old: bytes, new: bytes) -> str:
-    """How two CSVs differ: the count of numeric cells that moved and the
-    largest relative change among them, plus the count of text cells that
-    changed; or that the tables differ in shape."""
+    """How two CSVs differ: the count of numeric cells that moved, the
+    largest relative change among them and the header columns that hold
+    them, plus the count of text cells that changed; or that the tables
+    differ in shape."""
     a, b = ([line.split(",") for line in text.decode().splitlines()] for text in (old, new))
     if [len(row) for row in a] != [len(row) for row in b]:
         return "the tables differ in shape"
-    moved, text, worst = 0, 0, 0.0
-    for u, v in zip((c for row in a for c in row), (c for row in b for c in row)):
-        if u == v:
-            continue
-        try:
-            x, y = float(u), float(v)
-        except ValueError:
-            text += 1
-            continue
-        moved += 1
-        if x != y:
-            worst = max(worst, abs(y - x) / max(abs(x), abs(y)))
+    moved, text, worst, columns = 0, 0, 0.0, {}
+    for u, v in zip(a, b):
+        for column, x, y in itertools.zip_longest(a[0], u, v, fillvalue="?"):  # "?": a cell past the header
+            if x == y:
+                continue
+            try:
+                x, y = float(x), float(y)
+            except ValueError:
+                text += 1
+                continue
+            moved += 1
+            columns[column] = columns.get(column, 0) + 1
+            if x != y:
+                worst = max(worst, abs(y - x) / max(abs(x), abs(y)))
     out = f"{moved} numeric cells moved, largest relative change {worst:.1e}"
+    if columns:
+        out += ", by column: " + ", ".join(f"{column} {count}" for column, count in columns.items())
     return out + (f", {text} text cells changed" if text else "")
 
 
