@@ -3,11 +3,13 @@
     python bench/kernels.py [--src DIR] [--against DIR] [--out PATH] [--repeat K] [--tiny]
 
 Times, with one BLAS thread, on fixed inputs:
-- the line kernels spectrum.line_log_abs, line_arg and line_cauchy (10
-  columns): shifted_integers (delta 0.3) at counts 400 and 4 000 on a dense
-  line ([-40, 40], h 0.01) and a sparse one ([-400, 400], h 2), and
-  clustered_pairs (delta 1, eps 0.5) at counts 600 and 6 000 on [-80, 80],
-  h 0.01, diagnose-clustered's line at the benchmark size and ten times it;
+- the line kernels spectrum.line_log_abs and line_cauchy (10 columns),
+  and G on the grid: engine.sample_sums (10 columns, tail included), whose
+  one walk gives G and the partial sums: shifted_integers (delta 0.3) at
+  counts 400 and 4 000 on a dense line ([-40, 40], h 0.01, converge-lattice's
+  grid) and a sparse one ([-400, 400], h 2), and clustered_pairs (delta 1,
+  eps 0.5) at counts 600 and 6 000 on [-80, 80], h 0.01, diagnose-clustered's
+  line at the benchmark size and ten times it;
 - the spectrum's own kernels: G' at every node (a new evaluator per call,
   which keeps the array), the beta rows of projection_weights at the radii
   count (1/8, 1/4, 1/2, 3/4) and count + 1 (converge-lattice's schedule at
@@ -66,7 +68,7 @@ CASES = [
 SPECTRUM_CASES = [(*SHIFTED, 400), (*SHIFTED, 4000), (*CLUSTERED, 600), (*TWO_HEIGHTS, 400)]
 TINY = [(*SHIFTED, 20, 10.0, 0.1), (*CLUSTERED, 80, 8.0, 2.0)]
 TINY_SPECTRUM = [(*SHIFTED, 20), (*TWO_HEIGHTS, 20)]
-COLUMNS = 10  # of line_cauchy's and cauchy_sums' coefficient matrices
+COLUMNS = 10  # of line_cauchy's, sample_sums' and cauchy_sums' coefficient matrices
 RADII = (0.125, 0.25, 0.5, 0.75)  # beta rows at these fractions of count, and at count + 1
 SLOPES, SIDE_SAMPLES = 16, 512  # select_c's defaults
 DISK = (0j, 3.0, 256)  # compactwise_errors' defaults: centre, radius, samples
@@ -107,14 +109,16 @@ def coefficients(n: int, seed: int) -> np.ndarray:
 
 
 def line_kernels(pw, family, params, count, X, h) -> tuple:
-    """(points, {name: (kernel, pairs)}) of the line kernels on one line case."""
-    lam = pw.spectrum.make_family(family, params, count).points
+    """(points, {name: (kernel, pairs)}) of the line kernels and of G on the
+    grid on one line case."""
+    s = pw.spectrum.make_family(family, params, count)
+    lam, gen = s.points, pw.genfun.GeneratingFunctionEvaluator(s)
     x, _ = pw.grids.line_grid(X, h)
     A = coefficients(lam.size, count)
     pairs = x.size * lam.size
     return lam.size, {"line_log_abs": (lambda: pw.spectrum.line_log_abs(x, 0.0, lam), pairs),
-                      "line_arg": (lambda: pw.spectrum.line_arg(x, 0.0, lam), pairs),
-                      "line_cauchy": (lambda: pw.spectrum.line_cauchy(x, lam, A), pairs)}
+                      "line_cauchy": (lambda: pw.spectrum.line_cauchy(x, lam, A), pairs),
+                      "sample_sums": (lambda: pw.engine.sample_sums(gen, x, A), pairs)}
 
 
 def spectrum_kernels(pw, family, params, count) -> tuple:

@@ -5,9 +5,11 @@ points, all in C+.  The lower half-plane is reached by reflection alone:
 upper_lower_evaluators builds the evaluator of the mirror conj(Lambda-),
 and B-(z) = conj(B(conj z)) of that evaluator.  The summation weight
 beta_n(lam) = B/B_n is always computed as the tail product over
-|mu| >= n, never as a 0/0 ratio.  B, B', beta and log|B| take one real
-kernel, spectrum.blaschke_logs, for every zero set: at the zeros' one
-height (Spectrum.height, every lattice family's) or at Im mu per zero.
+|mu| >= n, never as a 0/0 ratio, and a radius schedule's tails as sums
+over the annuli between its radii, each summed once.  B, B', beta and
+log|B| take one real kernel, spectrum.blaschke_logs, for every zero set:
+at the zeros' one height (Spectrum.height, every lattice family's) or at
+Im mu per zero.
 """
 
 from __future__ import annotations
@@ -64,10 +66,26 @@ class BlaschkeEvaluator:
         """log|B(z)| in real arithmetic (-inf at a zero)."""
         return _log_factors(z, self.points, self.spectrum.height, phase=False)
 
-    def tail_factor(self, z: np.ndarray, n: float) -> np.ndarray:
-        """Tail product prod_{|mu| >= n} factor(z): beta_n(lambda) at a zero
-        lambda with |lambda| < n."""
-        return np.exp(_log_factors(z, self.points[np.abs(self.points) >= n], self.spectrum.height))
+    def eval_beta(self, z: np.ndarray, radii: np.ndarray) -> np.ndarray:
+        """beta_n(z_i) = prod_{|mu| >= n} factor(z_i) for each n of the
+        increasing radii, at the points with |z_i| < n, and 0 at the others:
+        the (z.size, radii.size) projection weights of points z in C+.
+
+        Each half-open annulus n_j <= |mu| < n_{j+1} (the last: |mu| >= n_J)
+        is summed once, by one _log_factors call at the points inside n_j,
+        and the logs accumulate from the outside in: a point inside n_j is
+        inside every larger radius, so its running sum already holds the
+        annuli beyond n_{j+1} when annulus j's log is added."""
+        mod, z_mod = np.abs(self.points), np.abs(z)
+        edges = np.append(radii, np.inf)
+        out = np.zeros((z.size, radii.size), dtype=complex)
+        logs = np.zeros(z.shape, dtype=complex)  # per point, the sum over the annuli taken so far
+        for j in range(radii.size - 1, -1, -1):
+            rows = np.flatnonzero(z_mod < radii[j])
+            mu = self.points[(mod >= edges[j]) & (mod < edges[j + 1])]
+            logs[rows] += _log_factors(z[rows], mu, self.spectrum.height)
+            out[rows, j] = np.exp(logs[rows])
+        return out
 
     def eval_B_prime_at(self, k: np.ndarray, cutoff: float = np.inf) -> np.ndarray:
         """d/dz of the cutoff product at its own zeros lambda_k, for an index

@@ -14,9 +14,10 @@ Riesz projections and the weighted projector identity all run on plain
 arrays at the nodes of grids.line_grid(X, h), and every L2 norm is the sum
 with its trapezoid weights.  On the grid, G and every Cauchy sum (the
 partial sums, the projector's interpolation sum and each column's norm
-operator) take the near and far field of spectrum's line kernels (log_G's
-real points and line_cauchy); the disk K sums directly, with the same
-complex kernel (cauchy_sums).
+operator) take the near and far field of spectrum's line kernels: G and
+the partial sums from one walk (log_G_sums at real points), the others
+from line_cauchy.  The disk K sums directly, with the same complex kernel
+(log_G_sums at non-real points: cauchy_sums).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 from pwsum.blaschke import BlaschkeEvaluator
 from pwsum.genfun import GeneratingFunctionEvaluator, OuterEvaluator
 from pwsum.grids import GridError, hilbert_transform, line_grid
-from pwsum.spectrum import cauchy_sums, collisions, line_cauchy, unique_sorted
+from pwsum.spectrum import collisions, line_cauchy, unique_sorted
 
 
 class EngineError(ValueError):
@@ -90,11 +91,12 @@ def coefficient_matrix(values: np.ndarray, gen, W: np.ndarray) -> np.ndarray:
 
 def sample_sums(gen: GeneratingFunctionEvaluator, x: np.ndarray, A: np.ndarray) -> np.ndarray:
     """G(x) * sum_k A[k, j]/(x - lambda_k) at the real nodes x for every
-    column j of A: the (steps x nodes) partial sums, in one pass over the
-    nodes, whose Cauchy sums line_cauchy takes panel by panel; the steps
-    share one G."""
-    out = np.ascontiguousarray(line_cauchy(x, gen.spectrum.points, A).T)
-    out *= gen.eval_G(x)
+    column j of A: the (steps x nodes) partial sums, whose G and Cauchy sums
+    come from one walk of the line kernels (log_G_sums); the steps share
+    one G."""
+    log_g, sums = gen.log_G_sums(x, A)
+    out = np.ascontiguousarray(sums.T)
+    out *= np.exp(log_g)
     return out
 
 
@@ -269,15 +271,16 @@ def compactwise_errors(
     """sup |S_j - F| over `samples` sunflower points z of the disk K,
     |z - center| <= radius, for every column j of A, with
     S_j(z) = G(z) sum_k A[k, j]/(z - lambda_k): one call per run, G and F
-    taken once.  A sample with |z - lambda|^2 < 1e-16 is moved by
-    3e-8 + 2e-8i.  Raises EngineError where G or F is not finite on K."""
+    taken once, with the Cauchy sums of every column (log_G_sums).  A
+    sample with |z - lambda|^2 < 1e-16 is moved by 3e-8 + 2e-8i.  Raises
+    EngineError where G or F is not finite on K."""
     zs = disk_samples(center, radius, samples)
     zs[collisions(zs, gen.spectrum.points, np.nextafter(1e-16, 0.0))] += 3e-8 + 2e-8j
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value raises below
-        G, F = gen.eval_G(zs), f.eval(zs)
+        log_g, S = gen.log_G_sums(zs, A)
+        G, F = np.exp(log_g), f.eval(zs)
     if not np.isfinite([G, F]).all():
         raise EngineError(f"G or F is not finite on the disk K of center {center} and radius {radius}")
-    S = cauchy_sums(zs, gen.spectrum.points, A)
     S *= G[:, None]
     S -= F[:, None]
     return np.max(np.abs(S), axis=0)

@@ -9,13 +9,13 @@ of those pairs over a sublattice is a ratio of Gamma functions, evaluated
 through log-Gamma.  Custom point lists are taken as the whole zero set: G
 is the finite product over the stored points, with no tail.  The window's
 product takes the near and far field of spectrum's line kernels at real
-points (log|G| on any line, and G on the real line, as on converge's
-grid) and the block log-product at every other point.  G' at every node
-leaves out each node's own factor: a window on one height
-(Spectrum.height) takes the real kernel one_height_self_logs, any other
-the block log-product with a skip.  The Blaschke quantities (B, B', beta,
-log|B|) are not here: one real kernel, spectrum.blaschke_logs, serves
-them for every zero set.
+points (log|G| on any line, and G on the real line with the Cauchy sums
+of the same walk, as on converge's grid) and the block log-product at
+every other point.  G' at every node leaves out each node's own factor: a
+window on one height (Spectrum.height) takes the real kernel
+one_height_self_logs, any other the block log-product with a skip.  The
+Blaschke quantities (B, B', beta, log|B|) are not here: one real kernel,
+spectrum.blaschke_logs, serves them for every zero set.
 
 The outer factor is recovered from log|G| at the nodes of
 grids.line_grid(X, h) by the Schwarz-Poisson integral; only its modulus is
@@ -32,8 +32,9 @@ from pwsum.grids import hilbert_transform, line_grid
 from pwsum.spectrum import (
     LatticeTail,
     Spectrum,
-    line_arg,
+    cauchy_sums,
     line_log_abs,
+    line_log_products,
     log_products,
     one_height_self_logs,
     one_height_touching,
@@ -175,20 +176,28 @@ class GeneratingFunctionEvaluator:
 
     def log_G(self, z: np.ndarray) -> np.ndarray:
         """A log of G(z), Im defined modulo 2 pi: only exp(log_G) is ever used.
-        A real point takes the line kernels, line_log_abs + i
-        line_arg; any other point takes the block log-product log_products.
-        The rule is per point, so a point's value does not depend on the
-        other points of the call."""
+        log_G_sums with no Cauchy column."""
+        return self.log_G_sums(z, np.zeros((len(self.spectrum), 0)))[0]
+
+    def log_G_sums(self, z: np.ndarray, A: np.ndarray) -> tuple:
+        """(log_G(z), the (z.size, S) Cauchy sums sum_k A[k, s]/(z_i - lambda_k)
+        of the (points x S) matrix A), in one pass: a real point takes both
+        from one walk of the line kernels (line_log_products), any other
+        point the block log-product log_products and cauchy_sums.  The rule
+        is per point, so a point's log G does not depend on the other points
+        of the call.  Raises CollisionError at a spectrum point (touching)."""
         lam = self.spectrum.points
         hit = touching(z, lam)
         if np.any(hit):
             raise CollisionError(f"z={z[np.argmax(hit)]} collides with a spectrum point")
         out = np.empty(z.shape, dtype=complex)
+        sums = np.empty((z.size, A.shape[1]), dtype=complex)
         real = z.imag == 0
-        x = z.real[real]
-        out[real] = line_log_abs(x, 0.0, lam) + 1j * line_arg(x, 0.0, lam)
+        out[real], sums[real] = line_log_products(z.real[real], lam, A)
         out[~real] = log_products(z[~real], lam)
-        return self._completed(out, z)
+        if A.shape[1]:  # no column, no pair
+            sums[~real] = cauchy_sums(z[~real], lam, A)
+        return self._completed(out, z), sums
 
     def _completed(self, out: np.ndarray, z: np.ndarray) -> np.ndarray:
         """The window's log-product at z, with the tail added."""

@@ -16,11 +16,12 @@ A window whose points share one height delta (Spectrum.height: every
 lattice family's) has real differences lam_j - lam_k, and G' at its nodes
 runs in the one dimension Re lam_j - Re lam_k: one_height_self_logs, with
 one_height_touching as its collision rule.  Real points take the near and
-far field of one panel tree, _line_sums, under three reductions:
-line_log_abs (log|G| on a line), line_arg (arg G on the real line) and
-line_cauchy (the Cauchy sums on the grid: the partial sums, the
-projector's interpolation sum and, per column of a weight matrix, the
-operator of norm_lower_bounds).
+far field of one panel tree, _line_sums, whose one walk gives every sum its
+caller asks for: line_log_abs (log|G| on a line), line_log_products (log G
+and the Cauchy sums on the real line: G and the partial sums on converge's
+grid) and line_cauchy (the Cauchy sums alone: the projector's
+interpolation sum and, per column of a weight matrix, the operator of
+norm_lower_bounds).
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ def block_rows(n_cols: int) -> int:
 
     Every pair kernel but one reduces along its columns, one row at a time,
     so the block size cannot change a single bit of its output.  The BLAS
-    Cauchy sums (cauchy_sums, which engine.compactwise_errors calls on the
-    disk K and line_cauchy on the grid, for engine.sample_sums, the projector
+    Cauchy sums (cauchy_sums, on the disk K of engine.compactwise_errors and
+    in the line walk on the grid, for engine.sample_sums, the projector
     check and engine.norm_lower_bounds) multiply whole blocks, whose
     rounding depends on the block shape: they move by ~1e-15 relative."""
     return max(1, BLOCK_BUDGET // max(n_cols, 1))
@@ -87,14 +88,32 @@ def squared_distances(z: np.ndarray, lam: np.ndarray, d2: np.ndarray, t: np.ndar
 def collisions(z: np.ndarray, lam: np.ndarray, tol2, skip: np.ndarray | None = None) -> np.ndarray:
     """Per point z_i: is there a j != skip[i] with |z_i - lam_j|^2 <= tol2_j
     (tol2 a scalar or one per lam)?  Exact in floating point, and only the
-    columns that can collide are tested: fl(fl(dx^2) + fl(dy^2)) >= fl(dy^2),
-    and fl(dy^2) is smallest at the Im z nearest to Im lam_j."""
+    columns that can collide are tested: those whose distance to the box
+    [min Re z, max Re z] x [min Im z, max Im z] can reach tol2_j.
+
+    The pair kernel forms fl(fl(u^2) + fl(v^2)), u = fl(Re z_i - Re lam_j)
+    and v = fl(Im z_i - Im lam_j).  With dy = clip(Im lam_j, min Im z,
+    max Im z) - Im lam_j, exact or rounded the same way, |v| >= |dy|:
+    subtraction rounds monotonically, and Im z_i lies on the far side of the
+    clip value from Im lam_j, or dy = 0.  So fl(v^2) >= fl(dy^2), and by the
+    same argument for dx = clip(Re lam_j, min Re z, max Re z) - Re lam_j,
+    fl(u^2) >= fl(dx^2); rounded addition is monotone in each argument, so
+    no point collides with a column where fl(fl(dx^2) + fl(dy^2)) > tol2_j.
+    The dy test runs on every column, the dx test on its survivors only.
+    The box bounds skip NaN points, which collide with nothing."""
     hit = np.zeros(z.shape, dtype=bool)
     if not z.size:
         return hit
     tol2 = np.broadcast_to(tol2, lam.shape)
-    dy = np.clip(lam.imag, z.imag.min(), z.imag.max()) - lam.imag
-    cols = np.flatnonzero(dy * dy <= tol2)
+    dy = np.clip(lam.imag, np.fmin.reduce(z.imag), np.fmax.reduce(z.imag)) - lam.imag
+    dy *= dy
+    cols = np.flatnonzero(dy <= tol2)
+    if not cols.size:
+        return hit
+    dx = np.clip(lam.real[cols], np.fmin.reduce(z.real), np.fmax.reduce(z.real)) - lam.real[cols]
+    dx *= dx
+    dx += dy[cols]
+    cols = cols[dx <= tol2[cols]]
     if not cols.size:
         return hit
     near, tol2 = lam[cols], tol2[cols]
@@ -121,7 +140,7 @@ def inverse_square_sums(z: np.ndarray, lam: np.ndarray, w: np.ndarray, skip: np.
     return out
 
 
-# The panel tree of the line kernels (line_log_abs, line_arg, line_cauchy).
+# The panel tree of the line walk (line_log_abs, line_log_products, line_cauchy).
 # Level j has the panels [p W, (p + 1) W], W = PANEL_WIDTH 2^j, with near
 # radius PANEL_RADIUS 2^j and PANEL_POINTS first-kind Chebyshev points; the
 # parent of panel p is panel p // 2 of level j + 1, and the nodes sit in the
@@ -156,30 +175,60 @@ def _near(level: int, p: float, lre: np.ndarray) -> tuple:
     lre[lo:hi], those with |lre - centre| <= W/2 + R."""
     scale = 2.0**level
     left = p * (PANEL_WIDTH * scale)
-    lo = np.searchsorted(lre, left - PANEL_RADIUS * scale, "left")
-    hi = np.searchsorted(lre, left + PANEL_WIDTH * scale + PANEL_RADIUS * scale, "right")
+    lo = lre.searchsorted(left - PANEL_RADIUS * scale, "left")
+    hi = lre.searchsorted(left + PANEL_WIDTH * scale + PANEL_RADIUS * scale, "right")
     return left, lo, hi
 
 
-def _line_sums(x: np.ndarray, lre: np.ndarray, sums, interpolate, out: np.ndarray) -> np.ndarray:
-    """Writes into out[i] a sum over every column at node x_i, with
-    sums(t, cols) the sum over the columns cols (a slice or an index array
-    of lre's order, lre ascending) at each point t: the near columns at the
-    node itself, the far ones at its leaf's Chebyshev points, interpolated
-    (_interpolate or _interpolate_columns).  Returns out, as it came when
-    there are no columns.
+def _line_sums(x: np.ndarray, lam: np.ndarray, a: float = 0.0, log: bool = False, arg: bool = False,
+               A: np.ndarray | None = None) -> list:
+    """The one walk of the panel tree: at every real node x_i, the sums over
+    the points lam that the caller asks for, one array each, in this order:
+        log: sum_j log(((x_i - Re lam_j)^2 + (a - Im lam_j)^2)/|lam_j|^2);
+        arg: sum_j [arctan2(Im lam_j - a, Re lam_j - x_i) - arg lam_j];
+        A, a (lam.size, S) matrix: the (x.size, S) sums
+             sum_k A[k, s]/(x_i - lam_k) (cauchy_sums; no pair where S = 0).
+    Each output is 0 where lam is empty.  A leaf's path, its Chebyshev
+    points, the differences x - Re lam (_pair_sums) and the barycentric
+    weights (_interpolate) are formed once for every output, and each
+    output keeps its own transfers and row reductions, so its bits do not
+    depend on the other outputs of the walk.
 
+    The points are sorted by Re lam.  A node sums its near columns, the
+    points with |Re lam - centre| <= W/2 + R of its leaf, directly, at the
+    node itself; the far ones at its leaf's Chebyshev points, interpolated.
     The far sums come down the panel tree (Dutt, Gu and Rokhlin, SIAM J.
     Numer. Anal. 33, 1996; Chebyshev transfers as in Fong and Darve, J.
     Comput. Phys. 228, 2009).  A panel whose parent's far set holds at least
     TREE_MIN_FAR columns takes its parent's far sums at its own points
     (_TRANSFER) plus the sums over its interaction columns, those near the
-    parent but not near the panel: two slices of lre, summed as one.  Any
-    other panel sums its far columns directly, as two slices, as the
-    single-level walk did; one whose near range holds every column has far
-    sums 0, and no panel descends from it.  A node that is not finite sums
-    directly at its leaf, which is not finite either.  The leaves are walked
-    in ascending order, so each level keeps only the last panel it met."""
+    parent but not near the panel: two slices of the sorted points, summed
+    as one.  Any other panel sums its far columns directly, as two slices,
+    as the single-level walk did; one whose near range holds every column
+    has far sums 0, and no panel descends from it.  A node that is not
+    finite sums directly at its leaf, which is not finite either.  The
+    leaves are walked in ascending order, so each level keeps only the last
+    panel it met."""
+    order = np.argsort(lam.real, kind="stable")
+    lre, lim = lam.real[order], lam.imag[order]
+    log_terms = ((a - lim) ** 2, np.log(lre * lre + lim * lim)) if log else None
+    arg_terms = (lim - a, np.arctan2(lim, lre)) if arg else None
+    lam_s, A_s = (lam[order], A[order]) if A is not None and A.shape[1] else (None, None)  # no column, no pair
+    out = [np.zeros(x.shape) for _ in range(log + arg)]
+    if A is not None:
+        out.append(np.zeros((x.size, A.shape[1]), dtype=complex))  # no column: sums gives no array, the zips skip it
+
+    def sums(t: np.ndarray, cols) -> list:
+        """The sums over the columns cols (a slice or an index array of the
+        sorted points) at each point t, one array per output."""
+        got = []
+        if log or arg:
+            got = _pair_sums(t, lre[cols], log_terms and (log_terms[0][cols], log_terms[1][cols]),
+                             arg_terms and (arg_terms[0][cols], arg_terms[1][cols]))
+        if A_s is not None:
+            got.append(cauchy_sums(t, lam_s[cols], A_s[cols]))
+        return got
+
     if not (x.size and lre.size):
         return out
     n = lre.size
@@ -205,42 +254,46 @@ def _line_sums(x: np.ndarray, lre: np.ndarray, sums, interpolate, out: np.ndarra
             scale = 2.0**level
             t = (left + 0.5 * PANEL_WIDTH * scale) + scale * _CHEB
             if up is None:
-                far = sums(t, slice(None, lo))
-                far += sums(t, slice(hi, None))
+                far = list(map(np.add, sums(t, slice(None, lo)), sums(t, slice(hi, None))))
             else:
-                f = known[level + 1][1]
-                c = f[PANEL_POINTS // 2]  # centred on the middle value, as _interpolate is
-                far = _TRANSFER[int(p % 2)] @ (f - c)
-                far += c
-                far += sums(t, np.concatenate((np.arange(up[1], lo), np.arange(hi, up[2]))))
+                far = []
+                for f in known[level + 1][1]:
+                    c = f[PANEL_POINTS // 2]  # centred on the middle value, as _interpolate is
+                    far.append(_TRANSFER[int(p % 2)] @ (f - c))
+                    far[-1] += c
+                for f, g in zip(far, sums(t, np.concatenate((np.arange(up[1], lo), np.arange(hi, up[2]))))):
+                    f += g
             known[level] = (p, far)
         xs = x[nodes]
-        out[nodes] = sums(xs, slice(lo, hi)) + interpolate(xs, t, far)
+        for o, near, interpolated in zip(out, sums(xs, slice(lo, hi)), _interpolate(xs, t, far)):
+            o[nodes] = near + interpolated
     return out
 
 
-def _log_d2_sums(t: np.ndarray, lre: np.ndarray, dy2: np.ndarray, log_l2: np.ndarray) -> np.ndarray:
-    """sum_j log((t_i - lre_j)^2 + dy2_j) - log_l2_j per point t_i, in column order."""
-    out = np.empty(t.shape)
-    for rows, d2 in row_blocks(t.size, lre.size, float):
-        np.subtract(t[rows, None], lre, out=d2)
-        d2 *= d2
-        d2 += dy2
-        np.log(d2, out=d2)
-        d2 -= log_l2
-        np.add.reduce(d2, axis=1, out=out[rows])
-    return out
-
-
-def _arg_sums(t: np.ndarray, lre: np.ndarray, dim: np.ndarray, arg: np.ndarray) -> np.ndarray:
-    """sum_j arctan2(dim_j, lre_j - t_i) - arg_j per point t_i, in column order."""
-    out = np.empty(t.shape)
-    for rows, d in row_blocks(t.size, lre.size, float):
-        np.subtract(lre, t[rows, None], out=d)
-        np.arctan2(dim, d, out=d)
-        d -= arg
-        np.add.reduce(d, axis=1, out=out[rows])
-    return out
+def _pair_sums(t: np.ndarray, lre: np.ndarray, log_terms, arg_terms) -> list:
+    """The real sums per point t_i whose terms are given, in this order:
+    with log_terms = (dy2, log_l2), sum_j log((t_i - lre_j)^2 + dy2_j) - log_l2_j;
+    with arg_terms = (dim, arg), sum_j arctan2(dim_j, lre_j - t_i) - arg_j.
+    One difference t_i - lre_j per pair serves both (lre_j - t_i is its
+    exact negative), and each row is reduced on its own, in column order."""
+    mod = None if log_terms is None else np.empty(t.shape)
+    ang = None if arg_terms is None else np.empty(t.shape)
+    both = mod is not None and ang is not None
+    for rows, d, *e in row_blocks(t.size, lre.size, *(float,) * (1 + both)):
+        np.subtract(t[rows, None], lre, out=d)
+        if mod is not None:
+            e = e[0] if both else d  # the log's buffer: d itself where the arg does not read d after it
+            np.multiply(d, d, out=e)
+            e += log_terms[0]
+            np.log(e, out=e)
+            e -= log_terms[1]
+            np.add.reduce(e, axis=1, out=mod[rows])
+        if ang is not None:
+            np.negative(d, out=d)
+            np.arctan2(arg_terms[0], d, out=d)
+            d -= arg_terms[1]
+            np.add.reduce(d, axis=1, out=ang[rows])
+    return [v for v in (mod, ang) if v is not None]
 
 
 def real_cauchy_sums(z: np.ndarray, t: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -265,8 +318,8 @@ def cauchy_sums(z: np.ndarray, lam: np.ndarray, A: np.ndarray) -> np.ndarray:
     """sum_k A[k, s]/(z_i - lam_k) per point z_i and column s of the
     (lam.size, S) matrix A: the (z.size, S) Cauchy sums of its columns, by
     BLAS per block, so their last bits depend on the block shape.  The one
-    complex form of 1/(z - lambda): line_cauchy's near and far sums and the
-    disk K of engine.compactwise_errors."""
+    complex form of 1/(z - lambda): the near and far sums of the line walk
+    and the disk K of engine.compactwise_errors."""
     out = np.empty((z.size, A.shape[1]), dtype=complex)
     for rows, c in row_blocks(z.size, lam.size, complex):
         np.subtract(z[rows, None], lam, out=c)
@@ -274,55 +327,50 @@ def cauchy_sums(z: np.ndarray, lam: np.ndarray, A: np.ndarray) -> np.ndarray:
     return out
 
 
-def _bary_weights(x: np.ndarray, t: np.ndarray, q: np.ndarray) -> tuple:
-    """Fills q with the barycentric weights b_k/(x_i - t_k) of the first-kind
-    Chebyshev points t of one panel (inf at x_i = t_k), and returns the
-    (i, k) pairs where x_i = t_k."""
-    np.subtract(x[:, None], t, out=q)
-    hit = np.nonzero(q == 0.0)
-    with np.errstate(divide="ignore"):  # an x_i on t_k: taken by the caller
+def _interpolate(x: np.ndarray, t: np.ndarray, fars: list) -> list:
+    """For each f of fars, the polynomial through (t_k, f_k) at the
+    first-kind Chebyshev points t of one panel, at every x_i, by the
+    barycentric formula sum_k (b_k f_k/(x - t_k)) / sum_k (b_k/(x - t_k));
+    f_k itself at x_i = t_k.  The weights b_k/(x_i - t_k), their row sums
+    and the rows with x_i = t_k are formed once for all of fars.  A real f
+    (one value per point) reduces each row on its own; a complex f (a row
+    of S columns per point) takes the numerators of all its columns as one
+    real matrix product, on the real and imaginary parts side by side.  The
+    middle value c is taken out of f and added back, so the rounding of the
+    quotient scales with the variation of f, not its size.
+
+    x_i = t_k is the only way to an infinite weight: |b_k| <= 1,
+    |t_k| >= (W/2)(1 - cos(pi/32)) > 0.009, and x_i != t_k differ by at
+    least half an ulp of t_k.  So the rows with an infinite sum (one
+    infinite term) are those rows; a node that is not finite gives weights
+    0 or NaN, and a sum that is not infinite."""
+    q = np.subtract(x[:, None], t)
+    out = []
+    with np.errstate(divide="ignore", invalid="ignore"):  # inf weights and inf/inf on the rows x_i = t_k
         np.divide(_BARY, q, out=q)
-    return hit
-
-
-def _interpolate(x: np.ndarray, t: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """The polynomial through (t_k, f_k) at the first-kind Chebyshev points t
-    of one panel, at every x_i, by the barycentric formula
-    sum_k (b_k f_k/(x - t_k)) / sum_k (b_k/(x - t_k)), row by row; f_k itself
-    at x_i = t_k.  The middle value c is taken out of f and added back, so
-    the rounding of the quotient scales with the variation of f, not its
-    size."""
-    c = f[PANEL_POINTS // 2]
-    g = f - c
-    out = np.empty(x.shape)
-    for rows, q, p in row_blocks(x.size, PANEL_POINTS, float, float):
-        hit = _bary_weights(x[rows], t, q)
-        with np.errstate(invalid="ignore"):  # inf/inf on a hit row, replaced below
-            np.divide(np.add.reduce(np.multiply(q, g, out=p), axis=1), np.add.reduce(q, axis=1), out=out[rows])
-        out[rows][hit[0]] = g[hit[1]]
-    out += c
-    return out
-
-
-def _interpolate_columns(x: np.ndarray, t: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """_interpolate for complex f with one row of S columns per Chebyshev
-    point: the numerators of all columns are one real matrix product, on the
-    real and imaginary parts side by side."""
-    c = f[PANEL_POINTS // 2]
-    g = f - c
-    q = np.empty((x.size, PANEL_POINTS))
-    hit = _bary_weights(x, t, q)
-    with np.errstate(invalid="ignore"):  # inf/inf on a hit row, replaced below
-        out = (q @ g.view(float)).view(complex)
-        out /= np.add.reduce(q, axis=1)[:, None]
-    out[hit[0]] = g[hit[1]]
-    out += c
+        den = np.add.reduce(q, axis=1)
+        on = np.flatnonzero(np.isinf(den))
+        at = np.argmax(np.isinf(q[on]), axis=1) if on.size else None  # the t_k of each such row
+        for f in fars:
+            c = f[PANEL_POINTS // 2]
+            g = f - c
+            if np.iscomplexobj(g):
+                v = (q @ g.view(float)).view(complex)
+                v /= den[:, None]
+            else:
+                v = np.add.reduce(q * g, axis=1)
+                v /= den
+            if on.size:
+                v[on] = g[at]
+            v += c
+            out.append(v)
     return out
 
 
 def line_log_abs(x: np.ndarray, a: float, lam: np.ndarray) -> np.ndarray:
     """sum_j log|1 - (x_i + ia)/lam_j| per real x_i, in real arithmetic: half
-    of sum_j log(((x_i - Re lam_j)^2 + (a - Im lam_j)^2)/|lam_j|^2).
+    of sum_j log(((x_i - Re lam_j)^2 + (a - Im lam_j)^2)/|lam_j|^2), the
+    log output of the walk _line_sums.
 
     Near and far field on the panel tree of _line_sums: a node in the leaf
     [k W, (k + 1) W] sums its near points, those with
@@ -359,42 +407,36 @@ def line_log_abs(x: np.ndarray, a: float, lam: np.ndarray) -> np.ndarray:
     2 900 on diagnose-clustered's line (2 401 points: bound 3.0e-12,
     measured 1.7e-13 against the direct sum) and 31 400 at count 6 000
     (3.2e-11, measured 2.0e-12)."""
-    order = np.argsort(lam.real, kind="stable")
-    lre, lim = lam.real[order], lam.imag[order]
-    log_l2 = np.log(lre * lre + lim * lim)
-    dy2 = (a - lim) ** 2
-    out = _line_sums(x, lre, lambda t, c: _log_d2_sums(t, lre[c], dy2[c], log_l2[c]),
-                     _interpolate, np.zeros(x.shape))
+    (out,) = _line_sums(x, lam, a, log=True)
     out *= 0.5
     return out
 
 
-def line_arg(x: np.ndarray, a: float, lam: np.ndarray) -> np.ndarray:
-    """sum_j [arctan2(Im lam_j - a, Re lam_j - x_i) - arg lam_j] per real x_i, in
-    real arithmetic: the argument of prod_j (1 - (x_i + ia)/lam_j), modulo 2 pi.
+def line_log_products(x: np.ndarray, lam: np.ndarray, A: np.ndarray) -> tuple:
+    """(sum_j log(1 - x_i/lam_j) per real x_i, Im defined modulo 2 pi, and
+    the (x.size, S) Cauchy sums sum_k A[k, s]/(x_i - lam_k) of the
+    (lam.size, S) matrix A), from one walk of _line_sums: the log is
+    line_log_abs at a = 0 plus i times the arg output, bit for bit as each
+    would come from a walk of its own, and the Cauchy sums are line_cauchy's.
 
-    Near and far field on the panel tree of line_log_abs, with its bound.
-    For real x the term is arg(mu_j - x) - arg lam_j with mu_j = lam_j - ia,
-    that is (log(mu_j - x) - log(conj mu_j - x))/(2i) up to a constant,
-    while line_log_abs's term is half the sum of the same two logs.  So each
-    level's sum f_j is analytic off the same points mu_j and conj mu_j,
-    inside the same Bernstein ellipse E_rho, and since
-    |log(1 - u)| <= -log(1 - |u|), it obeys the same
-    |f_j(s) - f_j(0)| <= M_j and the same
-    |error| <= sum_j 4 M_j rho^-15/(rho - 1) = 1.0e-15 sum_j M_j at
-    rho = 9.5, plus the transfers' rounding.  Each
-    term is continuous along the line, except at x = Re lam_j where
-    Im lam_j = a: a zero of the product, which only a near point can be."""
-    order = np.argsort(lam.real, kind="stable")
-    lre, lim = lam.real[order], lam.imag[order]
-    dim, arg = lim - a, np.arctan2(lim, lre)
-    return _line_sums(x, lre, lambda t, c: _arg_sums(t, lre[c], dim[c], arg[c]),
-                      _interpolate, np.zeros(x.shape))
+    The arg term is arg(lam_j - x) - arg lam_j, that is
+    (log(lam_j - x) - log(conj lam_j - x))/(2i) up to a constant, while the
+    log's term is half the sum of the same two logs.  So each level's sum
+    f_j is analytic off the same points lam_j and conj lam_j, inside the
+    same Bernstein ellipse E_rho, and since |log(1 - u)| <= -log(1 - |u|),
+    it obeys line_log_abs's |f_j(s) - f_j(0)| <= M_j and
+    |error| <= 1.0e-15 sum_j M_j at rho = 9.5, plus the transfers' rounding.
+    Each arg term is continuous along the real line, whose points no lam_j
+    can be (Spectrum: |Im lam| >= MIN_IMAG)."""
+    mod, arg, sums = _line_sums(x, lam, 0.0, log=True, arg=True, A=A)
+    mod *= 0.5
+    return mod + 1j * arg, sums
 
 
 def line_cauchy(x: np.ndarray, lam: np.ndarray, A: np.ndarray) -> np.ndarray:
     """sum_k A[k, s]/(x_i - lam_k) per real x_i and column s of the
-    (lam.size, S) matrix A: the (x.size, S) Cauchy sums of its columns.
+    (lam.size, S) matrix A: the (x.size, S) Cauchy sums of its columns, the
+    Cauchy output of the walk _line_sums alone.
 
     Near and far field on the panel tree of line_log_abs; the near sums and
     the far sums at the Chebyshev points are BLAS products, so their last
@@ -408,11 +450,7 @@ def line_cauchy(x: np.ndarray, lam: np.ndarray, A: np.ndarray) -> np.ndarray:
     the error by sum_j 4 M_j rho^-15/(rho - 1) plus the transfers' rounding.
     The levels' points split the far set, so at rho = 9.25 (A_rho = 4.68)
     that is 2.9e-14 sum_far |A_k|/|x_i - lam_k|, as for a single level."""
-    out = np.zeros((x.size, A.shape[1]), dtype=complex)
-    order = np.argsort(lam.real, kind="stable")
-    lam, A = lam[order], A[order]
-    return _line_sums(x, lam.real, lambda t, c: cauchy_sums(t, lam[c], A[c]),
-                      _interpolate_columns, out)
+    return _line_sums(x, lam, A=A)[0]
 
 
 def unique_sorted(a) -> np.ndarray:

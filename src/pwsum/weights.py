@@ -5,7 +5,9 @@ universal_weights each return (L, W).  W is the (points x steps) complex
 matrix of w(lambda_k, n_j), and a column's support is its nonzero entries.
 L is the (2, steps) array of half-widths: row 0 labels each step's C+
 entries and is the step's n, row 1 its C- entries.  Weights tend to 1 in
-the step for every fixed point.  The universal scheme reads each
+the step for every fixed point.  The projection scheme takes all its
+steps from one BlaschkeEvaluator.eval_beta call per half-plane, which sums
+each annulus between radii once.  The universal scheme reads each
 half-plane's contour schedule as build_schedule's table, one column per
 contour and step.
 """
@@ -89,18 +91,16 @@ def naive_weights(spectrum: Spectrum, radii) -> tuple[np.ndarray, np.ndarray]:
 
 def projection_weights(spectrum: Spectrum, radii) -> tuple[np.ndarray, np.ndarray]:
     """w(lambda, n) = beta_n^{+-}(lambda) for |lambda| < n: Blaschke tail
-    products per half-plane, beta_n^-(lambda) = conj(beta_n of the mirror
-    at conj lambda)."""
+    products per half-plane (BlaschkeEvaluator.eval_beta),
+    beta_n^-(lambda) = conj(beta_n of the mirror at conj lambda)."""
     L = _radii(radii)
     b_plus, b_minus = upper_lower_evaluators(spectrum)
     pts = spectrum.points
     W = np.zeros((pts.size, L.shape[1]), dtype=complex)
-    for j, n in enumerate(L[0]):
-        inside = spectrum.moduli < n
-        for b, ks, lower in ((b_plus, np.flatnonzero(inside & (pts.imag > 0)), False),
-                             (b_minus, np.flatnonzero(inside & (pts.imag < 0)), True)):
-            if ks.size:
-                W[ks, j] = np.conj(b.tail_factor(np.conj(pts[ks]), n)) if lower else b.tail_factor(pts[ks], n)
+    for b, ks, lower in ((b_plus, np.flatnonzero(pts.imag > 0), False),
+                         (b_minus, np.flatnonzero(pts.imag < 0), True)):
+        if ks.size:
+            W[ks] = np.conj(b.eval_beta(np.conj(pts[ks]), L[0])) if lower else b.eval_beta(pts[ks], L[0])
     return L, W
 
 

@@ -24,7 +24,7 @@ def test_tiny_sweep_writes_the_schema(tmp_path, against):
     assert {"python", "numpy", "platform", "cpu", "blas_threads"} <= set(report["machine"])
     kernels = [case["kernel"] for case in report["cases"]]
     spectrum_kernels = ["G_prime", "beta_rows", "log_abs_B_sides", "cauchy_disk", "G_disk"]
-    assert kernels == ["line_log_abs", "line_arg", "line_cauchy"] * 2 + spectrum_kernels * 2
+    assert kernels == ["line_log_abs", "line_cauchy", "sample_sums"] * 2 + spectrum_kernels * 2
     for case in report["cases"]:
         assert set(case) == CASE_KEYS | (AGAINST_KEYS if against else set())
         assert case["repeat"] == 2 and case["points"] > 0 and case["pairs"] > 0

@@ -49,13 +49,13 @@ def test_modulus_bound_upper_halfplane():
 @pytest.mark.parametrize("kernel", [
     lambda b, z: b.eval_B(z),
     lambda b, z: b.eval_B(z, cutoff=3.0),
-    lambda b, z: b.tail_factor(z, 1.5),
     lambda b, z: b.log_abs_B(z),
-], ids=["eval_B", "eval_B-cutoff", "tail_factor", "log_abs_B"])
+], ids=["eval_B", "eval_B-cutoff", "log_abs_B"])
 def test_pole_rejected(kernel):
     # each kernel checks for a pole conj(lambda) itself: -2j is the pole of the
-    # zero 2j, inside the cutoff 3 and in the tail |mu| >= 1.5; 1e-13 away is
-    # within the relative tolerance 1e-12 * |lambda|
+    # zero 2j, inside the cutoff 3; 1e-13 away is within the relative
+    # tolerance 1e-12 * |lambda| (eval_beta: test_weights.py's
+    # test_projection_pole_rejected)
     b = BlaschkeEvaluator(Spectrum(np.array([1j, 2j])))
     for z in (np.array([-2j]), np.array([0.5 + 0.5j, -2j + 1e-13])):
         with pytest.raises(BlaschkeError):
@@ -133,20 +133,24 @@ def test_eval_B_zero_inside_a_block():
 def test_beta_trivial_full_inclusion():
     s = Spectrum(np.array([1j, 5j, 2 + 1j]))
     b = BlaschkeEvaluator(s)
-    assert b.tail_factor(b.points, 10.0) == pytest.approx(np.ones(3))
+    assert b.eval_beta(b.points, np.array([10.0]))[:, 0] == pytest.approx(np.ones(3))
 
 
 def test_beta_single_tail_factor():
     b = BlaschkeEvaluator(Spectrum(np.array([1j, 5j])))
     # tail factor of lambda=i against mu=5i: (-1)(i-5i)/(i+5i) = 2/3
-    assert b.tail_factor(b.points[:1], 2.0)[0] == pytest.approx(2.0 / 3.0)
+    assert b.eval_beta(b.points[:1], np.array([2.0]))[0, 0] == pytest.approx(2.0 / 3.0)
 
 
 def test_beta_zero_outside():
-    # beta_n vanishes at |lambda| >= n: such points are off the column's support
+    # beta_n vanishes at |lambda| >= n: such points are off the column's
+    # support; eval_beta at a point that is no zero, of modulus 5 exactly,
+    # leaves radius 5 out and takes radius 7
     _, W = projection_weights(Spectrum(np.array([1j, 5j])), [1.0, 2.0])
     assert np.flatnonzero(W[:, 0]).tolist() == []
     assert np.flatnonzero(W[:, 1]).tolist() == [0]
+    beta = BlaschkeEvaluator(Spectrum(np.array([1 + 1j, 6 + 2j]))).eval_beta(np.array([3 + 4j]), np.array([5.0, 7.0]))
+    assert beta[0, 0] == 0 and beta[0, 1] != 0
 
 
 def test_beta_modulus_bound_and_monotone_trend():
@@ -155,8 +159,7 @@ def test_beta_modulus_bound_and_monotone_trend():
     k = int(np.argmin(np.abs(b.points - 0.3j)))
     radii = [5.0, 10.0, 20.0, 40.0, 61.0]
     devs = []
-    for n in radii:
-        beta = b.tail_factor(b.points[k : k + 1], n)[0]
+    for beta in b.eval_beta(b.points[k : k + 1], np.array(radii))[0]:
         assert abs(beta) <= 1.0 + 1e-12
         devs.append(abs(beta - 1.0))
     assert all(devs[i + 1] <= devs[i] + 1e-12 for i in range(len(devs) - 1))
@@ -167,7 +170,7 @@ def test_cutoff_tail_consistency():
     s = make_family("kadec_perturbed", {"delta": 0.4, "eps": 0.1}, 15)
     b = BlaschkeEvaluator(s)
     z = np.array([0.2 + 1.1j, -3 + 0.5j])
-    split = b.eval_B(z, cutoff=7.0) * b.tail_factor(z, 7.0)
+    split = b.eval_B(z, cutoff=7.0) * b.eval_beta(z, np.array([7.0]))[:, 0]
     assert b.eval_B(z) == pytest.approx(split, rel=1e-12)
 
 

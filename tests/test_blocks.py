@@ -161,10 +161,10 @@ def test_blaschke_logs_empty_shapes(shape, phase):
         assert out.shape == (shape[0],) and np.all(out == 0)
 
 
-def test_tail_factor_with_no_points_beyond_n():
+def test_eval_beta_with_no_points_beyond_n():
     # the (r, 0) factor block: every point lies inside |mu| < n
     s = make_family("kadec_perturbed", {"delta": 0.3, "eps": 0.2}, 30)
-    assert np.array_equal(BlaschkeEvaluator(s).tail_factor(s.points[:5], 100.0), np.ones(5))
+    assert np.array_equal(BlaschkeEvaluator(s).eval_beta(s.points[:5], np.array([100.0])), np.ones((5, 1)))
 
 
 @pytest.mark.parametrize("ragged", [False, True], ids=["under-one-block", "ragged-last-block"])
@@ -185,7 +185,7 @@ def test_block_buffers_sliced_per_block(ragged):
         "log_G@real": lambda z: gen.log_G(z.real + 0j),
         "log_abs_G": lambda z: gen.log_abs_G(z.real, a=0.4),
         "eval_B": up.eval_B,
-        "tail_factor": lambda z: up.tail_factor(z, 12.0),
+        "eval_beta": lambda z: up.eval_beta(z, np.array([12.0, 30.0, 41.0])),
     }
     for name, kernel in kernels.items():
         single = np.array([kernel(z[i : i + 1])[0] for i in range(z.size)])

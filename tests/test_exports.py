@@ -92,7 +92,10 @@ def test_evaluators_take_and_return_arrays_only():
             # one Blaschke kernel for every zero set: no modulus-only copy, no one-height copy
             "_log_abs_factors", "one_height_blaschke_logs",
             # one complex Cauchy kernel: no second, BLAS-only copy beside cauchy_sums
-            "_cauchy_products")
+            "_cauchy_products",
+            # one walk of the line kernels: no arg-only entry point or block kernel, one
+            # interpolation for every output; the beta rows by annuli, no tail per step
+            "line_arg", "_arg_sums", "_log_d2_sums", "_interpolate_columns", "_bary_weights", "tail_factor")
     assert sorted((name, g) for name, text in src.items() for g in gone if re.search(rf"\b{g}\b", text)) == []
     # l2_error stays a column of converge's errors.csv, but is no function
     assert sorted(name for name, text in src.items() if re.search(r"\bl2_error\(", text)) == []

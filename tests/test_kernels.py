@@ -64,6 +64,38 @@ def test_collisions_at_the_tolerance_boundary():
             assert np.array_equal(collisions(z[k : k + 1], lam, tol2), dense_collisions(z[k : k + 1], lam, tol2))
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_collisions_at_the_box_edges_and_corners(seed):
+    # the columns are filtered by the box of z: points planted beyond its
+    # corners (diagonally, where each of dx^2 and dy^2 is within tol2 but
+    # their sum may not be) and beyond the middles of its edges, at
+    # distances around 1e-12 = sqrt(tol2); with and without skip, and with a
+    # NaN point, which collides with nothing and leaves the box alone
+    rng = np.random.default_rng(200 + seed)
+    z = rng.uniform(-3.0, 3.0, 40) + 1j * rng.uniform(-2.0, 2.0, 40)
+    corners = np.array([-3.0 - 2.0j, 3.0 - 2.0j, 3.0 + 2.0j, -3.0 + 2.0j])
+    z[:4] = corners
+    out = np.array([-1.0 - 1.0j, 1.0 - 1.0j, 1.0 + 1.0j, -1.0 + 1.0j])  # away from the box, per corner
+    edges = np.array([-2.0j, 3.0, 2.0j, -3.0])  # the edges' middles, each with its outward unit
+    units = np.array([-1.0j, 1.0, 1.0j, -1.0])
+    z[4:8] = edges
+    r = 1e-12 * rng.choice([0.5, 0.7, 0.72, 0.99, 1.0, 1.01, 1.5], 8)
+    lam = np.concatenate([corners + r[:4] * out, edges + r[4:] * units,
+                          rng.uniform(-3.5, 3.5, 20) + 1j * rng.uniform(-2.5, 2.5, 20)])
+    z = z[rng.permutation(z.size)]
+    skip = rng.integers(0, lam.size, z.size)
+    per_column = 1e-24 * rng.uniform(0.5, 2.0, lam.size)
+    for tol2 in (1e-24, per_column):
+        want = dense_collisions(z, lam, tol2)
+        assert np.array_equal(collisions(z, lam, tol2), want)
+        assert np.array_equal(collisions(z, lam, tol2, skip), dense_collisions(z, lam, tol2, skip))
+        with np.errstate(invalid="ignore"):
+            nan = np.append(z, complex(np.nan, 0.5))
+            assert np.array_equal(collisions(nan, lam, tol2), np.append(want, False))
+            nan = np.append(z, complex(0.5, np.nan))
+            assert np.array_equal(collisions(nan, lam, tol2), np.append(want, False))
+
+
 def test_collisions_on_empty_inputs():
     lam = np.array([1.0 + 0.5j])
     assert collisions(np.zeros(0, dtype=complex), lam, 1e-24).shape == (0,)

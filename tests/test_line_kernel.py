@@ -1,19 +1,36 @@
-"""The panel-tree kernels of the line (spectrum.line_log_abs, line_arg and
-line_cauchy) against the direct kernels they replaced, kept here as the
-oracles, the tree's work and transfer matrices, and G on a real line (log_G)
-against mpmath."""
+"""The panel-tree kernels of the line (spectrum.line_log_abs,
+line_log_products and line_cauchy, and the arg output of the walk) against
+the direct kernels they replaced, kept here as the oracles; the one walk
+against each of its outputs alone; the tree's work and transfer matrices;
+and G on a real line (log_G) and the partial sums on it (sample_sums)
+against mpmath and the dense product."""
 
 import mpmath
 import numpy as np
 import pytest
 
 from pwsum import spectrum
+from pwsum.engine import sample_sums
 from pwsum.genfun import CollisionError, GeneratingFunctionEvaluator
 from pwsum.grids import line_grid
-from pwsum.spectrum import PANEL_POINTS, PANEL_WIDTH, Spectrum, line_arg, line_cauchy, line_log_abs, make_family
+from pwsum.spectrum import (
+    PANEL_POINTS,
+    PANEL_WIDTH,
+    Spectrum,
+    line_cauchy,
+    line_log_abs,
+    line_log_products,
+    make_family,
+)
 
 TOL = 1e-12  # absolute, in the log (and in the argument, modulo 2 pi)
 CAUCHY_TOL = 1e-13  # of sum_k |a_k|/|x - lambda_k|
+
+
+def line_arg(x, a, lam):
+    """The arg output of the walk alone: sum_j [arctan2(Im lam_j - a,
+    Re lam_j - x_i) - arg lam_j] per real x_i (line_log_products' Im at a = 0)."""
+    return spectrum._line_sums(x, lam, a, arg=True)[0]
 
 
 def direct_line_log_abs(x, a, lam):
@@ -121,17 +138,23 @@ def test_nodes_on_panel_edges_and_on_chebyshev_points():
         assert np.max(np.abs(got - want) / scale) <= CAUCHY_TOL
 
 
-def test_nodes_on_the_edges_and_chebyshev_points_of_every_level():
-    # 801 points on [-200, 200]: the leaves below level 3 take their far sums
-    # down the tree, level 5's panels near 0 hold every point (the roots);
-    # the points of a level are formed as the kernel forms them
-    lam = SPECTRA["clustered_pairs"]
+def level_nodes():
+    """The edges and Chebyshev points of the panels of levels 0-6 on
+    [-256, 256], formed as the kernel forms them."""
     x = []
     for level in range(7):
         width = PANEL_WIDTH * 2.0**level
         left = np.arange(-256.0 / width, 256.0 / width)[:, None] * width
         x += [left.ravel(), ((left + 0.5 * width) + 2.0**level * spectrum._CHEB).ravel()]
-    x = np.concatenate(x)
+    return np.concatenate(x)
+
+
+def test_nodes_on_the_edges_and_chebyshev_points_of_every_level():
+    # 801 points on [-200, 200]: the leaves below level 3 take their far sums
+    # down the tree, level 5's panels near 0 hold every point (the roots);
+    # the points of a level are formed as the kernel forms them
+    lam = SPECTRA["clustered_pairs"]
+    x = level_nodes()
     assert np.max(np.abs(line_log_abs(x, 0.0, lam) - direct_line_log_abs(x, 0.0, lam))) <= TOL
     assert arg_error(line_arg(x, 0.0, lam), direct_line_arg(x, 0.0, lam)) <= TOL
     A = coefficients(lam.size)
@@ -158,14 +181,14 @@ def single_level_pairs(x, lam):
 
 
 def counted_pairs(monkeypatch, x, lam):
-    """The pairs line_log_abs sums, through a wrapper of _log_d2_sums."""
-    pairs, kernel = [0], spectrum._log_d2_sums
+    """The pairs line_log_abs sums, through a wrapper of _pair_sums."""
+    pairs, kernel = [0], spectrum._pair_sums
 
-    def counting(t, lre, dy2, log_l2):
+    def counting(t, lre, log_terms, arg_terms):
         pairs[0] += t.size * lre.size
-        return kernel(t, lre, dy2, log_l2)
+        return kernel(t, lre, log_terms, arg_terms)
 
-    monkeypatch.setattr(spectrum, "_log_d2_sums", counting)
+    monkeypatch.setattr(spectrum, "_pair_sums", counting)
     line_log_abs(x, 0.0, lam)
     return pairs[0]
 
@@ -215,10 +238,13 @@ def test_empty_nodes_and_empty_spectrum():
     assert line_log_abs(np.array([]), 0.0, lam).shape == (0,)
     assert line_arg(np.array([]), 0.0, lam).shape == (0,)
     assert line_cauchy(np.array([]), lam, A).shape == (0, 3)
+    assert [a.shape for a in line_log_products(np.array([]), lam, A)] == [(0,), (0, 3)]
     x = np.linspace(-10.0, 10.0, 41)
     assert np.array_equal(line_log_abs(x, 0.3, none), np.zeros(41))
     assert np.array_equal(line_arg(x, 0.3, none), np.zeros(41))
     assert np.array_equal(line_cauchy(x, none, np.zeros((0, 3), dtype=complex)), np.zeros((41, 3)))
+    logs, sums = line_log_products(x, none, np.zeros((0, 3), dtype=complex))
+    assert np.array_equal(logs, np.zeros(41)) and np.array_equal(sums, np.zeros((41, 3)))
     gen = GeneratingFunctionEvaluator(Spectrum(none))
     assert np.array_equal(gen.log_abs_G(x, a=0.3), np.zeros(41))
     assert np.array_equal(gen.log_G(x + 0j), np.zeros(41))
@@ -238,15 +264,69 @@ def test_line_at_a_points_height():
 
 
 def test_a_nodes_value_does_not_depend_on_the_call():
-    # fixed panels, fixed sums: any order, any subset, one node alone
+    # fixed panels, fixed sums: any order, any subset, one node alone; the
+    # one walk's log G with and without Cauchy columns
     lam = SPECTRA["clustered_pairs"]
     x = np.linspace(-90.0, 90.0, 1801) + 0.0137
     perm = np.random.default_rng(5).permutation(x.size)
-    for kernel in (line_log_abs, line_arg):
-        ref = kernel(x, 0.2, lam)
-        assert np.array_equal(kernel(x[perm], 0.2, lam), ref[perm])
-        assert np.array_equal(kernel(x[::37], 0.2, lam), ref[::37])
-        assert all(kernel(x[i : i + 1], 0.2, lam)[0] == ref[i] for i in range(0, x.size, 97))
+    A = coefficients(lam.size)
+    kernels = (lambda x: line_log_abs(x, 0.2, lam), lambda x: line_arg(x, 0.2, lam),
+               lambda x: line_log_products(x, lam, A)[0], lambda x: line_log_products(x, lam, A[:, :0])[0])
+    for kernel in kernels:
+        ref = kernel(x)
+        assert np.array_equal(kernel(x[perm]), ref[perm])
+        assert np.array_equal(kernel(x[::37]), ref[::37])
+        assert all(kernel(x[i : i + 1])[0] == ref[i] for i in range(0, x.size, 97))
+
+
+def one_walk_nodes():
+    """Node sets of the one-walk tests: a dense line past the window's ends,
+    every level's panel edges and Chebyshev points, nodes that are not
+    finite, one node, and none."""
+    return {"dense": np.linspace(-300.0, 300.0, 6001) + 0.0137, "levels": level_nodes(),
+            "not-finite": np.array([np.inf, -np.inf, np.nan, 1.5]), "one": np.array([2.25]), "none": np.array([])}
+
+
+@pytest.mark.parametrize("nodes", sorted(one_walk_nodes()))
+@pytest.mark.parametrize("name", sorted(SPECTRA))
+def test_the_one_walk_gives_each_output_bit_for_bit(name, nodes):
+    # log|G| and arg G as line_log_abs and the arg walk alone give them, and
+    # the Cauchy sums as line_cauchy does; with no Cauchy column, no sums
+    lam, x = SPECTRA[name], one_walk_nodes()[nodes]
+    A = coefficients(lam.size)
+    with np.errstate(invalid="ignore"):  # a node that is not finite gives nan
+        logs, sums = line_log_products(x, lam, A)
+        assert np.array_equal(logs.real, line_log_abs(x, 0.0, lam), equal_nan=True)
+        assert np.array_equal(logs.imag, line_arg(x, 0.0, lam), equal_nan=True)
+        assert np.array_equal(sums, line_cauchy(x, lam, A), equal_nan=True)
+        alone, none = line_log_products(x, lam, A[:, :0])
+    assert np.array_equal(alone, logs, equal_nan=True) and none.shape == (x.size, 0)
+
+
+def dense_sample_sums(x, lam, A):
+    """G(x) sum_k A[k, s]/(x - lam_k) per column s, (S, x.size), with G the
+    product over lam of (1 - x/lam_k), one log per factor, and the scale
+    |G(x)| sum_k |A[k, s]|/|x - lam_k|."""
+    G = np.exp(np.log(1.0 - x[:, None] / lam).sum(axis=1))
+    want, scale = dense_cauchy(x, lam, A)
+    return (G[:, None] * want).T, (np.abs(G)[:, None] * scale).T
+
+
+@pytest.mark.parametrize("name", sorted(SPECTRA) + ["one-point"])
+def test_sample_sums_match_the_dense_product(name):
+    # the window alone (no tail), so G is the finite product; G's own error
+    # (3e-14 of the scale at most, measured) fits in the Cauchy sums' bound
+    lam = SPECTRA[name] if name != "one-point" else np.array([0.5 + 0.3j])
+    gen = GeneratingFunctionEvaluator(Spectrum(lam))
+    lam = gen.spectrum.points
+    x = np.linspace(-20.0, 20.0, 2001) + 0.0137  # where G does not overflow
+    A = coefficients(lam.size)
+    got = sample_sums(gen, x, A)
+    want, scale = dense_sample_sums(x, lam, A)
+    assert got.shape == (3, x.size)
+    assert np.max(np.abs(got - want) / scale) <= CAUCHY_TOL, (name, np.max(np.abs(got - want) / scale))
+    assert sample_sums(gen, x, A[:, :0]).shape == (0, x.size)
+    assert sample_sums(gen, np.array([]), A).shape == (3, 0)
 
 
 def test_a_real_points_G_does_not_depend_on_the_call():

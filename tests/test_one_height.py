@@ -135,7 +135,7 @@ def test_two_heights_and_their_mirror():
         assert np.max(np.abs(got / want - 1.0)) <= 1e-13
         n = 0.6 * b.spectrum.radius
         inside = mu[np.abs(mu) < n][::5]
-        got = b.tail_factor(inside, n)
+        got = b.eval_beta(inside, np.array([n]))[:, 0]
         want = [_mp_factors(lam, mu[np.abs(mu) >= n]) for lam in inside]
         assert np.max(np.abs(got / want - 1.0)) <= 1e-13
 

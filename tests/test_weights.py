@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from pwsum.blaschke import BlaschkeEvaluator, upper_lower_evaluators
+from pwsum.blaschke import BlaschkeError, BlaschkeEvaluator, upper_lower_evaluators
 from pwsum.contours import build_schedule, in_triangle, triangle_samples
-from pwsum.spectrum import Spectrum, make_family
+from pwsum.spectrum import Spectrum, blaschke_logs, make_family
 from pwsum.weights import (
     WeightError,
     naive_weights,
@@ -201,6 +201,60 @@ def test_projection_lower_halfplane_index_mapping():
             mu = s.points[(s.moduli >= n) & (np.sign(s.points.imag) == np.sign(lam.imag))]
             direct = np.prod((np.conj(mu) / mu) * (lam - mu) / (lam - np.conj(mu)))
             assert w == pytest.approx(direct, rel=1e-12, abs=1e-14)
+
+
+def direct_projection_weights(s, radii) -> np.ndarray:
+    """The per-step oracle of projection_weights: at the points of each
+    half-plane inside n, exp of one blaschke_logs call over that
+    half-plane's zeros with |mu| >= n, for each radius n; the lower
+    half-plane through its mirror."""
+    W = np.zeros((len(s), len(radii)), dtype=complex)
+    for sign in (1.0, -1.0):
+        ks = np.flatnonzero(np.sign(s.points.imag) == sign)
+        z = s.points[ks] if sign > 0 else np.conj(s.points[ks])
+        for j, n in enumerate(radii):
+            inside, mu = np.abs(z) < n, z[np.abs(z) >= n]
+            beta = np.exp(blaschke_logs(z[inside], mu.real, mu.imag))
+            W[ks[inside], j] = beta if sign > 0 else np.conj(beta)
+    return W
+
+
+def _two_heights():
+    """100 points in C+ at x = 2k, heights 0.3 and 0.5 in turn, and 100 in
+    C- at x = 2k + 1."""
+    k = np.arange(-50, 50)
+    h = np.where(k % 2 == 0, 0.3, 0.5)
+    return Spectrum(np.concatenate([2 * k + 1j * h, 2 * k + 1 - 1j * h]))
+
+
+@pytest.mark.parametrize("case", ["shifted", "kadec", "two-heights", "on-a-radius"])
+def test_projection_annuli_match_the_direct_tails(case):
+    # one pass per annulus, accumulated from the outside in, against one
+    # tail product per step; 3 + 4i has modulus 5 exactly: off step 5's
+    # support, and a zero of the annulus 5 <= |mu| < 7
+    s, radii = {
+        "shifted": (make_family("shifted_integers", {"delta": 0.3}, 60), [5.0, 10.5, 20.0, 40.0, 61.0]),
+        "kadec": (make_family("kadec_perturbed", {"delta": 0.25, "eps": 0.15}, 40), [3.0, 12.0, 30.0]),
+        "two-heights": (_two_heights(), [10.0, 25.0, 50.0, 75.0, 100.0]),
+        "on-a-radius": (Spectrum(np.array([3 + 4j, 1 + 1j, 2 - 1j, 3 - 4j, 6 + 2j, 0.5j, -4 + 3.5j])),
+                        [2.0, 5.0, 7.0]),
+    }[case]
+    got, want = projection_weights(s, radii)[1], direct_projection_weights(s, radii)
+    assert np.array_equal(got != 0, want != 0)
+    assert np.max(np.abs(got - want) / np.maximum(np.abs(want), 1e-300)) <= 1e-13
+    if case == "on-a-radius":
+        k = int(np.flatnonzero(s.points == 3 + 4j)[0])
+        assert s.moduli[k] == 5.0 and got[k].tolist() == [0, 0, got[k, 2]] and got[k, 2] != 0
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["upper", "lower"])
+def test_projection_pole_rejected(sign):
+    # 1000 + 1e-12i is inside the radius and 1e-10 from the pole of the tail
+    # zero 1000 + 1e-10 + 1e-12i: within the reach 1e-12 |mu| of touching
+    pts = np.array([1000.0 + 1e-12j, 1000.0 + 1e-10 + 1e-12j])
+    s = Spectrum(pts if sign > 0 else np.conj(pts))
+    with pytest.raises(BlaschkeError):
+        projection_weights(s, [1000.0 + 5e-11])
 
 
 def test_weights_bounded_and_final(lattice_weights):

@@ -19,7 +19,11 @@ families, at c.grid 17 and 64 and at side.samples 2, 3 and 1000 (the
 apex-slope search's candidate and sample counts); and projection and
 universal weights and a projection converge run on a custom list of 200
 points on two heights in each half-plane (_TWO_HEIGHTS), where the
-Blaschke kernel takes a height per zero.
+Blaschke kernel takes a height per zero; and projection weights and a
+projection converge run on a custom list whose points 3 + 4i, 3 - 4i and
+-4 - 3i have modulus 5 exactly, a radius of the schedule (_ANNULUS): off
+that step's support, and zeros of the annulus 5 <= |mu| < 8 of the beta
+rows.
 The configs come from this tool's own tree, so both sides run the same
 text.  Each tree runs them all in one subprocess, cli.run on each config
 in turn, with one BLAS thread.
@@ -88,6 +92,12 @@ _EXTRA.update({f"{sub}-{family}{suffix}": f"subcommand={sub}\n{scheme}{keys}{sea
 _TWO_HEIGHTS = "".join(f"{2 * k} {h}\n{2 * k + 1} {-h}\n" for k in range(-50, 50) for h in [(0.3, 0.5)[k % 2]])
 _TWO_HEIGHT_RUNS = {"weights-two-heights": "subcommand=weights\nscheme=projection,universal\n",
                     "converge-two-heights": "subcommand=converge\nscheme=projection\n"}
+# k + 0.5i for |k| <= 10, and three points of modulus 5 exactly, on the
+# schedule's radius 5
+_ANNULUS = "".join(f"{k} 0.5\n" for k in range(-10, 11)) + "3 4\n3 -4\n-4 -3\n"
+_ANNULUS_RUNS = {"weights-annulus": "subcommand=weights\nscheme=projection\nschedule=2,5,8,12\n",
+                 "converge-annulus": "subcommand=converge\nscheme=projection\nschedule=2,5,8,12\n"}
+_CUSTOM_LISTS = {"two-heights": (_TWO_HEIGHTS, _TWO_HEIGHT_RUNS), "annulus": (_ANNULUS, _ANNULUS_RUNS)}
 
 _RUN = "import sys\nfrom pwsum import cli\nfor path in sys.argv[1:]:\n    print(cli.run(path), flush=True)\n"
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
@@ -101,10 +111,12 @@ def write_configs(base: Path) -> list[Path]:
             path = base / f"{name}-{variant}.cfg"
             path.write_text(config_text(name, variant, str(base / f"{name}-{variant}")))
             paths.append(path)
-    points = base / "two-heights.txt"
-    points.write_text(_TWO_HEIGHTS)
-    two_heights = {name: f"{body}family=custom_list\npoints.file={points}\n" for name, body in _TWO_HEIGHT_RUNS.items()}
-    for name, body in {**_EXTRA, **two_heights}.items():
+    custom = {}
+    for stem, (text, runs) in _CUSTOM_LISTS.items():
+        points = base / f"{stem}.txt"
+        points.write_text(text)
+        custom.update({name: f"{body}family=custom_list\npoints.file={points}\n" for name, body in runs.items()})
+    for name, body in {**_EXTRA, **custom}.items():
         path = base / f"{name}.cfg"
         path.write_text(f"{body}output.dir={base / name}\n")
         paths.append(path)
